@@ -28,24 +28,22 @@ cross-validating solver output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
 
-from .hypotheses import FAIL, SAMPLED_PASS, STRICT_TOL, PASS, HypothesisReport
+from .hypotheses import FAIL, SAMPLED_PASS, STRICT_TOL, PASS, HypothesisReport, _open_grid
 from .operators import LinearOperatorSpec, PotentialOperatorSpec
-from .space import H1Vector, SpaceConfig, basis_matrix, quadrature_grid
+from .space import H1Vector, SpaceConfig, basis_matrix, gauss_rule, l2_norm_sq, quadrature_grid
 
 __all__ = [
     "GreenOperator",
     "Nonlinearity",
     "ShootingResult",
     "ShootingSolution",
-    "apply_A",
-    "apply_B",
     "b_matrix",
-    "bvp_functional",
     "bvp_operator",
     "check_d1",
     "check_d2",
@@ -125,14 +123,6 @@ def green_operator(cfg: SpaceConfig) -> GreenOperator:
     return GreenOperator(nodes=nodes, weights=weights, kernel=kernel)
 
 
-def _composite_unit_rule(order: int, panels: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(order)
-    width = 1.0 / panels
-    nodes = np.concatenate([(k + (x + 1.0) / 2.0) * width for k in range(panels)])
-    weights = np.tile(w * width / 2.0, panels)
-    return nodes, weights
-
-
 def green_profile(g: Callable[[np.ndarray], np.ndarray], ts, order: int = 8, panels: int = 16):
     """Evaluate t -> int_0^1 G(t, s) g(s) ds at arbitrary points.
 
@@ -141,7 +131,7 @@ def green_profile(g: Callable[[np.ndarray], np.ndarray], ts, order: int = 8, pan
     with the subinterval.  The quadrature error is then an analytic function
     of t, which the second-difference residual checks depend on.
     """
-    x, w = _composite_unit_rule(order, panels)
+    x, w = gauss_rule(order, panels)
     ts_arr = np.atleast_1d(np.asarray(ts, dtype=float))
     left_nodes = np.outer(ts_arr, x)  # s = t*x
     right_nodes = ts_arr[:, None] + np.outer(1.0 - ts_arr, x)  # s = t + (1-t)*x
@@ -151,11 +141,6 @@ def green_profile(g: Callable[[np.ndarray], np.ndarray], ts, order: int = 8, pan
     if np.isscalar(ts) or np.asarray(ts).ndim == 0:
         return float(vals[0])
     return vals
-
-
-def _grid_data(cfg: SpaceConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    nodes, weights = quadrature_grid(cfg)
-    return nodes, weights, basis_matrix(cfg)
 
 
 def bvp_operator(
@@ -170,7 +155,8 @@ def bvp_operator(
     sampled oddness validation; pass odd=False for nonlinearities that are
     not odd in u (they fall outside the pair-existence machinery).
     """
-    nodes, weights, basis = _grid_data(cfg)
+    nodes, weights = quadrature_grid(cfg)
+    basis = basis_matrix(cfg)
     weighted_basis = weights[:, None] * basis
 
     def apply_batch(stacked: np.ndarray) -> np.ndarray:
@@ -189,9 +175,7 @@ def bvp_operator(
             return float(weights @ np.asarray(anti(nodes, profile)))
 
     else:
-        sv, wv = np.polynomial.legendre.leggauss(inner_order)
-        sv = (sv + 1.0) / 2.0
-        wv = wv / 2.0
+        sv, wv = gauss_rule(inner_order)
 
         def potential(c: np.ndarray) -> float:
             profile = basis @ c
@@ -210,57 +194,18 @@ def bvp_operator(
     )
 
 
-def apply_A(nl: Nonlinearity, u: H1Vector, cfg: SpaceConfig) -> H1Vector:
-    """Apply the Green-kernel operator and project onto the retained modes."""
-    if u.n_modes != cfg.n_modes:
-        raise ValueError("vector does not match config")
-    nodes, weights, basis = _grid_data(cfg)
-    profile = basis @ u.coeffs
-    rhs = np.asarray(nl.f(nodes, profile), dtype=float)
-    if not np.all(np.isfinite(rhs)):
-        raise ValueError("nonlinearity produced non-finite values on the grid")
-    return H1Vector(rhs @ (weights[:, None] * basis))
-
-
 def b_matrix(a1: Callable[[np.ndarray], np.ndarray], cfg: SpaceConfig) -> LinearOperatorSpec:
     """The comparison operator B u = int G(t,s) a1(s) u(s) ds as a matrix.
 
     In the sine basis B has entries int a1 e_k e_l dt; assembling it through
     the weighted Gram matrix keeps it symmetric to rounding.
     """
-    nodes, weights, basis = _grid_data(cfg)
+    nodes, weights = quadrature_grid(cfg)
+    basis = basis_matrix(cfg)
     a1v = np.asarray(a1(nodes), dtype=float)
     m = basis.T @ (weights[:, None] * a1v[:, None] * basis)
     m = 0.5 * (m + m.T)
     return LinearOperatorSpec(matrix=m, self_adjoint=True)
-
-
-def apply_B(a1: Callable[[np.ndarray], np.ndarray], u: H1Vector, cfg: SpaceConfig) -> H1Vector:
-    if u.n_modes != cfg.n_modes:
-        raise ValueError("vector does not match config")
-    return b_matrix(a1, cfg).apply(u)
-
-
-def bvp_functional(
-    nl: Nonlinearity, u: H1Vector, cfg: SpaceConfig, inner_order: int = 16
-) -> float:
-    """Energy 0.5 ||u||^2 - int_0^1 F(t, u(t)) dt with F computed by an
-    inner Gauss-Legendre rule in the second argument.
-
-    The inner rule mirrors the one used by the Avez line integral, so the
-    two energy formulas agree to rounding for any potential operator.
-    """
-    if u.n_modes != cfg.n_modes:
-        raise ValueError("vector does not match config")
-    nodes, weights, basis = _grid_data(cfg)
-    profile = basis @ u.coeffs
-    sv, wv = np.polynomial.legendre.leggauss(inner_order)
-    sv = (sv + 1.0) / 2.0
-    wv = wv / 2.0
-    scaled = sv[:, None] * profile[None, :]
-    fvals = np.asarray(nl.f(nodes[None, :], scaled), dtype=float)
-    f_integral = float(weights @ (profile * (wv @ fvals)))
-    return 0.5 * float(np.dot(u.coeffs, u.coeffs)) - f_integral
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +220,7 @@ def check_d1(nl: Nonlinearity, r1: float, cfg: SpaceConfig, nt: int = 64, nu: in
     """
     if not 0.0 < r1 < 1.0:
         raise ValueError("r1 must lie in (0, 1)")
-    t = np.arange(1, nt + 1) / (nt + 1.0)
+    t = _open_grid(nt)
     u_pos = r1 * np.logspace(-8, 0, nu)
     u = np.concatenate([-u_pos[::-1], u_pos])
     tt, uu = np.meshgrid(t, u, indexing="ij")
@@ -296,7 +241,7 @@ def check_d2(
     nl: Nonlinearity, cfg: SpaceConfig, nt: int = 64, nu: int = 64, u_max: float = 1e3
 ) -> HypothesisReport:
     """f(t, u) <= a2(t) |u|^theta + a3(t), sampled over t and a wide u range."""
-    t = np.arange(1, nt + 1) / (nt + 1.0)
+    t = _open_grid(nt)
     u_pos = np.logspace(-6, np.log10(u_max), nu)
     u = np.concatenate([-u_pos[::-1], [0.0], u_pos])
     tt, uu = np.meshgrid(t, u, indexing="ij")
@@ -340,16 +285,12 @@ def check_d3(
     rng = np.random.default_rng(seed)
     pair_values: list[tuple[float, float, str]] = []
 
-    def l2_of(c: np.ndarray) -> float:
-        ks = np.arange(1, n + 1)
-        return float(np.sqrt(np.sum((c / (ks * np.pi)) ** 2)))
-
+    mode_l2 = [math.sqrt(l2_norm_sq(H1Vector(c))) for _, c in candidates]
     # best orthonormal pair among the low modes: all distinct mode pairs
     for i in range(budget):
         for j in range(i + 1, budget):
-            vi, vj = candidates[i][1], candidates[j][1]
             pair_values.append(
-                (l2_of(vi), l2_of(vj), f"{candidates[i][0]}+{candidates[j][0]}")
+                (mode_l2[i], mode_l2[j], f"{candidates[i][0]}+{candidates[j][0]}")
             )
     for p in range(n_random_pairs):
         a = rng.standard_normal(n)
@@ -357,7 +298,8 @@ def check_d3(
         b = rng.standard_normal(n)
         b -= np.dot(a, b) * a
         b /= np.linalg.norm(b)
-        pair_values.append((l2_of(a), l2_of(b), f"random-pair-{p}"))
+        la, lb = (math.sqrt(l2_norm_sq(H1Vector(v))) for v in (a, b))
+        pair_values.append((la, lb, f"random-pair-{p}"))
 
     best_min_l2 = -np.inf
     best_label = ""

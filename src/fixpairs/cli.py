@@ -113,7 +113,11 @@ def run_check(setup: ProblemSetup) -> dict[str, Any]:
         )
     if setup.nonlinearity is not None:
         nl = setup.nonlinearity
-        reports.append(check_d1(nl, setup))
+        reports.append(
+            bvp_mod.check_d1(
+                nl, setup.d1_r1, setup.space, nt=setup.hyp.d1_nt, nu=setup.hyp.d1_nu
+            )
+        )
         reports.append(
             bvp_mod.check_d2(nl, setup.space, nt=setup.hyp.d1_nt, nu=setup.hyp.d1_nu)
         )
@@ -126,12 +130,6 @@ def run_check(setup: ProblemSetup) -> dict[str, Any]:
     payload["reports"] = [r.to_dict() for r in reports]
     payload["all_pass"] = all(r.passed for r in reports)
     return payload
-
-
-def check_d1(nl, setup: ProblemSetup) -> HypothesisReport:
-    return bvp_mod.check_d1(
-        nl, setup.d1_r1, setup.space, nt=setup.hyp.d1_nt, nu=setup.hyp.d1_nu
-    )
 
 
 def run_solve(setup: ProblemSetup) -> tuple[dict[str, Any], Any]:
@@ -151,8 +149,6 @@ def run_gradcheck(setup: ProblemSetup, n_pairs: int = 20, h: float = 1e-5) -> di
         v = rng.standard_normal(setup.space.n_modes)
         v /= np.linalg.norm(v)
         disc = fd_gradient_check(setup.operator, u, H1Vector(v), h)
-        from .operators import functional_J
-
         rel = disc / max(1.0, abs(functional_J(setup.operator, u)))
         worst = max(worst, rel)
     payload = _base_payload(setup, "gradcheck")

@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .space import H1Vector
+from .space import H1Vector, gauss_rule
 
 __all__ = [
     "GrowthCertificate",
@@ -92,12 +92,13 @@ def _check_oddness(op: PotentialOperatorSpec) -> None:
     plus = op.apply_many(samples)
     minus = op.apply_many(-samples)
     worst = float(np.max(np.linalg.norm(plus + minus, axis=1)))
-    if worst > _ODDNESS_TOL:
+    # "not <=" so that NaN fails the check
+    if not worst <= _ODDNESS_TOL:
         raise OddnessError(
             f"operator '{op.label}' flagged odd but ||A(-u) + A(u)|| reaches {worst:.3e}"
         )
     at_zero = float(np.linalg.norm(op.apply_coeffs(np.zeros(op.n_modes))))
-    if at_zero > _ODDNESS_TOL:
+    if not at_zero <= _ODDNESS_TOL:
         raise OddnessError(f"operator '{op.label}' flagged odd but ||A(0)|| = {at_zero:.3e}")
 
 
@@ -173,11 +174,6 @@ class GrowthCertificate:
         }
 
 
-def _unit_gauss(order: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(order)
-    return (x + 1.0) / 2.0, w / 2.0
-
-
 def avez_potential(A: PotentialOperatorSpec, u: H1Vector, s_order: int = 16) -> float:
     """Recover the potential T(u) = int_0^1 (A(s*u), u) ds by quadrature.
 
@@ -187,31 +183,22 @@ def avez_potential(A: PotentialOperatorSpec, u: H1Vector, s_order: int = 16) -> 
     """
     if s_order < 2:
         raise ValueError("s_order must be >= 2")
-    s, w = _unit_gauss(s_order)
+    s, w = gauss_rule(s_order)
     c = u.coeffs
     images = A.apply_many(s[:, None] * c[None, :])
     return float(w @ (images @ c))
 
 
-def functional_J(
-    A: PotentialOperatorSpec, u: H1Vector, s_order: int = 16, potential: str = "auto"
-) -> float:
+def functional_J(A: PotentialOperatorSpec, u: H1Vector) -> float:
     """The energy J(u) = 0.5 ||u||^2 - T(u).
 
-    potential="auto" uses the operator's closed-form potential when it has
-    one and the Avez quadrature otherwise; "avez" and "closed" force the
-    respective route.
+    T is the operator's closed-form potential when it has one and the Avez
+    quadrature otherwise.
     """
     half_sq = 0.5 * float(np.dot(u.coeffs, u.coeffs))
-    if potential == "auto":
-        potential = "closed" if A.potential_coeffs is not None else "avez"
-    if potential == "closed":
-        if A.potential_coeffs is None:
-            raise ValueError("operator has no closed-form potential")
+    if A.potential_coeffs is not None:
         return half_sq - float(A.potential_coeffs(u.coeffs))
-    if potential == "avez":
-        return half_sq - avez_potential(A, u, s_order=s_order)
-    raise ValueError(f"unknown potential mode {potential!r}")
+    return half_sq - avez_potential(A, u)
 
 
 def gradient_J(A: PotentialOperatorSpec, u: H1Vector) -> H1Vector:

@@ -35,6 +35,7 @@ __all__ = [
     "basis_matrix",
     "basis_vector",
     "evaluate",
+    "gauss_rule",
     "inner",
     "l2_norm_sq",
     "project",
@@ -137,13 +138,18 @@ def _check_dims(u: H1Vector, v: H1Vector) -> None:
 
 
 @functools.lru_cache(maxsize=None)
-def _grid_arrays(quad_nodes: int, n_panels: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(quad_nodes)
-    width = 1.0 / n_panels
+def gauss_rule(order: int, panels: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the composite Gauss-Legendre rule on [0, 1].
+
+    The rule has `order` nodes on each of `panels` equal-width panels.  The
+    returned arrays are cached and read-only.
+    """
+    x, w = np.polynomial.legendre.leggauss(order)
+    width = 1.0 / panels
     nodes = np.concatenate(
-        [(k + (x + 1.0) / 2.0) * width for k in range(n_panels)]
+        [(k + (x + 1.0) / 2.0) * width for k in range(panels)]
     )
-    weights = np.tile(w * width / 2.0, n_panels)
+    weights = np.tile(w * width / 2.0, panels)
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return nodes, weights
@@ -151,7 +157,7 @@ def _grid_arrays(quad_nodes: int, n_panels: int) -> tuple[np.ndarray, np.ndarray
 
 @functools.lru_cache(maxsize=None)
 def _basis_arrays(n_modes: int, quad_nodes: int, n_panels: int) -> np.ndarray:
-    nodes, _ = _grid_arrays(quad_nodes, n_panels)
+    nodes, _ = gauss_rule(quad_nodes, n_panels)
     ks = np.arange(1, n_modes + 1)
     mat = np.sqrt(2.0) / (ks * np.pi) * np.sin(np.outer(nodes, ks) * np.pi)
     mat.flags.writeable = False
@@ -159,8 +165,8 @@ def _basis_arrays(n_modes: int, quad_nodes: int, n_panels: int) -> np.ndarray:
 
 
 def quadrature_grid(cfg: SpaceConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the composite Gauss-Legendre rule on [0, 1]."""
-    return _grid_arrays(cfg.quad_nodes, cfg.n_panels)
+    """The quadrature grid of a discretization: gauss_rule at its resolution."""
+    return gauss_rule(cfg.quad_nodes, cfg.n_panels)
 
 
 def basis_matrix(cfg: SpaceConfig) -> np.ndarray:

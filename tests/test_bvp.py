@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from fixpairs import (
     GridSample,
     H1Vector,
     SpaceConfig,
+    avez_potential,
     basis_vector,
     evaluate,
     fd_gradient_check,
@@ -59,7 +62,7 @@ def test_green_operator_consistent_with_projection(space32, sublinear_nl, rng):
             GridSample(nodes=g.nodes, weights=g.weights, values=g.apply_values(vals)),
             cfg,
         )
-        return (grid_route - bvp.apply_A(sublinear_nl, u, cfg)).norm()
+        return (grid_route - bvp.bvp_operator(sublinear_nl, cfg).apply(u)).norm()
 
     coarse = gap(space32)
     fine = gap(SpaceConfig(32, 8, 64))
@@ -68,7 +71,8 @@ def test_green_operator_consistent_with_projection(space32, sublinear_nl, rng):
 
 
 def test_apply_a_zero(space32):
-    assert bvp.apply_A(bvp.zero_nonlinearity(), basis_vector(1, 32), space32).norm() == 0.0
+    op = bvp.bvp_operator(bvp.zero_nonlinearity(), space32)
+    assert op.apply(basis_vector(1, 32)).norm() == 0.0
 
 
 def test_apply_a_resolves_forcing(space32):
@@ -82,13 +86,13 @@ def test_apply_a_resolves_forcing(space32):
         a3=lambda t: np.full_like(t, amp),
         label="forcing",
     )
-    out = bvp.apply_A(nl, zero_vector(32), space32)
+    out = bvp.bvp_operator(nl, space32, odd=False).apply(zero_vector(32))
     assert (out - basis_vector(1, 32)).norm() <= 1e-10
 
 
 def test_apply_a_linear_eigenrelation(space32):
     nl = bvp.linear_nonlinearity(5.0)
-    out = bvp.apply_A(nl, basis_vector(1, 32), space32)
+    out = bvp.bvp_operator(nl, space32).apply(basis_vector(1, 32))
     assert out.coeffs[0] == pytest.approx(5.0 / np.pi**2, rel=1e-12)
     assert np.max(np.abs(out.coeffs[1:])) <= 1e-11
 
@@ -103,13 +107,13 @@ def test_apply_a_rejects_nonfinite(space32):
         label="nan",
     )
     with pytest.raises(ValueError):
-        bvp.apply_A(nl, basis_vector(1, 32), space32)
+        bvp.bvp_operator(nl, space32)
 
 
 def test_apply_b_eigenfunction(space32):
-    out = bvp.apply_B(lambda t: np.full_like(t, np.pi**2), basis_vector(1, 32), space32)
+    out = bvp.b_matrix(lambda t: np.full_like(t, np.pi**2), space32).apply(basis_vector(1, 32))
     assert (out - basis_vector(1, 32)).norm() <= 1e-10
-    assert bvp.apply_B(lambda t: 1.0 + t, zero_vector(32), space32).norm() == 0.0
+    assert bvp.b_matrix(lambda t: 1.0 + t, space32).apply(zero_vector(32)).norm() == 0.0
 
 
 def test_apply_b_constant_weight_form(space32):
@@ -127,27 +131,35 @@ def test_b_self_adjoint(space32, sublinear_nl, rng):
         assert abs(inner(b.apply(u), v) - inner(u, b.apply(v))) <= 1e-10
 
 
-def test_bvp_functional_zero(space32, sublinear_nl):
-    assert bvp.bvp_functional(sublinear_nl, zero_vector(32), space32) == 0.0
+def _inner_rule_operator(nl, cfg):
+    # without a closed-form antiderivative bvp_operator integrates F by its
+    # inner Gauss-Legendre rule
+    return bvp.bvp_operator(replace(nl, antiderivative=None), cfg)
 
 
-def test_bvp_functional_linear_closed_form(space32):
+def test_bvp_energy_zero(space32, sublinear_nl):
+    op = _inner_rule_operator(sublinear_nl, space32)
+    assert functional_J(op, zero_vector(32)) == 0.0
+
+
+def test_bvp_energy_linear_closed_form(space32):
     lam = 5.0
-    nl = bvp.linear_nonlinearity(lam)
+    op = _inner_rule_operator(bvp.linear_nonlinearity(lam), space32)
     e1 = basis_vector(1, 32)
     expected = 0.5 - lam / (2.0 * np.pi**2)
-    assert bvp.bvp_functional(nl, e1, space32) == pytest.approx(expected, rel=1e-12)
+    assert functional_J(op, e1) == pytest.approx(expected, rel=1e-12)
     assert expected == pytest.approx(0.24670, abs=5e-6)
 
 
 def test_energy_formulas_agree(space32, sublinear_nl, sublinear_op, rng):
-    # line-integral potential vs integrated antiderivative, identical inner
+    # line-integral potential vs inner-rule potential, identical inner
     # quadrature rules on both sides
+    inner_rule_op = _inner_rule_operator(sublinear_nl, space32)
     for _ in range(20):
         u = H1Vector(rng.standard_normal(32))
-        via_line = functional_J(sublinear_op, u, potential="avez")
-        via_antiderivative = bvp.bvp_functional(sublinear_nl, u, space32)
-        assert abs(via_line - via_antiderivative) <= 1e-8
+        via_line = 0.5 * inner(u, u) - avez_potential(sublinear_op, u)
+        via_inner_rule = functional_J(inner_rule_op, u)
+        assert abs(via_line - via_inner_rule) <= 1e-8
 
 
 def test_gradient_pairing_identity(space32, sublinear_nl, sublinear_op, rng):
@@ -367,8 +379,8 @@ def test_nonlinearity_validation():
         )
 
 
-def test_bvp_operator_dimension_guard(space32, sublinear_nl):
+def test_bvp_operator_dimension_guard(space32, sublinear_nl, sublinear_op):
     with pytest.raises(ValueError):
-        bvp.apply_A(sublinear_nl, basis_vector(1, 16), space32)
+        sublinear_op.apply(basis_vector(1, 16))
     with pytest.raises(ValueError):
-        bvp.bvp_functional(sublinear_nl, basis_vector(1, 16), space32)
+        functional_J(_inner_rule_operator(sublinear_nl, space32), basis_vector(1, 16))

@@ -9,6 +9,7 @@ keys or sections are errors.  See the README for the full key reference.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
@@ -40,7 +41,6 @@ _SCHEMA: dict[str, dict[str, Callable[[str], Any]]] = {
         "mode": str,  # one_pair | two_pair
         "radius": float,
         "n_circle_seeds": int,
-        "seed_scale": float,
         "expected_pairs": int,
         "b1_scale": float,
         "b2_scale": float,
@@ -83,6 +83,10 @@ class HypothesisParams:
     mode_budget: int = 8
     d1_nt: int = 64
     d1_nu: int = 64
+
+    def __post_init__(self) -> None:
+        if self.n_s < 10 or self.n_angle < 10:
+            raise ValueError("n_s and n_angle must be >= 10")
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,9 +151,12 @@ def _convert(section: str, key: str, value: str) -> Any:
     if key not in schema:
         raise ConfigError(f"unknown key {key!r} in section [{section}]")
     try:
-        return schema[key](value)
+        converted = schema[key](value)
     except ValueError as exc:
         raise ConfigError(f"bad value for {section}.{key}: {value!r}") from exc
+    if isinstance(converted, float) and not math.isfinite(converted):
+        raise ConfigError(f"bad value for {section}.{key}: {value!r} is not finite")
+    return converted
 
 
 def _parse_radii(text: str) -> tuple[float, ...]:
@@ -157,10 +164,10 @@ def _parse_radii(text: str) -> tuple[float, ...]:
         radii = tuple(float(x) for x in text.split(","))
     except ValueError as exc:
         raise ConfigError(f"bad growth_radii: {text!r}") from exc
-    if not radii or any(r <= 0 for r in radii) or any(
+    if not radii or not all(0 < r < math.inf for r in radii) or any(
         b <= a for a, b in zip(radii, radii[1:])
     ):
-        raise ConfigError("growth_radii must be positive and increasing")
+        raise ConfigError("growth_radii must be finite, positive and increasing")
     return radii
 
 
@@ -185,7 +192,7 @@ def load_problem(
         hyp_kwargs["growth_radii"] = _parse_radii(hyp_kwargs["growth_radii"])
     try:
         hyp = HypothesisParams(**hyp_kwargs)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad [hypotheses] section: {exc}") from exc
 
     mode = prob.get("mode", "two_pair" if kind != "power_law" else "one_pair")

@@ -53,15 +53,16 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.grad_tol <= 0.0 or self.init_step <= 0.0 or self.dedup_tol <= 0.0:
+        # "not >" forms so that NaN is rejected as well
+        if not (self.grad_tol > 0.0 and self.init_step > 0.0 and self.dedup_tol > 0.0):
             raise ValueError("tolerances and steps must be positive")
         if not 0.0 < self.armijo_c < 1.0:
             raise ValueError("armijo_c must lie in (0, 1)")
         if not 0.0 < self.armijo_shrink < 1.0:
             raise ValueError("armijo_shrink must lie in (0, 1)")
-        if self.trivial_threshold is not None and self.trivial_threshold <= 0.0:
+        if self.trivial_threshold is not None and not self.trivial_threshold > 0.0:
             raise ValueError("trivial_threshold must be positive")
-        if self.deflation_radius is not None and self.deflation_radius <= 0.0:
+        if self.deflation_radius is not None and not self.deflation_radius > 0.0:
             raise ValueError("deflation_radius must be positive")
 
 

@@ -108,6 +108,26 @@ def test_override_expected_pairs(tmp_path):
     assert code == 1  # only one pair exists
 
 
+@pytest.mark.parametrize(
+    "override",
+    [
+        "problem.radius=nan",
+        "problem.radius=inf",
+        "hypotheses.n_s=3",
+        "hypotheses.n_angle=3",
+        "hypotheses.growth_radii=0.5,nan",
+        "solver.grad_tol=nan",
+        "problem.seed_scale=1",
+    ],
+)
+def test_invalid_numeric_override_is_config_error(override, capsys):
+    code = run("check", "--problem", str(PROBLEMS / "cubic2d.cfg"), "--set", override)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "config error" in err
+    assert "Traceback" not in err
+
+
 def test_bad_override_rejected():
     code = run(
         "check",

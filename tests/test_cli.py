@@ -165,17 +165,17 @@ def test_eigen_default_and_coarse(tmp_path):
     assert code == 1
 
 
-@pytest.mark.parametrize(
-    "problem, code",
-    [
-        ("power_law_1d", 0),
-        ("linear2d", 3),
-        ("bvp_zero", 1),
-        ("sublinear_affine", 1),
-        ("cubic2d", 0),
-        ("bvp_sqrt", 1),
-    ],
-)
+REPORT_EXIT_CODES = {
+    "power_law_1d": 0,
+    "linear2d": 3,
+    "bvp_zero": 1,
+    "sublinear_affine": 1,
+    "cubic2d": 0,
+    "bvp_sqrt": 1,
+}
+
+
+@pytest.mark.parametrize("problem, code", REPORT_EXIT_CODES.items(), ids=list(REPORT_EXIT_CODES))
 def test_reports_byte_stable(problem, code, tmp_path):
     # golden files hold the default-seed output; linear2d blows up in the
     # solve phase, so its report writes nothing and the check output is kept

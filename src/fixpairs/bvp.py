@@ -495,45 +495,28 @@ class ShootingResult:
         }
 
 
-def _rk4_terminal(f, sigmas: np.ndarray, n_steps: int) -> np.ndarray:
-    """u(1; sigma) for a batch of initial slopes, classic fourth order."""
-    u = np.zeros_like(sigmas)
-    p = sigmas.astype(float).copy()
+def _rk4(f, sigmas: np.ndarray, n_steps: int, stride: int) -> np.ndarray:
+    """Integrate u'' = -f(t, u), u(0) = 0, u'(0) = sigma for a batch of slopes.
+
+    Classic fourth-order steps of size 1/n_steps.  f receives the scalar t
+    and must broadcast it against u.  Row k holds u(t; sigmas[k]) at t = 0
+    and after every stride-th step, so the last column is u(1).
+    """
+    p = np.asarray(sigmas, dtype=float)
+    u = np.zeros_like(p)
     h = 1.0 / n_steps
+    out = np.zeros((p.size, n_steps // stride + 1))
     for i in range(n_steps):
         t = i * h
-        u, p = _rk4_step(f, t, u, p, h)
-    return u
-
-
-def _rk4_step(f, t, u, p, h):
-    def acc(tv, uv):
-        return -np.asarray(f(np.full_like(uv, tv), uv))
-
-    k1u, k1p = p, acc(t, u)
-    k2u, k2p = p + 0.5 * h * k1p, acc(t + 0.5 * h, u + 0.5 * h * k1u)
-    k3u, k3p = p + 0.5 * h * k2p, acc(t + 0.5 * h, u + 0.5 * h * k2u)
-    k4u, k4p = p + h * k3p, acc(t + h, u + h * k3u)
-    u_new = u + h / 6.0 * (k1u + 2 * k2u + 2 * k3u + k4u)
-    p_new = p + h / 6.0 * (k1p + 2 * k2p + 2 * k3p + k4p)
-    return u_new, p_new
-
-
-def _rk4_profile(f, sigma: float, n_steps: int, grid_points: int) -> tuple[np.ndarray, np.ndarray]:
-    if n_steps % (grid_points - 1) != 0:
-        raise ValueError("n_steps must be a multiple of grid_points - 1")
-    stride = n_steps // (grid_points - 1)
-    u = np.zeros(1)
-    p = np.array([sigma], dtype=float)
-    h = 1.0 / n_steps
-    ts = np.linspace(0.0, 1.0, grid_points)
-    us = np.empty(grid_points)
-    us[0] = 0.0
-    for i in range(n_steps):
-        u, p = _rk4_step(f, i * h, u, p, h)
+        k1u, k1p = p, -f(t, u)
+        k2u, k2p = p + 0.5 * h * k1p, -f(t + 0.5 * h, u + 0.5 * h * k1u)
+        k3u, k3p = p + 0.5 * h * k2p, -f(t + 0.5 * h, u + 0.5 * h * k2u)
+        k4u, k4p = p + h * k3p, -f(t + h, u + h * k3u)
+        u = u + h / 6.0 * (k1u + 2 * k2u + 2 * k3u + k4u)
+        p = p + h / 6.0 * (k1p + 2 * k2p + 2 * k3p + k4p)
         if (i + 1) % stride == 0:
-            us[(i + 1) // stride] = u[0]
-    return ts, us
+            out[:, (i + 1) // stride] = u
+    return out
 
 
 def shooting_oracle(
@@ -545,20 +528,29 @@ def shooting_oracle(
     grid_points: int = 1001,
 ) -> ShootingResult:
     """Independent solver: integrate u'' = -f(t, u), u(0) = 0, u'(0) = sigma
-    over a slope grid and bisect on sign changes of u(1).
+    over a slope grid and refine each sign change of u(1) by Brent's method.
 
     Fourth-order one-step integration with fixed step; the returned profiles
-    are sampled on a uniform grid.  If three or more consecutive scan slopes
-    already satisfy |u(1)| below the detection threshold the problem is
-    flagged degenerate (a resonant continuum) and no roots are emitted.
+    are sampled on a uniform grid of grid_points points, so grid_points - 1
+    must divide n_steps.  A root is kept only when its profile ends within
+    max(tol, 1e-12 max(1, |sigma|)) of zero.  If three or more consecutive
+    scan slopes already satisfy |u(1)| below the detection threshold the
+    problem is flagged degenerate (a resonant continuum) and no roots are
+    emitted.
     """
     lo, hi = float(slope_range[0]), float(slope_range[1])
     if not hi > lo:
         raise ValueError("slope_range must be increasing")
     if n_slopes < 2:
         raise ValueError("n_slopes must be >= 2")
+    if n_steps < 1 or grid_points < 2 or n_steps % (grid_points - 1) != 0:
+        raise ValueError(
+            "need n_steps >= 1, grid_points >= 2 and grid_points - 1 dividing n_steps"
+        )
+    from scipy.optimize import brentq
+
     sigmas = np.linspace(lo, hi, n_slopes)
-    terminal = _rk4_terminal(nl.f, sigmas, n_steps)
+    terminal = _rk4(nl.f, sigmas, n_steps, n_steps)[:, -1]
 
     detection = 1e-6 * np.maximum(1.0, np.abs(sigmas))
     small = np.abs(terminal) < detection
@@ -573,46 +565,31 @@ def shooting_oracle(
                 terminal_values=terminal,
             )
 
+    def u1(sigma: float) -> float:
+        return float(_rk4(nl.f, np.array([sigma]), n_steps, n_steps)[0, -1])
+
     roots: list[float] = []
     for i in range(n_slopes - 1):
         fa, fb = terminal[i], terminal[i + 1]
         if fa == 0.0:
             roots.append(float(sigmas[i]))
-            continue
-        if fa * fb < 0.0:
-            roots.append(_bisect_sigma(nl.f, sigmas[i], sigmas[i + 1], fa, n_steps, tol))
+        elif fa * fb < 0.0:
+            roots.append(float(brentq(u1, sigmas[i], sigmas[i + 1])))
     if terminal[-1] == 0.0:
         roots.append(float(sigmas[-1]))
 
     solutions = []
-    for sigma in roots:
-        ts, us = _rk4_profile(nl.f, sigma, n_steps, grid_points)
-        if abs(us[-1]) <= max(tol, 1e-12 * max(1.0, abs(sigma))):
-            solutions.append(
-                ShootingSolution(sigma=sigma, ts=ts, us=us, terminal=float(us[-1]))
-            )
+    if roots:
+        profiles = _rk4(nl.f, np.array(roots), n_steps, n_steps // (grid_points - 1))
+        for sigma, us in zip(roots, profiles):
+            if abs(us[-1]) <= max(tol, 1e-12 * max(1.0, abs(sigma))):
+                ts = np.linspace(0.0, 1.0, grid_points)
+                solutions.append(
+                    ShootingSolution(sigma=sigma, ts=ts, us=us, terminal=float(us[-1]))
+                )
     return ShootingResult(
         solutions=solutions,
         degenerate=False,
         sigmas_scanned=sigmas,
         terminal_values=terminal,
     )
-
-
-def _bisect_sigma(
-    f, lo: float, hi: float, f_lo: float, n_steps: int, tol: float, rounds: int = 80
-) -> float:
-    sign_lo = np.sign(f_lo)
-    mid = 0.5 * (lo + hi)
-    for _ in range(rounds):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        f_mid = _rk4_terminal(f, np.array([mid]), n_steps)[0]
-        if abs(f_mid) <= 0.1 * tol:
-            return float(mid)
-        if np.sign(f_mid) == sign_lo:
-            lo = mid
-        else:
-            hi = mid
-    return float(mid)

@@ -71,6 +71,7 @@ _SCHEMA: dict[str, dict[str, Callable[[str], Any]]] = {
 
 _KINDS = ("power_law", "cubic2d", "linear2d", "bvp")
 _FAMILIES = ("sublinear", "power", "linear", "zero")
+_MAX_TABLE_BYTES = 2**30  # largest dense float64 table a problem may build
 
 
 @dataclass(frozen=True)
@@ -171,6 +172,25 @@ def _parse_radii(text: str) -> tuple[float, ...]:
     return radii
 
 
+def _check_table_sizes(kind: str, space: SpaceConfig) -> None:
+    """Reject a space whose largest dense table would exceed _MAX_TABLE_BYTES.
+
+    Every kind builds the n_modes x n_modes comparison matrix; bvp also
+    tabulates the basis on the quadrature grid and the Gauss-Legendre
+    companion matrix of quad_nodes.
+    """
+    tables = {"comparison matrix": space.n_modes**2}
+    if kind == "bvp":
+        tables["basis table"] = space.quad_nodes * space.n_panels * space.n_modes
+        tables["Gauss-Legendre rule"] = space.quad_nodes**2
+    name, entries = max(tables.items(), key=lambda item: item[1])
+    if 8 * entries > _MAX_TABLE_BYTES:
+        raise ConfigError(
+            f"[space] too large: the {name} needs {8 * entries / 2**30:.1f} GiB, "
+            f"above the {_MAX_TABLE_BYTES / 2**30:.0f} GiB limit"
+        )
+
+
 def load_problem(
     path: str | Path, overrides: list[str] | None = None, seed: int | None = None
 ) -> ProblemSetup:
@@ -186,6 +206,9 @@ def load_problem(
         space = SpaceConfig(**space_kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad [space] section: {exc}") from exc
+    if kind in ("cubic2d", "linear2d") and space.n_modes != 2:
+        space = SpaceConfig(2, space.quad_nodes, space.n_panels)
+    _check_table_sizes(kind, space)
 
     hyp_kwargs = dict(raw.get("hypotheses", {}))
     if "growth_radii" in hyp_kwargs:
@@ -216,15 +239,11 @@ def load_problem(
                 float(prob.get("b1_scale", 1.5)), space.n_modes
             )
         elif kind == "cubic2d":
-            if space.n_modes != 2:
-                space = SpaceConfig(2, space.quad_nodes, space.n_panels)
             operator = clipped_cubic_operator(n_modes=2)
             comparison = LinearOperatorSpec.scaled_identity(
                 float(prob.get("b2_scale", 1.5)), 2
             )
         elif kind == "linear2d":
-            if space.n_modes != 2:
-                space = SpaceConfig(2, space.quad_nodes, space.n_panels)
             a_scale = float(prob.get("a_scale", 2.0))
             operator = linear_operator(a_scale * np.eye(2), label=f"scaled-identity({a_scale})")
             comparison = LinearOperatorSpec.scaled_identity(

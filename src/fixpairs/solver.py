@@ -71,8 +71,12 @@ class CriticalPoint:
     u: H1Vector
     j_value: float
     grad_norm: float
-    fp_residual: float  # identical to grad_norm: J' = I - A
     iterations: int
+
+    @property
+    def fp_residual(self) -> float:
+        """||u - A(u)||, the same number as grad_norm because J' = I - A."""
+        return self.grad_norm
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -279,7 +283,6 @@ def _make_point(A: PotentialOperatorSpec, c: np.ndarray, iterations: int) -> Cri
         u=H1Vector(c),
         j_value=functional_J(A, H1Vector(c)),
         grad_norm=residual,
-        fp_residual=residual,
         iterations=iterations,
     )
 
@@ -308,13 +311,7 @@ def canonicalize(point: CriticalPoint, dedup_tol: float) -> CriticalPoint:
     idx = np.flatnonzero(np.abs(c) > dedup_tol)
     lead = idx[0] if idx.size else int(np.argmax(np.abs(c)))
     if c[lead] < 0.0:
-        return CriticalPoint(
-            u=-point.u,
-            j_value=point.j_value,
-            grad_norm=point.grad_norm,
-            fp_residual=point.fp_residual,
-            iterations=point.iterations,
-        )
+        return replace(point, u=-point.u)
     return point
 
 
@@ -418,12 +415,11 @@ def find_pairs(
         j_defl, g_defl = _deflated_energy(A, found, cfg)
         retry_cfg = replace(cfg, max_iter=min(cfg.max_iter, 150))
         c, iterations, _ = _minimize_with_polish(j_defl, g_defl, start.coeffs, retry_cfg)
-        retry = _make_point(A, c, iterations)
-        if (
-            _triage(retry, cfg, trivial_cut) == "ok"
-            and not _is_duplicate(canonicalize(retry, cfg.dedup_tol).u.coeffs, found, cfg.dedup_tol)
+        retry = canonicalize(_make_point(A, c, iterations), cfg.dedup_tol)
+        if _triage(retry, cfg, trivial_cut) == "ok" and not _is_duplicate(
+            retry.u.coeffs, found, cfg.dedup_tol
         ):
-            found.append(canonicalize(retry, cfg.dedup_tol))
+            found.append(retry)
 
     found.sort(key=lambda p: (p.j_value, tuple(p.u.coeffs)))
     note = ""

@@ -366,6 +366,28 @@ def test_shooting_validation():
         bvp.shooting_oracle(nl, (2.0, 1.0))
     with pytest.raises(ValueError):
         bvp.shooting_oracle(nl, (1.0, 2.0), n_slopes=1)
+    for bad in (
+        {"n_steps": -5},
+        {"n_steps": 0},
+        {"grid_points": 1},
+        {"n_steps": 1000, "grid_points": 7},
+    ):
+        with pytest.raises(ValueError):
+            bvp.shooting_oracle(nl, (2.0, 3.0), n_slopes=3, **bad)  # no root in range
+
+
+@pytest.mark.parametrize("theta", [0.5, 0.25])
+def test_shooting_scaling_law(theta):
+    # u'' = -a sign(u)|u|^theta is solved by k u_1 with k = a^(1/(1-theta)),
+    # and every RK4 stage scales the same way, so the oracle must too
+    k = 10.0 ** (1.0 / (1.0 - theta))
+    nl_a, nl_1 = bvp.power_nonlinearity(10.0, theta), bvp.power_nonlinearity(1.0, theta)
+    res_a = bvp.shooting_oracle(nl_a, (2.0, 20.0), n_slopes=10, n_steps=1000)
+    res_1 = bvp.shooting_oracle(nl_1, (2.0 / k, 20.0 / k), n_slopes=10, n_steps=1000)
+    assert len(res_a.solutions) == len(res_1.solutions) >= 1
+    for sol_a, sol_1 in zip(res_a.solutions, res_1.solutions):
+        assert sol_a.sigma == pytest.approx(k * sol_1.sigma, rel=1e-9)
+        assert np.max(np.abs(sol_a.us - k * sol_1.us)) <= 1e-9 * np.max(np.abs(sol_a.us))
 
 
 def test_nonlinearity_validation():

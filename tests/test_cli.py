@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 from fixpairs.cli import main
-from fixpairs.problems import ConfigError, load_problem, parse_config
+from fixpairs.problems import ConfigError, _check_table_sizes, load_problem, parse_config
+from fixpairs.space import SpaceConfig
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -108,24 +109,39 @@ def test_override_expected_pairs(tmp_path):
     assert code == 1  # only one pair exists
 
 
+BAD_OVERRIDES = [
+    ("cubic2d", "problem.radius=nan"),
+    ("cubic2d", "problem.radius=inf"),
+    ("cubic2d", "hypotheses.n_s=3"),
+    ("cubic2d", "hypotheses.n_angle=3"),
+    ("cubic2d", "hypotheses.growth_radii=0.5,nan"),
+    ("cubic2d", "solver.grad_tol=nan"),
+    ("cubic2d", "problem.seed_scale=1"),
+    # dense tables above the 1 GiB guard: comparison matrix, basis, Gauss rule
+    ("power_law_1d", "space.n_modes=100000"),
+    ("bvp_sqrt", "space.n_panels=100000"),
+    ("bvp_zero", "space.quad_nodes=20000"),
+]
+
+
 @pytest.mark.parametrize(
-    "override",
-    [
-        "problem.radius=nan",
-        "problem.radius=inf",
-        "hypotheses.n_s=3",
-        "hypotheses.n_angle=3",
-        "hypotheses.growth_radii=0.5,nan",
-        "solver.grad_tol=nan",
-        "problem.seed_scale=1",
-    ],
+    "problem,override",
+    BAD_OVERRIDES,
+    ids=[o if p == "cubic2d" else f"{p}:{o}" for p, o in BAD_OVERRIDES],
 )
-def test_invalid_numeric_override_is_config_error(override, capsys):
-    code = run("check", "--problem", str(PROBLEMS / "cubic2d.cfg"), "--set", override)
+def test_invalid_numeric_override_is_config_error(problem, override, capsys):
+    code = run("check", "--problem", str(PROBLEMS / f"{problem}.cfg"), "--set", override)
     err = capsys.readouterr().err
     assert code == 2
     assert "config error" in err
     assert "Traceback" not in err
+
+
+def test_size_guard_applies_to_the_built_space():
+    # cubic2d always builds two modes, and the 1280-mode bvp_sqrt (84 MB basis) fits
+    setup = load_problem(PROBLEMS / "cubic2d.cfg", overrides=["space.n_modes=100000"])
+    assert setup.space.n_modes == 2
+    _check_table_sizes("bvp", SpaceConfig(n_modes=1280, quad_nodes=8, n_panels=1024))
 
 
 def test_bad_override_rejected():

@@ -88,6 +88,10 @@ class HypothesisParams:
     def __post_init__(self) -> None:
         if self.n_s < 10 or self.n_angle < 10:
             raise ValueError("n_s and n_angle must be >= 10")
+        if min(self.dirs_per_radius, self.d1_nt, self.d1_nu) < 1:
+            raise ValueError("dirs_per_radius, d1_nt and d1_nu must be >= 1")
+        if self.eigen_n < 3:
+            raise ValueError("eigen_n must be >= 3 (finite-difference eigenvalue)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,6 +231,8 @@ def load_problem(
     theta = float(prob.get("theta", 0.5))
     nl: bvp_mod.Nonlinearity | None = None
     d1_r1 = float(prob.get("r1", 0.25))
+    if not 0.0 < d1_r1 < 1.0:
+        raise ConfigError("problem.r1 must lie in (0, 1)")
 
     try:
         if kind == "power_law":
@@ -275,6 +281,8 @@ def load_problem(
 
     default_pairs = 1 if mode == "one_pair" else 2
     expected_pairs = int(prob.get("expected_pairs", default_pairs))
+    if expected_pairs < 0:
+        raise ConfigError("problem.expected_pairs must be >= 0")
 
     solver_kwargs = dict(raw.get("solver", {}))
     if seed is not None:
@@ -291,8 +299,11 @@ def load_problem(
     else:
         if space.n_modes < 2:
             raise ConfigError("two-pair mode needs at least two modes")
+        n_circle_seeds = int(prob.get("n_circle_seeds", 16))
+        if n_circle_seeds < 1:
+            raise ConfigError("problem.n_circle_seeds must be >= 1")
         e2 = basis_vector(2, space.n_modes)
-        seeds = circle_seeds(e1, e2, radius, int(prob.get("n_circle_seeds", 16)))
+        seeds = circle_seeds(e1, e2, radius, n_circle_seeds)
 
     return ProblemSetup(
         name=Path(path).stem,

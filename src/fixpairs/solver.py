@@ -2,12 +2,15 @@
 
 Plain gradient descent with Armijo backtracking on the energy J; the
 gradient is u - A(u), so the gradient norm of an iterate IS its fixed-point
-residual.  Every seed is run together with its negation, results below the
-trivial threshold are discarded, and the survivors are deduplicated modulo
-sign into canonical pairs.  When a start lands in an already-found basin it
-is retried once on a deflated energy: compactly supported bumps are added at
-the found points (and their negatives), which pushes the retry out of the
-known basins without destroying boundedness from below.
+residual.  Every seed is descended from once: the operator is odd, so J is
+even and the descent from -s is the mirror of the descent from s, and the
+start -s is recorded as that mirror.  Results below the trivial threshold
+are discarded, and the survivors are deduplicated modulo sign into canonical
+pairs.  When a seed lands in an already-found basin it is retried once on a
+deflated energy: compactly supported bumps are added at the found points
+(and their negatives), which pushes the retry out of the known basins
+without destroying boundedness from below.  The deflated energy is even as
+well, so the retry from s also stands for -s.
 """
 
 from __future__ import annotations
@@ -374,11 +377,17 @@ def find_pairs(
 ) -> SolveReport:
     """Search for distinct fixed-point pairs from a seed set.
 
-    Descends from every seed and its negation, drops results near the origin
-    (the trivial fixed point) or without a converged residual, deduplicates
-    modulo sign, and retries duplicate basins once on the deflated energy.
-    Pairs come back sorted by energy, most negative first.
+    Descends once from every seed s and records the start -s as its mirror:
+    the same trace, the same triage, and the point -u, which is the same
+    pair.  Drops results near the origin (the trivial fixed point) or
+    without a converged residual, deduplicates modulo sign, and retries a
+    seed whose basin is already known once on the deflated energy; that
+    retry stands for -s too.  n_starts counts both signs.  Pairs come back
+    sorted by energy, most negative first.  Raises ValueError unless A is
+    odd, because the mirror and the pairing modulo sign need oddness.
     """
+    if not A.odd:
+        raise ValueError("find_pairs needs an odd operator")
     if not seeds:
         raise ValueError("seeds must be nonempty")
     max_seed_norm = max(s.norm() for s in seeds)
@@ -387,24 +396,21 @@ def find_pairs(
         if cfg.trivial_threshold is not None
         else 1e-4 * max(max_seed_norm, 1e-12)
     )
-    starts: list[H1Vector] = []
-    for s in seeds:
-        starts.append(s)
-        starts.append(-s)
 
     found: list[CriticalPoint] = []
     traces: list[list[tuple[float, float]]] = []
     rejected_trivial = 0
     nonconverged = 0
-    for start in starts:
-        point, trace = descend(A, start, cfg, with_trace=True)
-        traces.append(list(zip(trace.j_values, trace.grad_norms)))
+    for seed in seeds:
+        point, trace = descend(A, seed, cfg, with_trace=True)
+        seed_trace = list(zip(trace.j_values, trace.grad_norms))
+        traces.extend([seed_trace, list(seed_trace)])
         accepted = _triage(point, cfg, trivial_cut)
         if accepted == "trivial":
-            rejected_trivial += 1
+            rejected_trivial += 2
             continue
         if accepted == "nonconverged":
-            nonconverged += 1
+            nonconverged += 2
             continue
         point = canonicalize(point, cfg.dedup_tol)
         if not _is_duplicate(point.u.coeffs, found, cfg.dedup_tol):
@@ -414,7 +420,7 @@ def find_pairs(
         # budget (a retry stuck on a bump rim is not worth a full run)
         j_defl, g_defl = _deflated_energy(A, found, cfg)
         retry_cfg = replace(cfg, max_iter=min(cfg.max_iter, 150))
-        c, iterations, _ = _minimize_with_polish(j_defl, g_defl, start.coeffs, retry_cfg)
+        c, iterations, _ = _minimize_with_polish(j_defl, g_defl, seed.coeffs, retry_cfg)
         retry = canonicalize(_make_point(A, c, iterations), cfg.dedup_tol)
         if _triage(retry, cfg, trivial_cut) == "ok" and not _is_duplicate(
             retry.u.coeffs, found, cfg.dedup_tol
@@ -433,7 +439,7 @@ def find_pairs(
         n_pairs=len(found),
         ps_trace=traces,
         rejected_trivial=rejected_trivial,
-        n_starts=len(starts),
+        n_starts=2 * len(seeds),
         n_nonconverged=nonconverged,
         note=note,
     )

@@ -121,6 +121,14 @@ BAD_OVERRIDES = [
     ("power_law_1d", "space.n_modes=100000"),
     ("bvp_sqrt", "space.n_panels=100000"),
     ("bvp_zero", "space.quad_nodes=20000"),
+    # counts and radii that ended in a traceback or were accepted silently
+    ("cubic2d", "problem.n_circle_seeds=0"),
+    ("bvp_sqrt", "problem.r1=1.5"),
+    ("power_law_1d", "hypotheses.dirs_per_radius=0"),
+    ("bvp_sqrt", "hypotheses.d1_nt=0"),
+    ("bvp_sqrt", "hypotheses.d1_nu=0"),
+    ("power_law_1d", "hypotheses.eigen_n=1"),
+    ("power_law_1d", "problem.expected_pairs=-1"),
 ]
 
 

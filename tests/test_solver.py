@@ -1,3 +1,6 @@
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -19,7 +22,10 @@ from fixpairs import (
     quadratic_form_margin,
 )
 from fixpairs.models import clipped_cubic_operator, linear_operator, radial_power_operator
+from fixpairs.problems import load_problem
 from fixpairs.solver import axis_seeds, canonicalize
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 
 @pytest.fixture(scope="module")
@@ -168,6 +174,73 @@ def test_deflation_finds_second_well():
     roots = sorted(round(abs(p.u.coeffs[0]), 4) for p in report.pairs)
     assert report.n_pairs == 2
     assert roots == [1.0, 3.0]
+
+
+@pytest.mark.parametrize(
+    "problem",
+    ["power_law_1d", "linear2d", "bvp_zero", "sublinear_affine", "cubic2d", "bvp_sqrt"],
+)
+def test_descent_mirror_is_exact(problem):
+    # find_pairs records the start -s as the mirror of the descent from s;
+    # that is only sound while the mirror holds bit for bit
+    setup = load_problem(PROBLEMS / f"{problem}.cfg")
+    for seed in setup.seeds:
+        if problem == "linear2d":
+            for start in (seed, -seed):
+                with pytest.raises(OperatorDivergenceError):
+                    descend(setup.operator, start, setup.solver)
+            continue
+        pos = descend(setup.operator, seed, setup.solver)
+        neg = descend(setup.operator, -seed, setup.solver)
+        assert np.array_equal(neg.u.coeffs, -pos.u.coeffs)
+        assert neg.iterations == pos.iterations
+        assert neg.j_value == pos.j_value
+        assert neg.grad_norm == pos.grad_norm
+
+
+# potential calls, apply calls, n_starts, summed ps_trace lengths
+WORK_BOUNDS = {
+    "bvp_sqrt": (106, 45, 2, 84),
+    "cubic2d": (8278, 1284, 32, 328),
+    "sublinear_affine": (9016, 1281, 16, 360),
+}
+
+
+@pytest.mark.parametrize("problem", list(WORK_BOUNDS))
+def test_find_pairs_work_counters(problem):
+    setup = load_problem(PROBLEMS / f"{problem}.cfg")
+    op = setup.operator
+    calls = {"potential": 0, "apply": 0}
+
+    def potential(c):
+        calls["potential"] += 1
+        return op.potential_coeffs(c)
+
+    def apply(c):
+        calls["apply"] += 1
+        return op.apply_coeffs(c)
+
+    counted = dataclasses.replace(op, potential_coeffs=potential, apply_coeffs=apply)
+    calls.update(potential=0, apply=0)  # replace() re-ran the oddness sampling
+    report = find_pairs(counted, setup.seeds, setup.solver)
+    max_potential, max_apply, n_starts, trace_len = WORK_BOUNDS[problem]
+    assert calls["potential"] <= max_potential
+    assert calls["apply"] <= max_apply
+    assert report.n_starts == n_starts
+    assert sum(len(t) for t in report.ps_trace) == trace_len
+
+
+def test_find_pairs_rejects_non_odd_operator():
+    # A(u) = u/2 + 1 has the single fixed point 2; -2 is not a fixed point,
+    # so a result "modulo sign" would report a pair that does not exist
+    op = PotentialOperatorSpec(
+        n_modes=1,
+        apply_coeffs=lambda c: 0.5 * c + 1.0,
+        odd=False,
+        potential_coeffs=lambda c: 0.25 * float(c @ c) + float(c.sum()),
+    )
+    with pytest.raises(ValueError, match="odd"):
+        find_pairs(op, [H1Vector([0.5])], SolverConfig())
 
 
 def test_blowup_raises():

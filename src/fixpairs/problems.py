@@ -88,8 +88,8 @@ class HypothesisParams:
     def __post_init__(self) -> None:
         if self.n_s < 10 or self.n_angle < 10:
             raise ValueError("n_s and n_angle must be >= 10")
-        if min(self.dirs_per_radius, self.d1_nt, self.d1_nu) < 1:
-            raise ValueError("dirs_per_radius, d1_nt and d1_nu must be >= 1")
+        if min(self.dirs_per_radius, self.mode_budget, self.d1_nt, self.d1_nu) < 1:
+            raise ValueError("dirs_per_radius, mode_budget, d1_nt and d1_nu must be >= 1")
         if self.eigen_n < 3:
             raise ValueError("eigen_n must be >= 3 (finite-difference eigenvalue)")
 
@@ -176,21 +176,21 @@ def _parse_radii(text: str) -> tuple[float, ...]:
     return radii
 
 
-def _check_table_sizes(kind: str, space: SpaceConfig) -> None:
-    """Reject a space whose largest dense table would exceed _MAX_TABLE_BYTES.
+def _check_table_sizes(kind: str, space: SpaceConfig, n_seeds: int) -> None:
+    """Reject a problem whose largest dense table would exceed _MAX_TABLE_BYTES.
 
-    Every kind builds the n_modes x n_modes comparison matrix; bvp also
-    tabulates the basis on the quadrature grid and the Gauss-Legendre
-    companion matrix of quad_nodes.
+    Every kind builds the n_modes x n_modes comparison matrix and the
+    n_seeds x n_modes seed table; bvp also tabulates the basis on the
+    quadrature grid and the Gauss-Legendre companion matrix of quad_nodes.
     """
-    tables = {"comparison matrix": space.n_modes**2}
+    tables = {"comparison matrix": space.n_modes**2, "seed table": n_seeds * space.n_modes}
     if kind == "bvp":
         tables["basis table"] = space.quad_nodes * space.n_panels * space.n_modes
         tables["Gauss-Legendre rule"] = space.quad_nodes**2
     name, entries = max(tables.items(), key=lambda item: item[1])
     if 8 * entries > _MAX_TABLE_BYTES:
         raise ConfigError(
-            f"[space] too large: the {name} needs {8 * entries / 2**30:.1f} GiB, "
+            f"problem too large: the {name} needs {8 * entries / 2**30:.1f} GiB, "
             f"above the {_MAX_TABLE_BYTES / 2**30:.0f} GiB limit"
         )
 
@@ -212,7 +212,13 @@ def load_problem(
         raise ConfigError(f"bad [space] section: {exc}") from exc
     if kind in ("cubic2d", "linear2d") and space.n_modes != 2:
         space = SpaceConfig(2, space.quad_nodes, space.n_panels)
-    _check_table_sizes(kind, space)
+    mode = prob.get("mode", "two_pair" if kind != "power_law" else "one_pair")
+    if mode not in ("one_pair", "two_pair"):
+        raise ConfigError(f"problem.mode must be one_pair or two_pair, got {mode!r}")
+    n_seeds = 1 if mode == "one_pair" else int(prob.get("n_circle_seeds", 16))
+    if n_seeds < 1:
+        raise ConfigError("problem.n_circle_seeds must be >= 1")
+    _check_table_sizes(kind, space, n_seeds)
 
     hyp_kwargs = dict(raw.get("hypotheses", {}))
     if "growth_radii" in hyp_kwargs:
@@ -222,9 +228,6 @@ def load_problem(
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad [hypotheses] section: {exc}") from exc
 
-    mode = prob.get("mode", "two_pair" if kind != "power_law" else "one_pair")
-    if mode not in ("one_pair", "two_pair"):
-        raise ConfigError(f"problem.mode must be one_pair or two_pair, got {mode!r}")
     radius = float(prob.get("radius", 0.5))
     if radius <= 0:
         raise ConfigError("problem.radius must be positive")
@@ -299,11 +302,8 @@ def load_problem(
     else:
         if space.n_modes < 2:
             raise ConfigError("two-pair mode needs at least two modes")
-        n_circle_seeds = int(prob.get("n_circle_seeds", 16))
-        if n_circle_seeds < 1:
-            raise ConfigError("problem.n_circle_seeds must be >= 1")
         e2 = basis_vector(2, space.n_modes)
-        seeds = circle_seeds(e1, e2, radius, n_circle_seeds)
+        seeds = circle_seeds(e1, e2, radius, n_seeds)
 
     return ProblemSetup(
         name=Path(path).stem,

@@ -1,10 +1,12 @@
 """Symmetric multi-start descent for fixed points of odd potential operators.
 
-Plain gradient descent with Armijo backtracking on the energy J; the
-gradient is u - A(u), so the gradient norm of an iterate IS its fixed-point
-residual.  Every seed is descended from once: the operator is odd, so J is
-even and the descent from -s is the mirror of the descent from s, and the
-start -s is recorded as that mirror.  Results below the trivial threshold
+Gradient descent with Armijo backtracking on the energy J, each search
+starting at the Barzilai-Borwein step; the gradient is u - A(u), so the
+gradient norm of an iterate IS its fixed-point residual.  Every seed is
+descended from once: the operator is odd, so J is even and the descent from
+-s is the mirror of the descent from s, and the start -s is recorded as that
+mirror; so is a seed that is exactly the negative of an earlier seed (the
+antipodes of an even circle).  Results below the trivial threshold
 are discarded, and the survivors are deduplicated modulo sign into canonical
 pairs.  When a seed lands in an already-found basin it is retried once on a
 deflated energy: compactly supported bumps are added at the found points
@@ -96,7 +98,6 @@ class DescentTrace:
     j_values: list[float]
     grad_norms: list[float]
     steps: list[float]
-    iterates: list[np.ndarray]
     n_polish: int = 0  # residual-polish iterations appended after the Armijo phase
 
 
@@ -127,11 +128,19 @@ def _minimize(
     c0: np.ndarray,
     cfg: SolverConfig,
 ) -> tuple[np.ndarray, int, DescentTrace]:
-    """Armijo-backtracked gradient descent; J never increases."""
+    """Armijo-backtracked gradient descent; J never increases.
+
+    The first trial step is init_step on the first iteration and the
+    Barzilai-Borwein step (s's)/(s'y) after it, with s and y the last
+    change of iterate and gradient; when s'y <= 0, or the quotient is not a
+    positive finite number, it is init_step again.
+    A search stops as soon as the trial point equals the iterate bitwise.
+    """
     c = c0.copy()
-    trace = DescentTrace(j_values=[], grad_norms=[], steps=[], iterates=[])
+    trace = DescentTrace(j_values=[], grad_norms=[], steps=[])
     j_cur = j_fn(c)
     iterations = 0
+    c_prev = g_prev = None
     for _ in range(cfg.max_iter):
         if not np.isfinite(j_cur):
             raise OperatorDivergenceError(
@@ -145,14 +154,21 @@ def _minimize(
             )
         trace.j_values.append(j_cur)
         trace.grad_norms.append(gn)
-        trace.iterates.append(c.copy())
         if gn < cfg.grad_tol:
             trace.steps.append(0.0)
             return c, iterations, trace
         step = cfg.init_step
+        if c_prev is not None:
+            s, y = c - c_prev, g - g_prev
+            sy = float(s @ y)
+            bb = float(s @ s) / sy if sy > 0.0 else 0.0
+            if 0.0 < bb < np.inf:
+                step = bb
         accepted = False
-        while step > 1e-18:
+        while True:
             c_new = c - step * g
+            if np.array_equal(c_new, c):
+                break  # stalled: the step is below resolution
             j_new = j_fn(c_new)
             if j_new == -np.inf:
                 # the energy is unbounded below along this direction
@@ -165,19 +181,18 @@ def _minimize(
                 break
             step *= cfg.armijo_shrink
         trace.steps.append(step if accepted else 0.0)
-        if not accepted or np.array_equal(c_new, c):
-            # stalled: no acceptable step, or the step is below resolution
+        if not accepted:
             return c, iterations, trace
         if j_new == j_cur and step < 1e-6:
             # the energy is at its rounding floor and the step is tiny:
             # nothing left for the line search to resolve
             return c_new, iterations + 1, trace
+        c_prev, g_prev = c, g
         c, j_cur = c_new, j_new
         iterations += 1
     trace.j_values.append(j_cur)
     trace.grad_norms.append(float(np.linalg.norm(g_fn(c))))
     trace.steps.append(0.0)
-    trace.iterates.append(c.copy())
     return c, iterations, trace
 
 
@@ -239,7 +254,6 @@ def _polish(
             trace.j_values.append(j_fn(c))
             trace.grad_norms.append(best)
             trace.steps.append(1.0)
-            trace.iterates.append(c.copy())
     return c, steps
 
 
@@ -379,12 +393,15 @@ def find_pairs(
 
     Descends once from every seed s and records the start -s as its mirror:
     the same trace, the same triage, and the point -u, which is the same
-    pair.  Drops results near the origin (the trivial fixed point) or
-    without a converged residual, deduplicates modulo sign, and retries a
-    seed whose basin is already known once on the deflated energy; that
-    retry stands for -s too.  n_starts counts both signs.  Pairs come back
-    sorted by energy, most negative first.  Raises ValueError unless A is
-    odd, because the mirror and the pairing modulo sign need oddness.
+    pair.  A seed that is bitwise the negative of an earlier seed is that
+    seed's mirror too: it copies the earlier seed's traces and triage counts
+    and runs no descent and no retry.  Drops results near the origin (the
+    trivial fixed point) or without a converged residual, deduplicates
+    modulo sign, and retries a seed whose basin is already known once on the
+    deflated energy; that retry stands for -s too.  n_starts counts both
+    signs of every seed.  Pairs come back sorted by energy, most negative
+    first.  Raises ValueError unless A is odd, because the mirror and the
+    pairing modulo sign need oddness.
     """
     if not A.odd:
         raise ValueError("find_pairs needs an odd operator")
@@ -399,18 +416,23 @@ def find_pairs(
 
     found: list[CriticalPoint] = []
     traces: list[list[tuple[float, float]]] = []
-    rejected_trivial = 0
-    nonconverged = 0
+    # bytes of -s for every descended seed s -> (its trace, its triage)
+    mirrors: dict[bytes, tuple[list[tuple[float, float]], str]] = {}
+    counts = {"trivial": 0, "nonconverged": 0, "ok": 0}
     for seed in seeds:
+        mirrored = mirrors.get(seed.coeffs.tobytes())
+        if mirrored is not None:
+            seed_trace, accepted = mirrored
+            traces.extend([list(seed_trace), list(seed_trace)])
+            counts[accepted] += 2
+            continue
         point, trace = descend(A, seed, cfg, with_trace=True)
         seed_trace = list(zip(trace.j_values, trace.grad_norms))
         traces.extend([seed_trace, list(seed_trace)])
         accepted = _triage(point, cfg, trivial_cut)
-        if accepted == "trivial":
-            rejected_trivial += 2
-            continue
-        if accepted == "nonconverged":
-            nonconverged += 2
+        mirrors[(-seed.coeffs).tobytes()] = (seed_trace, accepted)
+        counts[accepted] += 2
+        if accepted != "ok":
             continue
         point = canonicalize(point, cfg.dedup_tol)
         if not _is_duplicate(point.u.coeffs, found, cfg.dedup_tol):
@@ -438,9 +460,9 @@ def find_pairs(
         pairs=found,
         n_pairs=len(found),
         ps_trace=traces,
-        rejected_trivial=rejected_trivial,
+        rejected_trivial=counts["trivial"],
         n_starts=2 * len(seeds),
-        n_nonconverged=nonconverged,
+        n_nonconverged=counts["nonconverged"],
         note=note,
     )
 
@@ -461,13 +483,18 @@ def axis_seeds(e1: H1Vector, r1: float) -> list[H1Vector]:
 
 
 def circle_seeds(e2: H1Vector, e3: H1Vector, r2: float, n: int = 16) -> list[H1Vector]:
-    """Equally spaced seeds on the radius-r2 circle in span{e2, e3}."""
+    """Equally spaced seeds on the radius-r2 circle in span{e2, e3}.
+
+    For even n the second half is the first half negated, so the seed
+    s_{j+n/2} is exactly -s_j and find_pairs records it as a mirror.
+    """
     if r2 <= 0.0:
         raise ValueError("r2 must be positive")
     if n < 1:
         raise ValueError("n must be >= 1")
+    half = n // 2 if n % 2 == 0 else n
     out = []
-    for j in range(n):
+    for j in range(half):
         phi = 2.0 * np.pi * j / n
         out.append(H1Vector(r2 * (np.cos(phi) * e2.coeffs + np.sin(phi) * e3.coeffs)))
-    return out
+    return out + [-s for s in out[: n - half]]

@@ -129,6 +129,10 @@ BAD_OVERRIDES = [
     ("bvp_sqrt", "hypotheses.d1_nu=0"),
     ("power_law_1d", "hypotheses.eigen_n=1"),
     ("power_law_1d", "problem.expected_pairs=-1"),
+    ("bvp_zero", "hypotheses.mode_budget=-1"),
+    ("bvp_zero", "hypotheses.mode_budget=0"),
+    # seed table above the 1 GiB guard (n_circle_seeds x n_modes)
+    ("sublinear_affine", "problem.n_circle_seeds=10000000"),
 ]
 
 
@@ -149,7 +153,7 @@ def test_size_guard_applies_to_the_built_space():
     # cubic2d always builds two modes, and the 1280-mode bvp_sqrt (84 MB basis) fits
     setup = load_problem(PROBLEMS / "cubic2d.cfg", overrides=["space.n_modes=100000"])
     assert setup.space.n_modes == 2
-    _check_table_sizes("bvp", SpaceConfig(n_modes=1280, quad_nodes=8, n_panels=1024))
+    _check_table_sizes("bvp", SpaceConfig(n_modes=1280, quad_nodes=8, n_panels=1024), 16)
 
 
 def test_bad_override_rejected():

@@ -23,7 +23,14 @@ from fixpairs import (
 )
 from fixpairs.models import clipped_cubic_operator, linear_operator, radial_power_operator
 from fixpairs.problems import load_problem
-from fixpairs.solver import axis_seeds, canonicalize
+from fixpairs.solver import (
+    _deflated_energy,
+    _energy_and_gradient,
+    _minimize,
+    _minimize_with_polish,
+    axis_seeds,
+    canonicalize,
+)
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -97,15 +104,43 @@ def test_monotone_descent_property(model_1d):
         assert trace.j_values[k + 1] <= trace.j_values[k] - decrease + 1e-15
 
 
+def test_stalled_line_search_stops_at_resolution():
+    # J never decreases, so every trial is rejected; the search halves the
+    # step only until c - step*g equals c bitwise (c = g = 1: 54 trials,
+    # steps 1 .. 2**-53), with no absolute step floor
+    trials = []
+
+    def j_fn(c):
+        trials.append(c.copy())
+        return 0.0
+
+    c0 = np.array([1.0])
+    c, iterations, trace = _minimize(j_fn, lambda c: np.ones(1), c0, SolverConfig())
+    trials = trials[1:]  # the first call is J(c0)
+    assert np.array_equal(c, c0) and iterations == 0
+    assert trace.steps == [0.0]
+    assert len(trials) == 54
+    assert all(not np.array_equal(t, c0) for t in trials)
+    assert np.array_equal(c0 - 2.0**-54 * np.ones(1), c0)
+
+
 def test_grad_norm_equals_fp_residual(model_1d):
     point = descend(model_1d, H1Vector([0.7]), SolverConfig())
     assert point.grad_norm == point.fp_residual
 
 
 def test_ps_check_on_convergent_run(model_1d):
-    point, trace = descend(model_1d, H1Vector([0.5]), SolverConfig(), with_trace=True)
-    v = model_1d.apply(point.u)
-    assert ps_check(trace.iterates, v, model_1d) <= 1e-12
+    j_fn, g_fn = _energy_and_gradient(model_1d)
+    iterates = []
+
+    def recording_g(c):
+        iterates.append(c.copy())
+        return g_fn(c)
+
+    c, _, _ = _minimize_with_polish(j_fn, recording_g, np.array([0.5]), SolverConfig())
+    v = model_1d.apply(H1Vector(c))
+    assert len(iterates) > 3
+    assert ps_check(iterates, v, model_1d) <= 1e-12
     # constant sequence at the fixed point
     fixed = H1Vector([4.0])
     assert ps_check([fixed.coeffs], model_1d.apply(fixed), model_1d) <= 1e-12
@@ -200,9 +235,9 @@ def test_descent_mirror_is_exact(problem):
 
 # potential calls, apply calls, n_starts, summed ps_trace lengths
 WORK_BOUNDS = {
-    "bvp_sqrt": (106, 45, 2, 84),
-    "cubic2d": (8278, 1284, 32, 328),
-    "sublinear_affine": (9016, 1281, 16, 360),
+    "bvp_sqrt": (14, 15, 2, 26),
+    "cubic2d": (808, 366, 32, 288),
+    "sublinear_affine": (934, 406, 16, 180),
 }
 
 
@@ -228,6 +263,42 @@ def test_find_pairs_work_counters(problem):
     assert calls["apply"] <= max_apply
     assert report.n_starts == n_starts
     assert sum(len(t) for t in report.ps_trace) == trace_len
+
+
+@pytest.mark.parametrize("n", [2, 8, 16])
+def test_circle_seeds_antipodes_are_exact(n):
+    e1, e2 = basis_vector(1, 3), basis_vector(2, 3)
+    seeds = circle_seeds(e1, e2, 0.7, n)
+    for j in range(n // 2):
+        assert seeds[j + n // 2].coeffs.tobytes() == (-seeds[j].coeffs).tobytes()
+
+
+@pytest.mark.parametrize("problem, retries", [("cubic2d", 4), ("sublinear_affine", 3)])
+def test_deflated_retry_count(problem, retries, monkeypatch):
+    # antipodal seeds are recorded as mirrors and pay no deflated retry
+    setup = load_problem(PROBLEMS / f"{problem}.cfg")
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _deflated_energy(*args)
+
+    monkeypatch.setattr("fixpairs.solver._deflated_energy", counted)
+    report = find_pairs(setup.operator, setup.seeds, setup.solver)
+    assert len(calls) == retries
+    assert report.n_starts == 2 * len(setup.seeds)
+
+
+def test_antipodal_seed_is_recorded_as_mirror(cubic):
+    seeds = circle_seeds(basis_vector(1, 2), basis_vector(2, 2), 0.5, 8)
+    cfg = SolverConfig(dedup_tol=1e-4)
+    full = find_pairs(cubic, seeds, cfg)
+    half = find_pairs(cubic, seeds[:4], cfg)
+    assert full.n_starts == 16 and len(full.ps_trace) == 16
+    assert full.ps_trace[8:] == half.ps_trace
+    assert full.rejected_trivial == 2 * half.rejected_trivial
+    assert full.n_nonconverged == 2 * half.n_nonconverged
+    assert [p.to_dict() for p in full.pairs] == [p.to_dict() for p in half.pairs]
 
 
 def test_find_pairs_rejects_non_odd_operator():

@@ -36,7 +36,7 @@ import numpy as np
 
 from .hypotheses import FAIL, SAMPLED_PASS, STRICT_TOL, PASS, HypothesisReport, _open_grid
 from .operators import LinearOperatorSpec, PotentialOperatorSpec
-from .space import H1Vector, SpaceConfig, basis_matrix, gauss_rule, l2_norm_sq, quadrature_grid
+from .space import SpaceConfig, basis_matrix, gauss_rule, quadrature_grid
 
 __all__ = [
     "GreenOperator",
@@ -258,63 +258,36 @@ def check_d2(
     )
 
 
-def check_d3(
-    nl: Nonlinearity,
-    cfg: SpaceConfig,
-    mode_budget: int = 8,
-    n_random_pairs: int = 8,
-    seed: int = 0,
-) -> HypothesisReport:
-    """Search for an orthonormal pair with m |e_i|_{L2} > 1 for both members.
+def check_d3(nl: Nonlinearity, cfg: SpaceConfig) -> HypothesisReport:
+    """Is there an orthonormal pair with m |e_i|_{L2} > 1 for both members?
 
-    Candidates are the normalized low modes and random orthonormal pairs.
-    Both the stated reading m |e|_{L2} > 1 and the squared variant
-    m |e|^2_{L2} > 1 are reported, because the two appear interchangeably in
-    derivations of this condition.  The Poincare inequality caps
-    |e|_{L2} at 1/pi for unit vectors, so the analytic ceiling m/pi is
-    reported alongside: the condition is infeasible whenever m <= pi.
+    The best pair is known in closed form.  In the sine basis |e|^2_{L2} has
+    eigenvalues 1/(k pi)^2, so by Ky Fan's maximum principle no orthonormal
+    pair has min(|e|^2, |e'|^2) above (1/pi^2 + 1/(4 pi^2))/2 = 5/(8 pi^2),
+    and the pair (e1 +- e2)/sqrt(2) attains it.  Both the stated reading
+    m |e|_{L2} > 1 and the squared variant m |e|^2_{L2} > 1 are reported,
+    because the two appear interchangeably in derivations of this condition.
+    The Poincare inequality caps |e|_{L2} at 1/pi for unit vectors, so the
+    analytic ceiling m/pi is reported alongside: the condition is
+    infeasible whenever m <= pi.  The verdict stays sampled because m is a
+    grid estimate.
     """
     m_inf, _ = nl.coefficient_range(cfg)
-    n = cfg.n_modes
-    budget = min(mode_budget, n)
-    candidates: list[tuple[str, np.ndarray]] = []
-    for k in range(1, budget + 1):
-        c = np.zeros(n)
-        c[k - 1] = 1.0
-        candidates.append((f"mode-{k}", c))
-    rng = np.random.default_rng(seed)
-    pair_values: list[tuple[float, float, str]] = []
-
-    mode_l2 = [math.sqrt(l2_norm_sq(H1Vector(c))) for _, c in candidates]
-    # best orthonormal pair among the low modes: all distinct mode pairs
-    for i in range(budget):
-        for j in range(i + 1, budget):
-            pair_values.append(
-                (mode_l2[i], mode_l2[j], f"{candidates[i][0]}+{candidates[j][0]}")
-            )
-    for p in range(n_random_pairs):
-        a = rng.standard_normal(n)
-        a /= np.linalg.norm(a)
-        b = rng.standard_normal(n)
-        b -= np.dot(a, b) * a
-        b /= np.linalg.norm(b)
-        la, lb = (math.sqrt(l2_norm_sq(H1Vector(v))) for v in (a, b))
-        pair_values.append((la, lb, f"random-pair-{p}"))
-
-    best_min_l2 = -np.inf
-    best_label = ""
-    for va, vb, label in pair_values:
-        if min(va, vb) > best_min_l2:
-            best_min_l2 = min(va, vb)
-            best_label = label
+    notes = []
+    if cfg.n_modes >= 2:
+        best_pair = "(e1+e2)/sqrt2, (e1-e2)/sqrt2"
+        best_min_l2 = math.sqrt(5.0 / 8.0) / math.pi
+    else:
+        best_pair = ""
+        best_min_l2 = 0.0
+        notes.append("no orthonormal pair in a one-mode space")
     margin_stated = m_inf * best_min_l2 - 1.0
     margin_squared = m_inf * best_min_l2**2 - 1.0
     margin = max(margin_stated, margin_squared)
     verdict = SAMPLED_PASS if margin > STRICT_TOL else FAIL
     ceiling = m_inf / np.pi
-    note = ""
     if ceiling <= 1.0:
-        note = (
+        notes.append(
             f"infeasible for any unit vector: |e|_L2 <= 1/pi, so "
             f"m|e|_L2 <= {ceiling:.6f} <= 1"
         )
@@ -325,15 +298,14 @@ def check_d3(
         witnesses=[
             {
                 "m": m_inf,
-                "best_pair": best_label,
+                "best_pair": best_pair,
                 "best_min_l2_norm": best_min_l2,
                 "margin_stated": margin_stated,
                 "margin_squared": margin_squared,
                 "analytic_ceiling": float(ceiling),
             }
         ],
-        grid={"mode_budget": budget, "n_random_pairs": n_random_pairs},
-        note=note,
+        note="; ".join(notes),
     )
 
 

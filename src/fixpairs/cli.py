@@ -121,9 +121,7 @@ def run_check(setup: ProblemSetup) -> dict[str, Any]:
         reports.append(
             bvp_mod.check_d2(nl, setup.space, nt=setup.hyp.d1_nt, nu=setup.hyp.d1_nu)
         )
-        reports.append(
-            bvp_mod.check_d3(nl, setup.space, mode_budget=setup.hyp.mode_budget, seed=setup.seed)
-        )
+        reports.append(bvp_mod.check_d3(nl, setup.space))
         m, big_m = nl.coefficient_range(setup.space)
         reports.append(bvp_mod.check_d4(m, big_m))
     payload = _base_payload(setup, "check")

@@ -63,7 +63,6 @@ _SCHEMA: dict[str, dict[str, Callable[[str], Any]]] = {
         "growth_radii": str,
         "dirs_per_radius": int,
         "eigen_n": int,
-        "mode_budget": int,
         "d1_nt": int,
         "d1_nu": int,
     },
@@ -71,7 +70,10 @@ _SCHEMA: dict[str, dict[str, Callable[[str], Any]]] = {
 
 _KINDS = ("power_law", "cubic2d", "linear2d", "bvp")
 _FAMILIES = ("sublinear", "power", "linear", "zero")
-_MAX_TABLE_BYTES = 2**30  # largest dense float64 table a problem may build
+_MAX_TABLE_BYTES = 2**30  # largest table a problem may build
+# footprint of one H1Vector seed besides its coefficients (object, attribute
+# dict, array header, list slot): about 210 B measured with tracemalloc
+_SEED_OVERHEAD_BYTES = 224
 
 
 @dataclass(frozen=True)
@@ -81,15 +83,14 @@ class HypothesisParams:
     growth_radii: tuple[float, ...] = (0.5, 1.0, 2.0, 4.0, 8.0)
     dirs_per_radius: int = 16
     eigen_n: int = 1000
-    mode_budget: int = 8
     d1_nt: int = 64
     d1_nu: int = 64
 
     def __post_init__(self) -> None:
         if self.n_s < 10 or self.n_angle < 10:
             raise ValueError("n_s and n_angle must be >= 10")
-        if min(self.dirs_per_radius, self.mode_budget, self.d1_nt, self.d1_nu) < 1:
-            raise ValueError("dirs_per_radius, mode_budget, d1_nt and d1_nu must be >= 1")
+        if min(self.dirs_per_radius, self.d1_nt, self.d1_nu) < 1:
+            raise ValueError("dirs_per_radius, d1_nt and d1_nu must be >= 1")
         if self.eigen_n < 3:
             raise ValueError("eigen_n must be >= 3 (finite-difference eigenvalue)")
 
@@ -176,21 +177,37 @@ def _parse_radii(text: str) -> tuple[float, ...]:
     return radii
 
 
-def _check_table_sizes(kind: str, space: SpaceConfig, n_seeds: int) -> None:
-    """Reject a problem whose largest dense table would exceed _MAX_TABLE_BYTES.
+def _check_table_sizes(kind: str, space: SpaceConfig, n_seeds: int, hyp: HypothesisParams) -> None:
+    """Reject a problem whose largest table would exceed _MAX_TABLE_BYTES.
 
-    Every kind builds the n_modes x n_modes comparison matrix and the
-    n_seeds x n_modes seed table; bvp also tabulates the basis on the
-    quadrature grid and the Gauss-Legendre companion matrix of quad_nodes.
+    Every kind builds the n_modes x n_modes comparison matrix and n_seeds
+    seed vectors; the checkers apply the operator to n_s rows at once ((H2)
+    and (H2)') and to dirs_per_radius rows ((H)), (H2)' tabulates n_angle
+    angles, and `eigen` builds eigen_n-long finite-difference vectors.  bvp
+    also tabulates the basis on the quadrature grid, the Gauss-Legendre
+    companion matrix of quad_nodes, a grid profile of every applied row and
+    the (D1)/(D2) grids.
     """
-    tables = {"comparison matrix": space.n_modes**2, "seed table": n_seeds * space.n_modes}
+    n = space.n_modes
+    row = 8 * n
+    tables = {
+        "comparison matrix": 8 * n**2,
+        "seed table": n_seeds * (8 * n + _SEED_OVERHEAD_BYTES),
+        "(H2)' angle grid": 8 * hyp.n_angle,
+        "finite-difference vector": 8 * hyp.eigen_n,
+    }
     if kind == "bvp":
-        tables["basis table"] = space.quad_nodes * space.n_panels * space.n_modes
-        tables["Gauss-Legendre rule"] = space.quad_nodes**2
-    name, entries = max(tables.items(), key=lambda item: item[1])
-    if 8 * entries > _MAX_TABLE_BYTES:
+        nodes = space.quad_nodes * space.n_panels
+        row = 8 * max(n, nodes)
+        tables["basis table"] = 8 * nodes * n
+        tables["Gauss-Legendre rule"] = 8 * space.quad_nodes**2
+        tables["(D1)/(D2) grid"] = 8 * hyp.d1_nt * (2 * hyp.d1_nu + 1)
+    tables["(H2) batch"] = hyp.n_s * row
+    tables["(H) batch"] = hyp.dirs_per_radius * row
+    name, size = max(tables.items(), key=lambda item: item[1])
+    if size > _MAX_TABLE_BYTES:
         raise ConfigError(
-            f"problem too large: the {name} needs {8 * entries / 2**30:.1f} GiB, "
+            f"problem too large: the {name} needs {size / 2**30:.1f} GiB, "
             f"above the {_MAX_TABLE_BYTES / 2**30:.0f} GiB limit"
         )
 
@@ -218,7 +235,6 @@ def load_problem(
     n_seeds = 1 if mode == "one_pair" else int(prob.get("n_circle_seeds", 16))
     if n_seeds < 1:
         raise ConfigError("problem.n_circle_seeds must be >= 1")
-    _check_table_sizes(kind, space, n_seeds)
 
     hyp_kwargs = dict(raw.get("hypotheses", {}))
     if "growth_radii" in hyp_kwargs:
@@ -227,6 +243,7 @@ def load_problem(
         hyp = HypothesisParams(**hyp_kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad [hypotheses] section: {exc}") from exc
+    _check_table_sizes(kind, space, n_seeds, hyp)
 
     radius = float(prob.get("radius", 0.5))
     if radius <= 0:

@@ -1,7 +1,11 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fixpairs import (
     GridSample,
@@ -18,7 +22,9 @@ from fixpairs import (
     zero_vector,
 )
 from fixpairs import bvp
-from fixpairs.space import basis_matrix, quadrature_grid
+from fixpairs.space import basis_matrix, l2_norm_sq, quadrature_grid
+
+KY_FAN_L2 = math.sqrt(5.0 / 8.0) / math.pi  # best min |e|_L2 over orthonormal pairs
 
 
 def test_green_kernel_pointwise():
@@ -271,6 +277,37 @@ def test_check_d3_poincare_infeasible(space32, sublinear_nl):
     assert "infeasible" in rep.note
     # the proof-variant value never beats the Poincare ceiling either
     assert w["margin_squared"] + 1.0 <= w["m"] / np.pi**2 + 1e-12
+
+
+def test_check_d3_closed_form_passes_above_the_sampled_pair(space32):
+    # m = 5: the stated reading holds (5 * 0.2516 > 1), though 5 * 1/(2 pi) < 1
+    rep = bvp.check_d3(bvp.power_nonlinearity(5.0, 0.5), space32)
+    assert rep.verdict == "sampled-pass"
+    assert rep.margin == pytest.approx(5.0 * KY_FAN_L2 - 1.0, abs=1e-12)
+    w = rep.witnesses[0]
+    assert w["best_min_l2_norm"] == KY_FAN_L2
+    # the witness pair (e1 +- e2)/sqrt(2) attains the value
+    for sign in (1.0, -1.0):
+        c = np.zeros(space32.n_modes)
+        c[:2] = (1.0, sign)
+        e = H1Vector(c / math.sqrt(2.0))
+        assert math.sqrt(l2_norm_sq(e)) == pytest.approx(KY_FAN_L2, rel=1e-15)
+
+
+@given(
+    st.integers(2, 12).flatmap(
+        lambda n: arrays(float, (2, n), elements=st.floats(-1.0, 1.0, width=64))
+    )
+)
+def test_no_orthonormal_pair_beats_ky_fan(pair):
+    a, b = pair
+    assume(np.linalg.norm(a) > 1e-3)
+    a = a / np.linalg.norm(a)
+    b = b - (a @ b) * a
+    assume(np.linalg.norm(b) > 1e-3)
+    b = b / np.linalg.norm(b)
+    best = min(l2_norm_sq(H1Vector(a)), l2_norm_sq(H1Vector(b)))
+    assert math.sqrt(best) <= KY_FAN_L2 * (1.0 + 1e-12)
 
 
 def test_check_d4_values():

@@ -4,9 +4,19 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fixpairs.cli import main
-from fixpairs.problems import ConfigError, _check_table_sizes, load_problem, parse_config
+from fixpairs.problems import (
+    _SCHEMA,
+    ConfigError,
+    HypothesisParams,
+    ProblemSetup,
+    _check_table_sizes,
+    load_problem,
+    parse_config,
+)
 from fixpairs.space import SpaceConfig
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -129,10 +139,19 @@ BAD_OVERRIDES = [
     ("bvp_sqrt", "hypotheses.d1_nu=0"),
     ("power_law_1d", "hypotheses.eigen_n=1"),
     ("power_law_1d", "problem.expected_pairs=-1"),
+    # a removed key
     ("bvp_zero", "hypotheses.mode_budget=-1"),
     ("bvp_zero", "hypotheses.mode_budget=0"),
-    # seed table above the 1 GiB guard (n_circle_seeds x n_modes)
+    # seed table above the 1 GiB guard (n_circle_seeds x (n_modes + per-seed overhead))
     ("sublinear_affine", "problem.n_circle_seeds=10000000"),
+    ("cubic2d", "problem.n_circle_seeds=10000000"),
+    # checker tables above the 1 GiB guard: (H2) rows and angles, (H) rows, (D1)/(D2) grids, eigen_n
+    ("bvp_sqrt", "hypotheses.n_s=1000000"),
+    ("cubic2d", "hypotheses.n_angle=1000000000"),
+    ("cubic2d", "hypotheses.dirs_per_radius=100000000"),
+    ("bvp_sqrt", "hypotheses.d1_nt=100000000"),
+    ("bvp_sqrt", "hypotheses.d1_nu=100000000"),
+    ("power_law_1d", "hypotheses.eigen_n=1000000000"),
 ]
 
 
@@ -153,7 +172,56 @@ def test_size_guard_applies_to_the_built_space():
     # cubic2d always builds two modes, and the 1280-mode bvp_sqrt (84 MB basis) fits
     setup = load_problem(PROBLEMS / "cubic2d.cfg", overrides=["space.n_modes=100000"])
     assert setup.space.n_modes == 2
-    _check_table_sizes("bvp", SpaceConfig(n_modes=1280, quad_nodes=8, n_panels=1024), 16)
+    _check_table_sizes(
+        "bvp", SpaceConfig(n_modes=1280, quad_nodes=8, n_panels=1024), 16, HypothesisParams()
+    )
+
+
+_KEYS = [f"{section}.{key}" for section, keys in _SCHEMA.items() for key in keys]
+_EDGE_VALUES = ["0", "-1", "nan", "inf", "1e300", "1000000000", "abc", ""]
+
+
+@settings(max_examples=60)
+@given(
+    problem=st.sampled_from(sorted(p.stem for p in PROBLEMS.glob("*.cfg"))),
+    overrides=st.lists(
+        st.tuples(st.sampled_from(_KEYS), st.sampled_from(_EDGE_VALUES)), min_size=1, max_size=3
+    ),
+)
+def test_load_problem_fuzz_is_setup_or_config_error(problem, overrides):
+    try:
+        setup = load_problem(PROBLEMS / f"{problem}.cfg", overrides=[f"{k}={v}" for k, v in overrides])
+    except ConfigError:
+        return
+    assert isinstance(setup, ProblemSetup)
+
+
+def test_check_one_mode_bvp_fails_without_traceback(tmp_path, capsys):
+    out = tmp_path / "check.json"
+    code = run(
+        "check",
+        "--problem",
+        str(PROBLEMS / "bvp_sqrt.cfg"),
+        "--set",
+        "space.n_modes=1",
+        "--output",
+        str(out),
+    )
+    assert code == 1
+    assert "Traceback" not in capsys.readouterr().err
+    d3 = {r["name"]: r for r in json.loads(out.read_text())["reports"]}["(D3)"]
+    assert d3["verdict"] == "fail"
+    assert d3["margin"] == -1.0
+    assert "one-mode" in d3["note"]
+
+
+def test_d3_does_not_follow_the_seed(tmp_path):
+    entries = []
+    for seed in ("0", "5"):
+        out = tmp_path / f"check{seed}.json"
+        run("check", "--problem", str(PROBLEMS / "bvp_sqrt.cfg"), "--seed", seed, "--output", str(out))
+        entries.append({r["name"]: r for r in json.loads(out.read_text())["reports"]}["(D3)"])
+    assert entries[0] == entries[1]
 
 
 def test_bad_override_rejected():

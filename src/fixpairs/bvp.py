@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .hypotheses import FAIL, SAMPLED_PASS, STRICT_TOL, PASS, HypothesisReport, _open_grid
 from .operators import LinearOperatorSpec, PotentialOperatorSpec
@@ -157,12 +158,11 @@ def bvp_operator(
     """
     nodes, weights = quadrature_grid(cfg)
     basis = basis_matrix(cfg)
-    weighted_basis = weights[:, None] * basis
 
     def apply_batch(stacked: np.ndarray) -> np.ndarray:
         profiles = stacked @ basis.T
-        rhs = nl.f(nodes[None, :], profiles)
-        return rhs @ weighted_basis
+        rhs = nl.f(nodes[None, :], profiles) * weights
+        return rhs @ basis
 
     def apply_coeffs(c: np.ndarray) -> np.ndarray:
         return apply_batch(c[None, :])[0]
@@ -197,15 +197,40 @@ def bvp_operator(
 def b_matrix(a1: Callable[[np.ndarray], np.ndarray], cfg: SpaceConfig) -> LinearOperatorSpec:
     """The comparison operator B u = int G(t,s) a1(s) u(s) ds as a matrix.
 
-    In the sine basis B has entries int a1 e_k e_l dt; assembling it through
-    the weighted Gram matrix keeps it symmetric to rounding.
+    In the sine basis B has entries int a1 e_k e_l dt.  Since
+    2 sin(k x) sin(l x) = cos((k-l) x) - cos((k+l) x), they are
+
+        B_kl = (C_|k-l| - C_(k+l)) / (k l pi^2),   C_j = int a1 cos(j pi t) dt,
+
+    a Toeplitz-minus-Hankel matrix built from the 2n+1 cosine moments of a1
+    on the quadrature grid.  It is symmetric bit for bit, and its assembly
+    costs O(N sqrt(n) + n^2) for N grid nodes instead of a weighted Gram
+    product of the N x n basis.
     """
     nodes, weights = quadrature_grid(cfg)
-    basis = basis_matrix(cfg)
-    a1v = np.asarray(a1(nodes), dtype=float)
-    m = basis.T @ (weights[:, None] * a1v[:, None] * basis)
-    m = 0.5 * (m + m.T)
+    n = cfg.n_modes
+    c = _cosine_moments(weights * np.asarray(a1(nodes), dtype=float), nodes, 2 * n + 1)
+    # window views: toeplitz[k, l] = c[|k - l|], hankel[k, l] = c[k + l + 2]
+    toeplitz = sliding_window_view(np.concatenate([c[n - 1 : 0 : -1], c[:n]]), n)[::-1]
+    hankel = sliding_window_view(c[2:], n)
+    m = toeplitz - hankel
+    kpi = np.arange(1, n + 1) * np.pi
+    m /= np.outer(kpi, kpi)
     return LinearOperatorSpec(matrix=m, self_adjoint=True)
+
+
+def _cosine_moments(g: np.ndarray, nodes: np.ndarray, count: int) -> np.ndarray:
+    """sum_i g_i cos(j pi t_i) for j < count, without a nodes x count table.
+
+    With b = ceil(sqrt(count)) and j = lo + b hi, exp(i j pi t) factors into
+    exp(i lo pi t) exp(i b hi pi t), so the moments are the real part of one
+    (b x N)(N x b) complex product.
+    """
+    b = math.isqrt(count - 1) + 1
+    theta = np.pi * nodes
+    low = g * np.exp(1j * np.outer(np.arange(b), theta))
+    high = np.exp(1j * np.outer(b * np.arange(b), theta))
+    return (low @ high.T).real.ravel(order="F")[:count]
 
 
 # ---------------------------------------------------------------------------

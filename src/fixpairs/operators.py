@@ -252,13 +252,14 @@ def growth_fit(
         raise ValueError("radii must be nonempty")
     if np.any(radii <= 0.0) or np.any(np.diff(radii) <= 0.0):
         raise ValueError("radii must be positive and increasing")
+    # one draw and one batched apply for all radii; the draw is the same
+    # stream as one dirs_per_radius block per radius
     rng = np.random.default_rng(seed)
-    maxima = np.empty(radii.size)
-    for i, r in enumerate(radii):
-        dirs = rng.standard_normal((dirs_per_radius, A.n_modes))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        images = A.apply_many(r * dirs)
-        maxima[i] = float(np.max(np.linalg.norm(images, axis=1)))
+    samples = rng.standard_normal((radii.size * dirs_per_radius, A.n_modes))
+    samples /= np.linalg.norm(samples, axis=1, keepdims=True)
+    samples *= np.repeat(radii, dirs_per_radius)[:, None]
+    images = A.apply_many(samples)
+    maxima = np.linalg.norm(images, axis=1).reshape(radii.size, dirs_per_radius).max(axis=1)
 
     theta = A.theta
     powers = radii**theta

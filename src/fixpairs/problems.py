@@ -71,6 +71,12 @@ _SCHEMA: dict[str, dict[str, Callable[[str], Any]]] = {
 _KINDS = ("power_law", "cubic2d", "linear2d", "bvp")
 _FAMILIES = ("sublinear", "power", "linear", "zero")
 _MAX_TABLE_BYTES = 2**30  # largest table a problem may build
+# operator rows the checkers may apply, 64x the largest shipped grid (cubic2d's
+# 256 x 256 (H2)' rows); bounds the time of `check` as the byte limit bounds memory
+_MAX_CHECK_ROWS = 2**22
+# one (H2)' angle is one Python-level pass, which costs about as much as 180
+# rows of a two-mode operator; an angle is counted as at least this many rows
+_ANGLE_PASS_ROWS = 64
 # footprint of one H1Vector seed besides its coefficients (object, attribute
 # dict, array header, list slot): about 210 B measured with tracemalloc
 _SEED_OVERHEAD_BYTES = 224
@@ -180,20 +186,23 @@ def _parse_radii(text: str) -> tuple[float, ...]:
 def _check_table_sizes(kind: str, space: SpaceConfig, n_seeds: int, hyp: HypothesisParams) -> None:
     """Reject a problem whose largest table would exceed _MAX_TABLE_BYTES.
 
-    Every kind builds the n_modes x n_modes comparison matrix and n_seeds
+    Every kind builds the n_modes x n_modes comparison matrix (four such
+    tables at the peak, measured with tracemalloc: the assembled matrix, its
+    stored copy and the two temporaries of the symmetry check) and n_seeds
     seed vectors; the checkers apply the operator to n_s rows at once ((H2)
-    and (H2)') and to dirs_per_radius rows ((H)), (H2)' tabulates n_angle
-    angles, and `eigen` builds eigen_n-long finite-difference vectors.  bvp
-    also tabulates the basis on the quadrature grid, the Gauss-Legendre
-    companion matrix of quad_nodes, a grid profile of every applied row and
-    the (D1)/(D2) grids.
+    and (H2)') and to all len(growth_radii) x dirs_per_radius rows of (H) in
+    one batch, and `eigen` builds eigen_n-long finite-difference vectors.
+    bvp also tabulates the basis on the quadrature grid, the Gauss-Legendre
+    companion matrix of quad_nodes, the complex exponential tables of the
+    comparison matrix's cosine moments (48 bytes per grid node and table
+    row at the peak), a grid profile of every applied row and the (D1)/(D2)
+    grids.  The (H2)' angles are bounded by _check_checker_rows.
     """
     n = space.n_modes
     row = 8 * n
     tables = {
-        "comparison matrix": 8 * n**2,
+        "comparison matrix": 4 * 8 * n**2,
         "seed table": n_seeds * (8 * n + _SEED_OVERHEAD_BYTES),
-        "(H2)' angle grid": 8 * hyp.n_angle,
         "finite-difference vector": 8 * hyp.eigen_n,
     }
     if kind == "bvp":
@@ -201,14 +210,30 @@ def _check_table_sizes(kind: str, space: SpaceConfig, n_seeds: int, hyp: Hypothe
         row = 8 * max(n, nodes)
         tables["basis table"] = 8 * nodes * n
         tables["Gauss-Legendre rule"] = 8 * space.quad_nodes**2
+        tables["cosine-moment tables"] = 48 * (math.isqrt(2 * n) + 1) * nodes
         tables["(D1)/(D2) grid"] = 8 * hyp.d1_nt * (2 * hyp.d1_nu + 1)
     tables["(H2) batch"] = hyp.n_s * row
-    tables["(H) batch"] = hyp.dirs_per_radius * row
+    tables["(H) batch"] = len(hyp.growth_radii) * hyp.dirs_per_radius * row
     name, size = max(tables.items(), key=lambda item: item[1])
     if size > _MAX_TABLE_BYTES:
         raise ConfigError(
             f"problem too large: the {name} needs {size / 2**30:.1f} GiB, "
             f"above the {_MAX_TABLE_BYTES / 2**30:.0f} GiB limit"
+        )
+
+
+def _check_checker_rows(mode: str, hyp: HypothesisParams) -> None:
+    """Reject a problem whose checkers would apply more than _MAX_CHECK_ROWS rows."""
+    rows = {"(H)": len(hyp.growth_radii) * hyp.dirs_per_radius}
+    if mode == "one_pair":
+        rows["(H2)"] = hyp.n_s
+    else:
+        rows["(H2)'"] = hyp.n_angle * max(hyp.n_s, _ANGLE_PASS_ROWS)
+    name, count = max(rows.items(), key=lambda item: item[1])
+    if count > _MAX_CHECK_ROWS:
+        raise ConfigError(
+            f"problem too large: {name} would apply the operator to {count:,} rows, "
+            f"above the {_MAX_CHECK_ROWS:,} row limit"
         )
 
 
@@ -244,6 +269,7 @@ def load_problem(
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad [hypotheses] section: {exc}") from exc
     _check_table_sizes(kind, space, n_seeds, hyp)
+    _check_checker_rows(mode, hyp)
 
     radius = float(prob.get("radius", 0.5))
     if radius <= 0:

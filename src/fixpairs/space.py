@@ -159,7 +159,11 @@ def gauss_rule(order: int, panels: int = 1) -> tuple[np.ndarray, np.ndarray]:
 def _basis_arrays(n_modes: int, quad_nodes: int, n_panels: int) -> np.ndarray:
     nodes, _ = gauss_rule(quad_nodes, n_panels)
     ks = np.arange(1, n_modes + 1)
-    mat = np.sqrt(2.0) / (ks * np.pi) * np.sin(np.outer(nodes, ks) * np.pi)
+    # built in place: one N x n table at a time
+    mat = np.outer(nodes, ks)
+    mat *= np.pi
+    np.sin(mat, out=mat)
+    mat *= np.sqrt(2.0) / (ks * np.pi)
     mat.flags.writeable = False
     return mat
 

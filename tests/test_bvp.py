@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,8 +24,11 @@ from fixpairs import (
     zero_vector,
 )
 from fixpairs import bvp
+from fixpairs import space as space_mod
+from fixpairs.problems import load_problem
 from fixpairs.space import basis_matrix, l2_norm_sq, quadrature_grid
 
+PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 KY_FAN_L2 = math.sqrt(5.0 / 8.0) / math.pi  # best min |e|_L2 over orthonormal pairs
 
 
@@ -127,6 +132,42 @@ def test_apply_b_constant_weight_form(space32):
     b = bvp.b_matrix(lambda t: np.full_like(t, m), space32)
     e1 = basis_vector(1, 32)
     assert b.form(e1, e1) == pytest.approx(m / np.pi**2, rel=1e-12)
+
+
+_A1_WEIGHTS = {
+    "10": lambda t: np.full_like(t, 10.0),
+    "1+t": lambda t: 1.0 + t,
+    "|t-0.3|": lambda t: np.abs(t - 0.3),
+}
+
+
+@pytest.mark.parametrize("n_modes", [1, 2, 32, 320])
+@pytest.mark.parametrize("a1", sorted(_A1_WEIGHTS))
+def test_b_matrix_matches_weighted_gram(a1, n_modes):
+    # the cosine-moment assembly against the explicit E^T diag(w a1) E
+    cfg = SpaceConfig(n_modes=n_modes, n_panels=256 if n_modes == 320 else 32)
+    nodes, weights = quadrature_grid(cfg)
+    basis = basis_matrix(cfg)
+    gram = basis.T @ ((weights * _A1_WEIGHTS[a1](nodes))[:, None] * basis)
+    m = bvp.b_matrix(_A1_WEIGHTS[a1], cfg).matrix
+    assert np.max(np.abs(m - gram)) <= 1e-14
+    assert np.array_equal(m, m.T)
+
+
+def test_bvp_load_holds_one_basis_table():
+    # a cold 1280-mode load: the basis, and no weighted copy or Gram temporaries
+    overrides = ["space.n_modes=1280", "space.n_panels=1024"]
+    cfg = SpaceConfig(n_modes=1280, n_panels=1024)
+    basis_bytes = basis_matrix(cfg).nbytes
+    space_mod._basis_arrays.cache_clear()
+    tracemalloc.start()
+    try:
+        load_problem(PROBLEMS / "bvp_sqrt.cfg", overrides=overrides)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        space_mod._basis_arrays.cache_clear()
+    assert peak <= 2.25 * basis_bytes
 
 
 def test_b_self_adjoint(space32, sublinear_nl, rng):

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from fixpairs.problems import (
     ConfigError,
     HypothesisParams,
     ProblemSetup,
+    _check_checker_rows,
     _check_table_sizes,
     load_problem,
     parse_config,
@@ -145,13 +147,18 @@ BAD_OVERRIDES = [
     # seed table above the 1 GiB guard (n_circle_seeds x (n_modes + per-seed overhead))
     ("sublinear_affine", "problem.n_circle_seeds=10000000"),
     ("cubic2d", "problem.n_circle_seeds=10000000"),
-    # checker tables above the 1 GiB guard: (H2) rows and angles, (H) rows, (D1)/(D2) grids, eigen_n
+    # checker tables above the 1 GiB guard ((H2) rows, (H) rows, (D1)/(D2) grids, eigen_n)
+    # or (H2)' angles above the checker row cap
     ("bvp_sqrt", "hypotheses.n_s=1000000"),
     ("cubic2d", "hypotheses.n_angle=1000000000"),
     ("cubic2d", "hypotheses.dirs_per_radius=100000000"),
     ("bvp_sqrt", "hypotheses.d1_nt=100000000"),
     ("bvp_sqrt", "hypotheses.d1_nu=100000000"),
     ("power_law_1d", "hypotheses.eigen_n=1000000000"),
+    # (H) samples every radius in one batch: 6 radii x 20,000 rows x 16 KiB profiles
+    ("bvp_sqrt", "hypotheses.dirs_per_radius=20000"),
+    # checker work above the row cap: 10^8 (H2)' angles fit in memory but would run for hours
+    ("cubic2d", "hypotheses.n_angle=100000000"),
 ]
 
 
@@ -175,6 +182,25 @@ def test_size_guard_applies_to_the_built_space():
     _check_table_sizes(
         "bvp", SpaceConfig(n_modes=1280, quad_nodes=8, n_panels=1024), 16, HypothesisParams()
     )
+
+
+def test_checker_row_cap_boundary():
+    # cubic2d's 256 x 256 (H2)' rows scaled 64x sit exactly at the cap
+    load_problem(PROBLEMS / "cubic2d.cfg", overrides=["hypotheses.n_angle=16384"])
+    with pytest.raises(ConfigError, match="row limit"):
+        load_problem(PROBLEMS / "cubic2d.cfg", overrides=["hypotheses.n_angle=16385"])
+    # an angle counts as at least _ANGLE_PASS_ROWS rows, however small n_s is
+    with pytest.raises(ConfigError, match="row limit"):
+        load_problem(
+            PROBLEMS / "cubic2d.cfg", overrides=["hypotheses.n_angle=65537", "hypotheses.n_s=10"]
+        )
+
+
+@pytest.mark.parametrize("problem", sorted(p.stem for p in PROBLEMS.glob("*.cfg")))
+def test_shipped_problems_keep_64x_checker_headroom(problem):
+    setup = load_problem(PROBLEMS / f"{problem}.cfg")
+    for key in ("n_angle", "n_s", "dirs_per_radius"):
+        _check_checker_rows(setup.mode, replace(setup.hyp, **{key: 64 * getattr(setup.hyp, key)}))
 
 
 _KEYS = [f"{section}.{key}" for section, keys in _SCHEMA.items() for key in keys]

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -160,6 +162,29 @@ def test_growth_fit_deterministic():
     a = growth_fit(op, [1.0, 2.0], dirs_per_radius=8, seed=42)
     b = growth_fit(op, [1.0, 2.0], dirs_per_radius=8, seed=42)
     assert a == b
+
+
+def test_growth_fit_applies_once_and_matches_per_radius_loop(sublinear_op):
+    calls = []
+
+    def counted(stacked):
+        calls.append(len(stacked))
+        return sublinear_op.apply_batch(stacked)
+
+    op = replace(sublinear_op, apply_batch=counted)
+    calls.clear()  # construction ran the oddness check
+    radii = [0.5, 1.0, 2.0, 4.0, 8.0]
+    cert = growth_fit(op, radii, dirs_per_radius=8, seed=7)
+    assert calls == [len(radii) * 8]
+    # reference: one draw and one apply per radius, in radius order
+    rng = np.random.default_rng(7)
+    reference = []
+    for r in radii:
+        dirs = rng.standard_normal((8, op.n_modes))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        images = sublinear_op.apply_many(r * dirs)
+        reference.append(float(np.max(np.linalg.norm(images, axis=1))))
+    assert np.allclose(cert.sample_maxima, reference, rtol=1e-13, atol=0.0)
 
 
 def test_growth_fit_validation(model_1d):

@@ -25,6 +25,7 @@ from .space import (
 from .operators import (
     GrowthCertificate,
     LinearOperatorSpec,
+    OperatorDivergenceError,
     PotentialOperatorSpec,
     avez_potential,
     fd_gradient_check,
@@ -45,7 +46,6 @@ from .hypotheses import (
 )
 from .solver import (
     CriticalPoint,
-    OperatorDivergenceError,
     SolveReport,
     SolverConfig,
     axis_seeds,

@@ -3,12 +3,16 @@
 Subcommands:
 
   check      run every applicable existence-condition checker; exit 0 iff
-             all of them pass, 1 if any fails, 2 on a config error
+             all of them pass, 1 if any fails, 3 when a checker meets a
+             non-finite value (operator blow-up)
   solve      search for fixed-point pairs; exit 0 iff at least the expected
              number of pairs is found, 1 otherwise, 3 on operator blow-up
   gradcheck  finite-difference validation of the energy gradient
   eigen      spectral and finite-difference first Dirichlet eigenvalue
-  report     the check and solve bundles in one document
+  report     the check and solve bundles in one document; 3 on a blow-up
+             in either
+
+Every command exits 2 on a config error.
 
 Reports are JSON with a schema_version field and are byte-stable for a
 fixed seed and config; profiles and descent traces go to CSV when
@@ -113,14 +117,8 @@ def run_check(setup: ProblemSetup) -> dict[str, Any]:
         )
     if setup.nonlinearity is not None:
         nl = setup.nonlinearity
-        reports.append(
-            bvp_mod.check_d1(
-                nl, setup.d1_r1, setup.space, nt=setup.hyp.d1_nt, nu=setup.hyp.d1_nu
-            )
-        )
-        reports.append(
-            bvp_mod.check_d2(nl, setup.space, nt=setup.hyp.d1_nt, nu=setup.hyp.d1_nu)
-        )
+        reports.append(bvp_mod.check_d1(nl, setup.d1_r1, setup.space))
+        reports.append(bvp_mod.check_d2(nl, setup.space))
         reports.append(bvp_mod.check_d3(nl, setup.space))
         m, big_m = nl.coefficient_range(setup.space)
         reports.append(bvp_mod.check_d4(m, big_m))

@@ -16,6 +16,8 @@ endpoints excluded, and such verdicts are reported as "sampled-pass": a grid
 cannot certify an open-set quantifier.  Strict inequalities must clear a
 small strictness tolerance; an exact-zero margin on a strict condition is a
 fail.  Margins are signed distances to violation (positive = satisfied).
+A checker that meets a non-finite value raises OperatorDivergenceError
+instead of reporting it.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Any
 
 import numpy as np
 
-from .operators import LinearOperatorSpec, PotentialOperatorSpec
+from .operators import LinearOperatorSpec, OperatorDivergenceError, PotentialOperatorSpec
 from .space import H1Vector
 
 __all__ = [
@@ -92,6 +94,16 @@ def _open_grid(n: int) -> np.ndarray:
     return np.arange(1, n + 1) / (n + 1.0)
 
 
+def _ray_gaps(A: PotentialOperatorSpec, u: np.ndarray, form: float, s: np.ndarray):
+    """(gaps, lhs, rhs) of (A(s u), u) >= s (B u, u) on the s-grid; form = (B u, u)."""
+    lhs = A.apply_many(s[:, None] * u[None, :]) @ u
+    rhs = s * form
+    gaps = lhs - rhs
+    if not np.all(np.isfinite(gaps)):
+        raise OperatorDivergenceError(f"non-finite ray gap at max |u_k| = {np.max(np.abs(u)):.3e}")
+    return gaps, lhs, rhs
+
+
 def check_h1(B1: LinearOperatorSpec, e1: H1Vector) -> HypothesisReport:
     """(B1 e1, e1) > 1, strictly."""
     _require_unit(e1, "e1")
@@ -122,11 +134,8 @@ def check_h2(
     if n_s < 10:
         raise ValueError("n_s must be >= 10")
     s = _open_grid(n_s)
-    base = r1 * e1.coeffs
-    images = A.apply_many(s[:, None] * base[None, :])
-    lhs = images @ base
-    rhs = s * r1**2 * B1.form(e1, e1)
-    gaps = lhs - rhs
+    # a numpy square is inf on overflow, where a Python float raises
+    gaps, lhs, rhs = _ray_gaps(A, r1 * e1.coeffs, np.float64(r1) ** 2 * B1.form(e1, e1), s)
     i = int(np.argmin(gaps))
     margin = float(gaps[i])
     verdict = SAMPLED_PASS if margin >= -STRICT_TOL else FAIL
@@ -166,14 +175,14 @@ def quadratic_form_margin(
     negativity is equivalent to the three inequalities and is what drives
     the energy below zero on the seed circle.
     """
-    if not B2.self_adjoint:
-        raise ValueError("B2 must be self-adjoint")
     a, b = _orthonormalize(e2, e3)
     m = B2.matrix
     b22 = float(a @ (m @ a))
     b33 = float(b @ (m @ b))
     b23 = float(a @ (m @ b))
-    discriminant = b23**2 - (1.0 - b22) * (1.0 - b33)
+    discriminant = float(np.float64(b23) ** 2 - (1.0 - b22) * (1.0 - b33))
+    if not np.isfinite(discriminant):
+        raise OperatorDivergenceError(f"non-finite (H1)' form: b22 = {b22:.3e}, b33 = {b33:.3e}")
     s = np.array(
         [[0.5 * (1.0 - b22), -0.5 * b23], [-0.5 * b23, 0.5 * (1.0 - b33)]]
     )
@@ -215,8 +224,6 @@ def check_h2_prime(
         raise ValueError("r2 must be positive")
     if n_angle < 10 or n_s < 10:
         raise ValueError("n_angle and n_s must be >= 10")
-    if not B2.self_adjoint:
-        raise ValueError("B2 must be self-adjoint")
     a, b = _orthonormalize(e2, e3)
     phis = 2.0 * np.pi * np.arange(n_angle) / n_angle
     s = _open_grid(n_s)
@@ -224,10 +231,7 @@ def check_h2_prime(
     witness: dict = {}
     for phi in phis:
         u = r2 * (np.cos(phi) * a + np.sin(phi) * b)
-        images = A.apply_many(s[:, None] * u[None, :])
-        lhs = images @ u
-        rhs = s * float(u @ (B2.matrix @ u))
-        gaps = lhs - rhs
+        gaps, _, _ = _ray_gaps(A, u, float(u @ (B2.matrix @ u)), s)
         i = int(np.argmin(gaps))
         if gaps[i] < margin:
             margin = float(gaps[i])

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .operators import PotentialOperatorSpec
+from .operators import LinearOperatorSpec, PotentialOperatorSpec
 
 __all__ = ["clipped_cubic_operator", "linear_operator", "radial_power_operator"]
 
@@ -87,11 +87,7 @@ def clipped_cubic_operator(
 
 def linear_operator(matrix: np.ndarray, label: str = "linear") -> PotentialOperatorSpec:
     """A(u) = M u for symmetric M; potential is the half quadratic form."""
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("matrix must be square")
-    if float(np.max(np.abs(m - m.T))) > 1e-12:
-        raise ValueError("matrix must be symmetric to define a potential")
+    m = LinearOperatorSpec(matrix).matrix
 
     return PotentialOperatorSpec(
         n_modes=m.shape[0],

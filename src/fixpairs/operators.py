@@ -27,8 +27,10 @@ __all__ = [
     "GrowthCertificate",
     "LinearOperatorSpec",
     "OddnessError",
+    "OperatorDivergenceError",
     "PotentialOperatorSpec",
     "avez_potential",
+    "energy_coeffs",
     "fd_gradient_check",
     "functional_J",
     "gradient_J",
@@ -43,6 +45,10 @@ _ODDNESS_TOL = 1e-10
 
 class OddnessError(ValueError):
     """An operator flagged odd failed the sampled oddness check."""
+
+
+class OperatorDivergenceError(RuntimeError):
+    """Descent or a checker hit a non-finite value (operator blow-up)."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,10 +110,9 @@ def _check_oddness(op: PotentialOperatorSpec) -> None:
 
 @dataclass(frozen=True, eq=False)
 class LinearOperatorSpec:
-    """A linear operator as a matrix in the sine basis."""
+    """A self-adjoint linear operator as a symmetric matrix in the sine basis."""
 
     matrix: np.ndarray
-    self_adjoint: bool = True
 
     def __post_init__(self) -> None:
         m = np.array(self.matrix, dtype=float, copy=True)
@@ -115,8 +120,10 @@ class LinearOperatorSpec:
             raise ValueError("matrix must be square")
         if not np.all(np.isfinite(m)):
             raise ValueError("matrix must be finite")
-        if self.self_adjoint and float(np.max(np.abs(m - m.T))) > 1e-12:
-            raise ValueError("matrix flagged self-adjoint but is not symmetric")
+        # one n x n temporary: the absolute value is taken in place
+        asymmetry = m - m.T
+        if float(np.max(np.abs(asymmetry, out=asymmetry))) > 1e-12:
+            raise ValueError("matrix must be symmetric")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
@@ -189,16 +196,19 @@ def avez_potential(A: PotentialOperatorSpec, u: H1Vector, s_order: int = 16) -> 
     return float(w @ (images @ c))
 
 
-def functional_J(A: PotentialOperatorSpec, u: H1Vector) -> float:
-    """The energy J(u) = 0.5 ||u||^2 - T(u).
-
-    T is the operator's closed-form potential when it has one and the Avez
-    quadrature otherwise.
-    """
-    half_sq = 0.5 * float(np.dot(u.coeffs, u.coeffs))
+def energy_coeffs(A: PotentialOperatorSpec, c: np.ndarray) -> float:
+    """J = 0.5 ||c||^2 - T(c) at a raw coefficient vector, with T the closed-form
+    potential when the operator has one and the Avez quadrature otherwise."""
     if A.potential_coeffs is not None:
-        return half_sq - float(A.potential_coeffs(u.coeffs))
-    return half_sq - avez_potential(A, u)
+        potential = float(A.potential_coeffs(c))
+    else:
+        potential = avez_potential(A, H1Vector(c))
+    return 0.5 * float(c @ c) - potential
+
+
+def functional_J(A: PotentialOperatorSpec, u: H1Vector) -> float:
+    """The energy J(u) = 0.5 ||u||^2 - T(u)."""
+    return energy_coeffs(A, u.coeffs)
 
 
 def gradient_J(A: PotentialOperatorSpec, u: H1Vector) -> H1Vector:
@@ -260,6 +270,9 @@ def growth_fit(
     samples *= np.repeat(radii, dirs_per_radius)[:, None]
     images = A.apply_many(samples)
     maxima = np.linalg.norm(images, axis=1).reshape(radii.size, dirs_per_radius).max(axis=1)
+    if not np.all(np.isfinite(maxima)):
+        r = float(radii[~np.isfinite(maxima)][0])
+        raise OperatorDivergenceError(f"non-finite ||A(u)|| in the growth sample at radius {r!r}")
 
     theta = A.theta
     powers = radii**theta

@@ -22,7 +22,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .operators import PotentialOperatorSpec, functional_J
+from .operators import OperatorDivergenceError, PotentialOperatorSpec, energy_coeffs
 from .space import H1Vector
 
 __all__ = [
@@ -38,35 +38,24 @@ __all__ = [
     "ps_check",
 ]
 
-
-class OperatorDivergenceError(RuntimeError):
-    """Descent hit a non-finite energy or gradient (operator blow-up)."""
+_ARMIJO_C = 1e-4  # sufficient-decrease constant of the Armijo test
+_ARMIJO_SHRINK = 0.5  # backtracking factor
+_INIT_STEP = 1.0  # first trial step when there is no Barzilai-Borwein step
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     max_iter: int = 500
     grad_tol: float = 1e-10
-    armijo_c: float = 1e-4
-    armijo_shrink: float = 0.5
-    init_step: float = 1.0
-    trivial_threshold: float | None = None  # None: 1e-4 * max seed norm
     dedup_tol: float = 1e-4
     deflation_radius: float | None = None  # None: 0.1 * ||found point||
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         # "not >" forms so that NaN is rejected as well
-        if not (self.grad_tol > 0.0 and self.init_step > 0.0 and self.dedup_tol > 0.0):
-            raise ValueError("tolerances and steps must be positive")
-        if not 0.0 < self.armijo_c < 1.0:
-            raise ValueError("armijo_c must lie in (0, 1)")
-        if not 0.0 < self.armijo_shrink < 1.0:
-            raise ValueError("armijo_shrink must lie in (0, 1)")
-        if self.trivial_threshold is not None and not self.trivial_threshold > 0.0:
-            raise ValueError("trivial_threshold must be positive")
+        if not (self.grad_tol > 0.0 and self.dedup_tol > 0.0):
+            raise ValueError("tolerances must be positive")
         if self.deflation_radius is not None and not self.deflation_radius > 0.0:
             raise ValueError("deflation_radius must be positive")
 
@@ -130,10 +119,10 @@ def _minimize(
 ) -> tuple[np.ndarray, int, DescentTrace]:
     """Armijo-backtracked gradient descent; J never increases.
 
-    The first trial step is init_step on the first iteration and the
+    The first trial step is _INIT_STEP on the first iteration and the
     Barzilai-Borwein step (s's)/(s'y) after it, with s and y the last
     change of iterate and gradient; when s'y <= 0, or the quotient is not a
-    positive finite number, it is init_step again.
+    positive finite number, it is _INIT_STEP again.
     A search stops as soon as the trial point equals the iterate bitwise.
     """
     c = c0.copy()
@@ -157,7 +146,7 @@ def _minimize(
         if gn < cfg.grad_tol:
             trace.steps.append(0.0)
             return c, iterations, trace
-        step = cfg.init_step
+        step = _INIT_STEP
         if c_prev is not None:
             s, y = c - c_prev, g - g_prev
             sy = float(s @ y)
@@ -176,10 +165,10 @@ def _minimize(
                     f"energy diverged to -inf after {iterations} iterations "
                     f"(||u|| = {np.linalg.norm(c):.3e})"
                 )
-            if np.isfinite(j_new) and j_new <= j_cur - cfg.armijo_c * step * gn**2:
+            if np.isfinite(j_new) and j_new <= j_cur - _ARMIJO_C * step * gn**2:
                 accepted = True
                 break
-            step *= cfg.armijo_shrink
+            step *= _ARMIJO_SHRINK
         trace.steps.append(step if accepted else 0.0)
         if not accepted:
             return c, iterations, trace
@@ -199,21 +188,11 @@ def _minimize(
 def _energy_and_gradient(
     A: PotentialOperatorSpec,
 ) -> tuple[Callable[[np.ndarray], float], Callable[[np.ndarray], np.ndarray]]:
-    potential = A.potential_coeffs
-
-    if potential is not None:
-
-        def j_fn(c: np.ndarray) -> float:
-            # overflow is handled by the caller (inf/nan trials are rejected,
-            # -inf aborts), so let it propagate silently
-            with np.errstate(over="ignore", invalid="ignore"):
-                return 0.5 * float(c @ c) - float(potential(c))
-
-    else:
-
-        def j_fn(c: np.ndarray) -> float:
-            with np.errstate(over="ignore", invalid="ignore"):
-                return functional_J(A, H1Vector(c))
+    def j_fn(c: np.ndarray) -> float:
+        # overflow is handled by the caller (inf/nan trials are rejected,
+        # -inf aborts), so let it propagate silently
+        with np.errstate(over="ignore", invalid="ignore"):
+            return energy_coeffs(A, c)
 
     def g_fn(c: np.ndarray) -> np.ndarray:
         return c - A.apply_coeffs(c)
@@ -226,8 +205,7 @@ def _polish(
     g_fn: Callable[[np.ndarray], np.ndarray],
     c: np.ndarray,
     tol: float,
-    trace: DescentTrace | None = None,
-    max_steps: int = 200,
+    trace: DescentTrace,
 ) -> tuple[np.ndarray, int]:
     """Full-step residual polish u <- u - J'(u) once the line search is done.
 
@@ -240,7 +218,7 @@ def _polish(
     g = g_fn(c)
     best = float(np.linalg.norm(g))
     steps = 0
-    for _ in range(max_steps):
+    for _ in range(200):
         if best < tol or not np.isfinite(best):
             break
         c_new = c - g
@@ -250,10 +228,9 @@ def _polish(
             break
         c, g, best = c_new, g_new, gn_new
         steps += 1
-        if trace is not None:
-            trace.j_values.append(j_fn(c))
-            trace.grad_norms.append(best)
-            trace.steps.append(1.0)
+        trace.j_values.append(j_fn(c))
+        trace.grad_norms.append(best)
+        trace.steps.append(1.0)
     return c, steps
 
 
@@ -271,12 +248,7 @@ def _minimize_with_polish(
     return c, iterations, trace
 
 
-def descend(
-    A: PotentialOperatorSpec,
-    u0: H1Vector,
-    cfg: SolverConfig,
-    with_trace: bool = False,
-):
+def descend(A: PotentialOperatorSpec, u0: H1Vector, cfg: SolverConfig) -> CriticalPoint:
     """Run descent from u0; returns the critical-point record.
 
     Armijo descent first; if it exhausts what the energy's rounding can
@@ -286,22 +258,23 @@ def descend(
     iterate.  Raises OperatorDivergenceError when the energy blows up
     (e.g. the operator grows too fast for descent).
     """
-    j_fn, g_fn = _energy_and_gradient(A)
-    c, iterations, trace = _minimize_with_polish(j_fn, g_fn, u0.coeffs, cfg)
-    point = _make_point(A, c, iterations)
-    if with_trace:
-        return point, trace
-    return point
+    return _descend(A, _energy_and_gradient(A), u0.coeffs, cfg)[0]
 
 
-def _make_point(A: PotentialOperatorSpec, c: np.ndarray, iterations: int) -> CriticalPoint:
-    residual = float(np.linalg.norm(c - A.apply_coeffs(c)))
-    return CriticalPoint(
+def _descend(A: PotentialOperatorSpec, energy: tuple, c0: np.ndarray, cfg: SolverConfig):
+    """Descend from c0 on the (J, J') pair energy; returns (point, trace).
+
+    The point is scored on A's own energy and residual, also after a
+    descent on the deflated energy.
+    """
+    c, iterations, trace = _minimize_with_polish(*energy, c0, cfg)
+    point = CriticalPoint(
         u=H1Vector(c),
-        j_value=functional_J(A, H1Vector(c)),
-        grad_norm=residual,
+        j_value=energy_coeffs(A, c),
+        grad_norm=float(np.linalg.norm(c - A.apply_coeffs(c))),
         iterations=iterations,
     )
+    return point, trace
 
 
 def ps_check(iterates: list[np.ndarray], v: H1Vector, A: PotentialOperatorSpec) -> float:
@@ -407,12 +380,8 @@ def find_pairs(
         raise ValueError("find_pairs needs an odd operator")
     if not seeds:
         raise ValueError("seeds must be nonempty")
-    max_seed_norm = max(s.norm() for s in seeds)
-    trivial_cut = (
-        cfg.trivial_threshold
-        if cfg.trivial_threshold is not None
-        else 1e-4 * max(max_seed_norm, 1e-12)
-    )
+    trivial_cut = 1e-4 * max(max(s.norm() for s in seeds), 1e-12)
+    energy = _energy_and_gradient(A)
 
     found: list[CriticalPoint] = []
     traces: list[list[tuple[float, float]]] = []
@@ -426,7 +395,7 @@ def find_pairs(
             traces.extend([list(seed_trace), list(seed_trace)])
             counts[accepted] += 2
             continue
-        point, trace = descend(A, seed, cfg, with_trace=True)
+        point, trace = _descend(A, energy, seed.coeffs, cfg)
         seed_trace = list(zip(trace.j_values, trace.grad_norms))
         traces.extend([seed_trace, list(seed_trace)])
         accepted = _triage(point, cfg, trivial_cut)
@@ -440,10 +409,9 @@ def find_pairs(
             continue
         # duplicate basin: one retry on the deflated energy, with a capped
         # budget (a retry stuck on a bump rim is not worth a full run)
-        j_defl, g_defl = _deflated_energy(A, found, cfg)
         retry_cfg = replace(cfg, max_iter=min(cfg.max_iter, 150))
-        c, iterations, _ = _minimize_with_polish(j_defl, g_defl, seed.coeffs, retry_cfg)
-        retry = canonicalize(_make_point(A, c, iterations), cfg.dedup_tol)
+        retry, _ = _descend(A, _deflated_energy(A, found, cfg), seed.coeffs, retry_cfg)
+        retry = canonicalize(retry, cfg.dedup_tol)
         if _triage(retry, cfg, trivial_cut) == "ok" and not _is_duplicate(
             retry.u.coeffs, found, cfg.dedup_tol
         ):

@@ -1,7 +1,7 @@
 import json
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -19,6 +19,7 @@ from fixpairs.problems import (
     load_problem,
     parse_config,
 )
+from fixpairs.solver import SolverConfig
 from fixpairs.space import SpaceConfig
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -159,6 +160,13 @@ BAD_OVERRIDES = [
     ("bvp_sqrt", "hypotheses.dirs_per_radius=20000"),
     # checker work above the row cap: 10^8 (H2)' angles fit in memory but would run for hours
     ("cubic2d", "hypotheses.n_angle=100000000"),
+    # keys retired because no problem set them; each was accepted before
+    ("cubic2d", "solver.armijo_c=0.5"),
+    ("cubic2d", "solver.armijo_shrink=0.5"),
+    ("cubic2d", "solver.init_step=1"),
+    ("cubic2d", "solver.trivial_threshold=0.001"),
+    ("bvp_sqrt", "hypotheses.d1_nt=64"),
+    ("bvp_sqrt", "hypotheses.d1_nu=64"),
 ]
 
 
@@ -173,6 +181,38 @@ def test_invalid_numeric_override_is_config_error(problem, override, capsys):
     assert code == 2
     assert "config error" in err
     assert "Traceback" not in err
+
+
+def test_schema_matches_the_config_dataclasses():
+    # a config key must set a field and a field must have a key; the
+    # [solver] seed is the run seed of the problem, not a solver field
+    assert set(_SCHEMA["solver"]) - {"seed"} == {f.name for f in fields(SolverConfig)}
+    assert set(_SCHEMA["hypotheses"]) == {f.name for f in fields(HypothesisParams)}
+
+
+# overrides whose checks overflow: each ended in a traceback or printed
+# -Infinity into the JSON, and must exit 3 like a blow-up in the descent
+NON_FINITE_OVERRIDES = [
+    ("power_law_1d", "problem.radius=1e300"),  # (H2): r1**2
+    ("power_law_1d", "problem.amplitude=1e300"),  # (H): ||A(u)||
+    ("linear2d", "problem.a_scale=-1e300"),  # (H): ||A(u)||
+    ("cubic2d", "problem.radius=1e300"),  # (H2)': (B u, u)
+    ("cubic2d", "problem.b2_scale=1e300"),  # (H1)': the discriminant
+]
+
+
+# the overflow these values provoke is expected; the check must turn it into exit 3
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "problem,override", NON_FINITE_OVERRIDES, ids=[f"{p}:{o}" for p, o in NON_FINITE_OVERRIDES]
+)
+def test_non_finite_check_is_blowup(problem, override, capsys):
+    code = run("check", "--problem", str(PROBLEMS / f"{problem}.cfg"), "--set", override)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "operator blow-up" in captured.err
+    assert "Traceback" not in captured.err
+    assert "Infinity" not in captured.out and "NaN" not in captured.out
 
 
 def test_size_guard_applies_to_the_built_space():

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -19,8 +20,10 @@ from fixpairs import (
     lower_bound_J,
     zero_vector,
 )
+from fixpairs import SpaceConfig, bvp
 from fixpairs.models import linear_operator, radial_power_operator
 from fixpairs.operators import OddnessError
+from fixpairs.space import quadrature_grid
 
 
 @pytest.fixture(scope="module")
@@ -239,11 +242,30 @@ def test_operator_spec_validation():
 
 def test_linear_operator_spec_validation():
     with pytest.raises(ValueError):
-        LinearOperatorSpec(matrix=np.array([[0.0, 1.0], [0.0, 0.0]]), self_adjoint=True)
+        LinearOperatorSpec(matrix=np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
         LinearOperatorSpec(matrix=np.zeros((2, 3)))
     spec = LinearOperatorSpec.scaled_identity(2.0, 3)
     assert spec.form(basis_vector(1, 3), basis_vector(1, 3)) == 2.0
+
+
+@pytest.mark.parametrize("build", ["scaled_identity", "b_matrix"])
+def test_symmetric_matrix_peak_is_three_tables(build):
+    # the assembled matrix, its stored copy and the symmetry residual, whose
+    # absolute value is taken in place; the size guard counts 3 * 8 n^2
+    n = 1000
+    cfg = SpaceConfig(n_modes=n)
+    quadrature_grid(cfg)  # cached on first use; not part of the matrix's footprint
+    tracemalloc.start()
+    try:
+        if build == "scaled_identity":
+            LinearOperatorSpec.scaled_identity(1.5, n)
+        else:
+            bvp.b_matrix(lambda t: 1.0 + t, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.1 * 8 * n**2
 
 
 def test_apply_wrapper_dimension_check(model_1d):

@@ -24,7 +24,9 @@ from fixpairs import (
 from fixpairs.models import clipped_cubic_operator, linear_operator, radial_power_operator
 from fixpairs.problems import load_problem
 from fixpairs.solver import (
+    _ARMIJO_C,
     _deflated_energy,
+    _descend,
     _energy_and_gradient,
     _minimize,
     _minimize_with_polish,
@@ -94,13 +96,13 @@ def test_descend_zero_operator():
 
 def test_monotone_descent_property(model_1d):
     cfg = SolverConfig()
-    _, trace = descend(model_1d, H1Vector([0.5]), cfg, with_trace=True)
+    _, trace = _descend(model_1d, _energy_and_gradient(model_1d), np.array([0.5]), cfg)
     n_armijo = len(trace.j_values) - trace.n_polish
     for k in range(n_armijo - 1):
         step = trace.steps[k]
         if step <= 0.0:
             continue
-        decrease = cfg.armijo_c * step * trace.grad_norms[k] ** 2
+        decrease = _ARMIJO_C * step * trace.grad_norms[k] ** 2
         assert trace.j_values[k + 1] <= trace.j_values[k] - decrease + 1e-15
 
 
@@ -328,13 +330,7 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(max_iter=0)
     with pytest.raises(ValueError):
-        SolverConfig(armijo_c=1.5)
-    with pytest.raises(ValueError):
-        SolverConfig(armijo_shrink=0.0)
-    with pytest.raises(ValueError):
         SolverConfig(grad_tol=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(trivial_threshold=-1.0)
     with pytest.raises(ValueError):
         SolverConfig(deflation_radius=0.0)
 

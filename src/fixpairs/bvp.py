@@ -236,7 +236,11 @@ def _cosine_moments(g: np.ndarray, nodes: np.ndarray, count: int) -> np.ndarray:
 # solvability condition checkers
 
 
-def check_d1(nl: Nonlinearity, r1: float, cfg: SpaceConfig, nt: int = 64, nu: int = 64) -> HypothesisReport:
+# (D1) and (D2) sample this many t-points and |u|-magnitudes of each sign
+_D_GRID = 64
+
+
+def check_d1(nl: Nonlinearity, r1: float, cfg: SpaceConfig) -> HypothesisReport:
     """f(t, u)/u >= a1(t) for 0 < |u| <= r1, sampled on a (t, u) grid.
 
     The u-grid is log-spaced in (0, r1] plus mirrored negatives: the bound
@@ -244,8 +248,8 @@ def check_d1(nl: Nonlinearity, r1: float, cfg: SpaceConfig, nt: int = 64, nu: in
     """
     if not 0.0 < r1 < 1.0:
         raise ValueError("r1 must lie in (0, 1)")
-    t = _open_grid(nt)
-    u_pos = r1 * np.logspace(-8, 0, nu)
+    t = _open_grid(_D_GRID)
+    u_pos = r1 * np.logspace(-8, 0, _D_GRID)
     u = np.concatenate([-u_pos[::-1], u_pos])
     tt, uu = np.meshgrid(t, u, indexing="ij")
     gaps = nl.f(tt, uu) / uu - nl.a1(tt)
@@ -257,14 +261,14 @@ def check_d1(nl: Nonlinearity, r1: float, cfg: SpaceConfig, nt: int = 64, nu: in
         verdict=verdict,
         margin=margin,
         witnesses=[{"t": float(tt[i, j]), "u": float(uu[i, j])}],
-        grid={"nt": nt, "nu": 2 * nu, "r1": r1},
+        grid={"nt": _D_GRID, "nu": 2 * _D_GRID, "r1": r1},
     )
 
 
-def check_d2(nl: Nonlinearity, cfg: SpaceConfig, nt: int = 64, nu: int = 64) -> HypothesisReport:
+def check_d2(nl: Nonlinearity, cfg: SpaceConfig) -> HypothesisReport:
     """f(t, u) <= a2(t) |u|^theta + a3(t), sampled over t and |u| <= 1e3."""
-    t = _open_grid(nt)
-    u_pos = np.logspace(-6, 3, nu)
+    t = _open_grid(_D_GRID)
+    u_pos = np.logspace(-6, 3, _D_GRID)
     u = np.concatenate([-u_pos[::-1], [0.0], u_pos])
     tt, uu = np.meshgrid(t, u, indexing="ij")
     gaps = nl.a2(tt) * np.abs(uu) ** nl.theta + nl.a3(tt) - nl.f(tt, uu)
@@ -276,7 +280,7 @@ def check_d2(nl: Nonlinearity, cfg: SpaceConfig, nt: int = 64, nu: int = 64) -> 
         verdict=verdict,
         margin=margin,
         witnesses=[{"t": float(tt[i, j]), "u": float(uu[i, j])}],
-        grid={"nt": nt, "nu": 2 * nu + 1, "u_max": 1e3},
+        grid={"nt": _D_GRID, "nu": 2 * _D_GRID + 1, "u_max": 1e3},
     )
 
 

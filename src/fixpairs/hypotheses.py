@@ -134,8 +134,9 @@ def check_h2(
     if n_s < 10:
         raise ValueError("n_s must be >= 10")
     s = _open_grid(n_s)
-    # a numpy square is inf on overflow, where a Python float raises
-    gaps, lhs, rhs = _ray_gaps(A, r1 * e1.coeffs, np.float64(r1) ** 2 * B1.form(e1, e1), s)
+    # a numpy square is inf on overflow, where a Python float raises; _ray_gaps reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        gaps, lhs, rhs = _ray_gaps(A, r1 * e1.coeffs, np.float64(r1) ** 2 * B1.form(e1, e1), s)
     i = int(np.argmin(gaps))
     margin = float(gaps[i])
     verdict = SAMPLED_PASS if margin >= -STRICT_TOL else FAIL
@@ -180,7 +181,8 @@ def quadratic_form_margin(
     b22 = float(a @ (m @ a))
     b33 = float(b @ (m @ b))
     b23 = float(a @ (m @ b))
-    discriminant = float(np.float64(b23) ** 2 - (1.0 - b22) * (1.0 - b33))
+    with np.errstate(over="ignore", invalid="ignore"):
+        discriminant = float(np.float64(b23) ** 2 - (1.0 - b22) * (1.0 - b33))
     if not np.isfinite(discriminant):
         raise OperatorDivergenceError(f"non-finite (H1)' form: b22 = {b22:.3e}, b33 = {b33:.3e}")
     s = np.array(
@@ -229,13 +231,14 @@ def check_h2_prime(
     s = _open_grid(n_s)
     margin = np.inf
     witness: dict = {}
-    for phi in phis:
-        u = r2 * (np.cos(phi) * a + np.sin(phi) * b)
-        gaps, _, _ = _ray_gaps(A, u, float(u @ (B2.matrix @ u)), s)
-        i = int(np.argmin(gaps))
-        if gaps[i] < margin:
-            margin = float(gaps[i])
-            witness = {"phi": float(phi), "s": float(s[i]), "gap": float(gaps[i])}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for phi in phis:
+            u = r2 * (np.cos(phi) * a + np.sin(phi) * b)
+            gaps, _, _ = _ray_gaps(A, u, float(u @ (B2.matrix @ u)), s)
+            i = int(np.argmin(gaps))
+            if gaps[i] < margin:
+                margin = float(gaps[i])
+                witness = {"phi": float(phi), "s": float(s[i]), "gap": float(gaps[i])}
     verdict = SAMPLED_PASS if margin >= -STRICT_TOL else FAIL
     return HypothesisReport(
         name="(H2)'",

@@ -268,8 +268,9 @@ def growth_fit(
     samples = rng.standard_normal((radii.size * dirs_per_radius, A.n_modes))
     samples /= np.linalg.norm(samples, axis=1, keepdims=True)
     samples *= np.repeat(radii, dirs_per_radius)[:, None]
-    images = A.apply_many(samples)
-    maxima = np.linalg.norm(images, axis=1).reshape(radii.size, dirs_per_radius).max(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        images = A.apply_many(samples)
+        maxima = np.linalg.norm(images, axis=1).reshape(radii.size, dirs_per_radius).max(axis=1)
     if not np.all(np.isfinite(maxima)):
         r = float(radii[~np.isfinite(maxima)][0])
         raise OperatorDivergenceError(f"non-finite ||A(u)|| in the growth sample at radius {r!r}")

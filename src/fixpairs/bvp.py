@@ -158,26 +158,41 @@ def bvp_operator(nl: Nonlinearity, cfg: SpaceConfig, odd: bool = True) -> Potent
     nodes, weights = quadrature_grid(cfg)
     basis = basis_matrix(cfg)
 
-    def apply_batch(stacked: np.ndarray) -> np.ndarray:
-        profiles = stacked @ basis.T
+    def synthesize(profiles: np.ndarray) -> np.ndarray:
         rhs = nl.f(nodes[None, :], profiles) * weights
         return rhs @ basis
 
+    def apply_batch(stacked: np.ndarray) -> np.ndarray:
+        return synthesize(stacked @ basis.T)
+
+    # the grid profile of the last single point: the descent asks for the
+    # potential and then the apply at the same point, and both callables are
+    # public, so the point is matched by value, not identity
+    last: list[Any] = [None, None]
+
+    def profile_row(c: np.ndarray) -> np.ndarray:
+        key = (c.dtype, c.tobytes())
+        if key != last[0]:
+            # the same single-row product as apply_batch, so that the apply
+            # below matches it bit for bit
+            last[0], last[1] = key, c[None, :] @ basis.T
+        return last[1]
+
     def apply_coeffs(c: np.ndarray) -> np.ndarray:
-        return apply_batch(c[None, :])[0]
+        return synthesize(profile_row(c))[0]
 
     if nl.antiderivative is not None:
         anti = nl.antiderivative
 
         def potential(c: np.ndarray) -> float:
-            profile = basis @ c
+            profile = profile_row(c)[0]
             return float(weights @ np.asarray(anti(nodes, profile)))
 
     else:
         sv, wv = gauss_rule(16)
 
         def potential(c: np.ndarray) -> float:
-            profile = basis @ c
+            profile = profile_row(c)[0]
             scaled = sv[:, None] * profile[None, :]
             fvals = nl.f(nodes[None, :], scaled)
             return float(weights @ (profile * (wv @ fvals)))

@@ -62,17 +62,24 @@ def clipped_cubic_operator(
         raise ValueError("slope and clip must be positive")
     edge = slope * clip - clip**3
 
+    # when no entry is clipped, clipping changes nothing and np.where would
+    # pick the core value everywhere, so the beyond-clip branch is skipped
     def apply_batch(stacked: np.ndarray) -> np.ndarray:
+        clipped = np.abs(stacked) > clip
+        if not clipped.any():
+            return slope * stacked - stacked**3
         x = np.clip(stacked, -clip, clip)
-        out = slope * x - x**3
-        return np.where(np.abs(stacked) > clip, np.sign(stacked) * edge, out)
+        return np.where(clipped, np.sign(stacked) * edge, slope * x - x**3)
 
     def potential(c: np.ndarray) -> float:
+        clipped = np.abs(c) > clip
+        if not clipped.any():
+            return float(np.sum(slope * c**2 / 2.0 - c**4 / 4.0))
         x = np.clip(c, -clip, clip)
         core = slope * x**2 / 2.0 - x**4 / 4.0
         edge_val = slope * clip**2 / 2.0 - clip**4 / 4.0
         beyond = edge_val + edge * (np.abs(c) - clip)
-        return float(np.sum(np.where(np.abs(c) > clip, beyond, core)))
+        return float(np.sum(np.where(clipped, beyond, core)))
 
     return PotentialOperatorSpec(
         n_modes=n_modes,

@@ -71,6 +71,9 @@ _MAX_CHECK_ROWS = 2**22
 # one (H2)' angle is one Python-level pass, which costs about as much as 180
 # rows of a two-mode operator; an angle is counted as at least this many rows
 _ANGLE_PASS_ROWS = 64
+# a bvp row costs two products through the basis and an f evaluation on the
+# quadrature grid; it is counted as one row per this many grid nodes
+_GRID_NODES_PER_ROW = 8
 # footprint of one H1Vector seed besides its coefficients (object, attribute
 # dict, array header, list slot): about 210 B measured with tracemalloc
 _SEED_OVERHEAD_BYTES = 224
@@ -212,18 +215,26 @@ def _check_table_sizes(kind: str, space: SpaceConfig, n_seeds: int, hyp: Hypothe
         )
 
 
-def _check_checker_rows(mode: str, hyp: HypothesisParams) -> None:
-    """Reject a problem whose checkers would apply more than _MAX_CHECK_ROWS rows."""
-    rows = {"(H)": len(hyp.growth_radii) * hyp.dirs_per_radius}
+def _check_checker_rows(kind: str, space: SpaceConfig, mode: str, hyp: HypothesisParams) -> None:
+    """Reject a problem whose checkers would apply more than _MAX_CHECK_ROWS rows.
+
+    A bvp row is weighted by its grid: it counts as one row per
+    _GRID_NODES_PER_ROW quadrature nodes, so sublinear_affine's 256-node
+    rows count 32 each.
+    """
+    weight = 1
+    if kind == "bvp":
+        weight = -(-space.quad_nodes * space.n_panels // _GRID_NODES_PER_ROW)
+    rows = {"(H)": len(hyp.growth_radii) * hyp.dirs_per_radius * weight}
     if mode == "one_pair":
-        rows["(H2)"] = hyp.n_s
+        rows["(H2)"] = hyp.n_s * weight
     else:
-        rows["(H2)'"] = hyp.n_angle * max(hyp.n_s, _ANGLE_PASS_ROWS)
+        rows["(H2)'"] = hyp.n_angle * max(hyp.n_s * weight, _ANGLE_PASS_ROWS)
     name, count = max(rows.items(), key=lambda item: item[1])
     if count > _MAX_CHECK_ROWS:
         raise ConfigError(
-            f"problem too large: {name} would apply the operator to {count:,} rows, "
-            f"above the {_MAX_CHECK_ROWS:,} row limit"
+            f"problem too large: {name} would apply the operator to {count:,} rows "
+            f"(one {kind} row counts {weight}), above the {_MAX_CHECK_ROWS:,} row limit"
         )
 
 
@@ -259,7 +270,7 @@ def load_problem(
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad [hypotheses] section: {exc}") from exc
     _check_table_sizes(kind, space, n_seeds, hyp)
-    _check_checker_rows(mode, hyp)
+    _check_checker_rows(kind, space, mode, hyp)
 
     radius = float(prob.get("radius", 0.5))
     if radius <= 0:
@@ -325,6 +336,8 @@ def load_problem(
     run_seed = solver_kwargs.pop("seed", 0)
     if seed is not None:
         run_seed = seed
+    if run_seed < 0:
+        raise ConfigError(f"the run seed must be >= 0, got {run_seed}")
     solver_kwargs.setdefault("grad_tol", 1e-8 if kind == "bvp" else 1e-10)
     try:
         solver_cfg = SolverConfig(**solver_kwargs)

@@ -13,10 +13,18 @@ deflated energy: compactly supported bumps are added at the found points
 (and their negatives), which pushes the retry out of the known basins
 without destroying boundedness from below.  The deflated energy is even as
 well, so the retry from s also stands for -s.
+
+A converged descent evaluates each point once: the energy and the gradient
+remember the last point they saw (the descent never changes an array in
+place), so the final iterate is not evaluated again by the polish check or
+by the scoring; the deflated energy builds on that pair and computes its
+bump distances once per point; and a retry is scored on the undeflated pair
+it shares with the main descent.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Any, Callable
 
@@ -56,8 +64,10 @@ class SolverConfig:
         # "not >" forms so that NaN is rejected as well
         if not (self.grad_tol > 0.0 and self.dedup_tol > 0.0):
             raise ValueError("tolerances must be positive")
-        if self.deflation_radius is not None and not self.deflation_radius > 0.0:
-            raise ValueError("deflation_radius must be positive")
+        # the bumps use the squared radius, which must not overflow
+        r = self.deflation_radius
+        if r is not None and not (r > 0.0 and math.isfinite(r * r)):
+            raise ValueError("deflation_radius must be positive, with a finite square")
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,13 +141,13 @@ def _minimize(
     iterations = 0
     c_prev = g_prev = None
     for _ in range(cfg.max_iter):
-        if not np.isfinite(j_cur):
+        if not math.isfinite(j_cur):
             raise OperatorDivergenceError(
                 f"non-finite energy after {iterations} iterations (||u|| = {np.linalg.norm(c):.3e})"
             )
         g = g_fn(c)
         gn = float(np.linalg.norm(g))
-        if not np.isfinite(gn):
+        if not math.isfinite(gn):
             raise OperatorDivergenceError(
                 f"non-finite gradient after {iterations} iterations"
             )
@@ -156,7 +166,7 @@ def _minimize(
         accepted = False
         while True:
             c_new = c - step * g
-            if np.array_equal(c_new, c):
+            if (c_new == c).all():
                 break  # stalled: the step is below resolution
             j_new = j_fn(c_new)
             if j_new == -np.inf:
@@ -165,7 +175,7 @@ def _minimize(
                     f"energy diverged to -inf after {iterations} iterations "
                     f"(||u|| = {np.linalg.norm(c):.3e})"
                 )
-            if np.isfinite(j_new) and j_new <= j_cur - _ARMIJO_C * step * gn**2:
+            if math.isfinite(j_new) and j_new <= j_cur - _ARMIJO_C * step * gn**2:
                 accepted = True
                 break
             step *= _ARMIJO_SHRINK
@@ -185,19 +195,35 @@ def _minimize(
     return c, iterations, trace
 
 
+def _remember_last(fn: Callable[[np.ndarray], Any]) -> Callable[[np.ndarray], Any]:
+    """fn with a one-entry cache keyed by the identity of its argument.
+
+    The descent never changes an array in place, so a point it hands on
+    (the accepted trial, the final iterate) is the same object when it is
+    evaluated again, and the value is reused instead of recomputed.
+    """
+    last: list[Any] = [None, None]
+
+    def remembered(c: np.ndarray) -> Any:
+        if c is not last[0]:
+            last[0], last[1] = c, fn(c)
+        return last[1]
+
+    return remembered
+
+
 def _energy_and_gradient(
     A: PotentialOperatorSpec,
 ) -> tuple[Callable[[np.ndarray], float], Callable[[np.ndarray], np.ndarray]]:
+    """The (J, J') pair of A, each evaluated once per point."""
+
     def j_fn(c: np.ndarray) -> float:
-        # overflow is handled by the caller (inf/nan trials are rejected,
-        # -inf aborts), so let it propagate silently
-        with np.errstate(over="ignore", invalid="ignore"):
-            return energy_coeffs(A, c)
+        return energy_coeffs(A, c)
 
     def g_fn(c: np.ndarray) -> np.ndarray:
         return c - A.apply_coeffs(c)
 
-    return j_fn, g_fn
+    return _remember_last(j_fn), _remember_last(g_fn)
 
 
 def _polish(
@@ -258,22 +284,25 @@ def descend(A: PotentialOperatorSpec, u0: H1Vector, cfg: SolverConfig) -> Critic
     iterate.  Raises OperatorDivergenceError when the energy blows up
     (e.g. the operator grows too fast for descent).
     """
-    return _descend(A, _energy_and_gradient(A), u0.coeffs, cfg)[0]
+    return _descend(_energy_and_gradient(A), u0.coeffs, cfg)[0]
 
 
-def _descend(A: PotentialOperatorSpec, energy: tuple, c0: np.ndarray, cfg: SolverConfig):
-    """Descend from c0 on the (J, J') pair energy; returns (point, trace).
-
-    The point is scored on A's own energy and residual, also after a
-    descent on the deflated energy.
+def _descend(energy: tuple, c0: np.ndarray, cfg: SolverConfig, descent: tuple | None = None):
+    """Descend from c0 on the (J, J') pair descent, energy by default, and
+    score the final point on energy, A's own pair, which has evaluated it
+    already; returns (point, trace).
     """
-    c, iterations, trace = _minimize_with_polish(*energy, c0, cfg)
-    point = CriticalPoint(
-        u=H1Vector(c),
-        j_value=energy_coeffs(A, c),
-        grad_norm=float(np.linalg.norm(c - A.apply_coeffs(c))),
-        iterations=iterations,
-    )
+    j_fn, g_fn = energy
+    # overflow is handled by the descent (inf/nan trials are rejected, -inf
+    # aborts, a non-finite gradient raises), so let it propagate silently
+    with np.errstate(over="ignore", invalid="ignore"):
+        c, iterations, trace = _minimize_with_polish(*(descent or energy), c0, cfg)
+        point = CriticalPoint(
+            u=H1Vector(c),
+            j_value=j_fn(c),
+            grad_norm=float(np.linalg.norm(g_fn(c))),
+            iterations=iterations,
+        )
     return point, trace
 
 
@@ -315,11 +344,20 @@ def _is_duplicate(c: np.ndarray, found: list[CriticalPoint], tol: float) -> bool
     return False
 
 
-def _deflated_energy(
-    A: PotentialOperatorSpec, found: list[CriticalPoint], cfg: SolverConfig
-):
-    """Energy plus compact bumps at every found point and its negative."""
-    j_fn, g_fn = _energy_and_gradient(A)
+def _bump_distances(c: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The offsets c - center and their squared norms, one row per bump."""
+    diffs = c[None, :] - centers
+    return diffs, np.einsum("ij,ij->i", diffs, diffs)
+
+
+def _deflated_energy(energy: tuple, found: list[CriticalPoint], cfg: SolverConfig):
+    """The (J, J') pair energy plus compact bumps at every found point and
+    its negative.
+
+    The bump distances are computed once per point and serve both the value
+    and the gradient.
+    """
+    j_fn, g_fn = energy
     points = []
     radii = []
     amps = []
@@ -337,26 +375,29 @@ def _deflated_energy(
     r2 = np.array(radii) ** 2
     amp_arr = np.array(amps)
 
-    def bump_terms(c: np.ndarray):
-        diffs = c[None, :] - centers
-        d2 = np.einsum("ij,ij->i", diffs, diffs)
+    @_remember_last
+    def bumps(c: np.ndarray):
+        """(vals, diffs, gap, r2) of the bumps whose support holds c, None if none does."""
+        diffs, d2 = _bump_distances(c, centers)
         inside = d2 < r2
-        if not np.any(inside):
-            return 0.0, np.zeros_like(c)
-        gap = r2[inside] - d2[inside]
-        vals = amp_arr[inside] * np.exp(-d2[inside] / gap)
-        value = float(vals.sum())
-        scale = vals * (-r2[inside] / gap**2) * 2.0
-        grad = scale @ diffs[inside]
-        return value, grad
+        if not inside.any():
+            return None
+        d2_in, r2_in = d2[inside], r2[inside]
+        gap = r2_in - d2_in
+        return amp_arr[inside] * np.exp(-d2_in / gap), diffs[inside], gap, r2_in
 
     def j_defl(c: np.ndarray) -> float:
-        return j_fn(c) + bump_terms(c)[0]
+        terms = bumps(c)
+        return j_fn(c) + (0.0 if terms is None else float(terms[0].sum()))
 
     def g_defl(c: np.ndarray) -> np.ndarray:
-        return g_fn(c) + bump_terms(c)[1]
+        terms = bumps(c)
+        if terms is None:
+            return g_fn(c) + np.zeros_like(c)  # the sum turns -0.0 into 0.0, as a bump term would
+        vals, diffs, gap, r2_in = terms
+        return g_fn(c) + (vals * (-r2_in / gap**2) * 2.0) @ diffs
 
-    return j_defl, g_defl
+    return j_defl, _remember_last(g_defl)
 
 
 def find_pairs(
@@ -380,8 +421,9 @@ def find_pairs(
         raise ValueError("find_pairs needs an odd operator")
     if not seeds:
         raise ValueError("seeds must be nonempty")
-    trivial_cut = 1e-4 * max(max(s.norm() for s in seeds), 1e-12)
-    energy = _energy_and_gradient(A)
+    with np.errstate(over="ignore"):  # an infinite seed norm ends the descent as a blow-up
+        trivial_cut = 1e-4 * max(max(s.norm() for s in seeds), 1e-12)
+    energy = _energy_and_gradient(A)  # shared by every descent and retry
 
     found: list[CriticalPoint] = []
     traces: list[list[tuple[float, float]]] = []
@@ -395,7 +437,7 @@ def find_pairs(
             traces.extend([list(seed_trace), list(seed_trace)])
             counts[accepted] += 2
             continue
-        point, trace = _descend(A, energy, seed.coeffs, cfg)
+        point, trace = _descend(energy, seed.coeffs, cfg)
         seed_trace = list(zip(trace.j_values, trace.grad_norms))
         traces.extend([seed_trace, list(seed_trace)])
         accepted = _triage(point, cfg, trivial_cut)
@@ -410,7 +452,8 @@ def find_pairs(
         # duplicate basin: one retry on the deflated energy, with a capped
         # budget (a retry stuck on a bump rim is not worth a full run)
         retry_cfg = replace(cfg, max_iter=min(cfg.max_iter, 150))
-        retry, _ = _descend(A, _deflated_energy(A, found, cfg), seed.coeffs, retry_cfg)
+        deflated = _deflated_energy(energy, found, cfg)
+        retry, _ = _descend(energy, seed.coeffs, retry_cfg, deflated)
         retry = canonicalize(retry, cfg.dedup_tol)
         if _triage(retry, cfg, trivial_cut) == "ok" and not _is_duplicate(
             retry.u.coeffs, found, cfg.dedup_tol

@@ -170,6 +170,30 @@ def test_bvp_load_holds_one_basis_table():
     assert peak <= 2.25 * basis_bytes
 
 
+@pytest.mark.parametrize("n_modes, n_panels", [(32, 32), (320, 256), (1280, 1024)])
+def test_profile_cache_keeps_apply_bitwise(n_modes, n_panels, rng):
+    # the apply after a potential at the same point reuses its grid profile
+    # and must stay bitwise equal to a one-row apply_batch; a vector changed
+    # in place must never be served the old profile
+    cfg = SpaceConfig(n_modes=n_modes, n_panels=n_panels)
+    try:
+        for nl in (bvp.power_nonlinearity(), replace(bvp.sublinear_affine(), antiderivative=None)):
+            op = bvp.bvp_operator(nl, cfg)
+            c = rng.standard_normal(n_modes) / np.arange(1, n_modes + 1)
+            op.potential_coeffs(c)
+            assert op.apply_coeffs(c).tobytes() == op.apply_batch(c[None, :])[0].tobytes()
+            c[0] += 0.5
+            assert op.apply_coeffs(c).tobytes() == op.apply_batch(c[None, :])[0].tobytes()
+            changed = op.potential_coeffs(c)
+            c[1] -= 0.5
+            moved = op.potential_coeffs(c)
+            op.potential_coeffs(np.zeros(n_modes))
+            assert op.potential_coeffs(c.copy()) == moved != changed
+    finally:
+        if n_modes == 1280:
+            space_mod._basis_arrays.cache_clear()
+
+
 def test_b_self_adjoint(space32, sublinear_nl, rng):
     b = bvp.b_matrix(sublinear_nl.a1, space32)
     for _ in range(20):

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -165,6 +167,11 @@ BAD_OVERRIDES = [
     ("bvp_sqrt", "hypotheses.d1_nu=0"),
     ("bvp_sqrt", "hypotheses.d1_nt=100000000"),
     ("bvp_sqrt", "hypotheses.d1_nu=100000000"),
+    # found by the CLI fuzz: a negative run seed ended in a traceback in the
+    # (H) sample, and a deflation radius whose square overflows gave the
+    # retry infinite bumps
+    ("bvp_zero", "solver.seed=-1"),
+    ("cubic2d", "solver.deflation_radius=1e300"),
 ]
 
 
@@ -212,6 +219,18 @@ def test_non_finite_check_is_blowup(problem, override, capsys):
     assert "Infinity" not in captured.out and "NaN" not in captured.out
 
 
+@pytest.mark.parametrize(
+    "problem,override", [("bvp_zero", "problem.radius=1e300"), ("power_law_1d", "problem.amplitude=1e300")]
+)
+def test_non_finite_solve_is_blowup(problem, override, capsys):
+    # the seed norm and the first gradient norm overflow; the descent reports
+    # that as a blow-up, without a numpy warning
+    code = run("solve", "--problem", str(PROBLEMS / f"{problem}.cfg"), "--set", override)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith("operator blow-up") and "Warning" not in captured.err
+
+
 def test_size_guard_applies_to_the_built_space():
     # cubic2d always builds two modes, and the 1280-mode bvp_sqrt (84 MB basis) fits
     setup = load_problem(PROBLEMS / "cubic2d.cfg", overrides=["space.n_modes=100000"])
@@ -237,7 +256,12 @@ def test_checker_row_cap_boundary():
 def test_shipped_problems_keep_64x_checker_headroom(problem):
     setup = load_problem(PROBLEMS / f"{problem}.cfg")
     for key in ("n_angle", "n_s", "dirs_per_radius"):
-        _check_checker_rows(setup.mode, replace(setup.hyp, **{key: 64 * getattr(setup.hyp, key)}))
+        _check_checker_rows(
+            setup.kind,
+            setup.space,
+            setup.mode,
+            replace(setup.hyp, **{key: 64 * getattr(setup.hyp, key)}),
+        )
 
 
 _KEYS = [f"{section}.{key}" for section, keys in _SCHEMA.items() for key in keys]
@@ -257,6 +281,50 @@ def test_load_problem_fuzz_is_setup_or_config_error(problem, overrides):
     except ConfigError:
         return
     assert isinstance(setup, ProblemSetup)
+
+
+# the problems small enough to solve in a fuzz example; values that are
+# neither edge cases nor rejected outright
+_FUZZ_PROBLEMS = ["bvp_zero", "cubic2d", "linear2d", "power_law_1d", "sublinear_affine"]
+_FUZZ_VALUES = [*_EDGE_VALUES, "0.25", "0.5", "1", "2", "16", "64"]
+
+
+@settings(max_examples=80)
+@given(
+    command=st.sampled_from(["check", "solve", "report"]),
+    problem=st.sampled_from(_FUZZ_PROBLEMS),
+    overrides=st.lists(
+        st.tuples(st.sampled_from(_KEYS), st.sampled_from(_FUZZ_VALUES)), max_size=3
+    ),
+)
+def test_cli_fuzz_exits_with_a_code(command, problem, overrides):
+    # an exception escaping main fails the example by itself
+    argv = [command, "--problem", str(PROBLEMS / f"{problem}.cfg")]
+    for key, value in overrides:
+        argv += ["--set", f"{key}={value}"]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+
+
+def test_bvp_row_cap_weights_rows_by_grid():
+    # a bvp row counts one row per 8 grid nodes, so sublinear_affine's
+    # 256-node rows count 32: the grid that sat at the unweighted cap and ran
+    # for 17.7 s exits 2, and 2048 angles of 64 rows sit exactly at the cap
+    path = PROBLEMS / "sublinear_affine.cfg"
+    code = run("check", "--problem", str(path), "--set", "hypotheses.n_angle=65536", "--set", "hypotheses.n_s=64")
+    assert code == 2
+    load_problem(path, overrides=["hypotheses.n_angle=2048"])
+    with pytest.raises(ConfigError, match="row limit"):
+        load_problem(path, overrides=["hypotheses.n_angle=2049"])
+    # the benchmark's 1280-mode bvp_sqrt grid (8,192 nodes) stays admitted
+    setup = load_problem(PROBLEMS / "bvp_sqrt.cfg")
+    highres = SpaceConfig(n_modes=1280, quad_nodes=8, n_panels=1024)
+    _check_checker_rows(setup.kind, highres, setup.mode, setup.hyp)
+    with pytest.raises(ConfigError, match="row limit"):
+        _check_checker_rows(setup.kind, highres, setup.mode, replace(setup.hyp, n_s=4097))
 
 
 def test_check_one_mode_bvp_fails_without_traceback(tmp_path, capsys):

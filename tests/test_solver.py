@@ -25,6 +25,7 @@ from fixpairs.models import clipped_cubic_operator, linear_operator, radial_powe
 from fixpairs.problems import load_problem
 from fixpairs.solver import (
     _ARMIJO_C,
+    _bump_distances,
     _deflated_energy,
     _descend,
     _energy_and_gradient,
@@ -96,7 +97,7 @@ def test_descend_zero_operator():
 
 def test_monotone_descent_property(model_1d):
     cfg = SolverConfig()
-    _, trace = _descend(model_1d, _energy_and_gradient(model_1d), np.array([0.5]), cfg)
+    _, trace = _descend(_energy_and_gradient(model_1d), np.array([0.5]), cfg)
     n_armijo = len(trace.j_values) - trace.n_polish
     for k in range(n_armijo - 1):
         step = trace.steps[k]
@@ -237,9 +238,9 @@ def test_descent_mirror_is_exact(problem):
 
 # potential calls, apply calls, n_starts, summed ps_trace lengths
 WORK_BOUNDS = {
-    "bvp_sqrt": (14, 15, 2, 26),
-    "cubic2d": (808, 366, 32, 288),
-    "sublinear_affine": (934, 406, 16, 180),
+    "bvp_sqrt": (13, 13, 2, 26),
+    "cubic2d": (796, 343, 32, 288),
+    "sublinear_affine": (872, 381, 16, 180),
 }
 
 
@@ -265,6 +266,50 @@ def test_find_pairs_work_counters(problem):
     assert calls["apply"] <= max_apply
     assert report.n_starts == n_starts
     assert sum(len(t) for t in report.ps_trace) == trace_len
+
+
+@pytest.mark.parametrize("problem", ["power_law_1d", "cubic2d", "sublinear_affine", "bvp_sqrt"])
+def test_main_descent_evaluates_each_iterate_once(problem):
+    # the final iterate is not evaluated again by the polish check or the
+    # scoring, and no accepted trial point is evaluated twice
+    setup = load_problem(PROBLEMS / f"{problem}.cfg")
+    op = setup.operator
+    args = {"potential": [], "apply": []}
+
+    def potential(c):
+        args["potential"].append(c.tobytes())
+        return op.potential_coeffs(c)
+
+    def apply(c):
+        args["apply"].append(c.tobytes())
+        return op.apply_coeffs(c)
+
+    counted = dataclasses.replace(op, potential_coeffs=potential, apply_coeffs=apply)
+    for seed in setup.seeds:
+        for seen in args.values():
+            seen.clear()
+        point = descend(counted, seed, setup.solver)
+        assert point.grad_norm <= setup.solver.grad_tol
+        for name, seen in args.items():
+            assert len(seen) == len(set(seen)), name
+
+
+def test_retries_compute_bump_distances_once_per_point(monkeypatch):
+    # the deflated value and gradient at a point share one computation of
+    # the bump distances (2,142 on these two problems when each computed its own)
+    points = []
+
+    def recording(c, centers):
+        points.append(c)
+        return _bump_distances(c, centers)
+
+    monkeypatch.setattr("fixpairs.solver._bump_distances", recording)
+    for problem in ("cubic2d", "sublinear_affine"):
+        setup = load_problem(PROBLEMS / f"{problem}.cfg")
+        find_pairs(setup.operator, setup.seeds, setup.solver)
+    # every recorded array is kept alive, so its id names one point
+    assert len({id(c) for c in points}) == len(points)
+    assert len(points) <= 1530
 
 
 @pytest.mark.parametrize("n", [2, 8, 16])

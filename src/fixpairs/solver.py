@@ -12,7 +12,9 @@ pairs.  When a seed lands in an already-found basin it is retried once on a
 deflated energy: compactly supported bumps are added at the found points
 (and their negatives), which pushes the retry out of the known basins
 without destroying boundedness from below.  The deflated energy is even as
-well, so the retry from s also stands for -s.
+well, so the retry from s also stands for -s.  An additive bump puts
+spurious critical points on its rim, so a retry is abandoned, unpolished and
+unscored, once an accepted iterate enters a bump from outside every bump.
 
 A converged descent evaluates each point once: the energy and the gradient
 remember the last point they saw (the descent never changes an array in
@@ -126,7 +128,8 @@ def _minimize(
     g_fn: Callable[[np.ndarray], np.ndarray],
     c0: np.ndarray,
     cfg: SolverConfig,
-) -> tuple[np.ndarray, int, DescentTrace]:
+    in_bump: Callable[[np.ndarray], bool] | None = None,
+) -> tuple[np.ndarray | None, int, DescentTrace]:
     """Armijo-backtracked gradient descent; J never increases.
 
     The first trial step is _INIT_STEP on the first iteration and the
@@ -134,10 +137,14 @@ def _minimize(
     change of iterate and gradient; when s'y <= 0, or the quotient is not a
     positive finite number, it is _INIT_STEP again.
     A search stops as soon as the trial point equals the iterate bitwise.
+    With in_bump, the support test of a deflated energy's bumps, the descent
+    is abandoned, and returns None for its point, at the first accepted
+    iterate that lies in a bump while the iterate before it lay in none.
     """
     c = c0.copy()
     trace = DescentTrace(j_values=[], grad_norms=[], steps=[])
     j_cur = j_fn(c)
+    inside = in_bump is not None and in_bump(c)
     iterations = 0
     c_prev = g_prev = None
     for _ in range(cfg.max_iter):
@@ -182,6 +189,10 @@ def _minimize(
         trace.steps.append(step if accepted else 0.0)
         if not accepted:
             return c, iterations, trace
+        if in_bump is not None:
+            was_inside, inside = inside, in_bump(c_new)
+            if inside and not was_inside:
+                return None, iterations + 1, trace
         if j_new == j_cur and step < 1e-6:
             # the energy is at its rounding floor and the step is tiny:
             # nothing left for the line search to resolve
@@ -265,9 +276,10 @@ def _minimize_with_polish(
     g_fn: Callable[[np.ndarray], np.ndarray],
     c0: np.ndarray,
     cfg: SolverConfig,
-) -> tuple[np.ndarray, int, DescentTrace]:
-    c, iterations, trace = _minimize(j_fn, g_fn, c0, cfg)
-    if float(np.linalg.norm(g_fn(c))) >= cfg.grad_tol:
+    in_bump: Callable[[np.ndarray], bool] | None = None,
+) -> tuple[np.ndarray | None, int, DescentTrace]:
+    c, iterations, trace = _minimize(j_fn, g_fn, c0, cfg, in_bump)
+    if c is not None and float(np.linalg.norm(g_fn(c))) >= cfg.grad_tol:
         c, n_polish = _polish(j_fn, g_fn, c, cfg.grad_tol, trace)
         trace = replace(trace, n_polish=n_polish)
         iterations += trace.n_polish
@@ -288,15 +300,19 @@ def descend(A: PotentialOperatorSpec, u0: H1Vector, cfg: SolverConfig) -> Critic
 
 
 def _descend(energy: tuple, c0: np.ndarray, cfg: SolverConfig, descent: tuple | None = None):
-    """Descend from c0 on the (J, J') pair descent, energy by default, and
-    score the final point on energy, A's own pair, which has evaluated it
-    already; returns (point, trace).
+    """Descend from c0 on descent, a deflated (J, J', in_bump) triple, or on
+    energy, A's own (J, J') pair, by default, and score the final point on
+    energy, which has evaluated it already; returns (point, trace), with
+    point None when the deflated descent was abandoned.
     """
     j_fn, g_fn = energy
+    j_d, g_d, in_bump = descent or (j_fn, g_fn, None)
     # overflow is handled by the descent (inf/nan trials are rejected, -inf
     # aborts, a non-finite gradient raises), so let it propagate silently
     with np.errstate(over="ignore", invalid="ignore"):
-        c, iterations, trace = _minimize_with_polish(*(descent or energy), c0, cfg)
+        c, iterations, trace = _minimize_with_polish(j_d, g_d, c0, cfg, in_bump)
+        if c is None:
+            return None, trace
         point = CriticalPoint(
             u=H1Vector(c),
             j_value=j_fn(c),
@@ -352,10 +368,10 @@ def _bump_distances(c: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.
 
 def _deflated_energy(energy: tuple, found: list[CriticalPoint], cfg: SolverConfig):
     """The (J, J') pair energy plus compact bumps at every found point and
-    its negative.
+    its negative, with in_bump, the test whether a point lies in a support.
 
-    The bump distances are computed once per point and serve both the value
-    and the gradient.
+    The bump distances are computed once per point and serve the value, the
+    gradient and in_bump.
     """
     j_fn, g_fn = energy
     points = []
@@ -397,7 +413,7 @@ def _deflated_energy(energy: tuple, found: list[CriticalPoint], cfg: SolverConfi
         vals, diffs, gap, r2_in = terms
         return g_fn(c) + (vals * (-r2_in / gap**2) * 2.0) @ diffs
 
-    return j_defl, _remember_last(g_defl)
+    return j_defl, _remember_last(g_defl), lambda c: bumps(c) is not None
 
 
 def find_pairs(
@@ -412,7 +428,8 @@ def find_pairs(
     and runs no descent and no retry.  Drops results near the origin (the
     trivial fixed point) or without a converged residual, deduplicates
     modulo sign, and retries a seed whose basin is already known once on the
-    deflated energy; that retry stands for -s too.  n_starts counts both
+    deflated energy; that retry stands for -s too, and it fails, adding no
+    pair, once it falls back into a bump from outside.  n_starts counts both
     signs of every seed.  Pairs come back sorted by energy, most negative
     first.  Raises ValueError unless A is odd, because the mirror and the
     pairing modulo sign need oddness.
@@ -449,11 +466,10 @@ def find_pairs(
         if not _is_duplicate(point.u.coeffs, found, cfg.dedup_tol):
             found.append(point)
             continue
-        # duplicate basin: one retry on the deflated energy, with a capped
-        # budget (a retry stuck on a bump rim is not worth a full run)
-        retry_cfg = replace(cfg, max_iter=min(cfg.max_iter, 150))
-        deflated = _deflated_energy(energy, found, cfg)
-        retry, _ = _descend(energy, seed.coeffs, retry_cfg, deflated)
+        # duplicate basin: one retry on the deflated energy
+        retry, _ = _descend(energy, seed.coeffs, cfg, _deflated_energy(energy, found, cfg))
+        if retry is None:  # abandoned: it fell back into a known bump
+            continue
         retry = canonicalize(retry, cfg.dedup_tol)
         if _triage(retry, cfg, trivial_cut) == "ok" and not _is_duplicate(
             retry.u.coeffs, found, cfg.dedup_tol

@@ -36,7 +36,6 @@ from .operators import (
 )
 from .hypotheses import (
     HypothesisReport,
-    QuadraticFormData,
     check_h1,
     check_h2,
     check_h2_prime,
@@ -64,7 +63,6 @@ __all__ = [
     "LinearOperatorSpec",
     "OperatorDivergenceError",
     "PotentialOperatorSpec",
-    "QuadraticFormData",
     "SolveReport",
     "SolverConfig",
     "SpaceConfig",

@@ -532,20 +532,23 @@ def _rk4(f, sigmas: np.ndarray, n_steps: int, stride: int) -> np.ndarray:
     return out
 
 
+# the oracle samples its profiles at this many uniform t-points
+_ORACLE_GRID_POINTS = 1001
+
+
 def shooting_oracle(
     nl: Nonlinearity,
     slope_range: tuple[float, float],
     n_slopes: int = 40,
     tol: float = 1e-10,
     n_steps: int = 4000,
-    grid_points: int = 1001,
 ) -> ShootingResult:
     """Independent solver: integrate u'' = -f(t, u), u(0) = 0, u'(0) = sigma
     over a slope grid and refine each sign change of u(1) by Brent's method.
 
     Fourth-order one-step integration with fixed step; the returned profiles
-    are sampled on a uniform grid of grid_points points, so grid_points - 1
-    must divide n_steps.  A root is kept only when its profile ends within
+    are sampled on a uniform grid of _ORACLE_GRID_POINTS points, so
+    _ORACLE_GRID_POINTS - 1 must divide n_steps.  A root is kept only when its profile ends within
     max(tol, 1e-12 max(1, |sigma|)) of zero.  If three or more consecutive
     scan slopes already satisfy |u(1)| below the detection threshold the
     problem is flagged degenerate (a resonant continuum) and no roots are
@@ -556,10 +559,9 @@ def shooting_oracle(
         raise ValueError("slope_range must be increasing")
     if n_slopes < 2:
         raise ValueError("n_slopes must be >= 2")
-    if n_steps < 1 or grid_points < 2 or n_steps % (grid_points - 1) != 0:
-        raise ValueError(
-            "need n_steps >= 1, grid_points >= 2 and grid_points - 1 dividing n_steps"
-        )
+    stride, rest = divmod(n_steps, _ORACLE_GRID_POINTS - 1)
+    if stride < 1 or rest != 0:
+        raise ValueError(f"n_steps must be a positive multiple of {_ORACLE_GRID_POINTS - 1}")
     from scipy.optimize import brentq
 
     sigmas = np.linspace(lo, hi, n_slopes)
@@ -593,10 +595,10 @@ def shooting_oracle(
 
     solutions = []
     if roots:
-        profiles = _rk4(nl.f, np.array(roots), n_steps, n_steps // (grid_points - 1))
+        profiles = _rk4(nl.f, np.array(roots), n_steps, stride)
         for sigma, us in zip(roots, profiles):
             if abs(us[-1]) <= max(tol, 1e-12 * max(1.0, abs(sigma))):
-                ts = np.linspace(0.0, 1.0, grid_points)
+                ts = np.linspace(0.0, 1.0, _ORACLE_GRID_POINTS)
                 solutions.append(
                     ShootingSolution(sigma=sigma, ts=ts, us=us, terminal=float(us[-1]))
                 )

@@ -51,6 +51,10 @@ EXIT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_BLOWUP = 3
 
+# gradcheck: random (u, v) pairs and the finite-difference step
+_GRADCHECK_PAIRS = 20
+_GRADCHECK_H = 1e-5
+
 
 def _json_text(payload: dict[str, Any]) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
@@ -102,8 +106,7 @@ def run_check(setup: ProblemSetup) -> dict[str, Any]:
         )
     else:
         e2, e3 = setup.e_vectors
-        _, qf_report = quadratic_form_margin(setup.comparison, e2, e3)
-        reports.append(qf_report)
+        reports.append(quadratic_form_margin(setup.comparison, e2, e3))
         reports.append(
             check_h2_prime(
                 setup.operator,
@@ -137,19 +140,19 @@ def run_solve(setup: ProblemSetup) -> tuple[dict[str, Any], Any]:
     return payload, report
 
 
-def run_gradcheck(setup: ProblemSetup, n_pairs: int = 20, h: float = 1e-5) -> dict[str, Any]:
+def run_gradcheck(setup: ProblemSetup) -> dict[str, Any]:
     rng = np.random.default_rng(setup.seed)
     worst = 0.0
-    for _ in range(n_pairs):
+    for _ in range(_GRADCHECK_PAIRS):
         u = H1Vector(rng.standard_normal(setup.space.n_modes))
         v = rng.standard_normal(setup.space.n_modes)
         v /= np.linalg.norm(v)
-        disc = fd_gradient_check(setup.operator, u, H1Vector(v), h)
+        disc = fd_gradient_check(setup.operator, u, H1Vector(v), _GRADCHECK_H)
         rel = disc / max(1.0, abs(functional_J(setup.operator, u)))
         worst = max(worst, rel)
     payload = _base_payload(setup, "gradcheck")
-    payload["n_pairs"] = n_pairs
-    payload["h"] = h
+    payload["n_pairs"] = _GRADCHECK_PAIRS
+    payload["h"] = _GRADCHECK_H
     payload["max_rel_discrepancy"] = worst
     payload["tolerance"] = 1e-6
     payload["all_pass"] = worst <= 1e-6

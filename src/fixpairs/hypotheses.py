@@ -32,7 +32,6 @@ from .space import H1Vector
 
 __all__ = [
     "HypothesisReport",
-    "QuadraticFormData",
     "STRICT_TOL",
     "check_h1",
     "check_h2",
@@ -71,17 +70,6 @@ class HypothesisReport:
             "grid": self.grid,
             "note": self.note,
         }
-
-
-@dataclass(frozen=True)
-class QuadraticFormData:
-    """Entries of the 2x2 comparison form and its discriminant."""
-
-    b22: float
-    b23: float
-    b33: float
-    discriminant: float
-    circle_max: float
 
 
 def _require_unit(e: H1Vector, name: str) -> None:
@@ -163,7 +151,7 @@ def _orthonormalize(e2: H1Vector, e3: H1Vector) -> tuple[np.ndarray, np.ndarray]
 
 def quadratic_form_margin(
     B2: LinearOperatorSpec, e2: H1Vector, e3: H1Vector
-) -> tuple[QuadraticFormData, HypothesisReport]:
+) -> HypothesisReport:
     """The 2x2 form conditions of the two-pair mode.
 
     Requires b22 > 1, b33 > 1 and discriminant b23^2 - (1-b22)(1-b33) < 0.
@@ -189,12 +177,9 @@ def quadratic_form_margin(
         [[0.5 * (1.0 - b22), -0.5 * b23], [-0.5 * b23, 0.5 * (1.0 - b33)]]
     )
     circle_max = float(np.linalg.eigvalsh(s)[-1])
-    data = QuadraticFormData(
-        b22=b22, b23=b23, b33=b33, discriminant=discriminant, circle_max=circle_max
-    )
     margin = min(b22 - 1.0, b33 - 1.0, -discriminant, -circle_max)
     verdict = PASS if margin > STRICT_TOL else FAIL
-    report = HypothesisReport(
+    return HypothesisReport(
         name="(H1)'",
         verdict=verdict,
         margin=margin,
@@ -209,7 +194,6 @@ def quadratic_form_margin(
         ],
         note="" if verdict == PASS else "strict inequalities not satisfied",
     )
-    return data, report
 
 
 def check_h2_prime(

@@ -41,6 +41,7 @@ __all__ = [
 _ODDNESS_SAMPLES = 100
 _ODDNESS_SEED = 20260810
 _ODDNESS_TOL = 1e-10
+_GROWTH_SLACK = 1.1  # factor on the fitted c of a growth envelope
 
 
 class OddnessError(ValueError):
@@ -248,14 +249,13 @@ def growth_fit(
     radii,
     dirs_per_radius: int = 16,
     seed: int = 0,
-    slack: float = 1.1,
 ) -> GrowthCertificate:
     """Fit a sampled growth envelope for ||A(u)||.
 
     Samples dirs_per_radius random directions at each radius, records the
     per-radius maxima of ||A(u)||, and picks the smallest (c, b) with
     c r^theta + b covering them (minimizing c + b over the feasible
-    vertices); c then gets the slack factor.  Deterministic given the seed.
+    vertices); c then gets the slack factor _GROWTH_SLACK.  Deterministic given the seed.
     """
     radii = np.asarray(radii, dtype=float)
     if radii.size == 0:
@@ -278,7 +278,7 @@ def growth_fit(
     theta = A.theta
     powers = radii**theta
     c_fit, b_fit = _cover_fit(powers, maxima)
-    c_fit *= slack
+    c_fit *= _GROWTH_SLACK
     covered = c_fit * powers + b_fit - maxima
     if np.min(covered) < -1e-9 * max(1.0, float(np.max(maxima))):
         raise AssertionError("growth fit failed to cover its own samples")

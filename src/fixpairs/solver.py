@@ -16,10 +16,14 @@ well, so the retry from s also stands for -s.  An additive bump puts
 spurious critical points on its rim, so a retry is abandoned, unpolished and
 unscored, once an accepted iterate enters a bump from outside every bump.
 
+One routine, _descend, runs every descent, main or retry: the Armijo loop,
+the residual polish that finishes it and the scoring.  cfg.max_iter bounds
+the whole descent; the polish gets the iterations the Armijo loop leaves.
+
 A converged descent evaluates each point once: the energy and the gradient
 remember the last point they saw (the descent never changes an array in
-place), so the final iterate is not evaluated again by the polish check or
-by the scoring; the deflated energy builds on that pair and computes its
+place), so the final iterate is not evaluated again by the polish or by
+the scoring; the deflated energy builds on that pair and computes its
 bump distances once per point; and a retry is scored on the undeflated pair
 it shares with the main descent.
 """
@@ -123,89 +127,6 @@ class SolveReport:
         }
 
 
-def _minimize(
-    j_fn: Callable[[np.ndarray], float],
-    g_fn: Callable[[np.ndarray], np.ndarray],
-    c0: np.ndarray,
-    cfg: SolverConfig,
-    in_bump: Callable[[np.ndarray], bool] | None = None,
-) -> tuple[np.ndarray | None, int, DescentTrace]:
-    """Armijo-backtracked gradient descent; J never increases.
-
-    The first trial step is _INIT_STEP on the first iteration and the
-    Barzilai-Borwein step (s's)/(s'y) after it, with s and y the last
-    change of iterate and gradient; when s'y <= 0, or the quotient is not a
-    positive finite number, it is _INIT_STEP again.
-    A search stops as soon as the trial point equals the iterate bitwise.
-    With in_bump, the support test of a deflated energy's bumps, the descent
-    is abandoned, and returns None for its point, at the first accepted
-    iterate that lies in a bump while the iterate before it lay in none.
-    """
-    c = c0.copy()
-    trace = DescentTrace(j_values=[], grad_norms=[], steps=[])
-    j_cur = j_fn(c)
-    inside = in_bump is not None and in_bump(c)
-    iterations = 0
-    c_prev = g_prev = None
-    for _ in range(cfg.max_iter):
-        if not math.isfinite(j_cur):
-            raise OperatorDivergenceError(
-                f"non-finite energy after {iterations} iterations (||u|| = {np.linalg.norm(c):.3e})"
-            )
-        g = g_fn(c)
-        gn = float(np.linalg.norm(g))
-        if not math.isfinite(gn):
-            raise OperatorDivergenceError(
-                f"non-finite gradient after {iterations} iterations"
-            )
-        trace.j_values.append(j_cur)
-        trace.grad_norms.append(gn)
-        if gn < cfg.grad_tol:
-            trace.steps.append(0.0)
-            return c, iterations, trace
-        step = _INIT_STEP
-        if c_prev is not None:
-            s, y = c - c_prev, g - g_prev
-            sy = float(s @ y)
-            bb = float(s @ s) / sy if sy > 0.0 else 0.0
-            if 0.0 < bb < np.inf:
-                step = bb
-        accepted = False
-        while True:
-            c_new = c - step * g
-            if (c_new == c).all():
-                break  # stalled: the step is below resolution
-            j_new = j_fn(c_new)
-            if j_new == -np.inf:
-                # the energy is unbounded below along this direction
-                raise OperatorDivergenceError(
-                    f"energy diverged to -inf after {iterations} iterations "
-                    f"(||u|| = {np.linalg.norm(c):.3e})"
-                )
-            if math.isfinite(j_new) and j_new <= j_cur - _ARMIJO_C * step * gn**2:
-                accepted = True
-                break
-            step *= _ARMIJO_SHRINK
-        trace.steps.append(step if accepted else 0.0)
-        if not accepted:
-            return c, iterations, trace
-        if in_bump is not None:
-            was_inside, inside = inside, in_bump(c_new)
-            if inside and not was_inside:
-                return None, iterations + 1, trace
-        if j_new == j_cur and step < 1e-6:
-            # the energy is at its rounding floor and the step is tiny:
-            # nothing left for the line search to resolve
-            return c_new, iterations + 1, trace
-        c_prev, g_prev = c, g
-        c, j_cur = c_new, j_new
-        iterations += 1
-    trace.j_values.append(j_cur)
-    trace.grad_norms.append(float(np.linalg.norm(g_fn(c))))
-    trace.steps.append(0.0)
-    return c, iterations, trace
-
-
 def _remember_last(fn: Callable[[np.ndarray], Any]) -> Callable[[np.ndarray], Any]:
     """fn with a one-entry cache keyed by the identity of its argument.
 
@@ -242,6 +163,7 @@ def _polish(
     g_fn: Callable[[np.ndarray], np.ndarray],
     c: np.ndarray,
     tol: float,
+    budget: int,
     trace: DescentTrace,
 ) -> tuple[np.ndarray, int]:
     """Full-step residual polish u <- u - J'(u) once the line search is done.
@@ -251,11 +173,12 @@ def _polish(
     the Armijo test can still resolve a decrease.  The residual norm itself
     is monitored: the loop keeps the best iterate and stops as soon as a
     step fails to improve it, so non-contractive points are left untouched.
+    At most budget steps are taken.
     """
     g = g_fn(c)
     best = float(np.linalg.norm(g))
     steps = 0
-    for _ in range(200):
+    for _ in range(budget):
         if best < tol or not np.isfinite(best):
             break
         c_new = c - g
@@ -271,21 +194,6 @@ def _polish(
     return c, steps
 
 
-def _minimize_with_polish(
-    j_fn: Callable[[np.ndarray], float],
-    g_fn: Callable[[np.ndarray], np.ndarray],
-    c0: np.ndarray,
-    cfg: SolverConfig,
-    in_bump: Callable[[np.ndarray], bool] | None = None,
-) -> tuple[np.ndarray | None, int, DescentTrace]:
-    c, iterations, trace = _minimize(j_fn, g_fn, c0, cfg, in_bump)
-    if c is not None and float(np.linalg.norm(g_fn(c))) >= cfg.grad_tol:
-        c, n_polish = _polish(j_fn, g_fn, c, cfg.grad_tol, trace)
-        trace = replace(trace, n_polish=n_polish)
-        iterations += trace.n_polish
-    return c, iterations, trace
-
-
 def descend(A: PotentialOperatorSpec, u0: H1Vector, cfg: SolverConfig) -> CriticalPoint:
     """Run descent from u0; returns the critical-point record.
 
@@ -299,27 +207,95 @@ def descend(A: PotentialOperatorSpec, u0: H1Vector, cfg: SolverConfig) -> Critic
     return _descend(_energy_and_gradient(A), u0.coeffs, cfg)[0]
 
 
-def _descend(energy: tuple, c0: np.ndarray, cfg: SolverConfig, descent: tuple | None = None):
-    """Descend from c0 on descent, a deflated (J, J', in_bump) triple, or on
-    energy, A's own (J, J') pair, by default, and score the final point on
-    energy, which has evaluated it already; returns (point, trace), with
-    point None when the deflated descent was abandoned.
+def _descend(
+    energy: tuple, c0: np.ndarray, cfg: SolverConfig, deflated: tuple | None = None
+) -> tuple[CriticalPoint | None, DescentTrace]:
+    """Descend from c0 and score the final point; returns (point, trace).
+
+    The descent runs on deflated, a (J, J', in_bump) triple, or by default on
+    energy, A's own (J, J') pair; the final point is scored on energy, which
+    has evaluated it already.  Armijo-backtracked gradient descent, so J never
+    increases: the first trial step is _INIT_STEP on the first iteration and
+    the Barzilai-Borwein step (s's)/(s'y) after it, with s and y the last
+    change of iterate and gradient; when s'y <= 0, or the quotient is not a
+    positive finite number, it is _INIT_STEP again.  A search stops as soon
+    as the trial point equals the iterate bitwise.  The residual polish then
+    gets the iterations left of cfg.max_iter.  On a deflated energy the
+    descent is abandoned, and point is None, at the first accepted iterate
+    that lies in a bump while the iterate before it lay in none.
     """
     j_fn, g_fn = energy
-    j_d, g_d, in_bump = descent or (j_fn, g_fn, None)
+    j_d, g_d, in_bump = deflated or (j_fn, g_fn, None)
+    trace = DescentTrace(j_values=[], grad_norms=[], steps=[])
+    c = c0.copy()
     # overflow is handled by the descent (inf/nan trials are rejected, -inf
     # aborts, a non-finite gradient raises), so let it propagate silently
     with np.errstate(over="ignore", invalid="ignore"):
-        c, iterations, trace = _minimize_with_polish(j_d, g_d, c0, cfg, in_bump)
-        if c is None:
-            return None, trace
+        j_cur = j_d(c)
+        inside = in_bump is not None and in_bump(c)
+        iterations = 0
+        c_prev = g_prev = None
+        while True:
+            if not math.isfinite(j_cur):
+                raise OperatorDivergenceError(
+                    f"non-finite energy after {iterations} iterations (||u|| = {np.linalg.norm(c):.3e})"
+                )
+            g = g_d(c)
+            gn = float(np.linalg.norm(g))
+            if not math.isfinite(gn):
+                raise OperatorDivergenceError(
+                    f"non-finite gradient after {iterations} iterations"
+                )
+            trace.j_values.append(j_cur)
+            trace.grad_norms.append(gn)
+            if gn < cfg.grad_tol or iterations == cfg.max_iter:
+                trace.steps.append(0.0)
+                break
+            step = _INIT_STEP
+            if c_prev is not None:
+                s, y = c - c_prev, g - g_prev
+                sy = float(s @ y)
+                bb = float(s @ s) / sy if sy > 0.0 else 0.0
+                if 0.0 < bb < np.inf:
+                    step = bb
+            accepted = False
+            while True:
+                c_new = c - step * g
+                if (c_new == c).all():
+                    break  # stalled: the step is below resolution
+                j_new = j_d(c_new)
+                if j_new == -np.inf:
+                    # the energy is unbounded below along this direction
+                    raise OperatorDivergenceError(
+                        f"energy diverged to -inf after {iterations} iterations "
+                        f"(||u|| = {np.linalg.norm(c):.3e})"
+                    )
+                if math.isfinite(j_new) and j_new <= j_cur - _ARMIJO_C * step * gn**2:
+                    accepted = True
+                    break
+                step *= _ARMIJO_SHRINK
+            trace.steps.append(step if accepted else 0.0)
+            if not accepted:
+                break
+            if in_bump is not None:
+                was_inside, inside = inside, in_bump(c_new)
+                if inside and not was_inside:
+                    return None, trace
+            # the energy at its rounding floor and a tiny step: nothing left
+            # for the line search to resolve
+            at_floor = j_new == j_cur and step < 1e-6
+            c_prev, g_prev, c, j_cur = c, g, c_new, j_new
+            iterations += 1
+            if at_floor:
+                break
+        c, n_polish = _polish(j_d, g_d, c, cfg.grad_tol, cfg.max_iter - iterations, trace)
         point = CriticalPoint(
             u=H1Vector(c),
             j_value=j_fn(c),
             grad_norm=float(np.linalg.norm(g_fn(c))),
-            iterations=iterations,
+            iterations=iterations + n_polish,
         )
-    return point, trace
+    return point, replace(trace, n_polish=n_polish)
 
 
 def ps_check(iterates: list[np.ndarray], v: H1Vector, A: PotentialOperatorSpec) -> float:

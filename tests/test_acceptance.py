@@ -54,7 +54,7 @@ def cubic_search():
     e1, e2 = basis_vector(1, 2), basis_vector(2, 2)
     b2 = LinearOperatorSpec.scaled_identity(1.5, 2)
     t0 = time.perf_counter()
-    _, h1p = quadratic_form_margin(b2, e1, e2)
+    h1p = quadratic_form_margin(b2, e1, e2)
     h2p = check_h2_prime(op, b2, e1, e2, r2=0.5)
     report = find_pairs(op, circle_seeds(e1, e2, 0.5, 16), SolverConfig(dedup_tol=1e-4))
     return op, h1p, h2p, report, time.perf_counter() - t0

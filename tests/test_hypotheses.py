@@ -90,28 +90,31 @@ def test_h2_validation():
 
 
 def test_quadratic_form_scaled_identity():
-    data, rep = quadratic_form_margin(LinearOperatorSpec.scaled_identity(2.0, 2), E1, E2)
-    assert (data.b22, data.b33, data.b23) == (2.0, 2.0, 0.0)
-    assert data.discriminant == pytest.approx(-1.0)
-    assert data.circle_max == pytest.approx(-0.5)
+    rep = quadratic_form_margin(LinearOperatorSpec.scaled_identity(2.0, 2), E1, E2)
+    data = rep.witnesses[0]
+    assert (data["b22"], data["b33"], data["b23"]) == (2.0, 2.0, 0.0)
+    assert data["discriminant"] == pytest.approx(-1.0)
+    assert data["circle_max"] == pytest.approx(-0.5)
     assert rep.verdict == "pass"
 
 
 def test_quadratic_form_positive_discriminant_fails():
     b = LinearOperatorSpec(matrix=np.array([[1.5, 1.0], [1.0, 1.5]]))
-    data, rep = quadratic_form_margin(b, E1, E2)
-    assert data.discriminant == pytest.approx(0.75)
+    rep = quadratic_form_margin(b, E1, E2)
+    data = rep.witnesses[0]
+    assert data["discriminant"] == pytest.approx(0.75)
     assert rep.verdict == "fail"
 
 
 def test_quadratic_form_mixed_case():
     b = LinearOperatorSpec(matrix=np.array([[3.0, 1.0], [1.0, 2.0]]))
-    data, rep = quadratic_form_margin(b, E1, E2)
-    assert data.discriminant == pytest.approx(-1.0)
+    rep = quadratic_form_margin(b, E1, E2)
+    data = rep.witnesses[0]
+    assert data["discriminant"] == pytest.approx(-1.0)
     # eigenvalues of [[-1, -1/2], [-1/2, -1/2]]
     expected_max = (-1.5 + np.sqrt(1.25)) / 2.0
-    assert data.circle_max == pytest.approx(expected_max, abs=1e-12)
-    assert data.circle_max < 0.0
+    assert data["circle_max"] == pytest.approx(expected_max, abs=1e-12)
+    assert data["circle_max"] < 0.0
     assert rep.verdict == "pass"
 
 
@@ -134,7 +137,7 @@ def test_circle_max_equivalence_brute_force(b22, b33, b23):
     # angles; a parabolic vertex fit through the best sample removes the
     # O(grid^2) scan bias, the form being a second-order trig polynomial)
     m = np.array([[b22, b23], [b23, b33]])
-    data, _ = quadratic_form_margin(LinearOperatorSpec(matrix=m), E1, E2)
+    data = quadratic_form_margin(LinearOperatorSpec(matrix=m), E1, E2).witnesses[0]
     phis = np.linspace(0.0, 2.0 * np.pi, 3600, endpoint=False)
     al, be = np.cos(phis), np.sin(phis)
     q = 0.5 * (1.0 - b22) * al**2 + 0.5 * (1.0 - b33) * be**2 - al * be * b23
@@ -142,11 +145,11 @@ def test_circle_max_equivalence_brute_force(b22, b33, b23):
     y0, yp, ym = q[i], q[(i + 1) % 3600], q[i - 1]
     curvature = 2.0 * y0 - yp - ym
     refined = y0 if curvature <= 0.0 else y0 + (yp - ym) ** 2 / (8.0 * curvature)
-    assert np.max(q) <= data.circle_max + 1e-12  # samples never beat the true max
-    assert abs(refined - data.circle_max) <= 1e-9
-    condition = b22 > 1.0 and b33 > 1.0 and data.discriminant < 0.0
-    if abs(data.circle_max) > 1e-6:  # stay away from the degenerate boundary
-        assert (data.circle_max < 0.0) == condition
+    assert np.max(q) <= data["circle_max"] + 1e-12  # samples never beat the true max
+    assert abs(refined - data["circle_max"]) <= 1e-9
+    condition = b22 > 1.0 and b33 > 1.0 and data["discriminant"] < 0.0
+    if abs(data["circle_max"]) > 1e-6:  # stay away from the degenerate boundary
+        assert (data["circle_max"] < 0.0) == condition
 
 
 def test_h2_prime_equality_case():

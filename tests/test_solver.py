@@ -29,8 +29,6 @@ from fixpairs.solver import (
     _deflated_energy,
     _descend,
     _energy_and_gradient,
-    _minimize,
-    _minimize_with_polish,
     axis_seeds,
     canonicalize,
 )
@@ -118,9 +116,10 @@ def test_stalled_line_search_stops_at_resolution():
         return 0.0
 
     c0 = np.array([1.0])
-    c, iterations, trace = _minimize(j_fn, lambda c: np.ones(1), c0, SolverConfig())
+    point, trace = _descend((j_fn, lambda c: np.ones(1)), c0, SolverConfig())
+    assert np.array_equal(trials.pop(), c0)  # the scoring
     trials = trials[1:]  # the first call is J(c0)
-    assert np.array_equal(c, c0) and iterations == 0
+    assert np.array_equal(point.u.coeffs, c0) and point.iterations == 0
     assert trace.steps == [0.0]
     assert len(trials) == 54
     assert all(not np.array_equal(t, c0) for t in trials)
@@ -140,8 +139,8 @@ def test_ps_check_on_convergent_run(model_1d):
         iterates.append(c.copy())
         return g_fn(c)
 
-    c, _, _ = _minimize_with_polish(j_fn, recording_g, np.array([0.5]), SolverConfig())
-    v = model_1d.apply(H1Vector(c))
+    point, _ = _descend((j_fn, recording_g), np.array([0.5]), SolverConfig())
+    v = model_1d.apply(point.u)
     assert len(iterates) > 3
     assert ps_check(iterates, v, model_1d) <= 1e-12
     # constant sequence at the fixed point
@@ -207,9 +206,9 @@ def record_descents(monkeypatch):
     """Record (deflated, point, trace) of every descent find_pairs runs."""
     runs = []
 
-    def recording(energy, c0, cfg, descent=None):
-        point, trace = _descend(energy, c0, cfg, descent)
-        runs.append((descent is not None, point, trace))
+    def recording(energy, c0, cfg, deflated=None):
+        point, trace = _descend(energy, c0, cfg, deflated)
+        runs.append((deflated is not None, point, trace))
         return point, trace
 
     monkeypatch.setattr("fixpairs.solver._descend", recording)
@@ -243,10 +242,11 @@ def test_descent_is_abandoned_only_when_it_enters_a_bump_from_outside():
     def in_bump(c):
         return abs(c[0]) < 0.5
 
-    c, iterations, _ = _minimize(j_fn, g_fn, np.array([2.0]), SolverConfig(), in_bump)
-    assert c is None and iterations == 2
-    c, iterations, _ = _minimize(j_fn, g_fn, np.array([0.4]), SolverConfig(), in_bump)
-    assert c is not None and c[0] == 0.0 and iterations == 2
+    energy = (j_fn, g_fn)
+    point, trace = _descend(energy, np.array([2.0]), SolverConfig(), (j_fn, g_fn, in_bump))
+    assert point is None and len(trace.steps) == 2
+    point, _ = _descend(energy, np.array([0.4]), SolverConfig(), (j_fn, g_fn, in_bump))
+    assert point is not None and point.u.coeffs[0] == 0.0 and point.iterations == 2
 
 
 @pytest.mark.parametrize("problem", ["cubic2d", "sublinear_affine"])
@@ -296,6 +296,61 @@ def test_descent_mirror_is_exact(problem):
         assert neg.grad_norm == pos.grad_norm
 
 
+def counting_operator(op, scale=1.0):
+    """op with its potential and apply, scaled by scale, counted in calls."""
+    calls = {"potential": 0, "apply": 0}
+
+    def potential(c):
+        calls["potential"] += 1
+        return op.potential_coeffs(c) * scale
+
+    def apply(c):
+        calls["apply"] += 1
+        return op.apply_coeffs(c) * scale
+
+    counted = dataclasses.replace(op, potential_coeffs=potential, apply_coeffs=apply)
+    calls.update(potential=0, apply=0)  # replace() re-ran the oddness sampling
+    return counted, calls
+
+
+def test_max_iter_bounds_every_descent(monkeypatch):
+    # the residual polish gets only the iterations the Armijo phase leaves,
+    # so at max_iter 3 every cubic2d descent stops after 3 iterations (with
+    # a polish budget of its own it took 203 and made 1,489 potential and
+    # 1,477 apply calls)
+    setup = load_problem(PROBLEMS / "cubic2d.cfg", ["solver.max_iter=3"])
+    counted, calls = counting_operator(setup.operator)
+    runs = record_descents(monkeypatch)
+    report = find_pairs(counted, setup.seeds, setup.solver)
+    assert (calls["potential"], calls["apply"]) == (46, 32)
+    assert report.n_nonconverged == report.n_starts == 32
+    assert report.n_pairs == 0
+    assert [len(t) for t in report.ps_trace] == [4] * 32
+    for _, point, trace in runs:
+        assert point.iterations == 3 and trace.n_polish == 0
+
+
+def test_polish_stops_when_a_step_does_not_improve_the_residual(monkeypatch):
+    # grad_tol 1e-300 is below one cubic2d descent's rounding floor: its
+    # polish takes one step, the next would not lower the residual, and it
+    # stops there with iterations to spare; that seed and its mirror are
+    # nonconverged
+    setup = load_problem(PROBLEMS / "cubic2d.cfg", ["solver.grad_tol=1e-300"])
+    runs = record_descents(monkeypatch)
+    report = find_pairs(setup.operator, setup.seeds, setup.solver)
+    stuck = [
+        (point, trace)
+        for deflated, point, trace in runs
+        if not deflated and point.grad_norm >= setup.solver.grad_tol
+    ]
+    assert len(stuck) == 1
+    point, trace = stuck[0]
+    assert trace.n_polish == 1 and point.iterations < setup.solver.max_iter
+    assert point.grad_norm == trace.grad_norms[-1] < 1e-13
+    assert report.n_nonconverged == 4
+    assert report.n_pairs == 3
+
+
 # potential calls, apply calls, n_starts, summed ps_trace lengths
 WORK_BOUNDS = {
     "bvp_sqrt": (13, 13, 2, 26),
@@ -307,19 +362,7 @@ WORK_BOUNDS = {
 @pytest.mark.parametrize("problem", list(WORK_BOUNDS))
 def test_find_pairs_work_counters(problem):
     setup = load_problem(PROBLEMS / f"{problem}.cfg")
-    op = setup.operator
-    calls = {"potential": 0, "apply": 0}
-
-    def potential(c):
-        calls["potential"] += 1
-        return op.potential_coeffs(c)
-
-    def apply(c):
-        calls["apply"] += 1
-        return op.apply_coeffs(c)
-
-    counted = dataclasses.replace(op, potential_coeffs=potential, apply_coeffs=apply)
-    calls.update(potential=0, apply=0)  # replace() re-ran the oddness sampling
+    counted, calls = counting_operator(setup.operator)
     report = find_pairs(counted, setup.seeds, setup.solver)
     max_potential, max_apply, n_starts, trace_len = WORK_BOUNDS[problem]
     assert calls["potential"] <= max_potential
@@ -336,21 +379,8 @@ def test_find_pairs_work_ignores_rounding_noise(problem, n_potential, n_apply, n
     # scaling the operator's output by 1 + k ulp must not move the work:
     # a retry that ran on to a bump rim made these counts chaotic
     setup = load_problem(PROBLEMS / f"{problem}.cfg")
-    op = setup.operator
     for k in [*range(-20, 0), *range(1, 21)]:
-        scale = 1.0 + k * 2.0**-52
-        calls = {"potential": 0, "apply": 0}
-
-        def potential(c):
-            calls["potential"] += 1
-            return op.potential_coeffs(c) * scale
-
-        def apply(c):
-            calls["apply"] += 1
-            return op.apply_coeffs(c) * scale
-
-        noisy = dataclasses.replace(op, potential_coeffs=potential, apply_coeffs=apply)
-        calls.update(potential=0, apply=0)  # replace() re-ran the oddness sampling
+        noisy, calls = counting_operator(setup.operator, 1.0 + k * 2.0**-52)
         report = find_pairs(noisy, setup.seeds, setup.solver)
         assert (calls["potential"], calls["apply"], report.n_pairs) == (
             n_potential,
@@ -508,7 +538,7 @@ def test_one_pair_conditions_imply_found_pair(model_1d):
 def test_two_pair_conditions_imply_two_found_pairs(cubic):
     b2 = LinearOperatorSpec.scaled_identity(1.5, 2)
     e1, e2 = basis_vector(1, 2), basis_vector(2, 2)
-    _, h1p = quadratic_form_margin(b2, e1, e2)
+    h1p = quadratic_form_margin(b2, e1, e2)
     h2p = check_h2_prime(cubic, b2, e1, e2, r2=0.5, n_angle=64, n_s=64)
     assert h1p.verdict == "pass" and h2p.verdict == "sampled-pass"
     report = find_pairs(cubic, circle_seeds(e1, e2, 0.5, 16), SolverConfig(dedup_tol=1e-4))

@@ -176,7 +176,7 @@ def run_eigen(setup: ProblemSetup) -> dict[str, Any]:
 
 def _write_profiles(setup: ProblemSetup, solve_report, output: str | None) -> None:
     stem = Path(output).with_suffix("") if output else Path("solve")
-    ts = np.linspace(0.0, 1.0, 1001)
+    ts = np.linspace(0.0, 1.0, bvp_mod._ORACLE_GRID_POINTS)
     for i, point in enumerate(solve_report.pairs):
         vals = evaluate(point.u, ts)
         lines = ["t,u"] + [f"{float(t)!r},{float(v)!r}" for t, v in zip(ts, vals)]

@@ -63,13 +63,16 @@ def clipped_cubic_operator(
     edge = slope * clip - clip**3
 
     # when no entry is clipped, clipping changes nothing and np.where would
-    # pick the core value everywhere, so the beyond-clip branch is skipped
+    # pick the core value everywhere, so the beyond-clip branch is skipped.
+    # The cube is two products: numpy's power of a mixed-sign array runs
+    # libm pow per element, about 80x slower, and its rounding depends on
+    # the libm
     def apply_batch(stacked: np.ndarray) -> np.ndarray:
         clipped = np.abs(stacked) > clip
         if not clipped.any():
-            return slope * stacked - stacked**3
+            return slope * stacked - stacked * stacked * stacked
         x = np.clip(stacked, -clip, clip)
-        return np.where(clipped, np.sign(stacked) * edge, slope * x - x**3)
+        return np.where(clipped, np.sign(stacked) * edge, slope * x - x * x * x)
 
     def potential(c: np.ndarray) -> float:
         clipped = np.abs(c) > clip

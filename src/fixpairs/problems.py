@@ -17,6 +17,7 @@ from typing import Any, Callable
 import numpy as np
 
 from . import bvp as bvp_mod
+from .hypotheses import h2_prime_chunk
 from .models import clipped_cubic_operator, linear_operator, radial_power_operator
 from .operators import LinearOperatorSpec, PotentialOperatorSpec
 from .solver import SolverConfig, axis_seeds, circle_seeds
@@ -68,8 +69,10 @@ _MAX_TABLE_BYTES = 2**30  # largest table a problem may build
 # operator rows the checkers may apply, 64x the largest shipped grid (cubic2d's
 # 256 x 256 (H2)' rows); bounds the time of `check` as the byte limit bounds memory
 _MAX_CHECK_ROWS = 2**22
-# one (H2)' angle is one Python-level pass, which costs about as much as 180
-# rows of a two-mode operator; an angle is counted as at least this many rows
+# an (H2)' angle is counted as at least this many rows.  The sweep makes one
+# Python-level pass per chunk of whole angles (hypotheses.h2_prime_chunk): on
+# cubic2d a 10-point angle costs about 0.4 us, as much as 30 rows, and
+# `check` at the cap takes at most about 0.15 s (n_s = 513, one angle a pass)
 _ANGLE_PASS_ROWS = 64
 # a bvp row costs two products through the basis and an f evaluation on the
 # quadrature grid; it is counted as one row per this many grid nodes
@@ -177,20 +180,25 @@ def _parse_radii(text: str) -> tuple[float, ...]:
     return radii
 
 
-def _check_table_sizes(kind: str, space: SpaceConfig, n_seeds: int, hyp: HypothesisParams) -> None:
+def _check_table_sizes(
+    kind: str, space: SpaceConfig, mode: str, n_seeds: int, hyp: HypothesisParams
+) -> None:
     """Reject a problem whose largest table would exceed _MAX_TABLE_BYTES.
 
     Every kind builds the n_modes x n_modes comparison matrix (three such
     tables at the peak, measured with tracemalloc: the assembled matrix, its
     stored copy and the in-place symmetry residual) and n_seeds seed
-    vectors; the checkers apply the operator to n_s rows at once ((H2)
-    and (H2)') and to all len(growth_radii) x dirs_per_radius rows of (H) in
-    one batch, and `eigen` builds eigen_n-long finite-difference vectors.
+    vectors; the checkers apply the operator to n_s rows at once in (H2),
+    to h2_prime_chunk(n_s, n_modes) angles of n_s rows at once in (H2)',
+    which also holds all n_angle circle points (two such tables at the
+    peak, measured with tracemalloc), and to all len(growth_radii) x
+    dirs_per_radius rows of (H) in one batch, and `eigen` builds
+    eigen_n-long finite-difference vectors.
     bvp also tabulates the basis on the quadrature grid, the Gauss-Legendre
     companion matrix of quad_nodes, the complex exponential tables of the
     comparison matrix's cosine moments (48 bytes per grid node and table
-    row at the peak) and a grid profile of every applied row.  The (H2)'
-    angles are bounded by _check_checker_rows.
+    row at the peak) and a grid profile of every applied row.  The time of
+    the (H2)' sweep is bounded by _check_checker_rows.
     """
     n = space.n_modes
     row = 8 * n
@@ -205,7 +213,11 @@ def _check_table_sizes(kind: str, space: SpaceConfig, n_seeds: int, hyp: Hypothe
         tables["basis table"] = 8 * nodes * n
         tables["Gauss-Legendre rule"] = 8 * space.quad_nodes**2
         tables["cosine-moment tables"] = 48 * (math.isqrt(2 * n) + 1) * nodes
-    tables["(H2) batch"] = hyp.n_s * row
+    if mode == "one_pair":
+        tables["(H2) batch"] = hyp.n_s * row
+    else:
+        tables["(H2)' chunk"] = h2_prime_chunk(hyp.n_s, n) * hyp.n_s * row
+        tables["(H2)' circle"] = 2 * hyp.n_angle * 8 * n
     tables["(H) batch"] = len(hyp.growth_radii) * hyp.dirs_per_radius * row
     name, size = max(tables.items(), key=lambda item: item[1])
     if size > _MAX_TABLE_BYTES:
@@ -269,7 +281,7 @@ def load_problem(
         hyp = HypothesisParams(**hyp_kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad [hypotheses] section: {exc}") from exc
-    _check_table_sizes(kind, space, n_seeds, hyp)
+    _check_table_sizes(kind, space, mode, n_seeds, hyp)
     _check_checker_rows(kind, space, mode, hyp)
 
     radius = float(prob.get("radius", 0.5))

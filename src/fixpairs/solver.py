@@ -213,11 +213,13 @@ def _descend(
     """Descend from c0 and score the final point; returns (point, trace).
 
     The descent runs on deflated, a (J, J', in_bump) triple, or by default on
-    energy, A's own (J, J') pair; the final point is scored on energy, which
-    has evaluated it already.  Armijo-backtracked gradient descent, so J never
-    increases: the first trial step is _INIT_STEP on the first iteration and
-    the Barzilai-Borwein step (s's)/(s'y) after it, with s and y the last
-    change of iterate and gradient; when s'y <= 0, or the quotient is not a
+    energy, A's own (J, J') pair; the final point is scored on energy: a
+    main descent keeps the energy of its last iterate, a retry asks energy,
+    which has evaluated the point already unless the last search stalled.
+    Armijo-backtracked gradient descent, so J never increases: the first
+    trial step is _INIT_STEP on the first iteration and the Barzilai-Borwein
+    step (s's)/(s'y) after it, with s and y the last change of iterate and
+    gradient; when s'y <= 0, or the quotient is not a
     positive finite number, it is _INIT_STEP again.  A search stops as soon
     as the trial point equals the iterate bitwise.  The residual polish then
     gets the iterations left of cfg.max_iter.  On a deflated energy the
@@ -289,9 +291,15 @@ def _descend(
             if at_floor:
                 break
         c, n_polish = _polish(j_d, g_d, c, cfg.grad_tol, cfg.max_iter - iterations, trace)
+        if deflated is None:
+            # the energy of the final iterate, or of the last polish step,
+            # is known already; after a stalled search J last saw a trial
+            j_value = trace.j_values[-1] if n_polish else j_cur
+        else:
+            j_value = j_fn(c)
         point = CriticalPoint(
             u=H1Vector(c),
-            j_value=j_fn(c),
+            j_value=j_value,
             grad_norm=float(np.linalg.norm(g_fn(c))),
             iterations=iterations + n_polish,
         )

@@ -6,10 +6,12 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fixpairs import bvp
 from fixpairs.cli import main
 from fixpairs.problems import (
     _SCHEMA,
@@ -236,8 +238,23 @@ def test_size_guard_applies_to_the_built_space():
     setup = load_problem(PROBLEMS / "cubic2d.cfg", overrides=["space.n_modes=100000"])
     assert setup.space.n_modes == 2
     _check_table_sizes(
-        "bvp", SpaceConfig(n_modes=1280, quad_nodes=8, n_panels=1024), 16, HypothesisParams()
+        "bvp", SpaceConfig(n_modes=1280, quad_nodes=8, n_panels=1024), "one_pair", 16, HypothesisParams()
     )
+
+
+def test_size_guard_counts_the_h2_prime_chunk_and_circle():
+    # two modes at n_s = 10 make chunks of 102 angles, 1,020 rows; on a
+    # 160,000-node grid those rows' profiles need 1.2 GiB, where the n_s
+    # rows of a one-pair (H2) batch need 12 MB
+    wide = SpaceConfig(n_modes=2, quad_nodes=8, n_panels=20000)
+    hyp = HypothesisParams(n_s=10)
+    _check_table_sizes("bvp", wide, "one_pair", 1, hyp)
+    with pytest.raises(ConfigError, match=r"\(H2\)' chunk needs 1\.2 GiB"):
+        _check_table_sizes("bvp", wide, "two_pair", 16, hyp)
+    # 65,536 circle points of 4,096 modes, twice at the peak: 4 GiB
+    many = SpaceConfig(n_modes=4096, quad_nodes=2, n_panels=1)
+    with pytest.raises(ConfigError, match=r"\(H2\)' circle needs 4\.0 GiB"):
+        _check_table_sizes("bvp", many, "two_pair", 16, HypothesisParams(n_angle=2**16))
 
 
 def test_checker_row_cap_boundary():
@@ -433,6 +450,9 @@ def test_solve_csv_profiles(tmp_path):
     lines = profile.read_text().strip().splitlines()
     assert lines[0] == "t,u"
     assert len(lines) == 1002
+    # one row per point of the shooting oracle's grid
+    ts = [float(line.split(",")[0]) for line in lines[1:]]
+    assert ts == list(np.linspace(0.0, 1.0, bvp._ORACLE_GRID_POINTS))
     first = lines[1].split(",")
     assert float(first[0]) == 0.0
     assert abs(float(first[1])) <= 1e-12

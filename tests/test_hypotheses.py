@@ -1,4 +1,7 @@
 import json
+import warnings
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +11,8 @@ from hypothesis import strategies as st
 from fixpairs import (
     H1Vector,
     LinearOperatorSpec,
+    OperatorDivergenceError,
+    PotentialOperatorSpec,
     basis_vector,
     check_h1,
     check_h2,
@@ -16,11 +21,14 @@ from fixpairs import (
     quadratic_form_margin,
     span_form_probe,
 )
-from fixpairs.hypotheses import HypothesisReport
+from fixpairs.cli import main
+from fixpairs.hypotheses import HypothesisReport, h2_prime_chunk
 from fixpairs.models import clipped_cubic_operator, linear_operator, radial_power_operator
+from fixpairs.problems import load_problem
 
 E1 = basis_vector(1, 2)
 E2 = basis_vector(2, 2)
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 
 def test_h1_scaled_identity():
@@ -204,6 +212,126 @@ def test_h2_prime_superlinear_excess_passes():
     assert rep.verdict == "sampled-pass"
     s_min = 1.0 / (n_s + 1.0)
     assert rep.margin == pytest.approx(s_min**2 * 0.5**3, rel=1e-12)
+
+
+def _h2_prime_by_angle(A, B2, e2, e3, r2, n_angle, n_s):
+    """(margin, witness) of (H2)' scanned one angle at a time: the first
+    minimum in (angle, s) order, with a strict < between angles."""
+    a = e2.coeffs / np.linalg.norm(e2.coeffs)
+    b = e3.coeffs - np.dot(a, e3.coeffs) * a
+    b = b / np.linalg.norm(b)
+    s = np.arange(1, n_s + 1) / (n_s + 1.0)
+    margin, witness = np.inf, {}
+    for phi in 2.0 * np.pi * np.arange(n_angle) / n_angle:
+        u = r2 * (np.cos(phi) * a + np.sin(phi) * b)
+        gaps = A.apply_many(s[:, None] * u[None, :]) @ u - s * float(u @ (B2.matrix @ u))
+        i = int(np.argmin(gaps))
+        if gaps[i] < margin:
+            margin = float(gaps[i])
+            witness = {"phi": float(phi), "s": float(s[i]), "gap": float(gaps[i])}
+    return margin, witness
+
+
+@pytest.mark.parametrize(
+    "problem, n_angle, n_s",
+    [
+        ("cubic2d", None, None),
+        ("linear2d", None, None),
+        ("sublinear_affine", None, None),
+        # chunks of 4 angles that do not divide the circle
+        ("cubic2d", 37, 256),
+        ("linear2d", 37, 256),
+        ("sublinear_affine", 37, 16),
+    ],
+)
+def test_h2_prime_chunks_match_the_angle_scan(problem, n_angle, n_s):
+    setup = load_problem(PROBLEMS / f"{problem}.cfg")
+    hyp = replace(setup.hyp, n_angle=n_angle or setup.hyp.n_angle, n_s=n_s or setup.hyp.n_s)
+    if n_angle is not None:
+        assert n_angle % h2_prime_chunk(hyp.n_s, setup.space.n_modes) != 0
+    e2, e3 = setup.e_vectors
+    args = (setup.operator, setup.comparison, e2, e3, setup.radius)
+    rep = check_h2_prime(*args, n_angle=hyp.n_angle, n_s=hyp.n_s)
+    margin, witness = _h2_prime_by_angle(*args, hyp.n_angle, hyp.n_s)
+    assert rep.margin == margin
+    assert rep.witnesses == [witness]
+
+
+def test_h2_prime_tie_goes_to_the_earlier_angle():
+    # A pushes back by one unit along an axis when the point lies on that
+    # axis beyond a threshold.  With B2 = 0, on a 12-angle circle of radius
+    # 0.5, the gap is exactly -0.5 on the axis angles 0 and 6 from s > 0.8,
+    # on 3 and 9 from s > 0.4, and 0 elsewhere.  Angles 0 and 3 share the
+    # first chunk: the earlier angle wins although angle 3 reaches the
+    # minimum at a smaller s, and no later chunk takes the tie over
+    def apply_batch(v):
+        on1 = (np.abs(v[:, 0]) > 0.4) & (np.abs(v[:, 1]) < 1e-3)
+        on2 = (np.abs(v[:, 1]) > 0.2) & (np.abs(v[:, 0]) < 1e-3)
+        return -np.column_stack([np.sign(v[:, 0]) * on1, np.sign(v[:, 1]) * on2])
+
+    op = PotentialOperatorSpec(
+        n_modes=2, apply_coeffs=lambda c: apply_batch(c[None, :])[0], apply_batch=apply_batch
+    )
+    zero = LinearOperatorSpec.scaled_identity(0.0, 2)
+    n_angle, n_s = 12, 256
+    assert h2_prime_chunk(n_s, 2) == 4
+    rep = check_h2_prime(op, zero, E1, E2, r2=0.5, n_angle=n_angle, n_s=n_s)
+    witness = {"phi": 0.0, "s": 206 / 257, "gap": -0.5}
+    assert rep.margin == -0.5 and rep.witnesses == [witness]
+    assert _h2_prime_by_angle(op, zero, E1, E2, 0.5, n_angle, n_s) == (-0.5, witness)
+
+
+def test_h2_prime_non_finite_gap_raises_quietly():
+    # exp overflows once s u1 exceeds about 0.36, on the rays near phi = 0
+    def apply_batch(stacked):
+        return stacked * np.exp(2000.0 * stacked[:, :1])
+
+    op = PotentialOperatorSpec(
+        n_modes=2,
+        apply_coeffs=lambda c: apply_batch(c[None, :])[0],
+        odd=False,
+        apply_batch=apply_batch,
+    )
+    b = LinearOperatorSpec.scaled_identity(1.5, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OperatorDivergenceError, match=r"max \|u_k\| = 5\.000e-01"):
+            check_h2_prime(op, b, E1, E2, r2=0.5, n_angle=16, n_s=64)
+
+
+@pytest.mark.parametrize("problem", ["cubic2d", "sublinear_affine"])
+def test_h2_prime_batch_rows(problem):
+    setup = load_problem(PROBLEMS / f"{problem}.cfg")
+    rows = []
+
+    def counted(stacked):
+        rows.append(len(stacked))
+        return setup.operator.apply_many(stacked)
+
+    op = PotentialOperatorSpec(
+        n_modes=setup.space.n_modes,
+        apply_coeffs=setup.operator.apply_coeffs,
+        odd=False,
+        apply_batch=counted,
+    )
+    e2, e3 = setup.e_vectors
+    n_angle, n_s = setup.hyp.n_angle, setup.hyp.n_s
+    check_h2_prime(op, setup.comparison, e2, e3, setup.radius, n_angle=n_angle, n_s=n_s)
+    assert sum(rows) == n_angle * n_s
+    if problem == "sublinear_affine":
+        assert max(rows) <= n_s  # its 256-node grid profiles stay one angle at a time
+    else:
+        assert min(rows) >= 4 * n_s
+
+
+def test_clipped_cubic_maps_its_fixed_values_exactly(tmp_path):
+    op = clipped_cubic_operator()
+    values = np.array([[0.0, 1.0], [-1.0, 0.0], [1.0, -1.0], [-0.0, -1.0]])
+    assert np.array_equal(op.apply_many(values), values)
+    assert np.array_equal(op.apply_coeffs(values[2]), values[2])
+    out = tmp_path / "grad.json"
+    assert main(["gradcheck", "--problem", str(PROBLEMS / "cubic2d.cfg"), "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["max_rel_discrepancy"] <= 1e-6
 
 
 def test_genus_of_sphere():

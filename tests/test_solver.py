@@ -117,8 +117,9 @@ def test_stalled_line_search_stops_at_resolution():
 
     c0 = np.array([1.0])
     point, trace = _descend((j_fn, lambda c: np.ones(1)), c0, SolverConfig())
-    assert np.array_equal(trials.pop(), c0)  # the scoring
-    trials = trials[1:]  # the first call is J(c0)
+    # the first call is J(c0); the scoring reuses it and makes no call
+    assert np.array_equal(trials.pop(0), c0)
+    assert point.j_value == 0.0
     assert np.array_equal(point.u.coeffs, c0) and point.iterations == 0
     assert trace.steps == [0.0]
     assert len(trials) == 54

@@ -16,6 +16,11 @@ well, so the retry from s also stands for -s.  An additive bump puts
 spurious critical points on its rim, so a retry is abandoned, unpolished and
 unscored, once an accepted iterate enters a bump from outside every bump.
 
+Near a fixed point the decrease a search can make falls below the rounding
+of J, and rounding noise would decide its Armijo test and how far it
+backtracks; such a trial is decided by the residual norm instead, so the
+work of a descent does not depend on the last bits of J.
+
 One routine, _descend, runs every descent, main or retry: the Armijo loop,
 the residual polish that finishes it and the scoring.  cfg.max_iter bounds
 the whole descent; the polish gets the iterations the Armijo loop leaves.
@@ -54,6 +59,9 @@ __all__ = [
 
 _ARMIJO_C = 1e-4  # sufficient-decrease constant of the Armijo test
 _ARMIJO_SHRINK = 0.5  # backtracking factor
+# a trial whose first-order decrease step * ||J'||^2 is at most this times
+# max(1, |J|) is within the rounding of J, and the residual decides it
+_ENERGY_FLOOR = 4.0 * float(np.finfo(float).eps)
 _INIT_STEP = 1.0  # first trial step when there is no Barzilai-Borwein step
 
 
@@ -221,7 +229,10 @@ def _descend(
     step (s's)/(s'y) after it, with s and y the last change of iterate and
     gradient; when s'y <= 0, or the quotient is not a
     positive finite number, it is _INIT_STEP again.  A search stops as soon
-    as the trial point equals the iterate bitwise.  The residual polish then
+    as the trial point equals the iterate bitwise.  A trial whose decrease
+    step * ||J'||^2 lies within the rounding of J (_ENERGY_FLOOR) is not
+    put to the Armijo test: it is accepted when it lowers the residual
+    ||J'||, and otherwise it ends the search.  The residual polish then
     gets the iterations left of cfg.max_iter.  On a deflated energy the
     descent is abandoned, and point is None, at the first accepted iterate
     that lies in a bump while the iterate before it lay in none.
@@ -265,6 +276,13 @@ def _descend(
                 c_new = c - step * g
                 if (c_new == c).all():
                     break  # stalled: the step is below resolution
+                if step * gn**2 <= _ENERGY_FLOOR * max(1.0, abs(j_cur)):
+                    # the energy cannot decide this trial: rounding noise
+                    # would, so the residual does
+                    accepted = float(np.linalg.norm(g_d(c_new))) < gn
+                    if accepted:
+                        j_new = j_d(c_new)
+                    break
                 j_new = j_d(c_new)
                 if j_new == -np.inf:
                     # the energy is unbounded below along this direction

@@ -21,6 +21,7 @@ from fixpairs import (
     ps_check,
     quadratic_form_margin,
 )
+from fixpairs import space as space_mod
 from fixpairs.models import clipped_cubic_operator, linear_operator, radial_power_operator
 from fixpairs.problems import load_problem
 from fixpairs.solver import (
@@ -107,8 +108,9 @@ def test_monotone_descent_property(model_1d):
 
 def test_stalled_line_search_stops_at_resolution():
     # J never decreases, so every trial is rejected; the search halves the
-    # step only until c - step*g equals c bitwise (c = g = 1: 54 trials,
-    # steps 1 .. 2**-53), with no absolute step floor
+    # step only until c - step*g equals c bitwise (c = 1, g = 2**30: 84
+    # trials, steps 1 .. 2**-83), with no absolute step floor; the trials'
+    # decreases step * g**2 stay above J's rounding all the way
     trials = []
 
     def j_fn(c):
@@ -116,15 +118,31 @@ def test_stalled_line_search_stops_at_resolution():
         return 0.0
 
     c0 = np.array([1.0])
-    point, trace = _descend((j_fn, lambda c: np.ones(1)), c0, SolverConfig())
+    point, trace = _descend((j_fn, lambda c: np.full(1, 2.0**30)), c0, SolverConfig())
     # the first call is J(c0); the scoring reuses it and makes no call
     assert np.array_equal(trials.pop(0), c0)
     assert point.j_value == 0.0
     assert np.array_equal(point.u.coeffs, c0) and point.iterations == 0
     assert trace.steps == [0.0]
-    assert len(trials) == 54
+    assert len(trials) == 84
     assert all(not np.array_equal(t, c0) for t in trials)
-    assert np.array_equal(c0 - 2.0**-54 * np.ones(1), c0)
+    assert np.array_equal(c0 - 2.0**-84 * 2.0**30, c0)
+
+
+def test_search_within_energy_rounding_is_decided_by_the_residual():
+    # J rises by an ulp at every call, so the Armijo test rejects every
+    # trial; the first trial's decrease step * ||J'||^2 is 1e-18, within J's
+    # rounding, so the residual decides it, and it lands on the fixed point
+    calls = []
+
+    def j_fn(c):
+        calls.append(c)
+        return 1.0 + len(calls) * 2.0**-52
+
+    point, trace = _descend((j_fn, lambda c: c - 3.0), np.array([3.0 + 1e-9]), SolverConfig())
+    assert trace.steps == [1.0, 0.0] and trace.n_polish == 0
+    assert point.iterations == 1 and len(calls) == 2
+    assert point.u.coeffs[0] == 3.0 and point.grad_norm == 0.0
 
 
 def test_grad_norm_equals_fp_residual(model_1d):
@@ -265,12 +283,13 @@ def test_retry_is_abandoned_when_it_reenters_a_bump(problem, monkeypatch):
 
 
 def test_residual_polish_reaches_a_tight_tolerance(monkeypatch):
-    # at grad_tol 1e-12 the Armijo test cannot resolve the last decrease on
-    # sublinear_affine, and the residual polish finishes two of the descents
+    # at grad_tol 1e-12 the energy cannot resolve the last searches on
+    # sublinear_affine; the residual decides them, and every main descent
+    # reaches the tolerance before the polish has a step to take
     setup = load_problem(PROBLEMS / "sublinear_affine.cfg", ["solver.grad_tol=1e-12"])
     runs = record_descents(monkeypatch)
     report = find_pairs(setup.operator, setup.seeds, setup.solver)
-    assert [trace.n_polish for deflated, _, trace in runs if not deflated] == [1, 2, 0, 0]
+    assert [trace.n_polish for deflated, _, trace in runs if not deflated] == [0, 0, 0, 0]
     assert report.n_pairs == 1
     assert report.pairs[0].fp_residual < 1e-12
 
@@ -333,21 +352,24 @@ def test_max_iter_bounds_every_descent(monkeypatch):
 
 def test_polish_stops_when_a_step_does_not_improve_the_residual(monkeypatch):
     # grad_tol 1e-300 is below one cubic2d descent's rounding floor: its
-    # polish takes one step, the next would not lower the residual, and it
-    # stops there with iterations to spare; that seed and its mirror are
-    # nonconverged
+    # last search ends on a trial that does not lower the residual, the
+    # polish finds that a full step would not lower it either, and it stops
+    # there with iterations to spare; that seed and its mirror are
+    # nonconverged.  Four other descents end in one polish step
     setup = load_problem(PROBLEMS / "cubic2d.cfg", ["solver.grad_tol=1e-300"])
     runs = record_descents(monkeypatch)
     report = find_pairs(setup.operator, setup.seeds, setup.solver)
-    stuck = [
-        (point, trace)
-        for deflated, point, trace in runs
-        if not deflated and point.grad_norm >= setup.solver.grad_tol
-    ]
+    main = [(point, trace) for deflated, point, trace in runs if not deflated]
+    assert [trace.n_polish for _, trace in main] == [0, 1, 0, 1, 0, 1, 0, 1]
+    stuck = [(point, trace) for point, trace in main if point.grad_norm >= setup.solver.grad_tol]
     assert len(stuck) == 1
     point, trace = stuck[0]
-    assert trace.n_polish == 1 and point.iterations < setup.solver.max_iter
+    assert trace.n_polish == 0 and point.iterations < setup.solver.max_iter
     assert point.grad_norm == trace.grad_norms[-1] < 1e-13
+    c = point.u.coeffs
+    step = c - setup.operator.apply_coeffs(c)
+    polished = c - step
+    assert np.linalg.norm(polished - setup.operator.apply_coeffs(polished)) >= point.grad_norm
     assert report.n_nonconverged == 4
     assert report.n_pairs == 3
 
@@ -374,11 +396,13 @@ def test_find_pairs_work_counters(problem):
 
 @pytest.mark.parametrize(
     "problem, n_potential, n_apply, n_pairs",
-    [("sublinear_affine", 77, 60, 1), ("cubic2d", 164, 94, 4)],
+    [("sublinear_affine", 77, 60, 1), ("cubic2d", 164, 94, 4), ("bvp_sqrt", 13, 13, 1)],
 )
 def test_find_pairs_work_ignores_rounding_noise(problem, n_potential, n_apply, n_pairs):
     # scaling the operator's output by 1 + k ulp must not move the work:
-    # a retry that ran on to a bump rim made these counts chaotic
+    # a retry that ran on to a bump rim made these counts chaotic, and so
+    # did Armijo tests below the rounding of J (13 to 153 potential calls
+    # on bvp_sqrt)
     setup = load_problem(PROBLEMS / f"{problem}.cfg")
     for k in [*range(-20, 0), *range(1, 21)]:
         noisy, calls = counting_operator(setup.operator, 1.0 + k * 2.0**-52)
@@ -388,6 +412,21 @@ def test_find_pairs_work_ignores_rounding_noise(problem, n_potential, n_apply, n
             n_apply,
             n_pairs,
         ), k
+
+
+def test_find_pairs_work_at_the_benchmark_resolution():
+    # bvp_sqrt at 1,280 modes on 8,192 nodes, the benchmark's bvp_highres
+    # grid: 13 to 105 potential calls over these scalings before the
+    # residual decided the searches below the rounding of J
+    overrides = ["space.n_modes=1280", "space.n_panels=1024"]
+    setup = load_problem(PROBLEMS / "bvp_sqrt.cfg", overrides)
+    try:
+        for k in range(-6, 7):
+            noisy, calls = counting_operator(setup.operator, 1.0 + k * 2.0**-52)
+            report = find_pairs(noisy, setup.seeds, setup.solver)
+            assert (calls["potential"], calls["apply"], report.n_pairs) == (13, 13, 1), k
+    finally:
+        space_mod._basis_arrays.cache_clear()
 
 
 @pytest.mark.parametrize("problem", ["power_law_1d", "cubic2d", "sublinear_affine", "bvp_sqrt"])

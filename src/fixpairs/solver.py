@@ -25,12 +25,14 @@ One routine, _descend, runs every descent, main or retry: the Armijo loop,
 the residual polish that finishes it and the scoring.  cfg.max_iter bounds
 the whole descent; the polish gets the iterations the Armijo loop leaves.
 
-A converged descent evaluates each point once: the energy and the gradient
-remember the last point they saw (the descent never changes an array in
-place), so the final iterate is not evaluated again by the polish or by
-the scoring; the deflated energy builds on that pair and computes its
-bump distances once per point; and a retry is scored on the undeflated pair
-it shares with the main descent.
+Each seed evaluates a point once: the energy and the gradient of a seed
+remember every point they evaluated, keyed by its bytes, so the final
+iterate is not evaluated again by the polish or by the scoring, and a
+retry, which starts at the seed and follows the main descent point for
+point until it nears a bump, is served the points they share from the main
+descent's evaluations.  The record is dropped when the seed's retry ends.
+The deflated energy builds on that pair and computes its bump distances
+once per point.
 """
 
 from __future__ import annotations
@@ -152,10 +154,24 @@ def _remember_last(fn: Callable[[np.ndarray], Any]) -> Callable[[np.ndarray], An
     return remembered
 
 
+def _remember_all(fn: Callable[[np.ndarray], Any]) -> Callable[[np.ndarray], Any]:
+    """fn with a cache of every point it evaluated, keyed by the point's bytes."""
+    seen: dict[bytes, Any] = {}
+
+    def remembered(c: np.ndarray) -> Any:
+        key = c.tobytes()
+        value = seen.get(key)
+        if value is None:
+            value = seen[key] = fn(c)
+        return value
+
+    return remembered
+
+
 def _energy_and_gradient(
     A: PotentialOperatorSpec,
 ) -> tuple[Callable[[np.ndarray], float], Callable[[np.ndarray], np.ndarray]]:
-    """The (J, J') pair of A, each evaluated once per point."""
+    """The (J, J') pair of A, each evaluating a point once."""
 
     def j_fn(c: np.ndarray) -> float:
         return energy_coeffs(A, c)
@@ -163,7 +179,7 @@ def _energy_and_gradient(
     def g_fn(c: np.ndarray) -> np.ndarray:
         return c - A.apply_coeffs(c)
 
-    return _remember_last(j_fn), _remember_last(g_fn)
+    return _remember_all(j_fn), _remember_all(g_fn)
 
 
 def _polish(
@@ -442,7 +458,6 @@ def find_pairs(
         raise ValueError("seeds must be nonempty")
     with np.errstate(over="ignore"):  # an infinite seed norm ends the descent as a blow-up
         trivial_cut = 1e-4 * max(max(s.norm() for s in seeds), 1e-12)
-    energy = _energy_and_gradient(A)  # shared by every descent and retry
 
     found: list[CriticalPoint] = []
     traces: list[list[tuple[float, float]]] = []
@@ -456,6 +471,8 @@ def find_pairs(
             traces.extend([list(seed_trace), list(seed_trace)])
             counts[accepted] += 2
             continue
+        # shared by the seed's main descent and its retry, dropped after them
+        energy = _energy_and_gradient(A)
         point, trace = _descend(energy, seed.coeffs, cfg)
         seed_trace = list(zip(trace.j_values, trace.grad_norms))
         traces.extend([seed_trace, list(seed_trace)])

@@ -37,7 +37,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .hypotheses import FAIL, SAMPLED_PASS, STRICT_TOL, PASS, HypothesisReport, _open_grid
 from .operators import LinearOperatorSpec, PotentialOperatorSpec
-from .space import SpaceConfig, basis_matrix, gauss_rule, quadrature_grid
+from .space import SpaceConfig, folded_grid, gauss_rule, moments, profiles, quadrature_grid
 
 __all__ = [
     "GreenOperator",
@@ -155,15 +155,15 @@ def bvp_operator(nl: Nonlinearity, cfg: SpaceConfig, odd: bool = True) -> Potent
     nonlinearities that are not odd in u (they fall outside the
     pair-existence machinery).
     """
-    nodes, weights = quadrature_grid(cfg)
-    basis = basis_matrix(cfg)
+    nodes, weights = folded_grid(cfg)
+    # (2, 1, half) views that broadcast against (2, B, half) folded profiles
+    nodes_b, weights_b = nodes[:, None, :], weights[:, None, :]
 
-    def synthesize(profiles: np.ndarray) -> np.ndarray:
-        rhs = nl.f(nodes[None, :], profiles) * weights
-        return rhs @ basis
+    def synthesize(folded: np.ndarray) -> np.ndarray:
+        return moments(nl.f(nodes_b, folded) * weights_b, cfg)
 
     def apply_batch(stacked: np.ndarray) -> np.ndarray:
-        return synthesize(stacked @ basis.T)
+        return synthesize(profiles(stacked, cfg))
 
     # the grid profile of the last single point: the descent asks for the
     # potential and then the apply at the same point, and both callables are
@@ -173,9 +173,9 @@ def bvp_operator(nl: Nonlinearity, cfg: SpaceConfig, odd: bool = True) -> Potent
     def profile_row(c: np.ndarray) -> np.ndarray:
         key = (c.dtype, c.tobytes())
         if key != last[0]:
-            # the same single-row product as apply_batch, so that the apply
+            # the same one-row synthesis as apply_batch, so that the apply
             # below matches it bit for bit
-            last[0], last[1] = key, c[None, :] @ basis.T
+            last[0], last[1] = key, profiles(c[None, :], cfg)
         return last[1]
 
     def apply_coeffs(c: np.ndarray) -> np.ndarray:
@@ -185,17 +185,17 @@ def bvp_operator(nl: Nonlinearity, cfg: SpaceConfig, odd: bool = True) -> Potent
         anti = nl.antiderivative
 
         def potential(c: np.ndarray) -> float:
-            profile = profile_row(c)[0]
-            return float(weights @ np.asarray(anti(nodes, profile)))
+            profile = profile_row(c)[:, 0]
+            return float(np.vdot(weights, np.asarray(anti(nodes, profile))))
 
     else:
         sv, wv = gauss_rule(16)
 
         def potential(c: np.ndarray) -> float:
-            profile = profile_row(c)[0]
-            scaled = sv[:, None] * profile[None, :]
-            fvals = nl.f(nodes[None, :], scaled)
-            return float(weights @ (profile * (wv @ fvals)))
+            profile = profile_row(c)[:, 0]
+            scaled = sv[:, None, None] * profile[None]
+            fvals = nl.f(nodes[None], scaled)
+            return float(np.vdot(weights, profile * np.tensordot(wv, fvals, 1)))
 
     return PotentialOperatorSpec(
         n_modes=cfg.n_modes,

@@ -194,10 +194,11 @@ def _check_table_sizes(
     peak, measured with tracemalloc), and to all len(growth_radii) x
     dirs_per_radius rows of (H) in one batch, and `eigen` builds
     eigen_n-long finite-difference vectors.
-    bvp also tabulates the basis on the quadrature grid, the Gauss-Legendre
-    companion matrix of quad_nodes, the complex exponential tables of the
-    comparison matrix's cosine moments (48 bytes per grid node and table
-    row at the peak) and a grid profile of every applied row.  The time of
+    bvp also tabulates the basis on the left half of the quadrature grid
+    (space.profiles and space.moments fold the right half onto it), the
+    Gauss-Legendre companion matrix of quad_nodes, the complex exponential
+    tables of the comparison matrix's cosine moments (48 bytes per grid
+    node and table row at the peak) and a grid profile of every applied row.  The time of
     the (H2)' sweep is bounded by _check_checker_rows.
     """
     n = space.n_modes
@@ -210,7 +211,7 @@ def _check_table_sizes(
     if kind == "bvp":
         nodes = space.quad_nodes * space.n_panels
         row = 8 * max(n, nodes)
-        tables["basis table"] = 8 * nodes * n
+        tables["basis table"] = 8 * ((nodes + 1) // 2) * n
         tables["Gauss-Legendre rule"] = 8 * space.quad_nodes**2
         tables["cosine-moment tables"] = 48 * (math.isqrt(2 * n) + 1) * nodes
     if mode == "one_pair":

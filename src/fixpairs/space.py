@@ -19,6 +19,16 @@ Integrals over [0,1] use a composite Gauss-Legendre rule.  The default
 1e-10 even after the (k*pi)^2 amplification of the integration-by-parts
 formula; 16 panels are enough when only the lower half of the modes carry
 energy.
+
+The grid is symmetric under t -> 1 - t, and e_k(1 - t) = d_k e_k(t) with
+d_k = (-1)^(k+1), so the basis is tabulated on the left half of the grid
+only, the nodes t_i < 1/2 and, for an odd node count, the middle node.  Grid
+values are handled folded: row 0 of a folded array holds the left-half
+nodes t_i and row 1 their mirrors t_(N-1-i), and a middle node appears in
+both rows with half its weight each (folded_grid).  One product per
+direction goes through the half table, with every grid row stacked with its
+mirror: profiles synthesizes [c; d c] and moments analyses the stacked rows
+and adds them as y_left + d y_right.
 """
 
 from __future__ import annotations
@@ -35,9 +45,12 @@ __all__ = [
     "basis_matrix",
     "basis_vector",
     "evaluate",
+    "folded_grid",
     "gauss_rule",
     "inner",
     "l2_norm_sq",
+    "moments",
+    "profiles",
     "project",
     "quadrature_grid",
     "sample_function",
@@ -155,12 +168,18 @@ def gauss_rule(order: int, panels: int = 1) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+def _half(n_nodes: int) -> int:
+    """Rows of the half grid: the left-half nodes and a middle node."""
+    return (n_nodes + 1) // 2
+
+
 @functools.lru_cache(maxsize=None)
-def _basis_arrays(n_modes: int, quad_nodes: int, n_panels: int) -> np.ndarray:
+def _half_basis(n_modes: int, quad_nodes: int, n_panels: int) -> np.ndarray:
+    """E_h[i, k] = e_(k+1)(t_i) on the left half of the grid."""
     nodes, _ = gauss_rule(quad_nodes, n_panels)
     ks = np.arange(1, n_modes + 1)
-    # built in place: one N x n table at a time
-    mat = np.outer(nodes, ks)
+    # built in place: one half-grid x n table at a time
+    mat = np.outer(nodes[: _half(nodes.size)], ks)
     mat *= np.pi
     np.sin(mat, out=mat)
     mat *= np.sqrt(2.0) / (ks * np.pi)
@@ -168,14 +187,82 @@ def _basis_arrays(n_modes: int, quad_nodes: int, n_panels: int) -> np.ndarray:
     return mat
 
 
+@functools.lru_cache(maxsize=None)
+def _parity(n_modes: int) -> np.ndarray:
+    """d_k = (-1)^(k+1): e_k(1 - t) = d_k e_k(t)."""
+    d = np.ones(n_modes)
+    d[1::2] = -1.0
+    d.flags.writeable = False
+    return d
+
+
 def quadrature_grid(cfg: SpaceConfig) -> tuple[np.ndarray, np.ndarray]:
     """The quadrature grid of a discretization: gauss_rule at its resolution."""
     return gauss_rule(cfg.quad_nodes, cfg.n_panels)
 
 
+def _fold(values: np.ndarray) -> np.ndarray:
+    """Grid values as a folded (2, half) array: the left half and the mirrors."""
+    m = _half(values.shape[-1])
+    return np.stack([values[..., :m], values[..., ::-1][..., :m]])
+
+
+def _unfold(left: np.ndarray, mirrored: np.ndarray, n_nodes: int) -> np.ndarray:
+    """Grid order from the two rows of a fold, with one copy of a middle node."""
+    return np.concatenate([left, mirrored[::-1][2 * len(left) - n_nodes :]])
+
+
+@functools.lru_cache(maxsize=None)
+def _folded_grid(quad_nodes: int, n_panels: int) -> tuple[np.ndarray, np.ndarray]:
+    nodes, weights = gauss_rule(quad_nodes, n_panels)
+    folded_nodes, folded_weights = _fold(nodes), _fold(weights)
+    if nodes.size % 2:
+        folded_weights[:, -1] *= 0.5  # the middle node, once in each row
+    folded_nodes.flags.writeable = False
+    folded_weights.flags.writeable = False
+    return folded_nodes, folded_weights
+
+
+def folded_grid(cfg: SpaceConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the quadrature grid as folded (2, half) arrays.
+
+    Row 0 holds the nodes t_i < 1/2, row 1 their mirrors t_(N-1-i); for an
+    odd node count both rows end in the middle node with half its weight, so
+    a weighted sum over the folded grid is the sum over the grid.
+    """
+    return _folded_grid(cfg.quad_nodes, cfg.n_panels)
+
+
+def profiles(coeffs: np.ndarray, cfg: SpaceConfig) -> np.ndarray:
+    """Folded grid values of the functions whose coefficient rows are coeffs.
+
+    coeffs is (B, n_modes); the result is (2, B, half), from the one
+    product [c; d c] E_h^T.
+    """
+    stacked = np.concatenate([coeffs, coeffs * _parity(cfg.n_modes)])
+    values = stacked @ _half_basis(cfg.n_modes, cfg.quad_nodes, cfg.n_panels).T
+    return values.reshape(2, coeffs.shape[0], -1)
+
+
+def moments(folded: np.ndarray, cfg: SpaceConfig) -> np.ndarray:
+    """sum_i g(t_i) e_k(t_i) over the grid for each of B folded rows of g.
+
+    folded is (2, B, half), with any quadrature weights applied; the result
+    is (B, n_modes), from the one product of the stacked rows with E_h.
+    """
+    b = folded.shape[1]
+    y = folded.reshape(2 * b, -1) @ _half_basis(cfg.n_modes, cfg.quad_nodes, cfg.n_panels)
+    return y[:b] + _parity(cfg.n_modes) * y[b:]
+
+
 def basis_matrix(cfg: SpaceConfig) -> np.ndarray:
-    """Matrix E with E[i, k] = e_{k+1}(t_i) on the quadrature grid."""
-    return _basis_arrays(cfg.n_modes, cfg.quad_nodes, cfg.n_panels)
+    """Matrix E with E[i, k] = e_{k+1}(t_i) on the quadrature grid.
+
+    A full view unfolded from the half table, built anew on every call; the
+    package computes through profiles and moments and never builds it.
+    """
+    half = _half_basis(cfg.n_modes, cfg.quad_nodes, cfg.n_panels)
+    return _unfold(half, half * _parity(cfg.n_modes), cfg.quad_nodes * cfg.n_panels)
 
 
 def zero_vector(n_modes: int) -> H1Vector:
@@ -239,7 +326,8 @@ def sample_vector(u: H1Vector, cfg: SpaceConfig) -> GridSample:
     if u.n_modes != cfg.n_modes:
         raise ValueError("vector does not match config")
     nodes, weights = quadrature_grid(cfg)
-    return GridSample(nodes=nodes, weights=weights, values=basis_matrix(cfg) @ u.coeffs)
+    left, mirrored = profiles(u.coeffs[None, :], cfg)[:, 0]
+    return GridSample(nodes=nodes, weights=weights, values=_unfold(left, mirrored, nodes.size))
 
 
 def project(values_on_grid: GridSample, cfg: SpaceConfig) -> H1Vector:
@@ -255,5 +343,6 @@ def project(values_on_grid: GridSample, cfg: SpaceConfig) -> H1Vector:
     ) > 1e-12:
         raise ValueError("grid does not match config")
     ks = np.arange(1, cfg.n_modes + 1)
-    moments = basis_matrix(cfg).T @ (weights * values_on_grid.values)
-    return H1Vector((ks * np.pi) ** 2 * moments)
+    _, folded_weights = folded_grid(cfg)
+    weighted = folded_weights * _fold(values_on_grid.values)
+    return H1Vector((ks * np.pi) ** 2 * moments(weighted[:, None, :], cfg)[0])

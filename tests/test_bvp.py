@@ -154,20 +154,53 @@ def test_b_matrix_matches_weighted_gram(a1, n_modes):
     assert np.array_equal(m, m.T)
 
 
-def test_bvp_load_holds_one_basis_table():
-    # a cold 1280-mode load: the basis, and no weighted copy or Gram temporaries
+def test_bvp_load_holds_one_basis_table(monkeypatch):
+    # a cold 1280-mode load: the half table of the basis, and no full view,
+    # weighted copy or Gram temporaries; the peak is the half table plus the
+    # comparison matrix's assembly (three 13 MB tables), 1.98x here, where
+    # a full 84 MB view on top would reach 3x
     overrides = ["space.n_modes=1280", "space.n_panels=1024"]
-    cfg = SpaceConfig(n_modes=1280, n_panels=1024)
-    basis_bytes = basis_matrix(cfg).nbytes
-    space_mod._basis_arrays.cache_clear()
+    half_bytes = 8 * (8 * 1024 // 2) * 1280
+    space_mod._half_basis.cache_clear()
+
+    def no_full_view(cfg):
+        raise AssertionError("a load built the full basis view")
+
+    monkeypatch.setattr(space_mod, "basis_matrix", no_full_view)
     tracemalloc.start()
     try:
         load_problem(PROBLEMS / "bvp_sqrt.cfg", overrides=overrides)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-        space_mod._basis_arrays.cache_clear()
-    assert peak <= 2.25 * basis_bytes
+        assert space_mod._half_basis(1280, 8, 1024).nbytes == half_bytes
+        space_mod._half_basis.cache_clear()
+    assert peak <= 2.25 * half_bytes
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [SpaceConfig(32, 8, 32), SpaceConfig(320, 8, 256), SpaceConfig(1280, 8, 1024), SpaceConfig(8, 3, 5)],
+    ids=lambda c: f"{c.n_modes}x{c.quad_nodes * c.n_panels}",
+)
+def test_folded_apply_matches_the_full_table(cfg, rng):
+    # the operator through the half table against f(t, E c) w through the
+    # full view, on a t-dependent nonlinearity and a batch and a single row
+    nl = bvp.sublinear_affine()
+    nodes, weights = quadrature_grid(cfg)
+    try:
+        full = basis_matrix(cfg)
+        op = bvp.bvp_operator(nl, cfg)
+        coeffs = rng.standard_normal((4, cfg.n_modes)) / np.arange(1, cfg.n_modes + 1)
+        reference = (nl.f(nodes, coeffs @ full.T) * weights) @ full
+        scale = np.max(np.abs(reference))
+        assert np.max(np.abs(op.apply_batch(coeffs) - reference)) <= 1e-14 * scale
+        assert np.max(np.abs(op.apply_coeffs(coeffs[0]) - reference[0])) <= 1e-14 * scale
+        energy = weights @ nl.antiderivative(nodes, full @ coeffs[0])
+        assert abs(op.potential_coeffs(coeffs[0]) - energy) <= 1e-14 * abs(energy)
+    finally:
+        if cfg.n_modes == 1280:
+            space_mod._half_basis.cache_clear()
 
 
 @pytest.mark.parametrize("n_modes, n_panels", [(32, 32), (320, 256), (1280, 1024)])
@@ -191,7 +224,7 @@ def test_profile_cache_keeps_apply_bitwise(n_modes, n_panels, rng):
             assert op.potential_coeffs(c.copy()) == moved != changed
     finally:
         if n_modes == 1280:
-            space_mod._basis_arrays.cache_clear()
+            space_mod._half_basis.cache_clear()
 
 
 def test_b_self_adjoint(space32, sublinear_nl, rng):

@@ -17,7 +17,16 @@ from fixpairs import (
     sup_norm_bound,
     zero_vector,
 )
-from fixpairs.space import quadrature_grid, sample_function, sample_vector
+from fixpairs import space as space_mod
+from fixpairs.space import (
+    basis_matrix,
+    folded_grid,
+    moments,
+    profiles,
+    quadrature_grid,
+    sample_function,
+    sample_vector,
+)
 
 
 def coeff_arrays(n=16, bound=10.0):
@@ -133,6 +142,79 @@ def test_roundtrip_band_limited(cfg, rng):
         u = H1Vector(c)
         back = project(sample_vector(u, cfg), cfg)
         assert (back - u).norm() <= 1e-8
+
+
+def full_table(cfg):
+    """The basis tabulated on every grid node, without the fold."""
+    nodes, _ = quadrature_grid(cfg)
+    ks = np.arange(1, cfg.n_modes + 1)
+    return np.sqrt(2.0) * np.sin(np.outer(nodes, ks) * np.pi) / (ks * np.pi)
+
+
+def fold(values):
+    """Grid values (..., N) as (2, ..., half): the left half and the mirrors."""
+    m = (values.shape[-1] + 1) // 2
+    return np.stack([values[..., :m], values[..., ::-1][..., :m]])
+
+
+def max_rel(got, ref):
+    return float(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
+
+
+FOLD_SPACES = [
+    SpaceConfig(32, 8, 32),
+    SpaceConfig(320, 8, 256),
+    SpaceConfig(1280, 8, 1024),
+    # odd node counts: a middle node at t = 1/2, mirrored onto itself
+    SpaceConfig(8, 3, 1),
+    SpaceConfig(8, 3, 3),
+    SpaceConfig(8, 3, 5),
+]
+
+
+@pytest.mark.parametrize("cfg", FOLD_SPACES, ids=lambda c: f"{c.n_modes}x{c.quad_nodes * c.n_panels}")
+def test_folded_products_match_the_full_table(cfg, rng):
+    # the full-table products E c and E^T (w g) are the reference for the
+    # half-table products, the full view basis_matrix for the table itself
+    full = full_table(cfg)
+    nodes, weights = quadrature_grid(cfg)
+    try:
+        assert max_rel(basis_matrix(cfg), full) <= 1e-14
+        coeffs = rng.standard_normal((3, cfg.n_modes)) / np.arange(1, cfg.n_modes + 1)
+        assert max_rel(profiles(coeffs, cfg), fold(coeffs @ full.T)) <= 1e-14
+        values = rng.standard_normal((3, nodes.size))
+        folded_nodes, folded_weights = folded_grid(cfg)
+        weighted = folded_weights[:, None, :] * fold(values)
+        assert max_rel(moments(weighted, cfg), (values * weights) @ full) <= 1e-14
+        u = H1Vector(coeffs[0])
+        assert max_rel(sample_vector(u, cfg).values, full @ u.coeffs) <= 1e-14
+        # project scales moment k by (k pi)^2, which would amplify the
+        # rounding of the high moments alike with either table
+        sample = GridSample(nodes=nodes, weights=weights, values=values[0])
+        ks = np.arange(1, cfg.n_modes + 1)
+        projected = project(sample, cfg).coeffs / (ks * np.pi) ** 2
+        assert max_rel(projected, (weights * values[0]) @ full) <= 1e-14
+    finally:
+        if cfg.n_modes == 1280:
+            space_mod._half_basis.cache_clear()
+
+
+@pytest.mark.parametrize("n_panels", [1, 3, 5])
+def test_folded_grid_splits_the_middle_node(n_panels):
+    cfg = SpaceConfig(n_modes=4, quad_nodes=3, n_panels=n_panels)
+    nodes, weights = quadrature_grid(cfg)
+    folded_nodes, folded_weights = folded_grid(cfg)
+    half = (nodes.size + 1) // 2
+    assert folded_nodes.shape == folded_weights.shape == (2, half)
+    assert np.array_equal(folded_nodes, fold(nodes))
+    # the middle node ends both rows, with half its weight in each
+    mid = nodes.size // 2
+    assert folded_nodes[0, -1] == folded_nodes[1, -1] == nodes[mid]
+    assert abs(nodes[mid] - 0.5) <= 1e-15
+    assert folded_weights[0, -1] == folded_weights[1, -1] == 0.5 * weights[mid]
+    assert np.array_equal(folded_weights[:, :-1], fold(weights)[:, :-1])
+    assert abs(folded_weights.sum() - 1.0) <= 1e-15
+    assert space_mod._half_basis(4, 3, n_panels).shape == (half, 4)
 
 
 def test_sup_norm_bound(space32):

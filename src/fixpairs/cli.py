@@ -116,6 +116,7 @@ def run_check(setup: ProblemSetup) -> dict[str, Any]:
                 setup.radius,
                 n_angle=setup.hyp.n_angle,
                 n_s=setup.hyp.n_s,
+                row_width=setup.row_width,
             )
         )
     if setup.nonlinearity is not None:

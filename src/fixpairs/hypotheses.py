@@ -42,10 +42,10 @@ __all__ = [
 ]
 
 STRICT_TOL = 1e-12
-# coefficient cells of one (H2)' operator batch: four 256-point angles of a
-# two-mode operator, one angle of sublinear_affine's 64 x 32.  Larger chunks
-# were slower on sublinear_affine, whose 256-node grid profiles then leave
-# the cache
+# cells of one (H2)' operator batch, a row counted as wide as the data it
+# carries: four 256-point angles of a two-mode operator, one angle of
+# sublinear_affine's 64 rows of 256-node grid profiles.  Larger chunks were
+# slower on sublinear_affine, whose profiles then leave the cache
 _CHUNK_CELLS = 2048
 
 PASS = "pass"
@@ -87,13 +87,15 @@ def _open_grid(n: int) -> np.ndarray:
     return np.arange(1, n + 1) / (n + 1.0)
 
 
-def h2_prime_chunk(n_s: int, n_modes: int) -> int:
+def h2_prime_chunk(n_s: int, row_width: int) -> int:
     """Circle angles that check_h2_prime applies the operator to at once.
 
-    As many whole angles as fit in _CHUNK_CELLS coefficient cells, and at
-    least one: a chunk of n_s-point rays holds chunk * n_s rows.
+    As many whole angles as fit in _CHUNK_CELLS cells, and at least one: a
+    chunk of n_s-point rays holds chunk * n_s rows of row_width cells each,
+    the number of coefficients, or more when the operator carries a wider
+    row through its apply (a bvp row carries its grid profile).
     """
-    return max(1, _CHUNK_CELLS // (n_s * n_modes))
+    return max(1, _CHUNK_CELLS // (n_s * row_width))
 
 
 def _ray_gaps(A: PotentialOperatorSpec, rays: np.ndarray, forms: np.ndarray, s: np.ndarray):
@@ -228,12 +230,14 @@ def check_h2_prime(
     r2: float,
     n_angle: int = 256,
     n_s: int = 256,
+    row_width: int | None = None,
 ) -> HypothesisReport:
     """(A(s u), u) >= (B2 (s u), u) sampled on the circle and an s-grid.
 
-    The circle is swept in chunks of h2_prime_chunk(n_s, n_modes) angles,
-    one operator batch each.  The witness is the first minimum in (angle, s)
-    order, as a scan angle by angle finds it.
+    The circle is swept in chunks of h2_prime_chunk(n_s, row_width) angles,
+    one operator batch each; row_width defaults to A's coefficient count.
+    The witness is the first minimum in (angle, s) order, as a scan angle
+    by angle finds it.
     """
     if r2 <= 0.0:
         raise ValueError("r2 must be positive")
@@ -244,7 +248,7 @@ def check_h2_prime(
     s = _open_grid(n_s)
     margin = np.inf
     witness: dict = {}
-    chunk = h2_prime_chunk(n_s, A.n_modes)
+    chunk = h2_prime_chunk(n_s, row_width or A.n_modes)
     with np.errstate(over="ignore", invalid="ignore"):
         circle = r2 * (np.cos(phis)[:, None] * a + np.sin(phis)[:, None] * b)
         # (u, B2 u) per angle as one stacked dot of stacked matrix-vector products

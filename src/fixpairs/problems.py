@@ -117,6 +117,12 @@ class ProblemSetup:
     d1_r1: float = 0.25
 
     @property
+    def row_width(self) -> int:
+        """Values one applied operator row carries: its coefficients, and
+        for bvp also its profile on the quadrature grid."""
+        return _row_width(self.kind, self.space)
+
+    @property
     def e_vectors(self) -> tuple[H1Vector, H1Vector]:
         """The orthonormal pair spanning the seed circle (two-pair mode)."""
         return basis_vector(1, self.space.n_modes), basis_vector(
@@ -180,6 +186,13 @@ def _parse_radii(text: str) -> tuple[float, ...]:
     return radii
 
 
+def _row_width(kind: str, space: SpaceConfig) -> int:
+    """ProblemSetup.row_width before the setup exists."""
+    if kind == "bvp":
+        return max(space.n_modes, space.quad_nodes * space.n_panels)
+    return space.n_modes
+
+
 def _check_table_sizes(
     kind: str, space: SpaceConfig, mode: str, n_seeds: int, hyp: HypothesisParams
 ) -> None:
@@ -189,7 +202,7 @@ def _check_table_sizes(
     tables at the peak, measured with tracemalloc: the assembled matrix, its
     stored copy and the in-place symmetry residual) and n_seeds seed
     vectors; the checkers apply the operator to n_s rows at once in (H2),
-    to h2_prime_chunk(n_s, n_modes) angles of n_s rows at once in (H2)',
+    to h2_prime_chunk(n_s, row_width) angles of n_s rows at once in (H2)',
     which also holds all n_angle circle points (two such tables at the
     peak, measured with tracemalloc), and to all len(growth_radii) x
     dirs_per_radius rows of (H) in one batch, and `eigen` builds
@@ -198,11 +211,12 @@ def _check_table_sizes(
     (space.profiles and space.moments fold the right half onto it), the
     Gauss-Legendre companion matrix of quad_nodes, the complex exponential
     tables of the comparison matrix's cosine moments (48 bytes per grid
-    node and table row at the peak) and a grid profile of every applied row.  The time of
-    the (H2)' sweep is bounded by _check_checker_rows.
+    node and table row at the peak) and a grid profile of every applied
+    row.  The time of the (H2)' sweep is bounded by _check_checker_rows.
     """
     n = space.n_modes
-    row = 8 * n
+    width = _row_width(kind, space)
+    row = 8 * width
     tables = {
         "comparison matrix": 3 * 8 * n**2,
         "seed table": n_seeds * (8 * n + _SEED_OVERHEAD_BYTES),
@@ -210,14 +224,13 @@ def _check_table_sizes(
     }
     if kind == "bvp":
         nodes = space.quad_nodes * space.n_panels
-        row = 8 * max(n, nodes)
         tables["basis table"] = 8 * ((nodes + 1) // 2) * n
         tables["Gauss-Legendre rule"] = 8 * space.quad_nodes**2
         tables["cosine-moment tables"] = 48 * (math.isqrt(2 * n) + 1) * nodes
     if mode == "one_pair":
         tables["(H2) batch"] = hyp.n_s * row
     else:
-        tables["(H2)' chunk"] = h2_prime_chunk(hyp.n_s, n) * hyp.n_s * row
+        tables["(H2)' chunk"] = h2_prime_chunk(hyp.n_s, width) * hyp.n_s * row
         tables["(H2)' circle"] = 2 * hyp.n_angle * 8 * n
     tables["(H) batch"] = len(hyp.growth_radii) * hyp.dirs_per_radius * row
     name, size = max(tables.items(), key=lambda item: item[1])

@@ -243,14 +243,15 @@ def test_size_guard_applies_to_the_built_space():
 
 
 def test_size_guard_counts_the_h2_prime_chunk_and_circle():
-    # two modes at n_s = 10 make chunks of 102 angles, 1,020 rows; on a
-    # 160,000-node grid those rows' profiles need 1.2 GiB, where the n_s
-    # rows of a one-pair (H2) batch need 12 MB
+    # a chunk counts a bvp row as wide as its grid profile: two modes at
+    # n_s = 10 on a 160,000-node grid make one-angle chunks of 12 MB (102
+    # angles and 1.2 GiB when the chunk counted coefficient cells only)
     wide = SpaceConfig(n_modes=2, quad_nodes=8, n_panels=20000)
-    hyp = HypothesisParams(n_s=10)
-    _check_table_sizes("bvp", wide, "one_pair", 1, hyp)
-    with pytest.raises(ConfigError, match=r"\(H2\)' chunk needs 1\.2 GiB"):
-        _check_table_sizes("bvp", wide, "two_pair", 16, hyp)
+    _check_table_sizes("bvp", wide, "two_pair", 16, HypothesisParams(n_s=10))
+    # a chunk holds at least one angle: 2**17 rows of 2,048-node profiles
+    grid = SpaceConfig(n_modes=2, quad_nodes=8, n_panels=256)
+    with pytest.raises(ConfigError, match=r"\(H2\)' chunk needs 2\.0 GiB"):
+        _check_table_sizes("bvp", grid, "two_pair", 16, HypothesisParams(n_s=2**17))
     # 65,536 circle points of 4,096 modes, twice at the peak: 4 GiB
     many = SpaceConfig(n_modes=4096, quad_nodes=2, n_panels=1)
     with pytest.raises(ConfigError, match=r"\(H2\)' circle needs 4\.0 GiB"):

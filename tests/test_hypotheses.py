@@ -21,6 +21,7 @@ from fixpairs import (
     quadratic_form_margin,
     span_form_probe,
 )
+from fixpairs import cli
 from fixpairs.cli import main
 from fixpairs.hypotheses import HypothesisReport, h2_prime_chunk
 from fixpairs.models import clipped_cubic_operator, linear_operator, radial_power_operator
@@ -255,6 +256,46 @@ def test_h2_prime_chunks_match_the_angle_scan(problem, n_angle, n_s):
     margin, witness = _h2_prime_by_angle(*args, hyp.n_angle, hyp.n_s)
     assert rep.margin == margin
     assert rep.witnesses == [witness]
+
+
+def test_h2_prime_chunks_count_a_bvp_row_by_its_grid(monkeypatch):
+    # a two-pair bvp problem of 2 modes on 8,192 nodes: every row carries
+    # an 8,192-node profile, so `check` sweeps one angle of n_s rows at a
+    # time (102 angles, 1,020 rows, when the chunk counted coefficient
+    # cells only), with the margin and witness of the angle-by-angle scan
+    overrides = [
+        "problem.mode=two_pair",
+        "space.n_modes=2",
+        "space.n_panels=1024",
+        "hypotheses.n_s=10",
+        "hypotheses.n_angle=409",
+    ]
+    setup = load_problem(PROBLEMS / "bvp_sqrt.cfg", overrides)
+    assert setup.row_width == 8192 and h2_prime_chunk(10, setup.row_width) == 1
+    rows = []
+
+    def counted(stacked):
+        rows.append(len(stacked))
+        return setup.operator.apply_many(stacked)
+
+    op = PotentialOperatorSpec(
+        n_modes=2, apply_coeffs=setup.operator.apply_coeffs, odd=False, apply_batch=counted
+    )
+    reports = []
+
+    def recording(A, *args, **kwargs):
+        reports.append(check_h2_prime(op, *args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "check_h2_prime", recording)
+    cli.run_check(setup)
+    assert rows == [10] * 409
+    e2, e3 = setup.e_vectors
+    margin, witness = _h2_prime_by_angle(
+        setup.operator, setup.comparison, e2, e3, setup.radius, 409, 10
+    )
+    assert reports[0].margin == margin
+    assert reports[0].witnesses == [witness]
 
 
 def test_h2_prime_tie_goes_to_the_earlier_angle():

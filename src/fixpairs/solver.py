@@ -137,33 +137,19 @@ class SolveReport:
         }
 
 
-def _remember_last(fn: Callable[[np.ndarray], Any]) -> Callable[[np.ndarray], Any]:
-    """fn with a one-entry cache keyed by the identity of its argument.
+def _remember(fn: Callable[[np.ndarray], Any]) -> Callable[[np.ndarray], Any]:
+    """fn with a cache of every point it evaluated, keyed by the point's bytes.
 
-    The descent never changes an array in place, so a point it hands on
-    (the accepted trial, the final iterate) is the same object when it is
-    evaluated again, and the value is reused instead of recomputed.
+    The cache lives as long as fn's caller keeps the returned function: a
+    seed's energy pair, or a retry's deflated one.
     """
-    last: list[Any] = [None, None]
-
-    def remembered(c: np.ndarray) -> Any:
-        if c is not last[0]:
-            last[0], last[1] = c, fn(c)
-        return last[1]
-
-    return remembered
-
-
-def _remember_all(fn: Callable[[np.ndarray], Any]) -> Callable[[np.ndarray], Any]:
-    """fn with a cache of every point it evaluated, keyed by the point's bytes."""
     seen: dict[bytes, Any] = {}
 
     def remembered(c: np.ndarray) -> Any:
         key = c.tobytes()
-        value = seen.get(key)
-        if value is None:
-            value = seen[key] = fn(c)
-        return value
+        if key not in seen:
+            seen[key] = fn(c)
+        return seen[key]
 
     return remembered
 
@@ -179,7 +165,7 @@ def _energy_and_gradient(
     def g_fn(c: np.ndarray) -> np.ndarray:
         return c - A.apply_coeffs(c)
 
-    return _remember_all(j_fn), _remember_all(g_fn)
+    return _remember(j_fn), _remember(g_fn)
 
 
 def _polish(
@@ -409,7 +395,7 @@ def _deflated_energy(energy: tuple, found: list[CriticalPoint], cfg: SolverConfi
     r2 = np.array(radii) ** 2
     amp_arr = np.array(amps)
 
-    @_remember_last
+    @_remember
     def bumps(c: np.ndarray):
         """(vals, diffs, gap, r2) of the bumps whose support holds c, None if none does."""
         diffs, d2 = _bump_distances(c, centers)
@@ -431,7 +417,7 @@ def _deflated_energy(energy: tuple, found: list[CriticalPoint], cfg: SolverConfi
         vals, diffs, gap, r2_in = terms
         return g_fn(c) + (vals * (-r2_in / gap**2) * 2.0) @ diffs
 
-    return j_defl, _remember_last(g_defl), lambda c: bumps(c) is not None
+    return j_defl, _remember(g_defl), lambda c: bumps(c) is not None
 
 
 def find_pairs(

@@ -213,24 +213,21 @@ def _unfold(left: np.ndarray, mirrored: np.ndarray, n_nodes: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _folded_grid(quad_nodes: int, n_panels: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = gauss_rule(quad_nodes, n_panels)
+def folded_grid(cfg: SpaceConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the quadrature grid as folded (2, half) arrays.
+
+    Row 0 holds the nodes t_i < 1/2, row 1 their mirrors t_(N-1-i); for an
+    odd node count both rows end in the middle node with half its weight, so
+    a weighted sum over the folded grid is the sum over the grid.  The
+    arrays are cached and read-only.
+    """
+    nodes, weights = quadrature_grid(cfg)
     folded_nodes, folded_weights = _fold(nodes), _fold(weights)
     if nodes.size % 2:
         folded_weights[:, -1] *= 0.5  # the middle node, once in each row
     folded_nodes.flags.writeable = False
     folded_weights.flags.writeable = False
     return folded_nodes, folded_weights
-
-
-def folded_grid(cfg: SpaceConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the quadrature grid as folded (2, half) arrays.
-
-    Row 0 holds the nodes t_i < 1/2, row 1 their mirrors t_(N-1-i); for an
-    odd node count both rows end in the middle node with half its weight, so
-    a weighted sum over the folded grid is the sum over the grid.
-    """
-    return _folded_grid(cfg.quad_nodes, cfg.n_panels)
 
 
 def profiles(coeffs: np.ndarray, cfg: SpaceConfig) -> np.ndarray:

@@ -188,12 +188,12 @@ def _half_basis(n_modes: int, quad_nodes: int, n_panels: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _parity(n_modes: int) -> np.ndarray:
-    """d_k = (-1)^(k+1): e_k(1 - t) = d_k e_k(t)."""
-    d = np.ones(n_modes)
-    d[1::2] = -1.0
-    d.flags.writeable = False
-    return d
+def _signs(n_modes: int) -> np.ndarray:
+    """(2, 1, n_modes): ones, then d_k = (-1)^(k+1), with e_k(1 - t) = d_k e_k(t)."""
+    signs = np.ones((2, 1, n_modes))
+    signs[1, 0, 1::2] = -1.0
+    signs.flags.writeable = False
+    return signs
 
 
 def quadrature_grid(cfg: SpaceConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -236,7 +236,7 @@ def profiles(coeffs: np.ndarray, cfg: SpaceConfig) -> np.ndarray:
     coeffs is (B, n_modes); the result is (2, B, half), from the one
     product [c; d c] E_h^T.
     """
-    stacked = np.concatenate([coeffs, coeffs * _parity(cfg.n_modes)])
+    stacked = (coeffs * _signs(cfg.n_modes)).reshape(-1, cfg.n_modes)
     values = stacked @ _half_basis(cfg.n_modes, cfg.quad_nodes, cfg.n_panels).T
     return values.reshape(2, coeffs.shape[0], -1)
 
@@ -249,7 +249,10 @@ def moments(folded: np.ndarray, cfg: SpaceConfig) -> np.ndarray:
     """
     b = folded.shape[1]
     y = folded.reshape(2 * b, -1) @ _half_basis(cfg.n_modes, cfg.quad_nodes, cfg.n_panels)
-    return y[:b] + _parity(cfg.n_modes) * y[b:]
+    y = y.reshape(2, b, -1)
+    y[1] *= _signs(cfg.n_modes)[1]
+    y[0] += y[1]  # y_left + d y_right
+    return y[0]
 
 
 def basis_matrix(cfg: SpaceConfig) -> np.ndarray:
@@ -259,7 +262,7 @@ def basis_matrix(cfg: SpaceConfig) -> np.ndarray:
     package computes through profiles and moments and never builds it.
     """
     half = _half_basis(cfg.n_modes, cfg.quad_nodes, cfg.n_panels)
-    return _unfold(half, half * _parity(cfg.n_modes), cfg.quad_nodes * cfg.n_panels)
+    return _unfold(half, half * _signs(cfg.n_modes)[1], cfg.quad_nodes * cfg.n_panels)
 
 
 def zero_vector(n_modes: int) -> H1Vector:

@@ -242,6 +242,12 @@ def test_size_guard_applies_to_the_built_space():
     _check_table_sizes(
         "bvp", SpaceConfig(n_modes=1280, quad_nodes=8, n_panels=1024), "one_pair", 16, HypothesisParams()
     )
+    # the guard counts the basis half table: 400,000 of 800,000 nodes by 320
+    # modes is 0.95 GiB, where the full table would need 1.9 GiB
+    wide = SpaceConfig(n_modes=320, quad_nodes=8, n_panels=100000)
+    _check_table_sizes("bvp", wide, "one_pair", 1, HypothesisParams(n_s=10))
+    with pytest.raises(ConfigError, match=r"basis table needs 1\.9 GiB"):
+        _check_table_sizes("bvp", replace(wide, n_panels=200000), "one_pair", 1, HypothesisParams(n_s=10))
 
 
 def test_size_guard_counts_the_h2_prime_chunk_and_circle():

@@ -429,12 +429,8 @@ def test_find_pairs_work_at_the_benchmark_resolution():
         space_mod._half_basis.cache_clear()
 
 
-@pytest.mark.parametrize("problem", ["power_law_1d", "cubic2d", "sublinear_affine", "bvp_sqrt"])
-def test_main_descent_evaluates_each_iterate_once(problem):
-    # the final iterate is not evaluated again by the polish check or the
-    # scoring, and no accepted trial point is evaluated twice
-    setup = load_problem(PROBLEMS / f"{problem}.cfg")
-    op = setup.operator
+def recording_operator(op):
+    """op with the argument bytes of every potential and apply call recorded."""
     args = {"potential": [], "apply": []}
 
     def potential(c):
@@ -445,11 +441,22 @@ def test_main_descent_evaluates_each_iterate_once(problem):
         args["apply"].append(c.tobytes())
         return op.apply_coeffs(c)
 
-    counted = dataclasses.replace(op, potential_coeffs=potential, apply_coeffs=apply)
+    recorded = dataclasses.replace(op, potential_coeffs=potential, apply_coeffs=apply)
+    for seen in args.values():
+        seen.clear()  # replace() re-ran the oddness sampling
+    return recorded, args
+
+
+@pytest.mark.parametrize("problem", ["power_law_1d", "cubic2d", "sublinear_affine", "bvp_sqrt"])
+def test_main_descent_evaluates_each_iterate_once(problem):
+    # the final iterate is not evaluated again by the polish check or the
+    # scoring, and no accepted trial point is evaluated twice
+    setup = load_problem(PROBLEMS / f"{problem}.cfg")
+    recorded, args = recording_operator(setup.operator)
     for seed in setup.seeds:
         for seen in args.values():
             seen.clear()
-        point = descend(counted, seed, setup.solver)
+        point = descend(recorded, seed, setup.solver)
         assert point.grad_norm <= setup.solver.grad_tol
         for name, seen in args.items():
             assert len(seen) == len(set(seen)), name
@@ -462,21 +469,8 @@ def test_find_pairs_evaluates_each_point_once(problem):
     # descent's evaluations (28 potential and 14 apply calls of cubic2d's
     # 164 and 94 were repeats when the retry evaluated them again)
     setup = load_problem(PROBLEMS / f"{problem}.cfg")
-    op = setup.operator
-    args = {"potential": [], "apply": []}
-
-    def potential(c):
-        args["potential"].append(c.tobytes())
-        return op.potential_coeffs(c)
-
-    def apply(c):
-        args["apply"].append(c.tobytes())
-        return op.apply_coeffs(c)
-
-    counted = dataclasses.replace(op, potential_coeffs=potential, apply_coeffs=apply)
-    for seen in args.values():
-        seen.clear()
-    find_pairs(counted, setup.seeds, setup.solver)
+    recorded, args = recording_operator(setup.operator)
+    find_pairs(recorded, setup.seeds, setup.solver)
     for name, seen in args.items():
         assert len(seen) == len(set(seen)), name
 

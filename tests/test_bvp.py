@@ -23,7 +23,7 @@ from fixpairs import (
     project,
     zero_vector,
 )
-from fixpairs import bvp
+from fixpairs import bvp, problems
 from fixpairs import space as space_mod
 from fixpairs.problems import load_problem
 from fixpairs.space import basis_matrix, l2_norm_sq, quadrature_grid
@@ -158,10 +158,12 @@ def test_bvp_load_holds_one_basis_table(monkeypatch):
     # a cold 1280-mode load: the half table of the basis, and no full view,
     # weighted copy or Gram temporaries; the peak is the half table plus the
     # comparison matrix's assembly (three 13 MB tables), 1.98x here, where
-    # a full 84 MB view on top would reach 3x
+    # a full 84 MB view on top would reach 3x.  A warm load of the same
+    # problem is served the cached build and allocates no table at all
     overrides = ["space.n_modes=1280", "space.n_panels=1024"]
     half_bytes = 8 * (8 * 1024 // 2) * 1280
     space_mod._half_basis.cache_clear()
+    problems._build.cache_clear()
 
     def no_full_view(cfg):
         raise AssertionError("a load built the full basis view")
@@ -170,12 +172,17 @@ def test_bvp_load_holds_one_basis_table(monkeypatch):
     tracemalloc.start()
     try:
         load_problem(PROBLEMS / "bvp_sqrt.cfg", overrides=overrides)
-        peak = tracemalloc.get_traced_memory()[1]
+        held, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        load_problem(PROBLEMS / "bvp_sqrt.cfg", overrides=overrides)
+        warm_peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
         assert space_mod._half_basis(1280, 8, 1024).nbytes == half_bytes
         space_mod._half_basis.cache_clear()
+        problems._build.cache_clear()
     assert peak <= 2.25 * half_bytes
+    assert warm_peak < 2**20
 
 
 @pytest.mark.parametrize(

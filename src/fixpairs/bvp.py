@@ -151,9 +151,10 @@ def bvp_operator(nl: Nonlinearity, cfg: SpaceConfig, odd: bool = True) -> Potent
     closed-form antiderivative when the nonlinearity carries one (then the
     discrete gradient equals u - A(u) to rounding) and a 16-point inner
     Gauss-Legendre rule along the ray otherwise.  Operators built with
-    odd=True get the sampled oddness validation; pass odd=False for
-    nonlinearities that are not odd in u (they fall outside the
-    pair-existence machinery).
+    odd=True get the sampled oddness validation, which needs one synthesis
+    of the sample rows and no moments where f is odd value for value at
+    their profiles; pass odd=False for nonlinearities that are not odd in u
+    (they fall outside the pair-existence machinery).
     """
     nodes, weights = folded_grid(cfg)
     # (2, 1, half) views that broadcast against (2, B, half) folded profiles
@@ -164,6 +165,16 @@ def bvp_operator(nl: Nonlinearity, cfg: SpaceConfig, odd: bool = True) -> Potent
 
     def apply_batch(stacked: np.ndarray) -> np.ndarray:
         return synthesize(profiles(stacked, cfg))
+
+    def odd_at(stacked: np.ndarray) -> bool:
+        # profiles, the weights and moments are linear, and each of their
+        # roundings flips sign with its input, so apply_batch(-x) equals
+        # -apply_batch(x) value for value wherever f(t, -p) == -f(t, p) at
+        # the profiles p of the rows: the oddness check then needs no moments
+        folded = profiles(stacked, cfg)
+        return bool(np.array_equal(nl.f(nodes_b, -folded), -nl.f(nodes_b, folded)))
+
+    apply_batch.odd_at = odd_at  # type: ignore[attr-defined]
 
     # the grid profile of the last single point: the descent asks for the
     # potential and then the apply at the same point, and both callables are

@@ -9,7 +9,6 @@ keys or sections are errors.  See the README for the full key reference.
 from __future__ import annotations
 
 import configparser
-import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -81,10 +80,6 @@ _GRID_NODES_PER_ROW = 8
 # footprint of one H1Vector seed besides its coefficients (object, attribute
 # dict, array header, list slot): about 210 B measured with tracemalloc
 _SEED_OVERHEAD_BYTES = 224
-# distinct problems a process keeps built (_build), least recently used
-# dropped first: more than the six shipped ones, and bounded because one
-# comparison matrix may take up to a third of _MAX_TABLE_BYTES
-_MAX_BUILDS = 8
 
 
 @dataclass(frozen=True)
@@ -203,9 +198,10 @@ def _check_table_sizes(
 ) -> None:
     """Reject a problem whose largest table would exceed _MAX_TABLE_BYTES.
 
-    Every kind builds the n_modes x n_modes comparison matrix (three such
-    tables at the peak, measured with tracemalloc: the assembled matrix, its
-    stored copy and the in-place symmetry residual) and n_seeds seed
+    Every kind builds the n_modes x n_modes comparison matrix (counted as
+    three such tables; the peak measured with tracemalloc is 2.15: the
+    assembled matrix, its stored copy, the finiteness mask and one tile of
+    the symmetry check) and n_seeds seed
     vectors; the checkers apply the operator to n_s rows at once in (H2),
     to h2_prime_chunk(n_s, row_width) angles of n_s rows at once in (H2)',
     which also holds all n_angle circle points (two such tables at the
@@ -269,20 +265,43 @@ def _check_checker_rows(kind: str, space: SpaceConfig, mode: str, hyp: Hypothesi
         )
 
 
-@functools.lru_cache(maxsize=_MAX_BUILDS)
-def _build(
-    kind: str, space: SpaceConfig, problem_items: tuple[tuple[str, Any, str], ...]
-) -> tuple[PotentialOperatorSpec, LinearOperatorSpec, bvp_mod.Nonlinearity | None, float]:
-    """The seed-free part of a problem: (operator, comparison, nonlinearity, d1_r1).
+def load_problem(
+    path: str | Path, overrides: list[str] | None = None, seed: int | None = None
+) -> ProblemSetup:
+    """Build a ProblemSetup from a problem file plus optional overrides."""
+    raw = parse_config(path, overrides)
+    prob = raw.get("problem", {})
+    kind = prob.get("kind")
+    if kind not in _KINDS:
+        raise ConfigError(f"problem.kind must be one of {_KINDS}, got {kind!r}")
 
-    problem_items is the whole validated [problem] section as sorted
-    (key, value, repr(value)) triples, and nothing but the arguments is
-    read, so a cached build is the build of these arguments.  A repeated
-    load skips the operator's sampled oddness validation and the comparison
-    matrix's assembly and gets the very objects that passed them.  A failed
-    build is not kept: it raises ConfigError again on every call.
-    """
-    prob = {key: value for key, value, _ in problem_items}
+    space_kwargs = raw.get("space", {})
+    try:
+        space = SpaceConfig(**space_kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad [space] section: {exc}") from exc
+    if kind in ("cubic2d", "linear2d") and space.n_modes != 2:
+        space = SpaceConfig(2, space.quad_nodes, space.n_panels)
+    mode = prob.get("mode", "two_pair" if kind != "power_law" else "one_pair")
+    if mode not in ("one_pair", "two_pair"):
+        raise ConfigError(f"problem.mode must be one_pair or two_pair, got {mode!r}")
+    n_seeds = 1 if mode == "one_pair" else int(prob.get("n_circle_seeds", 16))
+    if n_seeds < 1:
+        raise ConfigError("problem.n_circle_seeds must be >= 1")
+
+    hyp_kwargs = dict(raw.get("hypotheses", {}))
+    if "growth_radii" in hyp_kwargs:
+        hyp_kwargs["growth_radii"] = _parse_radii(hyp_kwargs["growth_radii"])
+    try:
+        hyp = HypothesisParams(**hyp_kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad [hypotheses] section: {exc}") from exc
+    _check_table_sizes(kind, space, mode, n_seeds, hyp)
+    _check_checker_rows(kind, space, mode, hyp)
+
+    radius = float(prob.get("radius", 0.5))
+    if radius <= 0:
+        raise ConfigError("problem.radius must be positive")
     theta = float(prob.get("theta", 0.5))
     nl: bvp_mod.Nonlinearity | None = None
     d1_r1 = float(prob.get("r1", 0.25))
@@ -333,55 +352,6 @@ def _build(
         raise
     except ValueError as exc:
         raise ConfigError(f"bad problem parameters: {exc}") from exc
-    return operator, comparison, nl, d1_r1
-
-
-def load_problem(
-    path: str | Path, overrides: list[str] | None = None, seed: int | None = None
-) -> ProblemSetup:
-    """Build a ProblemSetup from a problem file plus optional overrides.
-
-    The file is read and validated on every call; the operator, the
-    comparison operator and the nonlinearity come from _build, which keeps
-    the last _MAX_BUILDS distinct problems of the process.
-    """
-    raw = parse_config(path, overrides)
-    prob = raw.get("problem", {})
-    kind = prob.get("kind")
-    if kind not in _KINDS:
-        raise ConfigError(f"problem.kind must be one of {_KINDS}, got {kind!r}")
-
-    space_kwargs = raw.get("space", {})
-    try:
-        space = SpaceConfig(**space_kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad [space] section: {exc}") from exc
-    if kind in ("cubic2d", "linear2d") and space.n_modes != 2:
-        space = SpaceConfig(2, space.quad_nodes, space.n_panels)
-    mode = prob.get("mode", "two_pair" if kind != "power_law" else "one_pair")
-    if mode not in ("one_pair", "two_pair"):
-        raise ConfigError(f"problem.mode must be one_pair or two_pair, got {mode!r}")
-    n_seeds = 1 if mode == "one_pair" else int(prob.get("n_circle_seeds", 16))
-    if n_seeds < 1:
-        raise ConfigError("problem.n_circle_seeds must be >= 1")
-
-    hyp_kwargs = dict(raw.get("hypotheses", {}))
-    if "growth_radii" in hyp_kwargs:
-        hyp_kwargs["growth_radii"] = _parse_radii(hyp_kwargs["growth_radii"])
-    try:
-        hyp = HypothesisParams(**hyp_kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad [hypotheses] section: {exc}") from exc
-    _check_table_sizes(kind, space, mode, n_seeds, hyp)
-    _check_checker_rows(kind, space, mode, hyp)
-
-    radius = float(prob.get("radius", 0.5))
-    if radius <= 0:
-        raise ConfigError("problem.radius must be positive")
-    # each value travels with its repr, which tells -0.0 from 0.0: the two
-    # compare and hash equal, but an operator built from one may print the other
-    problem_items = tuple(sorted((key, value, repr(value)) for key, value in prob.items()))
-    operator, comparison, nl, d1_r1 = _build(kind, space, problem_items)
 
     default_pairs = 1 if mode == "one_pair" else 2
     expected_pairs = int(prob.get("expected_pairs", default_pairs))

@@ -23,8 +23,10 @@ from fixpairs import (
     project,
     zero_vector,
 )
-from fixpairs import bvp, problems
+from fixpairs import bvp
+from fixpairs import operators as operators_mod
 from fixpairs import space as space_mod
+from fixpairs.operators import OddnessError, _oddness_samples
 from fixpairs.problems import load_problem
 from fixpairs.space import basis_matrix, l2_norm_sq, quadrature_grid
 
@@ -121,6 +123,87 @@ def test_apply_a_rejects_nonfinite(space32):
         bvp.bvp_operator(nl, space32)
 
 
+def _plain_nl(f, label):
+    one = lambda t: np.ones_like(t)  # noqa: E731
+    return bvp.Nonlinearity(f=f, theta=0.0, a1=one, a2=one, a3=one, label=label)
+
+
+# f -> (odd value for value at the sampled profiles, odd within the check's tolerance)
+_ODDNESS_CASES = {
+    "power": (bvp.power_nonlinearity(), True, True),
+    "sublinear_affine": (bvp.sublinear_affine(), True, True),
+    "linear": (bvp.linear_nonlinearity(5.0), True, True),
+    "zero": (bvp.zero_nonlinearity(), True, True),
+    "odd to rounding": (_plain_nl(lambda t, u: (u + 0.5) - 0.5, "rounded"), False, True),
+    "shifted": (_plain_nl(lambda t, u: u + 1e-3, "shifted"), False, False),
+    "even": (_plain_nl(lambda t, u: u * u, "even"), False, False),
+    "odd below 0.1": (_plain_nl(lambda t, u: np.where(u > 0.1, 0.1, u), "cut"), False, False),
+    "nan": (_plain_nl(lambda t, u: np.full_like(u, np.nan), "nan"), False, False),
+}
+
+
+def _oddness_verdict(build) -> bool:
+    try:
+        build()
+    except OddnessError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("case", list(_ODDNESS_CASES))
+@pytest.mark.parametrize("cfg", [SpaceConfig(), SpaceConfig(320, 8, 256)], ids=["32", "320"])
+def test_oddness_shortcut_keeps_the_sampled_verdict(monkeypatch, case, cfg):
+    # the bvp operator's exact shortcut (f odd value for value at the sample
+    # profiles) accepts and rejects what applying the sample rows does
+    nl, exact, odd = _ODDNESS_CASES[case]
+    plain = bvp.bvp_operator(nl, cfg, odd=False)
+    samples = _oddness_samples(cfg.n_modes)
+    assert plain.apply_batch.odd_at(samples) is exact
+    if exact:
+        assert np.array_equal(plain.apply_batch(-samples), -plain.apply_batch(samples))
+    rows = []
+    moments = bvp.moments
+
+    def counted(folded, c):
+        rows.append(folded.shape[1])
+        return moments(folded, c)
+
+    monkeypatch.setattr(bvp, "moments", counted)
+    assert _oddness_verdict(lambda: bvp.bvp_operator(nl, cfg)) is odd
+    # the shortcut skips both sample applies; A(0) is applied once an operator passes
+    applied = [] if exact else [len(samples), len(samples)]
+    assert rows == applied + ([1] if odd else [])
+    rows.clear()
+    # the same apply without the shortcut: the check applies the rows
+    def unmarked():
+        return replace(plain, odd=True, apply_batch=lambda x: plain.apply_batch(x))
+
+    assert _oddness_verdict(unmarked) is odd
+    assert rows == [len(samples), len(samples)] + ([1] if odd else [])
+
+
+def test_replaced_apply_batch_does_not_inherit_the_oddness_shortcut(sublinear_op):
+    def shifted(stacked):
+        return sublinear_op.apply_batch(stacked) + 1e-3
+
+    with pytest.raises(OddnessError):
+        replace(sublinear_op, apply_batch=shifted)
+
+
+@pytest.mark.parametrize("path", sorted(PROBLEMS.glob("*.cfg")), ids=lambda p: p.stem)
+def test_a_load_validates_oddness_once(monkeypatch, path):
+    calls = []
+    check = operators_mod._check_oddness
+
+    def counted(op):
+        calls.append(op.label)
+        check(op)
+
+    monkeypatch.setattr(operators_mod, "_check_oddness", counted)
+    load_problem(path)
+    assert len(calls) == 1
+
+
 def test_apply_b_eigenfunction(space32):
     out = bvp.b_matrix(lambda t: np.full_like(t, np.pi**2), space32).apply(basis_vector(1, 32))
     assert (out - basis_vector(1, 32)).norm() <= 1e-10
@@ -157,13 +240,11 @@ def test_b_matrix_matches_weighted_gram(a1, n_modes):
 def test_bvp_load_holds_one_basis_table(monkeypatch):
     # a cold 1280-mode load: the half table of the basis, and no full view,
     # weighted copy or Gram temporaries; the peak is the half table plus the
-    # comparison matrix's assembly (three 13 MB tables), 1.98x here, where
-    # a full 84 MB view on top would reach 3x.  A warm load of the same
-    # problem is served the cached build and allocates no table at all
+    # comparison matrix's assembly (two 13 MB tables), 1.72x here, where
+    # a full 84 MB view on top would reach 3x
     overrides = ["space.n_modes=1280", "space.n_panels=1024"]
     half_bytes = 8 * (8 * 1024 // 2) * 1280
     space_mod._half_basis.cache_clear()
-    problems._build.cache_clear()
 
     def no_full_view(cfg):
         raise AssertionError("a load built the full basis view")
@@ -172,17 +253,12 @@ def test_bvp_load_holds_one_basis_table(monkeypatch):
     tracemalloc.start()
     try:
         load_problem(PROBLEMS / "bvp_sqrt.cfg", overrides=overrides)
-        held, peak = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
-        load_problem(PROBLEMS / "bvp_sqrt.cfg", overrides=overrides)
-        warm_peak = tracemalloc.get_traced_memory()[1] - held
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
         assert space_mod._half_basis(1280, 8, 1024).nbytes == half_bytes
         space_mod._half_basis.cache_clear()
-        problems._build.cache_clear()
     assert peak <= 2.25 * half_bytes
-    assert warm_peak < 2**20
 
 
 @pytest.mark.parametrize(

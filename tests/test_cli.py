@@ -1,8 +1,6 @@
 import contextlib
 import io
 import json
-import math
-import shutil
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -13,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fixpairs import bvp, operators, problems
+from fixpairs import bvp
 from fixpairs.cli import main
 from fixpairs.problems import (
     _SCHEMA,
@@ -433,21 +431,15 @@ REPORT_EXIT_CODES = {
 @pytest.mark.parametrize("problem, code", REPORT_EXIT_CODES.items(), ids=list(REPORT_EXIT_CODES))
 def test_reports_byte_stable(problem, code, tmp_path):
     # golden files hold the default-seed output; linear2d blows up in the
-    # solve phase, so its report writes nothing and the check output is
-    # kept.  Each output is made twice in this process, from a cold build
-    # and then from the cached one, whatever the tests before loaded
-    path = str(PROBLEMS / f"{problem}.cfg")
+    # solve phase, so its report writes nothing and the check output is kept
     out = tmp_path / "out.json"
-    command, golden = "report", GOLDEN / f"{problem}.report.json"
+    assert run("report", "--problem", str(PROBLEMS / f"{problem}.cfg"), "--output", str(out)) == code
+    golden = GOLDEN / f"{problem}.report.json"
     if code == 3:
-        assert run("report", "--problem", path, "--output", str(out)) == code
         assert not out.exists()
-        command, code, golden = "check", 0, GOLDEN / f"{problem}.check.json"
-    problems._build.cache_clear()
-    for _ in range(2):
-        assert run(command, "--problem", path, "--output", str(out)) == code
-        assert out.read_bytes() == golden.read_bytes()
-        out.unlink()
+        assert run("check", "--problem", str(PROBLEMS / f"{problem}.cfg"), "--output", str(out)) == 0
+        golden = GOLDEN / f"{problem}.check.json"
+    assert out.read_bytes() == golden.read_bytes()
 
 
 def test_solve_csv_profiles(tmp_path):
@@ -494,123 +486,6 @@ def test_parse_config_seed_override():
     assert raw["solver"]["seed"] == 7
     with pytest.raises(ConfigError):
         parse_config(PROBLEMS / "power_law_1d.cfg", overrides=["solver.bogus=7"])
-
-
-@pytest.fixture()
-def build_calls(monkeypatch):
-    """Calls of the oddness validation, of the bvp synthesis (every apply of
-    a bvp operator) and of the comparison matrix's cosine moments, counted
-    from an empty build cache."""
-    calls = {"oddness": 0, "synthesis": 0, "moments": 0}
-
-    def counted(key, fn):
-        def wrapper(*args, **kwargs):
-            calls[key] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    monkeypatch.setattr(operators, "_check_oddness", counted("oddness", operators._check_oddness))
-    monkeypatch.setattr(bvp, "profiles", counted("synthesis", bvp.profiles))
-    monkeypatch.setattr(bvp, "_cosine_moments", counted("moments", bvp._cosine_moments))
-    problems._build.cache_clear()
-    yield calls
-    problems._build.cache_clear()
-
-
-def test_build_cache_serves_a_repeated_load(build_calls):
-    first = load_problem(PROBLEMS / "bvp_sqrt.cfg")
-    assert build_calls == {"oddness": 1, "synthesis": 3, "moments": 1}
-    second = load_problem(PROBLEMS / "bvp_sqrt.cfg")
-    assert build_calls == {"oddness": 1, "synthesis": 3, "moments": 1}
-    assert second.operator is first.operator
-    assert second.comparison is first.comparison
-    assert second.nonlinearity is first.nonlinearity
-    assert second.seeds is not first.seeds
-
-
-@pytest.mark.parametrize("problem", sorted(p.stem for p in PROBLEMS.glob("*.cfg")))
-def test_build_cache_validates_oddness_once_per_build(problem, build_calls):
-    setups = [load_problem(PROBLEMS / f"{problem}.cfg") for _ in range(3)]
-    assert build_calls["oddness"] == 1
-    assert all(s.operator is setups[0].operator for s in setups)
-
-
-@pytest.mark.parametrize(
-    "seed, overrides",
-    [(5, []), (None, ["solver.max_iter=7", "solver.seed=3"]), (None, ["hypotheses.n_s=20"])],
-)
-def test_build_cache_shares_seed_solver_and_hypotheses(seed, overrides, build_calls):
-    base = load_problem(PROBLEMS / "sublinear_affine.cfg")
-    other = load_problem(PROBLEMS / "sublinear_affine.cfg", overrides=overrides, seed=seed)
-    assert (other.seed, other.solver, other.hyp) != (base.seed, base.solver, base.hyp)
-    assert other.operator is base.operator and other.comparison is base.comparison
-    assert build_calls["oddness"] == 1
-
-
-@pytest.mark.parametrize(
-    "override",
-    [
-        "space.n_modes=16",
-        "space.quad_nodes=6",
-        "space.n_panels=16",
-        "problem.theta=0.25",
-        "problem.radius=0.5",
-        "problem.r1=0.5",
-        "problem.n_circle_seeds=4",
-        "problem.expected_pairs=2",
-    ],
-)
-def test_build_cache_keys_space_and_problem(override, build_calls):
-    base = load_problem(PROBLEMS / "sublinear_affine.cfg")
-    other = load_problem(PROBLEMS / "sublinear_affine.cfg", overrides=[override])
-    assert other.operator is not base.operator and other.comparison is not base.comparison
-    assert build_calls["oddness"] == 2
-
-
-def test_build_cache_tells_negative_zero_from_zero(build_calls):
-    # -0.0 == 0.0 and both hash alike; a build keyed by float equality would
-    # hand the second load the first one's operator
-    plus = load_problem(PROBLEMS / "power_law_1d.cfg", overrides=["problem.theta=0.0"])
-    minus = load_problem(PROBLEMS / "power_law_1d.cfg", overrides=["problem.theta=-0.0"])
-    assert build_calls["oddness"] == 2
-    assert math.copysign(1.0, plus.operator.theta) == 1.0
-    assert math.copysign(1.0, minus.operator.theta) == -1.0
-    assert minus.operator.label != plus.operator.label
-
-
-def test_build_cache_honours_a_rewritten_file(tmp_path, build_calls):
-    path = tmp_path / "problem.cfg"
-    shutil.copy(PROBLEMS / "power_law_1d.cfg", path)
-    before = load_problem(path)
-    path.write_text(path.read_text().replace("amplitude = 2.0", "amplitude = 3.0"))
-    after = load_problem(path)
-    one = np.ones(1)
-    assert before.operator.apply_coeffs(one)[0] == 2.0
-    assert after.operator.apply_coeffs(one)[0] == 3.0
-
-
-def test_build_cache_keeps_no_failure(build_calls):
-    for _ in range(2):
-        with pytest.raises(ConfigError, match="problem.family"):
-            load_problem(PROBLEMS / "bvp_zero.cfg", overrides=["problem.family=bogus"])
-    assert problems._build.cache_info().currsize == 0
-
-
-def test_build_cache_keeps_eight_builds_least_recent_dropped(build_calls):
-    def load(amplitude):
-        return load_problem(PROBLEMS / "power_law_1d.cfg", overrides=[f"problem.amplitude={amplitude}"])
-
-    first = load(1)
-    for amplitude in range(2, 9):
-        load(amplitude)
-    assert load(1).operator is first.operator  # now the most recently used
-    load(9)  # drops amplitude 2
-    assert problems._build.cache_info().currsize == problems._build.cache_info().maxsize == 8
-    assert build_calls["oddness"] == 9
-    assert load(1).operator is first.operator
-    load(2)
-    assert build_calls["oddness"] == 10
 
 
 def test_console_entry_point_smoke():

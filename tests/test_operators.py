@@ -251,8 +251,8 @@ def test_linear_operator_spec_validation():
 
 @pytest.mark.parametrize("build", ["scaled_identity", "b_matrix"])
 def test_symmetric_matrix_peak_is_three_tables(build):
-    # the assembled matrix, its stored copy and the symmetry residual, whose
-    # absolute value is taken in place; the size guard counts 3 * 8 n^2
+    # the assembled matrix, its stored copy, the finiteness mask and one tile
+    # of the symmetry check; the size guard counts 3 * 8 n^2
     n = 1000
     cfg = SpaceConfig(n_modes=n)
     quadrature_grid(cfg)  # cached on first use; not part of the matrix's footprint
@@ -266,6 +266,35 @@ def test_symmetric_matrix_peak_is_three_tables(build):
     finally:
         tracemalloc.stop()
     assert peak <= 3.1 * 8 * n**2
+
+
+@pytest.mark.parametrize("k, l", [(1, 0), (0, 599), (599, 0), (300, 299), (5, 260), (520, 515)])
+def test_symmetry_check_compares_every_tile(rng, k, l):
+    # 600 modes: three tiles a side, the last one partial
+    m = rng.standard_normal((600, 600))
+    m = m + m.T
+    for gap, symmetric in ((1e-9, False), (1e-13, True)):
+        tilted = m.copy()
+        tilted[k, l] += gap
+        assert bool(np.max(np.abs(tilted - tilted.T)) <= 1e-12) is symmetric
+        if symmetric:
+            LinearOperatorSpec(matrix=tilted)
+        else:
+            with pytest.raises(ValueError, match="symmetric"):
+                LinearOperatorSpec(matrix=tilted)
+
+
+def test_symmetry_check_holds_one_tile():
+    # no n x n residual: the peak is the stored copy, the finiteness mask and a tile
+    n = 1000
+    m = np.eye(n)
+    tracemalloc.start()
+    try:
+        LinearOperatorSpec(matrix=m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * n**2 + n**2 + 2 * 8 * 256**2
 
 
 def test_apply_wrapper_dimension_check(model_1d):

@@ -21,7 +21,6 @@ from fixpairs import (
     ps_check,
     quadratic_form_margin,
 )
-from fixpairs import problems
 from fixpairs import space as space_mod
 from fixpairs.models import clipped_cubic_operator, linear_operator, radial_power_operator
 from fixpairs.problems import load_problem
@@ -428,7 +427,6 @@ def test_find_pairs_work_at_the_benchmark_resolution():
             assert (calls["potential"], calls["apply"], report.n_pairs) == (13, 13, 1), k
     finally:
         space_mod._half_basis.cache_clear()
-        problems._build.cache_clear()
 
 
 def recording_operator(op):

@@ -134,6 +134,8 @@ class LinearOperatorSpec:
         m = np.array(self.matrix, dtype=float, copy=True)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("matrix must be square")
+        if m.size == 0:
+            raise ValueError("matrix must not be empty")
         if not np.all(np.isfinite(m)):
             raise ValueError("matrix must be finite")
         # tile against mirrored tile, so that the transposed reads stay in

@@ -245,6 +245,8 @@ def test_linear_operator_spec_validation():
         LinearOperatorSpec(matrix=np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
         LinearOperatorSpec(matrix=np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="empty"):
+        LinearOperatorSpec(matrix=np.zeros((0, 0)))
     spec = LinearOperatorSpec.scaled_identity(2.0, 3)
     assert spec.form(basis_vector(1, 3), basis_vector(1, 3)) == 2.0
 

@@ -19,8 +19,6 @@ from .space import (
     inner,
     l2_norm_sq,
     project,
-    sup_norm_bound,
-    zero_vector,
 )
 from .operators import (
     GrowthCertificate,
@@ -41,7 +39,6 @@ from .hypotheses import (
     check_h2_prime,
     genus_of_sphere,
     quadratic_form_margin,
-    span_form_probe,
 )
 from .solver import (
     CriticalPoint,
@@ -51,7 +48,6 @@ from .solver import (
     circle_seeds,
     descend,
     find_pairs,
-    ps_check,
 )
 
 __all__ = [
@@ -85,9 +81,5 @@ __all__ = [
     "l2_norm_sq",
     "lower_bound_J",
     "project",
-    "ps_check",
     "quadratic_form_margin",
-    "span_form_probe",
-    "sup_norm_bound",
-    "zero_vector",
 ]

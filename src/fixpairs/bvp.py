@@ -17,8 +17,9 @@ the exact composition of the Green integral with the projection (the kernel
 side integrates in closed form against e_k).  This is how the operator is
 assembled here: it keeps the operator self-adjoint for linear f and the
 energy/gradient pair consistent to rounding, which the descent tolerances
-rely on.  The kernel itself is kept for pointwise profile evaluation and the
-second-difference residual checks.
+rely on.  Profiles are evaluated pointwise from the sine series
+(space.evaluate).  The kernel itself is the reference for acceptance
+criterion c06, whose second-difference residual checks use green_profile.
 
 The module also provides the comparison operator B u = G * (a1 u), the
 solvability condition checkers (D1)-(D4), the Dirichlet eigenvalues, a

@@ -38,7 +38,6 @@ __all__ = [
     "check_h2_prime",
     "genus_of_sphere",
     "quadratic_form_margin",
-    "span_form_probe",
 ]
 
 STRICT_TOL = 1e-12
@@ -278,33 +277,3 @@ def genus_of_sphere(subspace_dim: int) -> int:
     if subspace_dim < 1:
         raise ValueError("subspace_dim must be >= 1")
     return int(subspace_dim)
-
-
-def span_form_probe(
-    B: LinearOperatorSpec, basis: list[H1Vector]
-) -> dict[str, Any]:
-    """Experimental probe for seed spheres spanned by n orthonormal vectors.
-
-    Computes the eigenvalues of 0.5 * (I - G) with G_ij = (B e_i, e_j) and
-    reports whether the form is negative definite, i.e. whether the
-    comparison estimate pushes the energy below zero on the whole sphere.
-    No existence claim is attached to the outcome; for n > 2 this is a
-    numeric sign report only.
-    """
-    if len(basis) < 1:
-        raise ValueError("basis must be nonempty")
-    n = len(basis)
-    for i, e in enumerate(basis):
-        _require_unit(e, f"basis[{i}]")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(float(np.dot(basis[i].coeffs, basis[j].coeffs))) > 1e-10:
-                raise ValueError("basis vectors must be pairwise orthogonal")
-    gram = np.array([[B.form(bi, bj) for bj in basis] for bi in basis])
-    gram = 0.5 * (gram + gram.T)
-    eigenvalues = np.linalg.eigvalsh(0.5 * (np.eye(n) - gram))
-    return {
-        "dimension": n,
-        "eigenvalues": [float(v) for v in eigenvalues],
-        "negative_definite": bool(eigenvalues[-1] < -STRICT_TOL),
-    }

@@ -199,11 +199,12 @@ def _check_table_sizes(
     """Reject a problem whose largest table would exceed _MAX_TABLE_BYTES.
 
     Every kind builds the n_modes x n_modes comparison matrix (counted as
-    three such tables; the peak measured with tracemalloc is 2.15: the
-    assembled matrix, its stored copy, the finiteness mask and one tile of
-    the symmetry check) and n_seeds seed
-    vectors; the checkers apply the operator to n_s rows at once in (H2),
-    to h2_prime_chunk(n_s, row_width) angles of n_s rows at once in (H2)',
+    18 n^2 bytes: the assembled matrix, its stored copy, the 1-byte
+    finiteness mask and one 0.5 MiB tile of the symmetry check, under a byte
+    an entry from 725 modes up; tracemalloc measures 17.2 n^2 at 1,000
+    modes and 17.0 n^2 at 3,000) and n_seeds seed vectors; the checkers
+    apply the operator to n_s rows at once in (H2), to
+    h2_prime_chunk(n_s, row_width) angles of n_s rows at once in (H2)',
     which also holds all n_angle circle points (two such tables at the
     peak, measured with tracemalloc), and to all len(growth_radii) x
     dirs_per_radius rows of (H) in one batch, and `eigen` builds
@@ -219,7 +220,7 @@ def _check_table_sizes(
     width = _row_width(kind, space)
     row = 8 * width
     tables = {
-        "comparison matrix": 3 * 8 * n**2,
+        "comparison matrix": 18 * n**2,
         "seed table": n_seeds * (8 * n + _SEED_OVERHEAD_BYTES),
         "finite-difference vector": 8 * hyp.eigen_n,
     }

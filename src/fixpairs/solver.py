@@ -56,7 +56,6 @@ __all__ = [
     "circle_seeds",
     "descend",
     "find_pairs",
-    "ps_check",
 ]
 
 _ARMIJO_C = 1e-4  # sufficient-decrease constant of the Armijo test
@@ -324,24 +323,6 @@ def _descend(
             iterations=iterations + n_polish,
         )
     return point, replace(trace, n_polish=n_polish)
-
-
-def ps_check(iterates: list[np.ndarray], v: H1Vector, A: PotentialOperatorSpec) -> float:
-    """Numerical check of the compactness estimate along an iterate tail.
-
-    Returns max_n [ ||u_n - v|| - (||J'(u_n)|| + ||A(u_n) - v||) ], which is
-    bounded by zero up to rounding: the norm of u_n - v never exceeds the
-    gradient norm plus the distance of A(u_n) to the limit candidate v.
-    """
-    worst = -np.inf
-    vc = v.coeffs
-    for c in iterates:
-        img = A.apply_coeffs(c)
-        g = float(np.linalg.norm(c - img))
-        lhs = float(np.linalg.norm(c - vc))
-        rhs = g + float(np.linalg.norm(img - vc))
-        worst = max(worst, lhs - rhs)
-    return float(worst)
 
 
 def canonicalize(point: CriticalPoint, dedup_tol: float) -> CriticalPoint:

@@ -55,8 +55,6 @@ __all__ = [
     "quadrature_grid",
     "sample_function",
     "sample_vector",
-    "sup_norm_bound",
-    "zero_vector",
 ]
 
 
@@ -259,14 +257,12 @@ def basis_matrix(cfg: SpaceConfig) -> np.ndarray:
     """Matrix E with E[i, k] = e_{k+1}(t_i) on the quadrature grid.
 
     A full view unfolded from the half table, built anew on every call; the
-    package computes through profiles and moments and never builds it.
+    package computes through profiles and moments and never builds it.  It
+    stays public because perfbench's traced byte count calls it; ROADMAP
+    item 3 moves that count to the half table's bytes.
     """
     half = _half_basis(cfg.n_modes, cfg.quad_nodes, cfg.n_panels)
     return _unfold(half, half * _signs(cfg.n_modes)[1], cfg.quad_nodes * cfg.n_panels)
-
-
-def zero_vector(n_modes: int) -> H1Vector:
-    return H1Vector(np.zeros(n_modes))
 
 
 def basis_vector(k: int, n_modes: int) -> H1Vector:
@@ -304,16 +300,6 @@ def evaluate(u: H1Vector, t):
     if np.isscalar(t) or tarr.ndim == 0:
         return float(vals)
     return vals
-
-
-def sup_norm_bound(u: H1Vector) -> float:
-    """A certified upper bound for max_t |u(t)|, namely ||u||.
-
-    For H1_0(0,1) the sharp embedding constant is 1/2, so the returned bound
-    is loose by a factor of two; the plain ||u|| bound is the one every
-    downstream estimate in this package is stated with.
-    """
-    return u.norm()
 
 
 def sample_function(fn, cfg: SpaceConfig) -> GridSample:

@@ -21,7 +21,6 @@ from fixpairs import (
     gradient_J,
     inner,
     project,
-    zero_vector,
 )
 from fixpairs import bvp
 from fixpairs import operators as operators_mod
@@ -99,7 +98,7 @@ def test_apply_a_resolves_forcing(space32):
         a3=lambda t: np.full_like(t, amp),
         label="forcing",
     )
-    out = bvp.bvp_operator(nl, space32, odd=False).apply(zero_vector(32))
+    out = bvp.bvp_operator(nl, space32, odd=False).apply(H1Vector(np.zeros(32)))
     assert (out - basis_vector(1, 32)).norm() <= 1e-10
 
 
@@ -151,7 +150,10 @@ def _oddness_verdict(build) -> bool:
 
 
 @pytest.mark.parametrize("case", list(_ODDNESS_CASES))
-@pytest.mark.parametrize("cfg", [SpaceConfig(), SpaceConfig(320, 8, 256)], ids=["32", "320"])
+# 15 nodes: the middle node sits in both folded rows
+@pytest.mark.parametrize(
+    "cfg", [SpaceConfig(), SpaceConfig(320, 8, 256), SpaceConfig(8, 3, 5)], ids=["32", "320", "8x15"]
+)
 def test_oddness_shortcut_keeps_the_sampled_verdict(monkeypatch, case, cfg):
     # the bvp operator's exact shortcut (f odd value for value at the sample
     # profiles) accepts and rejects what applying the sample rows does
@@ -207,7 +209,7 @@ def test_a_load_validates_oddness_once(monkeypatch, path):
 def test_apply_b_eigenfunction(space32):
     out = bvp.b_matrix(lambda t: np.full_like(t, np.pi**2), space32).apply(basis_vector(1, 32))
     assert (out - basis_vector(1, 32)).norm() <= 1e-10
-    assert bvp.b_matrix(lambda t: 1.0 + t, space32).apply(zero_vector(32)).norm() == 0.0
+    assert bvp.b_matrix(lambda t: 1.0 + t, space32).apply(H1Vector(np.zeros(32))).norm() == 0.0
 
 
 def test_apply_b_constant_weight_form(space32):
@@ -326,7 +328,7 @@ def _inner_rule_operator(nl, cfg):
 
 def test_bvp_energy_zero(space32, sublinear_nl):
     op = _inner_rule_operator(sublinear_nl, space32)
-    assert functional_J(op, zero_vector(32)) == 0.0
+    assert functional_J(op, H1Vector(np.zeros(32))) == 0.0
 
 
 def test_bvp_energy_linear_closed_form(space32):

@@ -1,6 +1,8 @@
 import contextlib
 import io
 import json
+import runpy
+import shutil
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -27,6 +29,7 @@ from fixpairs.solver import SolverConfig
 from fixpairs.space import SpaceConfig
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
@@ -242,6 +245,8 @@ def test_size_guard_applies_to_the_built_space():
     _check_table_sizes(
         "bvp", SpaceConfig(n_modes=1280, quad_nodes=8, n_panels=1024), "one_pair", 16, HypothesisParams()
     )
+    # a 7,000-mode comparison matrix peaks at 18 n^2 = 0.82 GiB
+    _check_table_sizes("power_law", SpaceConfig(n_modes=7000), "one_pair", 16, HypothesisParams())
     # the guard counts the basis half table: 400,000 of 800,000 nodes by 320
     # modes is 0.95 GiB, where the full table would need 1.9 GiB
     wide = SpaceConfig(n_modes=320, quad_nodes=8, n_panels=100000)
@@ -496,3 +501,14 @@ def test_console_entry_point_smoke():
     )
     assert proc.returncode == 0
     assert '"spectral"' in proc.stdout
+
+
+def test_desk_study_script_smoke(tmp_path, monkeypatch, capsys):
+    for name in ("power_law_1d", "cubic2d"):
+        shutil.copy(PROBLEMS / f"{name}.cfg", tmp_path)
+    script = runpy.run_path(str(SCRIPTS / "run_desk_study.py"))
+    monkeypatch.setattr(sys, "argv", ["run_desk_study.py", "--problems-dir", str(tmp_path)])
+    assert script["main"]() == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split()[0] for row in rows] == ["cubic2d", "power_law_1d"]
+    assert all(row.split()[1:3] == ["all", "pass"] for row in rows)

@@ -7,7 +7,16 @@ import pytest
 
 @pytest.mark.parametrize(
     "module",
-    ["fixpairs", "fixpairs.space", "fixpairs.operators", "fixpairs.bvp", "fixpairs.solver"],
+    [
+        "fixpairs",
+        "fixpairs.space",
+        "fixpairs.operators",
+        "fixpairs.bvp",
+        "fixpairs.solver",
+        "fixpairs.hypotheses",
+        "fixpairs.models",
+        "fixpairs.problems",
+    ],
 )
 def test_all_names_resolve(module):
     mod = importlib.import_module(module)

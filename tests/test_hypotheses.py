@@ -19,7 +19,6 @@ from fixpairs import (
     check_h2_prime,
     genus_of_sphere,
     quadratic_form_margin,
-    span_form_probe,
 )
 from fixpairs import cli
 from fixpairs.cli import main
@@ -381,16 +380,6 @@ def test_genus_of_sphere():
     assert genus_of_sphere(3) == 3
     with pytest.raises(ValueError):
         genus_of_sphere(0)
-
-
-def test_span_form_probe():
-    basis = [basis_vector(k, 4) for k in (1, 2, 3)]
-    out = span_form_probe(LinearOperatorSpec.scaled_identity(2.0, 4), basis)
-    assert out["dimension"] == 3
-    assert out["negative_definite"] is True
-    assert all(v == pytest.approx(-0.5) for v in out["eigenvalues"])
-    out2 = span_form_probe(LinearOperatorSpec.scaled_identity(0.5, 4), basis)
-    assert out2["negative_definite"] is False
 
 
 def test_report_serialization_round_trips():

@@ -18,7 +18,6 @@ from fixpairs import (
     growth_fit,
     inner,
     lower_bound_J,
-    zero_vector,
 )
 from fixpairs import SpaceConfig, bvp
 from fixpairs.models import linear_operator, radial_power_operator
@@ -63,7 +62,7 @@ def test_avez_order_validation(model_1d):
 
 
 def test_functional_zero_at_origin(model_1d):
-    assert functional_J(model_1d, zero_vector(1)) == 0.0
+    assert functional_J(model_1d, H1Vector(np.zeros(1))) == 0.0
 
 
 def test_functional_closed_form_fixed_point(model_1d):
@@ -112,7 +111,7 @@ def test_fd_gradient_check_linear(rng):
 
 
 def test_fd_gradient_check_at_origin(zero_op):
-    z = zero_vector(3)
+    z = H1Vector(np.zeros(3))
     assert fd_gradient_check(zero_op, z, z, 1e-5) == 0.0
     with pytest.raises(ValueError):
         fd_gradient_check(zero_op, z, z, 0.0)
@@ -252,22 +251,22 @@ def test_linear_operator_spec_validation():
 
 
 @pytest.mark.parametrize("build", ["scaled_identity", "b_matrix"])
-def test_symmetric_matrix_peak_is_three_tables(build):
-    # the assembled matrix, its stored copy, the finiteness mask and one tile
-    # of the symmetry check; the size guard counts 3 * 8 n^2
-    n = 1000
-    cfg = SpaceConfig(n_modes=n)
-    quadrature_grid(cfg)  # cached on first use; not part of the matrix's footprint
-    tracemalloc.start()
-    try:
-        if build == "scaled_identity":
-            LinearOperatorSpec.scaled_identity(1.5, n)
-        else:
-            bvp.b_matrix(lambda t: 1.0 + t, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3.1 * 8 * n**2
+def test_symmetric_matrix_peak_is_18_bytes_an_entry(build):
+    # the assembled matrix, its stored copy, the 1-byte finiteness mask and
+    # one 0.5 MiB tile of the symmetry check; the size guard counts 18 n^2
+    for n in (1000, 3000):
+        cfg = SpaceConfig(n_modes=n)
+        quadrature_grid(cfg)  # cached on first use; not part of the matrix's footprint
+        tracemalloc.start()
+        try:
+            if build == "scaled_identity":
+                LinearOperatorSpec.scaled_identity(1.5, n)
+            else:
+                bvp.b_matrix(lambda t: 1.0 + t, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 18 * n**2
 
 
 @pytest.mark.parametrize("k, l", [(1, 0), (0, 599), (599, 0), (300, 299), (5, 260), (520, 515)])

@@ -18,7 +18,6 @@ from fixpairs import (
     descend,
     find_pairs,
     inner,
-    ps_check,
     quadratic_form_margin,
 )
 from fixpairs import space as space_mod
@@ -148,23 +147,6 @@ def test_search_within_energy_rounding_is_decided_by_the_residual():
 def test_grad_norm_equals_fp_residual(model_1d):
     point = descend(model_1d, H1Vector([0.7]), SolverConfig())
     assert point.grad_norm == point.fp_residual
-
-
-def test_ps_check_on_convergent_run(model_1d):
-    j_fn, g_fn = _energy_and_gradient(model_1d)
-    iterates = []
-
-    def recording_g(c):
-        iterates.append(c.copy())
-        return g_fn(c)
-
-    point, _ = _descend((j_fn, recording_g), np.array([0.5]), SolverConfig())
-    v = model_1d.apply(point.u)
-    assert len(iterates) > 3
-    assert ps_check(iterates, v, model_1d) <= 1e-12
-    # constant sequence at the fixed point
-    fixed = H1Vector([4.0])
-    assert ps_check([fixed.coeffs], model_1d.apply(fixed), model_1d) <= 1e-12
 
 
 def test_find_pairs_model(model_1d):

@@ -14,8 +14,6 @@ from fixpairs import (
     inner,
     l2_norm_sq,
     project,
-    sup_norm_bound,
-    zero_vector,
 )
 from fixpairs import space as space_mod
 from fixpairs.space import (
@@ -80,7 +78,7 @@ def test_evaluate_rejects_outside_domain():
 def test_l2_norm_closed_forms():
     assert l2_norm_sq(basis_vector(1, 8)) == pytest.approx(1.0 / np.pi**2, rel=1e-14)
     assert l2_norm_sq(basis_vector(2, 8)) == pytest.approx(1.0 / (4.0 * np.pi**2), rel=1e-14)
-    assert l2_norm_sq(zero_vector(8)) == 0.0
+    assert l2_norm_sq(H1Vector(np.zeros(8))) == 0.0
 
 
 @given(coeff_arrays())
@@ -165,6 +163,7 @@ FOLD_SPACES = [
     SpaceConfig(32, 8, 32),
     SpaceConfig(320, 8, 256),
     SpaceConfig(1280, 8, 1024),
+    SpaceConfig(1, 3, 1),  # one mode
     # odd node counts: a middle node at t = 1/2, mirrored onto itself
     SpaceConfig(8, 3, 1),
     SpaceConfig(8, 3, 3),
@@ -217,24 +216,15 @@ def test_folded_grid_splits_the_middle_node(n_panels):
     assert space_mod._half_basis(4, 3, n_panels).shape == (half, 4)
 
 
-def test_sup_norm_bound(space32):
-    e1 = basis_vector(1, 32)
-    ts = np.linspace(0.0, 1.0, 2001)
-    sampled_max = np.max(np.abs(evaluate(e1, ts)))
-    assert sampled_max == pytest.approx(np.sqrt(2.0) / np.pi, abs=1e-6)
-    assert sampled_max <= sup_norm_bound(e1) == 1.0
-    assert sup_norm_bound(zero_vector(4)) == 0.0
-    r = 3.7
-    u = r * e1
-    assert sup_norm_bound(u) == pytest.approx(r)
-    assert np.max(np.abs(evaluate(u, ts))) <= r
-
-
 @given(coeff_arrays())
-def test_sup_norm_bound_dominates_samples(c):
-    u = H1Vector(c)
+def test_sup_norm_is_at_most_half_the_norm(c):
+    # the sharp H1_0(0,1) embedding |u(t)| <= sqrt(t (1 - t)) ||u|| <= ||u|| / 2;
+    # e1 peaks at sqrt(2) / pi, at the sample t = 1/2
     ts = np.linspace(0.0, 1.0, 257)
-    assert np.max(np.abs(evaluate(u, ts))) <= sup_norm_bound(u) + 1e-12
+    e1 = basis_vector(1, 16)
+    assert np.max(np.abs(evaluate(e1, ts))) == pytest.approx(np.sqrt(2.0) / np.pi, rel=1e-15)
+    for u in (e1, H1Vector(c)):
+        assert np.max(np.abs(evaluate(u, ts))) <= 0.5 * u.norm() + 1e-12
 
 
 def test_grid_sample_invariants(space32):

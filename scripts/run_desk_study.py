@@ -24,12 +24,12 @@ def main() -> int:
         print(f"no problem files under {args.problems_dir}", file=sys.stderr)
         return 2
 
-    print(f"{'problem':<16} {'conditions':<12} {'pairs':>5} {'expected':>8}  note")
+    rows = []
     for path in paths:
         try:
             setup = load_problem(path)
         except ConfigError as exc:
-            print(f"{path.stem:<16} config error: {exc}")
+            rows.append((path.stem, f"config error: {exc}"))
             continue
         check = run_check(setup)
         failed = [r["name"] for r in check["reports"] if r["verdict"] == "fail"]
@@ -40,7 +40,16 @@ def main() -> int:
             note = "" if solve["meets_expected"] else "below expectation"
         except OperatorDivergenceError:
             pairs, note = 0, "diverged (no nontrivial fixed point)"
-        print(f"{path.stem:<16} {cond:<12} {pairs:>5} {setup.expected_pairs:>8}  {note}")
+        rows.append((path.stem, cond, pairs, setup.expected_pairs, note))
+
+    cond_w = max([len("conditions")] + [len(row[1]) for row in rows if len(row) > 2])
+    print(f"{'problem':<16} {'conditions':<{cond_w}} {'pairs':>5} {'expected':>8}  note")
+    for row in rows:
+        if len(row) == 2:
+            print(f"{row[0]:<16} {row[1]}")
+        else:
+            name, cond, pairs, expected, note = row
+            print(f"{name:<16} {cond:<{cond_w}} {pairs:>5} {expected:>8}  {note}")
     return 0
 
 

@@ -11,14 +11,12 @@ cross-validates boundary value problems against a shooting oracle.
 __version__ = "0.1.0"
 
 from .space import (
-    GridSample,
     H1Vector,
     SpaceConfig,
     basis_vector,
     evaluate,
     inner,
     l2_norm_sq,
-    project,
 )
 from .operators import (
     GrowthCertificate,
@@ -52,7 +50,6 @@ from .solver import (
 
 __all__ = [
     "CriticalPoint",
-    "GridSample",
     "GrowthCertificate",
     "H1Vector",
     "HypothesisReport",
@@ -80,6 +77,5 @@ __all__ = [
     "inner",
     "l2_norm_sq",
     "lower_bound_J",
-    "project",
     "quadratic_form_margin",
 ]

@@ -41,7 +41,6 @@ from .operators import LinearOperatorSpec, PotentialOperatorSpec
 from .space import SpaceConfig, folded_grid, gauss_rule, moments, profiles, quadrature_grid
 
 __all__ = [
-    "GreenOperator",
     "Nonlinearity",
     "ShootingResult",
     "ShootingSolution",
@@ -55,7 +54,6 @@ __all__ = [
     "sublinear_affine",
     "first_eigenvalue",
     "green_kernel",
-    "green_operator",
     "green_profile",
     "linear_nonlinearity",
     "power_nonlinearity",
@@ -94,19 +92,6 @@ class Nonlinearity:
         return float(vals.min()), float(vals.max())
 
 
-@dataclass(frozen=True, eq=False)
-class GreenOperator:
-    """The Green kernel tabulated on the quadrature grid."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    kernel: np.ndarray  # kernel[i, j] = G(nodes[i], nodes[j])
-
-    def apply_values(self, values: np.ndarray) -> np.ndarray:
-        """Grid values of t -> int G(t, s) g(s) ds from grid values of g."""
-        return self.kernel @ (self.weights * values)
-
-
 def green_kernel(t, s):
     """G(t, s) = t (1 - s) if t <= s else s (1 - t); symmetric, peak 1/4."""
     t = np.asarray(t, dtype=float)
@@ -117,12 +102,6 @@ def green_kernel(t, s):
     if out.ndim == 0:
         return float(out)
     return out
-
-
-def green_operator(cfg: SpaceConfig) -> GreenOperator:
-    nodes, weights = quadrature_grid(cfg)
-    kernel = green_kernel(nodes[:, None], nodes[None, :])
-    return GreenOperator(nodes=nodes, weights=weights, kernel=kernel)
 
 
 def green_profile(g: Callable[[np.ndarray], np.ndarray], ts, order: int = 8, panels: int = 16):

@@ -41,7 +41,6 @@ import numpy as np
 __all__ = [
     "SpaceConfig",
     "H1Vector",
-    "GridSample",
     "basis_matrix",
     "basis_vector",
     "evaluate",
@@ -51,10 +50,7 @@ __all__ = [
     "l2_norm_sq",
     "moments",
     "profiles",
-    "project",
     "quadrature_grid",
-    "sample_function",
-    "sample_vector",
 ]
 
 
@@ -117,30 +113,6 @@ class H1Vector:
         return H1Vector(self.coeffs * float(scale))
 
     __rmul__ = __mul__
-
-
-@dataclass(frozen=True, eq=False)
-class GridSample:
-    """Function values on the composite Gauss-Legendre grid."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if not (nodes.shape == weights.shape == values.shape) or nodes.ndim != 1:
-            raise ValueError("nodes, weights, values must be 1-d arrays of equal length")
-        if np.any(weights <= 0.0):
-            raise ValueError("weights must be positive")
-        if abs(float(weights.sum()) - 1.0) > 1e-14:
-            raise ValueError("weights must sum to 1")
-        if np.any(np.diff(nodes) <= 0.0):
-            raise ValueError("nodes must be strictly increasing")
-        if nodes[0] <= 0.0 or nodes[-1] >= 1.0:
-            raise ValueError("nodes must lie in (0, 1)")
 
 
 def _check_dims(u: H1Vector, v: H1Vector) -> None:
@@ -300,35 +272,3 @@ def evaluate(u: H1Vector, t):
     if np.isscalar(t) or tarr.ndim == 0:
         return float(vals)
     return vals
-
-
-def sample_function(fn, cfg: SpaceConfig) -> GridSample:
-    """Sample a vectorized callable t -> f(t) on the quadrature grid."""
-    nodes, weights = quadrature_grid(cfg)
-    return GridSample(nodes=nodes, weights=weights, values=np.asarray(fn(nodes), dtype=float))
-
-
-def sample_vector(u: H1Vector, cfg: SpaceConfig) -> GridSample:
-    if u.n_modes != cfg.n_modes:
-        raise ValueError("vector does not match config")
-    nodes, weights = quadrature_grid(cfg)
-    left, mirrored = profiles(u.coeffs[None, :], cfg)[:, 0]
-    return GridSample(nodes=nodes, weights=weights, values=_unfold(left, mirrored, nodes.size))
-
-
-def project(values_on_grid: GridSample, cfg: SpaceConfig) -> H1Vector:
-    """Project grid values onto the retained modes.
-
-    Uses c_k = (k*pi)^2 * int_0^1 u(t) e_k(t) dt, which equals the H1_0
-    projection by integration by parts under Dirichlet conditions; no grid
-    data is differentiated.
-    """
-    nodes, weights = quadrature_grid(cfg)
-    if values_on_grid.nodes.shape != nodes.shape or np.max(
-        np.abs(values_on_grid.nodes - nodes)
-    ) > 1e-12:
-        raise ValueError("grid does not match config")
-    ks = np.arange(1, cfg.n_modes + 1)
-    _, folded_weights = folded_grid(cfg)
-    weighted = folded_weights * _fold(values_on_grid.values)
-    return H1Vector((ks * np.pi) ** 2 * moments(weighted[:, None, :], cfg)[0])

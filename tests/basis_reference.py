@@ -1,0 +1,29 @@
+"""The sine basis tabulated directly on the full quadrature grid.
+
+The package tabulates the basis on the left half of the grid only and
+reaches every node through the fold (space.profiles, space.moments).  The
+tests check those products against this table, which is built from the
+closed form e_k(t) = sqrt(2) sin(k pi t) / (k pi) at every node and shares
+no code with the half table.
+"""
+
+import numpy as np
+
+from fixpairs.space import quadrature_grid
+
+
+def full_table(cfg):
+    """E[i, k] = e_(k+1)(t_i) on every grid node, without the fold."""
+    nodes, _ = quadrature_grid(cfg)
+    ks = np.arange(1, cfg.n_modes + 1)
+    return np.sqrt(2.0) * np.sin(np.outer(nodes, ks) * np.pi) / (ks * np.pi)
+
+
+def fold(values):
+    """Grid values (..., N) as (2, ..., half): the left half and the mirrors."""
+    m = (values.shape[-1] + 1) // 2
+    return np.stack([values[..., :m], values[..., ::-1][..., :m]])
+
+
+def max_rel(got, ref):
+    return float(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))

@@ -9,8 +9,8 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from basis_reference import full_table
 from fixpairs import (
-    GridSample,
     H1Vector,
     SpaceConfig,
     avez_potential,
@@ -20,14 +20,13 @@ from fixpairs import (
     functional_J,
     gradient_J,
     inner,
-    project,
 )
 from fixpairs import bvp
 from fixpairs import operators as operators_mod
 from fixpairs import space as space_mod
 from fixpairs.operators import OddnessError, _oddness_samples
 from fixpairs.problems import load_problem
-from fixpairs.space import basis_matrix, l2_norm_sq, quadrature_grid
+from fixpairs.space import l2_norm_sq, quadrature_grid
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 KY_FAN_L2 = math.sqrt(5.0 / 8.0) / math.pi  # best min |e|_L2 over orthonormal pairs
@@ -53,28 +52,34 @@ def test_green_kernel_domain():
         bvp.green_kernel(0.5, 1.5)
 
 
+def tabulated_kernel(cfg):
+    """G(t_i, t_j) on the quadrature grid."""
+    nodes, _ = quadrature_grid(cfg)
+    return bvp.green_kernel(nodes[:, None], nodes[None, :])
+
+
 def test_green_operator_invariants(space32):
-    g = bvp.green_operator(space32)
-    assert np.max(np.abs(g.kernel - g.kernel.T)) == 0.0
-    assert g.kernel.min() >= 0.0
-    assert g.kernel.max() <= 0.25
+    kernel = tabulated_kernel(space32)
+    assert np.max(np.abs(kernel - kernel.T)) == 0.0
+    assert kernel.min() >= 0.0
+    assert kernel.max() <= 0.25
 
 
 def test_green_operator_consistent_with_projection(space32, sublinear_nl, rng):
-    # grid route: tabulated kernel times quadrature weights, then project;
-    # coefficient route: exact composition of the kernel integral with the
-    # projection.  They agree to the kernel-kink quadrature error, which
-    # shrinks as the panels refine.
+    # grid route: tabulated kernel times quadrature weights, then the H1_0
+    # projection c_k = (k pi)^2 int v e_k through the full table; coefficient
+    # route: exact composition of the kernel integral with the projection.
+    # They agree to the kernel-kink quadrature error, which shrinks as the
+    # panels refine.
     u = H1Vector(rng.standard_normal(32))
+    ks = np.arange(1, 33)
 
     def gap(cfg):
-        g = bvp.green_operator(cfg)
-        vals = sublinear_nl.f(g.nodes, evaluate(u, g.nodes))
-        grid_route = project(
-            GridSample(nodes=g.nodes, weights=g.weights, values=g.apply_values(vals)),
-            cfg,
-        )
-        return (grid_route - bvp.bvp_operator(sublinear_nl, cfg).apply(u)).norm()
+        nodes, weights = quadrature_grid(cfg)
+        vals = sublinear_nl.f(nodes, evaluate(u, nodes))
+        grid_values = tabulated_kernel(cfg) @ (weights * vals)
+        grid_route = (ks * np.pi) ** 2 * ((weights * grid_values) @ full_table(cfg))
+        return np.linalg.norm(grid_route - bvp.bvp_operator(sublinear_nl, cfg).apply(u).coeffs)
 
     coarse = gap(space32)
     fine = gap(SpaceConfig(32, 8, 64))
@@ -232,7 +237,7 @@ def test_b_matrix_matches_weighted_gram(a1, n_modes):
     # the cosine-moment assembly against the explicit E^T diag(w a1) E
     cfg = SpaceConfig(n_modes=n_modes, n_panels=256 if n_modes == 320 else 32)
     nodes, weights = quadrature_grid(cfg)
-    basis = basis_matrix(cfg)
+    basis = full_table(cfg)
     gram = basis.T @ ((weights * _A1_WEIGHTS[a1](nodes))[:, None] * basis)
     m = bvp.b_matrix(_A1_WEIGHTS[a1], cfg).matrix
     assert np.max(np.abs(m - gram)) <= 1e-14
@@ -270,11 +275,11 @@ def test_bvp_load_holds_one_basis_table(monkeypatch):
 )
 def test_folded_apply_matches_the_full_table(cfg, rng):
     # the operator through the half table against f(t, E c) w through the
-    # full view, on a t-dependent nonlinearity and a batch and a single row
+    # full table, on a t-dependent nonlinearity and a batch and a single row
     nl = bvp.sublinear_affine()
     nodes, weights = quadrature_grid(cfg)
     try:
-        full = basis_matrix(cfg)
+        full = full_table(cfg)
         op = bvp.bvp_operator(nl, cfg)
         coeffs = rng.standard_normal((4, cfg.n_modes)) / np.arange(1, cfg.n_modes + 1)
         reference = (nl.f(nodes, coeffs @ full.T) * weights) @ full

@@ -504,11 +504,43 @@ def test_console_entry_point_smoke():
 
 
 def test_desk_study_script_smoke(tmp_path, monkeypatch, capsys):
-    for name in ("power_law_1d", "cubic2d"):
+    for name in ("power_law_1d", "cubic2d", "bvp_zero"):
         shutil.copy(PROBLEMS / f"{name}.cfg", tmp_path)
     script = runpy.run_path(str(SCRIPTS / "run_desk_study.py"))
     monkeypatch.setattr(sys, "argv", ["run_desk_study.py", "--problems-dir", str(tmp_path)])
     assert script["main"]() == 0
-    rows = capsys.readouterr().out.splitlines()[1:]
-    assert [row.split()[0] for row in rows] == ["cubic2d", "power_law_1d"]
-    assert all(row.split()[1:3] == ["all", "pass"] for row in rows)
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert [row.split()[:2] for row in rows] == [
+        ["bvp_zero", "fail"],
+        ["cubic2d", "all"],
+        ["power_law_1d", "all"],
+    ]
+    assert "fail (H1),(D3) " in rows[0]
+    # a verdict longer than the header's word keeps the columns in line
+    end = header.index("pairs") + len("pairs")
+    assert all(row[end - 1].isdigit() and row[end] == " " for row in rows)
+
+
+@pytest.mark.parametrize(
+    "edit, shown, status",
+    [
+        (None, "power_law_1d: identical", 0),
+        ("coeff", "pair 0 coefficients: max |delta| 1.000e-09", 0),
+        ("verdict", "VERDICT .solve.meets_expected: False -> True", 1),
+    ],
+    ids=["unchanged", "coefficient", "verdict"],
+)
+def test_golden_diff_script_smoke(edit, shown, status, tmp_path, monkeypatch, capsys):
+    text = (GOLDEN / "power_law_1d.report.json").read_text()
+    if edit is not None:
+        doc = json.loads(text)
+        if edit == "coeff":
+            doc["solve"]["report"]["pairs"][0]["coeffs"][0] += 1e-9
+        else:
+            doc["solve"]["meets_expected"] = not doc["solve"]["meets_expected"]
+        text = json.dumps(doc, indent=2)
+    (tmp_path / "power_law_1d.report.json").write_text(text)
+    script = runpy.run_path(str(SCRIPTS / "golden_diff.py"))
+    monkeypatch.setattr(sys, "argv", ["golden_diff.py", "--golden-dir", str(tmp_path)])
+    assert script["main"]() == status
+    assert shown in capsys.readouterr().out

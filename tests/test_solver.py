@@ -17,7 +17,6 @@ from fixpairs import (
     circle_seeds,
     descend,
     find_pairs,
-    inner,
     quadratic_form_margin,
 )
 from fixpairs import space as space_mod

@@ -5,15 +5,14 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.integrate import quad
 
+from basis_reference import fold, full_table, max_rel
 from fixpairs import (
-    GridSample,
     H1Vector,
     SpaceConfig,
     basis_vector,
     evaluate,
     inner,
     l2_norm_sq,
-    project,
 )
 from fixpairs import space as space_mod
 from fixpairs.space import (
@@ -22,8 +21,6 @@ from fixpairs.space import (
     moments,
     profiles,
     quadrature_grid,
-    sample_function,
-    sample_vector,
 )
 
 
@@ -96,24 +93,22 @@ def test_poincare_inequality_bulk(rng):
     assert np.all(l2 <= h1 / np.pi**2 + 1e-12)
 
 
-def test_project_reproduces_basis(space32):
-    sample = sample_vector(basis_vector(1, 32), space32)
-    c = project(sample, space32).coeffs
-    assert abs(c[0] - 1.0) <= 1e-10
-    assert np.max(np.abs(c[1:])) <= 1e-10
+def h1_projection(folded, cfg):
+    """(k pi)^2 int g e_k for B folded rows of g: the H1_0 projection of g.
 
-
-def test_project_zero(space32):
-    nodes, weights = quadrature_grid(space32)
-    sample = GridSample(nodes=nodes, weights=weights, values=np.zeros_like(nodes))
-    assert project(sample, space32).norm() == 0.0
+    Integration by parts under Dirichlet conditions turns the H1_0 inner
+    product with e_k into this L2 moment, so no grid data is differentiated.
+    """
+    ks = np.arange(1, cfg.n_modes + 1)
+    _, folded_weights = folded_grid(cfg)
+    return (ks * np.pi) ** 2 * moments(folded_weights[:, None, :] * folded, cfg)
 
 
 def test_project_parabola_matches_sine_series(space32):
     # analytic coefficients of t(1-t): the plain sine series has
     # 8/(k pi)^3 on odd k, so in this basis c_k = 4*sqrt(2)/(k pi)^2
-    sample = sample_function(lambda t: t * (1.0 - t), space32)
-    c = project(sample, space32).coeffs
+    folded_nodes, _ = folded_grid(space32)
+    c = h1_projection((folded_nodes * (1.0 - folded_nodes))[:, None, :], space32)[0]
     ks = np.arange(1, 33)
     expected = np.where(ks % 2 == 1, 4.0 * np.sqrt(2.0) / (ks * np.pi) ** 2, 0.0)
     # independent quadrature oracle for the first few coefficients
@@ -124,39 +119,21 @@ def test_project_parabola_matches_sine_series(space32):
     assert np.max(np.abs(c - expected)) <= 1e-10
 
 
-def test_project_grid_mismatch(space32):
-    other = SpaceConfig(n_modes=32, quad_nodes=8, n_panels=8)
-    sample = sample_function(lambda t: t, other)
-    with pytest.raises(ValueError):
-        project(sample, space32)
-
-
 @pytest.mark.parametrize("cfg", [SpaceConfig(32, 8, 16), SpaceConfig()])
 def test_roundtrip_band_limited(cfg, rng):
-    # 1e-8 already holds at the coarsest supported rule (8 nodes, 16 panels)
-    for _ in range(10):
-        c = np.zeros(32)
-        c[:16] = rng.standard_normal(16)
-        u = H1Vector(c)
-        back = project(sample_vector(u, cfg), cfg)
-        assert (back - u).norm() <= 1e-8
-
-
-def full_table(cfg):
-    """The basis tabulated on every grid node, without the fold."""
-    nodes, _ = quadrature_grid(cfg)
-    ks = np.arange(1, cfg.n_modes + 1)
-    return np.sqrt(2.0) * np.sin(np.outer(nodes, ks) * np.pi) / (ks * np.pi)
-
-
-def fold(values):
-    """Grid values (..., N) as (2, ..., half): the left half and the mirrors."""
-    m = (values.shape[-1] + 1) // 2
-    return np.stack([values[..., :m], values[..., ::-1][..., :m]])
-
-
-def max_rel(got, ref):
-    return float(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
+    # synthesis, then the H1_0 projection, gives back a band-limited u; 1e-8
+    # already holds at the coarsest supported rule (8 nodes, 16 panels)
+    c = np.zeros((10, 32))
+    c[:, :16] = rng.standard_normal((10, 16))
+    back = h1_projection(profiles(c, cfg), cfg)
+    assert np.max(np.linalg.norm(back - c, axis=1)) <= 1e-8
+    # e1 coefficient by coefficient: 1e-10 at the default rule, while the
+    # coarse rule aliases it onto e31 at 2.7e-9
+    tol = 1e-10 if cfg == SpaceConfig() else 1e-8
+    e1 = basis_vector(1, 32).coeffs
+    back = h1_projection(profiles(e1[None, :], cfg), cfg)[0]
+    assert abs(back[0] - 1.0) <= tol
+    assert np.max(np.abs(back[1:])) <= tol
 
 
 FOLD_SPACES = [
@@ -174,7 +151,8 @@ FOLD_SPACES = [
 @pytest.mark.parametrize("cfg", FOLD_SPACES, ids=lambda c: f"{c.n_modes}x{c.quad_nodes * c.n_panels}")
 def test_folded_products_match_the_full_table(cfg, rng):
     # the full-table products E c and E^T (w g) are the reference for the
-    # half-table products, the full view basis_matrix for the table itself
+    # half-table products, and the full table for basis_matrix, the half
+    # table unfolded; no other test calls basis_matrix
     full = full_table(cfg)
     nodes, weights = quadrature_grid(cfg)
     try:
@@ -185,14 +163,6 @@ def test_folded_products_match_the_full_table(cfg, rng):
         folded_nodes, folded_weights = folded_grid(cfg)
         weighted = folded_weights[:, None, :] * fold(values)
         assert max_rel(moments(weighted, cfg), (values * weights) @ full) <= 1e-14
-        u = H1Vector(coeffs[0])
-        assert max_rel(sample_vector(u, cfg).values, full @ u.coeffs) <= 1e-14
-        # project scales moment k by (k pi)^2, which would amplify the
-        # rounding of the high moments alike with either table
-        sample = GridSample(nodes=nodes, weights=weights, values=values[0])
-        ks = np.arange(1, cfg.n_modes + 1)
-        projected = project(sample, cfg).coeffs / (ks * np.pi) ** 2
-        assert max_rel(projected, (weights * values[0]) @ full) <= 1e-14
     finally:
         if cfg.n_modes == 1280:
             space_mod._half_basis.cache_clear()
@@ -243,10 +213,6 @@ def test_grid_sample_invariants(space32):
     assert abs(weights.sum() - 1.0) <= 1e-14
     assert np.all(np.diff(nodes) > 0)
     assert nodes[0] > 0.0 and nodes[-1] < 1.0
-    with pytest.raises(ValueError):
-        GridSample(nodes=nodes, weights=-weights, values=np.zeros_like(nodes))
-    with pytest.raises(ValueError):
-        GridSample(nodes=nodes[::-1], weights=weights, values=np.zeros_like(nodes))
 
 
 def test_space_config_validation():

@@ -38,7 +38,16 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .hypotheses import FAIL, SAMPLED_PASS, STRICT_TOL, PASS, HypothesisReport, _open_grid
 from .operators import LinearOperatorSpec, PotentialOperatorSpec
-from .space import SpaceConfig, folded_grid, gauss_rule, moments, profiles, quadrature_grid
+from .space import (
+    SpaceConfig,
+    folded_grid,
+    gauss_rule,
+    moments,
+    panel_analysis,
+    panel_phases,
+    profiles,
+    quadrature_grid,
+)
 
 __all__ = [
     "Nonlinearity",
@@ -139,12 +148,15 @@ def bvp_operator(nl: Nonlinearity, cfg: SpaceConfig, odd: bool = True) -> Potent
     nodes, weights = folded_grid(cfg)
     # (2, 1, half) views that broadcast against (2, B, half) folded profiles
     nodes_b, weights_b = nodes[:, None, :], weights[:, None, :]
+    # the phases of the panel transform, which one-row products take on
+    # large grids (space.profiles)
+    phases = panel_phases(cfg, cfg.n_modes + 1)
 
     def synthesize(folded: np.ndarray) -> np.ndarray:
-        return moments(nl.f(nodes_b, folded) * weights_b, cfg)
+        return moments(nl.f(nodes_b, folded) * weights_b, cfg, phases)
 
     def apply_batch(stacked: np.ndarray) -> np.ndarray:
-        return synthesize(profiles(stacked, cfg))
+        return synthesize(profiles(stacked, cfg, phases))
 
     def odd_at(stacked: np.ndarray) -> bool:
         # profiles, the weights and moments are linear, and each of their
@@ -166,7 +178,7 @@ def bvp_operator(nl: Nonlinearity, cfg: SpaceConfig, odd: bool = True) -> Potent
         if key != last[0]:
             # the same one-row synthesis as apply_batch, so that the apply
             # below matches it bit for bit
-            last[0], last[1] = key, profiles(c[None, :], cfg)
+            last[0], last[1] = key, profiles(c[None, :], cfg, phases)
         return last[1]
 
     def apply_coeffs(c: np.ndarray) -> np.ndarray:
@@ -208,13 +220,15 @@ def b_matrix(a1: Callable[[np.ndarray], np.ndarray], cfg: SpaceConfig) -> Linear
         B_kl = (C_|k-l| - C_(k+l)) / (k l pi^2),   C_j = int a1 cos(j pi t) dt,
 
     a Toeplitz-minus-Hankel matrix built from the 2n+1 cosine moments of a1
-    on the quadrature grid.  It is symmetric bit for bit, and its assembly
-    costs O(N sqrt(n) + n^2) for N grid nodes instead of a weighted Gram
+    on the quadrature grid, the real parts of one space.panel_analysis.  It
+    is symmetric bit for bit, and its assembly costs
+    O(quad_nodes n_panels log n_panels + n^2) instead of a weighted Gram
     product of the N x n basis.
     """
     nodes, weights = quadrature_grid(cfg)
     n = cfg.n_modes
-    c = _cosine_moments(weights * np.asarray(a1(nodes), dtype=float), nodes, 2 * n + 1)
+    g = weights * np.asarray(a1(nodes), dtype=float)
+    c = panel_analysis(g[None, :], cfg, panel_phases(cfg, 2 * n + 1))[0].real
     # window views: toeplitz[k, l] = c[|k - l|], hankel[k, l] = c[k + l + 2]
     toeplitz = sliding_window_view(np.concatenate([c[n - 1 : 0 : -1], c[:n]]), n)[::-1]
     hankel = sliding_window_view(c[2:], n)
@@ -222,20 +236,6 @@ def b_matrix(a1: Callable[[np.ndarray], np.ndarray], cfg: SpaceConfig) -> Linear
     kpi = np.arange(1, n + 1) * np.pi
     m /= np.outer(kpi, kpi)
     return LinearOperatorSpec(matrix=m)
-
-
-def _cosine_moments(g: np.ndarray, nodes: np.ndarray, count: int) -> np.ndarray:
-    """sum_i g_i cos(j pi t_i) for j < count, without a nodes x count table.
-
-    With b = ceil(sqrt(count)) and j = lo + b hi, exp(i j pi t) factors into
-    exp(i lo pi t) exp(i b hi pi t), so the moments are the real part of one
-    (b x N)(N x b) complex product.
-    """
-    b = math.isqrt(count - 1) + 1
-    theta = np.pi * nodes
-    low = g * np.exp(1j * np.outer(np.arange(b), theta))
-    high = np.exp(1j * np.outer(b * np.arange(b), theta))
-    return (low @ high.T).real.ravel(order="F")[:count]
 
 
 # ---------------------------------------------------------------------------

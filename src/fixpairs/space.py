@@ -29,6 +29,31 @@ both rows with half its weight each (folded_grid).  One product per
 direction goes through the half table, with every grid row stacked with its
 mirror: profiles synthesizes [c; d c] and moments analyses the stacked rows
 and adds them as y_left + d y_right.
+
+The grid also has a panel structure, t = (p + y_q) / P for panel p < P and
+Gauss node y_q, so every sum over it of g_i exp(i pi j t_i) splits into
+quad_nodes FFTs of length 2P over p, read at bin j mod 2P, each followed by
+the phase exp(i pi j y_q / P).  panel_analysis computes these sums for
+j < count in O(quad_nodes P log P + quad_nodes count) with numpy.fft alone
+(no BLAS call, so its bytes do not depend on the BLAS thread count), and
+panel_synthesis is the same product the other way; e_k(t) is the imaginary
+part of exp(i pi k t) times sqrt(2) / (k pi).  profiles and moments take the
+transform for a product of one row when the half table is larger than
+_TRANSFORM_ABOVE_BYTES (2 MiB) and the table otherwise.  A batch of rows
+is one BLAS-3 product, which beats quad_nodes FFTs a row at the checkers'
+batch sizes (48 to 100 rows): a synthesis and an analysis of 64 rows took
+2.8 ms through the table and 9.1 ms through the transform at 320 modes,
+45 and 63 ms at 1,280.  Medians per one-row call on 2 shared vCPUs with
+2 OpenBLAS threads, table -> transform:
+
+    modes x nodes   half table   profiles           moments
+       32 x   256     0.03 MiB     7.4 -> 35 us       7.4 -> 38 us
+      160 x 1,024      0.6 MiB      20 -> 45 us        20 -> 51 us
+      320 x 2,048      2.5 MiB     208 -> 64 us       122 -> 64 us
+    1,280 x 8,192       40 MiB   2,068 -> 230 us    1,807 -> 270 us
+
+Both ways are linear and every rounding in them flips sign with its input,
+so a product of -c is the negation of the product of c bit for bit.
 """
 
 from __future__ import annotations
@@ -49,6 +74,9 @@ __all__ = [
     "inner",
     "l2_norm_sq",
     "moments",
+    "panel_analysis",
+    "panel_phases",
+    "panel_synthesis",
     "profiles",
     "quadrature_grid",
 ]
@@ -147,12 +175,11 @@ def _half(n_nodes: int) -> int:
 def _half_basis(n_modes: int, quad_nodes: int, n_panels: int) -> np.ndarray:
     """E_h[i, k] = e_(k+1)(t_i) on the left half of the grid."""
     nodes, _ = gauss_rule(quad_nodes, n_panels)
-    ks = np.arange(1, n_modes + 1)
     # built in place: one half-grid x n table at a time
-    mat = np.outer(nodes[: _half(nodes.size)], ks)
+    mat = np.outer(nodes[: _half(nodes.size)], np.arange(1, n_modes + 1))
     mat *= np.pi
     np.sin(mat, out=mat)
-    mat *= np.sqrt(2.0) / (ks * np.pi)
+    mat *= _scales(n_modes)
     mat.flags.writeable = False
     return mat
 
@@ -200,27 +227,109 @@ def folded_grid(cfg: SpaceConfig) -> tuple[np.ndarray, np.ndarray]:
     return folded_nodes, folded_weights
 
 
-def profiles(coeffs: np.ndarray, cfg: SpaceConfig) -> np.ndarray:
+# one-row products take the panel transform above this half-table size
+_TRANSFORM_ABOVE_BYTES = 2 * 2**20
+
+
+def _by_transform(rows: int, cfg: SpaceConfig) -> bool:
+    """Whether a product of this many rows takes the panel transform."""
+    table_bytes = 8 * _half(cfg.quad_nodes * cfg.n_panels) * cfg.n_modes
+    return rows == 1 and table_bytes > _TRANSFORM_ABOVE_BYTES
+
+
+def _scales(n_modes: int) -> np.ndarray:
+    """sqrt(2) / (k pi) for k = 1..n_modes, the amplitudes of the basis."""
+    ks = np.arange(1, n_modes + 1)
+    return np.sqrt(2.0) / (ks * np.pi)
+
+
+def panel_phases(cfg: SpaceConfig, count: int) -> np.ndarray:
+    """(count, quad_nodes) table of exp(i pi j y_q / n_panels) for j < count."""
+    y, _ = gauss_rule(cfg.quad_nodes)
+    phases = np.outer(np.arange(count), y) * (1j * np.pi / cfg.n_panels)
+    return np.exp(phases, out=phases)
+
+
+def panel_analysis(values: np.ndarray, cfg: SpaceConfig, phases: np.ndarray) -> np.ndarray:
+    """sum_i g(t_i) exp(i pi j t_i) over the grid for each of B rows of g.
+
+    values is (B, N) real, in grid order; phases is panel_phases(cfg, count)
+    and the result is (B, count) complex.  For t = (p + y_q) / P the sum over
+    p is an FFT of length 2P read at bin j mod 2P, so a count above 2P folds
+    the bins.
+    """
+    b = values.shape[0]
+    count, quad_nodes = phases.shape
+    width = 2 * cfg.n_panels
+    # one unscaled inverse FFT per Gauss node, read as (B, 2P, quad_nodes)
+    spectra = np.fft.ifft(
+        values.reshape(b, -1, quad_nodes).transpose(0, 2, 1), n=width, norm="forward"
+    ).transpose(0, 2, 1)
+    bins = spectra[:, :count] if count <= width else spectra[:, np.arange(count) % width]
+    bins *= phases
+    return bins.sum(axis=-1)
+
+
+def panel_synthesis(amplitudes: np.ndarray, cfg: SpaceConfig, phases: np.ndarray) -> np.ndarray:
+    """sum_j a_j exp(i pi j t_i) at every grid node for each of B rows of a.
+
+    amplitudes is (B, count) real and phases is panel_phases(cfg, count); the
+    result is (B, N) complex, in grid order: the transpose of panel_analysis.
+    """
+    b, count = amplitudes.shape
+    quad_nodes = phases.shape[1]
+    width = 2 * cfg.n_panels
+    terms = amplitudes[:, :, None] * phases
+    if count > width:  # fold the bins modulo 2P
+        pad = np.zeros((b, -count % width, quad_nodes), dtype=terms.dtype)
+        terms = np.concatenate([terms, pad], axis=1).reshape(b, -1, width, quad_nodes).sum(axis=1)
+    values = np.fft.ifft(terms.transpose(0, 2, 1), n=width, norm="forward")[..., : cfg.n_panels]
+    return values.transpose(0, 2, 1).reshape(b, -1)
+
+
+def profiles(coeffs: np.ndarray, cfg: SpaceConfig, phases: np.ndarray | None = None) -> np.ndarray:
     """Folded grid values of the functions whose coefficient rows are coeffs.
 
     coeffs is (B, n_modes); the result is (2, B, half), from the one
-    product [c; d c] E_h^T.
+    product [c; d c] E_h^T, or for one row above the crossover from
+    panel_synthesis.  phases, panel_phases(cfg, n_modes + 1), spares the
+    transform building its own.
     """
-    stacked = (coeffs * _signs(cfg.n_modes)).reshape(-1, cfg.n_modes)
-    values = stacked @ _half_basis(cfg.n_modes, cfg.quad_nodes, cfg.n_panels).T
+    n = cfg.n_modes
+    if _by_transform(coeffs.shape[0], cfg):
+        if phases is None:
+            phases = panel_phases(cfg, n + 1)
+        amplitudes = np.zeros((1, n + 1))
+        amplitudes[:, 1:] = coeffs * _scales(n)
+        return _fold(panel_synthesis(amplitudes, cfg, phases).imag)
+    stacked = (coeffs * _signs(n)).reshape(-1, n)
+    values = stacked @ _half_basis(n, cfg.quad_nodes, cfg.n_panels).T
     return values.reshape(2, coeffs.shape[0], -1)
 
 
-def moments(folded: np.ndarray, cfg: SpaceConfig) -> np.ndarray:
+def moments(folded: np.ndarray, cfg: SpaceConfig, phases: np.ndarray | None = None) -> np.ndarray:
     """sum_i g(t_i) e_k(t_i) over the grid for each of B folded rows of g.
 
     folded is (2, B, half), with any quadrature weights applied; the result
-    is (B, n_modes), from the one product of the stacked rows with E_h.
+    is (B, n_modes), from the one product of the stacked rows with E_h, or
+    for one row above the crossover from panel_analysis.  phases is as for
+    profiles.
     """
+    n = cfg.n_modes
     b = folded.shape[1]
-    y = folded.reshape(2 * b, -1) @ _half_basis(cfg.n_modes, cfg.quad_nodes, cfg.n_panels)
+    if _by_transform(b, cfg):
+        if phases is None:
+            phases = panel_phases(cfg, n + 1)
+        n_nodes = cfg.quad_nodes * cfg.n_panels
+        half = folded.shape[-1]
+        # grid order; a middle node gets the sum of its two halves
+        values = np.zeros((b, n_nodes))
+        values[:, :half] = folded[0]
+        values[:, n_nodes - half :] += folded[1, :, ::-1]
+        return panel_analysis(values, cfg, phases).imag[:, 1:] * _scales(n)
+    y = folded.reshape(2 * b, -1) @ _half_basis(n, cfg.quad_nodes, cfg.n_panels)
     y = y.reshape(2, b, -1)
-    y[1] *= _signs(cfg.n_modes)[1]
+    y[1] *= _signs(n)[1]
     y[0] += y[1]  # y_left + d y_right
     return y[0]
 

@@ -171,9 +171,9 @@ def test_oddness_shortcut_keeps_the_sampled_verdict(monkeypatch, case, cfg):
     rows = []
     moments = bvp.moments
 
-    def counted(folded, c):
+    def counted(folded, *args):
         rows.append(folded.shape[1])
-        return moments(folded, c)
+        return moments(folded, *args)
 
     monkeypatch.setattr(bvp, "moments", counted)
     assert _oddness_verdict(lambda: bvp.bvp_operator(nl, cfg)) is odd
@@ -231,7 +231,9 @@ _A1_WEIGHTS = {
 }
 
 
-@pytest.mark.parametrize("n_modes", [1, 2, 32, 320])
+# 80 modes on 32 panels: n_modes above 2 n_panels, so even the first n + 1
+# of the 2n + 1 cosine moments fold onto the 64 bins of the panel transform
+@pytest.mark.parametrize("n_modes", [1, 2, 32, 80, 320])
 @pytest.mark.parametrize("a1", sorted(_A1_WEIGHTS))
 def test_b_matrix_matches_weighted_gram(a1, n_modes):
     # the cosine-moment assembly against the explicit E^T diag(w a1) E

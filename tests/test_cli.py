@@ -5,6 +5,7 @@ import runpy
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -22,11 +23,12 @@ from fixpairs.problems import (
     ProblemSetup,
     _check_checker_rows,
     _check_table_sizes,
+    _panel_transform_bytes,
     load_problem,
     parse_config,
 )
 from fixpairs.solver import SolverConfig
-from fixpairs.space import SpaceConfig
+from fixpairs.space import SpaceConfig, gauss_rule, panel_analysis, panel_phases, quadrature_grid
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -253,6 +255,19 @@ def test_size_guard_applies_to_the_built_space():
     _check_table_sizes("bvp", wide, "one_pair", 1, HypothesisParams(n_s=10))
     with pytest.raises(ConfigError, match=r"basis table needs 1\.9 GiB"):
         _check_table_sizes("bvp", replace(wide, n_panels=200000), "one_pair", 1, HypothesisParams(n_s=10))
+    # the panel transform row bounds b_matrix's transform as tracemalloc sees
+    # it: 2,561 bins folded onto 2,048, and 201 bins on 2,000 unfolded
+    for cfg in (SpaceConfig(1280, 8, 1024), SpaceConfig(100, 8, 1000)):
+        nodes, weights = quadrature_grid(cfg)
+        gauss_rule(cfg.quad_nodes)  # cached on first use
+        tracemalloc.start()
+        try:
+            g = weights * (1.0 + nodes)
+            panel_analysis(g[None, :], cfg, panel_phases(cfg, 2 * cfg.n_modes + 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.5 * _panel_transform_bytes(cfg) <= peak <= _panel_transform_bytes(cfg)
 
 
 def test_size_guard_counts_the_h2_prime_chunk_and_circle():

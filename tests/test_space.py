@@ -19,6 +19,9 @@ from fixpairs.space import (
     basis_matrix,
     folded_grid,
     moments,
+    panel_analysis,
+    panel_phases,
+    panel_synthesis,
     profiles,
     quadrature_grid,
 )
@@ -166,6 +169,90 @@ def test_folded_products_match_the_full_table(cfg, rng):
     finally:
         if cfg.n_modes == 1280:
             space_mod._half_basis.cache_clear()
+
+
+PANEL_SPACES = [
+    SpaceConfig(1, 2, 1),  # one mode
+    SpaceConfig(2, 3, 1),  # two modes; 3 nodes, a middle node
+    SpaceConfig(2, 4, 3),  # two modes; 12 nodes, none in the middle
+    SpaceConfig(8, 3, 5),  # 15 nodes, a middle node
+    SpaceConfig(32, 8, 32),
+    # n_modes above 2 n_panels: the bins fold modulo 2 n_panels
+    SpaceConfig(12, 4, 2),
+    SpaceConfig(40, 3, 5),
+]
+
+
+@pytest.mark.parametrize("cfg", PANEL_SPACES, ids=lambda c: f"{c.n_modes}x{c.quad_nodes}x{c.n_panels}")
+def test_panel_transform_matches_the_full_table(cfg, rng):
+    # the transform by itself, not through the row and size switch of
+    # profiles and moments: its sine part against the full table, and every
+    # bin, cosines included, against the exponentials on every node
+    n = cfg.n_modes
+    full = full_table(cfg)
+    nodes, _ = quadrature_grid(cfg)
+    scales = np.sqrt(2.0) / (np.arange(1, n + 1) * np.pi)
+    values = rng.standard_normal((3, nodes.size))
+    coeffs = rng.standard_normal((3, n))
+    amplitudes = np.zeros((3, n + 1))
+    amplitudes[:, 1:] = coeffs * scales
+    phases = panel_phases(cfg, n + 1)
+    analysed = panel_analysis(values, cfg, phases)
+    synthesized = panel_synthesis(amplitudes, cfg, phases)
+    assert max_rel(analysed.imag[:, 1:] * scales, values @ full) <= 1e-13
+    assert max_rel(synthesized.imag, coeffs @ full.T) <= 1e-13
+    # 2n + 1 bins, as b_matrix reads them, fold above 2 n_panels
+    count = 2 * n + 1
+    exponentials = np.exp(1j * np.pi * np.outer(nodes, np.arange(count)))
+    wide = panel_phases(cfg, count)
+    assert max_rel(panel_analysis(values, cfg, wide), values @ exponentials) <= 1e-13
+    wide_amplitudes = rng.standard_normal((3, count))
+    assert max_rel(panel_synthesis(wide_amplitudes, cfg, wide), wide_amplitudes @ exponentials.T) <= 1e-13
+    # T(-x) == -T(x) bit for bit, both ways
+    assert np.array_equal(panel_analysis(-values, cfg, phases), -analysed)
+    assert np.array_equal(panel_synthesis(-amplitudes, cfg, phases), -synthesized)
+    assert np.array_equal(panel_analysis(-values, cfg, wide), -panel_analysis(values, cfg, wide))
+
+
+class _TableRead(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "cfg, transform",
+    [(SpaceConfig(32, 8, 32), False), (SpaceConfig(320, 8, 256), True), (SpaceConfig(1280, 8, 1024), True)],
+    ids=["32", "320", "1280"],
+)
+def test_one_row_products_switch_at_the_crossover(monkeypatch, cfg, transform, rng):
+    # a product of one row takes the panel transform when the half table is
+    # above 2 MiB (320 modes: 2.5 MiB); a batch always takes the table.  A
+    # read of the table stops the product, so no table is built here
+    def table(*args):
+        raise _TableRead
+
+    taken = []
+    monkeypatch.setattr(space_mod, "_half_basis", table)
+    for name in ("panel_analysis", "panel_synthesis"):
+
+        def recorded(*args, _name=name, _original=getattr(space_mod, name)):
+            taken.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(space_mod, name, recorded)
+    coeffs = rng.standard_normal((12, cfg.n_modes))
+    folded = rng.standard_normal((2, 12, (cfg.quad_nodes * cfg.n_panels + 1) // 2))
+    for rows, by_transform in ((1, transform), (2, False), (12, False)):
+        for product, x, name in (
+            (profiles, coeffs[:rows], "panel_synthesis"),
+            (moments, folded[:, :rows], "panel_analysis"),
+        ):
+            taken.clear()
+            try:
+                product(x, cfg)
+                route = taken
+            except _TableRead:
+                route = "table"
+            assert route == ([name] if by_transform else "table")
 
 
 @pytest.mark.parametrize("n_panels", [1, 3, 5])

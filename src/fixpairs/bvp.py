@@ -139,7 +139,9 @@ def bvp_operator(nl: Nonlinearity, cfg: SpaceConfig, odd: bool = True) -> Potent
     The potential is the integral of F(t, u(t)) over the grid, using the
     closed-form antiderivative when the nonlinearity carries one (then the
     discrete gradient equals u - A(u) to rounding) and a 16-point inner
-    Gauss-Legendre rule along the ray otherwise.  Operators built with
+    Gauss-Legendre rule along the ray otherwise.  The forms (A(s u), u) of
+    the ray checks are grid sums of w f(t, s u(t)) u(t), from one synthesis
+    of each ray and no moments (forms_batch).  Operators built with
     odd=True get the sampled oddness validation, which needs one synthesis
     of the sample rows and no moments where f is odd value for value at
     their profiles; pass odd=False for nonlinearities that are not odd in u
@@ -167,6 +169,17 @@ def bvp_operator(nl: Nonlinearity, cfg: SpaceConfig, odd: bool = True) -> Potent
         return bool(np.array_equal(nl.f(nodes_b, -folded), -nl.f(nodes_b, folded)))
 
     apply_batch.odd_at = odd_at  # type: ignore[attr-defined]
+
+    def forms_batch(rays: np.ndarray, s: np.ndarray) -> np.ndarray:
+        # (A(s v), u) = sum_k u_k sum_i w_i f(t_i, v(t_i)) e_k(t_i)
+        #             = sum_i w_i f(t_i, v(t_i)) u(t_i):
+        # one synthesis of the rays and no moments.  The grid sum is numpy's,
+        # along each row's contiguous axis, not a BLAS call, so its bytes do
+        # not depend on the BLAS thread count
+        folded = profiles(rays, cfg, phases)[:, :, None, :]  # (2, k, 1, half)
+        fvals = nl.f(nodes[:, None, None, :], s[:, None] * folded)
+        sums = (fvals * (weights[:, None, None, :] * folded)).sum(axis=-1)
+        return sums[0] + sums[1]
 
     # the grid profile of the last single point: the descent asks for the
     # potential and then the apply at the same point, and both callables are
@@ -207,6 +220,7 @@ def bvp_operator(nl: Nonlinearity, cfg: SpaceConfig, odd: bool = True) -> Potent
         theta=nl.theta,
         potential_coeffs=potential,
         apply_batch=apply_batch,
+        forms_batch=forms_batch,
         label=f"bvp({nl.label})",
     )
 

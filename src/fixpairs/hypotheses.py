@@ -17,7 +17,9 @@ cannot certify an open-set quantifier.  Strict inequalities must clear a
 small strictness tolerance; an exact-zero margin on a strict condition is a
 fail.  Margins are signed distances to violation (positive = satisfied).
 A checker that meets a non-finite value raises OperatorDivergenceError
-instead of reporting it.
+instead of reporting it.  (H2) and (H2)' take their left sides
+(A(s u), u) from the operator's ray_forms, never the images A(s u)
+themselves.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ __all__ = [
 ]
 
 STRICT_TOL = 1e-12
-# cells of one (H2)' operator batch, a row counted as wide as the data it
+# cells of one (H2)' ray_forms call, a row counted as wide as the data it
 # carries: four 256-point angles of a two-mode operator, one angle of
 # sublinear_affine's 64 rows of 256-node grid profiles.  Larger chunks were
 # slower on sublinear_affine, whose profiles then leave the cache
@@ -87,12 +89,12 @@ def _open_grid(n: int) -> np.ndarray:
 
 
 def h2_prime_chunk(n_s: int, row_width: int) -> int:
-    """Circle angles that check_h2_prime applies the operator to at once.
+    """Circle angles that check_h2_prime passes to the operator at once.
 
     As many whole angles as fit in _CHUNK_CELLS cells, and at least one: a
     chunk of n_s-point rays holds chunk * n_s rows of row_width cells each,
     the number of coefficients, or more when the operator carries a wider
-    row through its apply (a bvp row carries its grid profile).
+    row through its forms (a bvp row carries its grid profile).
     """
     return max(1, _CHUNK_CELLS // (n_s * row_width))
 
@@ -101,12 +103,11 @@ def _ray_gaps(A: PotentialOperatorSpec, rays: np.ndarray, forms: np.ndarray, s: 
     """(gaps, lhs, rhs) of (A(s u), u) >= s (B u, u) on the s-grid, one row
     per row u of rays; forms holds the (B u, u).
 
-    All rays go through one apply_many call, and lhs is one stacked product
-    whose slices are the matrix-vector products of a single ray.
+    lhs is one A.ray_forms call for all rays: a bvp operator evaluates it on
+    its grid from one synthesis per ray, any other operator applies A to
+    every scaled row at once.
     """
-    k, n = rays.shape
-    images = A.apply_many((s[None, :, None] * rays[:, None, :]).reshape(k * s.size, n))
-    lhs = (images.reshape(k, s.size, n) @ rays[:, :, None])[..., 0]
+    lhs = A.ray_forms(rays, s)
     rhs = forms[:, None] * s
     gaps = lhs - rhs
     finite = np.isfinite(gaps).all(axis=1)
@@ -234,7 +235,7 @@ def check_h2_prime(
     """(A(s u), u) >= (B2 (s u), u) sampled on the circle and an s-grid.
 
     The circle is swept in chunks of h2_prime_chunk(n_s, row_width) angles,
-    one operator batch each; row_width defaults to A's coefficient count.
+    one ray_forms call each; row_width defaults to A's coefficient count.
     The witness is the first minimum in (angle, s) order, as a scan angle
     by angle finds it.
     """

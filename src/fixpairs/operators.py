@@ -60,10 +60,15 @@ class PotentialOperatorSpec:
     apply_coeffs acts on raw coefficient arrays (the hot path); apply wraps
     it for H1Vector.  apply_batch, when given, maps an (m, n_modes) array of
     stacked inputs to stacked outputs and is used by grid-heavy checks.
-    theta is the declared growth exponent in [0, 1).  Operators flagged odd
-    are validated by sampling at construction rather than trusted; an
-    apply_batch may carry an exact test of its own for that (see
-    _check_oddness).
+    forms_batch, when given, maps k rays u_i and an s-grid to the (k, n_s)
+    forms (A(s_j u_i), u_i), the left sides of the ray conditions, without
+    the images A(s_j u_i) themselves; ray_forms falls back to apply_many
+    without it.  dataclasses.replace keeps forms_batch, so a copy whose
+    apply_batch is substituted must pass forms_batch=None or forms of its
+    own to have them follow the new apply.  theta is the declared growth
+    exponent in [0, 1).  Operators flagged odd are validated by sampling at
+    construction rather than trusted; an apply_batch may carry an exact
+    test of its own for that (see _check_oddness).
     """
 
     n_modes: int
@@ -72,6 +77,7 @@ class PotentialOperatorSpec:
     theta: float = 0.0
     potential_coeffs: Callable[[np.ndarray], float] | None = None
     apply_batch: Callable[[np.ndarray], np.ndarray] | None = None
+    forms_batch: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     label: str = "operator"
 
     def __post_init__(self) -> None:
@@ -91,6 +97,19 @@ class PotentialOperatorSpec:
         if self.apply_batch is not None:
             return self.apply_batch(stacked)
         return np.stack([self.apply_coeffs(row) for row in stacked])
+
+    def ray_forms(self, rays: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """F[i, j] = (A(s_j u_i), u_i) for the (k, n_modes) rays u_i, as (k, s.size).
+
+        Through forms_batch when given; otherwise one apply_many of the k
+        * s.size scaled rows, and one stacked product whose slices are the
+        matrix-vector products of a single ray.
+        """
+        if self.forms_batch is not None:
+            return self.forms_batch(rays, s)
+        k, n = rays.shape
+        images = self.apply_many((s[None, :, None] * rays[:, None, :]).reshape(k * s.size, n))
+        return (images.reshape(k, s.size, n) @ rays[:, :, None])[..., 0]
 
 
 def _oddness_samples(n_modes: int) -> np.ndarray:
@@ -214,9 +233,7 @@ def avez_potential(A: PotentialOperatorSpec, u: H1Vector, s_order: int = 16) -> 
     if s_order < 2:
         raise ValueError("s_order must be >= 2")
     s, w = gauss_rule(s_order)
-    c = u.coeffs
-    images = A.apply_many(s[:, None] * c[None, :])
-    return float(w @ (images @ c))
+    return float(w @ A.ray_forms(u.coeffs[None, :], s)[0])
 
 
 def energy_coeffs(A: PotentialOperatorSpec, c: np.ndarray) -> float:

@@ -220,12 +220,12 @@ def _check_table_sizes(
     finiteness mask and one 0.5 MiB tile of the symmetry check, under a byte
     an entry from 725 modes up; tracemalloc measures 17.2 n^2 at 1,000
     modes and 17.0 n^2 at 3,000) and n_seeds seed vectors; the checkers
-    apply the operator to n_s rows at once in (H2), to
+    take the forms of n_s scaled rows at once in (H2), of
     h2_prime_chunk(n_s, row_width) angles of n_s rows at once in (H2)',
     which also holds all n_angle circle points (two such tables at the
-    peak, measured with tracemalloc), and to all len(growth_radii) x
-    dirs_per_radius rows of (H) in one batch, and `eigen` builds
-    eigen_n-long finite-difference vectors.
+    peak, measured with tracemalloc), and apply the operator to all
+    len(growth_radii) x dirs_per_radius rows of (H) in one batch, and
+    `eigen` builds eigen_n-long finite-difference vectors.
     bvp also tabulates the basis on the left half of the quadrature grid
     (space.profiles and space.moments fold the right half onto it), the
     Gauss-Legendre companion matrix of quad_nodes, the panel transform of

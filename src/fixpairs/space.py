@@ -40,8 +40,10 @@ panel_synthesis is the same product the other way; e_k(t) is the imaginary
 part of exp(i pi k t) times sqrt(2) / (k pi).  profiles and moments take the
 transform for a product of one row when the half table is larger than
 _TRANSFORM_ABOVE_BYTES (2 MiB) and the table otherwise.  A batch of rows
-is one BLAS-3 product, which beats quad_nodes FFTs a row at the checkers'
-batch sizes (48 to 100 rows): a synthesis and an analysis of 64 rows took
+is one BLAS-3 product, which beats quad_nodes FFTs a row at the two batch
+sizes left, the 48 rows of (H) and the 100 of the oddness check (the ray
+checks sum their forms on the grid from one synthesis of each ray and no
+analysis, bvp.bvp_operator): a synthesis and an analysis of 64 rows took
 2.8 ms through the table and 9.1 ms through the transform at 320 modes,
 45 and 63 ms at 1,280.  Medians per one-row call on 2 shared vCPUs with
 2 OpenBLAS threads, table -> transform:

@@ -9,7 +9,19 @@ no code with the half table.
 
 import numpy as np
 
-from fixpairs.space import quadrature_grid
+from fixpairs.space import SpaceConfig, quadrature_grid
+
+# spaces whose products are checked against the full table
+FOLD_SPACES = [
+    SpaceConfig(32, 8, 32),
+    SpaceConfig(320, 8, 256),
+    SpaceConfig(1280, 8, 1024),
+    SpaceConfig(1, 3, 1),  # one mode
+    # odd node counts: a middle node at t = 1/2, mirrored onto itself
+    SpaceConfig(8, 3, 1),
+    SpaceConfig(8, 3, 3),
+    SpaceConfig(8, 3, 5),
+]
 
 
 def full_table(cfg):

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -9,12 +10,15 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from basis_reference import full_table
+from basis_reference import FOLD_SPACES, full_table
 from fixpairs import (
     H1Vector,
+    LinearOperatorSpec,
+    OperatorDivergenceError,
     SpaceConfig,
     avez_potential,
     basis_vector,
+    check_h2,
     evaluate,
     fd_gradient_check,
     functional_J,
@@ -317,6 +321,57 @@ def test_profile_cache_keeps_apply_bitwise(n_modes, n_panels, rng):
     finally:
         if n_modes == 1280:
             space_mod._half_basis.cache_clear()
+
+
+_FAMILIES = {
+    "sublinear": bvp.sublinear_affine(),
+    "power": bvp.power_nonlinearity(),
+    "linear": bvp.linear_nonlinearity(5.0),
+    "zero": bvp.zero_nonlinearity(),
+}
+# the FOLD_SPACES grids with 1 and 2 modes (even and odd node counts), and
+# 320 modes on 2,048 nodes, where a one-ray synthesis takes the transform
+_FORM_SPACES = [
+    SpaceConfig(n_modes, quad_nodes, n_panels)
+    for quad_nodes, n_panels in dict.fromkeys((c.quad_nodes, c.n_panels) for c in FOLD_SPACES)
+    for n_modes in (1, 2)
+] + [SpaceConfig(320, 8, 256)]
+
+
+@pytest.mark.parametrize("cfg", _FORM_SPACES, ids=lambda c: f"{c.n_modes}x{c.quad_nodes * c.n_panels}")
+@pytest.mark.parametrize("family", sorted(_FAMILIES))
+def test_ray_forms_match_the_apply_route(family, cfg, rng):
+    # the grid forms sum w f(t, s p) p against the images of the scaled
+    # rows dotted with the rays, for one ray and for three
+    op = bvp.bvp_operator(_FAMILIES[family], cfg)
+    assert op.forms_batch is not None
+    assert space_mod._by_transform(1, cfg) is (cfg.n_modes == 320)
+    s = np.arange(1, 65) / 65.0
+    for k in (1, 3):
+        rays = rng.standard_normal((k, cfg.n_modes)) / np.arange(1, cfg.n_modes + 1)
+        forms = op.ray_forms(rays, s)
+        images = op.apply_many((s[None, :, None] * rays[:, None, :]).reshape(k * s.size, -1))
+        reference = np.einsum("ksn,kn->ks", images.reshape(k, s.size, -1), rays)
+        assert forms.shape == (k, s.size)
+        if family == "zero":
+            assert not forms.any() and not reference.any()
+        else:
+            assert np.max(np.abs(forms - reference)) <= 1e-13 * np.max(np.abs(reference))
+
+
+@pytest.mark.parametrize("cfg", [SpaceConfig(), SpaceConfig(320, 8, 256)], ids=["32", "320"])
+def test_bvp_h2_overflow_raises_quietly(cfg):
+    # sinh(5000 u) overflows where s u(t) passes about 0.14, so the grid
+    # forms of the larger s are infinite; (H2) raises, and numpy warns of
+    # nothing on the way (the table synthesis at 32 modes, the transform
+    # at 320)
+    nl = _plain_nl(lambda t, u: np.sinh(5000.0 * u), "sinh")
+    op = bvp.bvp_operator(nl, cfg, odd=False)
+    b = LinearOperatorSpec.scaled_identity(1.0, cfg.n_modes)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OperatorDivergenceError, match=r"max \|u_k\| = 5\.000e-01"):
+            check_h2(op, b, basis_vector(1, cfg.n_modes), r1=0.5)
 
 
 def test_b_self_adjoint(space32, sublinear_nl, rng):

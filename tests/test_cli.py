@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fixpairs import bvp
+from fixpairs import bvp, cli
 from fixpairs.cli import main
 from fixpairs.problems import (
     _SCHEMA,
@@ -460,6 +460,18 @@ def test_reports_byte_stable(problem, code, tmp_path):
         assert run("check", "--problem", str(PROBLEMS / f"{problem}.cfg"), "--output", str(out)) == 0
         golden = GOLDEN / f"{problem}.check.json"
     assert out.read_bytes() == golden.read_bytes()
+
+
+@pytest.mark.parametrize("problem", ["bvp_sqrt", "sublinear_affine"])
+def test_a_wrapped_apply_batch_keeps_the_check_bytes(problem):
+    # a traced copy wraps apply_batch through dataclasses.replace; the
+    # operator's forms_batch rides along, and the check prints the same bytes
+    setup = load_problem(PROBLEMS / f"{problem}.cfg")
+    batch = setup.operator.apply_batch
+    wrapped = replace(setup.operator, apply_batch=lambda stacked: batch(stacked))
+    assert wrapped.forms_batch is setup.operator.forms_batch is not None
+    plain = cli._json_text(cli.run_check(setup))
+    assert cli._json_text(cli.run_check(replace(setup, operator=wrapped))) == plain
 
 
 def test_solve_csv_profiles(tmp_path):

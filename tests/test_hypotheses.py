@@ -216,7 +216,8 @@ def test_h2_prime_superlinear_excess_passes():
 
 def _h2_prime_by_angle(A, B2, e2, e3, r2, n_angle, n_s):
     """(margin, witness) of (H2)' scanned one angle at a time: the first
-    minimum in (angle, s) order, with a strict < between angles."""
+    minimum in (angle, s) order, with a strict < between angles.  Each
+    angle's forms come from a ray_forms call of that one ray."""
     a = e2.coeffs / np.linalg.norm(e2.coeffs)
     b = e3.coeffs - np.dot(a, e3.coeffs) * a
     b = b / np.linalg.norm(b)
@@ -224,7 +225,7 @@ def _h2_prime_by_angle(A, B2, e2, e3, r2, n_angle, n_s):
     margin, witness = np.inf, {}
     for phi in 2.0 * np.pi * np.arange(n_angle) / n_angle:
         u = r2 * (np.cos(phi) * a + np.sin(phi) * b)
-        gaps = A.apply_many(s[:, None] * u[None, :]) @ u - s * float(u @ (B2.matrix @ u))
+        gaps = A.ray_forms(u[None, :], s)[0] - s * float(u @ (B2.matrix @ u))
         i = int(np.argmin(gaps))
         if gaps[i] < margin:
             margin = float(gaps[i])
@@ -261,7 +262,9 @@ def test_h2_prime_chunks_count_a_bvp_row_by_its_grid(monkeypatch):
     # a two-pair bvp problem of 2 modes on 8,192 nodes: every row carries
     # an 8,192-node profile, so `check` sweeps one angle of n_s rows at a
     # time (102 angles, 1,020 rows, when the chunk counted coefficient
-    # cells only), with the margin and witness of the angle-by-angle scan
+    # cells only): one ray_forms call of one ray and n_s points an angle,
+    # and no batched apply, with the margin and witness of the
+    # angle-by-angle scan
     overrides = [
         "problem.mode=two_pair",
         "space.n_modes=2",
@@ -271,15 +274,17 @@ def test_h2_prime_chunks_count_a_bvp_row_by_its_grid(monkeypatch):
     ]
     setup = load_problem(PROBLEMS / "bvp_sqrt.cfg", overrides)
     assert setup.row_width == 8192 and h2_prime_chunk(10, setup.row_width) == 1
-    rows = []
+    rows, rays = [], []
 
     def counted(stacked):
         rows.append(len(stacked))
         return setup.operator.apply_many(stacked)
 
-    op = PotentialOperatorSpec(
-        n_modes=2, apply_coeffs=setup.operator.apply_coeffs, odd=False, apply_batch=counted
-    )
+    def counted_forms(chunk, s):
+        rays.append((len(chunk), s.size))
+        return setup.operator.ray_forms(chunk, s)
+
+    op = replace(setup.operator, odd=False, apply_batch=counted, forms_batch=counted_forms)
     reports = []
 
     def recording(A, *args, **kwargs):
@@ -288,7 +293,8 @@ def test_h2_prime_chunks_count_a_bvp_row_by_its_grid(monkeypatch):
 
     monkeypatch.setattr(cli, "check_h2_prime", recording)
     cli.run_check(setup)
-    assert rows == [10] * 409
+    assert rays == [(1, 10)] * 409
+    assert rows == []
     e2, e3 = setup.e_vectors
     margin, witness = _h2_prime_by_angle(
         setup.operator, setup.comparison, e2, e3, setup.radius, 409, 10
@@ -342,25 +348,33 @@ def test_h2_prime_non_finite_gap_raises_quietly():
 @pytest.mark.parametrize("problem", ["cubic2d", "sublinear_affine"])
 def test_h2_prime_batch_rows(problem):
     setup = load_problem(PROBLEMS / f"{problem}.cfg")
-    rows = []
+    rows, rays = [], []
 
     def counted(stacked):
         rows.append(len(stacked))
         return setup.operator.apply_many(stacked)
 
-    op = PotentialOperatorSpec(
-        n_modes=setup.space.n_modes,
-        apply_coeffs=setup.operator.apply_coeffs,
+    def counted_forms(chunk, s):
+        rays.append((len(chunk), s.size))
+        return setup.operator.ray_forms(chunk, s)
+
+    op = replace(
+        setup.operator,
         odd=False,
         apply_batch=counted,
+        forms_batch=counted_forms if setup.operator.forms_batch is not None else None,
     )
     e2, e3 = setup.e_vectors
     n_angle, n_s = setup.hyp.n_angle, setup.hyp.n_s
     check_h2_prime(op, setup.comparison, e2, e3, setup.radius, n_angle=n_angle, n_s=n_s)
-    assert sum(rows) == n_angle * n_s
     if problem == "sublinear_affine":
-        assert max(rows) <= n_s  # its 256-node grid profiles stay one angle at a time
+        # its 256-node grid profiles stay one angle at a time: a form call
+        # of one ray and n_s points an angle, and no batched apply
+        assert rays == [(1, n_s)] * n_angle
+        assert rows == []
     else:
+        assert rays == []
+        assert sum(rows) == n_angle * n_s
         assert min(rows) >= 4 * n_s
 
 

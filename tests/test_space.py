@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.integrate import quad
 
-from basis_reference import fold, full_table, max_rel
+from basis_reference import FOLD_SPACES, fold, full_table, max_rel
 from fixpairs import (
     H1Vector,
     SpaceConfig,
@@ -137,18 +137,6 @@ def test_roundtrip_band_limited(cfg, rng):
     back = h1_projection(profiles(e1[None, :], cfg), cfg)[0]
     assert abs(back[0] - 1.0) <= tol
     assert np.max(np.abs(back[1:])) <= tol
-
-
-FOLD_SPACES = [
-    SpaceConfig(32, 8, 32),
-    SpaceConfig(320, 8, 256),
-    SpaceConfig(1280, 8, 1024),
-    SpaceConfig(1, 3, 1),  # one mode
-    # odd node counts: a middle node at t = 1/2, mirrored onto itself
-    SpaceConfig(8, 3, 1),
-    SpaceConfig(8, 3, 3),
-    SpaceConfig(8, 3, 5),
-]
 
 
 @pytest.mark.parametrize("cfg", FOLD_SPACES, ids=lambda c: f"{c.n_modes}x{c.quad_nodes * c.n_panels}")

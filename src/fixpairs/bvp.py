@@ -105,7 +105,8 @@ def green_kernel(t, s):
     """G(t, s) = t (1 - s) if t <= s else s (1 - t); symmetric, peak 1/4."""
     t = np.asarray(t, dtype=float)
     s = np.asarray(s, dtype=float)
-    if np.any(t < 0.0) or np.any(t > 1.0) or np.any(s < 0.0) or np.any(s > 1.0):
+    # "not in" forms so that NaN is rejected as well
+    if not (np.all((t >= 0.0) & (t <= 1.0)) and np.all((s >= 0.0) & (s <= 1.0))):
         raise ValueError("green_kernel arguments must lie in [0, 1]")
     out = np.where(t <= s, t * (1.0 - s), s * (1.0 - t))
     if out.ndim == 0:

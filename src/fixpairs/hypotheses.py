@@ -142,8 +142,8 @@ def check_h2(
 ) -> HypothesisReport:
     """(A(s r1 e1), r1 e1) >= s r1^2 (B1 e1, e1) sampled on an s-grid."""
     _require_unit(e1, "e1")
-    if r1 <= 0.0:
-        raise ValueError("r1 must be positive")
+    if not 0.0 < r1 < np.inf:  # rejects NaN as well
+        raise ValueError("r1 must be positive and finite")
     if n_s < 10:
         raise ValueError("n_s must be >= 10")
     s = _open_grid(n_s)
@@ -239,8 +239,8 @@ def check_h2_prime(
     The witness is the first minimum in (angle, s) order, as a scan angle
     by angle finds it.
     """
-    if r2 <= 0.0:
-        raise ValueError("r2 must be positive")
+    if not 0.0 < r2 < np.inf:  # rejects NaN as well
+        raise ValueError("r2 must be positive and finite")
     if n_angle < 10 or n_s < 10:
         raise ValueError("n_angle and n_s must be >= 10")
     a, b = _orthonormalize(e2, e3)

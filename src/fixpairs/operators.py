@@ -277,8 +277,8 @@ def lower_bound_J(cert: GrowthCertificate, r: float) -> float:
     Valid for every u whose ray {s*u : s in (0,1]} stays inside the
     certified envelope; tends to +infinity as r grows since theta < 1.
     """
-    if r < 0.0:
-        raise ValueError("r must be nonnegative")
+    if not 0.0 <= r < np.inf:  # rejects NaN as well
+        raise ValueError("r must be nonnegative and finite")
     t1 = cert.theta + 1.0
     return 0.5 * r**2 - cert.c / t1 * r**t1 - cert.b * r
 
@@ -299,8 +299,9 @@ def growth_fit(
     radii = np.asarray(radii, dtype=float)
     if radii.size == 0:
         raise ValueError("radii must be nonempty")
-    if np.any(radii <= 0.0) or np.any(np.diff(radii) <= 0.0):
-        raise ValueError("radii must be positive and increasing")
+    # "not >" forms so that NaN is rejected as well
+    if not (np.all((radii > 0.0) & (radii < np.inf)) and np.all(np.diff(radii) > 0.0)):
+        raise ValueError("radii must be positive, finite and increasing")
     # one draw and one batched apply for all radii; the draw is the same
     # stream as one dirs_per_radius block per radius
     rng = np.random.default_rng(seed)

@@ -13,24 +13,24 @@ deflated energy: compactly supported bumps are added at the found points
 (and their negatives), which pushes the retry out of the known basins
 without destroying boundedness from below.  The deflated energy is even as
 well, so the retry from s also stands for -s.  An additive bump puts
-spurious critical points on its rim, so a retry is abandoned, unpolished and
-unscored, once an accepted iterate enters a bump from outside every bump.
+spurious critical points on its rim, so a retry is abandoned, unscored,
+once an accepted iterate enters a bump from outside every bump.
 
 Near a fixed point the decrease a search can make falls below the rounding
 of J, and rounding noise would decide its Armijo test and how far it
 backtracks; such a trial is decided by the residual norm instead, so the
-work of a descent does not depend on the last bits of J.
+work of a descent does not depend on the last bits of J.  The residual rule
+also ends a descent: once no trial lowers the residual, the search ends and
+so does the descent, converged or not.
 
-One routine, _descend, runs every descent, main or retry: the Armijo loop,
-the residual polish that finishes it and the scoring.  cfg.max_iter bounds
-the whole descent; the polish gets the iterations the Armijo loop leaves.
+One routine, _descend, runs every descent, main or retry: the Armijo loop
+and the scoring.  cfg.max_iter bounds every descent.
 
 Each seed evaluates a point once: the energy and the gradient of a seed
 remember every point they evaluated, keyed by its bytes, so the final
-iterate is not evaluated again by the polish or by the scoring, and a
-retry, which starts at the seed and follows the main descent point for
-point until it nears a bump, is served the points they share from the main
-descent's evaluations.  The record is dropped when the seed's retry ends.
+iterate is not evaluated again by the scoring, and a retry, which starts at
+the seed and follows the main descent point for point until it nears a
+bump, is served the points they share from the main descent's evaluations.  The record is dropped when the seed's retry ends.
 The deflated energy builds on that pair and computes its bump distances
 once per point.
 """
@@ -112,7 +112,6 @@ class DescentTrace:
     j_values: list[float]
     grad_norms: list[float]
     steps: list[float]
-    n_polish: int = 0  # residual-polish iterations appended after the Armijo phase
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,51 +166,16 @@ def _energy_and_gradient(
     return _remember(j_fn), _remember(g_fn)
 
 
-def _polish(
-    j_fn: Callable[[np.ndarray], float],
-    g_fn: Callable[[np.ndarray], np.ndarray],
-    c: np.ndarray,
-    tol: float,
-    budget: int,
-    trace: DescentTrace,
-) -> tuple[np.ndarray, int]:
-    """Full-step residual polish u <- u - J'(u) once the line search is done.
-
-    Near a fixed point of a compact operator this map contracts and drives
-    the residual to its rounding floor, below where the energy comparison of
-    the Armijo test can still resolve a decrease.  The residual norm itself
-    is monitored: the loop keeps the best iterate and stops as soon as a
-    step fails to improve it, so non-contractive points are left untouched.
-    At most budget steps are taken.
-    """
-    g = g_fn(c)
-    best = float(np.linalg.norm(g))
-    steps = 0
-    for _ in range(budget):
-        if best < tol or not np.isfinite(best):
-            break
-        c_new = c - g
-        g_new = g_fn(c_new)
-        gn_new = float(np.linalg.norm(g_new))
-        if not np.isfinite(gn_new) or gn_new >= best:
-            break
-        c, g, best = c_new, g_new, gn_new
-        steps += 1
-        trace.j_values.append(j_fn(c))
-        trace.grad_norms.append(best)
-        trace.steps.append(1.0)
-    return c, steps
-
-
 def descend(A: PotentialOperatorSpec, u0: H1Vector, cfg: SolverConfig) -> CriticalPoint:
     """Run descent from u0; returns the critical-point record.
 
-    Armijo descent first; if it exhausts what the energy's rounding can
-    resolve while the residual is still above tolerance, a monotone
-    residual polish finishes the job.  The returned grad_norm and
-    fp_residual are the same number ||u - A(u)|| evaluated at the final
-    iterate.  Raises OperatorDivergenceError when the energy blows up
-    (e.g. the operator grows too fast for descent).
+    Armijo descent, whose searches below the rounding of the energy are
+    decided by the residual; it ends once the residual is below
+    cfg.grad_tol, when a search finds no acceptable trial, or after
+    cfg.max_iter iterations.  The returned grad_norm and fp_residual are
+    the same number ||u - A(u)|| evaluated at the final iterate.  Raises
+    OperatorDivergenceError when the energy blows up (e.g. the operator
+    grows too fast for descent).
     """
     return _descend(_energy_and_gradient(A), u0.coeffs, cfg)[0]
 
@@ -228,15 +192,17 @@ def _descend(
     Armijo-backtracked gradient descent, so J never increases: the first
     trial step is _INIT_STEP on the first iteration and the Barzilai-Borwein
     step (s's)/(s'y) after it, with s and y the last change of iterate and
-    gradient; when s'y <= 0, or the quotient is not a
-    positive finite number, it is _INIT_STEP again.  A search stops as soon
-    as the trial point equals the iterate bitwise.  A trial whose decrease
+    gradient; when s'y <= 0, or the quotient is not a positive finite
+    number, it is _INIT_STEP again.  A search stops as soon as the trial
+    point equals the iterate bitwise.  A trial whose decrease
     step * ||J'||^2 lies within the rounding of J (_ENERGY_FLOOR) is not
     put to the Armijo test: it is accepted when it lowers the residual
-    ||J'||, and otherwise it ends the search.  The residual polish then
-    gets the iterations left of cfg.max_iter.  On a deflated energy the
-    descent is abandoned, and point is None, at the first accepted iterate
-    that lies in a bump while the iterate before it lay in none.
+    ||J'||, and otherwise it ends the search.  The descent ends with a
+    search that accepts no trial, an accepted step below 1e-6 that leaves
+    J unchanged, an iterate below cfg.grad_tol, or cfg.max_iter
+    iterations.  On a deflated energy the descent is abandoned, and point
+    is None, at the first accepted iterate that lies in a bump while the
+    iterate before it lay in none.
     """
     j_fn, g_fn = energy
     j_d, g_d, in_bump = deflated or (j_fn, g_fn, None)
@@ -309,20 +275,13 @@ def _descend(
             iterations += 1
             if at_floor:
                 break
-        c, n_polish = _polish(j_d, g_d, c, cfg.grad_tol, cfg.max_iter - iterations, trace)
-        if deflated is None:
-            # the energy of the final iterate, or of the last polish step,
-            # is known already; after a stalled search J last saw a trial
-            j_value = trace.j_values[-1] if n_polish else j_cur
-        else:
-            j_value = j_fn(c)
         point = CriticalPoint(
             u=H1Vector(c),
-            j_value=j_value,
+            j_value=j_cur if deflated is None else j_fn(c),
             grad_norm=float(np.linalg.norm(g_fn(c))),
-            iterations=iterations + n_polish,
+            iterations=iterations,
         )
-    return point, replace(trace, n_polish=n_polish)
+    return point, trace
 
 
 def canonicalize(point: CriticalPoint, dedup_tol: float) -> CriticalPoint:

@@ -375,7 +375,7 @@ def l2_norm_sq(u: H1Vector) -> float:
 def evaluate(u: H1Vector, t):
     """Pointwise values sum_k u_k e_k(t); scalar in, scalar out."""
     tarr = np.asarray(t, dtype=float)
-    if np.any(tarr < 0.0) or np.any(tarr > 1.0):
+    if not np.all((tarr >= 0.0) & (tarr <= 1.0)):  # rejects NaN as well
         raise ValueError("t must lie in [0, 1]")
     ks = np.arange(1, u.n_modes + 1)
     scale = np.sqrt(2.0) / (ks * np.pi)

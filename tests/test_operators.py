@@ -12,6 +12,8 @@ from fixpairs import (
     PotentialOperatorSpec,
     avez_potential,
     basis_vector,
+    check_h2,
+    check_h2_prime,
     fd_gradient_check,
     functional_J,
     gradient_J,
@@ -22,7 +24,7 @@ from fixpairs import (
 from fixpairs import SpaceConfig, bvp
 from fixpairs.models import linear_operator, radial_power_operator
 from fixpairs.operators import OddnessError
-from fixpairs.space import quadrature_grid
+from fixpairs.space import evaluate, quadrature_grid
 
 
 @pytest.fixture(scope="module")
@@ -117,15 +119,55 @@ def test_fd_gradient_check_at_origin(zero_op):
         fd_gradient_check(zero_op, z, z, 0.0)
 
 
+CERT = GrowthCertificate(
+    c=2.0, b=1.0, theta=0.5, sampled_max_ratio=2.0, radii_tested=(1.0,), sample_maxima=(2.0,)
+)
+
+
 def test_lower_bound_arithmetic():
-    cert = GrowthCertificate(
-        c=2.0, b=1.0, theta=0.5, sampled_max_ratio=2.0, radii_tested=(1.0,), sample_maxima=(2.0,)
-    )
-    assert lower_bound_J(cert, 0.0) == 0.0
-    assert lower_bound_J(cert, 9.0) == pytest.approx(-4.5, abs=1e-12)
-    assert lower_bound_J(cert, 1e4) > 0.0
+    assert lower_bound_J(CERT, 0.0) == 0.0
+    assert lower_bound_J(CERT, 9.0) == pytest.approx(-4.5, abs=1e-12)
+    assert lower_bound_J(CERT, 1e4) > 0.0
     with pytest.raises(ValueError):
-        lower_bound_J(cert, -1.0)
+        lower_bound_J(CERT, -1.0)
+
+
+OP2 = radial_power_operator(2.0, 0.5, n_modes=2)
+B2 = LinearOperatorSpec.scaled_identity(0.5, 2)
+E1, E2 = basis_vector(1, 2), basis_vector(2, 2)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x: check_h2(OP2, B2, E1, x),
+        lambda x: check_h2_prime(OP2, B2, E1, E2, x),
+        lambda x: growth_fit(OP2, [x]),
+        lambda x: growth_fit(OP2, [0.5, x]),
+        lambda x: lower_bound_J(CERT, x),
+        lambda x: evaluate(H1Vector([1.0, 0.5]), x),
+        lambda x: evaluate(H1Vector([1.0, 0.5]), [0.5, x]),
+        lambda x: bvp.green_kernel(x, 0.5),
+        lambda x: bvp.green_kernel(0.5, x),
+    ],
+    ids=[
+        "check_h2",
+        "check_h2_prime",
+        "growth_fit",
+        "growth_fit_last",
+        "lower_bound_J",
+        "evaluate",
+        "evaluate_array",
+        "green_kernel_t",
+        "green_kernel_s",
+    ],
+)
+@pytest.mark.parametrize("x", [np.nan, np.inf])
+def test_nan_and_inf_arguments_are_value_errors(call, x):
+    # a bad argument, not an operator blow-up (OperatorDivergenceError) and
+    # not a NaN result
+    with pytest.raises(ValueError):
+        call(x)
 
 
 def test_lower_bound_validity_radial(rng):

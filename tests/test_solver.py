@@ -24,6 +24,7 @@ from fixpairs.models import clipped_cubic_operator, linear_operator, radial_powe
 from fixpairs.problems import load_problem
 from fixpairs.solver import (
     _ARMIJO_C,
+    _ENERGY_FLOOR,
     _bump_distances,
     _deflated_energy,
     _descend,
@@ -95,8 +96,7 @@ def test_descend_zero_operator():
 def test_monotone_descent_property(model_1d):
     cfg = SolverConfig()
     _, trace = _descend(_energy_and_gradient(model_1d), np.array([0.5]), cfg)
-    n_armijo = len(trace.j_values) - trace.n_polish
-    for k in range(n_armijo - 1):
+    for k in range(len(trace.j_values) - 1):
         step = trace.steps[k]
         if step <= 0.0:
             continue
@@ -138,7 +138,7 @@ def test_search_within_energy_rounding_is_decided_by_the_residual():
         return 1.0 + len(calls) * 2.0**-52
 
     point, trace = _descend((j_fn, lambda c: c - 3.0), np.array([3.0 + 1e-9]), SolverConfig())
-    assert trace.steps == [1.0, 0.0] and trace.n_polish == 0
+    assert trace.steps == [1.0, 0.0]
     assert point.iterations == 1 and len(calls) == 2
     assert point.u.coeffs[0] == 3.0 and point.grad_norm == 0.0
 
@@ -263,14 +263,22 @@ def test_retry_is_abandoned_when_it_reenters_a_bump(problem, monkeypatch):
         assert len(trace.steps) <= 10
 
 
-def test_residual_polish_reaches_a_tight_tolerance(monkeypatch):
+def test_residual_decided_searches_reach_a_tight_tolerance(monkeypatch):
     # at grad_tol 1e-12 the energy cannot resolve the last searches on
     # sublinear_affine; the residual decides them, and every main descent
-    # reaches the tolerance before the polish has a step to take
+    # reaches the tolerance before max_iter
     setup = load_problem(PROBLEMS / "sublinear_affine.cfg", ["solver.grad_tol=1e-12"])
     runs = record_descents(monkeypatch)
     report = find_pairs(setup.operator, setup.seeds, setup.solver)
-    assert [trace.n_polish for deflated, _, trace in runs if not deflated] == [0, 0, 0, 0]
+    main = [(point, trace) for deflated, point, trace in runs if not deflated]
+    assert len(main) == 4
+    for point, trace in main:
+        assert point.grad_norm < 1e-12 and point.iterations < setup.solver.max_iter
+        # at least one accepted step was within the rounding of J
+        assert any(
+            step > 0.0 and step * gn**2 <= _ENERGY_FLOOR * max(1.0, abs(j))
+            for step, gn, j in zip(trace.steps, trace.grad_norms, trace.j_values)
+        )
     assert report.n_pairs == 1
     assert report.pairs[0].fp_residual < 1e-12
 
@@ -315,10 +323,8 @@ def counting_operator(op, scale=1.0):
 
 
 def test_max_iter_bounds_every_descent(monkeypatch):
-    # the residual polish gets only the iterations the Armijo phase leaves,
-    # so at max_iter 3 every cubic2d descent stops after 3 iterations (with
-    # a polish budget of its own it took 203 and made 1,489 potential and
-    # 1,477 apply calls)
+    # at max_iter 3 every cubic2d descent, main or retry, stops after 3
+    # iterations
     setup = load_problem(PROBLEMS / "cubic2d.cfg", ["solver.max_iter=3"])
     counted, calls = counting_operator(setup.operator)
     runs = record_descents(monkeypatch)
@@ -328,30 +334,46 @@ def test_max_iter_bounds_every_descent(monkeypatch):
     assert report.n_pairs == 0
     assert [len(t) for t in report.ps_trace] == [4] * 32
     for _, point, trace in runs:
-        assert point.iterations == 3 and trace.n_polish == 0
+        assert point.iterations == 3 and len(trace.steps) == 4
 
 
-def test_polish_stops_when_a_step_does_not_improve_the_residual(monkeypatch):
-    # grad_tol 1e-300 is below one cubic2d descent's rounding floor: its
-    # last search ends on a trial that does not lower the residual, the
-    # polish finds that a full step would not lower it either, and it stops
-    # there with iterations to spare; that seed and its mirror are
-    # nonconverged.  Four other descents end in one polish step
+def test_residual_rule_ends_a_descent_below_the_rounding_floor():
+    # grad_tol 1e-300 is below cubic2d's rounding floor: every descent stops
+    # before max_iter, on a zero residual or on a last search that finds no
+    # trial lowering the residual.  Four of the eight descended seeds end at
+    # 1.1e-16, where the first trial already equals the iterate bitwise,
+    # and one at 1.4e-15, on a residual-decided trial (J never sees it) with
+    # a higher residual; with their mirror starts and mirror seeds that is
+    # 20 nonconverged starts
     setup = load_problem(PROBLEMS / "cubic2d.cfg", ["solver.grad_tol=1e-300"])
-    runs = record_descents(monkeypatch)
     report = find_pairs(setup.operator, setup.seeds, setup.solver)
-    main = [(point, trace) for deflated, point, trace in runs if not deflated]
-    assert [trace.n_polish for _, trace in main] == [0, 1, 0, 1, 0, 1, 0, 1]
-    stuck = [(point, trace) for point, trace in main if point.grad_norm >= setup.solver.grad_tol]
-    assert len(stuck) == 1
-    point, trace = stuck[0]
-    assert trace.n_polish == 0 and point.iterations < setup.solver.max_iter
-    assert point.grad_norm == trace.grad_norms[-1] < 1e-13
-    # a full polish step u - J'(u) lands on A(u), whose residual is no lower
-    polished = setup.operator.apply_coeffs(point.u.coeffs)
-    assert np.linalg.norm(polished - setup.operator.apply_coeffs(polished)) >= point.grad_norm
-    assert report.n_nonconverged == 4
-    assert report.n_pairs == 3
+    assert report.n_pairs == 3 and report.n_nonconverged == 20
+    last_trials = []
+    for seed in setup.seeds:
+        j_fn, g_fn = _energy_and_gradient(setup.operator)
+        j_seen, g_seen = [], []
+
+        def j_rec(c):
+            j_seen.append(c.tobytes())
+            return j_fn(c)
+
+        def g_rec(c):
+            g_seen.append(c.copy())
+            return g_fn(c)
+
+        point, trace = _descend((j_rec, g_rec), seed.coeffs, setup.solver)
+        assert point.iterations < setup.solver.max_iter and trace.steps[-1] == 0.0
+        if point.grad_norm == 0.0:
+            continue
+        assert point.grad_norm == trace.grad_norms[-1] < 1e-14
+        final = point.u.coeffs
+        first = next(k for k, c in enumerate(g_seen) if np.array_equal(c, final))
+        trials = [c for c in g_seen[first:] if not np.array_equal(c, final)]
+        for trial in trials:
+            assert trial.tobytes() not in j_seen
+            assert np.linalg.norm(g_fn(trial)) >= point.grad_norm
+        last_trials.append(len(trials))
+    assert sorted(last_trials) == [0] * 8 + [1] * 2
 
 
 # potential calls, apply calls, n_starts, summed ps_trace lengths
@@ -430,8 +452,7 @@ def recording_operator(op):
 
 @pytest.mark.parametrize("problem", ["power_law_1d", "cubic2d", "sublinear_affine", "bvp_sqrt"])
 def test_main_descent_evaluates_each_iterate_once(problem):
-    # the final iterate is not evaluated again by the polish check or the
-    # scoring, and no accepted trial point is evaluated twice
+    # the final iterate is not evaluated again by the scoring, and no accepted trial point is evaluated twice
     setup = load_problem(PROBLEMS / f"{problem}.cfg")
     recorded, args = recording_operator(setup.operator)
     for seed in setup.seeds:

@@ -21,10 +21,11 @@ rely on.  Profiles are evaluated pointwise from the sine series
 (space.evaluate).  The kernel itself is the reference for acceptance
 criterion c06, whose second-difference residual checks use green_profile.
 
-The module also provides the comparison operator B u = G * (a1 u), the
-solvability condition checkers (D1)-(D4), the Dirichlet eigenvalues, a
-family of ready-made nonlinearities, and an independent shooting oracle for
-cross-validating solver output.
+The module also provides the comparison operator B u = G * (a1 u) as its
+k x k block on span{e_1, ..., e_k}, the span the conditions read it on
+(b_matrix), the solvability condition checkers (D1)-(D4), the Dirichlet
+eigenvalues, a family of ready-made nonlinearities, and an independent
+shooting oracle for cross-validating solver output.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .hypotheses import FAIL, SAMPLED_PASS, STRICT_TOL, PASS, HypothesisReport, _open_grid
 from .operators import LinearOperatorSpec, PotentialOperatorSpec
@@ -226,29 +226,24 @@ def bvp_operator(nl: Nonlinearity, cfg: SpaceConfig, odd: bool = True) -> Potent
     )
 
 
-def b_matrix(a1: Callable[[np.ndarray], np.ndarray], cfg: SpaceConfig) -> LinearOperatorSpec:
-    """The comparison operator B u = int G(t,s) a1(s) u(s) ds as a matrix.
+def b_matrix(a1: Callable[[np.ndarray], np.ndarray], cfg: SpaceConfig, k: int) -> LinearOperatorSpec:
+    """The comparison operator B u = int G(t,s) a1(s) u(s) ds on span{e_1, ..., e_k}.
 
-    In the sine basis B has entries int a1 e_k e_l dt.  Since
-    2 sin(k x) sin(l x) = cos((k-l) x) - cos((k+l) x), they are
+    In the sine basis B has entries int a1 e_i e_j dt.  Since
+    2 sin(i x) sin(j x) = cos((i-j) x) - cos((i+j) x), they are
 
-        B_kl = (C_|k-l| - C_(k+l)) / (k l pi^2),   C_j = int a1 cos(j pi t) dt,
+        B_ij = (C_|i-j| - C_(i+j)) / (i j pi^2),   C_m = int a1 cos(m pi t) dt,
 
-    a Toeplitz-minus-Hankel matrix built from the 2n+1 cosine moments of a1
-    on the quadrature grid, the real parts of one space.panel_analysis.  It
-    is symmetric bit for bit, and its assembly costs
-    O(quad_nodes n_panels log n_panels + n^2) instead of a weighted Gram
-    product of the N x n basis.
+    so the k x k block takes the 2k+1 cosine moments of a1 on the
+    quadrature grid, the real parts of one space.panel_analysis.  It is
+    symmetric bit for bit.
     """
     nodes, weights = quadrature_grid(cfg)
-    n = cfg.n_modes
     g = weights * np.asarray(a1(nodes), dtype=float)
-    c = panel_analysis(g[None, :], cfg, panel_phases(cfg, 2 * n + 1))[0].real
-    # window views: toeplitz[k, l] = c[|k - l|], hankel[k, l] = c[k + l + 2]
-    toeplitz = sliding_window_view(np.concatenate([c[n - 1 : 0 : -1], c[:n]]), n)[::-1]
-    hankel = sliding_window_view(c[2:], n)
-    m = toeplitz - hankel
-    kpi = np.arange(1, n + 1) * np.pi
+    c = panel_analysis(g[None, :], cfg, panel_phases(cfg, 2 * k + 1))[0].real
+    idx = np.arange(1, k + 1)
+    m = c[np.abs(idx[:, None] - idx)] - c[idx[:, None] + idx]
+    kpi = idx * np.pi
     m /= np.outer(kpi, kpi)
     return LinearOperatorSpec(matrix=m)
 

@@ -190,11 +190,10 @@ def quadratic_form_margin(
     negativity is equivalent to the three inequalities and is what drives
     the energy below zero on the seed circle.
     """
-    a, b = _orthonormalize(e2, e3)
-    m = B2.matrix
-    b22 = float(a @ (m @ a))
-    b33 = float(b @ (m @ b))
-    b23 = float(a @ (m @ b))
+    a, b = (H1Vector(x) for x in _orthonormalize(e2, e3))
+    b22 = B2.form(a, a)
+    b33 = B2.form(b, b)
+    b23 = B2.form(b, a)
     with np.errstate(over="ignore", invalid="ignore"):
         discriminant = float(np.float64(b23) ** 2 - (1.0 - b22) * (1.0 - b33))
     if not np.isfinite(discriminant):
@@ -251,8 +250,7 @@ def check_h2_prime(
     chunk = h2_prime_chunk(n_s, row_width or A.n_modes)
     with np.errstate(over="ignore", invalid="ignore"):
         circle = r2 * (np.cos(phis)[:, None] * a + np.sin(phis)[:, None] * b)
-        # (u, B2 u) per angle as one stacked dot of stacked matrix-vector products
-        forms = (circle[:, None, :] @ (B2.matrix @ circle[:, :, None]))[:, 0, 0]
+        forms = B2.forms(circle)
         for start in range(0, n_angle, chunk):
             gaps = _ray_gaps(A, circle[start : start + chunk], forms[start : start + chunk], s)[0]
             k, i = divmod(int(np.argmin(gaps)), n_s)

@@ -42,7 +42,6 @@ _ODDNESS_SAMPLES = 100
 _ODDNESS_SEED = 20260810
 _ODDNESS_TOL = 1e-10
 _GROWTH_SLACK = 1.1  # factor on the fitted c of a growth envelope
-_SYMMETRY_TILE = 256  # side of the square tiles the symmetry check compares
 
 
 class OddnessError(ValueError):
@@ -145,7 +144,13 @@ def _check_oddness(op: PotentialOperatorSpec) -> None:
 
 @dataclass(frozen=True, eq=False)
 class LinearOperatorSpec:
-    """A self-adjoint linear operator as a symmetric matrix in the sine basis."""
+    """A self-adjoint comparison operator as its symmetric k x k block on
+    span{e_1, ..., e_k}, the span on which the conditions read its form.
+
+    Vectors are full coefficient vectors: the forms read their first k
+    coordinates and raise ValueError for a vector with a non-zero
+    coordinate past k, whose form the block would silently truncate.
+    """
 
     matrix: np.ndarray
 
@@ -157,32 +162,31 @@ class LinearOperatorSpec:
             raise ValueError("matrix must not be empty")
         if not np.all(np.isfinite(m)):
             raise ValueError("matrix must be finite")
-        # tile against mirrored tile, so that the transposed reads stay in
-        # cache; the one temporary is a tile, its absolute value taken in place
-        n, tile, asymmetry = m.shape[0], _SYMMETRY_TILE, 0.0
-        for i in range(0, n, tile):
-            for j in range(i, n, tile):
-                gap = m[i : i + tile, j : j + tile] - m[j : j + tile, i : i + tile].T
-                asymmetry = max(asymmetry, float(np.max(np.abs(gap, out=gap))))
-        if asymmetry > 1e-12:
+        if np.max(np.abs(m - m.T)) > 1e-12:
             raise ValueError("matrix must be symmetric")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
-    @property
-    def n_modes(self) -> int:
-        return self.matrix.shape[0]
-
-    def apply(self, u: H1Vector) -> H1Vector:
-        return H1Vector(self.matrix @ u.coeffs)
+    def _span_coords(self, coeffs: np.ndarray) -> np.ndarray:
+        """The first k coordinates of each row of coeffs; ValueError for a
+        row with fewer, or with a non-zero coordinate past them."""
+        k = self.matrix.shape[0]
+        if coeffs.shape[-1] < k or np.any(coeffs[..., k:]):
+            raise ValueError(f"vector lies outside span{{e_1, ..., e_{k}}} of the comparison block")
+        return coeffs[..., :k]
 
     def form(self, u: H1Vector, v: H1Vector) -> float:
         """The bilinear form (B u, v)."""
-        return float(v.coeffs @ (self.matrix @ u.coeffs))
+        return float(self._span_coords(v.coeffs) @ (self.matrix @ self._span_coords(u.coeffs)))
+
+    def forms(self, rows: np.ndarray) -> np.ndarray:
+        """(B u, u) for each row u of rows, as one stacked product."""
+        x = self._span_coords(rows)
+        return (x[:, None, :] @ (self.matrix @ x[:, :, None]))[:, 0, 0]
 
     @staticmethod
-    def scaled_identity(scale: float, n_modes: int) -> "LinearOperatorSpec":
-        return LinearOperatorSpec(matrix=scale * np.eye(n_modes))
+    def scaled_identity(scale: float, k: int) -> "LinearOperatorSpec":
+        return LinearOperatorSpec(matrix=scale * np.eye(k))
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ import numpy as np
 from . import bvp as bvp_mod
 from .hypotheses import h2_prime_chunk
 from .models import clipped_cubic_operator, linear_operator, radial_power_operator
-from .operators import LinearOperatorSpec, PotentialOperatorSpec
+from .operators import _ODDNESS_SAMPLES, LinearOperatorSpec, PotentialOperatorSpec
 from .solver import SolverConfig, axis_seeds, circle_seeds
 from .space import H1Vector, SpaceConfig, basis_vector
 
@@ -106,7 +106,7 @@ class ProblemSetup:
     mode: str  # one_pair | two_pair
     space: SpaceConfig
     operator: PotentialOperatorSpec
-    comparison: LinearOperatorSpec
+    comparison: LinearOperatorSpec  # k x k on span{e_1, ..., e_k}, k = 1 or 2 by mode
     radius: float
     expected_pairs: int
     seeds: list[H1Vector]
@@ -193,59 +193,47 @@ def _row_width(kind: str, space: SpaceConfig) -> int:
     return space.n_modes
 
 
-def _panel_transform_bytes(space: SpaceConfig) -> int:
-    """Peak bytes of the panel transform behind bvp.b_matrix's cosine moments.
-
-    The weighted grid values (8 bytes a node), their complex copy (16) and
-    the 2 n_panels x quad_nodes spectra (32) make 56 bytes a grid node,
-    counted as 64; the phase table and the gathered bins take 16 bytes each
-    per quad_nodes x (2 n_modes + 1) cell, and the folding index 16 bytes a
-    bin.  tracemalloc measures 0.82 of this count at 1,280 modes on 8,192
-    nodes (2,561 bins folded onto 2,048) and 0.84 at 100 modes on 8,000
-    nodes (no folding).  The one-row products of the descent run the same
-    transform on n_modes + 1 bins and peak lower wherever the count is above
-    a few KiB of fixed overhead (at most 0.75 of it in the cases measured).
-    """
-    count = 2 * space.n_modes + 1
-    return 64 * space.quad_nodes * space.n_panels + 32 * (space.quad_nodes + 1) * count
-
-
 def _check_table_sizes(
     kind: str, space: SpaceConfig, mode: str, n_seeds: int, hyp: HypothesisParams
 ) -> None:
     """Reject a problem whose largest table would exceed _MAX_TABLE_BYTES.
 
-    Every kind builds the n_modes x n_modes comparison matrix (counted as
-    18 n^2 bytes: the assembled matrix, its stored copy, the 1-byte
-    finiteness mask and one 0.5 MiB tile of the symmetry check, under a byte
-    an entry from 725 modes up; tracemalloc measures 17.2 n^2 at 1,000
-    modes and 17.0 n^2 at 3,000) and n_seeds seed vectors; the checkers
-    take the forms of n_s scaled rows at once in (H2), of
-    h2_prime_chunk(n_s, row_width) angles of n_s rows at once in (H2)',
-    which also holds all n_angle circle points (two such tables at the
-    peak, measured with tracemalloc), and apply the operator to all
-    len(growth_radii) x dirs_per_radius rows of (H) in one batch, and
-    `eigen` builds eigen_n-long finite-difference vectors.
-    bvp also tabulates the basis on the left half of the quadrature grid
-    (space.profiles and space.moments fold the right half onto it), the
-    Gauss-Legendre companion matrix of quad_nodes, the panel transform of
-    the comparison matrix's cosine moments (_panel_transform_bytes) and a
-    grid profile of every applied row.  The time of the (H2)' sweep is
-    bounded by _check_checker_rows.
+    Every kind builds n_seeds seed vectors and checks oddness on one batch
+    of _ODDNESS_SAMPLES operator rows; the checkers take the forms of n_s
+    scaled rows at once in (H2), of h2_prime_chunk(n_s, row_width) angles
+    of n_s rows at once in (H2)', which also holds all n_angle circle
+    points (two such tables at the peak, measured with tracemalloc), and
+    apply the operator to all len(growth_radii) x dirs_per_radius rows of
+    (H) in one batch, and `eigen` builds eigen_n-long finite-difference
+    vectors.  bvp also tabulates the basis on the left half of the
+    quadrature grid (space.profiles and space.moments fold the right half
+    onto it), the Gauss-Legendre companion matrix of quad_nodes, a grid
+    profile of every applied row, and the quad_nodes x (n_modes + 1)
+    phases of the one-row panel transform.  A one-row product peaks at
+    most at 64 bytes a phase cell (the table, the terms and their gathered
+    or folded copy) plus 64 a grid node, 0.6-1.0 of that under
+    tracemalloc; the cells are counted, the grid part is below the (H2)
+    rows.  The k x k comparison block (k <= 2) is not counted: its cosine
+    moments take the same transform on 2k + 1 bins, about 64 bytes a grid
+    node plus 32 (2k + 1)(quad_nodes + 1) of phases, and with n_s >= 10
+    the (H2) batch or one (H2)' chunk holds at least n_s grid rows, 80
+    bytes a node, while the phases stay below the Gauss-Legendre rule from
+    21 nodes a panel on and a few KiB before.  The time of the (H2)' sweep
+    is bounded by _check_checker_rows.
     """
     n = space.n_modes
     width = _row_width(kind, space)
     row = 8 * width
     tables = {
-        "comparison matrix": 18 * n**2,
         "seed table": n_seeds * (8 * n + _SEED_OVERHEAD_BYTES),
+        "oddness batch": _ODDNESS_SAMPLES * row,
         "finite-difference vector": 8 * hyp.eigen_n,
     }
     if kind == "bvp":
         nodes = space.quad_nodes * space.n_panels
         tables["basis table"] = 8 * ((nodes + 1) // 2) * n
         tables["Gauss-Legendre rule"] = 8 * space.quad_nodes**2
-        tables["panel transform"] = _panel_transform_bytes(space)
+        tables["transform phases"] = 64 * space.quad_nodes * (n + 1)
     if mode == "one_pair":
         tables["(H2) batch"] = hyp.n_s * row
     else:
@@ -326,6 +314,7 @@ def load_problem(
     if not 0.0 < d1_r1 < 1.0:
         raise ConfigError("problem.r1 must lie in (0, 1)")
 
+    k = 1 if mode == "one_pair" else 2
     try:
         if kind == "power_law":
             operator = radial_power_operator(
@@ -333,20 +322,14 @@ def load_problem(
                 theta=theta,
                 n_modes=space.n_modes,
             )
-            comparison = LinearOperatorSpec.scaled_identity(
-                float(prob.get("b1_scale", 1.5)), space.n_modes
-            )
+            comparison = LinearOperatorSpec.scaled_identity(float(prob.get("b1_scale", 1.5)), k)
         elif kind == "cubic2d":
             operator = clipped_cubic_operator(n_modes=2)
-            comparison = LinearOperatorSpec.scaled_identity(
-                float(prob.get("b2_scale", 1.5)), 2
-            )
+            comparison = LinearOperatorSpec.scaled_identity(float(prob.get("b2_scale", 1.5)), k)
         elif kind == "linear2d":
             a_scale = float(prob.get("a_scale", 2.0))
             operator = linear_operator(a_scale * np.eye(2), label=f"scaled-identity({a_scale})")
-            comparison = LinearOperatorSpec.scaled_identity(
-                float(prob.get("b2_scale", a_scale)), 2
-            )
+            comparison = LinearOperatorSpec.scaled_identity(float(prob.get("b2_scale", a_scale)), k)
         else:  # bvp
             family = prob.get("family", "sublinear")
             if family not in _FAMILIES:
@@ -365,7 +348,7 @@ def load_problem(
             else:
                 nl = bvp_mod.zero_nonlinearity()
             operator = bvp_mod.bvp_operator(nl, space)
-            comparison = bvp_mod.b_matrix(nl.a1, space)
+            comparison = bvp_mod.b_matrix(nl.a1, space, k)
     except ConfigError:
         raise
     except ValueError as exc:

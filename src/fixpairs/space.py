@@ -342,7 +342,7 @@ def basis_matrix(cfg: SpaceConfig) -> np.ndarray:
     A full view unfolded from the half table, built anew on every call; the
     package computes through profiles and moments and never builds it.  It
     stays public because perfbench's traced byte count calls it; ROADMAP
-    item 3 moves that count to the half table's bytes.
+    item 4 moves that count to the half table's bytes.
     """
     half = _half_basis(cfg.n_modes, cfg.quad_nodes, cfg.n_panels)
     return _unfold(half, half * _signs(cfg.n_modes)[1], cfg.quad_nodes * cfg.n_panels)

@@ -215,15 +215,37 @@ def test_a_load_validates_oddness_once(monkeypatch, path):
     assert len(calls) == 1
 
 
+_BLOCK_LOADS = [(p.stem, []) for p in sorted(PROBLEMS.glob("*.cfg"))] + [
+    ("bvp_sqrt", ["space.n_modes=1280", "space.n_panels=1024"])
+]
+
+
+@pytest.mark.parametrize(
+    "problem, overrides", _BLOCK_LOADS, ids=[":".join([p, *o]) for p, o in _BLOCK_LOADS]
+)
+def test_a_load_builds_the_comparison_block(problem, overrides):
+    # k x k on span{e_1, ..., e_k}: k = 1 in one-pair mode, 2 in two-pair mode
+    try:
+        setup = load_problem(PROBLEMS / f"{problem}.cfg", overrides=overrides)
+    finally:
+        space_mod._half_basis.cache_clear()
+    k = 1 if setup.mode == "one_pair" else 2
+    assert setup.comparison.matrix.shape == (k, k)
+
+
 def test_apply_b_eigenfunction(space32):
-    out = bvp.b_matrix(lambda t: np.full_like(t, np.pi**2), space32).apply(basis_vector(1, 32))
-    assert (out - basis_vector(1, 32)).norm() <= 1e-10
-    assert bvp.b_matrix(lambda t: 1.0 + t, space32).apply(H1Vector(np.zeros(32))).norm() == 0.0
+    # a1 = pi^2 makes e1 an eigenfunction with eigenvalue 1: on span{e1, e2}
+    # the block reads (B e1, e1) = 1 and (B e1, e2) = 0
+    b = bvp.b_matrix(lambda t: np.full_like(t, np.pi**2), space32, 2)
+    e1, e2 = basis_vector(1, 32), basis_vector(2, 32)
+    assert abs(b.form(e1, e1) - 1.0) <= 1e-10
+    assert abs(b.form(e1, e2)) <= 1e-10
+    assert bvp.b_matrix(lambda t: 1.0 + t, space32, 2).form(H1Vector(np.zeros(32)), e1) == 0.0
 
 
 def test_apply_b_constant_weight_form(space32):
     m = 2.0
-    b = bvp.b_matrix(lambda t: np.full_like(t, m), space32)
+    b = bvp.b_matrix(lambda t: np.full_like(t, m), space32, 1)
     e1 = basis_vector(1, 32)
     assert b.form(e1, e1) == pytest.approx(m / np.pi**2, rel=1e-12)
 
@@ -235,25 +257,27 @@ _A1_WEIGHTS = {
 }
 
 
-# 80 modes on 32 panels: n_modes above 2 n_panels, so even the first n + 1
-# of the 2n + 1 cosine moments fold onto the 64 bins of the panel transform
 @pytest.mark.parametrize("n_modes", [1, 2, 32, 80, 320])
 @pytest.mark.parametrize("a1", sorted(_A1_WEIGHTS))
 def test_b_matrix_matches_weighted_gram(a1, n_modes):
-    # the cosine-moment assembly against the explicit E^T diag(w a1) E
+    # the k x k block from 2k + 1 cosine moments against the leading block
+    # of the explicit E^T diag(w a1) E over all n_modes
     cfg = SpaceConfig(n_modes=n_modes, n_panels=256 if n_modes == 320 else 32)
     nodes, weights = quadrature_grid(cfg)
     basis = full_table(cfg)
     gram = basis.T @ ((weights * _A1_WEIGHTS[a1](nodes))[:, None] * basis)
-    m = bvp.b_matrix(_A1_WEIGHTS[a1], cfg).matrix
-    assert np.max(np.abs(m - gram)) <= 1e-14
-    assert np.array_equal(m, m.T)
+    for k in range(1, min(n_modes, 2) + 1):
+        m = bvp.b_matrix(_A1_WEIGHTS[a1], cfg, k).matrix
+        assert m.shape == (k, k)
+        assert np.max(np.abs(m - gram[:k, :k])) <= 1e-14
+        assert np.array_equal(m, m.T)
 
 
 def test_bvp_load_holds_one_basis_table(monkeypatch):
     # a cold 1280-mode load: the half table of the basis, and no full view,
-    # weighted copy or Gram temporaries; the peak is the half table plus the
-    # comparison matrix's assembly (two 13 MB tables), 1.72x here, where
+    # weighted copy or Gram temporaries; the peak is the 42 MB half table
+    # plus the oddness check's 27 MB of folded grid arrays (the profiles of
+    # its 100 rows, their negation and f at both), 1.65-1.70x here, where
     # a full 84 MB view on top would reach 3x
     overrides = ["space.n_modes=1280", "space.n_panels=1024"]
     half_bytes = 8 * (8 * 1024 // 2) * 1280
@@ -361,7 +385,7 @@ def test_bvp_h2_overflow_raises_quietly(cfg):
     # at 320)
     nl = _plain_nl(lambda t, u: np.sinh(5000.0 * u), "sinh")
     op = bvp.bvp_operator(nl, cfg, odd=False)
-    b = LinearOperatorSpec.scaled_identity(1.0, cfg.n_modes)
+    b = LinearOperatorSpec.scaled_identity(1.0, 1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(OperatorDivergenceError, match=r"max \|u_k\| = 5\.000e-01"):
@@ -369,11 +393,15 @@ def test_bvp_h2_overflow_raises_quietly(cfg):
 
 
 def test_b_self_adjoint(space32, sublinear_nl, rng):
-    b = bvp.b_matrix(sublinear_nl.a1, space32)
+    # (B u, v) = (B v, u) on the block's span, and both equal the grid
+    # integral of a1 u v
+    b = bvp.b_matrix(sublinear_nl.a1, space32, 2)
+    nodes, weights = quadrature_grid(space32)
     for _ in range(20):
-        u = H1Vector(rng.standard_normal(32))
-        v = H1Vector(rng.standard_normal(32))
-        assert abs(inner(b.apply(u), v) - inner(u, b.apply(v))) <= 1e-10
+        u, v = (H1Vector(np.concatenate([rng.standard_normal(2), np.zeros(30)])) for _ in range(2))
+        integral = weights @ (sublinear_nl.a1(nodes) * evaluate(u, nodes) * evaluate(v, nodes))
+        assert abs(b.form(u, v) - b.form(v, u)) <= 1e-10
+        assert abs(b.form(u, v) - integral) <= 1e-10
 
 
 def _inner_rule_operator(nl, cfg):

@@ -23,12 +23,11 @@ from fixpairs.problems import (
     ProblemSetup,
     _check_checker_rows,
     _check_table_sizes,
-    _panel_transform_bytes,
     load_problem,
     parse_config,
 )
 from fixpairs.solver import SolverConfig
-from fixpairs.space import SpaceConfig, gauss_rule, panel_analysis, panel_phases, quadrature_grid
+from fixpairs.space import SpaceConfig, gauss_rule, moments, panel_phases, profiles, quadrature_grid
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -139,8 +138,9 @@ BAD_OVERRIDES = [
     ("cubic2d", "hypotheses.growth_radii=0.5,nan"),
     ("cubic2d", "solver.grad_tol=nan"),
     ("cubic2d", "problem.seed_scale=1"),
-    # dense tables above the 1 GiB guard: comparison matrix, basis, Gauss rule
-    ("power_law_1d", "space.n_modes=100000"),
+    # dense tables above the 1 GiB guard: (H2) batch (256 rows of 10^6
+    # modes, 1.9 GiB), basis, Gauss rule
+    ("power_law_1d", "space.n_modes=1000000"),
     ("bvp_sqrt", "space.n_panels=200000"),
     # the basis half table of 100,000 panels fits; its (H2) rows exceed the row cap
     ("bvp_sqrt", "space.n_panels=100000"),
@@ -247,27 +247,52 @@ def test_size_guard_applies_to_the_built_space():
     _check_table_sizes(
         "bvp", SpaceConfig(n_modes=1280, quad_nodes=8, n_panels=1024), "one_pair", 16, HypothesisParams()
     )
-    # a 7,000-mode comparison matrix peaks at 18 n^2 = 0.82 GiB
-    _check_table_sizes("power_law", SpaceConfig(n_modes=7000), "one_pair", 16, HypothesisParams())
     # the guard counts the basis half table: 400,000 of 800,000 nodes by 320
     # modes is 0.95 GiB, where the full table would need 1.9 GiB
     wide = SpaceConfig(n_modes=320, quad_nodes=8, n_panels=100000)
     _check_table_sizes("bvp", wide, "one_pair", 1, HypothesisParams(n_s=10))
     with pytest.raises(ConfigError, match=r"basis table needs 1\.9 GiB"):
         _check_table_sizes("bvp", replace(wide, n_panels=200000), "one_pair", 1, HypothesisParams(n_s=10))
-    # the panel transform row bounds b_matrix's transform as tracemalloc sees
-    # it: 2,561 bins folded onto 2,048, and 201 bins on 2,000 unfolded
+    # the comparison block's moments (5 bins) peak below the 80 bytes a
+    # grid node of 10 (H2) rows, which the guard counts in their place
     for cfg in (SpaceConfig(1280, 8, 1024), SpaceConfig(100, 8, 1000)):
-        nodes, weights = quadrature_grid(cfg)
+        nodes, _ = quadrature_grid(cfg)
         gauss_rule(cfg.quad_nodes)  # cached on first use
         tracemalloc.start()
         try:
-            g = weights * (1.0 + nodes)
-            panel_analysis(g[None, :], cfg, panel_phases(cfg, 2 * cfg.n_modes + 1))
+            bvp.b_matrix(lambda t: 1.0 + t, cfg, 2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert 0.5 * _panel_transform_bytes(cfg) <= peak <= _panel_transform_bytes(cfg)
+        assert peak <= 80 * nodes.size
+
+
+def test_size_guard_counts_the_oddness_batch_and_the_transform_phases():
+    # 100 oddness rows of 2 million modes (1.5 GiB), where the 10 (H2) rows
+    # and the one (H) row are far below the limit
+    many = SpaceConfig(n_modes=2 * 10**6)
+    small = HypothesisParams(n_s=10, growth_radii=(1.0,), dirs_per_radius=1)
+    with pytest.raises(ConfigError, match=r"oddness batch needs 1\.5 GiB"):
+        _check_table_sizes("power_law", many, "one_pair", 1, small)
+    # the one-row transform's phases: 4,096 nodes a panel by 16,385 bins at
+    # 64 bytes a cell (4.0 GiB), on a grid of one panel
+    phased = SpaceConfig(n_modes=16384, quad_nodes=4096, n_panels=1)
+    with pytest.raises(ConfigError, match=r"transform phases needs 4\.0 GiB"):
+        _check_table_sizes("bvp", phased, "one_pair", 1, HypothesisParams(n_s=10))
+    # a one-row synthesis and analysis through the phases peak below the
+    # count plus 64 bytes a grid node
+    for cfg in (SpaceConfig(4000, 64, 4), SpaceConfig(20000, 8, 64), SpaceConfig(1280, 8, 1024)):
+        quadrature_grid(cfg)
+        gauss_rule(cfg.quad_nodes)
+        coeffs = np.ones((1, cfg.n_modes)) / np.arange(1, cfg.n_modes + 1)
+        tracemalloc.start()
+        try:
+            phases = panel_phases(cfg, cfg.n_modes + 1)
+            moments(profiles(coeffs, cfg, phases), cfg, phases)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * cfg.quad_nodes * (cfg.n_modes + 1 + cfg.n_panels)
 
 
 def test_size_guard_counts_the_h2_prime_chunk_and_circle():

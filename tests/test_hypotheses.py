@@ -56,6 +56,34 @@ def test_h1_requires_unit_vector():
         check_h1(LinearOperatorSpec.scaled_identity(2.0, 2), H1Vector([2.0, 0.0]))
 
 
+@pytest.mark.parametrize(
+    "problem, mode",
+    [
+        ("bvp_sqrt", "one_pair"),
+        ("power_law_1d", "one_pair"),
+        ("power_law_1d", "two_pair"),
+        ("sublinear_affine", "two_pair"),
+    ],
+)
+def test_checkers_reject_a_vector_outside_the_block(problem, mode):
+    # e3 in the place of the checked span: the k x k comparison block has
+    # no form for it and must not truncate one
+    overrides = ["space.n_modes=4", f"problem.mode={mode}"]
+    setup = load_problem(PROBLEMS / f"{problem}.cfg", overrides=overrides)
+    e3 = basis_vector(3, 4)
+    if setup.mode == "one_pair":
+        with pytest.raises(ValueError, match="outside span"):
+            check_h1(setup.comparison, e3)
+        with pytest.raises(ValueError, match="outside span"):
+            check_h2(setup.operator, setup.comparison, e3, setup.radius)
+        return
+    e1, e2 = setup.e_vectors
+    with pytest.raises(ValueError, match="outside span"):
+        quadratic_form_margin(setup.comparison, e1, e3)
+    with pytest.raises(ValueError, match="outside span"):
+        check_h2_prime(setup.operator, setup.comparison, e3, e2, setup.radius)
+
+
 def test_h1_sign_flip_invariance():
     b = LinearOperatorSpec(matrix=np.diag([1.5, 0.2]))
     plus = check_h1(b, E1)
@@ -225,7 +253,7 @@ def _h2_prime_by_angle(A, B2, e2, e3, r2, n_angle, n_s):
     margin, witness = np.inf, {}
     for phi in 2.0 * np.pi * np.arange(n_angle) / n_angle:
         u = r2 * (np.cos(phi) * a + np.sin(phi) * b)
-        gaps = A.ray_forms(u[None, :], s)[0] - s * float(u @ (B2.matrix @ u))
+        gaps = A.ray_forms(u[None, :], s)[0] - s * B2.form(H1Vector(u), H1Vector(u))
         i = int(np.argmin(gaps))
         if gaps[i] < margin:
             margin = float(gaps[i])

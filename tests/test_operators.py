@@ -1,4 +1,3 @@
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -21,10 +20,10 @@ from fixpairs import (
     inner,
     lower_bound_J,
 )
-from fixpairs import SpaceConfig, bvp
+from fixpairs import bvp
 from fixpairs.models import linear_operator, radial_power_operator
 from fixpairs.operators import OddnessError
-from fixpairs.space import evaluate, quadrature_grid
+from fixpairs.space import evaluate
 
 
 @pytest.fixture(scope="module")
@@ -292,28 +291,27 @@ def test_linear_operator_spec_validation():
     assert spec.form(basis_vector(1, 3), basis_vector(1, 3)) == 2.0
 
 
-@pytest.mark.parametrize("build", ["scaled_identity", "b_matrix"])
-def test_symmetric_matrix_peak_is_18_bytes_an_entry(build):
-    # the assembled matrix, its stored copy, the 1-byte finiteness mask and
-    # one 0.5 MiB tile of the symmetry check; the size guard counts 18 n^2
-    for n in (1000, 3000):
-        cfg = SpaceConfig(n_modes=n)
-        quadrature_grid(cfg)  # cached on first use; not part of the matrix's footprint
-        tracemalloc.start()
-        try:
-            if build == "scaled_identity":
-                LinearOperatorSpec.scaled_identity(1.5, n)
-            else:
-                bvp.b_matrix(lambda t: 1.0 + t, cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 18 * n**2
+def test_comparison_block_reads_its_span():
+    # a 2 x 2 block reads the first two coordinates of a longer vector and
+    # rejects any vector with a non-zero coordinate past them
+    block = LinearOperatorSpec(matrix=np.array([[2.0, 0.5], [0.5, 3.0]]))
+    u, v = H1Vector([1.0, 2.0, 0.0, 0.0]), H1Vector([3.0, -1.0, 0.0, 0.0])
+    assert block.form(u, v) == 3.0 * 3.0 - 1.0 * 6.5
+    assert block.forms(np.stack([u.coeffs, v.coeffs])).tolist() == [16.0, 18.0]
+    for outside in (basis_vector(3, 4), H1Vector([1.0, 0.0, 0.0, 1e-300])):
+        with pytest.raises(ValueError, match="outside span"):
+            block.form(outside, u)
+        with pytest.raises(ValueError, match="outside span"):
+            block.form(u, outside)
+        with pytest.raises(ValueError, match="outside span"):
+            block.forms(np.stack([u.coeffs, outside.coeffs]))
+    with pytest.raises(ValueError, match="outside span"):
+        block.form(H1Vector([1.0]), H1Vector([1.0]))
 
 
 @pytest.mark.parametrize("k, l", [(1, 0), (0, 599), (599, 0), (300, 299), (5, 260), (520, 515)])
 def test_symmetry_check_compares_every_tile(rng, k, l):
-    # 600 modes: three tiles a side, the last one partial
+    # one entry off the mirror anywhere in a 600 x 600 matrix, in either triangle
     m = rng.standard_normal((600, 600))
     m = m + m.T
     for gap, symmetric in ((1e-9, False), (1e-13, True)):
@@ -325,19 +323,6 @@ def test_symmetry_check_compares_every_tile(rng, k, l):
         else:
             with pytest.raises(ValueError, match="symmetric"):
                 LinearOperatorSpec(matrix=tilted)
-
-
-def test_symmetry_check_holds_one_tile():
-    # no n x n residual: the peak is the stored copy, the finiteness mask and a tile
-    n = 1000
-    m = np.eye(n)
-    tracemalloc.start()
-    try:
-        LinearOperatorSpec(matrix=m)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 8 * n**2 + n**2 + 2 * 8 * 256**2
 
 
 def test_apply_wrapper_dimension_check(model_1d):

@@ -189,7 +189,7 @@ def test_panel_transform_matches_the_full_table(cfg, rng):
     synthesized = panel_synthesis(amplitudes, cfg, phases)
     assert max_rel(analysed.imag[:, 1:] * scales, values @ full) <= 1e-13
     assert max_rel(synthesized.imag, coeffs @ full.T) <= 1e-13
-    # 2n + 1 bins, as b_matrix reads them, fold above 2 n_panels
+    # a count above 2 n_panels folds the bins
     count = 2 * n + 1
     exponentials = np.exp(1j * np.pi * np.outer(nodes, np.arange(count)))
     wide = panel_phases(cfg, count)

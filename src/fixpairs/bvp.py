@@ -152,7 +152,7 @@ def bvp_operator(nl: Nonlinearity, cfg: SpaceConfig, odd: bool = True) -> Potent
     # (2, 1, half) views that broadcast against (2, B, half) folded profiles
     nodes_b, weights_b = nodes[:, None, :], weights[:, None, :]
     # the phases of the panel transform, which one-row products take on
-    # large grids (space.profiles)
+    # large grids and every product on a table-free one (space.profiles)
     phases = panel_phases(cfg, cfg.n_modes + 1)
 
     def synthesize(folded: np.ndarray) -> np.ndarray:
@@ -166,7 +166,7 @@ def bvp_operator(nl: Nonlinearity, cfg: SpaceConfig, odd: bool = True) -> Potent
         # roundings flips sign with its input, so apply_batch(-x) equals
         # -apply_batch(x) value for value wherever f(t, -p) == -f(t, p) at
         # the profiles p of the rows: the oddness check then needs no moments
-        folded = profiles(stacked, cfg)
+        folded = profiles(stacked, cfg, phases)
         return bool(np.array_equal(nl.f(nodes_b, -folded), -nl.f(nodes_b, folded)))
 
     apply_batch.odd_at = odd_at  # type: ignore[attr-defined]

@@ -21,7 +21,7 @@ from .hypotheses import h2_prime_chunk
 from .models import clipped_cubic_operator, linear_operator, radial_power_operator
 from .operators import _ODDNESS_SAMPLES, LinearOperatorSpec, PotentialOperatorSpec
 from .solver import SolverConfig, axis_seeds, circle_seeds
-from .space import H1Vector, SpaceConfig, basis_vector
+from .space import H1Vector, SpaceConfig, _table_free, basis_vector
 
 __all__ = ["ConfigError", "HypothesisParams", "ProblemSetup", "load_problem", "parse_config"]
 
@@ -80,6 +80,17 @@ _GRID_NODES_PER_ROW = 8
 # footprint of one H1Vector seed besides its coefficients (object, attribute
 # dict, array header, list slot): about 210 B measured with tracemalloc
 _SEED_OVERHEAD_BYTES = 224
+# the oddness check holds its rows about five times at once (tracemalloc): a
+# coefficient operator the samples, their negation, both images and their
+# sum (5.0x), a bvp operator its folded profiles, their negation and f at
+# both (4.0-4.2x), or 5.3x on a table-free grid, where the profiles come
+# through the panel transform
+_ODDNESS_TABLES = 6
+# bytes a batch row through the panel transform holds per cell of quad_nodes
+# x max(n_modes + 1, 2 n_panels): its spectra, contiguous FFT lines and
+# inverse FFT output, or the gathered or folded bins when n_modes >= 2
+# n_panels; 1.1-2.3 complex values a cell measured with tracemalloc
+_TRANSFORM_CELL_BYTES = 40
 
 
 @dataclass(frozen=True)
@@ -193,53 +204,68 @@ def _row_width(kind: str, space: SpaceConfig) -> int:
     return space.n_modes
 
 
-def _check_table_sizes(
+def _table_sizes(
     kind: str, space: SpaceConfig, mode: str, n_seeds: int, hyp: HypothesisParams
-) -> None:
-    """Reject a problem whose largest table would exceed _MAX_TABLE_BYTES.
+) -> dict[str, int]:
+    """Bytes of the largest arrays a problem builds, by what they hold.
 
     Every kind builds n_seeds seed vectors and checks oddness on one batch
-    of _ODDNESS_SAMPLES operator rows; the checkers take the forms of n_s
-    scaled rows at once in (H2), of h2_prime_chunk(n_s, row_width) angles
-    of n_s rows at once in (H2)', which also holds all n_angle circle
-    points (two such tables at the peak, measured with tracemalloc), and
-    apply the operator to all len(growth_radii) x dirs_per_radius rows of
-    (H) in one batch, and `eigen` builds eigen_n-long finite-difference
-    vectors.  bvp also tabulates the basis on the left half of the
-    quadrature grid (space.profiles and space.moments fold the right half
-    onto it), the Gauss-Legendre companion matrix of quad_nodes, a grid
-    profile of every applied row, and the quad_nodes x (n_modes + 1)
-    phases of the one-row panel transform.  A one-row product peaks at
-    most at 64 bytes a phase cell (the table, the terms and their gathered
-    or folded copy) plus 64 a grid node, 0.6-1.0 of that under
-    tracemalloc; the cells are counted, the grid part is below the (H2)
-    rows.  The k x k comparison block (k <= 2) is not counted: its cosine
-    moments take the same transform on 2k + 1 bins, about 64 bytes a grid
-    node plus 32 (2k + 1)(quad_nodes + 1) of phases, and with n_s >= 10
-    the (H2) batch or one (H2)' chunk holds at least n_s grid rows, 80
-    bytes a node, while the phases stay below the Gauss-Legendre rule from
-    21 nodes a panel on and a few KiB before.  The time of the (H2)' sweep
-    is bounded by _check_checker_rows.
+    of _ODDNESS_SAMPLES operator rows, counted _ODDNESS_TABLES times; the
+    checkers take the forms of n_s scaled rows at once in (H2), of
+    h2_prime_chunk(n_s, row_width) angles of n_s rows at once in (H2)',
+    which also holds all n_angle circle points (two such tables at the peak,
+    measured with tracemalloc), and apply the operator to all
+    len(growth_radii) x dirs_per_radius rows of (H) in one batch, and
+    `eigen` builds eigen_n-long finite-difference vectors.  bvp also builds
+    the Gauss-Legendre companion matrix of quad_nodes and a grid profile of
+    every applied row.  On a table-free grid (space._table_free) its two
+    batches, the oddness rows and the (H) rows, go through the panel
+    transform, at _TRANSFORM_CELL_BYTES a cell per row.  Any other grid
+    tabulates the basis on the left half of the quadrature grid, which is
+    then at most 16 MiB and not counted.  The quad_nodes x (n_modes + 1)
+    phases of a one-row transform are not counted either: with what a
+    one-row product holds they come to at most 64 bytes a cell (0.6-1.0 of
+    that under tracemalloc), 1/62 of the transform batch on a table-free
+    grid and at most 512 MiB on a grid whose half table is at most 16 MiB.
+    Nor is the k x k comparison block (k <= 2): its cosine moments take
+    the transform on 2k + 1 bins, about 64 bytes a grid node plus 32 (2k +
+    1)(quad_nodes + 1) of phases, and with n_s >= 10 the (H2) batch or one
+    (H2)' chunk holds at least n_s grid rows, 80 bytes a node, while the
+    phases stay below the Gauss-Legendre rule from 21 nodes a panel on and
+    a few KiB before.
     """
     n = space.n_modes
     width = _row_width(kind, space)
     row = 8 * width
+    h_rows = len(hyp.growth_radii) * hyp.dirs_per_radius
     tables = {
         "seed table": n_seeds * (8 * n + _SEED_OVERHEAD_BYTES),
-        "oddness batch": _ODDNESS_SAMPLES * row,
+        "oddness batch": _ODDNESS_TABLES * _ODDNESS_SAMPLES * row,
         "finite-difference vector": 8 * hyp.eigen_n,
     }
     if kind == "bvp":
-        nodes = space.quad_nodes * space.n_panels
-        tables["basis table"] = 8 * ((nodes + 1) // 2) * n
         tables["Gauss-Legendre rule"] = 8 * space.quad_nodes**2
-        tables["transform phases"] = 64 * space.quad_nodes * (n + 1)
+        if _table_free(space):
+            cells = space.quad_nodes * max(n + 1, 2 * space.n_panels)
+            tables["panel transform batch"] = (
+                max(_ODDNESS_SAMPLES, h_rows) * _TRANSFORM_CELL_BYTES * cells
+            )
     if mode == "one_pair":
         tables["(H2) batch"] = hyp.n_s * row
     else:
         tables["(H2)' chunk"] = h2_prime_chunk(hyp.n_s, width) * hyp.n_s * row
         tables["(H2)' circle"] = 2 * hyp.n_angle * 8 * n
-    tables["(H) batch"] = len(hyp.growth_radii) * hyp.dirs_per_radius * row
+    tables["(H) batch"] = h_rows * row
+    return tables
+
+
+def _check_table_sizes(
+    kind: str, space: SpaceConfig, mode: str, n_seeds: int, hyp: HypothesisParams
+) -> None:
+    """Reject a problem whose largest table (_table_sizes) would exceed
+    _MAX_TABLE_BYTES.  The time of the (H2)' sweep is bounded by
+    _check_checker_rows."""
+    tables = _table_sizes(kind, space, mode, n_seeds, hyp)
     name, size = max(tables.items(), key=lambda item: item[1])
     if size > _MAX_TABLE_BYTES:
         raise ConfigError(

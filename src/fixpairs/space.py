@@ -32,27 +32,32 @@ and adds them as y_left + d y_right.
 
 The grid also has a panel structure, t = (p + y_q) / P for panel p < P and
 Gauss node y_q, so every sum over it of g_i exp(i pi j t_i) splits into
-quad_nodes FFTs of length 2P over p, read at bin j mod 2P, each followed by
-the phase exp(i pi j y_q / P).  panel_analysis computes these sums for
-j < count in O(quad_nodes P log P + quad_nodes count) with numpy.fft alone
-(no BLAS call, so its bytes do not depend on the BLAS thread count), and
-panel_synthesis is the same product the other way; e_k(t) is the imaginary
-part of exp(i pi k t) times sqrt(2) / (k pi).  profiles and moments take the
-transform for a product of one row when the half table is larger than
-_TRANSFORM_ABOVE_BYTES (2 MiB) and the table otherwise.  A batch of rows
-is one BLAS-3 product, which beats quad_nodes FFTs a row at the two batch
-sizes left, the 48 rows of (H) and the 100 of the oddness check (the ray
-checks sum their forms on the grid from one synthesis of each ray and no
-analysis, bvp.bvp_operator): a synthesis and an analysis of 64 rows took
-2.8 ms through the table and 9.1 ms through the transform at 320 modes,
-45 and 63 ms at 1,280.  Medians per one-row call on 2 shared vCPUs with
-2 OpenBLAS threads, table -> transform:
+quad_nodes DFTs of length 2P over p, read at bin j mod 2P, each followed by
+the phase exp(i pi j y_q / P).  The grid values are real, so one real FFT
+a Gauss node gives every bin: panel_analysis computes these sums for
+j < count in O(quad_nodes P log P + quad_nodes count) with numpy.fft and
+einsum alone (no BLAS call, so its bytes do not depend on the BLAS thread
+count), and panel_synthesis is the same product the other way, one
+inverse real FFT a Gauss node; e_k(t) is the imaginary part of
+exp(i pi k t) times sqrt(2) / (k pi).  profiles and moments take the
+transform for every product when the half table is larger than
+_TABLE_FREE_ABOVE_BYTES (16 MiB), so such a grid never builds the table;
+below it, for a product of one row when the table is larger than
+_TRANSFORM_ABOVE_BYTES (2 MiB; medians of one-row profiles and moments,
+table -> transform: 107 -> 44 and 103 -> 40 us at 320 modes on 2,048
+nodes, 1,875 -> 144 and 1,746 -> 120 us at 1,280 on 8,192), and the
+table otherwise.  The batches are the 48 rows of (H) and the 100 of
+the oddness check (the ray checks sum their forms on the grid from one
+synthesis of each ray and no analysis, bvp.bvp_operator).  A synthesis
+plus an analysis of a batch, medians of 31 interleaved calls on 2 shared
+vCPUs with 2 OpenBLAS threads, table / transform, and the time to build
+the table:
 
-    modes x nodes   half table   profiles           moments
-       32 x   256     0.03 MiB     7.4 -> 35 us       7.4 -> 38 us
-      160 x 1,024      0.6 MiB      20 -> 45 us        20 -> 51 us
-      320 x 2,048      2.5 MiB     208 -> 64 us       122 -> 64 us
-    1,280 x 8,192       40 MiB   2,068 -> 230 us    1,807 -> 270 us
+    modes x nodes   half table   build    48 rows         100 rows
+      320 x 2,048      2.5 MiB    4 ms    1.4 /  2.4 ms    4.1 / 15.7 ms
+      640 x 4,096     10.0 MiB   24 ms    6.0 /  7.8 ms   11.7 / 17.3 ms
+      960 x 6,144     22.5 MiB   55 ms   12.9 / 13.2 ms   24.6 / 28.3 ms
+    1,280 x 8,192     40.0 MiB   97 ms   19.9 / 13.3 ms   34.8 / 28.9 ms
 
 Both ways are linear and every rounding in them flips sign with its input,
 so a product of -c is the negation of the product of c bit for bit.
@@ -231,12 +236,24 @@ def folded_grid(cfg: SpaceConfig) -> tuple[np.ndarray, np.ndarray]:
 
 # one-row products take the panel transform above this half-table size
 _TRANSFORM_ABOVE_BYTES = 2 * 2**20
+# every product takes it above this one, so such a grid builds no table
+_TABLE_FREE_ABOVE_BYTES = 16 * 2**20
+
+
+def _half_table_bytes(cfg: SpaceConfig) -> int:
+    """Bytes of the basis half table of a discretization."""
+    return 8 * _half(cfg.quad_nodes * cfg.n_panels) * cfg.n_modes
+
+
+def _table_free(cfg: SpaceConfig) -> bool:
+    """Whether every product on this grid takes the panel transform, so
+    that the grid never builds its half table."""
+    return _half_table_bytes(cfg) > _TABLE_FREE_ABOVE_BYTES
 
 
 def _by_transform(rows: int, cfg: SpaceConfig) -> bool:
     """Whether a product of this many rows takes the panel transform."""
-    table_bytes = 8 * _half(cfg.quad_nodes * cfg.n_panels) * cfg.n_modes
-    return rows == 1 and table_bytes > _TRANSFORM_ABOVE_BYTES
+    return _table_free(cfg) or (rows == 1 and _half_table_bytes(cfg) > _TRANSFORM_ABOVE_BYTES)
 
 
 def _scales(n_modes: int) -> np.ndarray:
@@ -257,35 +274,61 @@ def panel_analysis(values: np.ndarray, cfg: SpaceConfig, phases: np.ndarray) -> 
 
     values is (B, N) real, in grid order; phases is panel_phases(cfg, count)
     and the result is (B, count) complex.  For t = (p + y_q) / P the sum over
-    p is an FFT of length 2P read at bin j mod 2P, so a count above 2P folds
-    the bins.
+    p is a DFT of length 2P at bin j mod 2P, so a count above 2P folds the
+    bins.  One real FFT a Gauss node gives R_j for j <= P; the grid values
+    are real, so bin j is conj(R_j) up to P and R_(2P-j) above it.
     """
     b = values.shape[0]
     count, quad_nodes = phases.shape
-    width = 2 * cfg.n_panels
-    # one unscaled inverse FFT per Gauss node, read as (B, 2P, quad_nodes)
-    spectra = np.fft.ifft(
-        values.reshape(b, -1, quad_nodes).transpose(0, 2, 1), n=width, norm="forward"
-    ).transpose(0, 2, 1)
-    bins = spectra[:, :count] if count <= width else spectra[:, np.arange(count) % width]
-    bins *= phases
-    return bins.sum(axis=-1)
+    p = cfg.n_panels
+    width = 2 * p
+    # (B, quad_nodes, P + 1): R_j = sum_p g exp(-i pi j p / P), one line a
+    # node; the FFT reads contiguous lines faster than it gathers them
+    lines = np.ascontiguousarray(values.reshape(b, p, quad_nodes).transpose(0, 2, 1))
+    spectra = np.fft.rfft(lines, n=width)
+    if count > width:  # every bin of 2P, gathered modulo 2P
+        full = np.concatenate([spectra.conj(), spectra[..., p - 1 : 0 : -1]], axis=-1)
+        return np.einsum("bqj,jq->bj", full[..., np.arange(count) % width], phases)
+    low = min(count, p + 1)
+    sums = np.empty((b, count), dtype=complex)
+    # sum_q conj(R_j) phase = conj(sum_q R_j conj(phase)), rounded alike
+    sums[:, :low] = np.einsum("bqj,jq->bj", spectra[..., :low], phases[:low].conj()).conj()
+    # bins P < j < count read R_(2P-j) through a reversed view
+    sums[:, low:] = np.einsum("bqj,jq->bj", spectra[..., p - 1 : width - count : -1], phases[low:])
+    return sums
 
 
 def panel_synthesis(amplitudes: np.ndarray, cfg: SpaceConfig, phases: np.ndarray) -> np.ndarray:
-    """sum_j a_j exp(i pi j t_i) at every grid node for each of B rows of a.
+    """sum_j a_j sin(pi j t_i) at every grid node for each of B rows of a.
 
     amplitudes is (B, count) real and phases is panel_phases(cfg, count); the
-    result is (B, N) complex, in grid order: the transpose of panel_analysis.
+    result is (B, N) real, in grid order: the imaginary part of the transpose
+    of panel_analysis.  With C_k the terms a_j exp(i pi j y_q / P) of the
+    bins j = k mod 2P, that part is the inverse DFT of the Hermitian
+    spectrum D_k = (C_k - conj C_(2P-k)) / 2i, one real FFT a Gauss node
+    over k = 0..P.
     """
     b, count = amplitudes.shape
     quad_nodes = phases.shape[1]
-    width = 2 * cfg.n_panels
-    terms = amplitudes[:, :, None] * phases
+    p = cfg.n_panels
+    width = 2 * p
+    # C_k / 2i term by term, exactly: -0.5j z only swaps, halves and negates
+    rotated = (-0.5j * phases).T
     if count > width:  # fold the bins modulo 2P
-        pad = np.zeros((b, -count % width, quad_nodes), dtype=terms.dtype)
-        terms = np.concatenate([terms, pad], axis=1).reshape(b, -1, width, quad_nodes).sum(axis=1)
-    values = np.fft.ifft(terms.transpose(0, 2, 1), n=width, norm="forward")[..., : cfg.n_panels]
+        terms = np.zeros((b, quad_nodes, count + -count % width), dtype=complex)
+        np.multiply(amplitudes[:, None, :], rotated, out=terms[..., :count])
+        terms = terms.reshape(b, quad_nodes, -1, width).sum(axis=2)
+        spectrum = terms[..., : p + 1].copy()
+        spectrum[..., p:0:-1] += terms[..., p:].conj()
+    else:
+        low = min(count, p + 1)
+        spectrum = np.empty((b, quad_nodes, p + 1), dtype=complex)
+        spectrum[..., low:] = 0.0
+        np.multiply(amplitudes[:, None, :low], rotated[:, :low], out=spectrum[..., :low])
+        # the terms of bins P <= j < count enter D at 2P - j, conjugated
+        spectrum[..., p : width - count : -1] += amplitudes[:, None, p:] * rotated[:, p:].conj()
+    spectrum[..., 0] += spectrum[..., 0].conj()  # D_0 = Im C_0; irfft reads real parts at 0 and P
+    values = np.fft.irfft(spectrum, n=width, norm="forward")[..., :p]
     return values.transpose(0, 2, 1).reshape(b, -1)
 
 
@@ -293,17 +336,17 @@ def profiles(coeffs: np.ndarray, cfg: SpaceConfig, phases: np.ndarray | None = N
     """Folded grid values of the functions whose coefficient rows are coeffs.
 
     coeffs is (B, n_modes); the result is (2, B, half), from the one
-    product [c; d c] E_h^T, or for one row above the crossover from
-    panel_synthesis.  phases, panel_phases(cfg, n_modes + 1), spares the
-    transform building its own.
+    product [c; d c] E_h^T, or from panel_synthesis where _by_transform
+    says so.  phases, panel_phases(cfg, n_modes + 1), spares the transform
+    building its own.
     """
     n = cfg.n_modes
     if _by_transform(coeffs.shape[0], cfg):
         if phases is None:
             phases = panel_phases(cfg, n + 1)
-        amplitudes = np.zeros((1, n + 1))
+        amplitudes = np.zeros((coeffs.shape[0], n + 1))
         amplitudes[:, 1:] = coeffs * _scales(n)
-        return _fold(panel_synthesis(amplitudes, cfg, phases).imag)
+        return _fold(panel_synthesis(amplitudes, cfg, phases))
     stacked = (coeffs * _signs(n)).reshape(-1, n)
     values = stacked @ _half_basis(n, cfg.quad_nodes, cfg.n_panels).T
     return values.reshape(2, coeffs.shape[0], -1)
@@ -314,7 +357,7 @@ def moments(folded: np.ndarray, cfg: SpaceConfig, phases: np.ndarray | None = No
 
     folded is (2, B, half), with any quadrature weights applied; the result
     is (B, n_modes), from the one product of the stacked rows with E_h, or
-    for one row above the crossover from panel_analysis.  phases is as for
+    from panel_analysis where _by_transform says so.  phases is as for
     profiles.
     """
     n = cfg.n_modes
@@ -341,8 +384,9 @@ def basis_matrix(cfg: SpaceConfig) -> np.ndarray:
 
     A full view unfolded from the half table, built anew on every call; the
     package computes through profiles and moments and never builds it.  It
-    stays public because perfbench's traced byte count calls it; ROADMAP
-    item 4 moves that count to the half table's bytes.
+    stays public because perfbench's traced byte count calls it; on a
+    table-free grid that call builds a half table the program does not
+    hold.  ROADMAP item 4 moves that count to the bytes the problem holds.
     """
     half = _half_basis(cfg.n_modes, cfg.quad_nodes, cfg.n_panels)
     return _unfold(half, half * _signs(cfg.n_modes)[1], cfg.quad_nodes * cfg.n_panels)

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 import warnings
@@ -25,7 +26,7 @@ from fixpairs import (
     gradient_J,
     inner,
 )
-from fixpairs import bvp
+from fixpairs import bvp, cli
 from fixpairs import operators as operators_mod
 from fixpairs import space as space_mod
 from fixpairs.operators import OddnessError, _oddness_samples
@@ -273,29 +274,36 @@ def test_b_matrix_matches_weighted_gram(a1, n_modes):
         assert np.array_equal(m, m.T)
 
 
-def test_bvp_load_holds_one_basis_table(monkeypatch):
-    # a cold 1280-mode load: the half table of the basis, and no full view,
-    # weighted copy or Gram temporaries; the peak is the 42 MB half table
-    # plus the oddness check's 27 MB of folded grid arrays (the profiles of
-    # its 100 rows, their negation and f at both), 1.65-1.70x here, where
-    # a full 84 MB view on top would reach 3x
+def test_a_table_free_load_and_report_build_no_basis_table(monkeypatch, tmp_path):
+    # 1,280 modes on 8,192 nodes: the half table would be 42 MB, above the
+    # 16 MiB crossover, so every product takes the panel transform.  A load
+    # and a report run with every table read failing; the load peaks at
+    # 35.2 MB under tracemalloc (the oddness check's 100 rows through the
+    # transform, then their folded profiles, negation and f at both)
     overrides = ["space.n_modes=1280", "space.n_panels=1024"]
-    half_bytes = 8 * (8 * 1024 // 2) * 1280
-    space_mod._half_basis.cache_clear()
+    cached = space_mod._half_basis.cache_info()
+    # two loads in one process leave the table cache as they found it
+    for _ in range(2):
+        load_problem(PROBLEMS / "bvp_sqrt.cfg", overrides=overrides)
+    assert space_mod._half_basis.cache_info() == cached
 
-    def no_full_view(cfg):
-        raise AssertionError("a load built the full basis view")
+    def no_table(*args):
+        raise AssertionError("a table-free grid read a basis table")
 
-    monkeypatch.setattr(space_mod, "basis_matrix", no_full_view)
+    monkeypatch.setattr(space_mod, "_half_basis", no_table)
+    monkeypatch.setattr(space_mod, "basis_matrix", no_table)
     tracemalloc.start()
     try:
         load_problem(PROBLEMS / "bvp_sqrt.cfg", overrides=overrides)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-        assert space_mod._half_basis(1280, 8, 1024).nbytes == half_bytes
-        space_mod._half_basis.cache_clear()
-    assert peak <= 2.25 * half_bytes
+    assert peak <= 40e6
+    # bvp_sqrt's check fails by design, so a report exits 1
+    out = tmp_path / "report.json"
+    argv = ["report", "--problem", str(PROBLEMS / "bvp_sqrt.cfg"), "--output", str(out)]
+    assert cli.main(argv + [f"--set={o}" for o in overrides]) == 1
+    assert json.loads(out.read_text())["solve"]["meets_expected"] is True
 
 
 @pytest.mark.parametrize(

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fixpairs import bvp, cli
+from fixpairs import space as space_mod
 from fixpairs.cli import main
 from fixpairs.problems import (
     _SCHEMA,
@@ -23,6 +24,7 @@ from fixpairs.problems import (
     ProblemSetup,
     _check_checker_rows,
     _check_table_sizes,
+    _table_sizes,
     load_problem,
     parse_config,
 )
@@ -139,7 +141,7 @@ BAD_OVERRIDES = [
     ("cubic2d", "solver.grad_tol=nan"),
     ("cubic2d", "problem.seed_scale=1"),
     # dense tables above the 1 GiB guard: (H2) batch (256 rows of 10^6
-    # modes, 1.9 GiB), basis, Gauss rule
+    # modes, 1.9 GiB), oddness batch, Gauss rule
     ("power_law_1d", "space.n_modes=1000000"),
     ("bvp_sqrt", "space.n_panels=200000"),
     # the basis half table of 100,000 panels fits; its (H2) rows exceed the row cap
@@ -241,18 +243,19 @@ def test_non_finite_solve_is_blowup(problem, override, capsys):
 
 
 def test_size_guard_applies_to_the_built_space():
-    # cubic2d always builds two modes, and the 1280-mode bvp_sqrt (42 MB half basis) fits
+    # cubic2d always builds two modes, and the 1280-mode bvp_sqrt fits
     setup = load_problem(PROBLEMS / "cubic2d.cfg", overrides=["space.n_modes=100000"])
     assert setup.space.n_modes == 2
     _check_table_sizes(
         "bvp", SpaceConfig(n_modes=1280, quad_nodes=8, n_panels=1024), "one_pair", 16, HypothesisParams()
     )
-    # the guard counts the basis half table: 400,000 of 800,000 nodes by 320
-    # modes is 0.95 GiB, where the full table would need 1.9 GiB
-    wide = SpaceConfig(n_modes=320, quad_nodes=8, n_panels=100000)
+    # a table-free grid counts its batches through the transform, not a half
+    # table: 20,000 modes on 65,536 nodes would tabulate 4.9 GiB, but the
+    # 100 oddness rows take 0.6 GiB there, and 200 (H) rows 1.2 GiB
+    wide = SpaceConfig(n_modes=20000, quad_nodes=8, n_panels=8192)
     _check_table_sizes("bvp", wide, "one_pair", 1, HypothesisParams(n_s=10))
-    with pytest.raises(ConfigError, match=r"basis table needs 1\.9 GiB"):
-        _check_table_sizes("bvp", replace(wide, n_panels=200000), "one_pair", 1, HypothesisParams(n_s=10))
+    with pytest.raises(ConfigError, match=r"panel transform batch needs 1\.2 GiB"):
+        _check_table_sizes("bvp", wide, "one_pair", 1, HypothesisParams(n_s=10, dirs_per_radius=40))
     # the comparison block's moments (5 bins) peak below the 80 bytes a
     # grid node of 10 (H2) rows, which the guard counts in their place
     for cfg in (SpaceConfig(1280, 8, 1024), SpaceConfig(100, 8, 1000)):
@@ -267,32 +270,84 @@ def test_size_guard_applies_to_the_built_space():
         assert peak <= 80 * nodes.size
 
 
-def test_size_guard_counts_the_oddness_batch_and_the_transform_phases():
-    # 100 oddness rows of 2 million modes (1.5 GiB), where the 10 (H2) rows
-    # and the one (H) row are far below the limit
-    many = SpaceConfig(n_modes=2 * 10**6)
+def test_size_guard_counts_the_oddness_batch_and_the_transform_batch():
+    # the oddness check holds its 100 rows about five times, counted six:
+    # 300,000 modes need 1.3 GiB, where the 10 (H2) rows and the one (H)
+    # row are far below the limit
+    many = SpaceConfig(n_modes=300000)
     small = HypothesisParams(n_s=10, growth_radii=(1.0,), dirs_per_radius=1)
-    with pytest.raises(ConfigError, match=r"oddness batch needs 1\.5 GiB"):
+    with pytest.raises(ConfigError, match=r"oddness batch needs 1\.3 GiB"):
         _check_table_sizes("power_law", many, "one_pair", 1, small)
-    # the one-row transform's phases: 4,096 nodes a panel by 16,385 bins at
-    # 64 bytes a cell (4.0 GiB), on a grid of one panel
+    # one panel of 4,096 nodes by 16,384 modes: the 100 oddness rows through
+    # the transform at 40 bytes a cell of 4,096 x 16,385 bins (250 GiB)
     phased = SpaceConfig(n_modes=16384, quad_nodes=4096, n_panels=1)
-    with pytest.raises(ConfigError, match=r"transform phases needs 4\.0 GiB"):
+    with pytest.raises(ConfigError, match=r"panel transform batch needs 250\.0 GiB"):
         _check_table_sizes("bvp", phased, "one_pair", 1, HypothesisParams(n_s=10))
-    # a one-row synthesis and analysis through the phases peak below the
-    # count plus 64 bytes a grid node
-    for cfg in (SpaceConfig(4000, 64, 4), SpaceConfig(20000, 8, 64), SpaceConfig(1280, 8, 1024)):
+    # a one-row synthesis and analysis through the phases peak below 64
+    # bytes a phase cell plus 64 a grid node; a batch on a table-free grid
+    # below 40 bytes a row and cell of quad_nodes x max(n_modes + 1, 2 n_panels)
+    for cfg, rows in (
+        (SpaceConfig(4000, 64, 4), 0),
+        (SpaceConfig(1280, 8, 1024), 48),
+        (SpaceConfig(20000, 8, 64), 10),  # the bins fold
+        (SpaceConfig(3000, 5, 801), 10),  # folded bins, an odd node count
+    ):
         quadrature_grid(cfg)
         gauss_rule(cfg.quad_nodes)
+        phases = panel_phases(cfg, cfg.n_modes + 1)
         coeffs = np.ones((1, cfg.n_modes)) / np.arange(1, cfg.n_modes + 1)
         tracemalloc.start()
         try:
-            phases = panel_phases(cfg, cfg.n_modes + 1)
             moments(profiles(coeffs, cfg, phases), cfg, phases)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 64 * cfg.quad_nodes * (cfg.n_modes + 1 + cfg.n_panels)
+        if rows:
+            batch = np.repeat(coeffs, rows, axis=0)
+            folded = profiles(batch, cfg, phases)
+            cells = cfg.quad_nodes * max(cfg.n_modes + 1, 2 * cfg.n_panels)
+            for product, x in ((profiles, batch), (moments, folded)):
+                tracemalloc.start()
+                try:
+                    product(x, cfg, phases)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak <= rows * 40 * cells
+
+
+_PEAK_LOADS = [
+    ("bvp_sqrt", []),  # 320 modes on 2,048 nodes: a 2.5 MiB half table
+    ("bvp_sqrt", ["space.n_modes=1280", "space.n_panels=1024"]),  # table-free
+    ("bvp_sqrt", ["space.n_modes=960", "space.n_panels=768"]),  # table-free
+    ("sublinear_affine", []),
+    ("power_law_1d", ["space.n_modes=20000"]),
+]
+
+
+@pytest.mark.parametrize(
+    "problem, overrides", _PEAK_LOADS, ids=[":".join([p, *o]) for p, o in _PEAK_LOADS]
+)
+def test_a_load_peaks_below_the_guard_count(problem, overrides):
+    # a load holds its seeds, the oddness batch and, below the crossover,
+    # the half table at once; its peak stays below what the guard counts
+    # for them
+    path = PROBLEMS / f"{problem}.cfg"
+    setup = load_problem(path, overrides=overrides)  # fills the caches
+    space_mod._half_basis.cache_clear()
+    tracemalloc.start()
+    try:
+        load_problem(path, overrides=overrides)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        space_mod._half_basis.cache_clear()
+    tables = _table_sizes(setup.kind, setup.space, setup.mode, len(setup.seeds), setup.hyp)
+    held = tables["seed table"] + tables["oddness batch"]
+    if setup.kind == "bvp" and not space_mod._table_free(setup.space):
+        held += space_mod._half_table_bytes(setup.space)
+    assert peak <= held
 
 
 def test_size_guard_counts_the_h2_prime_chunk_and_circle():

@@ -188,18 +188,81 @@ def test_panel_transform_matches_the_full_table(cfg, rng):
     analysed = panel_analysis(values, cfg, phases)
     synthesized = panel_synthesis(amplitudes, cfg, phases)
     assert max_rel(analysed.imag[:, 1:] * scales, values @ full) <= 1e-13
-    assert max_rel(synthesized.imag, coeffs @ full.T) <= 1e-13
+    assert max_rel(synthesized, coeffs @ full.T) <= 1e-13
     # a count above 2 n_panels folds the bins
     count = 2 * n + 1
     exponentials = np.exp(1j * np.pi * np.outer(nodes, np.arange(count)))
     wide = panel_phases(cfg, count)
     assert max_rel(panel_analysis(values, cfg, wide), values @ exponentials) <= 1e-13
     wide_amplitudes = rng.standard_normal((3, count))
-    assert max_rel(panel_synthesis(wide_amplitudes, cfg, wide), wide_amplitudes @ exponentials.T) <= 1e-13
+    assert max_rel(panel_synthesis(wide_amplitudes, cfg, wide), wide_amplitudes @ exponentials.T.imag) <= 1e-13
     # T(-x) == -T(x) bit for bit, both ways
     assert np.array_equal(panel_analysis(-values, cfg, phases), -analysed)
     assert np.array_equal(panel_synthesis(-amplitudes, cfg, phases), -synthesized)
     assert np.array_equal(panel_analysis(-values, cfg, wide), -panel_analysis(values, cfg, wide))
+
+
+# (quad_nodes, n_panels, counts): for each grid a count up to P + 1, one
+# from P + 2 to 2P where that range is not empty, and one above 2P, whose
+# bins fold.  Odd node counts (9, 15 and 5 nodes) put a node at t = 1/2
+_BIN_CASES = [
+    (4, 3, (3, 4, 5, 7, 8, 11)),
+    (3, 3, (2, 4, 6, 13)),
+    (3, 5, (6, 9, 10, 23)),
+    (5, 1, (2, 3, 5)),
+    (8, 16, (17, 25, 32, 70)),
+]
+
+
+@pytest.mark.parametrize(
+    "quad_nodes, n_panels, count",
+    [(q, p, c) for q, p, counts in _BIN_CASES for c in counts],
+    ids=lambda v: str(v),
+)
+def test_panel_transform_reads_every_bin_range(quad_nodes, n_panels, count, rng):
+    # bins j <= P come from the conjugated real FFT, P < j < 2P from its
+    # reversed view and j >= 2P fold; every amplitude is non-zero, the j = 0
+    # one and the j = P one included, where the synthesis's inverse real FFT
+    # reads real parts only
+    cfg = SpaceConfig(1, quad_nodes, n_panels)
+    nodes, _ = quadrature_grid(cfg)
+    exponentials = np.exp(1j * np.pi * np.outer(nodes, np.arange(count)))
+    phases = panel_phases(cfg, count)
+    values = rng.standard_normal((4, nodes.size))
+    amplitudes = rng.standard_normal((4, count)) + 2.0
+    analysed = panel_analysis(values, cfg, phases)
+    synthesized = panel_synthesis(amplitudes, cfg, phases)
+    assert analysed.shape == (4, count) and synthesized.shape == (4, nodes.size)
+    assert synthesized.dtype == np.float64
+    assert max_rel(analysed, values @ exponentials) <= 1e-13
+    assert max_rel(synthesized, amplitudes @ exponentials.T.imag) <= 1e-13
+    # T(-x) == -T(x) bit for bit, both ways
+    assert np.array_equal(panel_analysis(-values, cfg, phases), -analysed)
+    assert np.array_equal(panel_synthesis(-amplitudes, cfg, phases), -synthesized)
+    # a row of a batch is its one-row product bit for bit
+    for i in range(4):
+        assert np.array_equal(panel_analysis(values[i : i + 1], cfg, phases)[0], analysed[i])
+        assert np.array_equal(panel_synthesis(amplitudes[i : i + 1], cfg, phases)[0], synthesized[i])
+
+
+def test_a_batch_row_is_its_one_row_product_on_a_table_free_grid(monkeypatch, rng):
+    # 1,280 modes on 8,192 nodes: every product takes the transform, and a
+    # row of a 48-row batch equals its one-row product bit for bit both ways,
+    # so that the bvp operator's apply_coeffs and apply_batch agree
+    cfg = SpaceConfig(1280, 8, 1024)
+
+    def table(*args):
+        raise _TableRead
+
+    monkeypatch.setattr(space_mod, "_half_basis", table)
+    phases = panel_phases(cfg, cfg.n_modes + 1)
+    coeffs = rng.standard_normal((48, cfg.n_modes)) / np.arange(1, cfg.n_modes + 1)
+    folded = profiles(coeffs, cfg, phases)
+    analysed = moments(folded, cfg, phases)
+    for i in (0, 17, 47):
+        assert np.array_equal(profiles(coeffs[i : i + 1], cfg, phases), folded[:, i : i + 1])
+        assert np.array_equal(moments(folded[:, i : i + 1], cfg, phases)[0], analysed[i])
+    assert np.array_equal(profiles(-coeffs, cfg, phases), -folded)
 
 
 class _TableRead(Exception):
@@ -207,14 +270,21 @@ class _TableRead(Exception):
 
 
 @pytest.mark.parametrize(
-    "cfg, transform",
-    [(SpaceConfig(32, 8, 32), False), (SpaceConfig(320, 8, 256), True), (SpaceConfig(1280, 8, 1024), True)],
-    ids=["32", "320", "1280"],
+    "cfg, one_row, batch",
+    [
+        (SpaceConfig(32, 8, 32), False, False),
+        (SpaceConfig(320, 8, 256), True, False),
+        (SpaceConfig(640, 8, 512), True, False),
+        (SpaceConfig(960, 8, 768), True, True),
+        (SpaceConfig(1280, 8, 1024), True, True),
+    ],
+    ids=["32", "320", "640", "960", "1280"],
 )
-def test_one_row_products_switch_at_the_crossover(monkeypatch, cfg, transform, rng):
+def test_one_row_products_switch_at_the_crossover(monkeypatch, cfg, one_row, batch, rng):
     # a product of one row takes the panel transform when the half table is
-    # above 2 MiB (320 modes: 2.5 MiB); a batch always takes the table.  A
-    # read of the table stops the product, so no table is built here
+    # above 2 MiB (320 modes: 2.5 MiB), and a batch when it is above 16 MiB
+    # (640 modes: 10 MiB, 960: 22.5 MiB), so such a grid never builds the
+    # table.  A read of the table stops the product, so no table is built here
     def table(*args):
         raise _TableRead
 
@@ -229,7 +299,7 @@ def test_one_row_products_switch_at_the_crossover(monkeypatch, cfg, transform, r
         monkeypatch.setattr(space_mod, name, recorded)
     coeffs = rng.standard_normal((12, cfg.n_modes))
     folded = rng.standard_normal((2, 12, (cfg.quad_nodes * cfg.n_panels + 1) // 2))
-    for rows, by_transform in ((1, transform), (2, False), (12, False)):
+    for rows, by_transform in ((1, one_row), (2, batch), (12, batch)):
         for product, x, name in (
             (profiles, coeffs[:rows], "panel_synthesis"),
             (moments, folded[:, :rows], "panel_analysis"),

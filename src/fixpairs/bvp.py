@@ -240,7 +240,7 @@ def b_matrix(a1: Callable[[np.ndarray], np.ndarray], cfg: SpaceConfig, k: int) -
     """
     nodes, weights = quadrature_grid(cfg)
     g = weights * np.asarray(a1(nodes), dtype=float)
-    c = panel_analysis(g[None, :], cfg, panel_phases(cfg, 2 * k + 1))[0].real
+    c = panel_analysis(g[None, :], cfg, panel_phases(cfg, 2 * k + 1), cosine=True)[0]
     idx = np.arange(1, k + 1)
     m = c[np.abs(idx[:, None] - idx)] - c[idx[:, None] + idx]
     kpi = idx * np.pi

@@ -86,10 +86,17 @@ _SEED_OVERHEAD_BYTES = 224
 # both (4.0-4.2x), or 5.3x on a table-free grid, where the profiles come
 # through the panel transform
 _ODDNESS_TABLES = 6
+# applying the (H) rows holds them about three to four times (tracemalloc):
+# a bvp operator its folded profiles, f at them and their weighted product
+# (3.0-3.1x on bvp_sqrt's 2,048- and 8,192-node table grids, 4.0-4.1x on
+# 256 nodes), a coefficient operator its images (1.0-3.5x).  On a
+# table-free grid the panel transform batch, which is larger, counts them
+_H_BATCH_TABLES = 5
 # bytes a batch row through the panel transform holds per cell of quad_nodes
-# x max(n_modes + 1, 2 n_panels): its spectra, contiguous FFT lines and
-# inverse FFT output, or the gathered or folded bins when n_modes >= 2
-# n_panels; 1.1-2.3 complex values a cell measured with tracemalloc
+# x max(n_modes + 1, 2 n_panels): its grid values, its spectra and FFT lines
+# (one a Gauss line and its mirror), or the gathered or folded bins when
+# n_modes >= 2 n_panels; 0.6-1.6 complex values a cell measured with
+# tracemalloc (9.9-17.9 bytes a synthesis, 10.1-25.2 an analysis)
 _TRANSFORM_CELL_BYTES = 40
 
 
@@ -215,7 +222,8 @@ def _table_sizes(
     h2_prime_chunk(n_s, row_width) angles of n_s rows at once in (H2)',
     which also holds all n_angle circle points (two such tables at the peak,
     measured with tracemalloc), and apply the operator to all
-    len(growth_radii) x dirs_per_radius rows of (H) in one batch, and
+    len(growth_radii) x dirs_per_radius rows of (H) in one batch, counted
+    _H_BATCH_TABLES times, and
     `eigen` builds eigen_n-long finite-difference vectors.  bvp also builds
     the Gauss-Legendre companion matrix of quad_nodes and a grid profile of
     every applied row.  On a table-free grid (space._table_free) its two
@@ -255,7 +263,7 @@ def _table_sizes(
     else:
         tables["(H2)' chunk"] = h2_prime_chunk(hyp.n_s, width) * hyp.n_s * row
         tables["(H2)' circle"] = 2 * hyp.n_angle * 8 * n
-    tables["(H) batch"] = h_rows * row
+    tables["(H) batch"] = _H_BATCH_TABLES * h_rows * row
     return tables
 
 

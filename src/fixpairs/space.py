@@ -33,19 +33,23 @@ and adds them as y_left + d y_right.
 The grid also has a panel structure, t = (p + y_q) / P for panel p < P and
 Gauss node y_q, so every sum over it of g_i exp(i pi j t_i) splits into
 quad_nodes DFTs of length 2P over p, read at bin j mod 2P, each followed by
-the phase exp(i pi j y_q / P).  The grid values are real, so one real FFT
-a Gauss node gives every bin: panel_analysis computes these sums for
-j < count in O(quad_nodes P log P + quad_nodes count) with numpy.fft and
-einsum alone (no BLAS call, so its bytes do not depend on the BLAS thread
-count), and panel_synthesis is the same product the other way, one
-inverse real FFT a Gauss node; e_k(t) is the imaginary part of
-exp(i pi k t) times sqrt(2) / (k pi).  profiles and moments take the
+the phase exp(i pi j y_q / P).  The Gauss nodes are symmetric,
+y_(Q-1-q) = 1 - y_q, so one real FFT of length 2P serves a line q and its
+mirror Q-1-q: panel_analysis transforms [g_q, -/+ reversed g_(Q-1-q)],
+whose bins give the sine (-) or cosine (+) sums of both lines, and
+panel_synthesis takes the inverse FFTs of the lines q >= Q/2 only, since
+for a sine series S(1 + s) = -S(1 - s) and the second half of each,
+reversed and negated, is the mirror line.  That is ceil(quad_nodes / 2)
+FFTs a row either way, in O(quad_nodes P log P + quad_nodes count) with
+numpy.fft and einsum alone (no BLAS call, so the bytes do not depend on
+the BLAS thread count); e_k(t) is sqrt(2) / (k pi) times the sine of
+pi k t.  profiles and moments take the
 transform for every product when the half table is larger than
 _TABLE_FREE_ABOVE_BYTES (16 MiB), so such a grid never builds the table;
 below it, for a product of one row when the table is larger than
 _TRANSFORM_ABOVE_BYTES (2 MiB; medians of one-row profiles and moments,
-table -> transform: 107 -> 44 and 103 -> 40 us at 320 modes on 2,048
-nodes, 1,875 -> 144 and 1,746 -> 120 us at 1,280 on 8,192), and the
+table -> transform: 155 -> 88 and 112 -> 60 us at 320 modes on 2,048
+nodes, 2,466 -> 245 and 1,944 -> 167 us at 1,280 on 8,192), and the
 table otherwise.  The batches are the 48 rows of (H) and the 100 of
 the oddness check (the ray checks sum their forms on the grid from one
 synthesis of each ray and no analysis, bvp.bvp_operator).  A synthesis
@@ -54,10 +58,10 @@ vCPUs with 2 OpenBLAS threads, table / transform, and the time to build
 the table:
 
     modes x nodes   half table   build    48 rows         100 rows
-      320 x 2,048      2.5 MiB    4 ms    1.4 /  2.4 ms    4.1 / 15.7 ms
-      640 x 4,096     10.0 MiB   24 ms    6.0 /  7.8 ms   11.7 / 17.3 ms
-      960 x 6,144     22.5 MiB   55 ms   12.9 / 13.2 ms   24.6 / 28.3 ms
-    1,280 x 8,192     40.0 MiB   97 ms   19.9 / 13.3 ms   34.8 / 28.9 ms
+      320 x 2,048      2.5 MiB    6 ms    1.8 /  2.5 ms    3.8 /  7.7 ms
+      640 x 4,096     10.0 MiB   17 ms    6.3 /  5.0 ms   12.1 / 11.0 ms
+      960 x 6,144     22.5 MiB   65 ms   13.4 /  9.0 ms   26.3 / 18.8 ms
+    1,280 x 8,192     40.0 MiB  106 ms   25.5 / 13.0 ms   46.6 / 25.0 ms
 
 Both ways are linear and every rounding in them flips sign with its input,
 so a product of -c is the negation of the product of c bit for bit.
@@ -269,67 +273,91 @@ def panel_phases(cfg: SpaceConfig, count: int) -> np.ndarray:
     return np.exp(phases, out=phases)
 
 
-def panel_analysis(values: np.ndarray, cfg: SpaceConfig, phases: np.ndarray) -> np.ndarray:
-    """sum_i g(t_i) exp(i pi j t_i) over the grid for each of B rows of g.
+def panel_analysis(
+    values: np.ndarray, cfg: SpaceConfig, phases: np.ndarray, cosine: bool = False
+) -> np.ndarray:
+    """sum_i g(t_i) sin(pi j t_i) over the grid for each of B rows of g, or
+    the sums of g(t_i) cos(pi j t_i) with cosine=True.
 
     values is (B, N) real, in grid order; phases is panel_phases(cfg, count)
-    and the result is (B, count) complex.  For t = (p + y_q) / P the sum over
+    and the result is (B, count) real.  For t = (p + y_q) / P the sum over
     p is a DFT of length 2P at bin j mod 2P, so a count above 2P folds the
-    bins.  One real FFT a Gauss node gives R_j for j <= P; the grid values
-    are real, so bin j is conj(R_j) up to P and R_(2P-j) above it.
+    bins.  Since y_(Q-1-q) = 1 - y_q, a line q >= Q/2 followed by its
+    mirror line reversed, [g_q, -/+ reversed g_(Q-1-q)], is one real FFT of
+    length 2P whose R_j, j <= P, give both lines' sine sums (with -) or
+    cosine sums (with +) as the imaginary or real part of conj(R_j) times
+    the phase of q; the middle line of an odd quad_nodes is its own mirror
+    and is padded with zeros instead.  The grid values are real, so bin j
+    is conj(R_j) up to P and R_(2P-j) above it.
     """
     b = values.shape[0]
-    count, quad_nodes = phases.shape
+    count = phases.shape[0]
     p = cfg.n_panels
     width = 2 * p
-    # (B, quad_nodes, P + 1): R_j = sum_p g exp(-i pi j p / P), one line a
-    # node; the FFT reads contiguous lines faster than it gathers them
-    lines = np.ascontiguousarray(values.reshape(b, p, quad_nodes).transpose(0, 2, 1))
-    spectra = np.fft.rfft(lines, n=width)
+    # the lines q >= lo take the FFT, each with its mirror Q-1-q; for an odd
+    # quad_nodes the first of them, q = lo, is the middle line, its own mirror
+    lo, odd = divmod(cfg.quad_nodes, 2)
+    # (B, lo + odd, 2P): one contiguous line a pair, which the FFT reads
+    # faster than it gathers one
+    lines = np.empty((b, lo + odd, width))
+    lines[..., :p] = values.reshape(b, p, -1)[..., lo:].transpose(0, 2, 1)
+    mirrored = values[:, ::-1].reshape(b, p, -1)[..., lo + odd :].transpose(0, 2, 1)
+    np.multiply(mirrored, 1.0 if cosine else -1.0, out=lines[:, odd:, p:])
+    lines[:, :odd, p:] = 0.0
+    spectra = np.fft.rfft(lines)  # R_j = sum g exp(-i pi j p / P), j <= P
+    phases = phases[:, lo:]
     if count > width:  # every bin of 2P, gathered modulo 2P
         full = np.concatenate([spectra.conj(), spectra[..., p - 1 : 0 : -1]], axis=-1)
-        return np.einsum("bqj,jq->bj", full[..., np.arange(count) % width], phases)
-    low = min(count, p + 1)
-    sums = np.empty((b, count), dtype=complex)
-    # sum_q conj(R_j) phase = conj(sum_q R_j conj(phase)), rounded alike
-    sums[:, :low] = np.einsum("bqj,jq->bj", spectra[..., :low], phases[:low].conj()).conj()
-    # bins P < j < count read R_(2P-j) through a reversed view
-    sums[:, low:] = np.einsum("bqj,jq->bj", spectra[..., p - 1 : width - count : -1], phases[low:])
-    return sums
+        sums = np.einsum("bqj,jq->bj", full[..., np.arange(count) % width], phases)
+    else:
+        low = min(count, p + 1)
+        sums = np.empty((b, count), dtype=complex)
+        # sum_q conj(R_j) phase = conj(sum_q R_j conj(phase)), rounded alike
+        sums[:, :low] = np.einsum("bqj,jq->bj", spectra[..., :low], phases[:low].conj()).conj()
+        # bins P < j < count read R_(2P-j) through a reversed view
+        sums[:, low:] = np.einsum("bqj,jq->bj", spectra[..., p - 1 : width - count : -1], phases[low:])
+    return sums.real if cosine else sums.imag
 
 
 def panel_synthesis(amplitudes: np.ndarray, cfg: SpaceConfig, phases: np.ndarray) -> np.ndarray:
     """sum_j a_j sin(pi j t_i) at every grid node for each of B rows of a.
 
     amplitudes is (B, count) real and phases is panel_phases(cfg, count); the
-    result is (B, N) real, in grid order: the imaginary part of the transpose
-    of panel_analysis.  With C_k the terms a_j exp(i pi j y_q / P) of the
-    bins j = k mod 2P, that part is the inverse DFT of the Hermitian
-    spectrum D_k = (C_k - conj C_(2P-k)) / 2i, one real FFT a Gauss node
-    over k = 0..P.
+    result is (B, N) real, in grid order: the transpose of panel_analysis.
+    With C_k the terms a_j exp(i pi j y_q / P) of the bins j = k mod 2P,
+    the sum at (p + y_q) / P for p < 2P is the inverse DFT of the Hermitian
+    spectrum D_k = (C_k - conj C_(2P-k)) / 2i, one real FFT over k = 0..P.
+    Only the lines q >= Q/2 and a middle line take it: a sine series has
+    S(1 + s) = -S(1 - s), so the second half of line q, reversed and
+    negated, is line Q-1-q.
     """
     b, count = amplitudes.shape
-    quad_nodes = phases.shape[1]
     p = cfg.n_panels
     width = 2 * p
+    lo, odd = divmod(cfg.quad_nodes, 2)  # the lines q >= lo, as in panel_analysis
     # C_k / 2i term by term, exactly: -0.5j z only swaps, halves and negates
-    rotated = (-0.5j * phases).T
+    rotated = (-0.5j * phases[:, lo:]).T
     if count > width:  # fold the bins modulo 2P
-        terms = np.zeros((b, quad_nodes, count + -count % width), dtype=complex)
+        terms = np.zeros((b, lo + odd, count + -count % width), dtype=complex)
         np.multiply(amplitudes[:, None, :], rotated, out=terms[..., :count])
-        terms = terms.reshape(b, quad_nodes, -1, width).sum(axis=2)
+        terms = terms.reshape(b, lo + odd, -1, width).sum(axis=2)
         spectrum = terms[..., : p + 1].copy()
         spectrum[..., p:0:-1] += terms[..., p:].conj()
     else:
         low = min(count, p + 1)
-        spectrum = np.empty((b, quad_nodes, p + 1), dtype=complex)
+        spectrum = np.empty((b, lo + odd, p + 1), dtype=complex)
         spectrum[..., low:] = 0.0
         np.multiply(amplitudes[:, None, :low], rotated[:, :low], out=spectrum[..., :low])
         # the terms of bins P <= j < count enter D at 2P - j, conjugated
         spectrum[..., p : width - count : -1] += amplitudes[:, None, p:] * rotated[:, p:].conj()
     spectrum[..., 0] += spectrum[..., 0].conj()  # D_0 = Im C_0; irfft reads real parts at 0 and P
-    values = np.fft.irfft(spectrum, n=width, norm="forward")[..., :p]
-    return values.transpose(0, 2, 1).reshape(b, -1)
+    lines = np.fft.irfft(spectrum, n=width, norm="forward")  # (B, lo + odd, 2P)
+    values = np.empty((b, p * cfg.quad_nodes))
+    values.reshape(b, p, -1)[..., lo:] = lines[..., :p].transpose(0, 2, 1)
+    # a view of values, so that the mirror lines are written in place
+    mirrored = values[:, ::-1].reshape(b, p, -1)[..., lo + odd :]
+    np.negative(lines[:, odd:, p:].transpose(0, 2, 1), out=mirrored)
+    return values
 
 
 def profiles(coeffs: np.ndarray, cfg: SpaceConfig, phases: np.ndarray | None = None) -> np.ndarray:
@@ -371,7 +399,7 @@ def moments(folded: np.ndarray, cfg: SpaceConfig, phases: np.ndarray | None = No
         values = np.zeros((b, n_nodes))
         values[:, :half] = folded[0]
         values[:, n_nodes - half :] += folded[1, :, ::-1]
-        return panel_analysis(values, cfg, phases).imag[:, 1:] * _scales(n)
+        return panel_analysis(values, cfg, phases)[:, 1:] * _scales(n)
     y = folded.reshape(2 * b, -1) @ _half_basis(n, cfg.quad_nodes, cfg.n_panels)
     y = y.reshape(2, b, -1)
     y[1] *= _signs(n)[1]

@@ -4,7 +4,8 @@ The package tabulates the basis on the left half of the grid only and
 reaches every node through the fold (space.profiles, space.moments).  The
 tests check those products against this table, which is built from the
 closed form e_k(t) = sqrt(2) sin(k pi t) / (k pi) at every node and shares
-no code with the half table.
+no code with the half table; the panel transform's bins are checked against
+the cosines and sines of pi j t on every node (bin_table).
 """
 
 import numpy as np
@@ -29,6 +30,13 @@ def full_table(cfg):
     nodes, _ = quadrature_grid(cfg)
     ks = np.arange(1, cfg.n_modes + 1)
     return np.sqrt(2.0) * np.sin(np.outer(nodes, ks) * np.pi) / (ks * np.pi)
+
+
+def bin_table(cfg, count):
+    """(cos, sin) of pi j t_i on every grid node for the bins j < count."""
+    nodes, _ = quadrature_grid(cfg)
+    angles = np.pi * np.outer(nodes, np.arange(count))
+    return np.cos(angles), np.sin(angles)
 
 
 def fold(values):

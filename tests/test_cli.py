@@ -350,6 +350,32 @@ def test_a_load_peaks_below_the_guard_count(problem, overrides):
     assert peak <= held
 
 
+@pytest.mark.parametrize("overrides", [[], ["space.n_panels=1024"]], ids=["2048", "8192"])
+def test_the_h_batch_peaks_below_the_guard_count(overrides):
+    # applying bvp_sqrt's 48 (H) rows on a table grid holds them about three
+    # times (2.43 MB on 2,048 nodes, 9.50 MB on 8,192): their folded
+    # profiles, f at them and the weighted product; the guard counts them
+    # _H_BATCH_TABLES times
+    setup = load_problem(PROBLEMS / "bvp_sqrt.cfg", overrides=overrides)
+    assert not space_mod._table_free(setup.space)
+    hyp = setup.hyp
+    rows = np.random.default_rng(setup.seed).standard_normal(
+        (len(hyp.growth_radii) * hyp.dirs_per_radius, setup.space.n_modes)
+    )
+    try:
+        setup.operator.apply_many(rows)  # builds the half table
+        tracemalloc.start()
+        try:
+            setup.operator.apply_many(rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    finally:
+        space_mod._half_basis.cache_clear()
+    tables = _table_sizes(setup.kind, setup.space, setup.mode, len(setup.seeds), hyp)
+    assert 2 * rows.shape[0] * setup.row_width * 8 < peak <= tables["(H) batch"]
+
+
 def test_size_guard_counts_the_h2_prime_chunk_and_circle():
     # a chunk counts a bvp row as wide as its grid profile: two modes at
     # n_s = 10 on a 160,000-node grid make one-angle chunks of 12 MB (102

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.integrate import quad
 
-from basis_reference import FOLD_SPACES, fold, full_table, max_rel
+from basis_reference import FOLD_SPACES, bin_table, fold, full_table, max_rel
 from fixpairs import (
     H1Vector,
     SpaceConfig,
@@ -174,8 +174,8 @@ PANEL_SPACES = [
 @pytest.mark.parametrize("cfg", PANEL_SPACES, ids=lambda c: f"{c.n_modes}x{c.quad_nodes}x{c.n_panels}")
 def test_panel_transform_matches_the_full_table(cfg, rng):
     # the transform by itself, not through the row and size switch of
-    # profiles and moments: its sine part against the full table, and every
-    # bin, cosines included, against the exponentials on every node
+    # profiles and moments: its sine sums against the full table, and every
+    # bin's sine and cosine sums against the closed form on every node
     n = cfg.n_modes
     full = full_table(cfg)
     nodes, _ = quadrature_grid(cfg)
@@ -187,30 +187,42 @@ def test_panel_transform_matches_the_full_table(cfg, rng):
     phases = panel_phases(cfg, n + 1)
     analysed = panel_analysis(values, cfg, phases)
     synthesized = panel_synthesis(amplitudes, cfg, phases)
-    assert max_rel(analysed.imag[:, 1:] * scales, values @ full) <= 1e-13
+    assert analysed.dtype == synthesized.dtype == np.float64
+    assert max_rel(analysed[:, 1:] * scales, values @ full) <= 1e-13
     assert max_rel(synthesized, coeffs @ full.T) <= 1e-13
     # a count above 2 n_panels folds the bins
     count = 2 * n + 1
-    exponentials = np.exp(1j * np.pi * np.outer(nodes, np.arange(count)))
+    cosines, sines = bin_table(cfg, count)
     wide = panel_phases(cfg, count)
-    assert max_rel(panel_analysis(values, cfg, wide), values @ exponentials) <= 1e-13
+    assert max_rel(panel_analysis(values, cfg, wide), values @ sines) <= 1e-13
+    assert max_rel(panel_analysis(values, cfg, wide, cosine=True), values @ cosines) <= 1e-13
     wide_amplitudes = rng.standard_normal((3, count))
-    assert max_rel(panel_synthesis(wide_amplitudes, cfg, wide), wide_amplitudes @ exponentials.T.imag) <= 1e-13
+    assert max_rel(panel_synthesis(wide_amplitudes, cfg, wide), wide_amplitudes @ sines.T) <= 1e-13
     # T(-x) == -T(x) bit for bit, both ways
     assert np.array_equal(panel_analysis(-values, cfg, phases), -analysed)
     assert np.array_equal(panel_synthesis(-amplitudes, cfg, phases), -synthesized)
-    assert np.array_equal(panel_analysis(-values, cfg, wide), -panel_analysis(values, cfg, wide))
+    for cosine in (False, True):
+        assert np.array_equal(
+            panel_analysis(-values, cfg, wide, cosine=cosine), -panel_analysis(values, cfg, wide, cosine=cosine)
+        )
 
 
 # (quad_nodes, n_panels, counts): for each grid a count up to P + 1, one
 # from P + 2 to 2P where that range is not empty, and one above 2P, whose
-# bins fold.  Odd node counts (9, 15 and 5 nodes) put a node at t = 1/2
+# bins fold.  An odd quad_nodes (3, 5, 15) has a middle line, its own
+# mirror; with an odd n_panels too (9, 15, 5, 3 and 15 nodes) a node sits
+# at t = 1/2.  One panel and two nodes a panel are the smallest grids
 _BIN_CASES = [
     (4, 3, (3, 4, 5, 7, 8, 11)),
     (3, 3, (2, 4, 6, 13)),
     (3, 5, (6, 9, 10, 23)),
     (5, 1, (2, 3, 5)),
     (8, 16, (17, 25, 32, 70)),
+    (2, 1, (2, 3, 5)),
+    (2, 4, (3, 5, 8, 11)),
+    (3, 1, (2, 3, 4)),
+    (15, 1, (2, 3, 7)),
+    (15, 2, (3, 4, 9)),
 ]
 
 
@@ -223,26 +235,64 @@ def test_panel_transform_reads_every_bin_range(quad_nodes, n_panels, count, rng)
     # bins j <= P come from the conjugated real FFT, P < j < 2P from its
     # reversed view and j >= 2P fold; every amplitude is non-zero, the j = 0
     # one and the j = P one included, where the synthesis's inverse real FFT
-    # reads real parts only
+    # reads real parts only.  Each FFT serves a Gauss line and its mirror
     cfg = SpaceConfig(1, quad_nodes, n_panels)
     nodes, _ = quadrature_grid(cfg)
-    exponentials = np.exp(1j * np.pi * np.outer(nodes, np.arange(count)))
+    cosines, sines = bin_table(cfg, count)
     phases = panel_phases(cfg, count)
     values = rng.standard_normal((4, nodes.size))
     amplitudes = rng.standard_normal((4, count)) + 2.0
-    analysed = panel_analysis(values, cfg, phases)
     synthesized = panel_synthesis(amplitudes, cfg, phases)
-    assert analysed.shape == (4, count) and synthesized.shape == (4, nodes.size)
-    assert synthesized.dtype == np.float64
-    assert max_rel(analysed, values @ exponentials) <= 1e-13
-    assert max_rel(synthesized, amplitudes @ exponentials.T.imag) <= 1e-13
+    assert synthesized.shape == (4, nodes.size) and synthesized.dtype == np.float64
+    assert max_rel(synthesized, amplitudes @ sines.T) <= 1e-13
     # T(-x) == -T(x) bit for bit, both ways
-    assert np.array_equal(panel_analysis(-values, cfg, phases), -analysed)
     assert np.array_equal(panel_synthesis(-amplitudes, cfg, phases), -synthesized)
     # a row of a batch is its one-row product bit for bit
     for i in range(4):
-        assert np.array_equal(panel_analysis(values[i : i + 1], cfg, phases)[0], analysed[i])
         assert np.array_equal(panel_synthesis(amplitudes[i : i + 1], cfg, phases)[0], synthesized[i])
+    for cosine, reference in ((False, sines), (True, cosines)):
+        analysed = panel_analysis(values, cfg, phases, cosine=cosine)
+        assert analysed.shape == (4, count) and analysed.dtype == np.float64
+        assert max_rel(analysed, values @ reference) <= 1e-13
+        assert np.array_equal(panel_analysis(-values, cfg, phases, cosine=cosine), -analysed)
+        for i in range(4):
+            assert np.array_equal(panel_analysis(values[i : i + 1], cfg, phases, cosine=cosine)[0], analysed[i])
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [SpaceConfig(1, 2, 1), SpaceConfig(4, 3, 5), SpaceConfig(12, 5, 2), SpaceConfig(40, 15, 4), SpaceConfig(1280, 8, 1024)],
+    ids=lambda c: f"{c.n_modes}x{c.quad_nodes}x{c.n_panels}",
+)
+def test_a_product_transforms_half_the_gauss_lines(monkeypatch, cfg, rng):
+    # one real FFT of length 2P serves a Gauss line and its mirror: a
+    # product of B rows makes one FFT call, on B ceil(quad_nodes / 2)
+    # lines, each way
+    lines = {}
+    for name in ("rfft", "irfft"):
+
+        def counted(a, *args, _name=name, _original=getattr(np.fft, name), **kwargs):
+            out = _original(a, *args, **kwargs)
+            lines.setdefault(_name, []).append((out if _name == "irfft" else a).shape)
+            return out
+
+        monkeypatch.setattr(np.fft, name, counted)
+    paired = (cfg.quad_nodes + 1) // 2
+    phases = panel_phases(cfg, cfg.n_modes + 1)
+    n_nodes = cfg.quad_nodes * cfg.n_panels
+    for rows in (1, 3):
+        lines.clear()
+        panel_synthesis(rng.standard_normal((rows, cfg.n_modes + 1)), cfg, phases)
+        panel_analysis(rng.standard_normal((rows, n_nodes)), cfg, phases)
+        panel_analysis(rng.standard_normal((rows, n_nodes)), cfg, phases, cosine=True)
+        assert lines == {
+            "irfft": [(rows, paired, 2 * cfg.n_panels)],
+            "rfft": [(rows, paired, 2 * cfg.n_panels)] * 2,
+        }
+    if space_mod._table_free(cfg):  # and so through profiles and moments
+        lines.clear()
+        moments(profiles(rng.standard_normal((3, cfg.n_modes)), cfg, phases), cfg, phases)
+        assert lines == {"irfft": [(3, paired, 2 * cfg.n_panels)], "rfft": [(3, paired, 2 * cfg.n_panels)]}
 
 
 def test_a_batch_row_is_its_one_row_product_on_a_table_free_grid(monkeypatch, rng):

@@ -25,10 +25,17 @@ d_k = (-1)^(k+1), so the basis is tabulated on the left half of the grid
 only, the nodes t_i < 1/2 and, for an odd node count, the middle node.  Grid
 values are handled folded: row 0 of a folded array holds the left-half
 nodes t_i and row 1 their mirrors t_(N-1-i), and a middle node appears in
-both rows with half its weight each (folded_grid).  One product per
-direction goes through the half table, with every grid row stacked with its
-mirror: profiles synthesizes [c; d c] and moments analyses the stacked rows
-and adds them as y_left + d y_right.
+both rows with half its weight each (folded_grid).  The half table is
+stored transposed, a row a mode, so the rows of the odd modes (d_k = 1)
+and of the even modes (d_k = -1) are strided views of it.  A batch splits
+by parity, which halves the multiply-adds of the full table: profiles
+takes O = c_odd E_odd^T and V = c_even E_even^T and writes the left rows
+O + V and the mirror rows O - V; moments takes the odd modes from
+(L + R) E_odd and the even ones from (L - R) E_even, for the left and
+mirrored grid rows L and R.  A product of one row stays the one stacked
+product, [c; d c] E_h^T one way and [L; R] E_h the other, added as
+y_L + d y_R, which measured faster for the descent's one-row products
+(about a thousand a pass on a 32-mode grid).
 
 The grid also has a panel structure, t = (p + y_q) / P for panel p < P and
 Gauss node y_q, so every sum over it of g_i exp(i pi j t_i) splits into
@@ -58,13 +65,21 @@ vCPUs with 2 OpenBLAS threads, table / transform, and the time to build
 the table:
 
     modes x nodes   half table   build    48 rows         100 rows
-      320 x 2,048      2.5 MiB    6 ms    1.8 /  2.5 ms    3.8 /  7.7 ms
-      640 x 4,096     10.0 MiB   17 ms    6.3 /  5.0 ms   12.1 / 11.0 ms
-      960 x 6,144     22.5 MiB   65 ms   13.4 /  9.0 ms   26.3 / 18.8 ms
-    1,280 x 8,192     40.0 MiB  106 ms   25.5 / 13.0 ms   46.6 / 25.0 ms
+      320 x 2,048      2.5 MiB   16 ms    1.9 /  4.0 ms    3.9 / 10.7 ms
+      640 x 4,096     10.0 MiB   33 ms    6.0 /  8.0 ms   10.9 / 23.3 ms
+      960 x 6,144     22.5 MiB   83 ms   10.2 /  8.7 ms   20.7 / 25.6 ms
+    1,280 x 8,192     40.0 MiB  129 ms   19.2 / 12.8 ms   32.1 / 25.5 ms
 
-Both ways are linear and every rounding in them flips sign with its input,
-so a product of -c is the negation of the product of c bit for bit.
+OpenBLAS runs a product on a second thread only above a size, and its
+worker then spins for a while after it.  On a 32-mode grid every table
+product stays below that size (the 100 oddness rows are two 100 x 16 x 128
+products); at 320 modes the batches (100 x 160 x 1,024) cross it.
+evaluate sums its series with einsum, numpy's own loop, for the same
+reason.
+
+Both ways are linear and every rounding in them flips sign with its input
+(the parity split adds and subtracts two such products), so a product of
+-c is the negation of the product of c bit for bit.
 """
 
 from __future__ import annotations
@@ -184,13 +199,18 @@ def _half(n_nodes: int) -> int:
 
 @functools.lru_cache(maxsize=None)
 def _half_basis(n_modes: int, quad_nodes: int, n_panels: int) -> np.ndarray:
-    """E_h[i, k] = e_(k+1)(t_i) on the left half of the grid."""
+    """E_h^T[k, i] = e_(k+1)(t_i) on the left half of the grid, (n_modes, half).
+
+    Stored transposed and C-contiguous, so that the rows of the odd modes,
+    [0::2], and of the even modes, [1::2], are strided views that BLAS
+    reads in place (leading dimension 2 half).
+    """
     nodes, _ = gauss_rule(quad_nodes, n_panels)
-    # built in place: one half-grid x n table at a time
-    mat = np.outer(nodes[: _half(nodes.size)], np.arange(1, n_modes + 1))
+    # built in place: one n x half-grid table at a time
+    mat = np.outer(np.arange(1, n_modes + 1), nodes[: _half(nodes.size)])
     mat *= np.pi
     np.sin(mat, out=mat)
-    mat *= _scales(n_modes)
+    mat *= _scales(n_modes)[:, None]
     mat.flags.writeable = False
     return mat
 
@@ -363,30 +383,43 @@ def panel_synthesis(amplitudes: np.ndarray, cfg: SpaceConfig, phases: np.ndarray
 def profiles(coeffs: np.ndarray, cfg: SpaceConfig, phases: np.ndarray | None = None) -> np.ndarray:
     """Folded grid values of the functions whose coefficient rows are coeffs.
 
-    coeffs is (B, n_modes); the result is (2, B, half), from the one
-    product [c; d c] E_h^T, or from panel_synthesis where _by_transform
-    says so.  phases, panel_phases(cfg, n_modes + 1), spares the transform
-    building its own.
+    coeffs is (B, n_modes); the result is (2, B, half), from panel_synthesis
+    where _by_transform says so and from the half table otherwise: one row
+    by the one product [c; d c] E_h^T, a batch by the parity split, O from
+    the odd modes and V from the even ones, with the left rows O + V and
+    the mirror rows O - V.  phases, panel_phases(cfg, n_modes + 1), spares
+    the transform building its own.
     """
     n = cfg.n_modes
-    if _by_transform(coeffs.shape[0], cfg):
+    b = coeffs.shape[0]
+    if _by_transform(b, cfg):
         if phases is None:
             phases = panel_phases(cfg, n + 1)
-        amplitudes = np.zeros((coeffs.shape[0], n + 1))
+        amplitudes = np.zeros((b, n + 1))
         amplitudes[:, 1:] = coeffs * _scales(n)
         return _fold(panel_synthesis(amplitudes, cfg, phases))
-    stacked = (coeffs * _signs(n)).reshape(-1, n)
-    values = stacked @ _half_basis(n, cfg.quad_nodes, cfg.n_panels).T
-    return values.reshape(2, coeffs.shape[0], -1)
+    table = _half_basis(n, cfg.quad_nodes, cfg.n_panels)
+    if b == 1:
+        return ((coeffs * _signs(n)).reshape(2, n) @ table).reshape(2, 1, -1)
+    # contiguous coefficient halves: numpy sends a strided left operand
+    # through its own loop, not BLAS
+    folded = np.empty((2, b, table.shape[1]))
+    np.matmul(np.ascontiguousarray(coeffs[:, 0::2]), table[0::2], out=folded[0])
+    even = np.ascontiguousarray(coeffs[:, 1::2]) @ table[1::2]
+    np.subtract(folded[0], even, out=folded[1])
+    folded[0] += even
+    return folded
 
 
 def moments(folded: np.ndarray, cfg: SpaceConfig, phases: np.ndarray | None = None) -> np.ndarray:
     """sum_i g(t_i) e_k(t_i) over the grid for each of B folded rows of g.
 
     folded is (2, B, half), with any quadrature weights applied; the result
-    is (B, n_modes), from the one product of the stacked rows with E_h, or
-    from panel_analysis where _by_transform says so.  phases is as for
-    profiles.
+    is (B, n_modes), from panel_analysis where _by_transform says so and
+    from the half table otherwise: one row by the one product of the
+    stacked rows L and R with E_h, added as y_L + d y_R, a batch by the
+    parity split, the odd modes (L + R) E_h and the even ones (L - R) E_h.
+    phases is as for profiles.
     """
     n = cfg.n_modes
     b = folded.shape[1]
@@ -400,11 +433,19 @@ def moments(folded: np.ndarray, cfg: SpaceConfig, phases: np.ndarray | None = No
         values[:, :half] = folded[0]
         values[:, n_nodes - half :] += folded[1, :, ::-1]
         return panel_analysis(values, cfg, phases)[:, 1:] * _scales(n)
-    y = folded.reshape(2 * b, -1) @ _half_basis(n, cfg.quad_nodes, cfg.n_panels)
-    y = y.reshape(2, b, -1)
-    y[1] *= _signs(n)[1]
-    y[0] += y[1]  # y_left + d y_right
-    return y[0]
+    table = _half_basis(n, cfg.quad_nodes, cfg.n_panels)
+    if b == 1:
+        y = folded.reshape(2, -1) @ table.T
+        y[1] *= _signs(n)[1, 0]
+        y[0] += y[1]  # y_left + d y_right
+        return y[:1]
+    left, right = folded
+    y = np.empty((b, n))
+    paired = left + right
+    y[:, 0::2] = paired @ table[0::2].T
+    np.subtract(left, right, out=paired)
+    y[:, 1::2] = paired @ table[1::2].T
+    return y
 
 
 def basis_matrix(cfg: SpaceConfig) -> np.ndarray:
@@ -416,7 +457,7 @@ def basis_matrix(cfg: SpaceConfig) -> np.ndarray:
     table-free grid that call builds a half table the program does not
     hold.  ROADMAP item 4 moves that count to the bytes the problem holds.
     """
-    half = _half_basis(cfg.n_modes, cfg.quad_nodes, cfg.n_panels)
+    half = _half_basis(cfg.n_modes, cfg.quad_nodes, cfg.n_panels).T
     return _unfold(half, half * _signs(cfg.n_modes)[1], cfg.quad_nodes * cfg.n_panels)
 
 
@@ -451,7 +492,9 @@ def evaluate(u: H1Vector, t):
         raise ValueError("t must lie in [0, 1]")
     ks = np.arange(1, u.n_modes + 1)
     scale = np.sqrt(2.0) / (ks * np.pi)
-    vals = np.sin(np.multiply.outer(tarr, ks) * np.pi) @ (scale * u.coeffs)
+    # numpy's own loop, not a BLAS call: a product of a thousand points
+    # with a thousand modes would wake a second BLAS thread
+    vals = np.einsum("...k,k", np.sin(np.multiply.outer(tarr, ks) * np.pi), scale * u.coeffs)
     if np.isscalar(t) or tarr.ndim == 0:
         return float(vals)
     return vals

@@ -22,6 +22,8 @@ FOLD_SPACES = [
     SpaceConfig(8, 3, 1),
     SpaceConfig(8, 3, 3),
     SpaceConfig(8, 3, 5),
+    # an odd mode count: one more odd mode than even ones, and a middle node
+    SpaceConfig(7, 3, 5),
 ]
 
 

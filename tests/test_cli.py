@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import runpy
 import shutil
 import subprocess
@@ -634,6 +635,63 @@ def test_console_entry_point_smoke():
     )
     assert proc.returncode == 0
     assert '"spectral"' in proc.stdout
+
+
+# run in a fresh process with two BLAS threads: a warm report on
+# sublinear_affine, then another and a 1,001-point evaluate of a 1,280-mode
+# vector, printing the threads and the nanoseconds that every thread but the
+# main one ran in between (the first field of each thread's schedstat).
+# OpenBLAS keeps its worker spinning for a while after a threaded product,
+# so the first sleep lets it settle before the count starts and the last
+# one lets a late wake-up show
+_WORKER_PROBE = """
+import os, sys, time
+import numpy as np
+from fixpairs.cli import main
+from fixpairs.space import H1Vector, evaluate
+
+def others():
+    total = 0
+    for tid in os.listdir("/proc/self/task"):
+        if int(tid) != os.getpid():
+            with open(f"/proc/self/task/{tid}/schedstat") as fh:
+                total += int(fh.read().split()[0])
+    return total
+
+report = ["report", "--problem", sys.argv[1], "--output", sys.argv[2]]
+main(report)
+time.sleep(0.5)
+try:
+    before = others()
+except OSError:
+    print(0, 0)
+    raise SystemExit
+main(report)
+evaluate(H1Vector(np.random.default_rng(1).standard_normal(1280)), np.linspace(0.0, 1.0, 1001))
+time.sleep(0.05)
+print(len(os.listdir("/proc/self/task")), others() - before)
+"""
+
+
+def test_a_report_leaves_the_blas_worker_idle(tmp_path):
+    # every product of a report on a 32-mode grid, and evaluate, stays below
+    # OpenBLAS's threading size or off BLAS, so the worker thread sleeps
+    if os.environ.get("OPENBLAS_NUM_THREADS") == "1":
+        pytest.skip("this run asks for one BLAS thread")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _WORKER_PROBE, str(PROBLEMS / "sublinear_affine.cfg"), str(tmp_path / "out.json")],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    threads, worker_ns = map(int, proc.stdout.split())
+    if threads < 2:
+        pytest.skip("no schedstat, or a single thread in the process")
+    assert worker_ns < 5_000_000
 
 
 def test_desk_study_script_smoke(tmp_path, monkeypatch, capsys):

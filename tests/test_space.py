@@ -67,6 +67,20 @@ def test_evaluate_closed_forms():
     assert abs(evaluate(e2, 0.5)) <= 1e-15
 
 
+def test_evaluate_matches_a_long_double_sum(rng):
+    # evaluate sums the series through einsum, in its own order; the
+    # reference sums the same terms in long double, at the size of the CSV
+    # profiles of a 1,280-mode problem
+    ks = np.arange(1, 1281)
+    u = H1Vector(rng.standard_normal(ks.size) / ks)
+    ts = np.linspace(0.0, 1.0, 1001)
+    terms = np.sin(np.outer(ts, ks) * np.pi) * (np.sqrt(2.0) / (ks * np.pi) * u.coeffs)
+    ref = terms.astype(np.longdouble).sum(axis=1)
+    got = evaluate(u, ts)
+    assert float(np.max(np.abs(got - ref)) / np.max(np.abs(ref))) <= 1e-14
+    assert evaluate(u, ts[317]) == pytest.approx(float(ref[317]), rel=1e-13, abs=1e-15)
+
+
 def test_evaluate_rejects_outside_domain():
     u = basis_vector(1, 4)
     with pytest.raises(ValueError):
@@ -142,21 +156,35 @@ def test_roundtrip_band_limited(cfg, rng):
 @pytest.mark.parametrize("cfg", FOLD_SPACES, ids=lambda c: f"{c.n_modes}x{c.quad_nodes * c.n_panels}")
 def test_folded_products_match_the_full_table(cfg, rng):
     # the full-table products E c and E^T (w g) are the reference for the
-    # half-table products, and the full table for basis_matrix, the half
-    # table unfolded; no other test calls basis_matrix
+    # half-table products, one row through the stacked product and a batch
+    # through the parity split, and the full table for basis_matrix, the
+    # half table unfolded; no other test calls basis_matrix
     full = full_table(cfg)
     nodes, weights = quadrature_grid(cfg)
+    _, folded_weights = folded_grid(cfg)
     try:
         assert max_rel(basis_matrix(cfg), full) <= 1e-14
-        coeffs = rng.standard_normal((3, cfg.n_modes)) / np.arange(1, cfg.n_modes + 1)
-        assert max_rel(profiles(coeffs, cfg), fold(coeffs @ full.T)) <= 1e-14
-        values = rng.standard_normal((3, nodes.size))
-        folded_nodes, folded_weights = folded_grid(cfg)
-        weighted = folded_weights[:, None, :] * fold(values)
-        assert max_rel(moments(weighted, cfg), (values * weights) @ full) <= 1e-14
+        for rows in (1, 3, 100):
+            coeffs = rng.standard_normal((rows, cfg.n_modes)) / np.arange(1, cfg.n_modes + 1)
+            assert max_rel(profiles(coeffs, cfg), fold(coeffs @ full.T)) <= 1e-14
+            values = rng.standard_normal((rows, nodes.size))
+            weighted = folded_weights[:, None, :] * fold(values)
+            assert max_rel(moments(weighted, cfg), (values * weights) @ full) <= 1e-14
     finally:
         if cfg.n_modes == 1280:
             space_mod._half_basis.cache_clear()
+
+
+@pytest.mark.parametrize("cfg", [SpaceConfig(32, 8, 32), SpaceConfig(320, 8, 256)], ids=["32", "320"])
+def test_table_batches_flip_sign_with_their_input(cfg, rng):
+    # a 100-row batch takes the parity split on the half table; every
+    # rounding in it flips sign with its input, which the bvp operator's
+    # oddness check (odd_at) relies on
+    assert not space_mod._by_transform(100, cfg)
+    coeffs = rng.standard_normal((100, cfg.n_modes)) / np.arange(1, cfg.n_modes + 1)
+    folded = profiles(coeffs, cfg)
+    assert np.array_equal(profiles(-coeffs, cfg), -folded)
+    assert np.array_equal(moments(-folded, cfg), -moments(folded, cfg))
 
 
 PANEL_SPACES = [
@@ -378,7 +406,9 @@ def test_folded_grid_splits_the_middle_node(n_panels):
     assert folded_weights[0, -1] == folded_weights[1, -1] == 0.5 * weights[mid]
     assert np.array_equal(folded_weights[:, :-1], fold(weights)[:, :-1])
     assert abs(folded_weights.sum() - 1.0) <= 1e-15
-    assert space_mod._half_basis(4, 3, n_panels).shape == (half, 4)
+    # the half table is stored transposed, a row a mode
+    table = space_mod._half_basis(4, 3, n_panels)
+    assert table.shape == (4, half) and table.flags.c_contiguous
 
 
 def test_sup_norm_bound(space32):

@@ -38,16 +38,7 @@ import numpy as np
 
 from .hypotheses import FAIL, SAMPLED_PASS, STRICT_TOL, PASS, HypothesisReport, _open_grid
 from .operators import LinearOperatorSpec, PotentialOperatorSpec
-from .space import (
-    SpaceConfig,
-    folded_grid,
-    gauss_rule,
-    moments,
-    panel_analysis,
-    panel_phases,
-    profiles,
-    quadrature_grid,
-)
+from .space import SpaceConfig, gauss_rule, grid, moments, panel_analysis, panel_phases, profiles
 
 __all__ = [
     "Nonlinearity",
@@ -61,7 +52,6 @@ __all__ = [
     "check_d4",
     "dirichlet_eigenvalue",
     "sublinear_affine",
-    "first_eigenvalue",
     "green_kernel",
     "green_profile",
     "linear_nonlinearity",
@@ -96,8 +86,7 @@ class Nonlinearity:
 
     def coefficient_range(self, cfg: SpaceConfig) -> tuple[float, float]:
         """Grid estimates (m, M) of the essential range of a1."""
-        nodes, _ = quadrature_grid(cfg)
-        vals = np.asarray(self.a1(nodes), dtype=float)
+        vals = np.asarray(self.a1(grid(cfg).nodes), dtype=float)
         return float(vals.min()), float(vals.max())
 
 
@@ -146,27 +135,26 @@ def bvp_operator(nl: Nonlinearity, cfg: SpaceConfig, odd: bool = True) -> Potent
     odd=True get the sampled oddness validation, which needs one synthesis
     of the sample rows and no moments where f is odd value for value at
     their profiles; pass odd=False for nonlinearities that are not odd in u
-    (they fall outside the pair-existence machinery).
+    (they fall outside the pair-existence machinery).  The closures hold
+    the space.Grid of cfg, so it lives as long as the operator.
     """
-    nodes, weights = folded_grid(cfg)
+    g = grid(cfg)
+    nodes, weights = g.folded_nodes, g.folded_weights
     # (2, 1, half) views that broadcast against (2, B, half) folded profiles
     nodes_b, weights_b = nodes[:, None, :], weights[:, None, :]
-    # the phases of the panel transform, which one-row products take on
-    # large grids and every product on a table-free one (space.profiles)
-    phases = panel_phases(cfg, cfg.n_modes + 1)
 
     def synthesize(folded: np.ndarray) -> np.ndarray:
-        return moments(nl.f(nodes_b, folded) * weights_b, cfg, phases)
+        return moments(nl.f(nodes_b, folded) * weights_b, g)
 
     def apply_batch(stacked: np.ndarray) -> np.ndarray:
-        return synthesize(profiles(stacked, cfg, phases))
+        return synthesize(profiles(stacked, g))
 
     def odd_at(stacked: np.ndarray) -> bool:
         # profiles, the weights and moments are linear, and each of their
         # roundings flips sign with its input, so apply_batch(-x) equals
         # -apply_batch(x) value for value wherever f(t, -p) == -f(t, p) at
         # the profiles p of the rows: the oddness check then needs no moments
-        folded = profiles(stacked, cfg, phases)
+        folded = profiles(stacked, g)
         return bool(np.array_equal(nl.f(nodes_b, -folded), -nl.f(nodes_b, folded)))
 
     apply_batch.odd_at = odd_at  # type: ignore[attr-defined]
@@ -177,7 +165,7 @@ def bvp_operator(nl: Nonlinearity, cfg: SpaceConfig, odd: bool = True) -> Potent
         # one synthesis of the rays and no moments.  The grid sum is numpy's,
         # along each row's contiguous axis, not a BLAS call, so its bytes do
         # not depend on the BLAS thread count
-        folded = profiles(rays, cfg, phases)[:, :, None, :]  # (2, k, 1, half)
+        folded = profiles(rays, g)[:, :, None, :]  # (2, k, 1, half)
         fvals = nl.f(nodes[:, None, None, :], s[:, None] * folded)
         sums = (fvals * (weights[:, None, None, :] * folded)).sum(axis=-1)
         return sums[0] + sums[1]
@@ -192,7 +180,7 @@ def bvp_operator(nl: Nonlinearity, cfg: SpaceConfig, odd: bool = True) -> Potent
         if key != last[0]:
             # the same one-row synthesis as apply_batch, so that the apply
             # below matches it bit for bit
-            last[0], last[1] = key, profiles(c[None, :], cfg, phases)
+            last[0], last[1] = key, profiles(c[None, :], g)
         return last[1]
 
     def apply_coeffs(c: np.ndarray) -> np.ndarray:
@@ -238,9 +226,9 @@ def b_matrix(a1: Callable[[np.ndarray], np.ndarray], cfg: SpaceConfig, k: int) -
     quadrature grid, the real parts of one space.panel_analysis.  It is
     symmetric bit for bit.
     """
-    nodes, weights = quadrature_grid(cfg)
-    g = weights * np.asarray(a1(nodes), dtype=float)
-    c = panel_analysis(g[None, :], cfg, panel_phases(cfg, 2 * k + 1), cosine=True)[0]
+    g = grid(cfg)
+    weighted = g.weights * np.asarray(a1(g.nodes), dtype=float)
+    c = panel_analysis(weighted[None, :], cfg, panel_phases(cfg, 2 * k + 1), cosine=True)[0]
     idx = np.arange(1, k + 1)
     m = c[np.abs(idx[:, None] - idx)] - c[idx[:, None] + idx]
     kpi = idx * np.pi
@@ -256,7 +244,7 @@ def b_matrix(a1: Callable[[np.ndarray], np.ndarray], cfg: SpaceConfig, k: int) -
 _D_GRID = 64
 
 
-def check_d1(nl: Nonlinearity, r1: float, cfg: SpaceConfig) -> HypothesisReport:
+def check_d1(nl: Nonlinearity, r1: float) -> HypothesisReport:
     """f(t, u)/u >= a1(t) for 0 < |u| <= r1, sampled on a (t, u) grid.
 
     The u-grid is log-spaced in (0, r1] plus mirrored negatives: the bound
@@ -281,7 +269,7 @@ def check_d1(nl: Nonlinearity, r1: float, cfg: SpaceConfig) -> HypothesisReport:
     )
 
 
-def check_d2(nl: Nonlinearity, cfg: SpaceConfig) -> HypothesisReport:
+def check_d2(nl: Nonlinearity) -> HypothesisReport:
     """f(t, u) <= a2(t) |u|^theta + a3(t), sampled over t and |u| <= 1e3."""
     t = _open_grid(_D_GRID)
     u_pos = np.logspace(-6, 3, _D_GRID)
@@ -394,10 +382,6 @@ def dirichlet_eigenvalue(k: int, method: str = "spectral", n: int = 1000) -> flo
     raise ValueError(f"unknown method {method!r}")
 
 
-def first_eigenvalue(method: str = "spectral", n: int = 1000) -> float:
-    return dirichlet_eigenvalue(1, method=method, n=n)
-
-
 # ---------------------------------------------------------------------------
 # nonlinearity families
 
@@ -489,17 +473,13 @@ def zero_nonlinearity() -> Nonlinearity:
 @dataclass(frozen=True, eq=False)
 class ShootingSolution:
     sigma: float  # initial slope u'(0)
-    ts: np.ndarray
-    us: np.ndarray
-    terminal: float  # u(1), within tolerance of zero
+    us: np.ndarray  # u at _ORACLE_GRID_POINTS uniform t-points, u(1) last
 
 
 @dataclass(frozen=True, eq=False)
 class ShootingResult:
     solutions: list[ShootingSolution]
     degenerate: bool
-    sigmas_scanned: np.ndarray
-    terminal_values: np.ndarray
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -574,12 +554,7 @@ def shooting_oracle(
     for flag in small:
         run = run + 1 if flag else 0
         if run >= 3:
-            return ShootingResult(
-                solutions=[],
-                degenerate=True,
-                sigmas_scanned=sigmas,
-                terminal_values=terminal,
-            )
+            return ShootingResult(solutions=[], degenerate=True)
 
     def u1(sigma: float) -> float:
         return float(_rk4(nl.f, np.array([sigma]), n_steps, n_steps)[0, -1])
@@ -599,13 +574,5 @@ def shooting_oracle(
         profiles = _rk4(nl.f, np.array(roots), n_steps, stride)
         for sigma, us in zip(roots, profiles):
             if abs(us[-1]) <= max(tol, 1e-12 * max(1.0, abs(sigma))):
-                ts = np.linspace(0.0, 1.0, _ORACLE_GRID_POINTS)
-                solutions.append(
-                    ShootingSolution(sigma=sigma, ts=ts, us=us, terminal=float(us[-1]))
-                )
-    return ShootingResult(
-        solutions=solutions,
-        degenerate=False,
-        sigmas_scanned=sigmas,
-        terminal_values=terminal,
-    )
+                solutions.append(ShootingSolution(sigma=sigma, us=us))
+    return ShootingResult(solutions=solutions, degenerate=False)

@@ -121,8 +121,8 @@ def run_check(setup: ProblemSetup) -> dict[str, Any]:
         )
     if setup.nonlinearity is not None:
         nl = setup.nonlinearity
-        reports.append(bvp_mod.check_d1(nl, setup.d1_r1, setup.space))
-        reports.append(bvp_mod.check_d2(nl, setup.space))
+        reports.append(bvp_mod.check_d1(nl, setup.d1_r1))
+        reports.append(bvp_mod.check_d2(nl))
         reports.append(bvp_mod.check_d3(nl, setup.space))
         m, big_m = nl.coefficient_range(setup.space)
         reports.append(bvp_mod.check_d4(m, big_m))
@@ -162,8 +162,8 @@ def run_gradcheck(setup: ProblemSetup) -> dict[str, Any]:
 
 def run_eigen(setup: ProblemSetup) -> dict[str, Any]:
     n = setup.hyp.eigen_n
-    spectral = bvp_mod.first_eigenvalue("spectral")
-    fd = bvp_mod.first_eigenvalue("finite-difference", n=n)
+    spectral = bvp_mod.dirichlet_eigenvalue(1, "spectral")
+    fd = bvp_mod.dirichlet_eigenvalue(1, "finite-difference", n=n)
     rel = abs(fd - spectral) / spectral
     payload = _base_payload(setup, "eigen")
     payload["spectral"] = spectral

@@ -25,8 +25,8 @@ d_k = (-1)^(k+1), so the basis is tabulated on the left half of the grid
 only, the nodes t_i < 1/2 and, for an odd node count, the middle node.  Grid
 values are handled folded: row 0 of a folded array holds the left-half
 nodes t_i and row 1 their mirrors t_(N-1-i), and a middle node appears in
-both rows with half its weight each (folded_grid).  The half table is
-stored transposed, a row a mode, so the rows of the odd modes (d_k = 1)
+both rows with half its weight each (Grid.folded_weights).  The half table
+is stored transposed, a row a mode, so the rows of the odd modes (d_k = 1)
 and of the even modes (d_k = -1) are strided views of it.  A batch splits
 by parity, which halves the multiply-adds of the full table: profiles
 takes O = c_odd E_odd^T and V = c_even E_even^T and writes the left rows
@@ -80,6 +80,15 @@ reason.
 Both ways are linear and every rounding in them flips sign with its input
 (the parity split adds and subtracts two such products), so a product of
 -c is the negation of the product of c bit for bit.
+
+What a product reads of its grid (the folded nodes and weights, the signs
+d_k, the transform's phases and the half table) is one read-only Grid per
+SpaceConfig.  grid(cfg) keeps the two most recently used, so a Grid lives
+as long as the last operator that holds it, or as long as it is one of
+those two.  Two, because a check of all six shipped problems reads two
+grids (32 modes on 256 nodes, 320 on 2,048): with the grids rebuilt for
+each such check it took 54-56 ms against 45-46 ms (in-process medians on
+2 shared vCPUs), the 320-mode table alone 6.4-7.1 ms.
 """
 
 from __future__ import annotations
@@ -92,11 +101,12 @@ import numpy as np
 __all__ = [
     "SpaceConfig",
     "H1Vector",
+    "Grid",
     "basis_matrix",
     "basis_vector",
     "evaluate",
-    "folded_grid",
     "gauss_rule",
+    "grid",
     "inner",
     "l2_norm_sq",
     "moments",
@@ -104,7 +114,6 @@ __all__ = [
     "panel_phases",
     "panel_synthesis",
     "profiles",
-    "quadrature_grid",
 ]
 
 
@@ -197,38 +206,6 @@ def _half(n_nodes: int) -> int:
     return (n_nodes + 1) // 2
 
 
-@functools.lru_cache(maxsize=None)
-def _half_basis(n_modes: int, quad_nodes: int, n_panels: int) -> np.ndarray:
-    """E_h^T[k, i] = e_(k+1)(t_i) on the left half of the grid, (n_modes, half).
-
-    Stored transposed and C-contiguous, so that the rows of the odd modes,
-    [0::2], and of the even modes, [1::2], are strided views that BLAS
-    reads in place (leading dimension 2 half).
-    """
-    nodes, _ = gauss_rule(quad_nodes, n_panels)
-    # built in place: one n x half-grid table at a time
-    mat = np.outer(np.arange(1, n_modes + 1), nodes[: _half(nodes.size)])
-    mat *= np.pi
-    np.sin(mat, out=mat)
-    mat *= _scales(n_modes)[:, None]
-    mat.flags.writeable = False
-    return mat
-
-
-@functools.lru_cache(maxsize=None)
-def _signs(n_modes: int) -> np.ndarray:
-    """(2, 1, n_modes): ones, then d_k = (-1)^(k+1), with e_k(1 - t) = d_k e_k(t)."""
-    signs = np.ones((2, 1, n_modes))
-    signs[1, 0, 1::2] = -1.0
-    signs.flags.writeable = False
-    return signs
-
-
-def quadrature_grid(cfg: SpaceConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The quadrature grid of a discretization: gauss_rule at its resolution."""
-    return gauss_rule(cfg.quad_nodes, cfg.n_panels)
-
-
 def _fold(values: np.ndarray) -> np.ndarray:
     """Grid values as a folded (2, half) array: the left half and the mirrors."""
     m = _half(values.shape[-1])
@@ -240,22 +217,60 @@ def _unfold(left: np.ndarray, mirrored: np.ndarray, n_nodes: int) -> np.ndarray:
     return np.concatenate([left, mirrored[::-1][2 * len(left) - n_nodes :]])
 
 
-@functools.lru_cache(maxsize=None)
-def folded_grid(cfg: SpaceConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the quadrature grid as folded (2, half) arrays.
+class Grid:
+    """The composite Gauss-Legendre grid of one discretization, read-only.
 
-    Row 0 holds the nodes t_i < 1/2, row 1 their mirrors t_(N-1-i); for an
-    odd node count both rows end in the middle node with half its weight, so
-    a weighted sum over the folded grid is the sum over the grid.  The
-    arrays are cached and read-only.
+    nodes, weights: the rule in grid order, gauss_rule at cfg's resolution.
+    folded_nodes, folded_weights: the same as folded (2, half) arrays.  Row 0
+        holds the nodes t_i < 1/2 and row 1 their mirrors t_(N-1-i); for an
+        odd node count both rows end in the middle node with half its
+        weight, so a weighted sum over the folded grid is the sum over the
+        grid.
+    signs: (2, 1, n_modes), ones, then d_k = (-1)^(k+1), with
+        e_k(1 - t) = d_k e_k(t).
+    phases: panel_phases(cfg, n_modes + 1), read by the panel transform.
+    table: the basis half table, built on its first read.
+
+    Build one through grid(cfg), which shares it while it is one of the two
+    most recently used.
     """
-    nodes, weights = quadrature_grid(cfg)
-    folded_nodes, folded_weights = _fold(nodes), _fold(weights)
-    if nodes.size % 2:
-        folded_weights[:, -1] *= 0.5  # the middle node, once in each row
-    folded_nodes.flags.writeable = False
-    folded_weights.flags.writeable = False
-    return folded_nodes, folded_weights
+
+    def __init__(self, cfg: SpaceConfig) -> None:
+        self.cfg = cfg
+        self.nodes, self.weights = gauss_rule(cfg.quad_nodes, cfg.n_panels)
+        self.folded_nodes, self.folded_weights = _fold(self.nodes), _fold(self.weights)
+        if self.nodes.size % 2:
+            self.folded_weights[:, -1] *= 0.5  # the middle node, once in each row
+        self.signs = np.ones((2, 1, cfg.n_modes))
+        self.signs[1, 0, 1::2] = -1.0
+        self.phases = panel_phases(cfg, cfg.n_modes + 1)
+        for a in (self.folded_nodes, self.folded_weights, self.signs, self.phases):
+            a.flags.writeable = False
+
+    @functools.cached_property
+    def table(self) -> np.ndarray:
+        """E_h^T[k, i] = e_(k+1)(t_i) on the left half of the grid, (n_modes, half).
+
+        Stored transposed and C-contiguous, so that the rows of the odd modes,
+        [0::2], and of the even modes, [1::2], are strided views that BLAS
+        reads in place (leading dimension 2 half).  A table-free grid
+        (_table_free) never reads it; only basis_matrix builds it there.
+        """
+        n = self.cfg.n_modes
+        # built in place: one n x half-grid table at a time
+        mat = np.outer(np.arange(1, n + 1), self.nodes[: _half(self.nodes.size)])
+        mat *= np.pi
+        np.sin(mat, out=mat)
+        mat *= _scales(n)[:, None]
+        mat.flags.writeable = False
+        return mat
+
+
+@functools.lru_cache(maxsize=2)
+def grid(cfg: SpaceConfig) -> Grid:
+    """The Grid of a discretization, shared by every caller while it is one
+    of the two most recently used; an operator holds its own."""
+    return Grid(cfg)
 
 
 # one-row products take the panel transform above this half-table size
@@ -380,27 +395,25 @@ def panel_synthesis(amplitudes: np.ndarray, cfg: SpaceConfig, phases: np.ndarray
     return values
 
 
-def profiles(coeffs: np.ndarray, cfg: SpaceConfig, phases: np.ndarray | None = None) -> np.ndarray:
+def profiles(coeffs: np.ndarray, g: Grid) -> np.ndarray:
     """Folded grid values of the functions whose coefficient rows are coeffs.
 
     coeffs is (B, n_modes); the result is (2, B, half), from panel_synthesis
     where _by_transform says so and from the half table otherwise: one row
     by the one product [c; d c] E_h^T, a batch by the parity split, O from
     the odd modes and V from the even ones, with the left rows O + V and
-    the mirror rows O - V.  phases, panel_phases(cfg, n_modes + 1), spares
-    the transform building its own.
+    the mirror rows O - V.
     """
+    cfg = g.cfg
     n = cfg.n_modes
     b = coeffs.shape[0]
     if _by_transform(b, cfg):
-        if phases is None:
-            phases = panel_phases(cfg, n + 1)
         amplitudes = np.zeros((b, n + 1))
         amplitudes[:, 1:] = coeffs * _scales(n)
-        return _fold(panel_synthesis(amplitudes, cfg, phases))
-    table = _half_basis(n, cfg.quad_nodes, cfg.n_panels)
+        return _fold(panel_synthesis(amplitudes, cfg, g.phases))
+    table = g.table
     if b == 1:
-        return ((coeffs * _signs(n)).reshape(2, n) @ table).reshape(2, 1, -1)
+        return ((coeffs * g.signs).reshape(2, n) @ table).reshape(2, 1, -1)
     # contiguous coefficient halves: numpy sends a strided left operand
     # through its own loop, not BLAS
     folded = np.empty((2, b, table.shape[1]))
@@ -411,7 +424,7 @@ def profiles(coeffs: np.ndarray, cfg: SpaceConfig, phases: np.ndarray | None = N
     return folded
 
 
-def moments(folded: np.ndarray, cfg: SpaceConfig, phases: np.ndarray | None = None) -> np.ndarray:
+def moments(folded: np.ndarray, g: Grid) -> np.ndarray:
     """sum_i g(t_i) e_k(t_i) over the grid for each of B folded rows of g.
 
     folded is (2, B, half), with any quadrature weights applied; the result
@@ -419,24 +432,22 @@ def moments(folded: np.ndarray, cfg: SpaceConfig, phases: np.ndarray | None = No
     from the half table otherwise: one row by the one product of the
     stacked rows L and R with E_h, added as y_L + d y_R, a batch by the
     parity split, the odd modes (L + R) E_h and the even ones (L - R) E_h.
-    phases is as for profiles.
     """
+    cfg = g.cfg
     n = cfg.n_modes
     b = folded.shape[1]
     if _by_transform(b, cfg):
-        if phases is None:
-            phases = panel_phases(cfg, n + 1)
-        n_nodes = cfg.quad_nodes * cfg.n_panels
+        n_nodes = g.nodes.size
         half = folded.shape[-1]
         # grid order; a middle node gets the sum of its two halves
         values = np.zeros((b, n_nodes))
         values[:, :half] = folded[0]
         values[:, n_nodes - half :] += folded[1, :, ::-1]
-        return panel_analysis(values, cfg, phases)[:, 1:] * _scales(n)
-    table = _half_basis(n, cfg.quad_nodes, cfg.n_panels)
+        return panel_analysis(values, cfg, g.phases)[:, 1:] * _scales(n)
+    table = g.table
     if b == 1:
         y = folded.reshape(2, -1) @ table.T
-        y[1] *= _signs(n)[1, 0]
+        y[1] *= g.signs[1, 0]
         y[0] += y[1]  # y_left + d y_right
         return y[:1]
     left, right = folded
@@ -451,14 +462,15 @@ def moments(folded: np.ndarray, cfg: SpaceConfig, phases: np.ndarray | None = No
 def basis_matrix(cfg: SpaceConfig) -> np.ndarray:
     """Matrix E with E[i, k] = e_{k+1}(t_i) on the quadrature grid.
 
-    A full view unfolded from the half table, built anew on every call; the
-    package computes through profiles and moments and never builds it.  It
-    stays public because perfbench's traced byte count calls it; on a
-    table-free grid that call builds a half table the program does not
-    hold.  ROADMAP item 4 moves that count to the bytes the problem holds.
+    A full view unfolded from the memoized Grid's half table, built anew on
+    every call; the package computes through profiles and moments and never
+    builds it.  It stays public because perfbench's traced byte count calls
+    it; on a table-free grid that call builds a half table the program does
+    not read.  ROADMAP item 4 moves that count to the bytes the problem holds.
     """
-    half = _half_basis(cfg.n_modes, cfg.quad_nodes, cfg.n_panels).T
-    return _unfold(half, half * _signs(cfg.n_modes)[1], cfg.quad_nodes * cfg.n_panels)
+    g = grid(cfg)
+    half = g.table.T
+    return _unfold(half, half * g.signs[1], g.nodes.size)
 
 
 def basis_vector(k: int, n_modes: int) -> H1Vector:
@@ -491,10 +503,10 @@ def evaluate(u: H1Vector, t):
     if not np.all((tarr >= 0.0) & (tarr <= 1.0)):  # rejects NaN as well
         raise ValueError("t must lie in [0, 1]")
     ks = np.arange(1, u.n_modes + 1)
-    scale = np.sqrt(2.0) / (ks * np.pi)
     # numpy's own loop, not a BLAS call: a product of a thousand points
     # with a thousand modes would wake a second BLAS thread
-    vals = np.einsum("...k,k", np.sin(np.multiply.outer(tarr, ks) * np.pi), scale * u.coeffs)
+    terms = np.sin(np.multiply.outer(tarr, ks) * np.pi)
+    vals = np.einsum("...k,k", terms, _scales(u.n_modes) * u.coeffs)
     if np.isscalar(t) or tarr.ndim == 0:
         return float(vals)
     return vals

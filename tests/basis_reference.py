@@ -10,7 +10,7 @@ the cosines and sines of pi j t on every node (bin_table).
 
 import numpy as np
 
-from fixpairs.space import SpaceConfig, quadrature_grid
+from fixpairs.space import SpaceConfig, grid
 
 # spaces whose products are checked against the full table
 FOLD_SPACES = [
@@ -29,14 +29,14 @@ FOLD_SPACES = [
 
 def full_table(cfg):
     """E[i, k] = e_(k+1)(t_i) on every grid node, without the fold."""
-    nodes, _ = quadrature_grid(cfg)
+    nodes = grid(cfg).nodes
     ks = np.arange(1, cfg.n_modes + 1)
     return np.sqrt(2.0) * np.sin(np.outer(nodes, ks) * np.pi) / (ks * np.pi)
 
 
 def bin_table(cfg, count):
     """(cos, sin) of pi j t_i on every grid node for the bins j < count."""
-    nodes, _ = quadrature_grid(cfg)
+    nodes = grid(cfg).nodes
     angles = np.pi * np.outer(nodes, np.arange(count))
     return np.cos(angles), np.sin(angles)
 

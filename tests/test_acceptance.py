@@ -32,7 +32,7 @@ from fixpairs import (
 )
 from fixpairs import bvp
 from fixpairs.models import clipped_cubic_operator, radial_power_operator
-from fixpairs.space import quadrature_grid
+from fixpairs.space import grid
 
 
 def _record(name, ok, detail=""):
@@ -133,8 +133,8 @@ def test_c04_genus_values():
 
 def test_c05_eigenvalue():
     t0 = time.perf_counter()
-    spectral = bvp.first_eigenvalue("spectral")
-    fd = bvp.first_eigenvalue("finite-difference", n=1000)
+    spectral = bvp.dirichlet_eigenvalue(1, "spectral")
+    fd = bvp.dirichlet_eigenvalue(1, "finite-difference", n=1000)
     elapsed = time.perf_counter() - t0
     d_spec = abs(spectral - np.pi**2)
     d_fd = abs(fd - np.pi**2) / np.pi**2
@@ -146,7 +146,7 @@ def test_c05_eigenvalue():
 
 
 def test_c06_green_operator(space32, sublinear_nl):
-    nodes, _ = quadrature_grid(space32)
+    nodes = grid(space32).nodes
     kernel = bvp.green_kernel(nodes[:, None], nodes[None, :])
     sym = float(np.max(np.abs(kernel - kernel.T)))
 

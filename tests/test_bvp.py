@@ -1,7 +1,9 @@
+import gc
 import json
 import math
 import tracemalloc
 import warnings
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -31,7 +33,7 @@ from fixpairs import operators as operators_mod
 from fixpairs import space as space_mod
 from fixpairs.operators import OddnessError, _oddness_samples
 from fixpairs.problems import load_problem
-from fixpairs.space import l2_norm_sq, quadrature_grid
+from fixpairs.space import grid, l2_norm_sq
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 KY_FAN_L2 = math.sqrt(5.0 / 8.0) / math.pi  # best min |e|_L2 over orthonormal pairs
@@ -59,7 +61,7 @@ def test_green_kernel_domain():
 
 def tabulated_kernel(cfg):
     """G(t_i, t_j) on the quadrature grid."""
-    nodes, _ = quadrature_grid(cfg)
+    nodes = grid(cfg).nodes
     return bvp.green_kernel(nodes[:, None], nodes[None, :])
 
 
@@ -80,7 +82,7 @@ def test_green_operator_consistent_with_projection(space32, sublinear_nl, rng):
     ks = np.arange(1, 33)
 
     def gap(cfg):
-        nodes, weights = quadrature_grid(cfg)
+        nodes, weights = grid(cfg).nodes, grid(cfg).weights
         vals = sublinear_nl.f(nodes, evaluate(u, nodes))
         grid_values = tabulated_kernel(cfg) @ (weights * vals)
         grid_route = (ks * np.pi) ** 2 * ((weights * grid_values) @ full_table(cfg))
@@ -226,10 +228,7 @@ _BLOCK_LOADS = [(p.stem, []) for p in sorted(PROBLEMS.glob("*.cfg"))] + [
 )
 def test_a_load_builds_the_comparison_block(problem, overrides):
     # k x k on span{e_1, ..., e_k}: k = 1 in one-pair mode, 2 in two-pair mode
-    try:
-        setup = load_problem(PROBLEMS / f"{problem}.cfg", overrides=overrides)
-    finally:
-        space_mod._half_basis.cache_clear()
+    setup = load_problem(PROBLEMS / f"{problem}.cfg", overrides=overrides)
     k = 1 if setup.mode == "one_pair" else 2
     assert setup.comparison.matrix.shape == (k, k)
 
@@ -264,7 +263,7 @@ def test_b_matrix_matches_weighted_gram(a1, n_modes):
     # the k x k block from 2k + 1 cosine moments against the leading block
     # of the explicit E^T diag(w a1) E over all n_modes
     cfg = SpaceConfig(n_modes=n_modes, n_panels=256 if n_modes == 320 else 32)
-    nodes, weights = quadrature_grid(cfg)
+    nodes, weights = grid(cfg).nodes, grid(cfg).weights
     basis = full_table(cfg)
     gram = basis.T @ ((weights * _A1_WEIGHTS[a1](nodes))[:, None] * basis)
     for k in range(1, min(n_modes, 2) + 1):
@@ -282,16 +281,16 @@ def test_a_table_free_load_and_report_build_no_basis_table(monkeypatch, tmp_path
     # transform, then their folded profiles, negation and f at both); the
     # bound leaves it a 4.8 MB margin
     overrides = ["space.n_modes=1280", "space.n_panels=1024"]
-    cached = space_mod._half_basis.cache_info()
-    # two loads in one process leave the table cache as they found it
+    space_mod.grid.cache_clear()
+    # two loads in one process leave their grid without a table
     for _ in range(2):
-        load_problem(PROBLEMS / "bvp_sqrt.cfg", overrides=overrides)
-    assert space_mod._half_basis.cache_info() == cached
+        setup = load_problem(PROBLEMS / "bvp_sqrt.cfg", overrides=overrides)
+    assert "table" not in space_mod.grid(setup.space).__dict__
 
     def no_table(*args):
         raise AssertionError("a table-free grid read a basis table")
 
-    monkeypatch.setattr(space_mod, "_half_basis", no_table)
+    monkeypatch.setattr(space_mod.Grid, "table", property(no_table))
     monkeypatch.setattr(space_mod, "basis_matrix", no_table)
     tracemalloc.start()
     try:
@@ -307,6 +306,21 @@ def test_a_table_free_load_and_report_build_no_basis_table(monkeypatch, tmp_path
     assert json.loads(out.read_text())["solve"]["meets_expected"] is True
 
 
+def test_the_grid_memo_frees_a_grid_three_loads_on():
+    # three table grids in turn: 160 and 320 modes on 2,048 nodes, then 32
+    # on 256.  The memo keeps the last two, so once the problems are dropped
+    # nothing holds the first grid, or its half table
+    setups = [load_problem(PROBLEMS / "bvp_sqrt.cfg", overrides=["space.n_modes=160"])]
+    first = weakref.ref(space_mod.grid(setups[0].space))
+    assert "table" in first().__dict__  # built by the oddness check
+    setups += [load_problem(PROBLEMS / f"{problem}.cfg") for problem in ("bvp_sqrt", "sublinear_affine")]
+    assert first() is not None  # held by its problem
+    del setups
+    gc.collect()
+    assert first() is None
+    assert space_mod.grid.cache_info().currsize == 2
+
+
 @pytest.mark.parametrize(
     "cfg",
     [SpaceConfig(32, 8, 32), SpaceConfig(320, 8, 256), SpaceConfig(1280, 8, 1024), SpaceConfig(8, 3, 5)],
@@ -316,20 +330,16 @@ def test_folded_apply_matches_the_full_table(cfg, rng):
     # the operator through the half table against f(t, E c) w through the
     # full table, on a t-dependent nonlinearity and a batch and a single row
     nl = bvp.sublinear_affine()
-    nodes, weights = quadrature_grid(cfg)
-    try:
-        full = full_table(cfg)
-        op = bvp.bvp_operator(nl, cfg)
-        coeffs = rng.standard_normal((4, cfg.n_modes)) / np.arange(1, cfg.n_modes + 1)
-        reference = (nl.f(nodes, coeffs @ full.T) * weights) @ full
-        scale = np.max(np.abs(reference))
-        assert np.max(np.abs(op.apply_batch(coeffs) - reference)) <= 1e-14 * scale
-        assert np.max(np.abs(op.apply_coeffs(coeffs[0]) - reference[0])) <= 1e-14 * scale
-        energy = weights @ nl.antiderivative(nodes, full @ coeffs[0])
-        assert abs(op.potential_coeffs(coeffs[0]) - energy) <= 1e-14 * abs(energy)
-    finally:
-        if cfg.n_modes == 1280:
-            space_mod._half_basis.cache_clear()
+    nodes, weights = grid(cfg).nodes, grid(cfg).weights
+    full = full_table(cfg)
+    op = bvp.bvp_operator(nl, cfg)
+    coeffs = rng.standard_normal((4, cfg.n_modes)) / np.arange(1, cfg.n_modes + 1)
+    reference = (nl.f(nodes, coeffs @ full.T) * weights) @ full
+    scale = np.max(np.abs(reference))
+    assert np.max(np.abs(op.apply_batch(coeffs) - reference)) <= 1e-14 * scale
+    assert np.max(np.abs(op.apply_coeffs(coeffs[0]) - reference[0])) <= 1e-14 * scale
+    energy = weights @ nl.antiderivative(nodes, full @ coeffs[0])
+    assert abs(op.potential_coeffs(coeffs[0]) - energy) <= 1e-14 * abs(energy)
 
 
 @pytest.mark.parametrize("n_modes, n_panels", [(32, 32), (320, 256), (1280, 1024)])
@@ -338,22 +348,18 @@ def test_profile_cache_keeps_apply_bitwise(n_modes, n_panels, rng):
     # and must stay bitwise equal to a one-row apply_batch; a vector changed
     # in place must never be served the old profile
     cfg = SpaceConfig(n_modes=n_modes, n_panels=n_panels)
-    try:
-        for nl in (bvp.power_nonlinearity(), replace(bvp.sublinear_affine(), antiderivative=None)):
-            op = bvp.bvp_operator(nl, cfg)
-            c = rng.standard_normal(n_modes) / np.arange(1, n_modes + 1)
-            op.potential_coeffs(c)
-            assert op.apply_coeffs(c).tobytes() == op.apply_batch(c[None, :])[0].tobytes()
-            c[0] += 0.5
-            assert op.apply_coeffs(c).tobytes() == op.apply_batch(c[None, :])[0].tobytes()
-            changed = op.potential_coeffs(c)
-            c[1] -= 0.5
-            moved = op.potential_coeffs(c)
-            op.potential_coeffs(np.zeros(n_modes))
-            assert op.potential_coeffs(c.copy()) == moved != changed
-    finally:
-        if n_modes == 1280:
-            space_mod._half_basis.cache_clear()
+    for nl in (bvp.power_nonlinearity(), replace(bvp.sublinear_affine(), antiderivative=None)):
+        op = bvp.bvp_operator(nl, cfg)
+        c = rng.standard_normal(n_modes) / np.arange(1, n_modes + 1)
+        op.potential_coeffs(c)
+        assert op.apply_coeffs(c).tobytes() == op.apply_batch(c[None, :])[0].tobytes()
+        c[0] += 0.5
+        assert op.apply_coeffs(c).tobytes() == op.apply_batch(c[None, :])[0].tobytes()
+        changed = op.potential_coeffs(c)
+        c[1] -= 0.5
+        moved = op.potential_coeffs(c)
+        op.potential_coeffs(np.zeros(n_modes))
+        assert op.potential_coeffs(c.copy()) == moved != changed
 
 
 # the FOLD_SPACES grids with 1 and 2 modes (even and odd node counts), and
@@ -405,7 +411,7 @@ def test_b_self_adjoint(space32, sublinear_nl, rng):
     # (B u, v) = (B v, u) on the block's span, and both equal the grid
     # integral of a1 u v
     b = bvp.b_matrix(sublinear_nl.a1, space32, 2)
-    nodes, weights = quadrature_grid(space32)
+    nodes, weights = grid(space32).nodes, grid(space32).weights
     for _ in range(20):
         u, v = (H1Vector(np.concatenate([rng.standard_normal(2), np.zeros(30)])) for _ in range(2))
         integral = weights @ (sublinear_nl.a1(nodes) * evaluate(u, nodes) * evaluate(v, nodes))
@@ -451,8 +457,8 @@ def test_gradient_pairing_identity(space32, sublinear_nl, sublinear_op, rng):
     # operator grid's exactness); the pairing term uses the operator grid,
     # which is the quadrature the discrete operator is defined with.
     fine = SpaceConfig(32, 8, 64)
-    fine_nodes, fine_weights = quadrature_grid(fine)
-    nodes, weights = quadrature_grid(space32)
+    fine_nodes, fine_weights = grid(fine).nodes, grid(fine).weights
+    nodes, weights = grid(space32).nodes, grid(space32).weights
     ks = np.arange(1, 33)
     deriv_basis = np.sqrt(2.0) * np.cos(np.outer(fine_nodes, ks) * np.pi)
     for _ in range(10):
@@ -483,7 +489,7 @@ def test_growth_fit_respects_integral_bound(space32, sublinear_nl, sublinear_op)
     from fixpairs import growth_fit
 
     cert = growth_fit(sublinear_op, [0.5, 1, 2, 4, 8], dirs_per_radius=16, seed=3)
-    nodes, weights = quadrature_grid(space32)
+    nodes, weights = grid(space32).nodes, grid(space32).weights
     int_a2 = float(weights @ sublinear_nl.a2(nodes))
     assert int_a2 == pytest.approx(0.75, rel=1e-12)  # r1^(1/2) * int (1+t) dt
     assert cert.c <= 1.1 * int_a2
@@ -493,7 +499,7 @@ def test_growth_fit_respects_integral_bound(space32, sublinear_nl, sublinear_op)
 def test_growth_chain_bound(space32, sublinear_nl, sublinear_op, rng):
     # ||A u|| <= (int a2) ||u||^theta + (int a3), the integrals taken with
     # the same quadrature that defines the discrete operator
-    nodes, weights = quadrature_grid(space32)
+    nodes, weights = grid(space32).nodes, grid(space32).weights
     c1 = float(weights @ sublinear_nl.a2(nodes))
     c2 = float(weights @ sublinear_nl.a3(nodes))
     us = rng.standard_normal((1000, 32))
@@ -522,25 +528,25 @@ def test_ode_residual_second_differences(space32, rng):
         assert worst <= 1e-6
 
 
-def test_check_d1_example(space32, sublinear_nl):
-    rep = bvp.check_d1(sublinear_nl, 0.25, space32)
+def test_check_d1_example(sublinear_nl):
+    rep = bvp.check_d1(sublinear_nl, 0.25)
     assert rep.verdict == "sampled-pass"
     assert -1e-12 <= rep.margin <= 1e-9  # binding exactly at |u| = r1
 
 
-def test_check_d1_validation(space32, sublinear_nl):
+def test_check_d1_validation(sublinear_nl):
     with pytest.raises(ValueError):
-        bvp.check_d1(sublinear_nl, 1.5, space32)
+        bvp.check_d1(sublinear_nl, 1.5)
 
 
-def test_check_d2_example_passes(space32, sublinear_nl):
-    rep = bvp.check_d2(sublinear_nl, space32)
+def test_check_d2_example_passes(sublinear_nl):
+    rep = bvp.check_d2(sublinear_nl)
     assert rep.verdict == "sampled-pass"
     assert rep.margin > 0.0
 
 
-def test_check_d2_linear_fails(space32):
-    rep = bvp.check_d2(bvp.linear_nonlinearity(5.0), space32)
+def test_check_d2_linear_fails():
+    rep = bvp.check_d2(bvp.linear_nonlinearity(5.0))
     assert rep.verdict == "fail"
 
 
@@ -596,19 +602,19 @@ def test_check_d4_values():
 
 
 def test_eigenvalues(space32):
-    assert bvp.first_eigenvalue("spectral") == np.pi**2
+    assert bvp.dirichlet_eigenvalue(1, "spectral") == np.pi**2
     assert bvp.dirichlet_eigenvalue(2, "spectral") == pytest.approx(4.0 * np.pi**2)
-    fd = bvp.first_eigenvalue("finite-difference", n=1000)
+    fd = bvp.dirichlet_eigenvalue(1, "finite-difference", n=1000)
     assert abs(fd - np.pi**2) / np.pi**2 <= 1e-4
     # closed form of the second-difference eigenvalue
     h = 1.0 / 1001.0
     assert fd == pytest.approx(2.0 * (1.0 - np.cos(np.pi * h)) / h**2, rel=1e-10)
-    coarse = bvp.first_eigenvalue("finite-difference", n=4)
+    coarse = bvp.dirichlet_eigenvalue(1, "finite-difference", n=4)
     assert abs(coarse - np.pi**2) / np.pi**2 > 1e-4
     with pytest.raises(ValueError):
-        bvp.first_eigenvalue("finite-difference", n=2)
+        bvp.dirichlet_eigenvalue(1, "finite-difference", n=2)
     with pytest.raises(ValueError):
-        bvp.first_eigenvalue("unknown")
+        bvp.dirichlet_eigenvalue(1, "unknown")
     with pytest.raises(ValueError):
         bvp.dirichlet_eigenvalue(0)
 
@@ -665,7 +671,7 @@ def test_shooting_sublinear_pair():
     res = bvp.shooting_oracle(nl, (2.0, 20.0), n_slopes=10, n_steps=2000)
     assert len(res.solutions) >= 1
     sol = res.solutions[-1]
-    assert abs(sol.terminal) <= 1e-10
+    assert abs(sol.us[-1]) <= 1e-10
     assert sol.us[500] > 0.5  # one-arch positive solution
     # odd reflection is a solution as well: check the negative slope run
     res_neg = bvp.shooting_oracle(nl, (-20.0, -2.0), n_slopes=10, n_steps=2000)

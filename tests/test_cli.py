@@ -30,7 +30,7 @@ from fixpairs.problems import (
     parse_config,
 )
 from fixpairs.solver import SolverConfig
-from fixpairs.space import SpaceConfig, gauss_rule, moments, panel_phases, profiles, quadrature_grid
+from fixpairs.space import SpaceConfig, gauss_rule, grid, moments, profiles
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -260,7 +260,7 @@ def test_size_guard_applies_to_the_built_space():
     # the comparison block's moments (5 bins) peak below the 80 bytes a
     # grid node of 10 (H2) rows, which the guard counts in their place
     for cfg in (SpaceConfig(1280, 8, 1024), SpaceConfig(100, 8, 1000)):
-        nodes, _ = quadrature_grid(cfg)
+        nodes = grid(cfg).nodes
         gauss_rule(cfg.quad_nodes)  # cached on first use
         tracemalloc.start()
         try:
@@ -293,25 +293,24 @@ def test_size_guard_counts_the_oddness_batch_and_the_transform_batch():
         (SpaceConfig(20000, 8, 64), 10),  # the bins fold
         (SpaceConfig(3000, 5, 801), 10),  # folded bins, an odd node count
     ):
-        quadrature_grid(cfg)
+        g = grid(cfg)
         gauss_rule(cfg.quad_nodes)
-        phases = panel_phases(cfg, cfg.n_modes + 1)
         coeffs = np.ones((1, cfg.n_modes)) / np.arange(1, cfg.n_modes + 1)
         tracemalloc.start()
         try:
-            moments(profiles(coeffs, cfg, phases), cfg, phases)
+            moments(profiles(coeffs, g), g)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 64 * cfg.quad_nodes * (cfg.n_modes + 1 + cfg.n_panels)
         if rows:
             batch = np.repeat(coeffs, rows, axis=0)
-            folded = profiles(batch, cfg, phases)
+            folded = profiles(batch, g)
             cells = cfg.quad_nodes * max(cfg.n_modes + 1, 2 * cfg.n_panels)
             for product, x in ((profiles, batch), (moments, folded)):
                 tracemalloc.start()
                 try:
-                    product(x, cfg, phases)
+                    product(x, g)
                     peak = tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
@@ -335,15 +334,14 @@ def test_a_load_peaks_below_the_guard_count(problem, overrides):
     # the half table at once; its peak stays below what the guard counts
     # for them
     path = PROBLEMS / f"{problem}.cfg"
-    setup = load_problem(path, overrides=overrides)  # fills the caches
-    space_mod._half_basis.cache_clear()
+    setup = load_problem(path, overrides=overrides)  # fills gauss_rule's cache
+    space_mod.grid.cache_clear()
     tracemalloc.start()
     try:
         load_problem(path, overrides=overrides)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-        space_mod._half_basis.cache_clear()
     tables = _table_sizes(setup.kind, setup.space, setup.mode, len(setup.seeds), setup.hyp)
     held = tables["seed table"] + tables["oddness batch"]
     if setup.kind == "bvp" and not space_mod._table_free(setup.space):
@@ -363,16 +361,13 @@ def test_the_h_batch_peaks_below_the_guard_count(overrides):
     rows = np.random.default_rng(setup.seed).standard_normal(
         (len(hyp.growth_radii) * hyp.dirs_per_radius, setup.space.n_modes)
     )
+    setup.operator.apply_many(rows)  # builds the half table
+    tracemalloc.start()
     try:
-        setup.operator.apply_many(rows)  # builds the half table
-        tracemalloc.start()
-        try:
-            setup.operator.apply_many(rows)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        setup.operator.apply_many(rows)
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
-        space_mod._half_basis.cache_clear()
+        tracemalloc.stop()
     tables = _table_sizes(setup.kind, setup.space, setup.mode, len(setup.seeds), hyp)
     assert 2 * rows.shape[0] * setup.row_width * 8 < peak <= tables["(H) batch"]
 

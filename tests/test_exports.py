@@ -106,3 +106,20 @@ def test_no_unreferenced_private_names():
         if reads[name] == sum(1 for read in name_reads(node) if read == name)
     ]
     assert unreferenced == []
+
+
+def test_only_the_gauss_rules_and_the_grids_are_memoized():
+    # a process-wide cache outlives the problems that filled it: the grid
+    # memo keeps two grids, and a Gauss-Legendre rule is a few nodes
+    caches = {"cache", "lru_cache"}  # functools' process-wide memos
+    memoized, uses = [], 0
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        uses += sum(1 for name in name_reads(tree) if name in caches)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for decorator in node.decorator_list:
+                    if caches & set(name_reads(decorator)):
+                        memoized.append(node.name)
+    assert sorted(memoized) == ["gauss_rule", "grid"]
+    assert uses == len(memoized)

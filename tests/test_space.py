@@ -17,13 +17,12 @@ from fixpairs import (
 from fixpairs import space as space_mod
 from fixpairs.space import (
     basis_matrix,
-    folded_grid,
+    grid,
     moments,
     panel_analysis,
     panel_phases,
     panel_synthesis,
     profiles,
-    quadrature_grid,
 )
 
 
@@ -117,14 +116,14 @@ def h1_projection(folded, cfg):
     product with e_k into this L2 moment, so no grid data is differentiated.
     """
     ks = np.arange(1, cfg.n_modes + 1)
-    _, folded_weights = folded_grid(cfg)
-    return (ks * np.pi) ** 2 * moments(folded_weights[:, None, :] * folded, cfg)
+    g = grid(cfg)
+    return (ks * np.pi) ** 2 * moments(g.folded_weights[:, None, :] * folded, g)
 
 
 def test_project_parabola_matches_sine_series(space32):
     # analytic coefficients of t(1-t): the plain sine series has
     # 8/(k pi)^3 on odd k, so in this basis c_k = 4*sqrt(2)/(k pi)^2
-    folded_nodes, _ = folded_grid(space32)
+    folded_nodes = grid(space32).folded_nodes
     c = h1_projection((folded_nodes * (1.0 - folded_nodes))[:, None, :], space32)[0]
     ks = np.arange(1, 33)
     expected = np.where(ks % 2 == 1, 4.0 * np.sqrt(2.0) / (ks * np.pi) ** 2, 0.0)
@@ -142,13 +141,13 @@ def test_roundtrip_band_limited(cfg, rng):
     # already holds at the coarsest supported rule (8 nodes, 16 panels)
     c = np.zeros((10, 32))
     c[:, :16] = rng.standard_normal((10, 16))
-    back = h1_projection(profiles(c, cfg), cfg)
+    back = h1_projection(profiles(c, grid(cfg)), cfg)
     assert np.max(np.linalg.norm(back - c, axis=1)) <= 1e-8
     # e1 coefficient by coefficient: 1e-10 at the default rule, while the
     # coarse rule aliases it onto e31 at 2.7e-9
     tol = 1e-10 if cfg == SpaceConfig() else 1e-8
     e1 = basis_vector(1, 32).coeffs
-    back = h1_projection(profiles(e1[None, :], cfg), cfg)[0]
+    back = h1_projection(profiles(e1[None, :], grid(cfg)), cfg)[0]
     assert abs(back[0] - 1.0) <= tol
     assert np.max(np.abs(back[1:])) <= tol
 
@@ -160,19 +159,14 @@ def test_folded_products_match_the_full_table(cfg, rng):
     # through the parity split, and the full table for basis_matrix, the
     # half table unfolded; no other test calls basis_matrix
     full = full_table(cfg)
-    nodes, weights = quadrature_grid(cfg)
-    _, folded_weights = folded_grid(cfg)
-    try:
-        assert max_rel(basis_matrix(cfg), full) <= 1e-14
-        for rows in (1, 3, 100):
-            coeffs = rng.standard_normal((rows, cfg.n_modes)) / np.arange(1, cfg.n_modes + 1)
-            assert max_rel(profiles(coeffs, cfg), fold(coeffs @ full.T)) <= 1e-14
-            values = rng.standard_normal((rows, nodes.size))
-            weighted = folded_weights[:, None, :] * fold(values)
-            assert max_rel(moments(weighted, cfg), (values * weights) @ full) <= 1e-14
-    finally:
-        if cfg.n_modes == 1280:
-            space_mod._half_basis.cache_clear()
+    g = grid(cfg)
+    assert max_rel(basis_matrix(cfg), full) <= 1e-14
+    for rows in (1, 3, 100):
+        coeffs = rng.standard_normal((rows, cfg.n_modes)) / np.arange(1, cfg.n_modes + 1)
+        assert max_rel(profiles(coeffs, g), fold(coeffs @ full.T)) <= 1e-14
+        values = rng.standard_normal((rows, g.nodes.size))
+        weighted = g.folded_weights[:, None, :] * fold(values)
+        assert max_rel(moments(weighted, g), (values * g.weights) @ full) <= 1e-14
 
 
 @pytest.mark.parametrize("cfg", [SpaceConfig(32, 8, 32), SpaceConfig(320, 8, 256)], ids=["32", "320"])
@@ -182,9 +176,10 @@ def test_table_batches_flip_sign_with_their_input(cfg, rng):
     # oddness check (odd_at) relies on
     assert not space_mod._by_transform(100, cfg)
     coeffs = rng.standard_normal((100, cfg.n_modes)) / np.arange(1, cfg.n_modes + 1)
-    folded = profiles(coeffs, cfg)
-    assert np.array_equal(profiles(-coeffs, cfg), -folded)
-    assert np.array_equal(moments(-folded, cfg), -moments(folded, cfg))
+    g = grid(cfg)
+    folded = profiles(coeffs, g)
+    assert np.array_equal(profiles(-coeffs, g), -folded)
+    assert np.array_equal(moments(-folded, g), -moments(folded, g))
 
 
 PANEL_SPACES = [
@@ -206,7 +201,7 @@ def test_panel_transform_matches_the_full_table(cfg, rng):
     # bin's sine and cosine sums against the closed form on every node
     n = cfg.n_modes
     full = full_table(cfg)
-    nodes, _ = quadrature_grid(cfg)
+    nodes = grid(cfg).nodes
     scales = np.sqrt(2.0) / (np.arange(1, n + 1) * np.pi)
     values = rng.standard_normal((3, nodes.size))
     coeffs = rng.standard_normal((3, n))
@@ -265,7 +260,7 @@ def test_panel_transform_reads_every_bin_range(quad_nodes, n_panels, count, rng)
     # one and the j = P one included, where the synthesis's inverse real FFT
     # reads real parts only.  Each FFT serves a Gauss line and its mirror
     cfg = SpaceConfig(1, quad_nodes, n_panels)
-    nodes, _ = quadrature_grid(cfg)
+    nodes = grid(cfg).nodes
     cosines, sines = bin_table(cfg, count)
     phases = panel_phases(cfg, count)
     values = rng.standard_normal((4, nodes.size))
@@ -319,7 +314,7 @@ def test_a_product_transforms_half_the_gauss_lines(monkeypatch, cfg, rng):
         }
     if space_mod._table_free(cfg):  # and so through profiles and moments
         lines.clear()
-        moments(profiles(rng.standard_normal((3, cfg.n_modes)), cfg, phases), cfg, phases)
+        moments(profiles(rng.standard_normal((3, cfg.n_modes)), grid(cfg)), grid(cfg))
         assert lines == {"irfft": [(3, paired, 2 * cfg.n_panels)], "rfft": [(3, paired, 2 * cfg.n_panels)]}
 
 
@@ -332,15 +327,15 @@ def test_a_batch_row_is_its_one_row_product_on_a_table_free_grid(monkeypatch, rn
     def table(*args):
         raise _TableRead
 
-    monkeypatch.setattr(space_mod, "_half_basis", table)
-    phases = panel_phases(cfg, cfg.n_modes + 1)
+    monkeypatch.setattr(space_mod.Grid, "table", property(table))
+    g = grid(cfg)
     coeffs = rng.standard_normal((48, cfg.n_modes)) / np.arange(1, cfg.n_modes + 1)
-    folded = profiles(coeffs, cfg, phases)
-    analysed = moments(folded, cfg, phases)
+    folded = profiles(coeffs, g)
+    analysed = moments(folded, g)
     for i in (0, 17, 47):
-        assert np.array_equal(profiles(coeffs[i : i + 1], cfg, phases), folded[:, i : i + 1])
-        assert np.array_equal(moments(folded[:, i : i + 1], cfg, phases)[0], analysed[i])
-    assert np.array_equal(profiles(-coeffs, cfg, phases), -folded)
+        assert np.array_equal(profiles(coeffs[i : i + 1], g), folded[:, i : i + 1])
+        assert np.array_equal(moments(folded[:, i : i + 1], g)[0], analysed[i])
+    assert np.array_equal(profiles(-coeffs, g), -folded)
 
 
 class _TableRead(Exception):
@@ -367,7 +362,7 @@ def test_one_row_products_switch_at_the_crossover(monkeypatch, cfg, one_row, bat
         raise _TableRead
 
     taken = []
-    monkeypatch.setattr(space_mod, "_half_basis", table)
+    monkeypatch.setattr(space_mod.Grid, "table", property(table))
     for name in ("panel_analysis", "panel_synthesis"):
 
         def recorded(*args, _name=name, _original=getattr(space_mod, name)):
@@ -384,7 +379,7 @@ def test_one_row_products_switch_at_the_crossover(monkeypatch, cfg, one_row, bat
         ):
             taken.clear()
             try:
-                product(x, cfg)
+                product(x, grid(cfg))
                 route = taken
             except _TableRead:
                 route = "table"
@@ -392,10 +387,10 @@ def test_one_row_products_switch_at_the_crossover(monkeypatch, cfg, one_row, bat
 
 
 @pytest.mark.parametrize("n_panels", [1, 3, 5])
-def test_folded_grid_splits_the_middle_node(n_panels):
-    cfg = SpaceConfig(n_modes=4, quad_nodes=3, n_panels=n_panels)
-    nodes, weights = quadrature_grid(cfg)
-    folded_nodes, folded_weights = folded_grid(cfg)
+def test_the_grid_folds_the_middle_node(n_panels):
+    g = grid(SpaceConfig(n_modes=4, quad_nodes=3, n_panels=n_panels))
+    nodes, weights = g.nodes, g.weights
+    folded_nodes, folded_weights = g.folded_nodes, g.folded_weights
     half = (nodes.size + 1) // 2
     assert folded_nodes.shape == folded_weights.shape == (2, half)
     assert np.array_equal(folded_nodes, fold(nodes))
@@ -407,8 +402,7 @@ def test_folded_grid_splits_the_middle_node(n_panels):
     assert np.array_equal(folded_weights[:, :-1], fold(weights)[:, :-1])
     assert abs(folded_weights.sum() - 1.0) <= 1e-15
     # the half table is stored transposed, a row a mode
-    table = space_mod._half_basis(4, 3, n_panels)
-    assert table.shape == (4, half) and table.flags.c_contiguous
+    assert g.table.shape == (4, half) and g.table.flags.c_contiguous
 
 
 def test_sup_norm_bound(space32):
@@ -434,7 +428,7 @@ def test_sup_norm_bound_dominates_samples(c):
 
 
 def test_grid_sample_invariants(space32):
-    nodes, weights = quadrature_grid(space32)
+    nodes, weights = grid(space32).nodes, grid(space32).weights
     assert abs(weights.sum() - 1.0) <= 1e-14
     assert np.all(np.diff(nodes) > 0)
     assert nodes[0] > 0.0 and nodes[-1] < 1.0

@@ -50,6 +50,7 @@ __all__ = [
     "check_d2",
     "check_d3",
     "check_d4",
+    "d1_magnitudes",
     "dirichlet_eigenvalue",
     "sublinear_affine",
     "green_kernel",
@@ -123,6 +124,12 @@ def green_profile(g: Callable[[np.ndarray], np.ndarray], ts, order: int = 8, pan
     return vals
 
 
+# the |u| values at which the oddness hook of bvp_operator compares
+# f(t, -u) with -f(t, u), and the f values it takes per call
+_ODD_MAGNITUDES = np.geomspace(1e-8, 1e3, 100)
+_ODD_CHUNK_CELLS = 2**15
+
+
 def bvp_operator(nl: Nonlinearity, cfg: SpaceConfig, odd: bool = True) -> PotentialOperatorSpec:
     """The fixed-point operator of the boundary value problem.
 
@@ -132,11 +139,14 @@ def bvp_operator(nl: Nonlinearity, cfg: SpaceConfig, odd: bool = True) -> Potent
     Gauss-Legendre rule along the ray otherwise.  The forms (A(s u), u) of
     the ray checks are grid sums of w f(t, s u(t)) u(t), from one synthesis
     of each ray and no moments (forms_batch).  Operators built with
-    odd=True get the sampled oddness validation, which needs one synthesis
-    of the sample rows and no moments where f is odd value for value at
-    their profiles; pass odd=False for nonlinearities that are not odd in u
-    (they fall outside the pair-existence machinery).  The closures hold
-    the space.Grid of cfg, so it lives as long as the operator.
+    odd=True are validated for oddness at construction.  Their hook
+    (apply_batch.odd_at) compares f(t, -m) with -f(t, m) at every grid node
+    t and 100 log-spaced magnitudes m in [1e-8, 1e3], a range that holds the
+    profiles of the sampled rows, and needs no synthesis; only where f
+    differs are the rows applied both ways (operators._check_oddness).
+    Pass odd=False for nonlinearities that are not odd in u (they fall
+    outside the pair-existence machinery).  The closures hold the
+    space.Grid of cfg, so it lives as long as the operator.
     """
     g = grid(cfg)
     nodes, weights = g.folded_nodes, g.folded_weights
@@ -151,11 +161,22 @@ def bvp_operator(nl: Nonlinearity, cfg: SpaceConfig, odd: bool = True) -> Potent
 
     def odd_at(stacked: np.ndarray) -> bool:
         # profiles, the weights and moments are linear, and each of their
-        # roundings flips sign with its input, so apply_batch(-x) equals
-        # -apply_batch(x) value for value wherever f(t, -p) == -f(t, p) at
-        # the profiles p of the rows: the oddness check then needs no moments
-        folded = profiles(stacked, g)
-        return bool(np.array_equal(nl.f(nodes_b, -folded), -nl.f(nodes_b, folded)))
+        # roundings flips sign with its input, so apply_batch is odd value
+        # for value wherever f is.  f is compared at every grid node and
+        # every _ODD_MAGNITUDES value, a sample of the |u(t)| the rows can
+        # reach: |u(t)| <= ||u|| / 2 in H1_0, and rows above norm 2e3 are
+        # left to the sampled check.  One f call takes about
+        # _ODD_CHUNK_CELLS values, all 100 magnitudes on a 256-node grid
+        norms_sq = np.einsum("ij,ij->i", stacked, stacked)  # no squared copy
+        if not norms_sq.max() <= (2.0 * _ODD_MAGNITUDES[-1]) ** 2:
+            return False
+        t = g.nodes[None, :]
+        step = max(1, _ODD_CHUNK_CELLS // g.nodes.size)
+        for i in range(0, _ODD_MAGNITUDES.size, step):
+            m = _ODD_MAGNITUDES[i : i + step, None]
+            if not np.array_equal(nl.f(t, -m), -nl.f(t, m)):
+                return False
+        return True
 
     apply_batch.odd_at = odd_at  # type: ignore[attr-defined]
 
@@ -244,16 +265,30 @@ def b_matrix(a1: Callable[[np.ndarray], np.ndarray], cfg: SpaceConfig, k: int) -
 _D_GRID = 64
 
 
-def check_d1(nl: Nonlinearity, r1: float) -> HypothesisReport:
-    """f(t, u)/u >= a1(t) for 0 < |u| <= r1, sampled on a (t, u) grid.
+def d1_magnitudes(r1: float) -> np.ndarray:
+    """The |u| samples of (D1), r1 * logspace(-8, 0).
 
-    The u-grid is log-spaced in (0, r1] plus mirrored negatives: the bound
-    is tightest near |u| = r1 for sublinear nonlinearities.
+    Raises ValueError unless r1 lies in (0, 1) and every sample is a normal
+    float: below the normals f(t, u)/u loses its digits, and at zero it is
+    0/0.
     """
     if not 0.0 < r1 < 1.0:
         raise ValueError("r1 must lie in (0, 1)")
-    t = _open_grid(_D_GRID)
     u_pos = r1 * np.logspace(-8, 0, _D_GRID)
+    if not u_pos[0] >= np.finfo(float).tiny:
+        raise ValueError(f"r1 = {r1!r} takes the (D1) samples below the normal floats")
+    return u_pos
+
+
+def check_d1(nl: Nonlinearity, r1: float) -> HypothesisReport:
+    """f(t, u)/u >= a1(t) for 0 < |u| <= r1, sampled on a (t, u) grid.
+
+    The u-grid is log-spaced in (0, r1] (d1_magnitudes) plus mirrored
+    negatives: the bound is tightest near |u| = r1 for sublinear
+    nonlinearities.
+    """
+    t = _open_grid(_D_GRID)
+    u_pos = d1_magnitudes(r1)
     u = np.concatenate([-u_pos[::-1], u_pos])
     tt, uu = np.meshgrid(t, u, indexing="ij")
     gaps = nl.f(tt, uu) / uu - nl.a1(tt)

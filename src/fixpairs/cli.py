@@ -12,7 +12,7 @@ Subcommands:
   report     the check and solve bundles in one document; 3 on a blow-up
              in either
 
-Every command exits 2 on a config error.
+Every command exits 2 on a config error or an output it cannot write.
 
 Reports are JSON with a schema_version field and are byte-stable for a
 fixed seed and config; profiles and descent traces go to CSV when
@@ -57,7 +57,8 @@ _GRADCHECK_H = 1e-5
 
 
 def _json_text(payload: dict[str, Any]) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    # strict JSON: a non-finite value raises here rather than print NaN
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _emit(payload: dict[str, Any], output: str | None) -> None:
@@ -249,6 +250,9 @@ def main(argv: list[str] | None = None) -> int:
     except OperatorDivergenceError as exc:
         sys.stderr.write(f"operator blow-up: {exc}\n")
         return EXIT_BLOWUP
+    except OSError as exc:  # from _emit or _write_profiles, the only writers
+        sys.stderr.write(f"cannot write output: {exc}\n")
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -66,8 +66,8 @@ class PotentialOperatorSpec:
     apply_batch is substituted must pass forms_batch=None or forms of its
     own to have them follow the new apply.  theta is the declared growth
     exponent in [0, 1).  Operators flagged odd are validated by sampling at
-    construction rather than trusted; an apply_batch may carry an exact
-    test of its own for that (see _check_oddness).
+    construction rather than trusted; an apply_batch may carry a test of
+    its own for that (see _check_oddness).
     """
 
     n_modes: int
@@ -122,11 +122,13 @@ def _oddness_samples(n_modes: int) -> np.ndarray:
 
 def _check_oddness(op: PotentialOperatorSpec) -> None:
     samples = _oddness_samples(op.n_modes)
-    # apply_batch.odd_at(x), when present, is True only where
-    # apply_batch(-x) == -apply_batch(x) value for value, so that the
-    # check below would find 0; on False the rows are applied as always.
-    # It lives on the function, so a spec whose apply_batch is replaced
-    # does not inherit it.
+    # apply_batch.odd_at(x), when present, stands in for the check below.
+    # It is True only where the operator's own test finds it odd value for
+    # value on a sample of what the rows x feed it (a bvp operator: f at
+    # every grid node and 100 magnitudes spanning the values of their
+    # profiles, bvp.bvp_operator); on False the rows are applied both ways
+    # as always.  It lives on the function, so a spec whose apply_batch is
+    # replaced does not inherit it.
     odd_at = getattr(op.apply_batch, "odd_at", None)
     if odd_at is None or not odd_at(samples):
         plus = op.apply_many(samples)

@@ -80,11 +80,11 @@ _GRID_NODES_PER_ROW = 8
 # footprint of one H1Vector seed besides its coefficients (object, attribute
 # dict, array header, list slot): about 210 B measured with tracemalloc
 _SEED_OVERHEAD_BYTES = 224
-# the oddness check holds its rows about five times at once (tracemalloc): a
-# coefficient operator the samples, their negation, both images and their
-# sum (5.0x), a bvp operator its folded profiles, their negation and f at
-# both (4.0-4.2x), or 5.3x on a table-free grid, where the profiles come
-# through the panel transform
+# the oddness check holds its coefficient rows about five times at once
+# (tracemalloc): a coefficient operator the samples, their negation, both
+# images and their sum (5.0x).  A bvp operator's hook tests f on the grid
+# and applies no row, and every config family passes it (bvp.bvp_operator),
+# so a bvp load holds the sampled rows about twice and no profile of them
 _ODDNESS_TABLES = 6
 # applying the (H) rows holds them about three to four times (tracemalloc):
 # a bvp operator its folded profiles, f at them and their weighted product
@@ -217,7 +217,7 @@ def _table_sizes(
     """Bytes of the largest arrays a problem builds, by what they hold.
 
     Every kind builds n_seeds seed vectors and checks oddness on one batch
-    of _ODDNESS_SAMPLES operator rows, counted _ODDNESS_TABLES times; the
+    of _ODDNESS_SAMPLES coefficient rows, counted _ODDNESS_TABLES times; the
     checkers take the forms of n_s scaled rows at once in (H2), of
     h2_prime_chunk(n_s, row_width) angles of n_s rows at once in (H2)',
     which also holds all n_angle circle points (two such tables at the peak,
@@ -226,11 +226,15 @@ def _table_sizes(
     _H_BATCH_TABLES times, and
     `eigen` builds eigen_n-long finite-difference vectors.  bvp also builds
     the Gauss-Legendre companion matrix of quad_nodes and a grid profile of
-    every applied row.  On a table-free grid (space._table_free) its two
-    batches, the oddness rows and the (H) rows, go through the panel
-    transform, at _TRANSFORM_CELL_BYTES a cell per row.  Any other grid
-    tabulates the basis on the left half of the quadrature grid, which is
-    then at most 16 MiB and not counted.  The quad_nodes x (n_modes + 1)
+    every applied row.  Its oddness check applies no row: the operator's
+    hook compares f(t, -m) with -f(t, m) on the grid and holds three arrays
+    (f at m and -m, and a negation) of at most max(2**15, quad_nodes
+    n_panels) values, at most 768 KiB below 32,768 nodes and otherwise less
+    than the (H2) batch or (H2)' chunk (n_s >= 10 grid rows), so it is not
+    counted.  On a table-free grid (space._table_free) its (H) batch goes
+    through the panel transform, at _TRANSFORM_CELL_BYTES a cell per row.
+    Any other grid tabulates the basis on the left half of the quadrature
+    grid, which is then at most 16 MiB and not counted.  The quad_nodes x (n_modes + 1)
     phases of a one-row transform are not counted either: with what a
     one-row product holds they come to at most 64 bytes a cell (0.6-1.0 of
     that under tracemalloc), 1/62 of the transform batch on a table-free
@@ -248,16 +252,14 @@ def _table_sizes(
     h_rows = len(hyp.growth_radii) * hyp.dirs_per_radius
     tables = {
         "seed table": n_seeds * (8 * n + _SEED_OVERHEAD_BYTES),
-        "oddness batch": _ODDNESS_TABLES * _ODDNESS_SAMPLES * row,
+        "oddness batch": _ODDNESS_TABLES * _ODDNESS_SAMPLES * 8 * n,
         "finite-difference vector": 8 * hyp.eigen_n,
     }
     if kind == "bvp":
         tables["Gauss-Legendre rule"] = 8 * space.quad_nodes**2
         if _table_free(space):
             cells = space.quad_nodes * max(n + 1, 2 * space.n_panels)
-            tables["panel transform batch"] = (
-                max(_ODDNESS_SAMPLES, h_rows) * _TRANSFORM_CELL_BYTES * cells
-            )
+            tables["panel transform batch"] = h_rows * _TRANSFORM_CELL_BYTES * cells
     if mode == "one_pair":
         tables["(H2) batch"] = hyp.n_s * row
     else:
@@ -345,8 +347,10 @@ def load_problem(
     theta = float(prob.get("theta", 0.5))
     nl: bvp_mod.Nonlinearity | None = None
     d1_r1 = float(prob.get("r1", 0.25))
-    if not 0.0 < d1_r1 < 1.0:
-        raise ConfigError("problem.r1 must lie in (0, 1)")
+    try:
+        bvp_mod.d1_magnitudes(d1_r1)
+    except ValueError as exc:
+        raise ConfigError(f"bad problem.r1: {exc}") from exc
 
     k = 1 if mode == "one_pair" else 2
     try:

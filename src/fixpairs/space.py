@@ -57,12 +57,13 @@ below it, for a product of one row when the table is larger than
 _TRANSFORM_ABOVE_BYTES (2 MiB; medians of one-row profiles and moments,
 table -> transform: 155 -> 88 and 112 -> 60 us at 320 modes on 2,048
 nodes, 2,466 -> 245 and 1,944 -> 167 us at 1,280 on 8,192), and the
-table otherwise.  The batches are the 48 rows of (H) and the 100 of
-the oddness check (the ray checks sum their forms on the grid from one
-synthesis of each ray and no analysis, bvp.bvp_operator).  A synthesis
-plus an analysis of a batch, medians of 31 interleaved calls on 2 shared
-vCPUs with 2 OpenBLAS threads, table / transform, and the time to build
-the table:
+table otherwise.  The batches are the 48 rows of (H); the oddness check
+tests f on the grid and applies its 100 sampled rows only where that
+fails, and the ray checks sum their forms on the grid from one synthesis
+of each ray and no analysis (bvp.bvp_operator).  A synthesis plus an
+analysis of a batch, medians of 31 interleaved calls on 2 shared vCPUs
+with 2 OpenBLAS threads, table / transform, and the time to build the
+table:
 
     modes x nodes   half table   build    48 rows         100 rows
       320 x 2,048      2.5 MiB   16 ms    1.9 /  4.0 ms    3.9 / 10.7 ms
@@ -72,8 +73,9 @@ the table:
 
 OpenBLAS runs a product on a second thread only above a size, and its
 worker then spins for a while after it.  On a 32-mode grid every table
-product stays below that size (the 100 oddness rows are two 100 x 16 x 128
-products); at 320 modes the batches (100 x 160 x 1,024) cross it.
+product stays below that size (sublinear_affine's 40 (H) rows are two
+40 x 16 x 128 products); at 320 modes bvp_sqrt's 48 rows (48 x 160 x
+1,024) cross it.
 evaluate sums its series with einsum, numpy's own loop, for the same
 reason.
 

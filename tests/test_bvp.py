@@ -30,6 +30,7 @@ from fixpairs import (
 )
 from fixpairs import bvp, cli
 from fixpairs import operators as operators_mod
+from fixpairs import problems as problems_mod
 from fixpairs import space as space_mod
 from fixpairs.operators import OddnessError, _oddness_samples
 from fixpairs.problems import load_problem
@@ -139,7 +140,7 @@ def _plain_nl(f, label):
     return bvp.Nonlinearity(f=f, theta=0.0, a1=one, a2=one, a3=one, label=label)
 
 
-# f -> (odd value for value at the sampled profiles, odd within the check's tolerance)
+# f -> (odd value for value at the hook's magnitudes, odd within the check's tolerance)
 _ODDNESS_CASES = {
     "power": (bvp.power_nonlinearity(), True, True),
     "sublinear_affine": (bvp.sublinear_affine(), True, True),
@@ -167,8 +168,9 @@ def _oddness_verdict(build) -> bool:
     "cfg", [SpaceConfig(), SpaceConfig(320, 8, 256), SpaceConfig(8, 3, 5)], ids=["32", "320", "8x15"]
 )
 def test_oddness_shortcut_keeps_the_sampled_verdict(monkeypatch, case, cfg):
-    # the bvp operator's exact shortcut (f odd value for value at the sample
-    # profiles) accepts and rejects what applying the sample rows does
+    # the bvp operator's shortcut (f odd value for value at every grid node
+    # and the hook's magnitudes) accepts and rejects what applying the sample
+    # rows does
     nl, exact, odd = _ODDNESS_CASES[case]
     plain = bvp.bvp_operator(nl, cfg, odd=False)
     samples = _oddness_samples(cfg.n_modes)
@@ -202,6 +204,83 @@ def test_replaced_apply_batch_does_not_inherit_the_oddness_shortcut(sublinear_op
 
     with pytest.raises(OddnessError):
         replace(sublinear_op, apply_batch=shifted)
+
+
+def _even_above_2e3(t, u):
+    return np.where(np.abs(u) > 2e3, np.abs(u), u)
+
+
+# a band strictly between two of the hook's neighbouring magnitudes
+_BAND = bvp._ODD_MAGNITUDES[50] * 1.01, bvp._ODD_MAGNITUDES[51] * 0.99
+
+
+def _even_on_a_band(t, u):
+    return np.where((np.abs(u) > _BAND[0]) & (np.abs(u) < _BAND[1]), np.abs(u), u)
+
+
+@pytest.mark.parametrize(
+    "f, scale",
+    # scale: a multiple of e_1 whose profile reaches where f is not odd
+    [(_even_above_2e3, 2e4), (_even_on_a_band, 4 * _BAND[1])],
+    ids=["even above 2e3", "even on a band"],
+)
+def test_the_oddness_hook_samples_f_and_proves_nothing(f, scale):
+    # each f is odd at every magnitude the hook tests, so both fall on its
+    # passing side and a load accepts them, though neither operator is odd:
+    # the hook samples f, as applying the sampled rows does, and proves nothing
+    cfg = SpaceConfig()
+    samples = _oddness_samples(cfg.n_modes)
+    op = bvp.bvp_operator(_plain_nl(f, "odd where sampled"), cfg)
+    assert op.apply_batch.odd_at(samples)
+    u = scale * basis_vector(1, cfg.n_modes).coeffs
+    assert not np.array_equal(op.apply_coeffs(-u), -op.apply_coeffs(u))
+    # applied both ways, the sampled rows (profiles below 5) reach the band
+    # and reject it, but not what lies above 2e3
+    unmarked = replace(op, odd=False, apply_batch=lambda x: op.apply_batch(x))
+    assert _oddness_verdict(lambda: replace(unmarked, odd=True)) is (f is _even_above_2e3)
+    # rows above norm 2e3, whose profiles may leave the magnitudes, fall on
+    # the hook's failing side, so the check applies them
+    assert not op.apply_batch.odd_at(samples * 1e3)
+
+
+# every config family with parameters at the ends of their ranges
+_FAMILY_LOADS = [
+    ["problem.family=sublinear", "problem.theta=0", "problem.r1=1e-299"],
+    ["problem.family=sublinear", "problem.theta=0.99", "problem.r1=0.999"],
+    ["problem.family=power", "problem.amplitude=1e300", "problem.theta=0.5"],
+    ["problem.family=power", "problem.amplitude=1e-300", "problem.theta=0"],
+    ["problem.family=linear", "problem.lam=-1e300"],
+    ["problem.family=linear", "problem.lam=5e-324"],
+    ["problem.family=zero"],
+]
+_HOOK_GRIDS = [
+    ["space.n_modes=32", "space.n_panels=32"],
+    ["space.n_modes=320", "space.n_panels=256"],
+    ["space.n_modes=1280", "space.n_panels=1024"],
+]
+
+
+@pytest.mark.parametrize("grid_overrides", _HOOK_GRIDS, ids=["32", "320", "1280"])
+@pytest.mark.parametrize("family", _FAMILY_LOADS, ids=lambda o: ",".join(o))
+def test_every_config_family_passes_the_oddness_hook(monkeypatch, family, grid_overrides):
+    # no config reaches the fallback, which would apply the 100 sampled rows
+    # both ways: the size guard counts no profile of them for a bvp load
+    rows = []
+    moments = bvp.moments
+
+    def counted(folded, *args):
+        rows.append(folded.shape[1])
+        return moments(folded, *args)
+
+    monkeypatch.setattr(bvp, "moments", counted)
+    setup = load_problem(PROBLEMS / "bvp_sqrt.cfg", overrides=family + grid_overrides)
+    assert rows == [1]  # A(0) alone
+    assert setup.operator.apply_batch.odd_at(_oddness_samples(setup.space.n_modes))
+
+
+def test_the_family_loads_cover_every_family():
+    named = {o.split("=")[1] for load in _FAMILY_LOADS for o in load if o.startswith("problem.family=")}
+    assert named == set(problems_mod._FAMILIES)
 
 
 @pytest.mark.parametrize("path", sorted(PROBLEMS.glob("*.cfg")), ids=lambda p: p.stem)
@@ -537,6 +616,12 @@ def test_check_d1_example(sublinear_nl):
 def test_check_d1_validation(sublinear_nl):
     with pytest.raises(ValueError):
         bvp.check_d1(sublinear_nl, 1.5)
+    # r1 * 1e-8 below the normal floats: the gaps lost their digits, and at
+    # 1e-320 they were 0/0 and printed a NaN margin
+    for r1 in (1e-320, 5e-324, 2e-300):
+        with pytest.raises(ValueError, match="normal floats"):
+            bvp.check_d1(sublinear_nl, r1)
+    assert bvp.check_d1(sublinear_nl, 3e-300).margin >= -1e-12
 
 
 def test_check_d2_example_passes(sublinear_nl):

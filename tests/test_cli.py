@@ -151,6 +151,10 @@ BAD_OVERRIDES = [
     # counts and radii that ended in a traceback or were accepted silently
     ("cubic2d", "problem.n_circle_seeds=0"),
     ("bvp_sqrt", "problem.r1=1.5"),
+    # (D1)'s samples r1 * logspace(-8, 0) below the normal floats: the
+    # margin printed as NaN with a RuntimeWarning
+    ("sublinear_affine", "problem.r1=1e-320"),
+    ("bvp_sqrt", "problem.r1=1e-320"),
     ("power_law_1d", "hypotheses.dirs_per_radius=0"),
     ("power_law_1d", "hypotheses.eigen_n=1"),
     ("power_law_1d", "problem.expected_pairs=-1"),
@@ -250,9 +254,9 @@ def test_size_guard_applies_to_the_built_space():
     _check_table_sizes(
         "bvp", SpaceConfig(n_modes=1280, quad_nodes=8, n_panels=1024), "one_pair", 16, HypothesisParams()
     )
-    # a table-free grid counts its batches through the transform, not a half
-    # table: 20,000 modes on 65,536 nodes would tabulate 4.9 GiB, but the
-    # 100 oddness rows take 0.6 GiB there, and 200 (H) rows 1.2 GiB
+    # a table-free grid counts its (H) batch through the transform, not a
+    # half table: 20,000 modes on 65,536 nodes would tabulate 4.9 GiB, but
+    # 80 (H) rows take 0.5 GiB there, and 200 rows 1.2 GiB
     wide = SpaceConfig(n_modes=20000, quad_nodes=8, n_panels=8192)
     _check_table_sizes("bvp", wide, "one_pair", 1, HypothesisParams(n_s=10))
     with pytest.raises(ConfigError, match=r"panel transform batch needs 1\.2 GiB"):
@@ -279,10 +283,16 @@ def test_size_guard_counts_the_oddness_batch_and_the_transform_batch():
     small = HypothesisParams(n_s=10, growth_radii=(1.0,), dirs_per_radius=1)
     with pytest.raises(ConfigError, match=r"oddness batch needs 1\.3 GiB"):
         _check_table_sizes("power_law", many, "one_pair", 1, small)
-    # one panel of 4,096 nodes by 16,384 modes: the 100 oddness rows through
-    # the transform at 40 bytes a cell of 4,096 x 16,385 bins (250 GiB)
+    # a bvp operator applies none of the rows but its check still samples
+    # them: 10^6 modes need 4.5 GiB, where the one (H) row through the
+    # transform takes 0.3 GiB
+    with pytest.raises(ConfigError, match=r"oddness batch needs 4\.5 GiB"):
+        _check_table_sizes("bvp", SpaceConfig(n_modes=10**6), "one_pair", 1, small)
+    # one panel of 4,096 nodes by 16,384 modes: the 80 (H) rows through the
+    # transform at 40 bytes a cell of 4,096 x 16,385 bins (200 GiB); a bvp
+    # oddness check sends no row through it
     phased = SpaceConfig(n_modes=16384, quad_nodes=4096, n_panels=1)
-    with pytest.raises(ConfigError, match=r"panel transform batch needs 250\.0 GiB"):
+    with pytest.raises(ConfigError, match=r"panel transform batch needs 200\.0 GiB"):
         _check_table_sizes("bvp", phased, "one_pair", 1, HypothesisParams(n_s=10))
     # a one-row synthesis and analysis through the phases peak below 64
     # bytes a phase cell plus 64 a grid node; a batch on a table-free grid
@@ -332,7 +342,8 @@ _PEAK_LOADS = [
 def test_a_load_peaks_below_the_guard_count(problem, overrides):
     # a load holds its seeds, the oddness batch and, below the crossover,
     # the half table at once; its peak stays below what the guard counts
-    # for them
+    # for them.  A bvp load also holds its oddness hook's f values, which
+    # the guard leaves out as at most three arrays of max(2**15, nodes)
     path = PROBLEMS / f"{problem}.cfg"
     setup = load_problem(path, overrides=overrides)  # fills gauss_rule's cache
     space_mod.grid.cache_clear()
@@ -344,8 +355,11 @@ def test_a_load_peaks_below_the_guard_count(problem, overrides):
         tracemalloc.stop()
     tables = _table_sizes(setup.kind, setup.space, setup.mode, len(setup.seeds), setup.hyp)
     held = tables["seed table"] + tables["oddness batch"]
-    if setup.kind == "bvp" and not space_mod._table_free(setup.space):
-        held += space_mod._half_table_bytes(setup.space)
+    if setup.kind == "bvp":
+        nodes = setup.space.quad_nodes * setup.space.n_panels
+        held += 3 * 8 * max(bvp._ODD_CHUNK_CELLS, nodes)
+        if not space_mod._table_free(setup.space):
+            held += space_mod._half_table_bytes(setup.space)
     assert peak <= held
 
 
@@ -413,7 +427,7 @@ def test_shipped_problems_keep_64x_checker_headroom(problem):
 
 
 _KEYS = [f"{section}.{key}" for section, keys in _SCHEMA.items() for key in keys]
-_EDGE_VALUES = ["0", "-1", "nan", "inf", "1e300", "1000000000", "abc", ""]
+_EDGE_VALUES = ["0", "-1", "nan", "inf", "1e300", "1000000000", "abc", "", "1e-320", "5e-324", "1e-300", "-0"]
 
 
 @settings(max_examples=60)
@@ -450,11 +464,30 @@ def test_cli_fuzz_exits_with_a_code(command, problem, overrides):
     argv = [command, "--problem", str(PROBLEMS / f"{problem}.cfg")]
     for key, value in overrides:
         argv += ["--set", f"{key}={value}"]
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
+    if code in (0, 1):
+        _strict_json(out.getvalue())
+
+
+def _strict_json(text):
+    """json.loads, failing on the NaN and Infinity constants it accepts by default."""
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not strict JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_an_output_that_cannot_be_written_exits_2(tmp_path, capsys):
+    # a missing directory ended in a FileNotFoundError traceback with exit 1
+    missing = tmp_path / "missing" / "solve.json"
+    assert run("solve", "--problem", str(PROBLEMS / "power_law_1d.cfg"), "--output", str(missing)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cannot write output:") and err.count("\n") == 1
 
 
 def test_bvp_row_cap_weights_rows_by_grid():

@@ -61,10 +61,21 @@ def _json_text(payload: dict[str, Any]) -> str:
     return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
+class OutputError(Exception):
+    """A report or profile file that cannot be written."""
+
+
+def _write_text(path: Path, text: str) -> None:
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise OutputError(str(exc)) from exc
+
+
 def _emit(payload: dict[str, Any], output: str | None) -> None:
     text = _json_text(payload)
     if output:
-        Path(output).write_text(text)
+        _write_text(Path(output), text)
     else:
         sys.stdout.write(text)
 
@@ -182,12 +193,12 @@ def _write_profiles(setup: ProblemSetup, solve_report, output: str | None) -> No
     for i, point in enumerate(solve_report.pairs):
         vals = evaluate(point.u, ts)
         lines = ["t,u"] + [f"{float(t)!r},{float(v)!r}" for t, v in zip(ts, vals)]
-        Path(f"{stem}_pair{i}.csv").write_text("\n".join(lines) + "\n")
+        _write_text(Path(f"{stem}_pair{i}.csv"), "\n".join(lines) + "\n")
     for i, trace in enumerate(solve_report.ps_trace):
         lines = ["iter,J,grad_norm"] + [
             f"{k},{float(jv)!r},{float(gn)!r}" for k, (jv, gn) in enumerate(trace)
         ]
-        Path(f"{stem}_trace{i}.csv").write_text("\n".join(lines) + "\n")
+        _write_text(Path(f"{stem}_trace{i}.csv"), "\n".join(lines) + "\n")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -250,7 +261,7 @@ def main(argv: list[str] | None = None) -> int:
     except OperatorDivergenceError as exc:
         sys.stderr.write(f"operator blow-up: {exc}\n")
         return EXIT_BLOWUP
-    except OSError as exc:  # from _emit or _write_profiles, the only writers
+    except OutputError as exc:
         sys.stderr.write(f"cannot write output: {exc}\n")
         return EXIT_CONFIG
 

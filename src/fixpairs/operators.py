@@ -122,15 +122,15 @@ def _oddness_samples(n_modes: int) -> np.ndarray:
 
 def _check_oddness(op: PotentialOperatorSpec) -> None:
     samples = _oddness_samples(op.n_modes)
-    # apply_batch.odd_at(x), when present, stands in for the check below.
+    # apply_batch.odd_at(), when present, stands in for the check below.
     # It is True only where the operator's own test finds it odd value for
-    # value on a sample of what the rows x feed it (a bvp operator: f at
-    # every grid node and 100 magnitudes spanning the values of their
-    # profiles, bvp.bvp_operator); on False the rows are applied both ways
-    # as always.  It lives on the function, so a spec whose apply_batch is
-    # replaced does not inherit it.
+    # value on a sample of what these rows (norm at most 10) feed it (a bvp
+    # operator: f at every grid node and 100 magnitudes spanning the values
+    # of their profiles, bvp.bvp_operator); on False the rows are applied
+    # both ways as always.  It lives on the function, so a spec whose
+    # apply_batch is replaced does not inherit it.
     odd_at = getattr(op.apply_batch, "odd_at", None)
-    if odd_at is None or not odd_at(samples):
+    if odd_at is None or not odd_at():
         plus = op.apply_many(samples)
         minus = op.apply_many(-samples)
         worst = float(np.max(np.linalg.norm(plus + minus, axis=1)))

@@ -86,6 +86,10 @@ _SEED_OVERHEAD_BYTES = 224
 # and applies no row, and every config family passes it (bvp.bvp_operator),
 # so a bvp load holds the sampled rows about twice and no profile of them
 _ODDNESS_TABLES = 6
+# the hook holds f at m and at -m and a negation of one of them, arrays of
+# at most max(2**15, quad_nodes n_panels) values (3.00x on the config
+# families at 256, 2,048 and 8,192 nodes, at most 3.003x, tracemalloc)
+_ODD_HOOK_TABLES = 3
 # applying the (H) rows holds them about three to four times (tracemalloc):
 # a bvp operator its folded profiles, f at them and their weighted product
 # (3.0-3.1x on bvp_sqrt's 2,048- and 8,192-node table grids, 4.0-4.1x on
@@ -227,12 +231,11 @@ def _table_sizes(
     `eigen` builds eigen_n-long finite-difference vectors.  bvp also builds
     the Gauss-Legendre companion matrix of quad_nodes and a grid profile of
     every applied row.  Its oddness check applies no row: the operator's
-    hook compares f(t, -m) with -f(t, m) on the grid and holds three arrays
-    (f at m and -m, and a negation) of at most max(2**15, quad_nodes
-    n_panels) values, at most 768 KiB below 32,768 nodes and otherwise less
-    than the (H2) batch or (H2)' chunk (n_s >= 10 grid rows), so it is not
-    counted.  On a table-free grid (space._table_free) its (H) batch goes
-    through the panel transform, at _TRANSFORM_CELL_BYTES a cell per row.
+    hook compares f(t, -m) with -f(t, m) on the grid, a chunk of magnitudes
+    at a time, and holds _ODD_HOOK_TABLES arrays of at most min(100, max(1,
+    2**15 // nodes)) grids of nodes = quad_nodes n_panels values each.  On a
+    table-free grid (space._table_free) its (H) batch goes through the panel
+    transform, at _TRANSFORM_CELL_BYTES a cell per row.
     Any other grid tabulates the basis on the left half of the quadrature
     grid, which is then at most 16 MiB and not counted.  The quad_nodes x (n_modes + 1)
     phases of a one-row transform are not counted either: with what a
@@ -257,6 +260,9 @@ def _table_sizes(
     }
     if kind == "bvp":
         tables["Gauss-Legendre rule"] = 8 * space.quad_nodes**2
+        nodes = space.quad_nodes * space.n_panels
+        grids = min(bvp_mod._ODD_MAGNITUDES.size, max(1, bvp_mod._ODD_CHUNK_CELLS // nodes))
+        tables["oddness hook"] = _ODD_HOOK_TABLES * 8 * grids * nodes
         if _table_free(space):
             cells = space.quad_nodes * max(n + 1, 2 * space.n_panels)
             tables["panel transform batch"] = h_rows * _TRANSFORM_CELL_BYTES * cells

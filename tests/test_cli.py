@@ -340,10 +340,9 @@ _PEAK_LOADS = [
     "problem, overrides", _PEAK_LOADS, ids=[":".join([p, *o]) for p, o in _PEAK_LOADS]
 )
 def test_a_load_peaks_below_the_guard_count(problem, overrides):
-    # a load holds its seeds, the oddness batch and, below the crossover,
-    # the half table at once; its peak stays below what the guard counts
-    # for them.  A bvp load also holds its oddness hook's f values, which
-    # the guard leaves out as at most three arrays of max(2**15, nodes)
+    # a load holds its seeds, the oddness batch, a bvp load its oddness
+    # hook's f values and, below the crossover, the half table at once; its
+    # peak stays below what the guard counts for them
     path = PROBLEMS / f"{problem}.cfg"
     setup = load_problem(path, overrides=overrides)  # fills gauss_rule's cache
     space_mod.grid.cache_clear()
@@ -356,8 +355,7 @@ def test_a_load_peaks_below_the_guard_count(problem, overrides):
     tables = _table_sizes(setup.kind, setup.space, setup.mode, len(setup.seeds), setup.hyp)
     held = tables["seed table"] + tables["oddness batch"]
     if setup.kind == "bvp":
-        nodes = setup.space.quad_nodes * setup.space.n_panels
-        held += 3 * 8 * max(bvp._ODD_CHUNK_CELLS, nodes)
+        held += tables["oddness hook"]
         if not space_mod._table_free(setup.space):
             held += space_mod._half_table_bytes(setup.space)
     assert peak <= held
@@ -488,6 +486,16 @@ def test_an_output_that_cannot_be_written_exits_2(tmp_path, capsys):
     assert run("solve", "--problem", str(PROBLEMS / "power_law_1d.cfg"), "--output", str(missing)) == 2
     err = capsys.readouterr().err
     assert err.startswith("cannot write output:") and err.count("\n") == 1
+
+
+def test_an_os_error_while_computing_is_not_an_output_error(monkeypatch):
+    # only the writes turn an OSError into exit 2
+    def failing(setup):
+        raise OSError("not a write")
+
+    monkeypatch.setattr(cli, "run_check", failing)
+    with pytest.raises(OSError, match="not a write"):
+        run("check", "--problem", str(PROBLEMS / "power_law_1d.cfg"))
 
 
 def test_bvp_row_cap_weights_rows_by_grid():

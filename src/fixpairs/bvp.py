@@ -38,7 +38,16 @@ import numpy as np
 
 from .hypotheses import FAIL, SAMPLED_PASS, STRICT_TOL, PASS, HypothesisReport, _open_grid
 from .operators import LinearOperatorSpec, PotentialOperatorSpec
-from .space import SpaceConfig, gauss_rule, grid, moments, panel_analysis, panel_phases, profiles
+from .space import (
+    SpaceConfig,
+    _table_free,
+    gauss_rule,
+    grid,
+    moments,
+    panel_analysis,
+    panel_phases,
+    profiles,
+)
 
 __all__ = [
     "Nonlinearity",
@@ -128,6 +137,22 @@ def green_profile(g: Callable[[np.ndarray], np.ndarray], ts, order: int = 8, pan
 # f(t, -u) with -f(t, u), and the f values it takes per call
 _ODD_MAGNITUDES = np.geomspace(1e-8, 1e3, 100)
 _ODD_CHUNK_CELLS = 2**15
+
+
+def _transform_cells(cfg: SpaceConfig) -> int:
+    """Cells of one row through the panel transform, quad_nodes x max(n_modes
+    + 1, 2 n_panels): its FFT lines and spectra, or its gathered or folded
+    bins when n_modes >= 2 n_panels."""
+    return cfg.quad_nodes * max(cfg.n_modes + 1, 2 * cfg.n_panels)
+
+
+def _row_width(cfg: SpaceConfig) -> int:
+    """Cells one row of a bvp operator's batch holds: its grid profile, or
+    on a table-free grid, where a batch takes the panel transform, its
+    transform cells."""
+    if _table_free(cfg):
+        return _transform_cells(cfg)
+    return max(cfg.n_modes, cfg.quad_nodes * cfg.n_panels)
 
 
 def bvp_operator(nl: Nonlinearity, cfg: SpaceConfig, odd: bool = True) -> PotentialOperatorSpec:
@@ -232,6 +257,7 @@ def bvp_operator(nl: Nonlinearity, cfg: SpaceConfig, odd: bool = True) -> Potent
         apply_batch=apply_batch,
         forms_batch=forms_batch,
         label=f"bvp({nl.label})",
+        row_width=_row_width(cfg),
     )
 
 

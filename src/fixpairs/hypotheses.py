@@ -29,7 +29,7 @@ from typing import Any
 
 import numpy as np
 
-from .operators import LinearOperatorSpec, OperatorDivergenceError, PotentialOperatorSpec
+from .operators import LinearOperatorSpec, OperatorDivergenceError, PotentialOperatorSpec, _batches
 from .space import H1Vector
 
 __all__ = [
@@ -43,8 +43,8 @@ __all__ = [
 ]
 
 STRICT_TOL = 1e-12
-# cells of one (H2)' ray_forms call, a row counted as wide as the data it
-# carries: four 256-point angles of a two-mode operator, one angle of
+# cells of one (H2)' ray_forms call, a row counted as its operator's
+# row_width: four 256-point angles of a two-mode operator, one angle of
 # sublinear_affine's 64 rows of 256-node grid profiles.  Larger chunks were
 # slower on sublinear_affine, whose profiles then leave the cache
 _CHUNK_CELLS = 2048
@@ -86,17 +86,6 @@ def _require_unit(e: H1Vector, name: str) -> None:
 def _open_grid(n: int) -> np.ndarray:
     """n uniform points in the open interval (0, 1)."""
     return np.arange(1, n + 1) / (n + 1.0)
-
-
-def h2_prime_chunk(n_s: int, row_width: int) -> int:
-    """Circle angles that check_h2_prime passes to the operator at once.
-
-    As many whole angles as fit in _CHUNK_CELLS cells, and at least one: a
-    chunk of n_s-point rays holds chunk * n_s rows of row_width cells each,
-    the number of coefficients, or more when the operator carries a wider
-    row through its forms (a bvp row carries its grid profile).
-    """
-    return max(1, _CHUNK_CELLS // (n_s * row_width))
 
 
 def _ray_gaps(A: PotentialOperatorSpec, rays: np.ndarray, forms: np.ndarray, s: np.ndarray):
@@ -229,34 +218,32 @@ def check_h2_prime(
     r2: float,
     n_angle: int = 256,
     n_s: int = 256,
-    row_width: int | None = None,
 ) -> HypothesisReport:
     """(A(s u), u) >= (B2 (s u), u) sampled on the circle and an s-grid.
 
-    The circle is swept in chunks of h2_prime_chunk(n_s, row_width) angles,
-    one ray_forms call each; row_width defaults to A's coefficient count.
-    The witness is the first minimum in (angle, s) order, as a scan angle
-    by angle finds it.
+    The circle is swept in chunks of as many whole angles as fit in
+    _CHUNK_CELLS cells of n_s rows of A.row_width, and at least one: their
+    points, their forms and one ray_forms call each, which splits an angle
+    along s only when it passes a batch.  The witness is the first minimum
+    in (angle, s) order, as a scan angle by angle finds it.
     """
     if not 0.0 < r2 < np.inf:  # rejects NaN as well
         raise ValueError("r2 must be positive and finite")
     if n_angle < 10 or n_s < 10:
         raise ValueError("n_angle and n_s must be >= 10")
     a, b = _orthonormalize(e2, e3)
-    phis = 2.0 * np.pi * np.arange(n_angle) / n_angle
     s = _open_grid(n_s)
     margin = np.inf
     witness: dict = {}
-    chunk = h2_prime_chunk(n_s, row_width or A.n_modes)
     with np.errstate(over="ignore", invalid="ignore"):
-        circle = r2 * (np.cos(phis)[:, None] * a + np.sin(phis)[:, None] * b)
-        forms = B2.forms(circle)
-        for start in range(0, n_angle, chunk):
-            gaps = _ray_gaps(A, circle[start : start + chunk], forms[start : start + chunk], s)[0]
+        for angles in _batches(n_angle, n_s * A.row_width, _CHUNK_CELLS):
+            phis = 2.0 * np.pi * np.arange(angles.start, angles.stop) / n_angle
+            circle = r2 * (np.cos(phis)[:, None] * a + np.sin(phis)[:, None] * b)
+            gaps = _ray_gaps(A, circle, B2.forms(circle), s)[0]
             k, i = divmod(int(np.argmin(gaps)), n_s)
             if gaps[k, i] < margin:
                 margin = float(gaps[k, i])
-                witness = {"phi": float(phis[start + k]), "s": float(s[i]), "gap": margin}
+                witness = {"phi": float(phis[k]), "s": float(s[i]), "gap": margin}
     verdict = SAMPLED_PASS if margin >= -STRICT_TOL else FAIL
     return HypothesisReport(
         name="(H2)'",

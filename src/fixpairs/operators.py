@@ -17,7 +17,7 @@ every report carries the "sampled-envelope" kind to make that explicit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -42,6 +42,11 @@ _ODDNESS_SAMPLES = 100
 _ODDNESS_SEED = 20260810
 _ODDNESS_TOL = 1e-10
 _GROWTH_SLACK = 1.1  # factor on the fitted c of a growth envelope
+# cells one batch of the checkers holds at once, a row counted as its
+# operator's row_width: twice the largest shipped batch, bvp_highres's (H2)
+# forms (64 points of an 8,192-node profile), so every shipped check takes
+# each batch in one chunk
+_BATCH_CELLS = 2**20
 
 
 class OddnessError(ValueError):
@@ -64,10 +69,13 @@ class PotentialOperatorSpec:
     the images A(s_j u_i) themselves; ray_forms falls back to apply_many
     without it.  dataclasses.replace keeps forms_batch, so a copy whose
     apply_batch is substituted must pass forms_batch=None or forms of its
-    own to have them follow the new apply.  theta is the declared growth
-    exponent in [0, 1).  Operators flagged odd are validated by sampling at
-    construction rather than trusted; an apply_batch may carry a test of
-    its own for that (see _check_oddness).
+    own to have them follow the new apply.  row_width counts the cells one
+    row of a batch holds, at least n_modes (the default); every batch the
+    checkers evaluate is taken in _batches of at most _BATCH_CELLS such
+    cells.  theta is the declared growth exponent in [0, 1).  Operators
+    flagged odd are validated by sampling at construction rather than
+    trusted; an apply_batch may carry a test of its own for that (see
+    _check_oddness).
     """
 
     n_modes: int
@@ -78,10 +86,12 @@ class PotentialOperatorSpec:
     apply_batch: Callable[[np.ndarray], np.ndarray] | None = None
     forms_batch: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     label: str = "operator"
+    row_width: int = 0
 
     def __post_init__(self) -> None:
         if self.n_modes < 1:
             raise ValueError("n_modes must be >= 1")
+        object.__setattr__(self, "row_width", max(self.row_width, self.n_modes))
         if not 0.0 <= self.theta < 1.0:
             raise ValueError("theta must lie in [0, 1)")
         if self.odd:
@@ -102,43 +112,78 @@ class PotentialOperatorSpec:
 
         Through forms_batch when given; otherwise one apply_many of the k
         * s.size scaled rows, and one stacked product whose slices are the
-        matrix-vector products of a single ray.
+        matrix-vector products of a single ray.  Either takes the s-grid in
+        _batches of k rows a point, and of at least two points: numpy's
+        matmul takes a one-point product as a dot, which rounds otherwise.
         """
-        if self.forms_batch is not None:
-            return self.forms_batch(rays, s)
         k, n = rays.shape
-        images = self.apply_many((s[None, :, None] * rays[:, None, :]).reshape(k * s.size, n))
-        return (images.reshape(k, s.size, n) @ rays[:, :, None])[..., 0]
+        forms = np.empty((k, s.size))
+        for cols in _batches(s.size, k * self.row_width, _BATCH_CELLS, least=2):
+            part = s[cols]
+            if self.forms_batch is not None:
+                forms[:, cols] = self.forms_batch(rays, part)
+                continue
+            images = self.apply_many((part[None, :, None] * rays[:, None, :]).reshape(k * part.size, n))
+            forms[:, cols] = (images.reshape(k, part.size, n) @ rays[:, :, None])[..., 0]
+        return forms
 
 
-def _oddness_samples(n_modes: int) -> np.ndarray:
-    """The rows u of the oddness check: random directions on log-spaced radii."""
-    rng = np.random.default_rng(_ODDNESS_SEED)
+def _batches(count: int, row_cells: int, cells: int, least: int = 1) -> Iterator[slice]:
+    """Consecutive slices of range(count) of cells // row_cells rows, at
+    least `least` (the last one takes up to least - 1 more, and all of a
+    count below least): the chunks in which every checker batch is
+    evaluated, so that one holds O(cells) values plus a row or two,
+    whatever the count."""
+    step = max(least, cells // row_cells)
+    start = 0
+    while start < count:
+        stop = start + step if count - start - step >= least else count
+        yield slice(start, stop)
+        start = stop
+
+
+def _sampled_rows(
+    seed: int, radii: np.ndarray, per_radius: int, n_modes: int, row_width: int
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """(rows, u) for each of the _batches of the sampled rows u_i = r d_i,
+    d_i a random unit direction and r = radii[i // per_radius].  The
+    chunks are drawn in turn from one stream, so they are the rows of one
+    draw of them all."""
+    rng = np.random.default_rng(seed)
+    for rows in _batches(radii.size * per_radius, row_width, _BATCH_CELLS):
+        u = rng.standard_normal((rows.stop - rows.start, n_modes))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        u *= radii[np.arange(rows.start, rows.stop) // per_radius, None]
+        yield rows, u
+
+
+def _oddness_samples(n_modes: int, row_width: int) -> Iterator[np.ndarray]:
+    """The rows u of the oddness check, random directions on log-spaced
+    radii, in _batches of row_width cells a row."""
     radii = np.geomspace(1e-2, 10.0, _ODDNESS_SAMPLES)
-    dirs = rng.standard_normal((_ODDNESS_SAMPLES, n_modes))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    return radii[:, None] * dirs
+    for _, u in _sampled_rows(_ODDNESS_SEED, radii, 1, n_modes, row_width):
+        yield u
 
 
 def _check_oddness(op: PotentialOperatorSpec) -> None:
-    samples = _oddness_samples(op.n_modes)
     # apply_batch.odd_at(), when present, stands in for the check below.
     # It is True only where the operator's own test finds it odd value for
-    # value on a sample of what these rows (norm at most 10) feed it (a bvp
-    # operator: f at every grid node and 100 magnitudes spanning the values
-    # of their profiles, bvp.bvp_operator); on False the rows are applied
-    # both ways as always.  It lives on the function, so a spec whose
-    # apply_batch is replaced does not inherit it.
+    # value on a sample of what the sampled rows (norm at most 10) feed it
+    # (a bvp operator: f at every grid node and 100 magnitudes spanning the
+    # values of their profiles, bvp.bvp_operator); on False the rows are
+    # drawn and applied both ways as always.  It lives on the function, so
+    # a spec whose apply_batch is replaced does not inherit it.
     odd_at = getattr(op.apply_batch, "odd_at", None)
     if odd_at is None or not odd_at():
-        plus = op.apply_many(samples)
-        minus = op.apply_many(-samples)
-        worst = float(np.max(np.linalg.norm(plus + minus, axis=1)))
-        # "not <=" so that NaN fails the check
-        if not worst <= _ODDNESS_TOL:
-            raise OddnessError(
-                f"operator '{op.label}' flagged odd but ||A(-u) + A(u)|| reaches {worst:.3e}"
-            )
+        for samples in _oddness_samples(op.n_modes, op.row_width):
+            plus = op.apply_many(samples)
+            minus = op.apply_many(-samples)
+            worst = float(np.max(np.linalg.norm(plus + minus, axis=1)))
+            # "not <=" so that NaN fails the check
+            if not worst <= _ODDNESS_TOL:
+                raise OddnessError(
+                    f"operator '{op.label}' flagged odd but ||A(-u) + A(u)|| reaches {worst:.3e}"
+                )
     at_zero = float(np.linalg.norm(op.apply_coeffs(np.zeros(op.n_modes))))
     if not at_zero <= _ODDNESS_TOL:
         raise OddnessError(f"operator '{op.label}' flagged odd but ||A(0)|| = {at_zero:.3e}")
@@ -308,15 +353,13 @@ def growth_fit(
     # "not >" forms so that NaN is rejected as well
     if not (np.all((radii > 0.0) & (radii < np.inf)) and np.all(np.diff(radii) > 0.0)):
         raise ValueError("radii must be positive, finite and increasing")
-    # one draw and one batched apply for all radii; the draw is the same
-    # stream as one dirs_per_radius block per radius
-    rng = np.random.default_rng(seed)
-    samples = rng.standard_normal((radii.size * dirs_per_radius, A.n_modes))
-    samples /= np.linalg.norm(samples, axis=1, keepdims=True)
-    samples *= np.repeat(radii, dirs_per_radius)[:, None]
+    # the rows of all radii in _batches drawn from one stream; a row's norm
+    # does not depend on its batch, and each radius keeps its largest
+    maxima = np.full(radii.size, -np.inf)
     with np.errstate(over="ignore", invalid="ignore"):
-        images = A.apply_many(samples)
-        maxima = np.linalg.norm(images, axis=1).reshape(radii.size, dirs_per_radius).max(axis=1)
+        for rows, samples in _sampled_rows(seed, radii, dirs_per_radius, A.n_modes, A.row_width):
+            norms = np.linalg.norm(A.apply_many(samples), axis=1)
+            np.maximum.at(maxima, np.arange(rows.start, rows.stop) // dirs_per_radius, norms)
     if not np.all(np.isfinite(maxima)):
         r = float(radii[~np.isfinite(maxima)][0])
         raise OperatorDivergenceError(f"non-finite ||A(u)|| in the growth sample at radius {r!r}")

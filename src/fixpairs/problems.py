@@ -17,11 +17,10 @@ from typing import Any, Callable
 import numpy as np
 
 from . import bvp as bvp_mod
-from .hypotheses import h2_prime_chunk
 from .models import clipped_cubic_operator, linear_operator, radial_power_operator
-from .operators import _ODDNESS_SAMPLES, LinearOperatorSpec, PotentialOperatorSpec
+from .operators import _BATCH_CELLS, LinearOperatorSpec, PotentialOperatorSpec
 from .solver import SolverConfig, axis_seeds, circle_seeds
-from .space import H1Vector, SpaceConfig, _table_free, basis_vector
+from .space import H1Vector, SpaceConfig, basis_vector
 
 __all__ = ["ConfigError", "HypothesisParams", "ProblemSetup", "load_problem", "parse_config"]
 
@@ -65,43 +64,22 @@ _SCHEMA: dict[str, dict[str, Callable[[str], Any]]] = {
 
 _KINDS = ("power_law", "cubic2d", "linear2d", "bvp")
 _FAMILIES = ("sublinear", "power", "linear", "zero")
-_MAX_TABLE_BYTES = 2**30  # largest table a problem may build
 # operator rows the checkers may apply, 64x the largest shipped grid (cubic2d's
-# 256 x 256 (H2)' rows); bounds the time of `check` as the byte limit bounds memory
+# 256 x 256 (H2)' rows), a row weighted by its width; bounds the time of `check`
 _MAX_CHECK_ROWS = 2**22
 # an (H2)' angle is counted as at least this many rows.  The sweep makes one
-# Python-level pass per chunk of whole angles (hypotheses.h2_prime_chunk): on
+# Python-level pass per chunk of whole angles (hypotheses.check_h2_prime): on
 # cubic2d a 10-point angle costs about 0.4 us, as much as 30 rows, and
 # `check` at the cap takes at most about 0.15 s (n_s = 513, one angle a pass)
 _ANGLE_PASS_ROWS = 64
-# a bvp row costs two products through the basis and an f evaluation on the
-# quadrature grid; it is counted as one row per this many grid nodes
-_GRID_NODES_PER_ROW = 8
-# footprint of one H1Vector seed besides its coefficients (object, attribute
-# dict, array header, list slot): about 210 B measured with tracemalloc
-_SEED_OVERHEAD_BYTES = 224
-# the oddness check holds its coefficient rows about five times at once
-# (tracemalloc): a coefficient operator the samples, their negation, both
-# images and their sum (5.0x).  A bvp operator's hook tests f on the grid
-# and applies no row, and every config family passes it (bvp.bvp_operator),
-# so a bvp load holds the sampled rows about twice and no profile of them
-_ODDNESS_TABLES = 6
-# the hook holds f at m and at -m and a negation of one of them, arrays of
-# at most max(2**15, quad_nodes n_panels) values (3.00x on the config
-# families at 256, 2,048 and 8,192 nodes, at most 3.003x, tracemalloc)
-_ODD_HOOK_TABLES = 3
-# applying the (H) rows holds them about three to four times (tracemalloc):
-# a bvp operator its folded profiles, f at them and their weighted product
-# (3.0-3.1x on bvp_sqrt's 2,048- and 8,192-node table grids, 4.0-4.1x on
-# 256 nodes), a coefficient operator its images (1.0-3.5x).  On a
-# table-free grid the panel transform batch, which is larger, counts them
-_H_BATCH_TABLES = 5
-# bytes a batch row through the panel transform holds per cell of quad_nodes
-# x max(n_modes + 1, 2 n_panels): its grid values, its spectra and FFT lines
-# (one a Gauss line and its mirror), or the gathered or folded bins when
-# n_modes >= 2 n_panels; 0.6-1.6 complex values a cell measured with
-# tracemalloc (9.9-17.9 bytes a synthesis, 10.1-25.2 an analysis)
-_TRANSFORM_CELL_BYTES = 40
+# a row counts as one row of the cap per this many cells of its row_width
+_CELLS_PER_ROW = 8
+# Gauss-Legendre points a panel: the rule's companion matrix, quad_nodes^2
+# values, fits one batch
+_MAX_QUAD_NODES = 1024
+# finite-difference points of `eigen`: 0.96 s and 130 MB at 10^6, relative
+# error 2.4e-5; roundoff dominates above (1.5e-4 at 3 x 10^6, past c05's 1e-4)
+_MAX_EIGEN_N = 10**6
 
 
 @dataclass(frozen=True)
@@ -117,8 +95,11 @@ class HypothesisParams:
             raise ValueError("n_s and n_angle must be >= 10")
         if self.dirs_per_radius < 1:
             raise ValueError("dirs_per_radius must be >= 1")
-        if self.eigen_n < 3:
-            raise ValueError("eigen_n must be >= 3 (finite-difference eigenvalue)")
+        if not 3 <= self.eigen_n <= _MAX_EIGEN_N:
+            raise ValueError(
+                f"eigen_n must lie in [3, {_MAX_EIGEN_N:,}] (finite-difference eigenvalue; "
+                "roundoff dominates above)"
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,12 +118,6 @@ class ProblemSetup:
     seed: int
     nonlinearity: bvp_mod.Nonlinearity | None = None
     d1_r1: float = 0.25
-
-    @property
-    def row_width(self) -> int:
-        """Values one applied operator row carries: its coefficients, and
-        for bvp also its profile on the quadrature grid."""
-        return _row_width(self.kind, self.space)
 
     @property
     def e_vectors(self) -> tuple[H1Vector, H1Vector]:
@@ -209,97 +184,50 @@ def _parse_radii(text: str) -> tuple[float, ...]:
 
 
 def _row_width(kind: str, space: SpaceConfig) -> int:
-    """ProblemSetup.row_width before the setup exists."""
+    """The row_width of the operator a problem builds, before it is built."""
     if kind == "bvp":
-        return max(space.n_modes, space.quad_nodes * space.n_panels)
+        return bvp_mod._row_width(space)
     return space.n_modes
 
 
-def _table_sizes(
-    kind: str, space: SpaceConfig, mode: str, n_seeds: int, hyp: HypothesisParams
-) -> dict[str, int]:
-    """Bytes of the largest arrays a problem builds, by what they hold.
+def _check_sizes(kind: str, space: SpaceConfig, n_seeds: int) -> None:
+    """Reject a problem whose one row or seeds would not fit one checker batch.
 
-    Every kind builds n_seeds seed vectors and checks oddness on one batch
-    of _ODDNESS_SAMPLES coefficient rows, counted _ODDNESS_TABLES times; the
-    checkers take the forms of n_s scaled rows at once in (H2), of
-    h2_prime_chunk(n_s, row_width) angles of n_s rows at once in (H2)',
-    which also holds all n_angle circle points (two such tables at the peak,
-    measured with tracemalloc), and apply the operator to all
-    len(growth_radii) x dirs_per_radius rows of (H) in one batch, counted
-    _H_BATCH_TABLES times, and
-    `eigen` builds eigen_n-long finite-difference vectors.  bvp also builds
-    the Gauss-Legendre companion matrix of quad_nodes and a grid profile of
-    every applied row.  Its oddness check applies no row: the operator's
-    hook compares f(t, -m) with -f(t, m) on the grid, a chunk of magnitudes
-    at a time, and holds _ODD_HOOK_TABLES arrays of at most min(100, max(1,
-    2**15 // nodes)) grids of nodes = quad_nodes n_panels values each.  On a
-    table-free grid (space._table_free) its (H) batch goes through the panel
-    transform, at _TRANSFORM_CELL_BYTES a cell per row.
-    Any other grid tabulates the basis on the left half of the quadrature
-    grid, which is then at most 16 MiB and not counted.  The quad_nodes x (n_modes + 1)
-    phases of a one-row transform are not counted either: with what a
-    one-row product holds they come to at most 64 bytes a cell (0.6-1.0 of
-    that under tracemalloc), 1/62 of the transform batch on a table-free
-    grid and at most 512 MiB on a grid whose half table is at most 16 MiB.
-    Nor is the k x k comparison block (k <= 2): its cosine moments take
-    the transform on 2k + 1 bins, about 64 bytes a grid node plus 32 (2k +
-    1)(quad_nodes + 1) of phases, and with n_s >= 10 the (H2) batch or one
-    (H2)' chunk holds at least n_s grid rows, 80 bytes a node, while the
-    phases stay below the Gauss-Legendre rule from 21 nodes a panel on and
-    a few KiB before.
+    Every batch the checkers evaluate is split into chunks of at most
+    operators._BATCH_CELLS cells, a row counted as the operator's row_width,
+    so a load and `check` hold a fixed multiple of that plus one row, the
+    grid and the seeds, whatever the config says.  These linear bounds keep
+    that one row and the seeds within a chunk: a row's coefficients, a bvp
+    row's panel transform (which also bounds its grid, its phases and a
+    half table below the crossover) and the Gauss-Legendre rule of quad_nodes.
     """
-    n = space.n_modes
-    width = _row_width(kind, space)
-    row = 8 * width
-    h_rows = len(hyp.growth_radii) * hyp.dirs_per_radius
-    tables = {
-        "seed table": n_seeds * (8 * n + _SEED_OVERHEAD_BYTES),
-        "oddness batch": _ODDNESS_TABLES * _ODDNESS_SAMPLES * 8 * n,
-        "finite-difference vector": 8 * hyp.eigen_n,
-    }
+    cells = space.n_modes
     if kind == "bvp":
-        tables["Gauss-Legendre rule"] = 8 * space.quad_nodes**2
-        nodes = space.quad_nodes * space.n_panels
-        grids = min(bvp_mod._ODD_MAGNITUDES.size, max(1, bvp_mod._ODD_CHUNK_CELLS // nodes))
-        tables["oddness hook"] = _ODD_HOOK_TABLES * 8 * grids * nodes
-        if _table_free(space):
-            cells = space.quad_nodes * max(n + 1, 2 * space.n_panels)
-            tables["panel transform batch"] = h_rows * _TRANSFORM_CELL_BYTES * cells
-    if mode == "one_pair":
-        tables["(H2) batch"] = hyp.n_s * row
-    else:
-        tables["(H2)' chunk"] = h2_prime_chunk(hyp.n_s, width) * hyp.n_s * row
-        tables["(H2)' circle"] = 2 * hyp.n_angle * 8 * n
-    tables["(H) batch"] = _H_BATCH_TABLES * h_rows * row
-    return tables
-
-
-def _check_table_sizes(
-    kind: str, space: SpaceConfig, mode: str, n_seeds: int, hyp: HypothesisParams
-) -> None:
-    """Reject a problem whose largest table (_table_sizes) would exceed
-    _MAX_TABLE_BYTES.  The time of the (H2)' sweep is bounded by
-    _check_checker_rows."""
-    tables = _table_sizes(kind, space, mode, n_seeds, hyp)
-    name, size = max(tables.items(), key=lambda item: item[1])
-    if size > _MAX_TABLE_BYTES:
+        if space.quad_nodes > _MAX_QUAD_NODES:
+            raise ConfigError(
+                f"problem too large: space.quad_nodes = {space.quad_nodes:,}, above {_MAX_QUAD_NODES:,}"
+            )
+        cells = bvp_mod._transform_cells(space)
+    if cells > _BATCH_CELLS:
         raise ConfigError(
-            f"problem too large: the {name} needs {size / 2**30:.1f} GiB, "
-            f"above the {_MAX_TABLE_BYTES / 2**30:.0f} GiB limit"
+            f"problem too large: one {kind} row holds {cells:,} cells, "
+            f"above the {_BATCH_CELLS:,} cells of a checker batch"
+        )
+    if n_seeds > _BATCH_CELLS // space.n_modes:
+        raise ConfigError(
+            f"problem too large: {n_seeds:,} seeds of {space.n_modes:,} coefficients "
+            f"hold more than the {_BATCH_CELLS:,} cells of a checker batch"
         )
 
 
 def _check_checker_rows(kind: str, space: SpaceConfig, mode: str, hyp: HypothesisParams) -> None:
     """Reject a problem whose checkers would apply more than _MAX_CHECK_ROWS rows.
 
-    A bvp row is weighted by its grid: it counts as one row per
-    _GRID_NODES_PER_ROW quadrature nodes, so sublinear_affine's 256-node
-    rows count 32 each.
+    A row is weighted by its width: it counts as one row per
+    _CELLS_PER_ROW cells of row_width, so the shipped coefficient problems'
+    rows count one each and sublinear_affine's 256-node rows 32.
     """
-    weight = 1
-    if kind == "bvp":
-        weight = -(-space.quad_nodes * space.n_panels // _GRID_NODES_PER_ROW)
+    weight = -(-_row_width(kind, space) // _CELLS_PER_ROW)
     rows = {"(H)": len(hyp.growth_radii) * hyp.dirs_per_radius * weight}
     if mode == "one_pair":
         rows["(H2)"] = hyp.n_s * weight
@@ -344,7 +272,7 @@ def load_problem(
         hyp = HypothesisParams(**hyp_kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad [hypotheses] section: {exc}") from exc
-    _check_table_sizes(kind, space, mode, n_seeds, hyp)
+    _check_sizes(kind, space, n_seeds)
     _check_checker_rows(kind, space, mode, hyp)
 
     radius = float(prob.get("radius", 0.5))

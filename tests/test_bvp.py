@@ -173,7 +173,7 @@ def test_oddness_shortcut_keeps_the_sampled_verdict(monkeypatch, case, cfg):
     # rows does
     nl, exact, odd = _ODDNESS_CASES[case]
     plain = bvp.bvp_operator(nl, cfg, odd=False)
-    samples = _oddness_samples(cfg.n_modes)
+    samples = np.vstack(list(_oddness_samples(cfg.n_modes, cfg.n_modes)))
     assert plain.apply_batch.odd_at() is exact
     if exact:
         assert np.array_equal(plain.apply_batch(-samples), -plain.apply_batch(samples))
@@ -259,8 +259,8 @@ _HOOK_GRIDS = [
 @pytest.mark.parametrize("grid_overrides", _HOOK_GRIDS, ids=["32", "320", "1280"])
 @pytest.mark.parametrize("family", _FAMILY_LOADS, ids=lambda o: ",".join(o))
 def test_every_config_family_passes_the_oddness_hook(monkeypatch, family, grid_overrides):
-    # no config reaches the fallback, which would apply the 100 sampled rows
-    # both ways: the size guard counts no profile of them for a bvp load
+    # no config reaches the fallback, which would draw the 100 sampled rows
+    # and apply them both ways: a bvp load draws none
     rows = []
     moments = bvp.moments
 
@@ -268,7 +268,11 @@ def test_every_config_family_passes_the_oddness_hook(monkeypatch, family, grid_o
         rows.append(folded.shape[1])
         return moments(folded, *args)
 
+    def no_draw(*args):
+        raise AssertionError("a bvp load drew the oddness rows")
+
     monkeypatch.setattr(bvp, "moments", counted)
+    monkeypatch.setattr(operators_mod, "_sampled_rows", no_draw)
     setup = load_problem(PROBLEMS / "bvp_sqrt.cfg", overrides=family + grid_overrides)
     assert rows == [1]  # A(0) alone
     assert setup.operator.apply_batch.odd_at()

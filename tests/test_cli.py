@@ -18,14 +18,14 @@ from hypothesis import strategies as st
 from fixpairs import bvp, cli
 from fixpairs import space as space_mod
 from fixpairs.cli import main
+from fixpairs.operators import _BATCH_CELLS
 from fixpairs.problems import (
     _SCHEMA,
     ConfigError,
     HypothesisParams,
     ProblemSetup,
     _check_checker_rows,
-    _check_table_sizes,
-    _table_sizes,
+    _check_sizes,
     load_problem,
     parse_config,
 )
@@ -141,11 +141,11 @@ BAD_OVERRIDES = [
     ("cubic2d", "hypotheses.growth_radii=0.5,nan"),
     ("cubic2d", "solver.grad_tol=nan"),
     ("cubic2d", "problem.seed_scale=1"),
-    # dense tables above the 1 GiB guard: (H2) batch (256 rows of 10^6
-    # modes, 1.9 GiB), oddness batch, Gauss rule
+    # 10^6-mode rows fit a batch, but the checkers' work, a row weighted by
+    # its width, exceeds the row cap; one transform row of 3.2 and of 1.6
+    # million cells exceeds a batch; quad_nodes above 1,024
     ("power_law_1d", "space.n_modes=1000000"),
     ("bvp_sqrt", "space.n_panels=200000"),
-    # the basis half table of 100,000 panels fits; its (H2) rows exceed the row cap
     ("bvp_sqrt", "space.n_panels=100000"),
     ("bvp_zero", "space.quad_nodes=20000"),
     # counts and radii that ended in a traceback or were accepted silently
@@ -161,16 +161,16 @@ BAD_OVERRIDES = [
     # a removed key
     ("bvp_zero", "hypotheses.mode_budget=-1"),
     ("bvp_zero", "hypotheses.mode_budget=0"),
-    # seed table above the 1 GiB guard (n_circle_seeds x (n_modes + per-seed overhead))
+    # seeds of more cells than a batch (n_circle_seeds x n_modes)
     ("sublinear_affine", "problem.n_circle_seeds=10000000"),
     ("cubic2d", "problem.n_circle_seeds=10000000"),
-    # checker tables above the 1 GiB guard ((H2) rows, (H) rows, eigen_n)
-    # or (H2)' angles above the checker row cap
+    # (H2) rows, (H2)' angles and (H) rows above the checker row cap, and
+    # eigen_n above 10^6
     ("bvp_sqrt", "hypotheses.n_s=1000000"),
     ("cubic2d", "hypotheses.n_angle=1000000000"),
     ("cubic2d", "hypotheses.dirs_per_radius=100000000"),
     ("power_law_1d", "hypotheses.eigen_n=1000000000"),
-    # (H) samples every radius in one batch: 6 radii x 20,000 rows x 16 KiB profiles
+    # 6 radii x 20,000 (H) rows of 2,048-node profiles
     ("bvp_sqrt", "hypotheses.dirs_per_radius=20000"),
     # checker work above the row cap: 10^8 (H2)' angles fit in memory but would run for hours
     ("cubic2d", "hypotheses.n_angle=100000000"),
@@ -188,6 +188,10 @@ BAD_OVERRIDES = [
     # retry infinite bumps
     ("bvp_zero", "solver.seed=-1"),
     ("cubic2d", "solver.deflation_radius=1e300"),
+    # admitted by the table-size guard: eigen_n = 10^8 ran past 60 s, and
+    # above 10^6 roundoff pushes the finite-difference error past 1e-4
+    ("power_law_1d", "hypotheses.eigen_n=100000000"),
+    ("power_law_1d", "hypotheses.eigen_n=1000001"),
 ]
 
 
@@ -248,21 +252,15 @@ def test_non_finite_solve_is_blowup(problem, override, capsys):
 
 
 def test_size_guard_applies_to_the_built_space():
-    # cubic2d always builds two modes, and the 1280-mode bvp_sqrt fits
+    # cubic2d always builds two modes; the 1280-mode bvp_sqrt loads, and so
+    # do 20,000 modes on 65,536 nodes, a transform row of 160,008 cells
     setup = load_problem(PROBLEMS / "cubic2d.cfg", overrides=["space.n_modes=100000"])
     assert setup.space.n_modes == 2
-    _check_table_sizes(
-        "bvp", SpaceConfig(n_modes=1280, quad_nodes=8, n_panels=1024), "one_pair", 16, HypothesisParams()
-    )
-    # a table-free grid counts its (H) batch through the transform, not a
-    # half table: 20,000 modes on 65,536 nodes would tabulate 4.9 GiB, but
-    # 80 (H) rows take 0.5 GiB there, and 200 rows 1.2 GiB
-    wide = SpaceConfig(n_modes=20000, quad_nodes=8, n_panels=8192)
-    _check_table_sizes("bvp", wide, "one_pair", 1, HypothesisParams(n_s=10))
-    with pytest.raises(ConfigError, match=r"panel transform batch needs 1\.2 GiB"):
-        _check_table_sizes("bvp", wide, "one_pair", 1, HypothesisParams(n_s=10, dirs_per_radius=40))
-    # the comparison block's moments (5 bins) peak below the 80 bytes a
-    # grid node of 10 (H2) rows, which the guard counts in their place
+    _check_sizes("bvp", SpaceConfig(n_modes=1280, quad_nodes=8, n_panels=1024), 16)
+    wide = ["space.n_modes=20000", "space.n_panels=8192", "hypotheses.n_s=10"]
+    assert load_problem(PROBLEMS / "bvp_sqrt.cfg", overrides=wide).operator.row_width == 160008
+    # the comparison block's moments (5 bins) peak below 80 bytes a grid
+    # node, the size of 10 (H2) rows
     for cfg in (SpaceConfig(1280, 8, 1024), SpaceConfig(100, 8, 1000)):
         nodes = grid(cfg).nodes
         gauss_rule(cfg.quad_nodes)  # cached on first use
@@ -275,28 +273,33 @@ def test_size_guard_applies_to_the_built_space():
         assert peak <= 80 * nodes.size
 
 
-def test_size_guard_counts_the_oddness_batch_and_the_transform_batch():
-    # the oddness check holds its 100 rows about five times, counted six:
-    # 300,000 modes need 1.3 GiB, where the 10 (H2) rows and the one (H)
-    # row are far below the limit
-    many = SpaceConfig(n_modes=300000)
-    small = HypothesisParams(n_s=10, growth_radii=(1.0,), dirs_per_radius=1)
-    with pytest.raises(ConfigError, match=r"oddness batch needs 1\.3 GiB"):
-        _check_table_sizes("power_law", many, "one_pair", 1, small)
-    # a bvp operator applies none of the rows but its check still samples
-    # them: 10^6 modes need 4.5 GiB, where the one (H) row through the
-    # transform takes 0.3 GiB
-    with pytest.raises(ConfigError, match=r"oddness batch needs 4\.5 GiB"):
-        _check_table_sizes("bvp", SpaceConfig(n_modes=10**6), "one_pair", 1, small)
-    # one panel of 4,096 nodes by 16,384 modes: the 80 (H) rows through the
-    # transform at 40 bytes a cell of 4,096 x 16,385 bins (200 GiB); a bvp
-    # oddness check sends no row through it
-    phased = SpaceConfig(n_modes=16384, quad_nodes=4096, n_panels=1)
-    with pytest.raises(ConfigError, match=r"panel transform batch needs 200\.0 GiB"):
-        _check_table_sizes("bvp", phased, "one_pair", 1, HypothesisParams(n_s=10))
+def test_size_guard_bounds_one_row_and_the_seeds():
+    # one row, a bvp row's panel transform and the seeds each fit one batch
+    _check_sizes("power_law", SpaceConfig(n_modes=_BATCH_CELLS), 1)
+    with pytest.raises(ConfigError, match="one power_law row holds 1,048,577 cells"):
+        _check_sizes("power_law", SpaceConfig(n_modes=_BATCH_CELLS + 1), 1)
+    # quad_nodes x max(n_modes + 1, 2 n_panels): 1,024 x 1,024 = 2**20 fits
+    _check_sizes("bvp", SpaceConfig(n_modes=1023, quad_nodes=1024, n_panels=1), 1)
+    with pytest.raises(ConfigError, match="one bvp row holds 1,049,600 cells"):
+        _check_sizes("bvp", SpaceConfig(n_modes=1024, quad_nodes=1024, n_panels=1), 1)
+    _check_sizes("bvp", SpaceConfig(n_modes=32, quad_nodes=8, n_panels=2**16), 1)
+    with pytest.raises(ConfigError, match="one bvp row holds"):
+        _check_sizes("bvp", SpaceConfig(n_modes=32, quad_nodes=8, n_panels=2**16 + 1), 1)
+    with pytest.raises(ConfigError, match="quad_nodes = 1,025, above 1,024"):
+        _check_sizes("bvp", SpaceConfig(n_modes=1, quad_nodes=1025, n_panels=1), 1)
+    _check_sizes("cubic2d", SpaceConfig(n_modes=2), 2**19)
+    with pytest.raises(ConfigError, match="524,289 seeds of 2 coefficients"):
+        _check_sizes("cubic2d", SpaceConfig(n_modes=2), 2**19 + 1)
+    HypothesisParams(eigen_n=10**6)
+    with pytest.raises(ValueError, match="eigen_n must lie in"):
+        HypothesisParams(eigen_n=10**6 + 1)
+
+
+def test_a_transform_row_holds_at_most_40_bytes_a_cell():
     # a one-row synthesis and analysis through the phases peak below 64
     # bytes a phase cell plus 64 a grid node; a batch on a table-free grid
-    # below 40 bytes a row and cell of quad_nodes x max(n_modes + 1, 2 n_panels)
+    # below 40 bytes a row and cell of quad_nodes x max(n_modes + 1, 2
+    # n_panels), so a bvp row there counts those cells in its row_width
     for cfg, rows in (
         (SpaceConfig(4000, 64, 4), 0),
         (SpaceConfig(1280, 8, 1024), 48),
@@ -314,9 +317,9 @@ def test_size_guard_counts_the_oddness_batch_and_the_transform_batch():
             tracemalloc.stop()
         assert peak <= 64 * cfg.quad_nodes * (cfg.n_modes + 1 + cfg.n_panels)
         if rows:
+            assert bvp._row_width(cfg) == bvp._transform_cells(cfg)
             batch = np.repeat(coeffs, rows, axis=0)
             folded = profiles(batch, g)
-            cells = cfg.quad_nodes * max(cfg.n_modes + 1, 2 * cfg.n_panels)
             for product, x in ((profiles, batch), (moments, folded)):
                 tracemalloc.start()
                 try:
@@ -324,7 +327,7 @@ def test_size_guard_counts_the_oddness_batch_and_the_transform_batch():
                     peak = tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
-                assert peak <= rows * 40 * cells
+                assert peak <= rows * 40 * bvp._transform_cells(cfg)
 
 
 _PEAK_LOADS = [
@@ -333,71 +336,43 @@ _PEAK_LOADS = [
     ("bvp_sqrt", ["space.n_modes=960", "space.n_panels=768"]),  # table-free
     ("sublinear_affine", []),
     ("power_law_1d", ["space.n_modes=20000"]),
+    # the batches below take several chunks.  The 100 oddness rows and the
+    # 96 (H) rows of 10^5 modes, chunks of 10 rows: the load peaked at 401
+    # MB and `check` at 232 MB when each was one batch
+    ("power_law_1d", ["space.n_modes=100000", "hypotheses.n_s=10"]),
+    # 192 (H) rows of 16,384 transform cells, chunks of 64 rows (76 MB at once)
+    ("bvp_sqrt", ["space.n_modes=1280", "space.n_panels=1024", "hypotheses.dirs_per_radius=32"]),
+    # 512 (H2)' angles of 4,096 modes, one angle and its circle point a
+    # chunk (34 MB with every point and form at once)
+    ("power_law_1d", ["problem.mode=two_pair", "space.n_modes=4096", "hypotheses.n_angle=512", "hypotheses.n_s=10"]),
 ]
 
 
 @pytest.mark.parametrize(
     "problem, overrides", _PEAK_LOADS, ids=[":".join([p, *o]) for p, o in _PEAK_LOADS]
 )
-def test_a_load_peaks_below_the_guard_count(problem, overrides):
-    # a load holds its seeds, the oddness batch, a bvp load its oddness
-    # hook's f values and, below the crossover, the half table at once; its
-    # peak stays below what the guard counts for them
+def test_a_load_and_check_peak_within_the_batch_bound(problem, overrides):
+    # every checker batch is taken in chunks of at most _BATCH_CELLS cells
+    # of row_width, so a cold load and `check` hold at most six times 8
+    # _BATCH_CELLS bytes (5.0x measured: a power_law oddness chunk, its two
+    # images, their sum and its square), plus one row, 64 bytes a cell of
+    # its coefficients or of a bvp row's panel transform, and the grid
     path = PROBLEMS / f"{problem}.cfg"
-    setup = load_problem(path, overrides=overrides)  # fills gauss_rule's cache
+    load_problem(path, overrides=overrides)  # fills gauss_rule's cache
     space_mod.grid.cache_clear()
     tracemalloc.start()
     try:
-        load_problem(path, overrides=overrides)
+        setup = load_problem(path, overrides=overrides)
+        cli.run_check(setup)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    tables = _table_sizes(setup.kind, setup.space, setup.mode, len(setup.seeds), setup.hyp)
-    held = tables["seed table"] + tables["oddness batch"]
+    cells, held = setup.space.n_modes, 0
     if setup.kind == "bvp":
-        held += tables["oddness hook"]
-        if not space_mod._table_free(setup.space):
-            held += space_mod._half_table_bytes(setup.space)
-    assert peak <= held
-
-
-@pytest.mark.parametrize("overrides", [[], ["space.n_panels=1024"]], ids=["2048", "8192"])
-def test_the_h_batch_peaks_below_the_guard_count(overrides):
-    # applying bvp_sqrt's 48 (H) rows on a table grid holds them about three
-    # times (2.43 MB on 2,048 nodes, 9.50 MB on 8,192): their folded
-    # profiles, f at them and the weighted product; the guard counts them
-    # _H_BATCH_TABLES times
-    setup = load_problem(PROBLEMS / "bvp_sqrt.cfg", overrides=overrides)
-    assert not space_mod._table_free(setup.space)
-    hyp = setup.hyp
-    rows = np.random.default_rng(setup.seed).standard_normal(
-        (len(hyp.growth_radii) * hyp.dirs_per_radius, setup.space.n_modes)
-    )
-    setup.operator.apply_many(rows)  # builds the half table
-    tracemalloc.start()
-    try:
-        setup.operator.apply_many(rows)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    tables = _table_sizes(setup.kind, setup.space, setup.mode, len(setup.seeds), hyp)
-    assert 2 * rows.shape[0] * setup.row_width * 8 < peak <= tables["(H) batch"]
-
-
-def test_size_guard_counts_the_h2_prime_chunk_and_circle():
-    # a chunk counts a bvp row as wide as its grid profile: two modes at
-    # n_s = 10 on a 160,000-node grid make one-angle chunks of 12 MB (102
-    # angles and 1.2 GiB when the chunk counted coefficient cells only)
-    wide = SpaceConfig(n_modes=2, quad_nodes=8, n_panels=20000)
-    _check_table_sizes("bvp", wide, "two_pair", 16, HypothesisParams(n_s=10))
-    # a chunk holds at least one angle: 2**17 rows of 2,048-node profiles
-    grid = SpaceConfig(n_modes=2, quad_nodes=8, n_panels=256)
-    with pytest.raises(ConfigError, match=r"\(H2\)' chunk needs 2\.0 GiB"):
-        _check_table_sizes("bvp", grid, "two_pair", 16, HypothesisParams(n_s=2**17))
-    # 65,536 circle points of 4,096 modes, twice at the peak: 4 GiB
-    many = SpaceConfig(n_modes=4096, quad_nodes=2, n_panels=1)
-    with pytest.raises(ConfigError, match=r"\(H2\)' circle needs 4\.0 GiB"):
-        _check_table_sizes("bvp", many, "two_pair", 16, HypothesisParams(n_angle=2**16))
+        cells = bvp._transform_cells(setup.space)
+        g = space_mod.grid(setup.space)
+        held = sum(a.nbytes for a in vars(g).values() if isinstance(a, np.ndarray))
+    assert peak <= 6 * 8 * _BATCH_CELLS + 64 * cells + held
 
 
 def test_checker_row_cap_boundary():
@@ -451,7 +426,7 @@ _FUZZ_VALUES = [*_EDGE_VALUES, "0.25", "0.5", "1", "2", "16", "64"]
 
 @settings(max_examples=80)
 @given(
-    command=st.sampled_from(["check", "solve", "report"]),
+    command=st.sampled_from(["check", "solve", "report", "eigen", "gradcheck"]),
     problem=st.sampled_from(_FUZZ_PROBLEMS),
     overrides=st.lists(
         st.tuples(st.sampled_from(_KEYS), st.sampled_from(_FUZZ_VALUES)), max_size=3

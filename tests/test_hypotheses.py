@@ -21,9 +21,12 @@ from fixpairs import (
     quadratic_form_margin,
 )
 from fixpairs import cli
+from fixpairs import operators as operators_mod
+from fixpairs import space as space_mod
 from fixpairs.cli import main
-from fixpairs.hypotheses import HypothesisReport, h2_prime_chunk
+from fixpairs.hypotheses import _CHUNK_CELLS, HypothesisReport
 from fixpairs.models import clipped_cubic_operator, linear_operator, radial_power_operator
+from fixpairs.operators import _batches, _oddness_samples
 from fixpairs.problems import load_problem
 
 E1 = basis_vector(1, 2)
@@ -261,6 +264,11 @@ def _h2_prime_by_angle(A, B2, e2, e3, r2, n_angle, n_s):
     return margin, witness
 
 
+def _angle_chunk(n_s, row_width):
+    """Angles of one (H2)' ray_forms call in check_h2_prime's sweep."""
+    return next(_batches(2**31, n_s * row_width, _CHUNK_CELLS)).stop
+
+
 @pytest.mark.parametrize(
     "problem, n_angle, n_s",
     [
@@ -277,7 +285,7 @@ def test_h2_prime_chunks_match_the_angle_scan(problem, n_angle, n_s):
     setup = load_problem(PROBLEMS / f"{problem}.cfg")
     hyp = replace(setup.hyp, n_angle=n_angle or setup.hyp.n_angle, n_s=n_s or setup.hyp.n_s)
     if n_angle is not None:
-        assert n_angle % h2_prime_chunk(hyp.n_s, setup.space.n_modes) != 0
+        assert n_angle % _angle_chunk(hyp.n_s, setup.space.n_modes) != 0
     e2, e3 = setup.e_vectors
     args = (setup.operator, setup.comparison, e2, e3, setup.radius)
     rep = check_h2_prime(*args, n_angle=hyp.n_angle, n_s=hyp.n_s)
@@ -301,7 +309,7 @@ def test_h2_prime_chunks_count_a_bvp_row_by_its_grid(monkeypatch):
         "hypotheses.n_angle=409",
     ]
     setup = load_problem(PROBLEMS / "bvp_sqrt.cfg", overrides)
-    assert setup.row_width == 8192 and h2_prime_chunk(10, setup.row_width) == 1
+    assert setup.operator.row_width == 8192 and _angle_chunk(10, setup.operator.row_width) == 1
     rows, rays = [], []
 
     def counted(stacked):
@@ -348,7 +356,7 @@ def test_h2_prime_tie_goes_to_the_earlier_angle():
     )
     zero = LinearOperatorSpec.scaled_identity(0.0, 2)
     n_angle, n_s = 12, 256
-    assert h2_prime_chunk(n_s, 2) == 4
+    assert _angle_chunk(n_s, 2) == 4
     rep = check_h2_prime(op, zero, E1, E2, r2=0.5, n_angle=n_angle, n_s=n_s)
     witness = {"phi": 0.0, "s": 206 / 257, "gap": -0.5}
     assert rep.margin == -0.5 and rep.witnesses == [witness]
@@ -431,3 +439,110 @@ def test_report_serialization_round_trips():
     text = json.dumps(payload, sort_keys=True)
     assert json.loads(text) == payload
     assert isinstance(rep, HypothesisReport)
+
+
+# every shipped problem, and bvp_sqrt at 1,280 modes on 8,192 nodes, a
+# table-free grid whose products take the panel transform
+_CHUNK_LOADS = [(p.stem, []) for p in sorted(PROBLEMS.glob("*.cfg"))] + [
+    ("bvp_sqrt", ["space.n_modes=1280", "space.n_panels=1024"])
+]
+_CHUNK_IDS = [":".join([p, *o]) for p, o in _CHUNK_LOADS]
+
+
+def _assert_close(a, b, tol):
+    """a == b, or each number of a within tol of b's when tol is non-zero."""
+    if isinstance(a, dict):
+        assert a.keys() == b.keys()
+        for key in a:
+            _assert_close(a[key], b[key], tol)
+    elif isinstance(a, (list, tuple, np.ndarray)):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            _assert_close(x, y, tol)
+    elif tol and isinstance(a, float):
+        assert abs(a - b) <= tol
+    else:
+        assert a == b
+
+
+@pytest.mark.parametrize("problem, overrides", _CHUNK_LOADS, ids=_CHUNK_IDS)
+def test_chunked_batches_change_no_result(monkeypatch, problem, overrides):
+    # with chunks of one cell every checker batch splits into single rows,
+    # and every s-grid into pairs of points: (H), (H2), (H2)' and the
+    # oddness check keep their verdicts and witnesses.  Bit for bit, but
+    # for a bvp batch on a table grid, whose moments round with the batch's
+    # row count: its (H) values within 1e-14 of its largest norm
+    path = PROBLEMS / f"{problem}.cfg"
+    setup = load_problem(path, overrides=overrides)
+    op = setup.operator
+    table_route = setup.kind == "bvp" and not space_mod._table_free(setup.space)
+    samples = np.vstack(list(_oddness_samples(op.n_modes, op.row_width)))
+    plain = cli.run_check(setup)
+    images = op.apply_many(samples)
+
+    monkeypatch.setattr(operators_mod, "_BATCH_CELLS", 1)
+    chunked = cli.run_check(load_problem(path, overrides=overrides))
+    reports = {r["name"]: r for r in plain["reports"]}
+    for r in chunked["reports"]:
+        tol = 0.0
+        if table_route and r["name"] == "(H)":
+            tol = 1e-14 * max(reports["(H)"]["witnesses"][0]["sample_maxima"])
+        _assert_close(r, reports[r["name"]], tol)
+    assert chunked["all_pass"] == plain["all_pass"]
+    # the oddness rows: drawn a row at a time from the same stream, and
+    # applied a row at a time by a copy without the bvp hook
+    rows = list(_oddness_samples(op.n_modes, op.row_width))
+    assert len(rows) == 100 and np.array_equal(np.vstack(rows), samples)
+    batch = op.apply_batch
+    unhooked = replace(op, apply_batch=lambda x: batch(x))
+    chunked_images = np.vstack([unhooked.apply_many(u) for u in rows])
+    _assert_close(chunked_images, images, 1e-14 * np.abs(images).max() if table_route else 0.0)
+
+
+@pytest.mark.parametrize("problem, overrides", _CHUNK_LOADS, ids=_CHUNK_IDS)
+def test_a_shipped_check_takes_each_batch_in_one_call(monkeypatch, problem, overrides):
+    # every shipped batch fits one chunk, so a load and a check make the
+    # apply_many, ray_forms and forms_batch calls of one call a batch: the
+    # oddness rows of a coefficient operator both ways (a bvp load applies
+    # none), the (H) rows, the (H2) s-grid, and one call for each chunk of
+    # whole (H)' angles
+    calls = []
+    apply_many, ray_forms = PotentialOperatorSpec.apply_many, PotentialOperatorSpec.ray_forms
+
+    def recording_apply(self, stacked):
+        calls.append(("apply_many", stacked.shape))
+        return apply_many(self, stacked)
+
+    def recording_forms(self, rays, s):
+        calls.append(("ray_forms", rays.shape, s.size))
+        return ray_forms(self, rays, s)
+
+    monkeypatch.setattr(PotentialOperatorSpec, "apply_many", recording_apply)
+    monkeypatch.setattr(PotentialOperatorSpec, "ray_forms", recording_forms)
+    setup = load_problem(PROBLEMS / f"{problem}.cfg", overrides=overrides)
+    op, hyp, n = setup.operator, setup.hyp, setup.space.n_modes
+    odd_rows = [] if setup.kind == "bvp" else [("apply_many", (100, n))] * 2
+    assert calls == odd_rows
+    calls.clear()
+    forms_batch = op.forms_batch
+    if forms_batch is not None:
+
+        def recorded(rays, s):
+            calls.append(("forms_batch", rays.shape, s.size))
+            return forms_batch(rays, s)
+
+        op = replace(op, odd=False, forms_batch=recorded)
+    cli.run_check(replace(setup, operator=op))
+
+    def ray_calls(k, n_s):
+        inner = ("forms_batch", (k, n), n_s) if forms_batch else ("apply_many", (k * n_s, n))
+        return [("ray_forms", (k, n), n_s), inner]
+
+    expected = [("apply_many", (len(hyp.growth_radii) * hyp.dirs_per_radius, n))]
+    if setup.mode == "one_pair":
+        expected += ray_calls(1, hyp.n_s)
+    else:
+        k = max(1, _CHUNK_CELLS // (hyp.n_s * op.row_width))
+        assert hyp.n_angle % k == 0
+        expected += ray_calls(k, hyp.n_s) * (hyp.n_angle // k)
+    assert calls == expected

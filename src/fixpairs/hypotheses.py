@@ -221,11 +221,12 @@ def check_h2_prime(
 ) -> HypothesisReport:
     """(A(s u), u) >= (B2 (s u), u) sampled on the circle and an s-grid.
 
-    The circle is swept in chunks of as many whole angles as fit in
-    _CHUNK_CELLS cells of n_s rows of A.row_width, and at least one: their
-    points, their forms and one ray_forms call each, which splits an angle
-    along s only when it passes a batch.  The witness is the first minimum
-    in (angle, s) order, as a scan angle by angle finds it.
+    The circle points and their forms are taken a batch of angles at a
+    time, and swept in chunks of as many whole angles as fit in
+    _CHUNK_CELLS cells of n_s rows of A.row_width, and at least one: one
+    ray_forms call each, which splits an angle along s only when it passes
+    a batch.  The witness is the first minimum in (angle, s) order, as a
+    scan angle by angle finds it.
     """
     if not 0.0 < r2 < np.inf:  # rejects NaN as well
         raise ValueError("r2 must be positive and finite")
@@ -236,14 +237,17 @@ def check_h2_prime(
     margin = np.inf
     witness: dict = {}
     with np.errstate(over="ignore", invalid="ignore"):
-        for angles in _batches(n_angle, n_s * A.row_width, _CHUNK_CELLS):
-            phis = 2.0 * np.pi * np.arange(angles.start, angles.stop) / n_angle
+        # the circle points and their forms a batch of angles at a time
+        for block in _batches(n_angle, A.n_modes):
+            phis = 2.0 * np.pi * np.arange(block.start, block.stop) / n_angle
             circle = r2 * (np.cos(phis)[:, None] * a + np.sin(phis)[:, None] * b)
-            gaps = _ray_gaps(A, circle, B2.forms(circle), s)[0]
-            k, i = divmod(int(np.argmin(gaps)), n_s)
-            if gaps[k, i] < margin:
-                margin = float(gaps[k, i])
-                witness = {"phi": float(phis[k]), "s": float(s[i]), "gap": margin}
+            forms = B2.forms(circle)
+            for angles in _batches(phis.size, n_s * A.row_width, _CHUNK_CELLS):
+                gaps = _ray_gaps(A, circle[angles], forms[angles], s)[0]
+                k, i = divmod(int(np.argmin(gaps)), n_s)
+                if gaps[k, i] < margin:
+                    margin = float(gaps[k, i])
+                    witness = {"phi": float(phis[angles][k]), "s": float(s[i]), "gap": margin}
     verdict = SAMPLED_PASS if margin >= -STRICT_TOL else FAIL
     return HypothesisReport(
         name="(H2)'",

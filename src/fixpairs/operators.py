@@ -118,7 +118,7 @@ class PotentialOperatorSpec:
         """
         k, n = rays.shape
         forms = np.empty((k, s.size))
-        for cols in _batches(s.size, k * self.row_width, _BATCH_CELLS, least=2):
+        for cols in _batches(s.size, k * self.row_width, least=2):
             part = s[cols]
             if self.forms_batch is not None:
                 forms[:, cols] = self.forms_batch(rays, part)
@@ -128,13 +128,15 @@ class PotentialOperatorSpec:
         return forms
 
 
-def _batches(count: int, row_cells: int, cells: int, least: int = 1) -> Iterator[slice]:
+def _batches(
+    count: int, row_cells: int, cells: int | None = None, least: int = 1
+) -> Iterator[slice]:
     """Consecutive slices of range(count) of cells // row_cells rows, at
     least `least` (the last one takes up to least - 1 more, and all of a
-    count below least): the chunks in which every checker batch is
-    evaluated, so that one holds O(cells) values plus a row or two,
-    whatever the count."""
-    step = max(least, cells // row_cells)
+    count below least); cells defaults to _BATCH_CELLS.  The chunks in
+    which every checker batch is evaluated, so that one holds O(cells)
+    values plus a row or two, whatever the count."""
+    step = max(least, (cells or _BATCH_CELLS) // row_cells)
     start = 0
     while start < count:
         stop = start + step if count - start - step >= least else count
@@ -150,7 +152,7 @@ def _sampled_rows(
     chunks are drawn in turn from one stream, so they are the rows of one
     draw of them all."""
     rng = np.random.default_rng(seed)
-    for rows in _batches(radii.size * per_radius, row_width, _BATCH_CELLS):
+    for rows in _batches(radii.size * per_radius, row_width):
         u = rng.standard_normal((rows.stop - rows.start, n_modes))
         u /= np.linalg.norm(u, axis=1, keepdims=True)
         u *= radii[np.arange(rows.start, rows.stop) // per_radius, None]

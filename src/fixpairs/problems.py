@@ -183,13 +183,6 @@ def _parse_radii(text: str) -> tuple[float, ...]:
     return radii
 
 
-def _row_width(kind: str, space: SpaceConfig) -> int:
-    """The row_width of the operator a problem builds, before it is built."""
-    if kind == "bvp":
-        return bvp_mod._row_width(space)
-    return space.n_modes
-
-
 def _check_sizes(kind: str, space: SpaceConfig, n_seeds: int) -> None:
     """Reject a problem whose one row or seeds would not fit one checker batch.
 
@@ -227,7 +220,8 @@ def _check_checker_rows(kind: str, space: SpaceConfig, mode: str, hyp: Hypothesi
     _CELLS_PER_ROW cells of row_width, so the shipped coefficient problems'
     rows count one each and sublinear_affine's 256-node rows 32.
     """
-    weight = -(-_row_width(kind, space) // _CELLS_PER_ROW)
+    width = bvp_mod._row_width(space) if kind == "bvp" else space.n_modes
+    weight = -(-width // _CELLS_PER_ROW)
     rows = {"(H)": len(hyp.growth_radii) * hyp.dirs_per_radius * weight}
     if mode == "one_pair":
         rows["(H2)"] = hyp.n_s * weight

@@ -188,8 +188,8 @@ BAD_OVERRIDES = [
     # retry infinite bumps
     ("bvp_zero", "solver.seed=-1"),
     ("cubic2d", "solver.deflation_radius=1e300"),
-    # admitted by the table-size guard: eigen_n = 10^8 ran past 60 s, and
-    # above 10^6 roundoff pushes the finite-difference error past 1e-4
+    # eigen_n above 10^6, where roundoff pushes the finite-difference error
+    # past 1e-4 (10^8 runs for minutes)
     ("power_law_1d", "hypotheses.eigen_n=100000000"),
     ("power_law_1d", "hypotheses.eigen_n=1000001"),
 ]

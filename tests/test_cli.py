@@ -342,9 +342,12 @@ _PEAK_LOADS = [
     ("power_law_1d", ["space.n_modes=100000", "hypotheses.n_s=10"]),
     # 192 (H) rows of 16,384 transform cells, chunks of 64 rows (76 MB at once)
     ("bvp_sqrt", ["space.n_modes=1280", "space.n_panels=1024", "hypotheses.dirs_per_radius=32"]),
-    # 512 (H2)' angles of 4,096 modes, one angle and its circle point a
-    # chunk (34 MB with every point and form at once)
+    # 512 (H2)' angles of 4,096 modes, one angle a ray_forms call and 256
+    # circle points a batch (34 MB with every point and form at once)
     ("power_law_1d", ["problem.mode=two_pair", "space.n_modes=4096", "hypotheses.n_angle=512", "hypotheses.n_s=10"]),
+    # the row cap's 2**22 (H2) points of a one-mode row: their forms take 4
+    # chunks, and (H2) keeps one value of each per point
+    ("power_law_1d", ["hypotheses.n_s=4194304"]),
 ]
 
 
@@ -356,7 +359,9 @@ def test_a_load_and_check_peak_within_the_batch_bound(problem, overrides):
     # of row_width, so a cold load and `check` hold at most six times 8
     # _BATCH_CELLS bytes (5.0x measured: a power_law oddness chunk, its two
     # images, their sum and its square), plus one row, 64 bytes a cell of
-    # its coefficients or of a bvp row's panel transform, and the grid
+    # its coefficients or of a bvp row's panel transform, the grid, and
+    # what (H2) keeps a point of its s-grid: s, the form, the bound and the
+    # gap (33 bytes a point measured at 2**22 points)
     path = PROBLEMS / f"{problem}.cfg"
     load_problem(path, overrides=overrides)  # fills gauss_rule's cache
     space_mod.grid.cache_clear()
@@ -372,7 +377,8 @@ def test_a_load_and_check_peak_within_the_batch_bound(problem, overrides):
         cells = bvp._transform_cells(setup.space)
         g = space_mod.grid(setup.space)
         held = sum(a.nbytes for a in vars(g).values() if isinstance(a, np.ndarray))
-    assert peak <= 6 * 8 * _BATCH_CELLS + 64 * cells + held
+    points = setup.hyp.n_s if setup.mode == "one_pair" else 0
+    assert peak <= 6 * 8 * _BATCH_CELLS + 64 * cells + held + 40 * points
 
 
 def test_checker_row_cap_boundary():

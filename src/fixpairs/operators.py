@@ -117,15 +117,15 @@ class PotentialOperatorSpec:
         matmul takes a one-point product as a dot, which rounds otherwise.
         """
         k, n = rays.shape
-        forms = np.empty((k, s.size))
+        forms = []
         for cols in _batches(s.size, k * self.row_width, least=2):
             part = s[cols]
             if self.forms_batch is not None:
-                forms[:, cols] = self.forms_batch(rays, part)
+                forms.append(self.forms_batch(rays, part))
                 continue
             images = self.apply_many((part[None, :, None] * rays[:, None, :]).reshape(k * part.size, n))
-            forms[:, cols] = (images.reshape(k, part.size, n) @ rays[:, :, None])[..., 0]
-        return forms
+            forms.append((images.reshape(k, part.size, n) @ rays[:, :, None])[..., 0])
+        return forms[0] if len(forms) == 1 else np.concatenate(forms, axis=1)
 
 
 def _batches(

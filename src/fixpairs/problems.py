@@ -80,6 +80,9 @@ _MAX_QUAD_NODES = 1024
 # finite-difference points of `eigen`: 0.96 s and 130 MB at 10^6, relative
 # error 2.4e-5; roundoff dominates above (1.5e-4 at 3 x 10^6, past c05's 1e-4)
 _MAX_EIGEN_N = 10**6
+# (H) growth radii: operators._cover_fit tries every pair of them, so `check`
+# on power_law_1d takes 0.6 s at 256 radii and 2.0 s at 512
+_MAX_GROWTH_RADII = 256
 
 
 @dataclass(frozen=True)
@@ -95,6 +98,8 @@ class HypothesisParams:
             raise ValueError("n_s and n_angle must be >= 10")
         if self.dirs_per_radius < 1:
             raise ValueError("dirs_per_radius must be >= 1")
+        if len(self.growth_radii) > _MAX_GROWTH_RADII:
+            raise ValueError(f"growth_radii holds {len(self.growth_radii):,} radii, above {_MAX_GROWTH_RADII}")
         if not 3 <= self.eigen_n <= _MAX_EIGEN_N:
             raise ValueError(
                 f"eigen_n must lie in [3, {_MAX_EIGEN_N:,}] (finite-difference eigenvalue; "

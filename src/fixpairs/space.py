@@ -50,34 +50,35 @@ reversed and negated, is the mirror line.  That is ceil(quad_nodes / 2)
 FFTs a row either way, in O(quad_nodes P log P + quad_nodes count) with
 numpy.fft and einsum alone (no BLAS call, so the bytes do not depend on
 the BLAS thread count); e_k(t) is sqrt(2) / (k pi) times the sine of
-pi k t.  profiles and moments take the
-transform for every product when the half table is larger than
-_TABLE_FREE_ABOVE_BYTES (16 MiB), so such a grid never builds the table;
-below it, for a product of one row when the table is larger than
-_TRANSFORM_ABOVE_BYTES (2 MiB; medians of one-row profiles and moments,
-table -> transform: 155 -> 88 and 112 -> 60 us at 320 modes on 2,048
-nodes, 2,466 -> 245 and 1,944 -> 167 us at 1,280 on 8,192), and the
-table otherwise.  The batches are the 48 rows of (H); the oddness check
-tests f on the grid and applies its 100 sampled rows only where that
-fails, and the ray checks sum their forms on the grid from one synthesis
-of each ray and no analysis (bvp.bvp_operator).  A synthesis plus an
-analysis of a batch, medians of 31 interleaved calls on 2 shared vCPUs
-with 2 OpenBLAS threads, table / transform, and the time to build the
-table:
+pi k t.
 
-    modes x nodes   half table   build    48 rows         100 rows
-      320 x 2,048      2.5 MiB   16 ms    1.9 /  4.0 ms    3.9 / 10.7 ms
-      640 x 4,096     10.0 MiB   33 ms    6.0 /  8.0 ms   10.9 / 23.3 ms
-      960 x 6,144     22.5 MiB   83 ms   10.2 /  8.7 ms   20.7 / 25.6 ms
-    1,280 x 8,192     40.0 MiB  129 ms   19.2 / 12.8 ms   32.1 / 25.5 ms
+profiles and moments take the transform for every product, one row or a
+batch, when the half table is larger than _TABLE_FREE_ABOVE_BYTES (2 MiB),
+so such a grid never builds the table, and the half table otherwise.  The
+batches are the 48 rows of (H); the oddness check tests f on the grid and
+applies its 100 sampled rows only where that fails, and the ray checks sum
+their forms on the grid from one synthesis of each ray and no analysis
+(bvp.bvp_operator).  A synthesis plus an analysis of 48 rows, table /
+transform, in ms: the median wall time of 31 interleaved calls, and the CPU
+time of all threads over 31 calls in a row and the 0.3 s after them (2
+shared vCPUs, 2 OpenBLAS threads, one run), and the time to build the table:
 
-OpenBLAS runs a product on a second thread only above a size, and its
-worker then spins for a while after it.  On a 32-mode grid every table
-product stays below that size (sublinear_affine's 40 (H) rows are two
-40 x 16 x 128 products); at 320 modes bvp_sqrt's 48 rows (48 x 160 x
-1,024) cross it.
-evaluate sums its series with einsum, numpy's own loop, for the same
-reason.
+    modes x nodes   half table   build   wall          CPU
+      256 x 2,048      2.0 MiB       4    2.1 /  4.0   11.6 /  5.0
+      320 x 2,048      2.5 MiB       6    2.5 /  3.5    7.9 /  6.4
+      640 x 4,096     10.0 MiB      40    8.3 / 10.1   17.7 /  9.1
+    1,280 x 8,192     40.0 MiB     145   24.0 / 14.6   53.5 / 15.7
+
+OpenBLAS runs a product on a second thread above about a million
+multiply-adds (48 x 32 by 32 x 1,024 here, not 48 x 16 by 16 x 1,024), and
+its worker then spins for about 135 ms: the table's CPU above.  The shipped
+32-mode grids stay below that size (sublinear_affine's 40 (H) rows are two
+40 x 16 x 128 products); bvp_sqrt's 48 rows at 320 modes (48 x 160 x 1,024)
+crossed it, and take the transform, which makes no BLAS call, so a check of
+all six shipped problems runs on one thread (BENCH_28.json).  A table grid
+of 0.5 to 2 MiB (48 rows make three multiply-adds a table byte) still runs
+its 48 rows on two threads.  evaluate sums its series with einsum, numpy's
+own loop, for the same reason.
 
 Both ways are linear and every rounding in them flips sign with its input
 (the parity split adds and subtracts two such products), so a product of
@@ -88,9 +89,10 @@ d_k, the transform's phases and the half table) is one read-only Grid per
 SpaceConfig.  grid(cfg) keeps the two most recently used, so a Grid lives
 as long as the last operator that holds it, or as long as it is one of
 those two.  Two, because a check of all six shipped problems reads two
-grids (32 modes on 256 nodes, 320 on 2,048): with the grids rebuilt for
-each such check it took 54-56 ms against 45-46 ms (in-process medians on
-2 shared vCPUs), the 320-mode table alone 6.4-7.1 ms.
+grids (32 modes on 256 nodes, 320 on 2,048).  While the 320-mode grid held
+a table, rebuilding the grids for each such check took 54-56 ms against
+45-46 ms (in-process medians on 2 shared vCPUs), the table alone 6.4-7.1
+ms; without it the two differ by less than the host's drift.
 """
 
 from __future__ import annotations
@@ -275,26 +277,16 @@ def grid(cfg: SpaceConfig) -> Grid:
     return Grid(cfg)
 
 
-# one-row products take the panel transform above this half-table size
-_TRANSFORM_ABOVE_BYTES = 2 * 2**20
-# every product takes it above this one, so such a grid builds no table
-_TABLE_FREE_ABOVE_BYTES = 16 * 2**20
-
-
-def _half_table_bytes(cfg: SpaceConfig) -> int:
-    """Bytes of the basis half table of a discretization."""
-    return 8 * _half(cfg.quad_nodes * cfg.n_panels) * cfg.n_modes
+# every product takes the panel transform above this half-table size, so
+# such a grid builds no table
+_TABLE_FREE_ABOVE_BYTES = 2 * 2**20
 
 
 def _table_free(cfg: SpaceConfig) -> bool:
-    """Whether every product on this grid takes the panel transform, so
-    that the grid never builds its half table."""
-    return _half_table_bytes(cfg) > _TABLE_FREE_ABOVE_BYTES
-
-
-def _by_transform(rows: int, cfg: SpaceConfig) -> bool:
-    """Whether a product of this many rows takes the panel transform."""
-    return _table_free(cfg) or (rows == 1 and _half_table_bytes(cfg) > _TRANSFORM_ABOVE_BYTES)
+    """Whether the half table, 8 bytes a mode and half-grid node, is larger
+    than _TABLE_FREE_ABOVE_BYTES, so that every product on the grid takes
+    the panel transform and the grid never builds the table."""
+    return 8 * _half(cfg.quad_nodes * cfg.n_panels) * cfg.n_modes > _TABLE_FREE_ABOVE_BYTES
 
 
 def _scales(n_modes: int) -> np.ndarray:
@@ -401,7 +393,7 @@ def profiles(coeffs: np.ndarray, g: Grid) -> np.ndarray:
     """Folded grid values of the functions whose coefficient rows are coeffs.
 
     coeffs is (B, n_modes); the result is (2, B, half), from panel_synthesis
-    where _by_transform says so and from the half table otherwise: one row
+    on a table-free grid (_table_free) and from the half table otherwise: one row
     by the one product [c; d c] E_h^T, a batch by the parity split, O from
     the odd modes and V from the even ones, with the left rows O + V and
     the mirror rows O - V.
@@ -409,7 +401,7 @@ def profiles(coeffs: np.ndarray, g: Grid) -> np.ndarray:
     cfg = g.cfg
     n = cfg.n_modes
     b = coeffs.shape[0]
-    if _by_transform(b, cfg):
+    if _table_free(cfg):
         amplitudes = np.zeros((b, n + 1))
         amplitudes[:, 1:] = coeffs * _scales(n)
         return _fold(panel_synthesis(amplitudes, cfg, g.phases))
@@ -430,15 +422,15 @@ def moments(folded: np.ndarray, g: Grid) -> np.ndarray:
     """sum_i g(t_i) e_k(t_i) over the grid for each of B folded rows of g.
 
     folded is (2, B, half), with any quadrature weights applied; the result
-    is (B, n_modes), from panel_analysis where _by_transform says so and
-    from the half table otherwise: one row by the one product of the
+    is (B, n_modes), from panel_analysis on a table-free grid (_table_free)
+    and from the half table otherwise: one row by the one product of the
     stacked rows L and R with E_h, added as y_L + d y_R, a batch by the
     parity split, the odd modes (L + R) E_h and the even ones (L - R) E_h.
     """
     cfg = g.cfg
     n = cfg.n_modes
     b = folded.shape[1]
-    if _by_transform(b, cfg):
+    if _table_free(cfg):
         n_nodes = g.nodes.size
         half = folded.shape[-1]
         # grid order; a middle node gets the sum of its two halves
@@ -468,7 +460,7 @@ def basis_matrix(cfg: SpaceConfig) -> np.ndarray:
     every call; the package computes through profiles and moments and never
     builds it.  It stays public because perfbench's traced byte count calls
     it; on a table-free grid that call builds a half table the program does
-    not read.  ROADMAP item 4 moves that count to the bytes the problem holds.
+    not read.  ROADMAP item 5 moves that count to the bytes the problem holds.
     """
     g = grid(cfg)
     half = g.table.T

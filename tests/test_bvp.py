@@ -353,42 +353,50 @@ def test_b_matrix_matches_weighted_gram(a1, n_modes):
 
 
 def test_a_table_free_load_and_report_build_no_basis_table(monkeypatch, tmp_path):
-    # 1,280 modes on 8,192 nodes: the half table would be 42 MB, above the
-    # 16 MiB crossover, so every product takes the panel transform.  A load
-    # and a report run with every table read failing; the load peaks at
-    # 27.4 MB under tracemalloc (the oddness check's 100 rows through the
-    # transform, then their folded profiles, negation and f at both); the
-    # bound leaves it a 4.8 MB margin
-    overrides = ["space.n_modes=1280", "space.n_panels=1024"]
-    space_mod.grid.cache_clear()
-    # two loads in one process leave their grid without a table
-    for _ in range(2):
-        setup = load_problem(PROBLEMS / "bvp_sqrt.cfg", overrides=overrides)
-    assert "table" not in space_mod.grid(setup.space).__dict__
+    # bvp_sqrt at 320 modes on 2,048 nodes and at 1,280 on 8,192: half
+    # tables of 2.5 and 40 MiB, above the 2 MiB crossover, so every product
+    # takes the panel transform.  A load, a check and a report leave the
+    # shared grid without a table; a load and a report then run again with
+    # every table read failing.  A warm load peaks at 0.14 and 0.52 MB under
+    # tracemalloc, the oddness hook's f arrays of one chunk (2**15 values
+    # each); the bound fails a load that builds the table (2.6 MB at 320
+    # modes) or synthesizes the 100 sampled oddness rows (1.6 and 6.5 MB of
+    # profiles alone)
+    path = PROBLEMS / "bvp_sqrt.cfg"
 
     def no_table(*args):
         raise AssertionError("a table-free grid read a basis table")
 
-    monkeypatch.setattr(space_mod.Grid, "table", property(no_table))
-    monkeypatch.setattr(space_mod, "basis_matrix", no_table)
-    tracemalloc.start()
-    try:
-        load_problem(PROBLEMS / "bvp_sqrt.cfg", overrides=overrides)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 32.2e6
-    # bvp_sqrt's check fails by design, so a report exits 1
-    out = tmp_path / "report.json"
-    argv = ["report", "--problem", str(PROBLEMS / "bvp_sqrt.cfg"), "--output", str(out)]
-    assert cli.main(argv + [f"--set={o}" for o in overrides]) == 1
-    assert json.loads(out.read_text())["solve"]["meets_expected"] is True
+    for overrides in ([], ["space.n_modes=1280", "space.n_panels=1024"]):
+        space_mod.grid.cache_clear()
+        setup = load_problem(path, overrides=overrides)
+        g = space_mod.grid(setup.space)
+        # bvp_sqrt's check fails by design, so a check and a report exit 1
+        argv = ["--problem", str(path), "--output", str(tmp_path / "out.json")]
+        argv += [f"--set={o}" for o in overrides]
+        for command in ("check", "report"):
+            assert cli.main([command, *argv]) == 1
+            assert space_mod.grid(setup.space) is g
+        assert "table" not in g.__dict__
+        with monkeypatch.context() as patched:
+            patched.setattr(space_mod.Grid, "table", property(no_table))
+            patched.setattr(space_mod, "basis_matrix", no_table)
+            tracemalloc.start()
+            try:
+                load_problem(path, overrides=overrides)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.5e6
+            assert cli.main(["report", *argv]) == 1
+        assert json.loads((tmp_path / "out.json").read_text())["solve"]["meets_expected"] is True
 
 
 def test_the_grid_memo_frees_a_grid_three_loads_on():
-    # three table grids in turn: 160 and 320 modes on 2,048 nodes, then 32
-    # on 256.  The memo keeps the last two, so once the problems are dropped
-    # nothing holds the first grid, or its half table
+    # three grids in turn: 160 modes on 2,048 nodes (a 1.25 MiB table), 320
+    # on 2,048 (table-free), then 32 on 256.  The memo keeps the last two, so
+    # once the problems are dropped nothing holds the first grid, or its half
+    # table
     setups = [load_problem(PROBLEMS / "bvp_sqrt.cfg", overrides=["space.n_modes=160"])]
     first = weakref.ref(space_mod.grid(setups[0].space))
     assert "table" in first().__dict__  # built by the oddness check
@@ -442,12 +450,13 @@ def test_profile_cache_keeps_apply_bitwise(n_modes, n_panels, rng):
 
 
 # the FOLD_SPACES grids with 1 and 2 modes (even and odd node counts), and
-# 320 modes on 2,048 nodes, where a one-ray synthesis takes the transform
+# 256 and 257 modes on 2,048 nodes, a half table of 2 MiB exactly and one
+# mode above it, where the rays take the transform
 _FORM_SPACES = [
     SpaceConfig(n_modes, quad_nodes, n_panels)
     for quad_nodes, n_panels in dict.fromkeys((c.quad_nodes, c.n_panels) for c in FOLD_SPACES)
     for n_modes in (1, 2)
-] + [SpaceConfig(320, 8, 256)]
+] + [SpaceConfig(256, 8, 256), SpaceConfig(257, 8, 256)]
 
 
 @pytest.mark.parametrize("cfg", _FORM_SPACES, ids=lambda c: f"{c.n_modes}x{c.quad_nodes * c.n_panels}")
@@ -457,7 +466,7 @@ def test_ray_forms_match_the_apply_route(family, cfg, rng):
     # rows dotted with the rays, for one ray and for three
     op = bvp.bvp_operator(_ODDNESS_CASES[family][0], cfg)
     assert op.forms_batch is not None
-    assert space_mod._by_transform(1, cfg) is (cfg.n_modes == 320)
+    assert space_mod._table_free(cfg) is (cfg.n_modes == 257)
     s = np.arange(1, 65) / 65.0
     for k in (1, 3):
         rays = rng.standard_normal((k, cfg.n_modes)) / np.arange(1, cfg.n_modes + 1)

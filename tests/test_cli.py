@@ -170,7 +170,7 @@ BAD_OVERRIDES = [
     ("cubic2d", "hypotheses.n_angle=1000000000"),
     ("cubic2d", "hypotheses.dirs_per_radius=100000000"),
     ("power_law_1d", "hypotheses.eigen_n=1000000000"),
-    # 6 radii x 20,000 (H) rows of 2,048-node profiles
+    # 6 radii x 20,000 (H) rows of 4,096 transform cells
     ("bvp_sqrt", "hypotheses.dirs_per_radius=20000"),
     # checker work above the row cap: 10^8 (H2)' angles fit in memory but would run for hours
     ("cubic2d", "hypotheses.n_angle=100000000"),
@@ -192,13 +192,18 @@ BAD_OVERRIDES = [
     # past 1e-4 (10^8 runs for minutes)
     ("power_law_1d", "hypotheses.eigen_n=100000000"),
     ("power_law_1d", "hypotheses.eigen_n=1000001"),
+    # more than 256 growth radii: the (H) fit tries every pair of them, and
+    # 3,000 radii ran for 51 s
+    ("power_law_1d", "hypotheses.growth_radii=" + ",".join(map(str, range(1, 258)))),
 ]
+# shortened for the 257 radii
+_BAD_IDS = [(o if p == "cubic2d" else f"{p}:{o}")[:80] for p, o in BAD_OVERRIDES]
 
 
 @pytest.mark.parametrize(
     "problem,override",
     BAD_OVERRIDES,
-    ids=[o if p == "cubic2d" else f"{p}:{o}" for p, o in BAD_OVERRIDES],
+    ids=_BAD_IDS,
 )
 def test_invalid_numeric_override_is_config_error(problem, override, capsys):
     code = run("check", "--problem", str(PROBLEMS / f"{problem}.cfg"), "--set", override)
@@ -293,6 +298,9 @@ def test_size_guard_bounds_one_row_and_the_seeds():
     HypothesisParams(eigen_n=10**6)
     with pytest.raises(ValueError, match="eigen_n must lie in"):
         HypothesisParams(eigen_n=10**6 + 1)
+    HypothesisParams(growth_radii=tuple(range(1, 257)))
+    with pytest.raises(ValueError, match="growth_radii holds 257 radii, above 256"):
+        HypothesisParams(growth_radii=tuple(range(1, 258)))
 
 
 def test_a_transform_row_holds_at_most_40_bytes_a_cell():
@@ -331,7 +339,7 @@ def test_a_transform_row_holds_at_most_40_bytes_a_cell():
 
 
 _PEAK_LOADS = [
-    ("bvp_sqrt", []),  # 320 modes on 2,048 nodes: a 2.5 MiB half table
+    ("bvp_sqrt", []),  # 320 modes on 2,048 nodes: table-free (a 2.5 MiB half table)
     ("bvp_sqrt", ["space.n_modes=1280", "space.n_panels=1024"]),  # table-free
     ("bvp_sqrt", ["space.n_modes=960", "space.n_panels=768"]),  # table-free
     ("sublinear_affine", []),
@@ -425,9 +433,10 @@ def test_load_problem_fuzz_is_setup_or_config_error(problem, overrides):
 
 
 # the problems small enough to solve in a fuzz example; values that are
-# neither edge cases nor rejected outright
+# neither edge cases nor rejected outright, and 257 growth radii, one above
+# their bound
 _FUZZ_PROBLEMS = ["bvp_zero", "cubic2d", "linear2d", "power_law_1d", "sublinear_affine"]
-_FUZZ_VALUES = [*_EDGE_VALUES, "0.25", "0.5", "1", "2", "16", "64"]
+_FUZZ_VALUES = [*_EDGE_VALUES, "0.25", "0.5", "1", "2", "16", "64", ",".join(map(str, range(1, 258)))]
 
 
 @settings(max_examples=80)
@@ -654,13 +663,13 @@ def test_console_entry_point_smoke():
     assert '"spectral"' in proc.stdout
 
 
-# run in a fresh process with two BLAS threads: a warm report on
-# sublinear_affine, then another and a 1,001-point evaluate of a 1,280-mode
-# vector, printing the threads and the nanoseconds that every thread but the
-# main one ran in between (the first field of each thread's schedstat).
-# OpenBLAS keeps its worker spinning for a while after a threaded product,
-# so the first sleep lets it settle before the count starts and the last
-# one lets a late wake-up show
+# run in a fresh process with two BLAS threads: warm runs of the given
+# commands on a problem, then another run of each and a 1,001-point evaluate
+# of a 1,280-mode vector, printing the threads and the nanoseconds that every
+# thread but the main one ran in between (the first field of each thread's
+# schedstat).  OpenBLAS keeps its worker spinning for a while after a
+# threaded product, so the first sleep lets it settle before the count
+# starts and the last one lets a late wake-up show
 _WORKER_PROBE = """
 import os, sys, time
 import numpy as np
@@ -675,31 +684,33 @@ def others():
                 total += int(fh.read().split()[0])
     return total
 
-report = ["report", "--problem", sys.argv[1], "--output", sys.argv[2]]
-main(report)
+def run():
+    for command in sys.argv[3:]:
+        main([command, "--problem", sys.argv[1], "--output", sys.argv[2]])
+
+run()
 time.sleep(0.5)
 try:
     before = others()
 except OSError:
     print(0, 0)
     raise SystemExit
-main(report)
+run()
 evaluate(H1Vector(np.random.default_rng(1).standard_normal(1280)), np.linspace(0.0, 1.0, 1001))
 time.sleep(0.05)
 print(len(os.listdir("/proc/self/task")), others() - before)
 """
 
 
-def test_a_report_leaves_the_blas_worker_idle(tmp_path):
-    # every product of a report on a 32-mode grid, and evaluate, stays below
-    # OpenBLAS's threading size or off BLAS, so the worker thread sleeps
+def _assert_the_blas_worker_idles(tmp_path, problem, *commands):
+    """Run _WORKER_PROBE on a problem and bound the worker's run time by 5 ms."""
     if os.environ.get("OPENBLAS_NUM_THREADS") == "1":
         pytest.skip("this run asks for one BLAS thread")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", _WORKER_PROBE, str(PROBLEMS / "sublinear_affine.cfg"), str(tmp_path / "out.json")],
+        [sys.executable, "-c", _WORKER_PROBE, str(PROBLEMS / f"{problem}.cfg"), str(tmp_path / "out.json"), *commands],
         capture_output=True,
         text=True,
         env=env,
@@ -709,6 +720,20 @@ def test_a_report_leaves_the_blas_worker_idle(tmp_path):
     if threads < 2:
         pytest.skip("no schedstat, or a single thread in the process")
     assert worker_ns < 5_000_000
+
+
+def test_a_report_leaves_the_blas_worker_idle(tmp_path):
+    # every product of a report on a 32-mode grid, and evaluate, stays below
+    # OpenBLAS's threading size or off BLAS, so the worker thread sleeps
+    _assert_the_blas_worker_idles(tmp_path, "sublinear_affine", "report")
+
+
+def test_a_bvp_sqrt_check_and_report_leave_the_blas_worker_idle(tmp_path):
+    # 320 modes on 2,048 nodes, above the 2 MiB crossover: the (H) batch and
+    # the descent take the panel transform (numpy.fft and einsum), so no
+    # product reaches BLAS; through the half table the 48 (H) rows ran two
+    # threads and kept the worker busy for about 135 ms a check
+    _assert_the_blas_worker_idles(tmp_path, "bvp_sqrt", "check", "report")
 
 
 def test_desk_study_script_smoke(tmp_path, monkeypatch, capsys):

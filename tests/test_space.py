@@ -169,12 +169,13 @@ def test_folded_products_match_the_full_table(cfg, rng):
         assert max_rel(moments(weighted, g), (values * g.weights) @ full) <= 1e-14
 
 
-@pytest.mark.parametrize("cfg", [SpaceConfig(32, 8, 32), SpaceConfig(320, 8, 256)], ids=["32", "320"])
+@pytest.mark.parametrize("cfg", [SpaceConfig(32, 8, 32), SpaceConfig(256, 8, 256)], ids=["32", "256"])
 def test_table_batches_flip_sign_with_their_input(cfg, rng):
-    # a 100-row batch takes the parity split on the half table; every
-    # rounding in it flips sign with its input, which the bvp operator's
-    # oddness check (odd_at) relies on
-    assert not space_mod._by_transform(100, cfg)
+    # a 100-row batch takes the parity split on the half table (256 modes
+    # on 2,048 nodes: 2 MiB, the largest table grid); every rounding in it
+    # flips sign with its input, which the bvp operator's oddness check
+    # (odd_at) relies on
+    assert not space_mod._table_free(cfg)
     coeffs = rng.standard_normal((100, cfg.n_modes)) / np.arange(1, cfg.n_modes + 1)
     g = grid(cfg)
     folded = profiles(coeffs, g)
@@ -343,21 +344,21 @@ class _TableRead(Exception):
 
 
 @pytest.mark.parametrize(
-    "cfg, one_row, batch",
+    "cfg, by_transform",
     [
-        (SpaceConfig(32, 8, 32), False, False),
-        (SpaceConfig(320, 8, 256), True, False),
-        (SpaceConfig(640, 8, 512), True, False),
-        (SpaceConfig(960, 8, 768), True, True),
-        (SpaceConfig(1280, 8, 1024), True, True),
+        (SpaceConfig(32, 8, 32), False),
+        (SpaceConfig(256, 8, 256), False),
+        (SpaceConfig(257, 8, 256), True),
+        (SpaceConfig(960, 8, 768), True),
+        (SpaceConfig(1280, 8, 1024), True),
     ],
-    ids=["32", "320", "640", "960", "1280"],
+    ids=["32", "256", "257", "960", "1280"],
 )
-def test_one_row_products_switch_at_the_crossover(monkeypatch, cfg, one_row, batch, rng):
-    # a product of one row takes the panel transform when the half table is
-    # above 2 MiB (320 modes: 2.5 MiB), and a batch when it is above 16 MiB
-    # (640 modes: 10 MiB, 960: 22.5 MiB), so such a grid never builds the
-    # table.  A read of the table stops the product, so no table is built here
+def test_one_row_products_switch_at_the_crossover(monkeypatch, cfg, by_transform, rng):
+    # every product, one row or a batch, takes the panel transform when the
+    # half table is above 2 MiB (256 modes on 2,048 nodes: 2 MiB exactly,
+    # 257: one mode more), so such a grid never builds the table.  A read
+    # of the table stops the product, so no table is built here
     def table(*args):
         raise _TableRead
 
@@ -372,7 +373,7 @@ def test_one_row_products_switch_at_the_crossover(monkeypatch, cfg, one_row, bat
         monkeypatch.setattr(space_mod, name, recorded)
     coeffs = rng.standard_normal((12, cfg.n_modes))
     folded = rng.standard_normal((2, 12, (cfg.quad_nodes * cfg.n_panels + 1) // 2))
-    for rows, by_transform in ((1, one_row), (2, batch), (12, batch)):
+    for rows in (1, 2, 12):
         for product, x, name in (
             (profiles, coeffs[:rows], "panel_synthesis"),
             (moments, folded[:, :rows], "panel_analysis"),

@@ -39,10 +39,10 @@ import numpy as np
 from .hypotheses import FAIL, SAMPLED_PASS, STRICT_TOL, PASS, HypothesisReport, _open_grid
 from .operators import LinearOperatorSpec, PotentialOperatorSpec
 from .space import (
+    Grid,
     SpaceConfig,
     _table_free,
     gauss_rule,
-    grid,
     moments,
     panel_analysis,
     panel_phases,
@@ -96,7 +96,8 @@ class Nonlinearity:
 
     def coefficient_range(self, cfg: SpaceConfig) -> tuple[float, float]:
         """Grid estimates (m, M) of the essential range of a1."""
-        vals = np.asarray(self.a1(grid(cfg).nodes), dtype=float)
+        nodes, _ = gauss_rule(cfg.quad_nodes, cfg.n_panels)
+        vals = np.asarray(self.a1(nodes), dtype=float)
         return float(vals.min()), float(vals.max())
 
 
@@ -173,16 +174,13 @@ def bvp_operator(nl: Nonlinearity, cfg: SpaceConfig, odd: bool = True) -> Potent
     checked only at those nodes and magnitudes, so an f that is not odd
     between them or above 1e3 passes.  Pass odd=False for nonlinearities
     that are not odd in u (they fall outside the pair-existence machinery).
-    The closures hold the space.Grid of cfg, so it lives as long as the
-    operator.
+    The closures hold the operator's own space.Grid of cfg.
     """
-    g = grid(cfg)
-    nodes, weights = g.folded_nodes, g.folded_weights
-    # (2, 1, half) views that broadcast against (2, B, half) folded profiles
-    nodes_b, weights_b = nodes[:, None, :], weights[:, None, :]
+    g = Grid(cfg)
+    nodes, weights = g.nodes, g.weights
 
-    def synthesize(folded: np.ndarray) -> np.ndarray:
-        return moments(nl.f(nodes_b, folded) * weights_b, g)
+    def synthesize(values: np.ndarray) -> np.ndarray:
+        return moments(nl.f(nodes, values) * weights, g)
 
     def apply_batch(stacked: np.ndarray) -> np.ndarray:
         return synthesize(profiles(stacked, g))
@@ -211,10 +209,9 @@ def bvp_operator(nl: Nonlinearity, cfg: SpaceConfig, odd: bool = True) -> Potent
         # one synthesis of the rays and no moments.  The grid sum is numpy's,
         # along each row's contiguous axis, not a BLAS call, so its bytes do
         # not depend on the BLAS thread count
-        folded = profiles(rays, g)[:, :, None, :]  # (2, k, 1, half)
-        fvals = nl.f(nodes[:, None, None, :], s[:, None] * folded)
-        sums = (fvals * (weights[:, None, None, :] * folded)).sum(axis=-1)
-        return sums[0] + sums[1]
+        values = profiles(rays, g)[:, None, :]  # (k, 1, N)
+        fvals = nl.f(nodes, s[:, None] * values)
+        return (fvals * (weights * values)).sum(axis=-1)
 
     # the grid profile of the last single point: the descent asks for the
     # potential and then the apply at the same point, and both callables are
@@ -236,16 +233,16 @@ def bvp_operator(nl: Nonlinearity, cfg: SpaceConfig, odd: bool = True) -> Potent
         anti = nl.antiderivative
 
         def potential(c: np.ndarray) -> float:
-            profile = profile_row(c)[:, 0]
+            profile = profile_row(c)[0]
             return float(np.vdot(weights, np.asarray(anti(nodes, profile))))
 
     else:
         sv, wv = gauss_rule(16)
 
         def potential(c: np.ndarray) -> float:
-            profile = profile_row(c)[:, 0]
-            scaled = sv[:, None, None] * profile[None]
-            fvals = nl.f(nodes[None], scaled)
+            profile = profile_row(c)[0]
+            scaled = sv[:, None] * profile
+            fvals = nl.f(nodes, scaled)
             return float(np.vdot(weights, profile * np.tensordot(wv, fvals, 1)))
 
     return PotentialOperatorSpec(
@@ -273,8 +270,8 @@ def b_matrix(a1: Callable[[np.ndarray], np.ndarray], cfg: SpaceConfig, k: int) -
     quadrature grid, the real parts of one space.panel_analysis.  It is
     symmetric bit for bit.
     """
-    g = grid(cfg)
-    weighted = g.weights * np.asarray(a1(g.nodes), dtype=float)
+    nodes, weights = gauss_rule(cfg.quad_nodes, cfg.n_panels)
+    weighted = weights * np.asarray(a1(nodes), dtype=float)
     c = panel_analysis(weighted[None, :], cfg, panel_phases(cfg, 2 * k + 1), cosine=True)[0]
     idx = np.arange(1, k + 1)
     m = c[np.abs(idx[:, None] - idx)] - c[idx[:, None] + idx]

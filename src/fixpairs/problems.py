@@ -196,8 +196,9 @@ def _check_sizes(kind: str, space: SpaceConfig, n_seeds: int) -> None:
     so a load and `check` hold a fixed multiple of that plus one row, the
     grid and the seeds, whatever the config says.  These linear bounds keep
     that one row and the seeds within a chunk: a row's coefficients, a bvp
-    row's panel transform (which also bounds its grid, its phases and a
-    half table below the crossover) and the Gauss-Legendre rule of quad_nodes.
+    row's panel transform (which also bounds its grid and its phases; a
+    grid keeps a table only while it is at most 4 MiB, space._table_free)
+    and the Gauss-Legendre rule of quad_nodes.
     """
     cells = space.n_modes
     if kind == "bvp":

@@ -20,23 +20,6 @@ Integrals over [0,1] use a composite Gauss-Legendre rule.  The default
 formula; 16 panels are enough when only the lower half of the modes carry
 energy.
 
-The grid is symmetric under t -> 1 - t, and e_k(1 - t) = d_k e_k(t) with
-d_k = (-1)^(k+1), so the basis is tabulated on the left half of the grid
-only, the nodes t_i < 1/2 and, for an odd node count, the middle node.  Grid
-values are handled folded: row 0 of a folded array holds the left-half
-nodes t_i and row 1 their mirrors t_(N-1-i), and a middle node appears in
-both rows with half its weight each (Grid.folded_weights).  The half table
-is stored transposed, a row a mode, so the rows of the odd modes (d_k = 1)
-and of the even modes (d_k = -1) are strided views of it.  A batch splits
-by parity, which halves the multiply-adds of the full table: profiles
-takes O = c_odd E_odd^T and V = c_even E_even^T and writes the left rows
-O + V and the mirror rows O - V; moments takes the odd modes from
-(L + R) E_odd and the even ones from (L - R) E_even, for the left and
-mirrored grid rows L and R.  A product of one row stays the one stacked
-product, [c; d c] E_h^T one way and [L; R] E_h the other, added as
-y_L + d y_R, which measured faster for the descent's one-row products
-(about a thousand a pass on a 32-mode grid).
-
 The grid also has a panel structure, t = (p + y_q) / P for panel p < P and
 Gauss node y_q, so every sum over it of g_i exp(i pi j t_i) splits into
 quad_nodes DFTs of length 2P over p, read at bin j mod 2P, each followed by
@@ -52,47 +35,43 @@ numpy.fft and einsum alone (no BLAS call, so the bytes do not depend on
 the BLAS thread count); e_k(t) is sqrt(2) / (k pi) times the sine of
 pi k t.
 
-profiles and moments take the transform for every product, one row or a
-batch, when the half table is larger than _TABLE_FREE_ABOVE_BYTES (2 MiB),
-so such a grid never builds the table, and the half table otherwise.  The
-batches are the 48 rows of (H); the oddness check tests f on the grid and
-applies its 100 sampled rows only where that fails, and the ray checks sum
-their forms on the grid from one synthesis of each ray and no analysis
-(bvp.bvp_operator).  A synthesis plus an analysis of 48 rows, table /
-transform, in ms: the median wall time of 31 interleaved calls, and the CPU
-time of all threads over 31 calls in a row and the 0.3 s after them (2
-shared vCPUs, 2 OpenBLAS threads, one run), and the time to build the table:
+profiles and moments take grid values as (B, N) arrays in grid order.
+They take the transform for every product, one row or a batch, when the
+basis table, 8 bytes a mode and grid node, is larger than
+_TABLE_FREE_ABOVE_BYTES (4 MiB), so such a grid never builds the table, and
+otherwise one product through the table E^T[k, i] = e_(k+1)(t_i), a row a
+mode.  The batches are the 48 rows of (H); the oddness check tests f on the
+grid and applies its 100 sampled rows only where that fails, and the ray
+checks sum their forms on the grid from one synthesis of each ray and no
+analysis (bvp.bvp_operator).  A synthesis plus an analysis of 48 rows,
+table / transform, in ms: the median wall time of 31 interleaved calls, and
+the CPU time of all threads a call over 31 calls in a row and the 0.3 s
+after them (2 shared vCPUs, 2 OpenBLAS threads, one run), and the time to
+build the table:
 
-    modes x nodes   half table   build   wall          CPU
-      256 x 2,048      2.0 MiB       4    2.1 /  4.0   11.6 /  5.0
-      320 x 2,048      2.5 MiB       6    2.5 /  3.5    7.9 /  6.4
-      640 x 4,096     10.0 MiB      40    8.3 / 10.1   17.7 /  9.1
-    1,280 x 8,192     40.0 MiB     145   24.0 / 14.6   53.5 / 15.7
+    modes x nodes   table      build   wall          CPU
+      256 x 2,048    4.0 MiB      8     2.4 /  3.4    8.8 /  2.6
+      320 x 2,048    5.0 MiB     10     2.3 /  2.1    8.7 /  1.6
+      640 x 4,096   20.0 MiB     44     8.0 /  4.0   25.2 /  7.7
+    1,280 x 8,192   80.0 MiB    176    37.2 / 10.1   78.8 / 16.1
 
-OpenBLAS runs a product on a second thread above about a million
-multiply-adds (48 x 32 by 32 x 1,024 here, not 48 x 16 by 16 x 1,024), and
-its worker then spins for about 135 ms: the table's CPU above.  The shipped
-32-mode grids stay below that size (sublinear_affine's 40 (H) rows are two
-40 x 16 x 128 products); bvp_sqrt's 48 rows at 320 modes (48 x 160 x 1,024)
+OpenBLAS runs a product on a second thread above about half a million
+multiply-adds (48 x 32 by 32 x 352 here, not 48 x 32 by 32 x 320), and its
+worker then spins for about 70 to 110 ms: the table's CPU above.  The
+shipped 32-mode grids stay below that size (sublinear_affine's 40 (H) rows
+are one 40 x 32 x 256 product each way); bvp_sqrt's 48 rows at 320 modes
 crossed it, and take the transform, which makes no BLAS call, so a check of
 all six shipped problems runs on one thread (BENCH_28.json).  A table grid
-of 0.5 to 2 MiB (48 rows make three multiply-adds a table byte) still runs
-its 48 rows on two threads.  evaluate sums its series with einsum, numpy's
-own loop, for the same reason.
+from about 88 KiB to 4 MiB (352 to 16,384 nodes at 32 modes; 48 rows make
+six multiply-adds a table byte) runs its 48 rows on two threads.  evaluate
+sums its series with einsum, numpy's own loop, for the same reason.
 
-Both ways are linear and every rounding in them flips sign with its input
-(the parity split adds and subtracts two such products), so a product of
--c is the negation of the product of c bit for bit.
+Both ways are linear and every rounding in them flips sign with its input,
+so a product of -c is the negation of the product of c bit for bit.
 
-What a product reads of its grid (the folded nodes and weights, the signs
-d_k, the transform's phases and the half table) is one read-only Grid per
-SpaceConfig.  grid(cfg) keeps the two most recently used, so a Grid lives
-as long as the last operator that holds it, or as long as it is one of
-those two.  Two, because a check of all six shipped problems reads two
-grids (32 modes on 256 nodes, 320 on 2,048).  While the 320-mode grid held
-a table, rebuilding the grids for each such check took 54-56 ms against
-45-46 ms (in-process medians on 2 shared vCPUs), the table alone 6.4-7.1
-ms; without it the two differ by less than the host's drift.
+What a product reads of its grid (the nodes and weights, the transform's
+phases and the table) is one read-only Grid.  A bvp operator builds its own
+and holds it, so a grid and its table live as long as the operator.
 """
 
 from __future__ import annotations
@@ -110,7 +89,6 @@ __all__ = [
     "basis_vector",
     "evaluate",
     "gauss_rule",
-    "grid",
     "inner",
     "l2_norm_sq",
     "moments",
@@ -205,64 +183,32 @@ def gauss_rule(order: int, panels: int = 1) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _half(n_nodes: int) -> int:
-    """Rows of the half grid: the left-half nodes and a middle node."""
-    return (n_nodes + 1) // 2
-
-
-def _fold(values: np.ndarray) -> np.ndarray:
-    """Grid values as a folded (2, half) array: the left half and the mirrors."""
-    m = _half(values.shape[-1])
-    return np.stack([values[..., :m], values[..., ::-1][..., :m]])
-
-
-def _unfold(left: np.ndarray, mirrored: np.ndarray, n_nodes: int) -> np.ndarray:
-    """Grid order from the two rows of a fold, with one copy of a middle node."""
-    return np.concatenate([left, mirrored[::-1][2 * len(left) - n_nodes :]])
-
-
 class Grid:
     """The composite Gauss-Legendre grid of one discretization, read-only.
 
     nodes, weights: the rule in grid order, gauss_rule at cfg's resolution.
-    folded_nodes, folded_weights: the same as folded (2, half) arrays.  Row 0
-        holds the nodes t_i < 1/2 and row 1 their mirrors t_(N-1-i); for an
-        odd node count both rows end in the middle node with half its
-        weight, so a weighted sum over the folded grid is the sum over the
-        grid.
-    signs: (2, 1, n_modes), ones, then d_k = (-1)^(k+1), with
-        e_k(1 - t) = d_k e_k(t).
     phases: panel_phases(cfg, n_modes + 1), read by the panel transform.
-    table: the basis half table, built on its first read.
+    table: the basis table, built on its first read.
 
-    Build one through grid(cfg), which shares it while it is one of the two
-    most recently used.
+    A bvp operator builds its own and holds it.
     """
 
     def __init__(self, cfg: SpaceConfig) -> None:
         self.cfg = cfg
         self.nodes, self.weights = gauss_rule(cfg.quad_nodes, cfg.n_panels)
-        self.folded_nodes, self.folded_weights = _fold(self.nodes), _fold(self.weights)
-        if self.nodes.size % 2:
-            self.folded_weights[:, -1] *= 0.5  # the middle node, once in each row
-        self.signs = np.ones((2, 1, cfg.n_modes))
-        self.signs[1, 0, 1::2] = -1.0
         self.phases = panel_phases(cfg, cfg.n_modes + 1)
-        for a in (self.folded_nodes, self.folded_weights, self.signs, self.phases):
-            a.flags.writeable = False
+        self.phases.flags.writeable = False
 
     @functools.cached_property
     def table(self) -> np.ndarray:
-        """E_h^T[k, i] = e_(k+1)(t_i) on the left half of the grid, (n_modes, half).
+        """E^T[k, i] = e_(k+1)(t_i) on every grid node, (n_modes, N).
 
-        Stored transposed and C-contiguous, so that the rows of the odd modes,
-        [0::2], and of the even modes, [1::2], are strided views that BLAS
-        reads in place (leading dimension 2 half).  A table-free grid
-        (_table_free) never reads it; only basis_matrix builds it there.
+        A table-free grid (_table_free) never reads it; only basis_matrix
+        builds it there.
         """
         n = self.cfg.n_modes
-        # built in place: one n x half-grid table at a time
-        mat = np.outer(np.arange(1, n + 1), self.nodes[: _half(self.nodes.size)])
+        # built in place: one n x N table at a time
+        mat = np.outer(np.arange(1, n + 1), self.nodes)
         mat *= np.pi
         np.sin(mat, out=mat)
         mat *= _scales(n)[:, None]
@@ -270,23 +216,16 @@ class Grid:
         return mat
 
 
-@functools.lru_cache(maxsize=2)
-def grid(cfg: SpaceConfig) -> Grid:
-    """The Grid of a discretization, shared by every caller while it is one
-    of the two most recently used; an operator holds its own."""
-    return Grid(cfg)
-
-
-# every product takes the panel transform above this half-table size, so
-# such a grid builds no table
-_TABLE_FREE_ABOVE_BYTES = 2 * 2**20
+# every product takes the panel transform above this table size, so such a
+# grid builds no table
+_TABLE_FREE_ABOVE_BYTES = 4 * 2**20
 
 
 def _table_free(cfg: SpaceConfig) -> bool:
-    """Whether the half table, 8 bytes a mode and half-grid node, is larger
-    than _TABLE_FREE_ABOVE_BYTES, so that every product on the grid takes
-    the panel transform and the grid never builds the table."""
-    return 8 * _half(cfg.quad_nodes * cfg.n_panels) * cfg.n_modes > _TABLE_FREE_ABOVE_BYTES
+    """Whether the table, 8 bytes a mode and grid node, is larger than
+    _TABLE_FREE_ABOVE_BYTES, so that every product on the grid takes the
+    panel transform and the grid never builds the table."""
+    return 8 * cfg.quad_nodes * cfg.n_panels * cfg.n_modes > _TABLE_FREE_ABOVE_BYTES
 
 
 def _scales(n_modes: int) -> np.ndarray:
@@ -390,81 +329,43 @@ def panel_synthesis(amplitudes: np.ndarray, cfg: SpaceConfig, phases: np.ndarray
 
 
 def profiles(coeffs: np.ndarray, g: Grid) -> np.ndarray:
-    """Folded grid values of the functions whose coefficient rows are coeffs.
+    """Grid values of the functions whose coefficient rows are coeffs.
 
-    coeffs is (B, n_modes); the result is (2, B, half), from panel_synthesis
-    on a table-free grid (_table_free) and from the half table otherwise: one row
-    by the one product [c; d c] E_h^T, a batch by the parity split, O from
-    the odd modes and V from the even ones, with the left rows O + V and
-    the mirror rows O - V.
+    coeffs is (B, n_modes); the result is (B, N) in grid order, from
+    panel_synthesis on a table-free grid (_table_free) and from the table
+    otherwise.
     """
     cfg = g.cfg
-    n = cfg.n_modes
-    b = coeffs.shape[0]
     if _table_free(cfg):
-        amplitudes = np.zeros((b, n + 1))
-        amplitudes[:, 1:] = coeffs * _scales(n)
-        return _fold(panel_synthesis(amplitudes, cfg, g.phases))
-    table = g.table
-    if b == 1:
-        return ((coeffs * g.signs).reshape(2, n) @ table).reshape(2, 1, -1)
-    # contiguous coefficient halves: numpy sends a strided left operand
-    # through its own loop, not BLAS
-    folded = np.empty((2, b, table.shape[1]))
-    np.matmul(np.ascontiguousarray(coeffs[:, 0::2]), table[0::2], out=folded[0])
-    even = np.ascontiguousarray(coeffs[:, 1::2]) @ table[1::2]
-    np.subtract(folded[0], even, out=folded[1])
-    folded[0] += even
-    return folded
+        amplitudes = np.zeros((coeffs.shape[0], cfg.n_modes + 1))
+        amplitudes[:, 1:] = coeffs * _scales(cfg.n_modes)
+        return panel_synthesis(amplitudes, cfg, g.phases)
+    return coeffs @ g.table
 
 
-def moments(folded: np.ndarray, g: Grid) -> np.ndarray:
-    """sum_i g(t_i) e_k(t_i) over the grid for each of B folded rows of g.
+def moments(values: np.ndarray, g: Grid) -> np.ndarray:
+    """sum_i g(t_i) e_k(t_i) over the grid for each of B rows of g.
 
-    folded is (2, B, half), with any quadrature weights applied; the result
-    is (B, n_modes), from panel_analysis on a table-free grid (_table_free)
-    and from the half table otherwise: one row by the one product of the
-    stacked rows L and R with E_h, added as y_L + d y_R, a batch by the
-    parity split, the odd modes (L + R) E_h and the even ones (L - R) E_h.
+    values is (B, N) in grid order, with any quadrature weights applied;
+    the result is (B, n_modes), from panel_analysis on a table-free grid
+    (_table_free) and from the table otherwise.
     """
     cfg = g.cfg
-    n = cfg.n_modes
-    b = folded.shape[1]
     if _table_free(cfg):
-        n_nodes = g.nodes.size
-        half = folded.shape[-1]
-        # grid order; a middle node gets the sum of its two halves
-        values = np.zeros((b, n_nodes))
-        values[:, :half] = folded[0]
-        values[:, n_nodes - half :] += folded[1, :, ::-1]
-        return panel_analysis(values, cfg, g.phases)[:, 1:] * _scales(n)
-    table = g.table
-    if b == 1:
-        y = folded.reshape(2, -1) @ table.T
-        y[1] *= g.signs[1, 0]
-        y[0] += y[1]  # y_left + d y_right
-        return y[:1]
-    left, right = folded
-    y = np.empty((b, n))
-    paired = left + right
-    y[:, 0::2] = paired @ table[0::2].T
-    np.subtract(left, right, out=paired)
-    y[:, 1::2] = paired @ table[1::2].T
-    return y
+        return panel_analysis(values, cfg, g.phases)[:, 1:] * _scales(cfg.n_modes)
+    return values @ g.table.T
 
 
 def basis_matrix(cfg: SpaceConfig) -> np.ndarray:
     """Matrix E with E[i, k] = e_{k+1}(t_i) on the quadrature grid.
 
-    A full view unfolded from the memoized Grid's half table, built anew on
-    every call; the package computes through profiles and moments and never
-    builds it.  It stays public because perfbench's traced byte count calls
-    it; on a table-free grid that call builds a half table the program does
-    not read.  ROADMAP item 5 moves that count to the bytes the problem holds.
+    A transposed view of a new Grid's table, built on every call; the
+    package computes through profiles and moments and never calls it.  It
+    stays public because perfbench's traced byte count calls it; on a
+    table-free grid that call builds a table the program does not read.
+    ROADMAP item 5 moves that count to the bytes the problem holds.
     """
-    g = grid(cfg)
-    half = g.table.T
-    return _unfold(half, half * g.signs[1], g.nodes.size)
+    return Grid(cfg).table.T
 
 
 def basis_vector(k: int, n_modes: int) -> H1Vector:
@@ -497,9 +398,12 @@ def evaluate(u: H1Vector, t):
     if not np.all((tarr >= 0.0) & (tarr <= 1.0)):  # rejects NaN as well
         raise ValueError("t must lie in [0, 1]")
     ks = np.arange(1, u.n_modes + 1)
-    # numpy's own loop, not a BLAS call: a product of a thousand points
-    # with a thousand modes would wake a second BLAS thread
-    terms = np.sin(np.multiply.outer(tarr, ks) * np.pi)
+    # the terms in place, one points x modes array; summed by numpy's own
+    # loop, not a BLAS call: a product of a thousand points with a thousand
+    # modes would wake a second BLAS thread
+    terms = np.multiply.outer(tarr, ks.astype(float))
+    terms *= np.pi
+    np.sin(terms, out=terms)
     vals = np.einsum("...k,k", terms, _scales(u.n_modes) * u.coeffs)
     if np.isscalar(t) or tarr.ndim == 0:
         return float(vals)

@@ -32,7 +32,7 @@ from fixpairs import (
 )
 from fixpairs import bvp
 from fixpairs.models import clipped_cubic_operator, radial_power_operator
-from fixpairs.space import grid
+from fixpairs.space import Grid
 
 
 def _record(name, ok, detail=""):
@@ -146,7 +146,7 @@ def test_c05_eigenvalue():
 
 
 def test_c06_green_operator(space32, sublinear_nl):
-    nodes = grid(space32).nodes
+    nodes = Grid(space32).nodes
     kernel = bvp.green_kernel(nodes[:, None], nodes[None, :])
     sym = float(np.max(np.abs(kernel - kernel.T)))
 

@@ -1,9 +1,7 @@
-import gc
 import json
 import math
 import tracemalloc
 import warnings
-import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,7 +11,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from basis_reference import FOLD_SPACES, full_table
+from basis_reference import PRODUCT_SPACES, full_table
 from fixpairs import (
     H1Vector,
     LinearOperatorSpec,
@@ -34,7 +32,7 @@ from fixpairs import problems as problems_mod
 from fixpairs import space as space_mod
 from fixpairs.operators import OddnessError, _oddness_samples
 from fixpairs.problems import load_problem
-from fixpairs.space import grid, l2_norm_sq
+from fixpairs.space import Grid, l2_norm_sq
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 KY_FAN_L2 = math.sqrt(5.0 / 8.0) / math.pi  # best min |e|_L2 over orthonormal pairs
@@ -62,7 +60,7 @@ def test_green_kernel_domain():
 
 def tabulated_kernel(cfg):
     """G(t_i, t_j) on the quadrature grid."""
-    nodes = grid(cfg).nodes
+    nodes = Grid(cfg).nodes
     return bvp.green_kernel(nodes[:, None], nodes[None, :])
 
 
@@ -83,7 +81,7 @@ def test_green_operator_consistent_with_projection(space32, sublinear_nl, rng):
     ks = np.arange(1, 33)
 
     def gap(cfg):
-        nodes, weights = grid(cfg).nodes, grid(cfg).weights
+        nodes, weights = Grid(cfg).nodes, Grid(cfg).weights
         vals = sublinear_nl.f(nodes, evaluate(u, nodes))
         grid_values = tabulated_kernel(cfg) @ (weights * vals)
         grid_route = (ks * np.pi) ** 2 * ((weights * grid_values) @ full_table(cfg))
@@ -163,7 +161,7 @@ def _oddness_verdict(build) -> bool:
 
 
 @pytest.mark.parametrize("case", list(_ODDNESS_CASES))
-# 15 nodes: the middle node sits in both folded rows
+# 15 nodes: a middle node at t = 1/2
 @pytest.mark.parametrize(
     "cfg", [SpaceConfig(), SpaceConfig(320, 8, 256), SpaceConfig(8, 3, 5)], ids=["32", "320", "8x15"]
 )
@@ -180,9 +178,9 @@ def test_oddness_shortcut_keeps_the_sampled_verdict(monkeypatch, case, cfg):
     rows = []
     moments = bvp.moments
 
-    def counted(folded, *args):
-        rows.append(folded.shape[1])
-        return moments(folded, *args)
+    def counted(values, *args):
+        rows.append(values.shape[0])
+        return moments(values, *args)
 
     monkeypatch.setattr(bvp, "moments", counted)
     assert _oddness_verdict(lambda: bvp.bvp_operator(nl, cfg)) is odd
@@ -264,9 +262,9 @@ def test_every_config_family_passes_the_oddness_hook(monkeypatch, family, grid_o
     rows = []
     moments = bvp.moments
 
-    def counted(folded, *args):
-        rows.append(folded.shape[1])
-        return moments(folded, *args)
+    def counted(values, *args):
+        rows.append(values.shape[0])
+        return moments(values, *args)
 
     def no_draw(*args):
         raise AssertionError("a bvp load drew the oddness rows")
@@ -342,7 +340,7 @@ def test_b_matrix_matches_weighted_gram(a1, n_modes):
     # the k x k block from 2k + 1 cosine moments against the leading block
     # of the explicit E^T diag(w a1) E over all n_modes
     cfg = SpaceConfig(n_modes=n_modes, n_panels=256 if n_modes == 320 else 32)
-    nodes, weights = grid(cfg).nodes, grid(cfg).weights
+    nodes, weights = Grid(cfg).nodes, Grid(cfg).weights
     basis = full_table(cfg)
     gram = basis.T @ ((weights * _A1_WEIGHTS[a1](nodes))[:, None] * basis)
     for k in range(1, min(n_modes, 2) + 1):
@@ -353,59 +351,41 @@ def test_b_matrix_matches_weighted_gram(a1, n_modes):
 
 
 def test_a_table_free_load_and_report_build_no_basis_table(monkeypatch, tmp_path):
-    # bvp_sqrt at 320 modes on 2,048 nodes and at 1,280 on 8,192: half
-    # tables of 2.5 and 40 MiB, above the 2 MiB crossover, so every product
-    # takes the panel transform.  A load, a check and a report leave the
-    # shared grid without a table; a load and a report then run again with
-    # every table read failing.  A warm load peaks at 0.14 and 0.52 MB under
-    # tracemalloc, the oddness hook's f arrays of one chunk (2**15 values
-    # each); the bound fails a load that builds the table (2.6 MB at 320
-    # modes) or synthesizes the 100 sampled oddness rows (1.6 and 6.5 MB of
-    # profiles alone)
+    # bvp_sqrt at 320 modes on 2,048 nodes and at 1,280 on 8,192: tables of
+    # 5 and 80 MiB, above the 4 MiB crossover, so every product takes the
+    # panel transform.  A load, a check and a report run with every table
+    # read recorded and failing, and read none.  A load with gauss_rule's
+    # cache filled peaks at 0.17 and 0.61 MB under tracemalloc, the oddness
+    # hook's f arrays of one chunk (2**15 values each) and the grid's
+    # transform phases; the bound fails a load that builds the table (5.2
+    # MB at 320 modes) or synthesizes the 100 sampled oddness rows (1.6 and
+    # 6.5 MB of profiles alone)
     path = PROBLEMS / "bvp_sqrt.cfg"
+    reads = []
 
     def no_table(*args):
+        reads.append(args)
         raise AssertionError("a table-free grid read a basis table")
 
+    monkeypatch.setattr(space_mod.Grid, "table", property(no_table))
+    monkeypatch.setattr(space_mod, "basis_matrix", no_table)
     for overrides in ([], ["space.n_modes=1280", "space.n_panels=1024"]):
-        space_mod.grid.cache_clear()
-        setup = load_problem(path, overrides=overrides)
-        g = space_mod.grid(setup.space)
+        load_problem(path, overrides=overrides)  # fills gauss_rule's cache
+        tracemalloc.start()
+        try:
+            load_problem(path, overrides=overrides)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5e6
         # bvp_sqrt's check fails by design, so a check and a report exit 1
         argv = ["--problem", str(path), "--output", str(tmp_path / "out.json")]
         argv += [f"--set={o}" for o in overrides]
-        for command in ("check", "report"):
-            assert cli.main([command, *argv]) == 1
-            assert space_mod.grid(setup.space) is g
-        assert "table" not in g.__dict__
-        with monkeypatch.context() as patched:
-            patched.setattr(space_mod.Grid, "table", property(no_table))
-            patched.setattr(space_mod, "basis_matrix", no_table)
-            tracemalloc.start()
-            try:
-                load_problem(path, overrides=overrides)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= 1.5e6
-            assert cli.main(["report", *argv]) == 1
+        assert cli.main(["check", *argv]) == 1
+        assert json.loads((tmp_path / "out.json").read_text())["all_pass"] is False
+        assert cli.main(["report", *argv]) == 1
         assert json.loads((tmp_path / "out.json").read_text())["solve"]["meets_expected"] is True
-
-
-def test_the_grid_memo_frees_a_grid_three_loads_on():
-    # three grids in turn: 160 modes on 2,048 nodes (a 1.25 MiB table), 320
-    # on 2,048 (table-free), then 32 on 256.  The memo keeps the last two, so
-    # once the problems are dropped nothing holds the first grid, or its half
-    # table
-    setups = [load_problem(PROBLEMS / "bvp_sqrt.cfg", overrides=["space.n_modes=160"])]
-    first = weakref.ref(space_mod.grid(setups[0].space))
-    assert "table" in first().__dict__  # built by the oddness check
-    setups += [load_problem(PROBLEMS / f"{problem}.cfg") for problem in ("bvp_sqrt", "sublinear_affine")]
-    assert first() is not None  # held by its problem
-    del setups
-    gc.collect()
-    assert first() is None
-    assert space_mod.grid.cache_info().currsize == 2
+    assert reads == []
 
 
 @pytest.mark.parametrize(
@@ -413,11 +393,12 @@ def test_the_grid_memo_frees_a_grid_three_loads_on():
     [SpaceConfig(32, 8, 32), SpaceConfig(320, 8, 256), SpaceConfig(1280, 8, 1024), SpaceConfig(8, 3, 5)],
     ids=lambda c: f"{c.n_modes}x{c.quad_nodes * c.n_panels}",
 )
-def test_folded_apply_matches_the_full_table(cfg, rng):
-    # the operator through the half table against f(t, E c) w through the
-    # full table, on a t-dependent nonlinearity and a batch and a single row
+def test_apply_matches_the_full_table(cfg, rng):
+    # the operator, through its table or the transform, against f(t, E c) w
+    # through the reference table, on a t-dependent nonlinearity and a
+    # batch and a single row
     nl = bvp.sublinear_affine()
-    nodes, weights = grid(cfg).nodes, grid(cfg).weights
+    nodes, weights = Grid(cfg).nodes, Grid(cfg).weights
     full = full_table(cfg)
     op = bvp.bvp_operator(nl, cfg)
     coeffs = rng.standard_normal((4, cfg.n_modes)) / np.arange(1, cfg.n_modes + 1)
@@ -449,12 +430,12 @@ def test_profile_cache_keeps_apply_bitwise(n_modes, n_panels, rng):
         assert op.potential_coeffs(c.copy()) == moved != changed
 
 
-# the FOLD_SPACES grids with 1 and 2 modes (even and odd node counts), and
-# 256 and 257 modes on 2,048 nodes, a half table of 2 MiB exactly and one
+# the PRODUCT_SPACES grids with 1 and 2 modes (even and odd node counts),
+# and 256 and 257 modes on 2,048 nodes, a table of 4 MiB exactly and one
 # mode above it, where the rays take the transform
 _FORM_SPACES = [
     SpaceConfig(n_modes, quad_nodes, n_panels)
-    for quad_nodes, n_panels in dict.fromkeys((c.quad_nodes, c.n_panels) for c in FOLD_SPACES)
+    for quad_nodes, n_panels in dict.fromkeys((c.quad_nodes, c.n_panels) for c in PRODUCT_SPACES)
     for n_modes in (1, 2)
 ] + [SpaceConfig(256, 8, 256), SpaceConfig(257, 8, 256)]
 
@@ -499,7 +480,7 @@ def test_b_self_adjoint(space32, sublinear_nl, rng):
     # (B u, v) = (B v, u) on the block's span, and both equal the grid
     # integral of a1 u v
     b = bvp.b_matrix(sublinear_nl.a1, space32, 2)
-    nodes, weights = grid(space32).nodes, grid(space32).weights
+    nodes, weights = Grid(space32).nodes, Grid(space32).weights
     for _ in range(20):
         u, v = (H1Vector(np.concatenate([rng.standard_normal(2), np.zeros(30)])) for _ in range(2))
         integral = weights @ (sublinear_nl.a1(nodes) * evaluate(u, nodes) * evaluate(v, nodes))
@@ -545,8 +526,8 @@ def test_gradient_pairing_identity(space32, sublinear_nl, sublinear_op, rng):
     # operator grid's exactness); the pairing term uses the operator grid,
     # which is the quadrature the discrete operator is defined with.
     fine = SpaceConfig(32, 8, 64)
-    fine_nodes, fine_weights = grid(fine).nodes, grid(fine).weights
-    nodes, weights = grid(space32).nodes, grid(space32).weights
+    fine_nodes, fine_weights = Grid(fine).nodes, Grid(fine).weights
+    nodes, weights = Grid(space32).nodes, Grid(space32).weights
     ks = np.arange(1, 33)
     deriv_basis = np.sqrt(2.0) * np.cos(np.outer(fine_nodes, ks) * np.pi)
     for _ in range(10):
@@ -577,7 +558,7 @@ def test_growth_fit_respects_integral_bound(space32, sublinear_nl, sublinear_op)
     from fixpairs import growth_fit
 
     cert = growth_fit(sublinear_op, [0.5, 1, 2, 4, 8], dirs_per_radius=16, seed=3)
-    nodes, weights = grid(space32).nodes, grid(space32).weights
+    nodes, weights = Grid(space32).nodes, Grid(space32).weights
     int_a2 = float(weights @ sublinear_nl.a2(nodes))
     assert int_a2 == pytest.approx(0.75, rel=1e-12)  # r1^(1/2) * int (1+t) dt
     assert cert.c <= 1.1 * int_a2
@@ -587,7 +568,7 @@ def test_growth_fit_respects_integral_bound(space32, sublinear_nl, sublinear_op)
 def test_growth_chain_bound(space32, sublinear_nl, sublinear_op, rng):
     # ||A u|| <= (int a2) ||u||^theta + (int a3), the integrals taken with
     # the same quadrature that defines the discrete operator
-    nodes, weights = grid(space32).nodes, grid(space32).weights
+    nodes, weights = Grid(space32).nodes, Grid(space32).weights
     c1 = float(weights @ sublinear_nl.a2(nodes))
     c2 = float(weights @ sublinear_nl.a3(nodes))
     us = rng.standard_normal((1000, 32))

@@ -30,7 +30,7 @@ from fixpairs.problems import (
     parse_config,
 )
 from fixpairs.solver import SolverConfig
-from fixpairs.space import SpaceConfig, gauss_rule, grid, moments, profiles
+from fixpairs.space import Grid, SpaceConfig, gauss_rule, moments, profiles
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -267,7 +267,7 @@ def test_size_guard_applies_to_the_built_space():
     # the comparison block's moments (5 bins) peak below 80 bytes a grid
     # node, the size of 10 (H2) rows
     for cfg in (SpaceConfig(1280, 8, 1024), SpaceConfig(100, 8, 1000)):
-        nodes = grid(cfg).nodes
+        nodes, _ = gauss_rule(cfg.quad_nodes, cfg.n_panels)
         gauss_rule(cfg.quad_nodes)  # cached on first use
         tracemalloc.start()
         try:
@@ -314,8 +314,7 @@ def test_a_transform_row_holds_at_most_40_bytes_a_cell():
         (SpaceConfig(20000, 8, 64), 10),  # the bins fold
         (SpaceConfig(3000, 5, 801), 10),  # folded bins, an odd node count
     ):
-        g = grid(cfg)
-        gauss_rule(cfg.quad_nodes)
+        g = Grid(cfg)
         coeffs = np.ones((1, cfg.n_modes)) / np.arange(1, cfg.n_modes + 1)
         tracemalloc.start()
         try:
@@ -327,8 +326,8 @@ def test_a_transform_row_holds_at_most_40_bytes_a_cell():
         if rows:
             assert bvp._row_width(cfg) == bvp._transform_cells(cfg)
             batch = np.repeat(coeffs, rows, axis=0)
-            folded = profiles(batch, g)
-            for product, x in ((profiles, batch), (moments, folded)):
+            values = profiles(batch, g)
+            for product, x in ((profiles, batch), (moments, values)):
                 tracemalloc.start()
                 try:
                     product(x, g)
@@ -339,7 +338,7 @@ def test_a_transform_row_holds_at_most_40_bytes_a_cell():
 
 
 _PEAK_LOADS = [
-    ("bvp_sqrt", []),  # 320 modes on 2,048 nodes: table-free (a 2.5 MiB half table)
+    ("bvp_sqrt", []),  # 320 modes on 2,048 nodes: table-free (a 5 MiB table)
     ("bvp_sqrt", ["space.n_modes=1280", "space.n_panels=1024"]),  # table-free
     ("bvp_sqrt", ["space.n_modes=960", "space.n_panels=768"]),  # table-free
     ("sublinear_affine", []),
@@ -372,7 +371,6 @@ def test_a_load_and_check_peak_within_the_batch_bound(problem, overrides):
     # gap (33 bytes a point measured at 2**22 points)
     path = PROBLEMS / f"{problem}.cfg"
     load_problem(path, overrides=overrides)  # fills gauss_rule's cache
-    space_mod.grid.cache_clear()
     tracemalloc.start()
     try:
         setup = load_problem(path, overrides=overrides)
@@ -383,7 +381,9 @@ def test_a_load_and_check_peak_within_the_batch_bound(problem, overrides):
     cells, held = setup.space.n_modes, 0
     if setup.kind == "bvp":
         cells = bvp._transform_cells(setup.space)
-        g = space_mod.grid(setup.space)
+        g = Grid(setup.space)
+        if not space_mod._table_free(setup.space):
+            g.table  # built and held by the operator
         held = sum(a.nbytes for a in vars(g).values() if isinstance(a, np.ndarray))
     points = setup.hyp.n_s if setup.mode == "one_pair" else 0
     assert peak <= 6 * 8 * _BATCH_CELLS + 64 * cells + held + 40 * points
@@ -729,10 +729,10 @@ def test_a_report_leaves_the_blas_worker_idle(tmp_path):
 
 
 def test_a_bvp_sqrt_check_and_report_leave_the_blas_worker_idle(tmp_path):
-    # 320 modes on 2,048 nodes, above the 2 MiB crossover: the (H) batch and
+    # 320 modes on 2,048 nodes, above the 4 MiB crossover: the (H) batch and
     # the descent take the panel transform (numpy.fft and einsum), so no
-    # product reaches BLAS; through the half table the 48 (H) rows ran two
-    # threads and kept the worker busy for about 135 ms a check
+    # product reaches BLAS; through a table the 48 (H) rows ran two threads
+    # and kept the worker busy for about 135 ms a check
     _assert_the_blas_worker_idles(tmp_path, "bvp_sqrt", "check", "report")
 
 

@@ -108,9 +108,10 @@ def test_no_unreferenced_private_names():
     assert unreferenced == []
 
 
-def test_only_the_gauss_rules_and_the_grids_are_memoized():
-    # a process-wide cache outlives the problems that filled it: the grid
-    # memo keeps two grids, and a Gauss-Legendre rule is a few nodes
+def test_only_the_gauss_rules_are_memoized():
+    # a process-wide cache outlives the problems that filled it; a
+    # Gauss-Legendre rule is a few nodes, and a grid and its table belong to
+    # the operator that holds them
     caches = {"cache", "lru_cache"}  # functools' process-wide memos
     memoized, uses = [], 0
     for path in sorted((ROOT / "src").rglob("*.py")):
@@ -121,5 +122,5 @@ def test_only_the_gauss_rules_and_the_grids_are_memoized():
                 for decorator in node.decorator_list:
                     if caches & set(name_reads(decorator)):
                         memoized.append(node.name)
-    assert sorted(memoized) == ["gauss_rule", "grid"]
+    assert sorted(memoized) == ["gauss_rule"]
     assert uses == len(memoized)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.integrate import quad
 
-from basis_reference import FOLD_SPACES, bin_table, fold, full_table, max_rel
+from basis_reference import PRODUCT_SPACES, bin_table, full_table, max_rel
 from fixpairs import (
     H1Vector,
     SpaceConfig,
@@ -16,8 +18,8 @@ from fixpairs import (
 )
 from fixpairs import space as space_mod
 from fixpairs.space import (
+    Grid,
     basis_matrix,
-    grid,
     moments,
     panel_analysis,
     panel_phases,
@@ -80,6 +82,21 @@ def test_evaluate_matches_a_long_double_sum(rng):
     assert evaluate(u, ts[317]) == pytest.approx(float(ref[317]), rel=1e-13, abs=1e-15)
 
 
+def test_evaluate_holds_one_points_by_modes_array(rng):
+    # the terms are computed in place: a 1,001-point evaluate of 1,280 modes
+    # peaks at one 10.25 MB terms array (10.4 MB measured), where a second
+    # temporary of that size took it to 20.5 MB
+    u = H1Vector(rng.standard_normal(1280))
+    ts = np.linspace(0.0, 1.0, 1001)
+    tracemalloc.start()
+    try:
+        evaluate(u, ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * 8 * ts.size * u.n_modes
+
+
 def test_evaluate_rejects_outside_domain():
     u = basis_vector(1, 4)
     with pytest.raises(ValueError):
@@ -109,22 +126,22 @@ def test_poincare_inequality_bulk(rng):
     assert np.all(l2 <= h1 / np.pi**2 + 1e-12)
 
 
-def h1_projection(folded, cfg):
-    """(k pi)^2 int g e_k for B folded rows of g: the H1_0 projection of g.
+def h1_projection(values, cfg):
+    """(k pi)^2 int g e_k for B rows of grid values g: the H1_0 projection of g.
 
     Integration by parts under Dirichlet conditions turns the H1_0 inner
     product with e_k into this L2 moment, so no grid data is differentiated.
     """
     ks = np.arange(1, cfg.n_modes + 1)
-    g = grid(cfg)
-    return (ks * np.pi) ** 2 * moments(g.folded_weights[:, None, :] * folded, g)
+    g = Grid(cfg)
+    return (ks * np.pi) ** 2 * moments(g.weights * values, g)
 
 
 def test_project_parabola_matches_sine_series(space32):
     # analytic coefficients of t(1-t): the plain sine series has
     # 8/(k pi)^3 on odd k, so in this basis c_k = 4*sqrt(2)/(k pi)^2
-    folded_nodes = grid(space32).folded_nodes
-    c = h1_projection((folded_nodes * (1.0 - folded_nodes))[:, None, :], space32)[0]
+    nodes = Grid(space32).nodes
+    c = h1_projection((nodes * (1.0 - nodes))[None, :], space32)[0]
     ks = np.arange(1, 33)
     expected = np.where(ks % 2 == 1, 4.0 * np.sqrt(2.0) / (ks * np.pi) ** 2, 0.0)
     # independent quadrature oracle for the first few coefficients
@@ -141,46 +158,44 @@ def test_roundtrip_band_limited(cfg, rng):
     # already holds at the coarsest supported rule (8 nodes, 16 panels)
     c = np.zeros((10, 32))
     c[:, :16] = rng.standard_normal((10, 16))
-    back = h1_projection(profiles(c, grid(cfg)), cfg)
+    back = h1_projection(profiles(c, Grid(cfg)), cfg)
     assert np.max(np.linalg.norm(back - c, axis=1)) <= 1e-8
     # e1 coefficient by coefficient: 1e-10 at the default rule, while the
     # coarse rule aliases it onto e31 at 2.7e-9
     tol = 1e-10 if cfg == SpaceConfig() else 1e-8
     e1 = basis_vector(1, 32).coeffs
-    back = h1_projection(profiles(e1[None, :], grid(cfg)), cfg)[0]
+    back = h1_projection(profiles(e1[None, :], Grid(cfg)), cfg)[0]
     assert abs(back[0] - 1.0) <= tol
     assert np.max(np.abs(back[1:])) <= tol
 
 
-@pytest.mark.parametrize("cfg", FOLD_SPACES, ids=lambda c: f"{c.n_modes}x{c.quad_nodes * c.n_panels}")
-def test_folded_products_match_the_full_table(cfg, rng):
-    # the full-table products E c and E^T (w g) are the reference for the
-    # half-table products, one row through the stacked product and a batch
-    # through the parity split, and the full table for basis_matrix, the
-    # half table unfolded; no other test calls basis_matrix
+@pytest.mark.parametrize("cfg", PRODUCT_SPACES, ids=lambda c: f"{c.n_modes}x{c.quad_nodes * c.n_panels}")
+def test_products_match_the_full_table(cfg, rng):
+    # the reference products E c and E^T (w g), in grid order, for the
+    # package's products, by its table or by the panel transform, of one row
+    # and of batches, and the reference table for basis_matrix, the
+    # package's table transposed; no other test calls basis_matrix
     full = full_table(cfg)
-    g = grid(cfg)
+    g = Grid(cfg)
     assert max_rel(basis_matrix(cfg), full) <= 1e-14
     for rows in (1, 3, 100):
         coeffs = rng.standard_normal((rows, cfg.n_modes)) / np.arange(1, cfg.n_modes + 1)
-        assert max_rel(profiles(coeffs, g), fold(coeffs @ full.T)) <= 1e-14
-        values = rng.standard_normal((rows, g.nodes.size))
-        weighted = g.folded_weights[:, None, :] * fold(values)
-        assert max_rel(moments(weighted, g), (values * g.weights) @ full) <= 1e-14
+        assert max_rel(profiles(coeffs, g), coeffs @ full.T) <= 1e-14
+        weighted = rng.standard_normal((rows, g.nodes.size)) * g.weights
+        assert max_rel(moments(weighted, g), weighted @ full) <= 1e-14
 
 
 @pytest.mark.parametrize("cfg", [SpaceConfig(32, 8, 32), SpaceConfig(256, 8, 256)], ids=["32", "256"])
 def test_table_batches_flip_sign_with_their_input(cfg, rng):
-    # a 100-row batch takes the parity split on the half table (256 modes
-    # on 2,048 nodes: 2 MiB, the largest table grid); every rounding in it
-    # flips sign with its input, which the bvp operator's oddness check
-    # (odd_at) relies on
+    # a 100-row batch through the table (256 modes on 2,048 nodes: 4 MiB,
+    # the largest table grid); every rounding in it flips sign with its
+    # input, which the bvp operator's oddness check (odd_at) relies on
     assert not space_mod._table_free(cfg)
     coeffs = rng.standard_normal((100, cfg.n_modes)) / np.arange(1, cfg.n_modes + 1)
-    g = grid(cfg)
-    folded = profiles(coeffs, g)
-    assert np.array_equal(profiles(-coeffs, g), -folded)
-    assert np.array_equal(moments(-folded, g), -moments(folded, g))
+    g = Grid(cfg)
+    values = profiles(coeffs, g)
+    assert np.array_equal(profiles(-coeffs, g), -values)
+    assert np.array_equal(moments(-values, g), -moments(values, g))
 
 
 PANEL_SPACES = [
@@ -202,7 +217,7 @@ def test_panel_transform_matches_the_full_table(cfg, rng):
     # bin's sine and cosine sums against the closed form on every node
     n = cfg.n_modes
     full = full_table(cfg)
-    nodes = grid(cfg).nodes
+    nodes = Grid(cfg).nodes
     scales = np.sqrt(2.0) / (np.arange(1, n + 1) * np.pi)
     values = rng.standard_normal((3, nodes.size))
     coeffs = rng.standard_normal((3, n))
@@ -261,7 +276,7 @@ def test_panel_transform_reads_every_bin_range(quad_nodes, n_panels, count, rng)
     # one and the j = P one included, where the synthesis's inverse real FFT
     # reads real parts only.  Each FFT serves a Gauss line and its mirror
     cfg = SpaceConfig(1, quad_nodes, n_panels)
-    nodes = grid(cfg).nodes
+    nodes = Grid(cfg).nodes
     cosines, sines = bin_table(cfg, count)
     phases = panel_phases(cfg, count)
     values = rng.standard_normal((4, nodes.size))
@@ -315,7 +330,8 @@ def test_a_product_transforms_half_the_gauss_lines(monkeypatch, cfg, rng):
         }
     if space_mod._table_free(cfg):  # and so through profiles and moments
         lines.clear()
-        moments(profiles(rng.standard_normal((3, cfg.n_modes)), grid(cfg)), grid(cfg))
+        g = Grid(cfg)
+        moments(profiles(rng.standard_normal((3, cfg.n_modes)), g), g)
         assert lines == {"irfft": [(3, paired, 2 * cfg.n_panels)], "rfft": [(3, paired, 2 * cfg.n_panels)]}
 
 
@@ -329,14 +345,14 @@ def test_a_batch_row_is_its_one_row_product_on_a_table_free_grid(monkeypatch, rn
         raise _TableRead
 
     monkeypatch.setattr(space_mod.Grid, "table", property(table))
-    g = grid(cfg)
+    g = Grid(cfg)
     coeffs = rng.standard_normal((48, cfg.n_modes)) / np.arange(1, cfg.n_modes + 1)
-    folded = profiles(coeffs, g)
-    analysed = moments(folded, g)
+    values = profiles(coeffs, g)
+    analysed = moments(values, g)
     for i in (0, 17, 47):
-        assert np.array_equal(profiles(coeffs[i : i + 1], g), folded[:, i : i + 1])
-        assert np.array_equal(moments(folded[:, i : i + 1], g)[0], analysed[i])
-    assert np.array_equal(profiles(-coeffs, g), -folded)
+        assert np.array_equal(profiles(coeffs[i : i + 1], g), values[i : i + 1])
+        assert np.array_equal(moments(values[i : i + 1], g)[0], analysed[i])
+    assert np.array_equal(profiles(-coeffs, g), -values)
 
 
 class _TableRead(Exception):
@@ -356,9 +372,9 @@ class _TableRead(Exception):
 )
 def test_one_row_products_switch_at_the_crossover(monkeypatch, cfg, by_transform, rng):
     # every product, one row or a batch, takes the panel transform when the
-    # half table is above 2 MiB (256 modes on 2,048 nodes: 2 MiB exactly,
-    # 257: one mode more), so such a grid never builds the table.  A read
-    # of the table stops the product, so no table is built here
+    # table is above 4 MiB (256 modes on 2,048 nodes: 4 MiB exactly, 257:
+    # one mode more), so such a grid never builds the table.  A read of the
+    # table stops the product, so no table is built here
     def table(*args):
         raise _TableRead
 
@@ -372,38 +388,20 @@ def test_one_row_products_switch_at_the_crossover(monkeypatch, cfg, by_transform
 
         monkeypatch.setattr(space_mod, name, recorded)
     coeffs = rng.standard_normal((12, cfg.n_modes))
-    folded = rng.standard_normal((2, 12, (cfg.quad_nodes * cfg.n_panels + 1) // 2))
+    values = rng.standard_normal((12, cfg.quad_nodes * cfg.n_panels))
+    g = Grid(cfg)
     for rows in (1, 2, 12):
         for product, x, name in (
             (profiles, coeffs[:rows], "panel_synthesis"),
-            (moments, folded[:, :rows], "panel_analysis"),
+            (moments, values[:rows], "panel_analysis"),
         ):
             taken.clear()
             try:
-                product(x, grid(cfg))
+                product(x, g)
                 route = taken
             except _TableRead:
                 route = "table"
             assert route == ([name] if by_transform else "table")
-
-
-@pytest.mark.parametrize("n_panels", [1, 3, 5])
-def test_the_grid_folds_the_middle_node(n_panels):
-    g = grid(SpaceConfig(n_modes=4, quad_nodes=3, n_panels=n_panels))
-    nodes, weights = g.nodes, g.weights
-    folded_nodes, folded_weights = g.folded_nodes, g.folded_weights
-    half = (nodes.size + 1) // 2
-    assert folded_nodes.shape == folded_weights.shape == (2, half)
-    assert np.array_equal(folded_nodes, fold(nodes))
-    # the middle node ends both rows, with half its weight in each
-    mid = nodes.size // 2
-    assert folded_nodes[0, -1] == folded_nodes[1, -1] == nodes[mid]
-    assert abs(nodes[mid] - 0.5) <= 1e-15
-    assert folded_weights[0, -1] == folded_weights[1, -1] == 0.5 * weights[mid]
-    assert np.array_equal(folded_weights[:, :-1], fold(weights)[:, :-1])
-    assert abs(folded_weights.sum() - 1.0) <= 1e-15
-    # the half table is stored transposed, a row a mode
-    assert g.table.shape == (4, half) and g.table.flags.c_contiguous
 
 
 def test_sup_norm_bound(space32):
@@ -428,8 +426,18 @@ def test_sup_norm_bound_dominates_samples(c):
     assert np.max(np.abs(evaluate(u, ts))) <= 0.5 * u.norm() + 1e-12
 
 
+@pytest.mark.parametrize("n_panels", [1, 3, 5])
+def test_the_grid_weights_sum_to_one(n_panels):
+    # an odd node count, with a node at t = 1/2; the table holds every node,
+    # a row a mode
+    g = Grid(SpaceConfig(n_modes=4, quad_nodes=3, n_panels=n_panels))
+    assert abs(g.nodes[g.nodes.size // 2] - 0.5) <= 1e-15
+    assert abs(g.weights.sum() - 1.0) <= 1e-15
+    assert g.table.shape == (4, g.nodes.size) and g.table.flags.c_contiguous
+
+
 def test_grid_sample_invariants(space32):
-    nodes, weights = grid(space32).nodes, grid(space32).weights
+    nodes, weights = Grid(space32).nodes, Grid(space32).weights
     assert abs(weights.sum() - 1.0) <= 1e-14
     assert np.all(np.diff(nodes) > 0)
     assert nodes[0] > 0.0 and nodes[-1] < 1.0

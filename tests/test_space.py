@@ -84,8 +84,8 @@ def test_evaluate_matches_a_long_double_sum(rng):
 
 def test_evaluate_holds_one_points_by_modes_array(rng):
     # the terms are computed in place: a 1,001-point evaluate of 1,280 modes
-    # peaks at one 10.25 MB terms array (10.4 MB measured), where a second
-    # temporary of that size took it to 20.5 MB
+    # peaks at one 10.25 MB terms array (10.4 MB measured); the bound fails
+    # a second temporary of that size (20.5 MB)
     u = H1Vector(rng.standard_normal(1280))
     ts = np.linspace(0.0, 1.0, 1001)
     tracemalloc.start()

@@ -79,7 +79,10 @@ class Nonlinearity:
     (essentially bounded, with inf m and sup M estimated on the quadrature
     grid); a2, a3 bound the growth f <= a2 |u|^theta + a3.  antiderivative,
     when given, is F(t, u) = int_0^u f(t, v) dv in closed form and makes the
-    descent energy exactly consistent with the operator.
+    descent energy exactly consistent with the operator.  degree, when
+    given, declares f positively homogeneous of that degree in u,
+    f(t, s u) = s**degree f(t, u) for every s > 0, so that the ray forms
+    take one f evaluation a ray (bvp_operator); None declares nothing.
     """
 
     f: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -89,6 +92,7 @@ class Nonlinearity:
     a3: Callable[[np.ndarray], np.ndarray]
     antiderivative: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     label: str = "nonlinearity"
+    degree: float | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.theta < 1.0:
@@ -138,6 +142,34 @@ def green_profile(g: Callable[[np.ndarray], np.ndarray], ts, order: int = 8, pan
 # f(t, -u) with -f(t, u), and the f values it takes per call
 _ODD_MAGNITUDES = np.geomspace(1e-8, 1e3, 100)
 _ODD_CHUNK_CELLS = 2**15
+# the hook's magnitudes are geometric, m_(j-1) = s m_j for this s up to
+# rounding, so for a declared degree d it compares f(t, s m) with
+# s**d f(t, m) on neighbouring rows of the f(t, m) values it takes anyway.
+# Below the normal floats a value keeps no relative digits to compare
+_DEGREE_SCALE = float(_ODD_MAGNITUDES[0] / _ODD_MAGNITUDES[1])
+_DEGREE_RTOL = 1e-12
+
+
+def _check_degree(nl: Nonlinearity, fm: np.ndarray) -> None:
+    """Raise ValueError unless each row of fm = f(t, m), m consecutive
+    _ODD_MAGNITUDES, matches _DEGREE_SCALE**degree times the row after it,
+    to a relative _DEGREE_RTOL or within the smallest normal float (equal
+    infinities match)."""
+    lower, expected = fm[:-1], _DEGREE_SCALE**nl.degree * fm[1:]
+    # the common case in one temporary, |expected - lower| / |lower|
+    # (fresh temporaries cost more than the arithmetic); zeros, infinities
+    # and NaN fall through to the full test
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = expected - lower
+        rel /= lower
+        np.abs(rel, out=rel)
+        if (rel <= _DEGREE_RTOL).all():
+            return
+        close = np.abs(lower - expected) <= _DEGREE_RTOL * np.abs(expected) + np.finfo(float).tiny
+    if not np.all(close | (lower == expected)):
+        raise ValueError(
+            f"{nl.label}: f(t, s u) differs from s**{nl.degree} f(t, u) at s = {_DEGREE_SCALE:.6g}"
+        )
 
 
 def _transform_cells(cfg: SpaceConfig) -> int:
@@ -164,17 +196,25 @@ def bvp_operator(nl: Nonlinearity, cfg: SpaceConfig, odd: bool = True) -> Potent
     discrete gradient equals u - A(u) to rounding) and a 16-point inner
     Gauss-Legendre rule along the ray otherwise.  The forms (A(s u), u) of
     the ray checks are grid sums of w f(t, s u(t)) u(t), from one synthesis
-    of each ray and no moments (forms_batch).  Operators built with
-    odd=True are validated for oddness at construction.  Their hook
-    (apply_batch.odd_at) compares f(t, -m) with -f(t, m) at every grid node
-    t and 100 log-spaced magnitudes m in [1e-8, 1e3], a range that holds the
-    profiles of the sampled rows, and needs no synthesis; only where f
-    differs are the rows applied both ways (operators._check_oddness).
-    The check samples f and proves nothing: with odd=True, a custom f is
-    checked only at those nodes and magnitudes, so an f that is not odd
-    between them or above 1e3 passes.  Pass odd=False for nonlinearities
-    that are not odd in u (they fall outside the pair-existence machinery).
-    The closures hold the operator's own space.Grid of cfg.
+    of each ray and no moments (forms_batch).  When nl declares a degree d,
+    f(t, s u) = s**d f(t, u), so a ray takes one f evaluation of its
+    profile, not one a point of the s-grid: its form at s = 1 times s**d.
+    Operators built with odd=True are validated for oddness at
+    construction.  Their hook (apply_batch.odd_at) compares f(t, -m) with
+    -f(t, m) at every grid node t and 100 log-spaced magnitudes m in
+    [1e-8, 1e3], a range that holds the profiles of the sampled rows, and
+    needs no synthesis; only where f differs are the rows applied both ways
+    (operators._check_oddness).  The check samples f and proves nothing:
+    with odd=True, a custom f is checked only at those nodes and
+    magnitudes, so an f that is not odd between them or above 1e3 passes.
+    Pass odd=False for nonlinearities that are not odd in u (they fall
+    outside the pair-existence machinery).  A declared degree is sampled
+    the same way, not trusted: on the hook's f(t, m) values, f(t, s m) must
+    match s**d f(t, m) for s = _DEGREE_SCALE (the ratio of neighbouring
+    magnitudes, about 0.77) to a relative _DEGREE_RTOL at every node and
+    magnitude, or the build raises ValueError; with odd=False the build
+    runs the hook for that alone.  The closures hold the operator's own
+    space.Grid of cfg.
     """
     g = Grid(cfg)
     nodes, weights = g.nodes, g.weights
@@ -192,24 +232,42 @@ def bvp_operator(nl: Nonlinearity, cfg: SpaceConfig, odd: bool = True) -> Potent
         # every _ODD_MAGNITUDES value, a sample of the |u(t)| the oddness
         # check's rows reach: their norms are at most 10, and |u(t)| <=
         # ||u|| / 2 in H1_0.  One f call takes about _ODD_CHUNK_CELLS values,
-        # all 100 magnitudes on a 256-node grid
+        # all 100 magnitudes on a 256-node grid.  A declared degree is
+        # compared on the same f(t, m) values, so it is sampled at every
+        # magnitude whatever the oddness verdict
         t = g.nodes[None, :]
         step = max(1, _ODD_CHUNK_CELLS // g.nodes.size)
+        odd_so_far, below = True, None
         for i in range(0, _ODD_MAGNITUDES.size, step):
             m = _ODD_MAGNITUDES[i : i + step, None]
-            if not np.array_equal(nl.f(t, -m), -nl.f(t, m)):
+            fm = nl.f(t, m)
+            odd_so_far = odd_so_far and np.array_equal(nl.f(t, -m), -fm)
+            if nl.degree is not None:
+                # the last row of the previous chunk and the first of this one
+                if below is not None:
+                    _check_degree(nl, np.concatenate([below, fm[:1]]))
+                _check_degree(nl, fm)
+                below = fm[-1:].copy()
+            elif not odd_so_far:
                 return False
-        return True
+        return odd_so_far
 
     apply_batch.odd_at = odd_at  # type: ignore[attr-defined]
+    if nl.degree is not None and not odd:
+        odd_at()
 
     def forms_batch(rays: np.ndarray, s: np.ndarray) -> np.ndarray:
         # (A(s v), u) = sum_k u_k sum_i w_i f(t_i, v(t_i)) e_k(t_i)
         #             = sum_i w_i f(t_i, v(t_i)) u(t_i):
         # one synthesis of the rays and no moments.  The grid sum is numpy's,
         # along each row's contiguous axis, not a BLAS call, so its bytes do
-        # not depend on the BLAS thread count
-        values = profiles(rays, g)[:, None, :]  # (k, 1, N)
+        # not depend on the BLAS thread count.  With a declared degree the
+        # sum is taken once a ray, at s = 1
+        values = profiles(rays, g)
+        if nl.degree is not None:
+            base = (nl.f(nodes, values) * (weights * values)).sum(axis=-1)
+            return base[:, None] * s**nl.degree
+        values = values[:, None, :]  # (k, 1, N)
         fvals = nl.f(nodes, s[:, None] * values)
         return (fvals * (weights * values)).sum(axis=-1)
 
@@ -479,6 +537,7 @@ def sublinear_affine(r1: float = 0.25, theta: float = 0.5) -> Nonlinearity:
         a3=a3,
         antiderivative=lambda t, u: a2(t) * np.abs(u) ** (1.0 + theta) / (1.0 + theta),
         label=f"sublinear(r1={r1}, theta={theta})",
+        degree=theta,
     )
 
 
@@ -495,6 +554,7 @@ def power_nonlinearity(amplitude: float = 10.0, theta: float = 0.5) -> Nonlinear
         a3=lambda t: np.full_like(np.asarray(t, dtype=float), 0.01),
         antiderivative=lambda t, u: amplitude * np.abs(u) ** (1.0 + theta) / (1.0 + theta),
         label=f"power(amplitude={amplitude}, theta={theta})",
+        degree=theta,
     )
 
 
@@ -508,6 +568,7 @@ def linear_nonlinearity(lam: float) -> Nonlinearity:
         a3=lambda t: np.full_like(np.asarray(t, dtype=float), 1.0),
         antiderivative=lambda t, u: lam * u**2 / 2.0,
         label=f"linear(lam={lam})",
+        degree=1.0,
     )
 
 
@@ -521,6 +582,7 @@ def zero_nonlinearity() -> Nonlinearity:
         a3=lambda t: np.full_like(np.asarray(t, dtype=float), 1e-9),
         antiderivative=lambda t, u: np.zeros_like(np.asarray(u, dtype=float)),
         label="zero",
+        degree=1.0,
     )
 
 

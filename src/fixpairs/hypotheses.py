@@ -44,10 +44,9 @@ __all__ = [
 
 STRICT_TOL = 1e-12
 # cells of one (H2)' ray_forms call, a row counted as its operator's
-# row_width: four 256-point angles of a two-mode operator, one angle of
-# sublinear_affine's 64 rows of 256-node grid profiles.  Larger chunks were
-# slower on sublinear_affine, whose profiles then leave the cache
-_CHUNK_CELLS = 2048
+# row_width: 32 256-point angles of a two-mode operator, one angle of
+# sublinear_affine's 64 rows of 256-node grid profiles
+_CHUNK_CELLS = 2**14
 
 PASS = "pass"
 FAIL = "fail"

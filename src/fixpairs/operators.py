@@ -45,8 +45,12 @@ _GROWTH_SLACK = 1.1  # factor on the fitted c of a growth envelope
 # cells one batch of the checkers holds at once, a row counted as its
 # operator's row_width: twice the largest shipped batch, bvp_highres's (H2)
 # forms (64 points of an 8,192-node profile), so every shipped check takes
-# each batch in one chunk
+# each batch but the (H) sample in one chunk
 _BATCH_CELLS = 2**20
+# cells of one chunk of the (H) sample in growth_fit, whose grid values set
+# bvp_highres's peak memory: its 48 rows of 16,384 transform cells go in 3
+# chunks, every other shipped sample in one
+_GROWTH_CELLS = 2**18
 
 
 class OddnessError(ValueError):
@@ -145,14 +149,19 @@ def _batches(
 
 
 def _sampled_rows(
-    seed: int, radii: np.ndarray, per_radius: int, n_modes: int, row_width: int
+    seed: int,
+    radii: np.ndarray,
+    per_radius: int,
+    n_modes: int,
+    row_width: int,
+    cells: int | None = None,
 ) -> Iterator[tuple[slice, np.ndarray]]:
-    """(rows, u) for each of the _batches of the sampled rows u_i = r d_i,
-    d_i a random unit direction and r = radii[i // per_radius].  The
-    chunks are drawn in turn from one stream, so they are the rows of one
-    draw of them all."""
+    """(rows, u) for each of the _batches of `cells` (default _BATCH_CELLS)
+    of the sampled rows u_i = r d_i, d_i a random unit direction and r =
+    radii[i // per_radius].  The chunks are drawn in turn from one stream,
+    so they are the rows of one draw of them all."""
     rng = np.random.default_rng(seed)
-    for rows in _batches(radii.size * per_radius, row_width):
+    for rows in _batches(radii.size * per_radius, row_width, cells):
         u = rng.standard_normal((rows.stop - rows.start, n_modes))
         u /= np.linalg.norm(u, axis=1, keepdims=True)
         u *= radii[np.arange(rows.start, rows.stop) // per_radius, None]
@@ -355,11 +364,13 @@ def growth_fit(
     # "not >" forms so that NaN is rejected as well
     if not (np.all((radii > 0.0) & (radii < np.inf)) and np.all(np.diff(radii) > 0.0)):
         raise ValueError("radii must be positive, finite and increasing")
-    # the rows of all radii in _batches drawn from one stream; a row's norm
-    # does not depend on its batch, and each radius keeps its largest
+    # the rows of all radii in _batches of _GROWTH_CELLS drawn from one
+    # stream; a row's norm does not depend on its batch, and each radius
+    # keeps its largest
     maxima = np.full(radii.size, -np.inf)
+    sampled = _sampled_rows(seed, radii, dirs_per_radius, A.n_modes, A.row_width, _GROWTH_CELLS)
     with np.errstate(over="ignore", invalid="ignore"):
-        for rows, samples in _sampled_rows(seed, radii, dirs_per_radius, A.n_modes, A.row_width):
+        for rows, samples in sampled:
             norms = np.linalg.norm(A.apply_many(samples), axis=1)
             np.maximum.at(maxima, np.arange(rows.start, rows.stop) // dirs_per_radius, norms)
     if not np.all(np.isfinite(maxima)):

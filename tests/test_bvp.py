@@ -430,6 +430,9 @@ def test_profile_cache_keeps_apply_bitwise(n_modes, n_panels, rng):
         assert op.potential_coeffs(c.copy()) == moved != changed
 
 
+# the _ODDNESS_CASES of the four nonlinearity families
+_FAMILY_CASES = ["linear", "power", "sublinear_affine", "zero"]
+
 # the PRODUCT_SPACES grids with 1 and 2 modes (even and odd node counts),
 # and 256 and 257 modes on 2,048 nodes, a table of 4 MiB exactly and one
 # mode above it, where the rays take the transform
@@ -441,7 +444,7 @@ _FORM_SPACES = [
 
 
 @pytest.mark.parametrize("cfg", _FORM_SPACES, ids=lambda c: f"{c.n_modes}x{c.quad_nodes * c.n_panels}")
-@pytest.mark.parametrize("family", ["linear", "power", "sublinear_affine", "zero"])
+@pytest.mark.parametrize("family", _FAMILY_CASES)
 def test_ray_forms_match_the_apply_route(family, cfg, rng):
     # the grid forms sum w f(t, s p) p against the images of the scaled
     # rows dotted with the rays, for one ray and for three
@@ -461,13 +464,79 @@ def test_ray_forms_match_the_apply_route(family, cfg, rng):
             assert np.max(np.abs(forms - reference)) <= 1e-13 * np.max(np.abs(reference))
 
 
+@pytest.mark.parametrize("cfg", PRODUCT_SPACES, ids=lambda c: f"{c.n_modes}x{c.quad_nodes * c.n_panels}")
+@pytest.mark.parametrize("family", _FAMILY_CASES)
+def test_declared_degree_forms_match_the_general_path(family, cfg, rng):
+    # one f call of each ray's profile scaled by s**degree, against f at
+    # every scaled profile, for one ray and for three; every term
+    # w f(t, u) u of these families is >= 0, so each form is compared
+    # relative to itself
+    nl = _ODDNESS_CASES[family][0]
+    assert nl.degree is not None
+    op = bvp.bvp_operator(nl, cfg)
+    general = bvp.bvp_operator(replace(nl, degree=None), cfg, odd=False)
+    s = np.arange(1, 65) / 65.0
+    for k in (1, 3):
+        rays = rng.standard_normal((k, cfg.n_modes)) / np.arange(1, cfg.n_modes + 1)
+        forms = op.forms_batch(rays, s)
+        reference = general.forms_batch(rays, s)
+        assert forms.shape == reference.shape == (k, s.size)
+        if family == "zero":
+            assert not forms.any() and not reference.any()
+        else:
+            assert np.all(np.abs(forms - reference) <= 1e-13 * np.abs(reference))
+
+
+@pytest.mark.parametrize("degree", [0.5, None], ids=["degree", "none"])
+def test_a_declared_degree_takes_one_f_call_a_ray(degree, space32, rng):
+    calls = []
+    power = bvp.power_nonlinearity(theta=0.5)
+
+    def counted(t, u):
+        calls.append(np.shape(u))
+        return power.f(t, u)
+
+    op = bvp.bvp_operator(replace(power, f=counted, degree=degree), space32)
+    n = Grid(space32).nodes.size
+    s = np.arange(1, 65) / 65.0
+    for k in (1, 3):
+        calls.clear()
+        op.forms_batch(rng.standard_normal((k, space32.n_modes)), s)
+        assert calls == [(k, n) if degree is not None else (k, s.size, n)]
+
+
+@pytest.mark.parametrize("odd", [True, False])
+def test_a_declared_degree_is_sampled_not_trusted(odd, space32):
+    # sign(u) |u|^0.5 declared of degree 0.7 fails the build's sample,
+    # with the oddness check and without it; the four families pass
+    wrong = replace(bvp.sublinear_affine(theta=0.5), degree=0.7)
+    with pytest.raises(ValueError, match=r"differs from s\*\*0\.7 f"):
+        bvp.bvp_operator(wrong, space32, odd=odd)
+    for family in _FAMILY_CASES:
+        bvp.bvp_operator(_ODDNESS_CASES[family][0], space32, odd=odd)
+
+
+@pytest.mark.parametrize("cfg", [SpaceConfig(), SpaceConfig(1280, 8, 1024)], ids=["32", "1280"])
+def test_the_degree_sample_spans_the_hook_chunks(cfg):
+    # sign(u) |u|^0.5 scaled by 1.01 above a |u| between the hook's
+    # magnitudes 3 and 4: every other pair of neighbouring magnitudes
+    # matches degree 0.5, and at 8,192 nodes the two lie in different
+    # chunks of 4 magnitudes
+    cut = math.sqrt(bvp._ODD_MAGNITUDES[3] * bvp._ODD_MAGNITUDES[4])
+    power = bvp.power_nonlinearity(theta=0.5)
+    kinked = replace(power, f=lambda t, u: power.f(t, u) * np.where(np.abs(u) > cut, 1.01, 1.0))
+    with pytest.raises(ValueError, match=r"differs from s\*\*0\.5 f"):
+        bvp.bvp_operator(kinked, cfg)
+
+
 @pytest.mark.parametrize("cfg", [SpaceConfig(), SpaceConfig(320, 8, 256)], ids=["32", "320"])
 def test_bvp_h2_overflow_raises_quietly(cfg):
     # sinh(5000 u) overflows where s u(t) passes about 0.14, so the grid
     # forms of the larger s are infinite; (H2) raises, and numpy warns of
     # nothing on the way (the table synthesis at 32 modes, the transform
-    # at 320)
+    # at 320).  sinh declares no degree, so its forms take f at every s
     nl = _plain_nl(lambda t, u: np.sinh(5000.0 * u), "sinh")
+    assert nl.degree is None
     op = bvp.bvp_operator(nl, cfg, odd=False)
     b = LinearOperatorSpec.scaled_identity(1.0, 1)
     with warnings.catch_warnings():

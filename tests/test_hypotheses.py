@@ -275,7 +275,8 @@ def _angle_chunk(n_s, row_width):
         ("cubic2d", None, None),
         ("linear2d", None, None),
         ("sublinear_affine", None, None),
-        # chunks of 4 angles that do not divide the circle
+        # chunks of 32 (cubic2d, linear2d) and 4 angles that do not divide
+        # the circle
         ("cubic2d", 37, 256),
         ("linear2d", 37, 256),
         ("sublinear_affine", 37, 16),
@@ -345,7 +346,8 @@ def test_h2_prime_tie_goes_to_the_earlier_angle():
     # 0.5, the gap is exactly -0.5 on the axis angles 0 and 6 from s > 0.8,
     # on 3 and 9 from s > 0.4, and 0 elsewhere.  Angles 0 and 3 share the
     # first chunk: the earlier angle wins although angle 3 reaches the
-    # minimum at a smaller s, and no later chunk takes the tie over
+    # minimum at a smaller s, and no later chunk takes the tie over.  The
+    # 2,048-point s-grid keeps 4 angles a chunk
     def apply_batch(v):
         on1 = (np.abs(v[:, 0]) > 0.4) & (np.abs(v[:, 1]) < 1e-3)
         on2 = (np.abs(v[:, 1]) > 0.2) & (np.abs(v[:, 0]) < 1e-3)
@@ -355,10 +357,10 @@ def test_h2_prime_tie_goes_to_the_earlier_angle():
         n_modes=2, apply_coeffs=lambda c: apply_batch(c[None, :])[0], apply_batch=apply_batch
     )
     zero = LinearOperatorSpec.scaled_identity(0.0, 2)
-    n_angle, n_s = 12, 256
+    n_angle, n_s = 12, 2048
     assert _angle_chunk(n_s, 2) == 4
     rep = check_h2_prime(op, zero, E1, E2, r2=0.5, n_angle=n_angle, n_s=n_s)
-    witness = {"phi": 0.0, "s": 206 / 257, "gap": -0.5}
+    witness = {"phi": 0.0, "s": 1640 / 2049, "gap": -0.5}
     assert rep.margin == -0.5 and rep.witnesses == [witness]
     assert _h2_prime_by_angle(op, zero, E1, E2, 0.5, n_angle, n_s) == (-0.5, witness)
 
@@ -481,6 +483,7 @@ def test_chunked_batches_change_no_result(monkeypatch, problem, overrides):
     images = op.apply_many(samples)
 
     monkeypatch.setattr(operators_mod, "_BATCH_CELLS", 1)
+    monkeypatch.setattr(operators_mod, "_GROWTH_CELLS", 1)
     chunked = cli.run_check(load_problem(path, overrides=overrides))
     reports = {r["name"]: r for r in plain["reports"]}
     for r in chunked["reports"]:
@@ -501,11 +504,12 @@ def test_chunked_batches_change_no_result(monkeypatch, problem, overrides):
 
 @pytest.mark.parametrize("problem, overrides", _CHUNK_LOADS, ids=_CHUNK_IDS)
 def test_a_shipped_check_takes_each_batch_in_one_call(monkeypatch, problem, overrides):
-    # every shipped batch fits one chunk, so a load and a check make the
-    # apply_many, ray_forms and forms_batch calls of one call a batch: the
-    # oddness rows of a coefficient operator both ways (a bvp load applies
-    # none), the (H) rows, the (H2) s-grid, and one call for each chunk of
-    # whole (H)' angles
+    # every shipped batch but bvp_highres's (H) rows fits one chunk, so a
+    # load and a check make the apply_many, ray_forms and forms_batch calls
+    # of one call a batch: the oddness rows of a coefficient operator both
+    # ways (a bvp load applies none), the (H) rows, the (H2) s-grid, and
+    # one call for each chunk of whole (H)' angles.  bvp_highres's 48 (H)
+    # rows of 16,384 transform cells take three calls of 16
     calls = []
     apply_many, ray_forms = PotentialOperatorSpec.apply_many, PotentialOperatorSpec.ray_forms
 
@@ -538,7 +542,9 @@ def test_a_shipped_check_takes_each_batch_in_one_call(monkeypatch, problem, over
         inner = ("forms_batch", (k, n), n_s) if forms_batch else ("apply_many", (k * n_s, n))
         return [("ray_forms", (k, n), n_s), inner]
 
-    expected = [("apply_many", (len(hyp.growth_radii) * hyp.dirs_per_radius, n))]
+    h_calls = 3 if op.row_width == 16384 else 1
+    h_rows = len(hyp.growth_radii) * hyp.dirs_per_radius
+    expected = [("apply_many", (h_rows // h_calls, n))] * h_calls
     if setup.mode == "one_pair":
         expected += ray_calls(1, hyp.n_s)
     else:

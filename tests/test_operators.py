@@ -1,4 +1,5 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,9 +22,13 @@ from fixpairs import (
     lower_bound_J,
 )
 from fixpairs import bvp
+from fixpairs import operators as operators_mod
 from fixpairs.models import linear_operator, radial_power_operator
 from fixpairs.operators import OddnessError
+from fixpairs.problems import load_problem
 from fixpairs.space import evaluate
+
+PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 
 
 @pytest.fixture(scope="module")
@@ -228,6 +233,41 @@ def test_growth_fit_applies_once_and_matches_per_radius_loop(sublinear_op):
         images = sublinear_op.apply_many(r * dirs)
         reference.append(float(np.max(np.linalg.norm(images, axis=1))))
     assert np.allclose(cert.sample_maxima, reference, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize(
+    "n_modes, n_panels, chunks", [(320, 256, [7] * 6 + [6]), (1280, 1024, [16] * 3)], ids=["320", "1280"]
+)
+def test_growth_fit_chunks_keep_every_image(monkeypatch, n_modes, n_panels, chunks):
+    # bvp_sqrt's 48 (H) rows in chunks against one batch, on the panel
+    # transform: every image bit for bit, so every norm and the
+    # certificate.  At 1,280 modes _GROWTH_CELLS itself makes the chunks
+    # of 16 rows; at 320 modes all 48 rows fit it, and chunks of 7 are forced
+    setup = load_problem(
+        PROBLEMS / "bvp_sqrt.cfg", [f"space.n_modes={n_modes}", f"space.n_panels={n_panels}"]
+    )
+    op, hyp = setup.operator, setup.hyp
+    batch = op.apply_batch
+    images = []
+
+    def recorded(stacked):
+        images.append(batch(stacked))
+        return images[-1]
+
+    counted = replace(op, odd=False, apply_batch=recorded)
+
+    def fit(cells):
+        images.clear()
+        monkeypatch.setattr(operators_mod, "_GROWTH_CELLS", cells)
+        cert = growth_fit(counted, hyp.growth_radii, hyp.dirs_per_radius, seed=setup.seed)
+        return cert, [len(x) for x in images], np.vstack(images)
+
+    cells = operators_mod._GROWTH_CELLS if n_modes == 1280 else chunks[0] * op.row_width
+    chunked, chunk_sizes, chunked_images = fit(cells)
+    whole, whole_sizes, whole_images = fit(48 * op.row_width)
+    assert chunk_sizes == chunks and whole_sizes == [48]
+    assert np.array_equal(chunked_images, whole_images)
+    assert chunked == whole
 
 
 def test_growth_fit_validation(model_1d):

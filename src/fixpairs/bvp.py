@@ -156,17 +156,7 @@ def _check_degree(nl: Nonlinearity, fm: np.ndarray) -> None:
     to a relative _DEGREE_RTOL or within the smallest normal float (equal
     infinities match)."""
     lower, expected = fm[:-1], _DEGREE_SCALE**nl.degree * fm[1:]
-    # the common case in one temporary, |expected - lower| / |lower|
-    # (fresh temporaries cost more than the arithmetic); zeros, infinities
-    # and NaN fall through to the full test
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rel = expected - lower
-        rel /= lower
-        np.abs(rel, out=rel)
-        if (rel <= _DEGREE_RTOL).all():
-            return
-        close = np.abs(lower - expected) <= _DEGREE_RTOL * np.abs(expected) + np.finfo(float).tiny
-    if not np.all(close | (lower == expected)):
+    if not np.allclose(lower, expected, rtol=_DEGREE_RTOL, atol=np.finfo(float).tiny):
         raise ValueError(
             f"{nl.label}: f(t, s u) differs from s**{nl.degree} f(t, u) at s = {_DEGREE_SCALE:.6g}"
         )

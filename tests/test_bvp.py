@@ -434,23 +434,29 @@ def test_profile_cache_keeps_apply_bitwise(n_modes, n_panels, rng):
 _FAMILY_CASES = ["linear", "power", "sublinear_affine", "zero"]
 
 # the PRODUCT_SPACES grids with 1 and 2 modes (even and odd node counts),
-# and 256 and 257 modes on 2,048 nodes, a table of 4 MiB exactly and one
-# mode above it, where the rays take the transform
+# 256 and 257 modes on 2,048 nodes, a table of 4 MiB exactly and one
+# mode above it, where the rays take the transform, and the 320- and
+# 1,280-mode spaces of the shipped bvp problems
 _FORM_SPACES = [
     SpaceConfig(n_modes, quad_nodes, n_panels)
     for quad_nodes, n_panels in dict.fromkeys((c.quad_nodes, c.n_panels) for c in PRODUCT_SPACES)
     for n_modes in (1, 2)
-] + [SpaceConfig(256, 8, 256), SpaceConfig(257, 8, 256)]
+] + [SpaceConfig(256, 8, 256), SpaceConfig(257, 8, 256), SpaceConfig(320, 8, 256), SpaceConfig(1280, 8, 1024)]
 
 
+@pytest.mark.parametrize("declared", [True, False], ids=["degree", "none"])
 @pytest.mark.parametrize("cfg", _FORM_SPACES, ids=lambda c: f"{c.n_modes}x{c.quad_nodes * c.n_panels}")
 @pytest.mark.parametrize("family", _FAMILY_CASES)
-def test_ray_forms_match_the_apply_route(family, cfg, rng):
-    # the grid forms sum w f(t, s p) p against the images of the scaled
-    # rows dotted with the rays, for one ray and for three
-    op = bvp.bvp_operator(_ODDNESS_CASES[family][0], cfg)
+def test_ray_forms_match_the_apply_route(family, cfg, declared, rng):
+    # the grid forms sum w f(t, s p) p, or with the family's declared
+    # degree s**degree times the form of one f call of p, against the
+    # images of the scaled rows dotted with the rays, for one ray and for
+    # three
+    nl = _ODDNESS_CASES[family][0]
+    assert nl.degree is not None
+    op = bvp.bvp_operator(nl if declared else replace(nl, degree=None), cfg)
     assert op.forms_batch is not None
-    assert space_mod._table_free(cfg) is (cfg.n_modes == 257)
+    assert space_mod._table_free(cfg) is (cfg.n_modes >= 257)
     s = np.arange(1, 65) / 65.0
     for k in (1, 3):
         rays = rng.standard_normal((k, cfg.n_modes)) / np.arange(1, cfg.n_modes + 1)
@@ -462,29 +468,6 @@ def test_ray_forms_match_the_apply_route(family, cfg, rng):
             assert not forms.any() and not reference.any()
         else:
             assert np.max(np.abs(forms - reference)) <= 1e-13 * np.max(np.abs(reference))
-
-
-@pytest.mark.parametrize("cfg", PRODUCT_SPACES, ids=lambda c: f"{c.n_modes}x{c.quad_nodes * c.n_panels}")
-@pytest.mark.parametrize("family", _FAMILY_CASES)
-def test_declared_degree_forms_match_the_general_path(family, cfg, rng):
-    # one f call of each ray's profile scaled by s**degree, against f at
-    # every scaled profile, for one ray and for three; every term
-    # w f(t, u) u of these families is >= 0, so each form is compared
-    # relative to itself
-    nl = _ODDNESS_CASES[family][0]
-    assert nl.degree is not None
-    op = bvp.bvp_operator(nl, cfg)
-    general = bvp.bvp_operator(replace(nl, degree=None), cfg, odd=False)
-    s = np.arange(1, 65) / 65.0
-    for k in (1, 3):
-        rays = rng.standard_normal((k, cfg.n_modes)) / np.arange(1, cfg.n_modes + 1)
-        forms = op.forms_batch(rays, s)
-        reference = general.forms_batch(rays, s)
-        assert forms.shape == reference.shape == (k, s.size)
-        if family == "zero":
-            assert not forms.any() and not reference.any()
-        else:
-            assert np.all(np.abs(forms - reference) <= 1e-13 * np.abs(reference))
 
 
 @pytest.mark.parametrize("degree", [0.5, None], ids=["degree", "none"])

@@ -37,7 +37,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .hypotheses import FAIL, SAMPLED_PASS, STRICT_TOL, PASS, HypothesisReport, _open_grid
-from .operators import LinearOperatorSpec, PotentialOperatorSpec
+from .operators import _BATCH_CELLS, LinearOperatorSpec, PotentialOperatorSpec
 from .space import (
     Grid,
     SpaceConfig,
@@ -139,9 +139,8 @@ def green_profile(g: Callable[[np.ndarray], np.ndarray], ts, order: int = 8, pan
 
 
 # the |u| values at which the oddness hook of bvp_operator compares
-# f(t, -u) with -f(t, u), and the f values it takes per call
+# f(t, -u) with -f(t, u)
 _ODD_MAGNITUDES = np.geomspace(1e-8, 1e3, 100)
-_ODD_CHUNK_CELLS = 2**15
 # the hook's magnitudes are geometric, m_(j-1) = s m_j for this s up to
 # rounding, so for a declared degree d it compares f(t, s m) with
 # s**d f(t, m) on neighbouring rows of the f(t, m) values it takes anyway.
@@ -188,7 +187,8 @@ def bvp_operator(nl: Nonlinearity, cfg: SpaceConfig, odd: bool = True) -> Potent
     the ray checks are grid sums of w f(t, s u(t)) u(t), from one synthesis
     of each ray and no moments (forms_batch).  When nl declares a degree d,
     f(t, s u) = s**d f(t, u), so a ray takes one f evaluation of its
-    profile, not one a point of the s-grid: its form at s = 1 times s**d.
+    profile, not one a point of the s-grid: its form at s = 1 times s**d
+    (forms_batch.per_ray, which ray_forms chunks by).
     Operators built with odd=True are validated for oddness at
     construction.  Their hook (apply_batch.odd_at) compares f(t, -m) with
     -f(t, m) at every grid node t and 100 log-spaced magnitudes m in
@@ -221,12 +221,12 @@ def bvp_operator(nl: Nonlinearity, cfg: SpaceConfig, odd: bool = True) -> Potent
         # for value wherever f is.  f is compared at every grid node and
         # every _ODD_MAGNITUDES value, a sample of the |u(t)| the oddness
         # check's rows reach: their norms are at most 10, and |u(t)| <=
-        # ||u|| / 2 in H1_0.  One f call takes about _ODD_CHUNK_CELLS values,
-        # all 100 magnitudes on a 256-node grid.  A declared degree is
-        # compared on the same f(t, m) values, so it is sampled at every
+        # ||u|| / 2 in H1_0.  One f call takes about operators._BATCH_CELLS
+        # values, all 100 magnitudes on up to 655 nodes.  A declared degree
+        # is compared on the same f(t, m) values, so it is sampled at every
         # magnitude whatever the oddness verdict
         t = g.nodes[None, :]
-        step = max(1, _ODD_CHUNK_CELLS // g.nodes.size)
+        step = max(1, _BATCH_CELLS // g.nodes.size)
         odd_so_far, below = True, None
         for i in range(0, _ODD_MAGNITUDES.size, step):
             m = _ODD_MAGNITUDES[i : i + step, None]
@@ -260,6 +260,8 @@ def bvp_operator(nl: Nonlinearity, cfg: SpaceConfig, odd: bool = True) -> Potent
         values = values[:, None, :]  # (k, 1, N)
         fvals = nl.f(nodes, s[:, None] * values)
         return (fvals * (weights * values)).sum(axis=-1)
+
+    forms_batch.per_ray = nl.degree is not None  # type: ignore[attr-defined]
 
     # the grid profile of the last single point: the descent asks for the
     # potential and then the apply at the same point, and both callables are

@@ -29,7 +29,7 @@ from typing import Any
 
 import numpy as np
 
-from .operators import LinearOperatorSpec, OperatorDivergenceError, PotentialOperatorSpec, _batches
+from .operators import _RAY_CELLS, LinearOperatorSpec, OperatorDivergenceError, PotentialOperatorSpec, _batches
 from .space import H1Vector
 
 __all__ = [
@@ -43,10 +43,6 @@ __all__ = [
 ]
 
 STRICT_TOL = 1e-12
-# cells of one (H2)' ray_forms call, a row counted as its operator's
-# row_width: 32 256-point angles of a two-mode operator, one angle of
-# sublinear_affine's 64 rows of 256-node grid profiles
-_CHUNK_CELLS = 2**14
 
 PASS = "pass"
 FAIL = "fail"
@@ -93,7 +89,7 @@ def _ray_gaps(A: PotentialOperatorSpec, rays: np.ndarray, forms: np.ndarray, s: 
 
     lhs is one A.ray_forms call for all rays: a bvp operator evaluates it on
     its grid from one synthesis per ray, any other operator applies A to
-    every scaled row at once.
+    the scaled rows.
     """
     lhs = A.ray_forms(rays, s)
     rhs = forms[:, None] * s
@@ -220,12 +216,11 @@ def check_h2_prime(
 ) -> HypothesisReport:
     """(A(s u), u) >= (B2 (s u), u) sampled on the circle and an s-grid.
 
-    The circle points and their forms are taken a batch of angles at a
-    time, and swept in chunks of as many whole angles as fit in
-    _CHUNK_CELLS cells of n_s rows of A.row_width, and at least one: one
-    ray_forms call each, which splits an angle along s only when it passes
-    a batch.  The witness is the first minimum in (angle, s) order, as a
-    scan angle by angle finds it.
+    The circle points, their forms and gaps are taken in _batches of
+    _RAY_CELLS, a point counted as its coefficients and its n_s gaps, and each
+    batch is one ray_forms call, which splits it by the cells its rays
+    hold.  The witness is the first minimum in (angle, s) order, as a scan
+    angle by angle finds it.
     """
     if not 0.0 < r2 < np.inf:  # rejects NaN as well
         raise ValueError("r2 must be positive and finite")
@@ -236,17 +231,14 @@ def check_h2_prime(
     margin = np.inf
     witness: dict = {}
     with np.errstate(over="ignore", invalid="ignore"):
-        # the circle points and their forms a batch of angles at a time
-        for block in _batches(n_angle, A.n_modes):
+        for block in _batches(n_angle, A.n_modes + n_s, _RAY_CELLS):
             phis = 2.0 * np.pi * np.arange(block.start, block.stop) / n_angle
             circle = r2 * (np.cos(phis)[:, None] * a + np.sin(phis)[:, None] * b)
-            forms = B2.forms(circle)
-            for angles in _batches(phis.size, n_s * A.row_width, _CHUNK_CELLS):
-                gaps = _ray_gaps(A, circle[angles], forms[angles], s)[0]
-                k, i = divmod(int(np.argmin(gaps)), n_s)
-                if gaps[k, i] < margin:
-                    margin = float(gaps[k, i])
-                    witness = {"phi": float(phis[angles][k]), "s": float(s[i]), "gap": margin}
+            gaps = _ray_gaps(A, circle, B2.forms(circle), s)[0]
+            k, i = divmod(int(np.argmin(gaps)), n_s)
+            if gaps[k, i] < margin:
+                margin = float(gaps[k, i])
+                witness = {"phi": float(phis[k]), "s": float(s[i]), "gap": margin}
     verdict = SAMPLED_PASS if margin >= -STRICT_TOL else FAIL
     return HypothesisReport(
         name="(H2)'",

@@ -42,15 +42,13 @@ _ODDNESS_SAMPLES = 100
 _ODDNESS_SEED = 20260810
 _ODDNESS_TOL = 1e-10
 _GROWTH_SLACK = 1.1  # factor on the fitted c of a growth envelope
-# cells one batch of the checkers holds at once, a row counted as its
-# operator's row_width: twice the largest shipped batch, bvp_highres's (H2)
-# forms (64 points of an 8,192-node profile), so every shipped check takes
-# each batch but the (H) sample in one chunk
-_BATCH_CELLS = 2**20
-# cells of one chunk of the (H) sample in growth_fit, whose grid values set
-# bvp_highres's peak memory: its 48 rows of 16,384 transform cells go in 3
-# chunks, every other shipped sample in one
-_GROWTH_CELLS = 2**18
+# cells one chunk of a checker batch holds, a row counted as its operator's
+# row_width; a row of more goes alone (problems._MAX_ROW_CELLS bounds it)
+_BATCH_CELLS = 2**16
+# cells of one chunk of ray forms, a quarter of _BATCH_CELLS: cubic2d's
+# 256 x 256 (H2)' points in chunks of 2**16 cells raise search_multistart's
+# peak memory by 2 MB
+_RAY_CELLS = 2**14
 
 
 class OddnessError(ValueError):
@@ -71,9 +69,10 @@ class PotentialOperatorSpec:
     forms_batch, when given, maps k rays u_i and an s-grid to the (k, n_s)
     forms (A(s_j u_i), u_i), the left sides of the ray conditions, without
     the images A(s_j u_i) themselves; ray_forms falls back to apply_many
-    without it.  dataclasses.replace keeps forms_batch, so a copy whose
-    apply_batch is substituted must pass forms_batch=None or forms of its
-    own to have them follow the new apply.  row_width counts the cells one
+    without it, and chunks by its per_ray attribute.  dataclasses.replace
+    keeps forms_batch, so a copy whose apply_batch is substituted must pass
+    forms_batch=None or forms of its own to have them follow the new
+    apply.  row_width counts the cells one
     row of a batch holds, at least n_modes (the default); every batch the
     checkers evaluate is taken in _batches of at most _BATCH_CELLS such
     cells.  theta is the declared growth exponent in [0, 1).  Operators
@@ -114,22 +113,29 @@ class PotentialOperatorSpec:
     def ray_forms(self, rays: np.ndarray, s: np.ndarray) -> np.ndarray:
         """F[i, j] = (A(s_j u_i), u_i) for the (k, n_modes) rays u_i, as (k, s.size).
 
-        Through forms_batch when given; otherwise one apply_many of the k
-        * s.size scaled rows, and one stacked product whose slices are the
-        matrix-vector products of a single ray.  Either takes the s-grid in
-        _batches of k rows a point, and of at least two points: numpy's
-        matmul takes a one-point product as a dot, which rounds otherwise.
+        Through forms_batch when given; otherwise one apply_many of the
+        scaled rows and one stacked product of one ray's matrix-vector
+        products a slice.  The rays go in _batches of _RAY_CELLS, a ray
+        counted as row_width cells and its s.size forms if forms_batch.per_ray
+        (one f call a ray), else as s.size rows of row_width, and then a ray
+        of more than a batch takes its s-grid in _batches of at least two
+        points: numpy's matmul takes a one-point product as a dot, which
+        rounds otherwise.
         """
         k, n = rays.shape
-        forms = []
-        for cols in _batches(s.size, k * self.row_width, least=2):
-            part = s[cols]
-            if self.forms_batch is not None:
-                forms.append(self.forms_batch(rays, part))
-                continue
-            images = self.apply_many((part[None, :, None] * rays[:, None, :]).reshape(k * part.size, n))
-            forms.append((images.reshape(k, part.size, n) @ rays[:, :, None])[..., 0])
-        return forms[0] if len(forms) == 1 else np.concatenate(forms, axis=1)
+        per_ray = getattr(self.forms_batch, "per_ray", False)
+        forms = np.empty((k, s.size))
+        ray_cells = self.row_width + s.size if per_ray else s.size * self.row_width
+        for rows in _batches(k, ray_cells, _RAY_CELLS):
+            u = rays[rows]
+            for cols in [slice(None)] if per_ray else _batches(s.size, len(u) * self.row_width, _RAY_CELLS, 2):
+                part = s[cols]
+                if self.forms_batch is not None:
+                    forms[rows, cols] = self.forms_batch(u, part)
+                    continue
+                images = self.apply_many((part[None, :, None] * u[:, None, :]).reshape(-1, n))
+                forms[rows, cols] = (images.reshape(len(u), part.size, n) @ u[:, :, None])[..., 0]
+        return forms
 
 
 def _batches(
@@ -149,19 +155,14 @@ def _batches(
 
 
 def _sampled_rows(
-    seed: int,
-    radii: np.ndarray,
-    per_radius: int,
-    n_modes: int,
-    row_width: int,
-    cells: int | None = None,
+    seed: int, radii: np.ndarray, per_radius: int, n_modes: int, row_width: int
 ) -> Iterator[tuple[slice, np.ndarray]]:
-    """(rows, u) for each of the _batches of `cells` (default _BATCH_CELLS)
-    of the sampled rows u_i = r d_i, d_i a random unit direction and r =
-    radii[i // per_radius].  The chunks are drawn in turn from one stream,
-    so they are the rows of one draw of them all."""
+    """(rows, u) for each of the _batches of the sampled rows u_i = r d_i,
+    d_i a random unit direction and r = radii[i // per_radius].  The chunks
+    are drawn in turn from one stream, so they are the rows of one draw of
+    them all."""
     rng = np.random.default_rng(seed)
-    for rows in _batches(radii.size * per_radius, row_width, cells):
+    for rows in _batches(radii.size * per_radius, row_width):
         u = rng.standard_normal((rows.stop - rows.start, n_modes))
         u /= np.linalg.norm(u, axis=1, keepdims=True)
         u *= radii[np.arange(rows.start, rows.stop) // per_radius, None]
@@ -364,11 +365,10 @@ def growth_fit(
     # "not >" forms so that NaN is rejected as well
     if not (np.all((radii > 0.0) & (radii < np.inf)) and np.all(np.diff(radii) > 0.0)):
         raise ValueError("radii must be positive, finite and increasing")
-    # the rows of all radii in _batches of _GROWTH_CELLS drawn from one
-    # stream; a row's norm does not depend on its batch, and each radius
-    # keeps its largest
+    # the rows of all radii in _batches drawn from one stream; a row's norm
+    # does not depend on its batch, and each radius keeps its largest
     maxima = np.full(radii.size, -np.inf)
-    sampled = _sampled_rows(seed, radii, dirs_per_radius, A.n_modes, A.row_width, _GROWTH_CELLS)
+    sampled = _sampled_rows(seed, radii, dirs_per_radius, A.n_modes, A.row_width)
     with np.errstate(over="ignore", invalid="ignore"):
         for rows, samples in sampled:
             norms = np.linalg.norm(A.apply_many(samples), axis=1)

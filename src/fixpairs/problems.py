@@ -18,7 +18,7 @@ import numpy as np
 
 from . import bvp as bvp_mod
 from .models import clipped_cubic_operator, linear_operator, radial_power_operator
-from .operators import _BATCH_CELLS, LinearOperatorSpec, PotentialOperatorSpec
+from .operators import LinearOperatorSpec, PotentialOperatorSpec
 from .solver import SolverConfig, axis_seeds, circle_seeds
 from .space import H1Vector, SpaceConfig, basis_vector
 
@@ -74,8 +74,12 @@ _MAX_CHECK_ROWS = 2**22
 _ANGLE_PASS_ROWS = 64
 # a row counts as one row of the cap per this many cells of its row_width
 _CELLS_PER_ROW = 8
+# cells one row may hold, a row counted as its operator's row_width, and the
+# cells of all seeds; a chunk of checker rows holds at most one such row or
+# operators._BATCH_CELLS cells
+_MAX_ROW_CELLS = 2**20
 # Gauss-Legendre points a panel: the rule's companion matrix, quad_nodes^2
-# values, fits one batch
+# values, fits one row
 _MAX_QUAD_NODES = 1024
 # finite-difference points of `eigen`: 0.96 s and 130 MB at 10^6, relative
 # error 2.4e-5; roundoff dominates above (1.5e-4 at 3 x 10^6, past c05's 1e-4)
@@ -189,16 +193,16 @@ def _parse_radii(text: str) -> tuple[float, ...]:
 
 
 def _check_sizes(kind: str, space: SpaceConfig, n_seeds: int) -> None:
-    """Reject a problem whose one row or seeds would not fit one checker batch.
+    """Reject a problem whose one row or seeds hold over _MAX_ROW_CELLS cells.
 
     Every batch the checkers evaluate is split into chunks of at most
-    operators._BATCH_CELLS cells, a row counted as the operator's row_width,
-    so a load and `check` hold a fixed multiple of that plus one row, the
-    grid and the seeds, whatever the config says.  These linear bounds keep
-    that one row and the seeds within a chunk: a row's coefficients, a bvp
-    row's panel transform (which also bounds its grid and its phases; a
-    grid keeps a table only while it is at most 4 MiB, space._table_free)
-    and the Gauss-Legendre rule of quad_nodes.
+    operators._BATCH_CELLS cells or one row, a row counted as the operator's
+    row_width, so a load and `check` hold a fixed multiple of that plus one
+    row, the grid and the seeds, whatever the config says.  These linear
+    bounds keep that one row and the seeds within _MAX_ROW_CELLS: a row's
+    coefficients, a bvp row's panel transform (which also bounds its grid
+    and its phases; a grid keeps a table only while it is at most 4 MiB,
+    space._table_free) and the Gauss-Legendre rule of quad_nodes.
     """
     cells = space.n_modes
     if kind == "bvp":
@@ -207,15 +211,14 @@ def _check_sizes(kind: str, space: SpaceConfig, n_seeds: int) -> None:
                 f"problem too large: space.quad_nodes = {space.quad_nodes:,}, above {_MAX_QUAD_NODES:,}"
             )
         cells = bvp_mod._transform_cells(space)
-    if cells > _BATCH_CELLS:
+    if cells > _MAX_ROW_CELLS:
         raise ConfigError(
-            f"problem too large: one {kind} row holds {cells:,} cells, "
-            f"above the {_BATCH_CELLS:,} cells of a checker batch"
+            f"problem too large: one {kind} row holds {cells:,} cells, above {_MAX_ROW_CELLS:,}"
         )
-    if n_seeds > _BATCH_CELLS // space.n_modes:
+    if n_seeds > _MAX_ROW_CELLS // space.n_modes:
         raise ConfigError(
             f"problem too large: {n_seeds:,} seeds of {space.n_modes:,} coefficients "
-            f"hold more than the {_BATCH_CELLS:,} cells of a checker batch"
+            f"hold more than {_MAX_ROW_CELLS:,} cells"
         )
 
 

@@ -363,7 +363,7 @@ def basis_matrix(cfg: SpaceConfig) -> np.ndarray:
     package computes through profiles and moments and never calls it.  It
     stays public because perfbench's traced byte count calls it; on a
     table-free grid that call builds a table the program does not read.
-    ROADMAP item 5 moves that count to the bytes the problem holds.
+    ROADMAP item 4 moves that count to the bytes the problem holds.
     """
     return Grid(cfg).table.T
 

@@ -184,16 +184,24 @@ def test_oddness_shortcut_keeps_the_sampled_verdict(monkeypatch, case, cfg):
 
     monkeypatch.setattr(bvp, "moments", counted)
     assert _oddness_verdict(lambda: bvp.bvp_operator(nl, cfg)) is odd
-    # the shortcut skips both sample applies; A(0) is applied once an operator passes
-    applied = [] if exact else [len(samples), len(samples)]
-    assert rows == applied + ([1] if odd else [])
+    # the shortcut skips both sample applies; A(0) is applied once an operator
+    # passes.  The rows are applied both ways a chunk at a time, up to the
+    # first chunk that fails
+    chunks = [len(u) for u in _oddness_samples(cfg.n_modes, bvp._row_width(cfg)) for _ in "+-"]
+
+    def applied(exact):
+        if exact:
+            return [1] if odd else []
+        return chunks + [1] if odd else chunks[: max(2, len(rows))]
+
+    assert rows == applied(exact)
     rows.clear()
     # the same apply without the shortcut: the check applies the rows
     def unmarked():
         return replace(plain, odd=True, apply_batch=lambda x: plain.apply_batch(x))
 
     assert _oddness_verdict(unmarked) is odd
-    assert rows == [len(samples), len(samples)] + ([1] if odd else [])
+    assert rows == applied(False)
 
 
 def test_replaced_apply_batch_does_not_inherit_the_oddness_shortcut(sublinear_op):

@@ -20,6 +20,7 @@ from fixpairs import space as space_mod
 from fixpairs.cli import main
 from fixpairs.operators import _BATCH_CELLS
 from fixpairs.problems import (
+    _MAX_ROW_CELLS,
     _SCHEMA,
     ConfigError,
     HypothesisParams,
@@ -280,9 +281,9 @@ def test_size_guard_applies_to_the_built_space():
 
 def test_size_guard_bounds_one_row_and_the_seeds():
     # one row, a bvp row's panel transform and the seeds each fit one batch
-    _check_sizes("power_law", SpaceConfig(n_modes=_BATCH_CELLS), 1)
+    _check_sizes("power_law", SpaceConfig(n_modes=_MAX_ROW_CELLS), 1)
     with pytest.raises(ConfigError, match="one power_law row holds 1,048,577 cells"):
-        _check_sizes("power_law", SpaceConfig(n_modes=_BATCH_CELLS + 1), 1)
+        _check_sizes("power_law", SpaceConfig(n_modes=_MAX_ROW_CELLS + 1), 1)
     # quad_nodes x max(n_modes + 1, 2 n_panels): 1,024 x 1,024 = 2**20 fits
     _check_sizes("bvp", SpaceConfig(n_modes=1023, quad_nodes=1024, n_panels=1), 1)
     with pytest.raises(ConfigError, match="one bvp row holds 1,049,600 cells"):
@@ -344,15 +345,16 @@ _PEAK_LOADS = [
     ("sublinear_affine", []),
     ("power_law_1d", ["space.n_modes=20000"]),
     # the batches below take several chunks.  The 100 oddness rows and the
-    # 96 (H) rows of 10^5 modes, chunks of 10 rows: the load peaked at 401
+    # 96 (H) rows of 10^5 modes, one row a chunk: the load peaked at 401
     # MB and `check` at 232 MB when each was one batch
     ("power_law_1d", ["space.n_modes=100000", "hypotheses.n_s=10"]),
-    # 192 (H) rows of 16,384 transform cells, chunks of 64 rows (76 MB at once)
+    # 192 (H) rows of 16,384 transform cells, chunks of 4 rows (76 MB at once)
     ("bvp_sqrt", ["space.n_modes=1280", "space.n_panels=1024", "hypotheses.dirs_per_radius=32"]),
-    # 512 (H2)' angles of 4,096 modes, one angle a ray_forms call and 256
-    # circle points a batch (34 MB with every point and form at once)
+    # 512 (H2)' angles of 4,096 modes and 10 points: blocks of 3 circle
+    # points, one ray a forms call, its s-grid in parts of 4, 4 and 2 points
+    # (34 MB with every point and form at once)
     ("power_law_1d", ["problem.mode=two_pair", "space.n_modes=4096", "hypotheses.n_angle=512", "hypotheses.n_s=10"]),
-    # the row cap's 2**22 (H2) points of a one-mode row: their forms take 4
+    # the row cap's 2**22 (H2) points of a one-mode row: their forms take 256
     # chunks, and (H2) keeps one value of each per point
     ("power_law_1d", ["hypotheses.n_s=4194304"]),
 ]
@@ -363,9 +365,9 @@ _PEAK_LOADS = [
 )
 def test_a_load_and_check_peak_within_the_batch_bound(problem, overrides):
     # every checker batch is taken in chunks of at most _BATCH_CELLS cells
-    # of row_width, so a cold load and `check` hold at most six times 8
-    # _BATCH_CELLS bytes (5.0x measured: a power_law oddness chunk, its two
-    # images, their sum and its square), plus one row, 64 bytes a cell of
+    # of row_width or one row, so a cold load and `check` hold at most six
+    # times 8 _BATCH_CELLS bytes (3.5x measured: power_law's (H2)' at 4,096
+    # modes), plus one row, 64 bytes a cell of
     # its coefficients or of a bvp row's panel transform, the grid, and
     # what (H2) keeps a point of its s-grid: s, the form, the bound and the
     # gap (33 bytes a point measured at 2**22 points)

@@ -20,13 +20,15 @@ from fixpairs import (
     genus_of_sphere,
     quadratic_form_margin,
 )
+from fixpairs import bvp as bvp_mod
 from fixpairs import cli
+from fixpairs import hypotheses as hypotheses_mod
 from fixpairs import operators as operators_mod
 from fixpairs import space as space_mod
 from fixpairs.cli import main
-from fixpairs.hypotheses import _CHUNK_CELLS, HypothesisReport
+from fixpairs.hypotheses import HypothesisReport
 from fixpairs.models import clipped_cubic_operator, linear_operator, radial_power_operator
-from fixpairs.operators import _batches, _oddness_samples
+from fixpairs.operators import _oddness_samples
 from fixpairs.problems import load_problem
 
 E1 = basis_vector(1, 2)
@@ -264,53 +266,55 @@ def _h2_prime_by_angle(A, B2, e2, e3, r2, n_angle, n_s):
     return margin, witness
 
 
-def _angle_chunk(n_s, row_width):
-    """Angles of one (H2)' ray_forms call in check_h2_prime's sweep."""
-    return next(_batches(2**31, n_s * row_width, _CHUNK_CELLS)).stop
-
-
 @pytest.mark.parametrize(
-    "problem, n_angle, n_s",
+    "problem, n_angle, n_s, cells",
     [
-        ("cubic2d", None, None),
-        ("linear2d", None, None),
-        ("sublinear_affine", None, None),
-        # chunks of 32 (cubic2d, linear2d) and 4 angles that do not divide
-        # the circle
-        ("cubic2d", 37, 256),
-        ("linear2d", 37, 256),
-        ("sublinear_affine", 37, 16),
+        ("cubic2d", None, None, None),
+        ("linear2d", None, None, None),
+        ("sublinear_affine", None, None, None),
+        # circle blocks of 63 angles in ray_forms calls of 32 and 31 rays of
+        # 256 points (cubic2d, linear2d), and at 2**12 cells of 85 angles in
+        # calls of 15 rays of 256 nodes and 16 forms (sublinear_affine);
+        # neither divides the circle
+        ("cubic2d", 137, 256, None),
+        ("linear2d", 137, 256, None),
+        ("sublinear_affine", 137, 16, 2**12),
     ],
 )
-def test_h2_prime_chunks_match_the_angle_scan(problem, n_angle, n_s):
+def test_h2_prime_chunks_match_the_angle_scan(monkeypatch, problem, n_angle, n_s, cells):
     setup = load_problem(PROBLEMS / f"{problem}.cfg")
     hyp = replace(setup.hyp, n_angle=n_angle or setup.hyp.n_angle, n_s=n_s or setup.hyp.n_s)
-    if n_angle is not None:
-        assert n_angle % _angle_chunk(hyp.n_s, setup.space.n_modes) != 0
     e2, e3 = setup.e_vectors
     args = (setup.operator, setup.comparison, e2, e3, setup.radius)
-    rep = check_h2_prime(*args, n_angle=hyp.n_angle, n_s=hyp.n_s)
     margin, witness = _h2_prime_by_angle(*args, hyp.n_angle, hyp.n_s)
+    if cells is not None:
+        monkeypatch.setattr(operators_mod, "_RAY_CELLS", cells)
+        monkeypatch.setattr(hypotheses_mod, "_RAY_CELLS", cells)
+    rep = check_h2_prime(*args, n_angle=hyp.n_angle, n_s=hyp.n_s)
     assert rep.margin == margin
     assert rep.witnesses == [witness]
 
 
-def test_h2_prime_chunks_count_a_bvp_row_by_its_grid(monkeypatch):
-    # a two-pair bvp problem of 2 modes on 8,192 nodes: every row carries
-    # an 8,192-node profile, so `check` sweeps one angle of n_s rows at a
-    # time (102 angles, 1,020 rows, when the chunk counted coefficient
-    # cells only): one ray_forms call of one ray and n_s points an angle,
-    # and no batched apply, with the margin and witness of the
-    # angle-by-angle scan
+@pytest.mark.parametrize(
+    "per_ray, calls", [(True, [(7, 10)] * 58 + [(3, 10)]), (False, [(1, 8), (1, 2)] * 409)]
+)
+def test_h2_prime_chunks_count_a_bvp_ray_by_its_grid(monkeypatch, per_ray, calls):
+    # a two-pair bvp problem of 2 modes on 2,048 nodes: every ray carries
+    # a 2,048-node profile.  With a declared degree (forms_batch.per_ray) a
+    # ray holds the profile and its n_s forms, 2,058 cells, so `check`
+    # sweeps 7 rays a forms call; a forms_batch that does not state it
+    # holds n_s profiles a ray, more than a chunk, so each ray goes alone
+    # with its s-grid in parts of 8 and 2 points.  No batched apply, and
+    # the margin and witness of the angle-by-angle scan
     overrides = [
         "problem.mode=two_pair",
         "space.n_modes=2",
-        "space.n_panels=1024",
+        "space.n_panels=256",
         "hypotheses.n_s=10",
         "hypotheses.n_angle=409",
     ]
     setup = load_problem(PROBLEMS / "bvp_sqrt.cfg", overrides)
-    assert setup.operator.row_width == 8192 and _angle_chunk(10, setup.operator.row_width) == 1
+    assert setup.operator.row_width == 2048 and setup.operator.forms_batch.per_ray
     rows, rays = [], []
 
     def counted(stacked):
@@ -319,8 +323,9 @@ def test_h2_prime_chunks_count_a_bvp_row_by_its_grid(monkeypatch):
 
     def counted_forms(chunk, s):
         rays.append((len(chunk), s.size))
-        return setup.operator.ray_forms(chunk, s)
+        return setup.operator.forms_batch(chunk, s)
 
+    counted_forms.per_ray = per_ray
     op = replace(setup.operator, odd=False, apply_batch=counted, forms_batch=counted_forms)
     reports = []
 
@@ -330,7 +335,7 @@ def test_h2_prime_chunks_count_a_bvp_row_by_its_grid(monkeypatch):
 
     monkeypatch.setattr(cli, "check_h2_prime", recording)
     cli.run_check(setup)
-    assert rays == [(1, 10)] * 409
+    assert rays == calls
     assert rows == []
     e2, e3 = setup.e_vectors
     margin, witness = _h2_prime_by_angle(
@@ -345,9 +350,9 @@ def test_h2_prime_tie_goes_to_the_earlier_angle():
     # axis beyond a threshold.  With B2 = 0, on a 12-angle circle of radius
     # 0.5, the gap is exactly -0.5 on the axis angles 0 and 6 from s > 0.8,
     # on 3 and 9 from s > 0.4, and 0 elsewhere.  Angles 0 and 3 share the
-    # first chunk: the earlier angle wins although angle 3 reaches the
-    # minimum at a smaller s, and no later chunk takes the tie over.  The
-    # 2,048-point s-grid keeps 4 angles a chunk
+    # first block: the earlier angle wins although angle 3 reaches the
+    # minimum at a smaller s, and no later block takes the tie over.  A
+    # block holds 7 angles of 2 coefficients and 2,048 gaps
     def apply_batch(v):
         on1 = (np.abs(v[:, 0]) > 0.4) & (np.abs(v[:, 1]) < 1e-3)
         on2 = (np.abs(v[:, 1]) > 0.2) & (np.abs(v[:, 0]) < 1e-3)
@@ -358,7 +363,6 @@ def test_h2_prime_tie_goes_to_the_earlier_angle():
     )
     zero = LinearOperatorSpec.scaled_identity(0.0, 2)
     n_angle, n_s = 12, 2048
-    assert _angle_chunk(n_s, 2) == 4
     rep = check_h2_prime(op, zero, E1, E2, r2=0.5, n_angle=n_angle, n_s=n_s)
     witness = {"phi": 0.0, "s": 1640 / 2049, "gap": -0.5}
     assert rep.margin == -0.5 and rep.witnesses == [witness]
@@ -394,8 +398,9 @@ def test_h2_prime_batch_rows(problem):
 
     def counted_forms(chunk, s):
         rays.append((len(chunk), s.size))
-        return setup.operator.ray_forms(chunk, s)
+        return setup.operator.forms_batch(chunk, s)
 
+    counted_forms.per_ray = getattr(setup.operator.forms_batch, "per_ray", False)
     op = replace(
         setup.operator,
         odd=False,
@@ -406,14 +411,14 @@ def test_h2_prime_batch_rows(problem):
     n_angle, n_s = setup.hyp.n_angle, setup.hyp.n_s
     check_h2_prime(op, setup.comparison, e2, e3, setup.radius, n_angle=n_angle, n_s=n_s)
     if problem == "sublinear_affine":
-        # its 256-node grid profiles stay one angle at a time: a form call
-        # of one ray and n_s points an angle, and no batched apply
-        assert rays == [(1, n_s)] * n_angle
+        # all 32 rays of 256-node grid profiles in one form call, and no
+        # batched apply
+        assert rays == [(n_angle, n_s)]
         assert rows == []
     else:
+        # blocks of 63 angles, applied in rays of 32 and 31
         assert rays == []
-        assert sum(rows) == n_angle * n_s
-        assert min(rows) >= 4 * n_s
+        assert rows == [32 * n_s, 31 * n_s] * 4 + [4 * n_s]
 
 
 def test_clipped_cubic_maps_its_fixed_values_exactly(tmp_path):
@@ -470,8 +475,9 @@ def _assert_close(a, b, tol):
 @pytest.mark.parametrize("problem, overrides", _CHUNK_LOADS, ids=_CHUNK_IDS)
 def test_chunked_batches_change_no_result(monkeypatch, problem, overrides):
     # with chunks of one cell every checker batch splits into single rows,
-    # and every s-grid into pairs of points: (H), (H2), (H2)' and the
-    # oddness check keep their verdicts and witnesses.  Bit for bit, but
+    # every s-grid of a form call that is not per_ray into pairs of points,
+    # and the bvp oddness hook's f values into single magnitudes: (H),
+    # (H2), (H2)' and the oddness check keep their verdicts and witnesses.  Bit for bit, but
     # for a bvp batch on a table grid, whose moments round with the batch's
     # row count: its (H) values within 1e-14 of its largest norm
     path = PROBLEMS / f"{problem}.cfg"
@@ -483,7 +489,9 @@ def test_chunked_batches_change_no_result(monkeypatch, problem, overrides):
     images = op.apply_many(samples)
 
     monkeypatch.setattr(operators_mod, "_BATCH_CELLS", 1)
-    monkeypatch.setattr(operators_mod, "_GROWTH_CELLS", 1)
+    monkeypatch.setattr(operators_mod, "_RAY_CELLS", 1)
+    monkeypatch.setattr(hypotheses_mod, "_RAY_CELLS", 1)
+    monkeypatch.setattr(bvp_mod, "_BATCH_CELLS", 1)
     chunked = cli.run_check(load_problem(path, overrides=overrides))
     reports = {r["name"]: r for r in plain["reports"]}
     for r in chunked["reports"]:
@@ -504,12 +512,15 @@ def test_chunked_batches_change_no_result(monkeypatch, problem, overrides):
 
 @pytest.mark.parametrize("problem, overrides", _CHUNK_LOADS, ids=_CHUNK_IDS)
 def test_a_shipped_check_takes_each_batch_in_one_call(monkeypatch, problem, overrides):
-    # every shipped batch but bvp_highres's (H) rows fits one chunk, so a
-    # load and a check make the apply_many, ray_forms and forms_batch calls
-    # of one call a batch: the oddness rows of a coefficient operator both
-    # ways (a bvp load applies none), the (H) rows, the (H2) s-grid, and
-    # one call for each chunk of whole (H)' angles.  bvp_highres's 48 (H)
-    # rows of 16,384 transform cells take three calls of 16
+    # every shipped batch but the (H) rows of bvp_sqrt and bvp_highres fits
+    # one chunk, so a load and a check make the apply_many, ray_forms and
+    # forms_batch calls of one call a batch: the oddness rows of a
+    # coefficient operator both ways (a bvp load applies none), the (H)
+    # rows, the (H2) s-grid, and all (H2)' angles but cubic2d's.  Its 256
+    # angles of 256 points go in blocks of 63 (2 coefficients and 256 gaps
+    # a point), each applied in rays of 32 and 31 (256 rows of 2 cells a
+    # ray).  The 48 (H) rows of 4,096 transform cells (bvp_sqrt) take
+    # three calls of 16, and those of 16,384 (bvp_highres) 12 of 4
     calls = []
     apply_many, ray_forms = PotentialOperatorSpec.apply_many, PotentialOperatorSpec.ray_forms
 
@@ -535,6 +546,7 @@ def test_a_shipped_check_takes_each_batch_in_one_call(monkeypatch, problem, over
             calls.append(("forms_batch", rays.shape, s.size))
             return forms_batch(rays, s)
 
+        recorded.per_ray = forms_batch.per_ray
         op = replace(op, odd=False, forms_batch=recorded)
     cli.run_check(replace(setup, operator=op))
 
@@ -542,13 +554,14 @@ def test_a_shipped_check_takes_each_batch_in_one_call(monkeypatch, problem, over
         inner = ("forms_batch", (k, n), n_s) if forms_batch else ("apply_many", (k * n_s, n))
         return [("ray_forms", (k, n), n_s), inner]
 
-    h_calls = 3 if op.row_width == 16384 else 1
+    h_calls = {4096: 3, 16384: 12}.get(op.row_width, 1)
     h_rows = len(hyp.growth_radii) * hyp.dirs_per_radius
     expected = [("apply_many", (h_rows // h_calls, n))] * h_calls
     if setup.mode == "one_pair":
         expected += ray_calls(1, hyp.n_s)
+    elif problem == "cubic2d":
+        block = [("ray_forms", (63, n), 256), ("apply_many", (32 * 256, n)), ("apply_many", (31 * 256, n))]
+        expected += block * 4 + ray_calls(4, 256)
     else:
-        k = max(1, _CHUNK_CELLS // (hyp.n_s * op.row_width))
-        assert hyp.n_angle % k == 0
-        expected += ray_calls(k, hyp.n_s) * (hyp.n_angle // k)
+        expected += ray_calls(hyp.n_angle, hyp.n_s)
     assert calls == expected

@@ -236,13 +236,13 @@ def test_growth_fit_applies_once_and_matches_per_radius_loop(sublinear_op):
 
 
 @pytest.mark.parametrize(
-    "n_modes, n_panels, chunks", [(320, 256, [7] * 6 + [6]), (1280, 1024, [16] * 3)], ids=["320", "1280"]
+    "n_modes, n_panels, chunks", [(320, 256, [16] * 3), (1280, 1024, [4] * 12)], ids=["320", "1280"]
 )
 def test_growth_fit_chunks_keep_every_image(monkeypatch, n_modes, n_panels, chunks):
     # bvp_sqrt's 48 (H) rows in chunks against one batch, on the panel
     # transform: every image bit for bit, so every norm and the
-    # certificate.  At 1,280 modes _GROWTH_CELLS itself makes the chunks
-    # of 16 rows; at 320 modes all 48 rows fit it, and chunks of 7 are forced
+    # certificate.  _BATCH_CELLS itself makes the chunks: 16 rows of 4,096
+    # transform cells at 320 modes, 4 rows of 16,384 at 1,280
     setup = load_problem(
         PROBLEMS / "bvp_sqrt.cfg", [f"space.n_modes={n_modes}", f"space.n_panels={n_panels}"]
     )
@@ -258,12 +258,11 @@ def test_growth_fit_chunks_keep_every_image(monkeypatch, n_modes, n_panels, chun
 
     def fit(cells):
         images.clear()
-        monkeypatch.setattr(operators_mod, "_GROWTH_CELLS", cells)
+        monkeypatch.setattr(operators_mod, "_BATCH_CELLS", cells)
         cert = growth_fit(counted, hyp.growth_radii, hyp.dirs_per_radius, seed=setup.seed)
         return cert, [len(x) for x in images], np.vstack(images)
 
-    cells = operators_mod._GROWTH_CELLS if n_modes == 1280 else chunks[0] * op.row_width
-    chunked, chunk_sizes, chunked_images = fit(cells)
+    chunked, chunk_sizes, chunked_images = fit(operators_mod._BATCH_CELLS)
     whole, whole_sizes, whole_images = fit(48 * op.row_width)
     assert chunk_sizes == chunks and whole_sizes == [48]
     assert np.array_equal(chunked_images, whole_images)

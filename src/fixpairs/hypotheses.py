@@ -217,10 +217,10 @@ def check_h2_prime(
     """(A(s u), u) >= (B2 (s u), u) sampled on the circle and an s-grid.
 
     The circle points, their forms and gaps are taken in _batches of
-    _RAY_CELLS, a point counted as its coefficients and its n_s gaps, and each
-    batch is one ray_forms call, which splits it by the cells its rays
-    hold.  The witness is the first minimum in (angle, s) order, as a scan
-    angle by angle finds it.
+    _RAY_CELLS, a point counted as its ray's A.ray_cells(n_s), which covers
+    its coefficients and its n_s gaps, so that each batch is one chunk of
+    one ray_forms call.  The witness is the first minimum in (angle, s)
+    order, as a scan angle by angle finds it.
     """
     if not 0.0 < r2 < np.inf:  # rejects NaN as well
         raise ValueError("r2 must be positive and finite")
@@ -231,7 +231,7 @@ def check_h2_prime(
     margin = np.inf
     witness: dict = {}
     with np.errstate(over="ignore", invalid="ignore"):
-        for block in _batches(n_angle, A.n_modes + n_s, _RAY_CELLS):
+        for block in _batches(n_angle, A.ray_cells(n_s), _RAY_CELLS):
             phis = 2.0 * np.pi * np.arange(block.start, block.stop) / n_angle
             circle = r2 * (np.cos(phis)[:, None] * a + np.sin(phis)[:, None] * b)
             gaps = _ray_gaps(A, circle, B2.forms(circle), s)[0]

@@ -45,9 +45,8 @@ _GROWTH_SLACK = 1.1  # factor on the fitted c of a growth envelope
 # cells one chunk of a checker batch holds, a row counted as its operator's
 # row_width; a row of more goes alone (problems._MAX_ROW_CELLS bounds it)
 _BATCH_CELLS = 2**16
-# cells of one chunk of ray forms, a quarter of _BATCH_CELLS: cubic2d's
-# 256 x 256 (H2)' points in chunks of 2**16 cells raise search_multistart's
-# peak memory by 2 MB
+# cells of one chunk of ray forms, a quarter of _BATCH_CELLS: at 2**16 cubic2d's
+# 256 x 256 (H2)' points raised search_multistart's peak memory by 2 MB
 _RAY_CELLS = 2**14
 
 
@@ -69,13 +68,13 @@ class PotentialOperatorSpec:
     forms_batch, when given, maps k rays u_i and an s-grid to the (k, n_s)
     forms (A(s_j u_i), u_i), the left sides of the ray conditions, without
     the images A(s_j u_i) themselves; ray_forms falls back to apply_many
-    without it, and chunks by its per_ray attribute.  dataclasses.replace
-    keeps forms_batch, so a copy whose apply_batch is substituted must pass
-    forms_batch=None or forms of its own to have them follow the new
-    apply.  row_width counts the cells one
-    row of a batch holds, at least n_modes (the default); every batch the
-    checkers evaluate is taken in _batches of at most _BATCH_CELLS such
-    cells.  theta is the declared growth exponent in [0, 1).  Operators
+    without it, and counts its cells by its per_ray attribute (ray_cells).
+    dataclasses.replace keeps forms_batch, so a copy whose apply_batch is
+    substituted must pass forms_batch=None or forms of its own to have
+    them follow the new apply.  row_width counts the cells one row of a
+    batch holds, at least n_modes (the default); every batch the checkers
+    evaluate is taken in _batches of at most _BATCH_CELLS such cells, or
+    one row.  theta is the declared growth exponent in [0, 1).  Operators
     flagged odd are validated by sampling at construction rather than
     trusted; an apply_batch may carry a test of its own for that (see
     _check_oddness).
@@ -110,23 +109,27 @@ class PotentialOperatorSpec:
             return self.apply_batch(stacked)
         return np.stack([self.apply_coeffs(row) for row in stacked])
 
+    def ray_cells(self, n_s: int) -> int:
+        """Cells a ray of ray_forms holds on n_s points: row_width and its
+        forms if forms_batch.per_ray (one f call a ray), else n_s rows."""
+        if getattr(self.forms_batch, "per_ray", False):
+            return self.row_width + n_s
+        return n_s * self.row_width
+
     def ray_forms(self, rays: np.ndarray, s: np.ndarray) -> np.ndarray:
         """F[i, j] = (A(s_j u_i), u_i) for the (k, n_modes) rays u_i, as (k, s.size).
 
         Through forms_batch when given; otherwise one apply_many of the
         scaled rows and one stacked product of one ray's matrix-vector
-        products a slice.  The rays go in _batches of _RAY_CELLS, a ray
-        counted as row_width cells and its s.size forms if forms_batch.per_ray
-        (one f call a ray), else as s.size rows of row_width, and then a ray
-        of more than a batch takes its s-grid in _batches of at least two
-        points: numpy's matmul takes a one-point product as a dot, which
-        rounds otherwise.
+        products a slice.  The rays go in _batches of _RAY_CELLS of
+        ray_cells each; a ray of more than a batch, unless per_ray, takes
+        its s-grid in _batches of at least two points: numpy's matmul takes
+        a one-point product as a dot, which rounds otherwise.
         """
         k, n = rays.shape
         per_ray = getattr(self.forms_batch, "per_ray", False)
         forms = np.empty((k, s.size))
-        ray_cells = self.row_width + s.size if per_ray else s.size * self.row_width
-        for rows in _batches(k, ray_cells, _RAY_CELLS):
+        for rows in _batches(k, self.ray_cells(s.size), _RAY_CELLS):
             u = rays[rows]
             for cols in [slice(None)] if per_ray else _batches(s.size, len(u) * self.row_width, _RAY_CELLS, 2):
                 part = s[cols]

@@ -74,9 +74,8 @@ _MAX_CHECK_ROWS = 2**22
 _ANGLE_PASS_ROWS = 64
 # a row counts as one row of the cap per this many cells of its row_width
 _CELLS_PER_ROW = 8
-# cells one row may hold, a row counted as its operator's row_width, and the
-# cells of all seeds; a chunk of checker rows holds at most one such row or
-# operators._BATCH_CELLS cells
+# cells one row (its row_width) or all seeds may hold; a chunk of checker rows
+# holds at most operators._BATCH_CELLS cells or one such row
 _MAX_ROW_CELLS = 2**20
 # Gauss-Legendre points a panel: the rule's companion matrix, quad_nodes^2
 # values, fits one row
@@ -195,14 +194,14 @@ def _parse_radii(text: str) -> tuple[float, ...]:
 def _check_sizes(kind: str, space: SpaceConfig, n_seeds: int) -> None:
     """Reject a problem whose one row or seeds hold over _MAX_ROW_CELLS cells.
 
-    Every batch the checkers evaluate is split into chunks of at most
-    operators._BATCH_CELLS cells or one row, a row counted as the operator's
-    row_width, so a load and `check` hold a fixed multiple of that plus one
-    row, the grid and the seeds, whatever the config says.  These linear
-    bounds keep that one row and the seeds within _MAX_ROW_CELLS: a row's
-    coefficients, a bvp row's panel transform (which also bounds its grid
-    and its phases; a grid keeps a table only while it is at most 4 MiB,
-    space._table_free) and the Gauss-Legendre rule of quad_nodes.
+    Every checker batch is split into chunks of at most
+    operators._BATCH_CELLS cells or one row (its row_width), so a load and
+    `check` hold a fixed multiple of that plus one row, the grid and the
+    seeds, whatever the config says.  These linear bounds keep that row and
+    the seeds within _MAX_ROW_CELLS: a row's coefficients, a bvp row's panel
+    transform (which also bounds its grid and its phases; a grid keeps a
+    table only while it is at most 4 MiB, space._table_free) and the
+    Gauss-Legendre rule of quad_nodes.
     """
     cells = space.n_modes
     if kind == "bvp":

@@ -350,8 +350,8 @@ _PEAK_LOADS = [
     ("power_law_1d", ["space.n_modes=100000", "hypotheses.n_s=10"]),
     # 192 (H) rows of 16,384 transform cells, chunks of 4 rows (76 MB at once)
     ("bvp_sqrt", ["space.n_modes=1280", "space.n_panels=1024", "hypotheses.dirs_per_radius=32"]),
-    # 512 (H2)' angles of 4,096 modes and 10 points: blocks of 3 circle
-    # points, one ray a forms call, its s-grid in parts of 4, 4 and 2 points
+    # 512 (H2)' angles of 4,096 modes and 10 points: one ray a block, its
+    # s-grid in parts of 4, 4 and 2 points
     # (34 MB with every point and form at once)
     ("power_law_1d", ["problem.mode=two_pair", "space.n_modes=4096", "hypotheses.n_angle=512", "hypotheses.n_s=10"]),
     # the row cap's 2**22 (H2) points of a one-mode row: their forms take 256

@@ -267,38 +267,34 @@ def _h2_prime_by_angle(A, B2, e2, e3, r2, n_angle, n_s):
 
 
 @pytest.mark.parametrize(
-    "problem, n_angle, n_s, cells",
+    "problem, n_angle, n_s",
     [
-        ("cubic2d", None, None, None),
-        ("linear2d", None, None, None),
-        ("sublinear_affine", None, None, None),
-        # circle blocks of 63 angles in ray_forms calls of 32 and 31 rays of
-        # 256 points (cubic2d, linear2d), and at 2**12 cells of 85 angles in
-        # calls of 15 rays of 256 nodes and 16 forms (sublinear_affine);
-        # neither divides the circle
-        ("cubic2d", 137, 256, None),
-        ("linear2d", 137, 256, None),
-        ("sublinear_affine", 137, 16, 2**12),
+        ("cubic2d", None, None),
+        ("linear2d", None, None),
+        ("sublinear_affine", None, None),
+        # blocks of 32 and 5 rays of 256 points (cubic2d, linear2d), and, at
+        # 2**12 cells, of 15, 15 and 7 rays of 256 nodes and 16 forms
+        # (sublinear_affine)
+        ("cubic2d", 37, 256),
+        ("linear2d", 37, 256),
+        ("sublinear_affine", 37, 16),
     ],
 )
-def test_h2_prime_chunks_match_the_angle_scan(monkeypatch, problem, n_angle, n_s, cells):
+def test_h2_prime_chunks_match_the_angle_scan(monkeypatch, problem, n_angle, n_s):
     setup = load_problem(PROBLEMS / f"{problem}.cfg")
     hyp = replace(setup.hyp, n_angle=n_angle or setup.hyp.n_angle, n_s=n_s or setup.hyp.n_s)
     e2, e3 = setup.e_vectors
     args = (setup.operator, setup.comparison, e2, e3, setup.radius)
     margin, witness = _h2_prime_by_angle(*args, hyp.n_angle, hyp.n_s)
-    if cells is not None:
-        monkeypatch.setattr(operators_mod, "_RAY_CELLS", cells)
-        monkeypatch.setattr(hypotheses_mod, "_RAY_CELLS", cells)
+    if problem == "sublinear_affine" and n_angle is not None:
+        monkeypatch.setattr(operators_mod, "_RAY_CELLS", 2**12)
+        monkeypatch.setattr(hypotheses_mod, "_RAY_CELLS", 2**12)
     rep = check_h2_prime(*args, n_angle=hyp.n_angle, n_s=hyp.n_s)
     assert rep.margin == margin
     assert rep.witnesses == [witness]
 
 
-@pytest.mark.parametrize(
-    "per_ray, calls", [(True, [(7, 10)] * 58 + [(3, 10)]), (False, [(1, 8), (1, 2)] * 409)]
-)
-def test_h2_prime_chunks_count_a_bvp_ray_by_its_grid(monkeypatch, per_ray, calls):
+def test_h2_prime_chunks_count_a_bvp_row_by_its_grid(monkeypatch):
     # a two-pair bvp problem of 2 modes on 2,048 nodes: every ray carries
     # a 2,048-node profile.  With a declared degree (forms_batch.per_ray) a
     # ray holds the profile and its n_s forms, 2,058 cells, so `check`
@@ -325,7 +321,6 @@ def test_h2_prime_chunks_count_a_bvp_ray_by_its_grid(monkeypatch, per_ray, calls
         rays.append((len(chunk), s.size))
         return setup.operator.forms_batch(chunk, s)
 
-    counted_forms.per_ray = per_ray
     op = replace(setup.operator, odd=False, apply_batch=counted, forms_batch=counted_forms)
     reports = []
 
@@ -334,15 +329,18 @@ def test_h2_prime_chunks_count_a_bvp_ray_by_its_grid(monkeypatch, per_ray, calls
         return reports[-1]
 
     monkeypatch.setattr(cli, "check_h2_prime", recording)
-    cli.run_check(setup)
-    assert rays == calls
-    assert rows == []
     e2, e3 = setup.e_vectors
     margin, witness = _h2_prime_by_angle(
         setup.operator, setup.comparison, e2, e3, setup.radius, 409, 10
     )
-    assert reports[0].margin == margin
-    assert reports[0].witnesses == [witness]
+    for per_ray, calls in ((True, [(7, 10)] * 58 + [(3, 10)]), (False, [(1, 8), (1, 2)] * 409)):
+        counted_forms.per_ray = per_ray
+        rays.clear()
+        cli.run_check(setup)
+        assert rays == calls
+        assert rows == []
+        assert reports[-1].margin == margin
+        assert reports[-1].witnesses == [witness]
 
 
 def test_h2_prime_tie_goes_to_the_earlier_angle():
@@ -352,7 +350,7 @@ def test_h2_prime_tie_goes_to_the_earlier_angle():
     # on 3 and 9 from s > 0.4, and 0 elsewhere.  Angles 0 and 3 share the
     # first block: the earlier angle wins although angle 3 reaches the
     # minimum at a smaller s, and no later block takes the tie over.  A
-    # block holds 7 angles of 2 coefficients and 2,048 gaps
+    # block holds 4 rays of 2,048 rows of 2 cells
     def apply_batch(v):
         on1 = (np.abs(v[:, 0]) > 0.4) & (np.abs(v[:, 1]) < 1e-3)
         on2 = (np.abs(v[:, 1]) > 0.2) & (np.abs(v[:, 0]) < 1e-3)
@@ -416,9 +414,9 @@ def test_h2_prime_batch_rows(problem):
         assert rays == [(n_angle, n_s)]
         assert rows == []
     else:
-        # blocks of 63 angles, applied in rays of 32 and 31
+        # blocks of 32 rays of 256 rows of 2 cells
         assert rays == []
-        assert rows == [32 * n_s, 31 * n_s] * 4 + [4 * n_s]
+        assert rows == [32 * n_s] * 8
 
 
 def test_clipped_cubic_maps_its_fixed_values_exactly(tmp_path):
@@ -477,9 +475,10 @@ def test_chunked_batches_change_no_result(monkeypatch, problem, overrides):
     # with chunks of one cell every checker batch splits into single rows,
     # every s-grid of a form call that is not per_ray into pairs of points,
     # and the bvp oddness hook's f values into single magnitudes: (H),
-    # (H2), (H2)' and the oddness check keep their verdicts and witnesses.  Bit for bit, but
-    # for a bvp batch on a table grid, whose moments round with the batch's
-    # row count: its (H) values within 1e-14 of its largest norm
+    # (H2), (H2)' and the oddness check keep their verdicts and witnesses.
+    # Bit for bit, but for a bvp batch on a table grid, whose moments round
+    # with the batch's row count: its (H) values within 1e-14 of its
+    # largest norm
     path = PROBLEMS / f"{problem}.cfg"
     setup = load_problem(path, overrides=overrides)
     op = setup.operator
@@ -516,11 +515,10 @@ def test_a_shipped_check_takes_each_batch_in_one_call(monkeypatch, problem, over
     # one chunk, so a load and a check make the apply_many, ray_forms and
     # forms_batch calls of one call a batch: the oddness rows of a
     # coefficient operator both ways (a bvp load applies none), the (H)
-    # rows, the (H2) s-grid, and all (H2)' angles but cubic2d's.  Its 256
-    # angles of 256 points go in blocks of 63 (2 coefficients and 256 gaps
-    # a point), each applied in rays of 32 and 31 (256 rows of 2 cells a
-    # ray).  The 48 (H) rows of 4,096 transform cells (bvp_sqrt) take
-    # three calls of 16, and those of 16,384 (bvp_highres) 12 of 4
+    # rows, the (H2) s-grid, and all (H2)' angles but cubic2d's, whose 256
+    # rays of 256 rows of 2 cells take 8 calls of 32.  The 48 (H) rows of
+    # 4,096 transform cells (bvp_sqrt) take three calls of 16, and those
+    # of 16,384 (bvp_highres) 12 of 4
     calls = []
     apply_many, ray_forms = PotentialOperatorSpec.apply_many, PotentialOperatorSpec.ray_forms
 
@@ -559,9 +557,7 @@ def test_a_shipped_check_takes_each_batch_in_one_call(monkeypatch, problem, over
     expected = [("apply_many", (h_rows // h_calls, n))] * h_calls
     if setup.mode == "one_pair":
         expected += ray_calls(1, hyp.n_s)
-    elif problem == "cubic2d":
-        block = [("ray_forms", (63, n), 256), ("apply_many", (32 * 256, n)), ("apply_many", (31 * 256, n))]
-        expected += block * 4 + ray_calls(4, 256)
     else:
-        expected += ray_calls(hyp.n_angle, hyp.n_s)
+        k = 32 if problem == "cubic2d" else hyp.n_angle
+        expected += ray_calls(k, hyp.n_s) * (hyp.n_angle // k)
     assert calls == expected

@@ -3,7 +3,9 @@
 
 For every golden file under tests/golden/ the matching command (`report`,
 or `check` for a problem whose golden holds its check) is run in-process
-and the two documents are walked side by side.  Per problem it prints
+and the two documents are walked side by side.  A golden file named in
+VARIANTS runs a shipped problem with `--set` overrides (bvp_highres:
+bvp_sqrt at 1,280 modes on 8,192 nodes).  Per problem it prints
 whether the bytes are identical and, if not:
 
   - the largest coefficient move of each pair, absolute and relative to the
@@ -34,12 +36,23 @@ from fixpairs.cli import main as cli_main
 ROOT = Path(__file__).resolve().parent.parent
 VERDICT_KEYS = {"verdict", "all_pass", "meets_expected", "n_pairs"}
 COUNT_KEYS = {"iterations", "n_starts", "n_nonconverged", "rejected_trivial"}
+# golden name -> (shipped problem, its --set overrides)
+VARIANTS = {"bvp_highres": ("bvp_sqrt", ("space.n_modes=1280", "space.n_panels=1024"))}
+
+
+def command_argv(name: str, command: str, problems_dir: Path) -> list[str]:
+    """The CLI arguments that write the golden file `name` (no --output)."""
+    problem, overrides = VARIANTS.get(name, (name, ()))
+    argv = [command, "--problem", str(problems_dir / f"{problem}.cfg")]
+    for override in overrides:
+        argv += ["--set", override]
+    return argv
 
 
 def fresh_text(problem: str, command: str, problems_dir: Path) -> str:
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out.json"
-        argv = [command, "--problem", str(problems_dir / f"{problem}.cfg"), "--output", str(out)]
+        argv = command_argv(problem, command, problems_dir) + ["--output", str(out)]
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             cli_main(argv)
         return out.read_text() if out.exists() else ""

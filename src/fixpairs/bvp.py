@@ -82,7 +82,7 @@ class Nonlinearity:
     descent energy exactly consistent with the operator.  degree, when
     given, declares f positively homogeneous of that degree in u,
     f(t, s u) = s**degree f(t, u) for every s > 0, so that the ray forms
-    take one f evaluation a ray (bvp_operator); None declares nothing.
+    take one f evaluation a ray (bvp_operator), not an apply a point of s.
     """
 
     f: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -153,9 +153,11 @@ def _check_degree(nl: Nonlinearity, fm: np.ndarray) -> None:
     """Raise ValueError unless each row of fm = f(t, m), m consecutive
     _ODD_MAGNITUDES, matches _DEGREE_SCALE**degree times the row after it,
     to a relative _DEGREE_RTOL or within the smallest normal float (equal
-    infinities match)."""
+    infinities match; a mismatch on a non-finite value is named so)."""
     lower, expected = fm[:-1], _DEGREE_SCALE**nl.degree * fm[1:]
     if not np.allclose(lower, expected, rtol=_DEGREE_RTOL, atol=np.finfo(float).tiny):
+        if not np.isfinite(fm).all():
+            raise ValueError(f"{nl.label}: f(t, u) is non-finite on the degree sample, |u| <= 1e3")
         raise ValueError(
             f"{nl.label}: f(t, s u) differs from s**{nl.degree} f(t, u) at s = {_DEGREE_SCALE:.6g}"
         )
@@ -183,12 +185,12 @@ def bvp_operator(nl: Nonlinearity, cfg: SpaceConfig, odd: bool = True) -> Potent
     The potential is the integral of F(t, u(t)) over the grid, using the
     closed-form antiderivative when the nonlinearity carries one (then the
     discrete gradient equals u - A(u) to rounding) and a 16-point inner
-    Gauss-Legendre rule along the ray otherwise.  The forms (A(s u), u) of
-    the ray checks are grid sums of w f(t, s u(t)) u(t), from one synthesis
-    of each ray and no moments (forms_batch).  When nl declares a degree d,
-    f(t, s u) = s**d f(t, u), so a ray takes one f evaluation of its
-    profile, not one a point of the s-grid: its form at s = 1 times s**d
-    (forms_batch.per_ray, which ray_forms chunks by).
+    Gauss-Legendre rule along the ray otherwise.  When nl declares a
+    degree d, f(t, s u) = s**d f(t, u), so the forms (A(s u), u) of the ray
+    checks are s**d times the grid sum of w f(t, u(t)) u(t), from one
+    synthesis and one f evaluation of each ray and no moments
+    (forms_batch); without a degree forms_batch is None and ray_forms
+    applies the operator to the scaled rays.
     Operators built with odd=True are validated for oddness at
     construction.  Their hook (apply_batch.odd_at) compares f(t, -m) with
     -f(t, m) at every grid node t and 100 log-spaced magnitudes m in
@@ -230,16 +232,17 @@ def bvp_operator(nl: Nonlinearity, cfg: SpaceConfig, odd: bool = True) -> Potent
         odd_so_far, below = True, None
         for i in range(0, _ODD_MAGNITUDES.size, step):
             m = _ODD_MAGNITUDES[i : i + step, None]
-            fm = nl.f(t, m)
-            odd_so_far = odd_so_far and np.array_equal(nl.f(t, -m), -fm)
-            if nl.degree is not None:
-                # the last row of the previous chunk and the first of this one
-                if below is not None:
-                    _check_degree(nl, np.concatenate([below, fm[:1]]))
-                _check_degree(nl, fm)
-                below = fm[-1:].copy()
-            elif not odd_so_far:
-                return False
+            with np.errstate(over="ignore", invalid="ignore"):
+                fm = nl.f(t, m)
+                odd_so_far = odd_so_far and np.array_equal(nl.f(t, -m), -fm)
+                if nl.degree is not None:
+                    # the last row of the previous chunk and the first of this one
+                    if below is not None:
+                        _check_degree(nl, np.concatenate([below, fm[:1]]))
+                    _check_degree(nl, fm)
+                    below = fm[-1:].copy()
+                elif not odd_so_far:
+                    return False
         return odd_so_far
 
     apply_batch.odd_at = odd_at  # type: ignore[attr-defined]
@@ -247,21 +250,14 @@ def bvp_operator(nl: Nonlinearity, cfg: SpaceConfig, odd: bool = True) -> Potent
         odd_at()
 
     def forms_batch(rays: np.ndarray, s: np.ndarray) -> np.ndarray:
-        # (A(s v), u) = sum_k u_k sum_i w_i f(t_i, v(t_i)) e_k(t_i)
-        #             = sum_i w_i f(t_i, v(t_i)) u(t_i):
-        # one synthesis of the rays and no moments.  The grid sum is numpy's,
-        # along each row's contiguous axis, not a BLAS call, so its bytes do
-        # not depend on the BLAS thread count.  With a declared degree the
-        # sum is taken once a ray, at s = 1
+        # (A(s u), u) = sum_k u_k sum_i w_i f(t_i, s u(t_i)) e_k(t_i)
+        #             = s**d sum_i w_i f(t_i, u(t_i)) u(t_i):
+        # one synthesis of the rays, one f call and no moments.  The grid
+        # sum is numpy's, along each row's contiguous axis, not a BLAS call,
+        # so its bytes do not depend on the BLAS thread count
         values = profiles(rays, g)
-        if nl.degree is not None:
-            base = (nl.f(nodes, values) * (weights * values)).sum(axis=-1)
-            return base[:, None] * s**nl.degree
-        values = values[:, None, :]  # (k, 1, N)
-        fvals = nl.f(nodes, s[:, None] * values)
-        return (fvals * (weights * values)).sum(axis=-1)
-
-    forms_batch.per_ray = nl.degree is not None  # type: ignore[attr-defined]
+        base = (nl.f(nodes, values) * (weights * values)).sum(axis=-1)
+        return base[:, None] * s**nl.degree
 
     # the grid profile of the last single point: the descent asks for the
     # potential and then the apply at the same point, and both callables are
@@ -302,7 +298,7 @@ def bvp_operator(nl: Nonlinearity, cfg: SpaceConfig, odd: bool = True) -> Potent
         theta=nl.theta,
         potential_coeffs=potential,
         apply_batch=apply_batch,
-        forms_batch=forms_batch,
+        forms_batch=forms_batch if nl.degree is not None else None,
         label=f"bvp({nl.label})",
         row_width=_row_width(cfg),
     )

@@ -87,9 +87,9 @@ def _ray_gaps(A: PotentialOperatorSpec, rays: np.ndarray, forms: np.ndarray, s: 
     """(gaps, lhs, rhs) of (A(s u), u) >= s (B u, u) on the s-grid, one row
     per row u of rays; forms holds the (B u, u).
 
-    lhs is one A.ray_forms call for all rays: a bvp operator evaluates it on
-    its grid from one synthesis per ray, any other operator applies A to
-    the scaled rows.
+    lhs is one A.ray_forms call for all rays: an operator with a
+    forms_batch (bvp, with a declared degree) evaluates each ray once,
+    any other applies A to the scaled rows.
     """
     lhs = A.ray_forms(rays, s)
     rhs = forms[:, None] * s

@@ -67,8 +67,8 @@ class PotentialOperatorSpec:
     stacked inputs to stacked outputs and is used by grid-heavy checks.
     forms_batch, when given, maps k rays u_i and an s-grid to the (k, n_s)
     forms (A(s_j u_i), u_i), the left sides of the ray conditions, without
-    the images A(s_j u_i) themselves; ray_forms falls back to apply_many
-    without it, and counts its cells by its per_ray attribute (ray_cells).
+    the images A(s_j u_i) themselves, from one evaluation of each ray
+    whatever n_s; ray_forms falls back to apply_many without it.
     dataclasses.replace keeps forms_batch, so a copy whose apply_batch is
     substituted must pass forms_batch=None or forms of its own to have
     them follow the new apply.  row_width counts the cells one row of a
@@ -111,31 +111,30 @@ class PotentialOperatorSpec:
 
     def ray_cells(self, n_s: int) -> int:
         """Cells a ray of ray_forms holds on n_s points: row_width and its
-        forms if forms_batch.per_ray (one f call a ray), else n_s rows."""
-        if getattr(self.forms_batch, "per_ray", False):
+        forms through forms_batch (one evaluation a ray), else n_s rows."""
+        if self.forms_batch is not None:
             return self.row_width + n_s
         return n_s * self.row_width
 
     def ray_forms(self, rays: np.ndarray, s: np.ndarray) -> np.ndarray:
         """F[i, j] = (A(s_j u_i), u_i) for the (k, n_modes) rays u_i, as (k, s.size).
 
-        Through forms_batch when given; otherwise one apply_many of the
-        scaled rows and one stacked product of one ray's matrix-vector
-        products a slice.  The rays go in _batches of _RAY_CELLS of
-        ray_cells each; a ray of more than a batch, unless per_ray, takes
-        its s-grid in _batches of at least two points: numpy's matmul takes
-        a one-point product as a dot, which rounds otherwise.
+        Through forms_batch, a chunk of rays a call with the whole s-grid;
+        without it, one apply_many of the scaled rows and one stacked
+        product a slice.  The rays go in _batches of _RAY_CELLS of ray_cells
+        each; on the apply route a ray of more than a batch takes its s-grid
+        in _batches of at least two points: numpy's matmul takes a one-point
+        product as a dot, which rounds otherwise.
         """
         k, n = rays.shape
-        per_ray = getattr(self.forms_batch, "per_ray", False)
         forms = np.empty((k, s.size))
         for rows in _batches(k, self.ray_cells(s.size), _RAY_CELLS):
             u = rays[rows]
-            for cols in [slice(None)] if per_ray else _batches(s.size, len(u) * self.row_width, _RAY_CELLS, 2):
+            if self.forms_batch is not None:
+                forms[rows] = self.forms_batch(u, s)
+                continue
+            for cols in _batches(s.size, len(u) * self.row_width, _RAY_CELLS, 2):
                 part = s[cols]
-                if self.forms_batch is not None:
-                    forms[rows, cols] = self.forms_batch(u, part)
-                    continue
                 images = self.apply_many((part[None, :, None] * u[:, None, :]).reshape(-1, n))
                 forms[rows, cols] = (images.reshape(len(u), part.size, n) @ u[:, :, None])[..., 0]
         return forms
@@ -191,9 +190,11 @@ def _check_oddness(op: PotentialOperatorSpec) -> None:
     odd_at = getattr(op.apply_batch, "odd_at", None)
     if odd_at is None or not odd_at():
         for samples in _oddness_samples(op.n_modes, op.row_width):
-            plus = op.apply_many(samples)
-            minus = op.apply_many(-samples)
-            worst = float(np.max(np.linalg.norm(plus + minus, axis=1)))
+            with np.errstate(over="ignore", invalid="ignore"):
+                plus, minus = op.apply_many(samples), op.apply_many(-samples)
+                worst = float(np.max(np.linalg.norm(plus + minus, axis=1)))
+            if not (np.isfinite(plus).all() and np.isfinite(minus).all()):
+                raise OddnessError(f"operator '{op.label}' flagged odd but A(u) is non-finite on a sampled row")
             # "not <=" so that NaN fails the check
             if not worst <= _ODDNESS_TOL:
                 raise OddnessError(

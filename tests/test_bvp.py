@@ -452,17 +452,15 @@ _FORM_SPACES = [
 ] + [SpaceConfig(256, 8, 256), SpaceConfig(257, 8, 256), SpaceConfig(320, 8, 256), SpaceConfig(1280, 8, 1024)]
 
 
-@pytest.mark.parametrize("declared", [True, False], ids=["degree", "none"])
 @pytest.mark.parametrize("cfg", _FORM_SPACES, ids=lambda c: f"{c.n_modes}x{c.quad_nodes * c.n_panels}")
 @pytest.mark.parametrize("family", _FAMILY_CASES)
-def test_ray_forms_match_the_apply_route(family, cfg, declared, rng):
-    # the grid forms sum w f(t, s p) p, or with the family's declared
-    # degree s**degree times the form of one f call of p, against the
-    # images of the scaled rows dotted with the rays, for one ray and for
-    # three
+def test_ray_forms_match_the_apply_route(family, cfg, rng):
+    # the grid forms, s**degree times the form of one f call of the
+    # profile p, against the images of the scaled rows dotted with the
+    # rays, for one ray and for three
     nl = _ODDNESS_CASES[family][0]
     assert nl.degree is not None
-    op = bvp.bvp_operator(nl if declared else replace(nl, degree=None), cfg)
+    op = bvp.bvp_operator(nl, cfg)
     assert op.forms_batch is not None
     assert space_mod._table_free(cfg) is (cfg.n_modes >= 257)
     s = np.arange(1, 65) / 65.0
@@ -490,10 +488,15 @@ def test_a_declared_degree_takes_one_f_call_a_ray(degree, space32, rng):
     op = bvp.bvp_operator(replace(power, f=counted, degree=degree), space32)
     n = Grid(space32).nodes.size
     s = np.arange(1, 65) / 65.0
+    if degree is None:
+        # no forms_batch: ray_forms applies the operator to n_s rows a ray
+        assert op.forms_batch is None
+        assert op.ray_cells(s.size) == s.size * op.row_width
+        return
     for k in (1, 3):
         calls.clear()
         op.forms_batch(rng.standard_normal((k, space32.n_modes)), s)
-        assert calls == [(k, n) if degree is not None else (k, s.size, n)]
+        assert calls == [(k, n)]
 
 
 @pytest.mark.parametrize("odd", [True, False])
@@ -522,10 +525,11 @@ def test_the_degree_sample_spans_the_hook_chunks(cfg):
 
 @pytest.mark.parametrize("cfg", [SpaceConfig(), SpaceConfig(320, 8, 256)], ids=["32", "320"])
 def test_bvp_h2_overflow_raises_quietly(cfg):
-    # sinh(5000 u) overflows where s u(t) passes about 0.14, so the grid
+    # sinh(5000 u) overflows where s u(t) passes about 0.14, so the
     # forms of the larger s are infinite; (H2) raises, and numpy warns of
-    # nothing on the way (the table synthesis at 32 modes, the transform
-    # at 320).  sinh declares no degree, so its forms take f at every s
+    # nothing on the way (the table products at 32 modes, the transform
+    # at 320).  sinh declares no degree, so its forms apply the operator
+    # to the scaled rays
     nl = _plain_nl(lambda t, u: np.sinh(5000.0 * u), "sinh")
     assert nl.degree is None
     op = bvp.bvp_operator(nl, cfg, odd=False)

@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -255,6 +256,30 @@ def test_non_finite_solve_is_blowup(problem, override, capsys):
     captured = capsys.readouterr()
     assert code == 3
     assert captured.err.startswith("operator blow-up") and "Warning" not in captured.err
+
+
+# overrides whose load-time samples overflow: the oddness rows of a
+# coefficient operator, and a bvp nonlinearity's f on the degree sample.
+# Each is a config error that names the non-finite value, without a numpy
+# warning
+NON_FINITE_LOADS = [
+    ("check", "linear2d", "problem.a_scale=1e308"),
+    ("solve", "power_law_1d", "problem.amplitude=1e308"),
+    ("check", "bvp_sqrt", "problem.amplitude=1e308"),
+]
+
+
+@pytest.mark.parametrize(
+    "command,problem,override", NON_FINITE_LOADS, ids=[f"{c}:{p}:{o}" for c, p, o in NON_FINITE_LOADS]
+)
+def test_non_finite_load_sample_is_config_error(command, problem, override, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(command, "--problem", str(PROBLEMS / f"{problem}.cfg"), "--set", override)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("config error:") == 1 and "non-finite" in err
+    assert "Warning" not in err and caught == []
 
 
 def test_size_guard_applies_to_the_built_space():
@@ -580,19 +605,23 @@ REPORT_EXIT_CODES = {
     "sublinear_affine": 1,
     "cubic2d": 0,
     "bvp_sqrt": 1,
+    "bvp_highres": 1,
 }
 
 
 @pytest.mark.parametrize("problem, code", REPORT_EXIT_CODES.items(), ids=list(REPORT_EXIT_CODES))
 def test_reports_byte_stable(problem, code, tmp_path):
     # golden files hold the default-seed output; linear2d blows up in the
-    # solve phase, so its report writes nothing and the check output is kept
+    # solve phase, so its report writes nothing and the check output is kept.
+    # The arguments are golden_diff.py's, which runs bvp_highres as bvp_sqrt
+    # at 1,280 modes on 8,192 nodes
+    argv = runpy.run_path(str(SCRIPTS / "golden_diff.py"))["command_argv"]
     out = tmp_path / "out.json"
-    assert run("report", "--problem", str(PROBLEMS / f"{problem}.cfg"), "--output", str(out)) == code
+    assert run(*argv(problem, "report", PROBLEMS), "--output", str(out)) == code
     golden = GOLDEN / f"{problem}.report.json"
     if code == 3:
         assert not out.exists()
-        assert run("check", "--problem", str(PROBLEMS / f"{problem}.cfg"), "--output", str(out)) == 0
+        assert run(*argv(problem, "check", PROBLEMS), "--output", str(out)) == 0
         golden = GOLDEN / f"{problem}.check.json"
     assert out.read_bytes() == golden.read_bytes()
 

@@ -296,12 +296,12 @@ def test_h2_prime_chunks_match_the_angle_scan(monkeypatch, problem, n_angle, n_s
 
 def test_h2_prime_chunks_count_a_bvp_row_by_its_grid(monkeypatch):
     # a two-pair bvp problem of 2 modes on 2,048 nodes: every ray carries
-    # a 2,048-node profile.  With a declared degree (forms_batch.per_ray) a
-    # ray holds the profile and its n_s forms, 2,058 cells, so `check`
-    # sweeps 7 rays a forms call; a forms_batch that does not state it
-    # holds n_s profiles a ray, more than a chunk, so each ray goes alone
-    # with its s-grid in parts of 8 and 2 points.  No batched apply, and
-    # the margin and witness of the angle-by-angle scan
+    # a 2,048-node profile.  With the declared degree a ray holds the
+    # profile and its n_s forms, 2,058 cells, so `check` sweeps 7 rays a
+    # forms call and applies no batch.  The same nonlinearity without a
+    # degree builds no forms_batch: a ray holds n_s profiles, more than a
+    # chunk, so each ray goes alone with its s-grid in applies of 8 and 2
+    # points.  Both keep the margin and witness of the angle-by-angle scan
     overrides = [
         "problem.mode=two_pair",
         "space.n_modes=2",
@@ -310,35 +310,34 @@ def test_h2_prime_chunks_count_a_bvp_row_by_its_grid(monkeypatch):
         "hypotheses.n_angle=409",
     ]
     setup = load_problem(PROBLEMS / "bvp_sqrt.cfg", overrides)
-    assert setup.operator.row_width == 2048 and setup.operator.forms_batch.per_ray
-    rows, rays = [], []
-
-    def counted(stacked):
-        rows.append(len(stacked))
-        return setup.operator.apply_many(stacked)
-
-    def counted_forms(chunk, s):
-        rays.append((len(chunk), s.size))
-        return setup.operator.forms_batch(chunk, s)
-
-    op = replace(setup.operator, odd=False, apply_batch=counted, forms_batch=counted_forms)
-    reports = []
-
-    def recording(A, *args, **kwargs):
-        reports.append(check_h2_prime(op, *args, **kwargs))
-        return reports[-1]
-
-    monkeypatch.setattr(cli, "check_h2_prime", recording)
+    plain = bvp_mod.bvp_operator(replace(setup.nonlinearity, degree=None), setup.space)
+    assert setup.operator.forms_batch is not None and plain.forms_batch is None
+    assert setup.operator.row_width == plain.row_width == 2048
     e2, e3 = setup.e_vectors
-    margin, witness = _h2_prime_by_angle(
-        setup.operator, setup.comparison, e2, e3, setup.radius, 409, 10
-    )
-    for per_ray, calls in ((True, [(7, 10)] * 58 + [(3, 10)]), (False, [(1, 8), (1, 2)] * 409)):
-        counted_forms.per_ray = per_ray
-        rays.clear()
+    cases = ((setup.operator, [(7, 10)] * 58 + [(3, 10)], []), (plain, [], [8, 2] * 409))
+    for base, calls, applies in cases:
+        rows, rays, reports = [], [], []
+
+        def counted(stacked):
+            rows.append(len(stacked))
+            return base.apply_many(stacked)
+
+        def counted_forms(chunk, s):
+            rays.append((len(chunk), s.size))
+            return base.forms_batch(chunk, s)
+
+        forms = counted_forms if base.forms_batch is not None else None
+        op = replace(base, odd=False, apply_batch=counted, forms_batch=forms)
+
+        def recording(A, *args, **kwargs):
+            reports.append(check_h2_prime(op, *args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, "check_h2_prime", recording)
         cli.run_check(setup)
         assert rays == calls
-        assert rows == []
+        assert rows == applies
+        margin, witness = _h2_prime_by_angle(base, setup.comparison, e2, e3, setup.radius, 409, 10)
         assert reports[-1].margin == margin
         assert reports[-1].witnesses == [witness]
 
@@ -398,7 +397,6 @@ def test_h2_prime_batch_rows(problem):
         rays.append((len(chunk), s.size))
         return setup.operator.forms_batch(chunk, s)
 
-    counted_forms.per_ray = getattr(setup.operator.forms_batch, "per_ray", False)
     op = replace(
         setup.operator,
         odd=False,
@@ -473,7 +471,7 @@ def _assert_close(a, b, tol):
 @pytest.mark.parametrize("problem, overrides", _CHUNK_LOADS, ids=_CHUNK_IDS)
 def test_chunked_batches_change_no_result(monkeypatch, problem, overrides):
     # with chunks of one cell every checker batch splits into single rows,
-    # every s-grid of a form call that is not per_ray into pairs of points,
+    # every s-grid of the apply route into pairs of points,
     # and the bvp oddness hook's f values into single magnitudes: (H),
     # (H2), (H2)' and the oddness check keep their verdicts and witnesses.
     # Bit for bit, but for a bvp batch on a table grid, whose moments round
@@ -544,7 +542,6 @@ def test_a_shipped_check_takes_each_batch_in_one_call(monkeypatch, problem, over
             calls.append(("forms_batch", rays.shape, s.size))
             return forms_batch(rays, s)
 
-        recorded.per_ray = forms_batch.per_ray
         op = replace(op, odd=False, forms_batch=recorded)
     cli.run_check(replace(setup, operator=op))
 

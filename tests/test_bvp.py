@@ -452,23 +452,32 @@ _FORM_SPACES = [
 ] + [SpaceConfig(256, 8, 256), SpaceConfig(257, 8, 256), SpaceConfig(320, 8, 256), SpaceConfig(1280, 8, 1024)]
 
 
+@pytest.mark.parametrize("declared", [True, False], ids=["degree", "none"])
 @pytest.mark.parametrize("cfg", _FORM_SPACES, ids=lambda c: f"{c.n_modes}x{c.quad_nodes * c.n_panels}")
 @pytest.mark.parametrize("family", _FAMILY_CASES)
-def test_ray_forms_match_the_apply_route(family, cfg, rng):
+def test_ray_forms_match_the_apply_route(family, cfg, declared, rng):
     # the grid forms, s**degree times the form of one f call of the
     # profile p, against the images of the scaled rows dotted with the
-    # rays, for one ray and for three
+    # rays, for one ray and for three; without a degree the operator has
+    # no forms_batch, and its ray_forms (the apply route, its s-grid split
+    # into chunks) must meet the declared operator's one-f-call forms
     nl = _ODDNESS_CASES[family][0]
     assert nl.degree is not None
     op = bvp.bvp_operator(nl, cfg)
     assert op.forms_batch is not None
+    bare = None if declared else bvp.bvp_operator(replace(nl, degree=None), cfg)
+    assert declared or bare.forms_batch is None
     assert space_mod._table_free(cfg) is (cfg.n_modes >= 257)
     s = np.arange(1, 65) / 65.0
     for k in (1, 3):
         rays = rng.standard_normal((k, cfg.n_modes)) / np.arange(1, cfg.n_modes + 1)
-        forms = op.ray_forms(rays, s)
-        images = op.apply_many((s[None, :, None] * rays[:, None, :]).reshape(k * s.size, -1))
-        reference = np.einsum("ksn,kn->ks", images.reshape(k, s.size, -1), rays)
+        if declared:
+            forms = op.ray_forms(rays, s)
+            images = op.apply_many((s[None, :, None] * rays[:, None, :]).reshape(k * s.size, -1))
+            reference = np.einsum("ksn,kn->ks", images.reshape(k, s.size, -1), rays)
+        else:
+            forms = bare.ray_forms(rays, s)
+            reference = op.forms_batch(rays, s)
         assert forms.shape == (k, s.size)
         if family == "zero":
             assert not forms.any() and not reference.any()

@@ -170,15 +170,6 @@ def _transform_cells(cfg: SpaceConfig) -> int:
     return cfg.quad_nodes * max(cfg.n_modes + 1, 2 * cfg.n_panels)
 
 
-def _row_width(cfg: SpaceConfig) -> int:
-    """Cells one row of a bvp operator's batch holds: its grid profile, or
-    on a table-free grid, where a batch takes the panel transform, its
-    transform cells."""
-    if _table_free(cfg):
-        return _transform_cells(cfg)
-    return max(cfg.n_modes, cfg.quad_nodes * cfg.n_panels)
-
-
 def bvp_operator(nl: Nonlinearity, cfg: SpaceConfig, odd: bool = True) -> PotentialOperatorSpec:
     """The fixed-point operator of the boundary value problem.
 
@@ -300,7 +291,9 @@ def bvp_operator(nl: Nonlinearity, cfg: SpaceConfig, odd: bool = True) -> Potent
         apply_batch=apply_batch,
         forms_batch=forms_batch if nl.degree is not None else None,
         label=f"bvp({nl.label})",
-        row_width=_row_width(cfg),
+        # a row of a batch holds its grid profile, or on a table-free grid,
+        # where a batch takes the panel transform, its transform cells
+        row_width=_transform_cells(cfg) if _table_free(cfg) else max(cfg.n_modes, nodes.size),
     )
 
 

@@ -64,18 +64,15 @@ _SCHEMA: dict[str, dict[str, Callable[[str], Any]]] = {
 
 _KINDS = ("power_law", "cubic2d", "linear2d", "bvp")
 _FAMILIES = ("sublinear", "power", "linear", "zero")
-# operator rows the checkers may apply, 64x the largest shipped grid (cubic2d's
-# 256 x 256 (H2)' rows), a row weighted by its width; bounds the time of `check`
-_MAX_CHECK_ROWS = 2**22
-# an (H2)' angle is counted as at least this many rows.  The sweep makes one
-# Python-level pass per chunk of whole angles (hypotheses.check_h2_prime): on
-# cubic2d a 10-point angle costs about 0.4 us, as much as 30 rows, and
-# `check` at the cap takes at most about 0.15 s (n_s = 513, one angle a pass)
-_ANGLE_PASS_ROWS = 64
-# a row counts as one row of the cap per this many cells of its row_width
-_CELLS_PER_ROW = 8
-# cells one row (its row_width) or all seeds may hold; a chunk of checker rows
-# holds at most operators._BATCH_CELLS cells or one such row
+# cells one sampled checker may evaluate, counted by the operator's own
+# row_width and ray_cells (_checker_cells): 64x the largest shipped grid,
+# cubic2d's 256 x 256 (H2)' points of two cells.  Bounds the time of
+# `check`: at the cap about 0.4 s on either ray route and 1.4-1.7 s for (H)
+# on a 720 x 720 table grid (2 vCPUs, start-up included)
+_MAX_CHECK_CELLS = 2**24
+# cells one row (its row_width) or all seeds may hold, and points an s-grid
+# may hold (check_h2 keeps it whole); a chunk of checker rows holds at most
+# operators._BATCH_CELLS cells or one such row
 _MAX_ROW_CELLS = 2**20
 # Gauss-Legendre points a panel: the rule's companion matrix, quad_nodes^2
 # values, fits one row
@@ -99,6 +96,8 @@ class HypothesisParams:
     def __post_init__(self) -> None:
         if self.n_s < 10 or self.n_angle < 10:
             raise ValueError("n_s and n_angle must be >= 10")
+        if self.n_s > _MAX_ROW_CELLS:
+            raise ValueError(f"n_s = {self.n_s:,} is above {_MAX_ROW_CELLS:,}, the points an s-grid may hold")
         if self.dirs_per_radius < 1:
             raise ValueError("dirs_per_radius must be >= 1")
         if len(self.growth_radii) > _MAX_GROWTH_RADII:
@@ -221,26 +220,16 @@ def _check_sizes(kind: str, space: SpaceConfig, n_seeds: int) -> None:
         )
 
 
-def _check_checker_rows(kind: str, space: SpaceConfig, mode: str, hyp: HypothesisParams) -> None:
-    """Reject a problem whose checkers would apply more than _MAX_CHECK_ROWS rows.
-
-    A row is weighted by its width: it counts as one row per
-    _CELLS_PER_ROW cells of row_width, so the shipped coefficient problems'
-    rows count one each and sublinear_affine's 256-node rows 32.
-    """
-    width = bvp_mod._row_width(space) if kind == "bvp" else space.n_modes
-    weight = -(-width // _CELLS_PER_ROW)
-    rows = {"(H)": len(hyp.growth_radii) * hyp.dirs_per_radius * weight}
+def _checker_cells(op: PotentialOperatorSpec, mode: str, hyp: HypothesisParams) -> dict[str, int]:
+    """Cells each sampled checker evaluates, by the operator's own rule:
+    (H) applies op to its rows of row_width cells, and (H2) and (H2)' take
+    ray_forms of one ray and of n_angle rays on the s-grid."""
+    cells = {"(H)": len(hyp.growth_radii) * hyp.dirs_per_radius * op.row_width}
     if mode == "one_pair":
-        rows["(H2)"] = hyp.n_s * weight
+        cells["(H2)"] = op.ray_cells(hyp.n_s)
     else:
-        rows["(H2)'"] = hyp.n_angle * max(hyp.n_s * weight, _ANGLE_PASS_ROWS)
-    name, count = max(rows.items(), key=lambda item: item[1])
-    if count > _MAX_CHECK_ROWS:
-        raise ConfigError(
-            f"problem too large: {name} would apply the operator to {count:,} rows "
-            f"(one {kind} row counts {weight}), above the {_MAX_CHECK_ROWS:,} row limit"
-        )
+        cells["(H2)'"] = hyp.n_angle * op.ray_cells(hyp.n_s)
+    return cells
 
 
 def load_problem(
@@ -275,7 +264,6 @@ def load_problem(
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad [hypotheses] section: {exc}") from exc
     _check_sizes(kind, space, n_seeds)
-    _check_checker_rows(kind, space, mode, hyp)
 
     radius = float(prob.get("radius", 0.5))
     if radius <= 0:
@@ -327,6 +315,12 @@ def load_problem(
         raise
     except ValueError as exc:
         raise ConfigError(f"bad problem parameters: {exc}") from exc
+    name, cells = max(_checker_cells(operator, mode, hyp).items(), key=lambda item: item[1])
+    if cells > _MAX_CHECK_CELLS:
+        raise ConfigError(
+            f"problem too large: {name} would evaluate {cells:,} cells of the operator, "
+            f"above the {_MAX_CHECK_CELLS:,} cell limit"
+        )
 
     default_pairs = 1 if mode == "one_pair" else 2
     expected_pairs = int(prob.get("expected_pairs", default_pairs))

@@ -187,7 +187,7 @@ def test_oddness_shortcut_keeps_the_sampled_verdict(monkeypatch, case, cfg):
     # the shortcut skips both sample applies; A(0) is applied once an operator
     # passes.  The rows are applied both ways a chunk at a time, up to the
     # first chunk that fails
-    chunks = [len(u) for u in _oddness_samples(cfg.n_modes, bvp._row_width(cfg)) for _ in "+-"]
+    chunks = [len(u) for u in _oddness_samples(cfg.n_modes, plain.row_width) for _ in "+-"]
 
     def applied(exact):
         if exact:

@@ -19,15 +19,16 @@ from hypothesis import strategies as st
 from fixpairs import bvp, cli
 from fixpairs import space as space_mod
 from fixpairs.cli import main
-from fixpairs.operators import _BATCH_CELLS
+from fixpairs.operators import _BATCH_CELLS, PotentialOperatorSpec
 from fixpairs.problems import (
+    _MAX_CHECK_CELLS,
     _MAX_ROW_CELLS,
     _SCHEMA,
     ConfigError,
     HypothesisParams,
     ProblemSetup,
-    _check_checker_rows,
     _check_sizes,
+    _checker_cells,
     load_problem,
     parse_config,
 )
@@ -143,8 +144,8 @@ BAD_OVERRIDES = [
     ("cubic2d", "hypotheses.growth_radii=0.5,nan"),
     ("cubic2d", "solver.grad_tol=nan"),
     ("cubic2d", "problem.seed_scale=1"),
-    # 10^6-mode rows fit a batch, but the checkers' work, a row weighted by
-    # its width, exceeds the row cap; one transform row of 3.2 and of 1.6
+    # 10^6-mode rows fit a batch, but the checkers' work, 96 (H) rows of
+    # 10^6 cells, exceeds the cell cap; one transform row of 3.2 and of 1.6
     # million cells exceeds a batch; quad_nodes above 1,024
     ("power_law_1d", "space.n_modes=1000000"),
     ("bvp_sqrt", "space.n_panels=200000"),
@@ -166,15 +167,15 @@ BAD_OVERRIDES = [
     # seeds of more cells than a batch (n_circle_seeds x n_modes)
     ("sublinear_affine", "problem.n_circle_seeds=10000000"),
     ("cubic2d", "problem.n_circle_seeds=10000000"),
-    # (H2) rows, (H2)' angles and (H) rows above the checker row cap, and
-    # eigen_n above 10^6
-    ("bvp_sqrt", "hypotheses.n_s=1000000"),
+    # an (H2) s-grid above 2**20 points, (H2)' angles and (H) rows above the
+    # checker cell cap, and eigen_n above 10^6
+    ("bvp_sqrt", "hypotheses.n_s=1048577"),
     ("cubic2d", "hypotheses.n_angle=1000000000"),
     ("cubic2d", "hypotheses.dirs_per_radius=100000000"),
     ("power_law_1d", "hypotheses.eigen_n=1000000000"),
     # 6 radii x 20,000 (H) rows of 4,096 transform cells
     ("bvp_sqrt", "hypotheses.dirs_per_radius=20000"),
-    # checker work above the row cap: 10^8 (H2)' angles fit in memory but would run for hours
+    # checker work above the cell cap: 10^8 (H2)' angles fit in memory but would run for hours
     ("cubic2d", "hypotheses.n_angle=100000000"),
     # keys retired because no problem set them: any value is now an unknown key
     ("cubic2d", "solver.armijo_c=0.5"),
@@ -321,6 +322,9 @@ def test_size_guard_bounds_one_row_and_the_seeds():
     _check_sizes("cubic2d", SpaceConfig(n_modes=2), 2**19)
     with pytest.raises(ConfigError, match="524,289 seeds of 2 coefficients"):
         _check_sizes("cubic2d", SpaceConfig(n_modes=2), 2**19 + 1)
+    HypothesisParams(n_s=_MAX_ROW_CELLS)
+    with pytest.raises(ValueError, match="n_s = 1,048,577 is above 1,048,576"):
+        HypothesisParams(n_s=_MAX_ROW_CELLS + 1)
     HypothesisParams(eigen_n=10**6)
     with pytest.raises(ValueError, match="eigen_n must lie in"):
         HypothesisParams(eigen_n=10**6 + 1)
@@ -350,7 +354,7 @@ def test_a_transform_row_holds_at_most_40_bytes_a_cell():
             tracemalloc.stop()
         assert peak <= 64 * cfg.quad_nodes * (cfg.n_modes + 1 + cfg.n_panels)
         if rows:
-            assert bvp._row_width(cfg) == bvp._transform_cells(cfg)
+            assert bvp.bvp_operator(bvp.zero_nonlinearity(), cfg).row_width == bvp._transform_cells(cfg)
             batch = np.repeat(coeffs, rows, axis=0)
             values = profiles(batch, g)
             for product, x in ((profiles, batch), (moments, values)):
@@ -375,13 +379,13 @@ _PEAK_LOADS = [
     ("power_law_1d", ["space.n_modes=100000", "hypotheses.n_s=10"]),
     # 192 (H) rows of 16,384 transform cells, chunks of 4 rows (76 MB at once)
     ("bvp_sqrt", ["space.n_modes=1280", "space.n_panels=1024", "hypotheses.dirs_per_radius=32"]),
-    # 512 (H2)' angles of 4,096 modes and 10 points: one ray a block, its
-    # s-grid in parts of 4, 4 and 2 points
-    # (34 MB with every point and form at once)
-    ("power_law_1d", ["problem.mode=two_pair", "space.n_modes=4096", "hypotheses.n_angle=512", "hypotheses.n_s=10"]),
-    # the row cap's 2**22 (H2) points of a one-mode row: their forms take 256
-    # chunks, and (H2) keeps one value of each per point
-    ("power_law_1d", ["hypotheses.n_s=4194304"]),
+    # 409 (H2)' angles of 4,096 modes and 10 points, 40,960 cells an angle
+    # (the cell cap admits 409): one ray a block, its s-grid in parts of 4,
+    # 4 and 2 points
+    ("power_law_1d", ["problem.mode=two_pair", "space.n_modes=4096", "hypotheses.n_angle=409", "hypotheses.n_s=10"]),
+    # the largest s-grid, 2**20 (H2) points of a one-mode row: their forms
+    # take 64 chunks, and (H2) keeps one value of each per point
+    ("power_law_1d", ["hypotheses.n_s=1048576"]),
 ]
 
 
@@ -395,7 +399,7 @@ def test_a_load_and_check_peak_within_the_batch_bound(problem, overrides):
     # modes), plus one row, 64 bytes a cell of
     # its coefficients or of a bvp row's panel transform, the grid, and
     # what (H2) keeps a point of its s-grid: s, the form, the bound and the
-    # gap (33 bytes a point measured at 2**22 points)
+    # gap (33 bytes a point measured at 2**20 points)
     path = PROBLEMS / f"{problem}.cfg"
     load_problem(path, overrides=overrides)  # fills gauss_rule's cache
     tracemalloc.start()
@@ -416,28 +420,69 @@ def test_a_load_and_check_peak_within_the_batch_bound(problem, overrides):
     assert peak <= 6 * 8 * _BATCH_CELLS + 64 * cells + held + 40 * points
 
 
-def test_checker_row_cap_boundary():
-    # cubic2d's 256 x 256 (H2)' rows scaled 64x sit exactly at the cap
-    load_problem(PROBLEMS / "cubic2d.cfg", overrides=["hypotheses.n_angle=16384"])
-    with pytest.raises(ConfigError, match="row limit"):
-        load_problem(PROBLEMS / "cubic2d.cfg", overrides=["hypotheses.n_angle=16385"])
-    # an angle counts as at least _ANGLE_PASS_ROWS rows, however small n_s is
-    with pytest.raises(ConfigError, match="row limit"):
-        load_problem(
-            PROBLEMS / "cubic2d.cfg", overrides=["hypotheses.n_angle=65537", "hypotheses.n_s=10"]
-        )
+def test_checker_row_cap_boundary(capsys):
+    # (H2)' at the cell cap on both ray routes.  A cubic2d ray applies the
+    # operator to its 256 points, 512 cells; a sublinear_affine ray holds its
+    # 256 grid nodes and 64 forms (forms_batch), 320 cells
+    for problem, n_angle, ray in (("cubic2d", 32768, 512), ("sublinear_affine", 52428, 320)):
+        path = PROBLEMS / f"{problem}.cfg"
+        load_problem(path, overrides=[f"hypotheses.n_angle={n_angle}"])
+        over = f"hypotheses.n_angle={n_angle + 1}"
+        with pytest.raises(ConfigError, match=f"\\(H2\\)' would evaluate {(n_angle + 1) * ray:,} cells"):
+            load_problem(path, overrides=[over])
+        assert run("check", "--problem", str(path), "--set", over) == 2
+        err = capsys.readouterr().err
+        assert err.count("config error:") == 1 and "Traceback" not in err
+    # an angle of 10 points counts 20 cells
+    load_problem(PROBLEMS / "cubic2d.cfg", overrides=["hypotheses.n_angle=838860", "hypotheses.n_s=10"])
+    with pytest.raises(ConfigError, match="cell limit"):
+        load_problem(PROBLEMS / "cubic2d.cfg", overrides=["hypotheses.n_angle=838861", "hypotheses.n_s=10"])
 
 
 @pytest.mark.parametrize("problem", sorted(p.stem for p in PROBLEMS.glob("*.cfg")))
 def test_shipped_problems_keep_64x_checker_headroom(problem):
     setup = load_problem(PROBLEMS / f"{problem}.cfg")
     for key in ("n_angle", "n_s", "dirs_per_radius"):
-        _check_checker_rows(
-            setup.kind,
-            setup.space,
-            setup.mode,
-            replace(setup.hyp, **{key: 64 * getattr(setup.hyp, key)}),
-        )
+        hyp = replace(setup.hyp, **{key: 64 * getattr(setup.hyp, key)})
+        assert max(_checker_cells(setup.operator, setup.mode, hyp).values()) <= _MAX_CHECK_CELLS
+
+
+_HIGHRES = ["space.n_modes=1280", "space.n_panels=1024"]  # the benchmark's bvp_sqrt grid
+
+
+@pytest.mark.parametrize(
+    "problem, overrides",
+    [(p.stem, []) for p in sorted(PROBLEMS.glob("*.cfg"))] + [("bvp_sqrt", _HIGHRES)],
+    ids=[p.stem for p in sorted(PROBLEMS.glob("*.cfg"))] + ["bvp_highres"],
+)
+def test_checker_cells_are_the_cells_check_evaluates(monkeypatch, problem, overrides):
+    # the load bounds each checker by the cells `check` then evaluates: (H)
+    # applies the operator to rows of row_width cells, and (H2) or (H2)'
+    # takes ray_forms of rays of ray_cells(n_s) cells, whose own applies
+    # are its cells, not (H)'s
+    setup = load_problem(PROBLEMS / f"{problem}.cfg", overrides=overrides)
+    ray_name = "(H2)" if setup.mode == "one_pair" else "(H2)'"
+    counted = {"(H)": 0, ray_name: 0}
+    in_rays = []
+    apply_many, ray_forms = PotentialOperatorSpec.apply_many, PotentialOperatorSpec.ray_forms
+
+    def counted_apply(self, stacked):
+        if not in_rays:
+            counted["(H)"] += len(stacked) * self.row_width
+        return apply_many(self, stacked)
+
+    def counted_forms(self, rays, s):
+        counted[ray_name] += len(rays) * self.ray_cells(s.size)
+        in_rays.append(True)
+        try:
+            return ray_forms(self, rays, s)
+        finally:
+            in_rays.pop()
+
+    monkeypatch.setattr(PotentialOperatorSpec, "apply_many", counted_apply)
+    monkeypatch.setattr(PotentialOperatorSpec, "ray_forms", counted_forms)
+    cli.run_check(setup)
+    assert counted == _checker_cells(setup.operator, setup.mode, setup.hyp)
 
 
 _KEYS = [f"{section}.{key}" for section, keys in _SCHEMA.items() for key in keys]
@@ -516,21 +561,24 @@ def test_an_os_error_while_computing_is_not_an_output_error(monkeypatch):
 
 
 def test_bvp_row_cap_weights_rows_by_grid():
-    # a bvp row counts one row per 8 grid nodes, so sublinear_affine's
-    # 256-node rows count 32: the grid that sat at the unweighted cap and ran
-    # for 17.7 s exits 2, and 2048 angles of 64 rows sit exactly at the cap
+    # a bvp row counts the cells of its grid, and a forms ray those and its
+    # n_s forms, so sublinear_affine's 65,536 angles of 64 points, 320 cells
+    # each, the grid that sat at the unweighted row cap and ran for 17.7 s,
+    # exit 2
     path = PROBLEMS / "sublinear_affine.cfg"
     code = run("check", "--problem", str(path), "--set", "hypotheses.n_angle=65536", "--set", "hypotheses.n_s=64")
     assert code == 2
-    load_problem(path, overrides=["hypotheses.n_angle=2048"])
-    with pytest.raises(ConfigError, match="row limit"):
-        load_problem(path, overrides=["hypotheses.n_angle=2049"])
-    # the benchmark's 1280-mode bvp_sqrt grid (8,192 nodes) stays admitted
-    setup = load_problem(PROBLEMS / "bvp_sqrt.cfg")
-    highres = SpaceConfig(n_modes=1280, quad_nodes=8, n_panels=1024)
-    _check_checker_rows(setup.kind, highres, setup.mode, setup.hyp)
-    with pytest.raises(ConfigError, match="row limit"):
-        _check_checker_rows(setup.kind, highres, setup.mode, replace(setup.hyp, n_s=4097))
+    # the benchmark's 1280-mode bvp_sqrt grid (8,192 nodes, table-free: 16,384
+    # transform cells a row) stays admitted.  So is its n_s = 4,097, which the
+    # row cap rejected: (H2) is one forms ray, 16,384 cells and 4,097 forms
+    bvp_sqrt = PROBLEMS / "bvp_sqrt.cfg"
+    load_problem(bvp_sqrt, overrides=_HIGHRES)
+    setup = load_problem(bvp_sqrt, overrides=[*_HIGHRES, "hypotheses.n_s=4097"])
+    assert _checker_cells(setup.operator, setup.mode, setup.hyp)["(H2)"] == 16384 + 4097
+    # its (H) rows are what the cap bounds: 6 radii x 170 directions fit
+    load_problem(bvp_sqrt, overrides=[*_HIGHRES, "hypotheses.dirs_per_radius=170"])
+    with pytest.raises(ConfigError, match="\\(H\\) would evaluate 16,809,984 cells"):
+        load_problem(bvp_sqrt, overrides=[*_HIGHRES, "hypotheses.dirs_per_radius=171"])
 
 
 def test_check_one_mode_bvp_fails_without_traceback(tmp_path, capsys):

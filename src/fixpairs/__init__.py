@@ -16,7 +16,6 @@ from .space import (
     basis_vector,
     evaluate,
     inner,
-    l2_norm_sq,
 )
 from .operators import (
     GrowthCertificate,
@@ -44,7 +43,6 @@ from .solver import (
     SolverConfig,
     axis_seeds,
     circle_seeds,
-    descend,
     find_pairs,
 )
 
@@ -66,7 +64,6 @@ __all__ = [
     "check_h2",
     "check_h2_prime",
     "circle_seeds",
-    "descend",
     "evaluate",
     "fd_gradient_check",
     "find_pairs",
@@ -75,7 +72,6 @@ __all__ = [
     "gradient_J",
     "growth_fit",
     "inner",
-    "l2_norm_sq",
     "lower_bound_J",
     "quadratic_form_margin",
 ]

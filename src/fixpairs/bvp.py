@@ -18,8 +18,8 @@ side integrates in closed form against e_k).  This is how the operator is
 assembled here: it keeps the operator self-adjoint for linear f and the
 energy/gradient pair consistent to rounding, which the descent tolerances
 rely on.  Profiles are evaluated pointwise from the sine series
-(space.evaluate).  The kernel itself is the reference for acceptance
-criterion c06, whose second-difference residual checks use green_profile.
+(space.evaluate).  The kernel itself, the reference of acceptance criterion
+c06, lives with the tests (tests/analytic_reference.py).
 
 The module also provides the comparison operator B u = G * (a1 u) as its
 k x k block on span{e_1, ..., e_k}, the span the conditions read it on
@@ -36,21 +36,22 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .hypotheses import FAIL, SAMPLED_PASS, STRICT_TOL, PASS, HypothesisReport, _open_grid
-from .operators import _BATCH_CELLS, LinearOperatorSpec, PotentialOperatorSpec
+from .hypotheses import FAIL, SAMPLED_PASS, STRICT_TOL, PASS, HypothesisReport, open_grid
+from .operators import LinearOperatorSpec, PotentialOperatorSpec, batches
 from .space import (
     Grid,
     SpaceConfig,
-    _table_free,
     gauss_rule,
     moments,
     panel_analysis,
     panel_phases,
     profiles,
+    row_cells,
 )
 
 __all__ = [
     "Nonlinearity",
+    "ORACLE_GRID_POINTS",
     "ShootingResult",
     "ShootingSolution",
     "b_matrix",
@@ -62,8 +63,6 @@ __all__ = [
     "d1_magnitudes",
     "dirichlet_eigenvalue",
     "sublinear_affine",
-    "green_kernel",
-    "green_profile",
     "linear_nonlinearity",
     "power_nonlinearity",
     "shooting_oracle",
@@ -105,39 +104,6 @@ class Nonlinearity:
         return float(vals.min()), float(vals.max())
 
 
-def green_kernel(t, s):
-    """G(t, s) = t (1 - s) if t <= s else s (1 - t); symmetric, peak 1/4."""
-    t = np.asarray(t, dtype=float)
-    s = np.asarray(s, dtype=float)
-    # "not in" forms so that NaN is rejected as well
-    if not (np.all((t >= 0.0) & (t <= 1.0)) and np.all((s >= 0.0) & (s <= 1.0))):
-        raise ValueError("green_kernel arguments must lie in [0, 1]")
-    out = np.where(t <= s, t * (1.0 - s), s * (1.0 - t))
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
-def green_profile(g: Callable[[np.ndarray], np.ndarray], ts, order: int = 8, panels: int = 16):
-    """Evaluate t -> int_0^1 G(t, s) g(s) ds at arbitrary points.
-
-    The kernel is piecewise linear in s with a kink at s = t, so the
-    integral is split there and each side integrated on panels that scale
-    with the subinterval.  The quadrature error is then an analytic function
-    of t, which the second-difference residual checks depend on.
-    """
-    x, w = gauss_rule(order, panels)
-    ts_arr = np.atleast_1d(np.asarray(ts, dtype=float))
-    left_nodes = np.outer(ts_arr, x)  # s = t*x
-    right_nodes = ts_arr[:, None] + np.outer(1.0 - ts_arr, x)  # s = t + (1-t)*x
-    il = np.asarray(g(left_nodes)) @ (w * x)
-    ir = np.asarray(g(right_nodes)) @ (w * (1.0 - x))
-    vals = (1.0 - ts_arr) * ts_arr**2 * il + ts_arr * (1.0 - ts_arr) ** 2 * ir
-    if np.isscalar(ts) or np.asarray(ts).ndim == 0:
-        return float(vals[0])
-    return vals
-
-
 # the |u| values at which the oddness hook of bvp_operator compares
 # f(t, -u) with -f(t, u)
 _ODD_MAGNITUDES = np.geomspace(1e-8, 1e3, 100)
@@ -161,13 +127,6 @@ def _check_degree(nl: Nonlinearity, fm: np.ndarray) -> None:
         raise ValueError(
             f"{nl.label}: f(t, s u) differs from s**{nl.degree} f(t, u) at s = {_DEGREE_SCALE:.6g}"
         )
-
-
-def _transform_cells(cfg: SpaceConfig) -> int:
-    """Cells of one row through the panel transform, quad_nodes x max(n_modes
-    + 1, 2 n_panels): its FFT lines and spectra, or its gathered or folded
-    bins when n_modes >= 2 n_panels."""
-    return cfg.quad_nodes * max(cfg.n_modes + 1, 2 * cfg.n_panels)
 
 
 def bvp_operator(nl: Nonlinearity, cfg: SpaceConfig, odd: bool = True) -> PotentialOperatorSpec:
@@ -214,24 +173,20 @@ def bvp_operator(nl: Nonlinearity, cfg: SpaceConfig, odd: bool = True) -> Potent
         # for value wherever f is.  f is compared at every grid node and
         # every _ODD_MAGNITUDES value, a sample of the |u(t)| the oddness
         # check's rows reach: their norms are at most 10, and |u(t)| <=
-        # ||u|| / 2 in H1_0.  One f call takes about operators._BATCH_CELLS
-        # values, all 100 magnitudes on up to 655 nodes.  A declared degree
-        # is compared on the same f(t, m) values, so it is sampled at every
+        # ||u|| / 2 in H1_0.  One f call takes all 100 magnitudes on one of
+        # the operators.batches of the nodes, up to 655 of them.  A declared
+        # degree is compared on the same f(t, m) values, each chunk holding
+        # every pair of neighbouring magnitudes, so it is sampled at every
         # magnitude whatever the oddness verdict
-        t = g.nodes[None, :]
-        step = max(1, _BATCH_CELLS // g.nodes.size)
-        odd_so_far, below = True, None
-        for i in range(0, _ODD_MAGNITUDES.size, step):
-            m = _ODD_MAGNITUDES[i : i + step, None]
+        m = _ODD_MAGNITUDES[:, None]
+        odd_so_far = True
+        for cols in batches(nodes.size, _ODD_MAGNITUDES.size):
+            t = nodes[None, cols]
             with np.errstate(over="ignore", invalid="ignore"):
                 fm = nl.f(t, m)
                 odd_so_far = odd_so_far and np.array_equal(nl.f(t, -m), -fm)
                 if nl.degree is not None:
-                    # the last row of the previous chunk and the first of this one
-                    if below is not None:
-                        _check_degree(nl, np.concatenate([below, fm[:1]]))
                     _check_degree(nl, fm)
-                    below = fm[-1:].copy()
                 elif not odd_so_far:
                     return False
         return odd_so_far
@@ -291,9 +246,7 @@ def bvp_operator(nl: Nonlinearity, cfg: SpaceConfig, odd: bool = True) -> Potent
         apply_batch=apply_batch,
         forms_batch=forms_batch if nl.degree is not None else None,
         label=f"bvp({nl.label})",
-        # a row of a batch holds its grid profile, or on a table-free grid,
-        # where a batch takes the panel transform, its transform cells
-        row_width=_transform_cells(cfg) if _table_free(cfg) else max(cfg.n_modes, nodes.size),
+        row_width=row_cells(cfg),
     )
 
 
@@ -349,7 +302,7 @@ def check_d1(nl: Nonlinearity, r1: float) -> HypothesisReport:
     negatives: the bound is tightest near |u| = r1 for sublinear
     nonlinearities.
     """
-    t = _open_grid(_D_GRID)
+    t = open_grid(_D_GRID)
     u_pos = d1_magnitudes(r1)
     u = np.concatenate([-u_pos[::-1], u_pos])
     tt, uu = np.meshgrid(t, u, indexing="ij")
@@ -368,7 +321,7 @@ def check_d1(nl: Nonlinearity, r1: float) -> HypothesisReport:
 
 def check_d2(nl: Nonlinearity) -> HypothesisReport:
     """f(t, u) <= a2(t) |u|^theta + a3(t), sampled over t and |u| <= 1e3."""
-    t = _open_grid(_D_GRID)
+    t = open_grid(_D_GRID)
     u_pos = np.logspace(-6, 3, _D_GRID)
     u = np.concatenate([-u_pos[::-1], [0.0], u_pos])
     tt, uu = np.meshgrid(t, u, indexing="ij")
@@ -574,7 +527,7 @@ def zero_nonlinearity() -> Nonlinearity:
 @dataclass(frozen=True, eq=False)
 class ShootingSolution:
     sigma: float  # initial slope u'(0)
-    us: np.ndarray  # u at _ORACLE_GRID_POINTS uniform t-points, u(1) last
+    us: np.ndarray  # u at ORACLE_GRID_POINTS uniform t-points, u(1) last
 
 
 @dataclass(frozen=True, eq=False)
@@ -614,8 +567,9 @@ def _rk4(f, sigmas: np.ndarray, n_steps: int, stride: int) -> np.ndarray:
     return out
 
 
-# the oracle samples its profiles at this many uniform t-points
-_ORACLE_GRID_POINTS = 1001
+# the oracle samples its profiles at this many uniform t-points, and the
+# CLI writes the solver's profiles on the same points
+ORACLE_GRID_POINTS = 1001
 
 
 def shooting_oracle(
@@ -629,8 +583,8 @@ def shooting_oracle(
     over a slope grid and refine each sign change of u(1) by Brent's method.
 
     Fourth-order one-step integration with fixed step; the returned profiles
-    are sampled on a uniform grid of _ORACLE_GRID_POINTS points, so
-    _ORACLE_GRID_POINTS - 1 must divide n_steps.  A root is kept only when its profile ends within
+    are sampled on a uniform grid of ORACLE_GRID_POINTS points, so
+    ORACLE_GRID_POINTS - 1 must divide n_steps.  A root is kept only when its profile ends within
     max(tol, 1e-12 max(1, |sigma|)) of zero.  If three or more consecutive
     scan slopes already satisfy |u(1)| below the detection threshold the
     problem is flagged degenerate (a resonant continuum) and no roots are
@@ -641,9 +595,9 @@ def shooting_oracle(
         raise ValueError("slope_range must be increasing")
     if n_slopes < 2:
         raise ValueError("n_slopes must be >= 2")
-    stride, rest = divmod(n_steps, _ORACLE_GRID_POINTS - 1)
+    stride, rest = divmod(n_steps, ORACLE_GRID_POINTS - 1)
     if stride < 1 or rest != 0:
-        raise ValueError(f"n_steps must be a positive multiple of {_ORACLE_GRID_POINTS - 1}")
+        raise ValueError(f"n_steps must be a positive multiple of {ORACLE_GRID_POINTS - 1}")
     from scipy.optimize import brentq
 
     sigmas = np.linspace(lo, hi, n_slopes)

@@ -15,8 +15,9 @@ Subcommands:
 Every command exits 2 on a config error or an output it cannot write.
 
 Reports are JSON with a schema_version field and are byte-stable for a
-fixed seed and config; profiles and descent traces go to CSV when
---format csv is selected.
+fixed seed and config; solve and report also write their profiles and
+descent traces to CSV when --format csv is selected, which the other
+commands reject.
 """
 
 from __future__ import annotations
@@ -188,7 +189,7 @@ def run_eigen(setup: ProblemSetup) -> dict[str, Any]:
 
 def _write_profiles(setup: ProblemSetup, solve_report, output: str | None) -> None:
     stem = Path(output).with_suffix("") if output else Path("solve")
-    ts = np.linspace(0.0, 1.0, bvp_mod._ORACLE_GRID_POINTS)
+    ts = np.linspace(0.0, 1.0, bvp_mod.ORACLE_GRID_POINTS)
     for i, point in enumerate(solve_report.pairs):
         vals = evaluate(point.u, ts)
         lines = ["t,u"] + [f"{float(t)!r},{float(v)!r}" for t, v in zip(ts, vals)]
@@ -219,6 +220,9 @@ def main(argv: list[str] | None = None) -> int:
         help="override a config value (repeatable)",
     )
     args = parser.parse_args(argv)
+    if args.format == "csv" and args.command not in ("solve", "report"):
+        sys.stderr.write(f"config error: --format csv is for solve and report; {args.command} writes no profiles\n")
+        return EXIT_CONFIG
 
     try:
         setup = load_problem(args.problem, overrides=args.overrides, seed=args.seed)

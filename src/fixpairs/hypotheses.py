@@ -29,7 +29,7 @@ from typing import Any
 
 import numpy as np
 
-from .operators import _RAY_CELLS, LinearOperatorSpec, OperatorDivergenceError, PotentialOperatorSpec, _batches
+from .operators import LinearOperatorSpec, OperatorDivergenceError, PotentialOperatorSpec
 from .space import H1Vector
 
 __all__ = [
@@ -39,6 +39,7 @@ __all__ = [
     "check_h2",
     "check_h2_prime",
     "genus_of_sphere",
+    "open_grid",
     "quadratic_form_margin",
 ]
 
@@ -78,7 +79,7 @@ def _require_unit(e: H1Vector, name: str) -> None:
         raise ValueError(f"{name} must have unit norm (got {e.norm()!r})")
 
 
-def _open_grid(n: int) -> np.ndarray:
+def open_grid(n: int) -> np.ndarray:
     """n uniform points in the open interval (0, 1)."""
     return np.arange(1, n + 1) / (n + 1.0)
 
@@ -130,7 +131,7 @@ def check_h2(
         raise ValueError("r1 must be positive and finite")
     if n_s < 10:
         raise ValueError("n_s must be >= 10")
-    s = _open_grid(n_s)
+    s = open_grid(n_s)
     # a numpy square is inf on overflow, where a Python float raises; _ray_gaps reports it
     with np.errstate(over="ignore", invalid="ignore"):
         form = np.float64(r1) ** 2 * B1.form(e1, e1)
@@ -216,22 +217,22 @@ def check_h2_prime(
 ) -> HypothesisReport:
     """(A(s u), u) >= (B2 (s u), u) sampled on the circle and an s-grid.
 
-    The circle points, their forms and gaps are taken in _batches of
-    _RAY_CELLS, a point counted as its ray's A.ray_cells(n_s), which covers
-    its coefficients and its n_s gaps, so that each batch is one chunk of
-    one ray_forms call.  The witness is the first minimum in (angle, s)
-    order, as a scan angle by angle finds it.
+    The circle points, their forms and gaps are taken in A.ray_blocks, a
+    point counted as its ray's A.ray_cells(n_s), which covers its
+    coefficients and its n_s gaps, so that each block is one chunk of one
+    ray_forms call.  The witness is the first minimum in (angle, s) order,
+    as a scan angle by angle finds it.
     """
     if not 0.0 < r2 < np.inf:  # rejects NaN as well
         raise ValueError("r2 must be positive and finite")
     if n_angle < 10 or n_s < 10:
         raise ValueError("n_angle and n_s must be >= 10")
     a, b = _orthonormalize(e2, e3)
-    s = _open_grid(n_s)
+    s = open_grid(n_s)
     margin = np.inf
     witness: dict = {}
     with np.errstate(over="ignore", invalid="ignore"):
-        for block in _batches(n_angle, A.ray_cells(n_s), _RAY_CELLS):
+        for block in A.ray_blocks(n_angle, n_s):
             phis = 2.0 * np.pi * np.arange(block.start, block.stop) / n_angle
             circle = r2 * (np.cos(phis)[:, None] * a + np.sin(phis)[:, None] * b)
             gaps = _ray_gaps(A, circle, B2.forms(circle), s)[0]

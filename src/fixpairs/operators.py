@@ -30,6 +30,7 @@ __all__ = [
     "OperatorDivergenceError",
     "PotentialOperatorSpec",
     "avez_potential",
+    "batches",
     "energy_coeffs",
     "fd_gradient_check",
     "functional_J",
@@ -73,7 +74,7 @@ class PotentialOperatorSpec:
     substituted must pass forms_batch=None or forms of its own to have
     them follow the new apply.  row_width counts the cells one row of a
     batch holds, at least n_modes (the default); every batch the checkers
-    evaluate is taken in _batches of at most _BATCH_CELLS such cells, or
+    evaluate is taken in batches of at most _BATCH_CELLS such cells, or
     one row.  theta is the declared growth exponent in [0, 1).  Operators
     flagged odd are validated by sampling at construction rather than
     trusted; an apply_batch may carry a test of its own for that (see
@@ -116,38 +117,44 @@ class PotentialOperatorSpec:
             return self.row_width + n_s
         return n_s * self.row_width
 
+    def ray_blocks(self, count: int, n_s: int) -> Iterator[slice]:
+        """The batches in which ray_forms takes count rays on n_s points:
+        _RAY_CELLS cells, a ray counted as ray_cells(n_s), or one ray."""
+        return batches(count, self.ray_cells(n_s), _RAY_CELLS)
+
     def ray_forms(self, rays: np.ndarray, s: np.ndarray) -> np.ndarray:
         """F[i, j] = (A(s_j u_i), u_i) for the (k, n_modes) rays u_i, as (k, s.size).
 
         Through forms_batch, a chunk of rays a call with the whole s-grid;
         without it, one apply_many of the scaled rows and one stacked
-        product a slice.  The rays go in _batches of _RAY_CELLS of ray_cells
-        each; on the apply route a ray of more than a batch takes its s-grid
-        in _batches of at least two points: numpy's matmul takes a one-point
-        product as a dot, which rounds otherwise.
+        product a slice.  The rays go in ray_blocks; on the apply route a
+        ray of more than a block takes its s-grid in batches of at least two
+        points: numpy's matmul takes a one-point product as a dot, which
+        rounds otherwise.
         """
         k, n = rays.shape
         forms = np.empty((k, s.size))
-        for rows in _batches(k, self.ray_cells(s.size), _RAY_CELLS):
+        for rows in self.ray_blocks(k, s.size):
             u = rays[rows]
             if self.forms_batch is not None:
                 forms[rows] = self.forms_batch(u, s)
                 continue
-            for cols in _batches(s.size, len(u) * self.row_width, _RAY_CELLS, 2):
+            for cols in batches(s.size, len(u) * self.row_width, _RAY_CELLS, 2):
                 part = s[cols]
                 images = self.apply_many((part[None, :, None] * u[:, None, :]).reshape(-1, n))
                 forms[rows, cols] = (images.reshape(len(u), part.size, n) @ u[:, :, None])[..., 0]
         return forms
 
 
-def _batches(
+def batches(
     count: int, row_cells: int, cells: int | None = None, least: int = 1
 ) -> Iterator[slice]:
     """Consecutive slices of range(count) of cells // row_cells rows, at
     least `least` (the last one takes up to least - 1 more, and all of a
     count below least); cells defaults to _BATCH_CELLS.  The chunks in
-    which every checker batch is evaluated, so that one holds O(cells)
-    values plus a row or two, whatever the count."""
+    which every checker batch and the oddness hook of a bvp operator are
+    evaluated, so that one holds O(cells) values plus a row or two,
+    whatever the count."""
     step = max(least, (cells or _BATCH_CELLS) // row_cells)
     start = 0
     while start < count:
@@ -159,12 +166,12 @@ def _batches(
 def _sampled_rows(
     seed: int, radii: np.ndarray, per_radius: int, n_modes: int, row_width: int
 ) -> Iterator[tuple[slice, np.ndarray]]:
-    """(rows, u) for each of the _batches of the sampled rows u_i = r d_i,
+    """(rows, u) for each of the batches of the sampled rows u_i = r d_i,
     d_i a random unit direction and r = radii[i // per_radius].  The chunks
     are drawn in turn from one stream, so they are the rows of one draw of
     them all."""
     rng = np.random.default_rng(seed)
-    for rows in _batches(radii.size * per_radius, row_width):
+    for rows in batches(radii.size * per_radius, row_width):
         u = rng.standard_normal((rows.stop - rows.start, n_modes))
         u /= np.linalg.norm(u, axis=1, keepdims=True)
         u *= radii[np.arange(rows.start, rows.stop) // per_radius, None]
@@ -173,7 +180,7 @@ def _sampled_rows(
 
 def _oddness_samples(n_modes: int, row_width: int) -> Iterator[np.ndarray]:
     """The rows u of the oddness check, random directions on log-spaced
-    radii, in _batches of row_width cells a row."""
+    radii, in batches of row_width cells a row."""
     radii = np.geomspace(1e-2, 10.0, _ODDNESS_SAMPLES)
     for _, u in _sampled_rows(_ODDNESS_SEED, radii, 1, n_modes, row_width):
         yield u
@@ -369,7 +376,7 @@ def growth_fit(
     # "not >" forms so that NaN is rejected as well
     if not (np.all((radii > 0.0) & (radii < np.inf)) and np.all(np.diff(radii) > 0.0)):
         raise ValueError("radii must be positive, finite and increasing")
-    # the rows of all radii in _batches drawn from one stream; a row's norm
+    # the rows of all radii in batches drawn from one stream; a row's norm
     # does not depend on its batch, and each radius keeps its largest
     maxima = np.full(radii.size, -np.inf)
     sampled = _sampled_rows(seed, radii, dirs_per_radius, A.n_modes, A.row_width)

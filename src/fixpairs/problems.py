@@ -20,7 +20,7 @@ from . import bvp as bvp_mod
 from .models import clipped_cubic_operator, linear_operator, radial_power_operator
 from .operators import LinearOperatorSpec, PotentialOperatorSpec
 from .solver import SolverConfig, axis_seeds, circle_seeds
-from .space import H1Vector, SpaceConfig, basis_vector
+from .space import H1Vector, SpaceConfig, basis_vector, row_cells
 
 __all__ = ["ConfigError", "HypothesisParams", "ProblemSetup", "load_problem", "parse_config"]
 
@@ -197,10 +197,10 @@ def _check_sizes(kind: str, space: SpaceConfig, n_seeds: int) -> None:
     operators._BATCH_CELLS cells or one row (its row_width), so a load and
     `check` hold a fixed multiple of that plus one row, the grid and the
     seeds, whatever the config says.  These linear bounds keep that row and
-    the seeds within _MAX_ROW_CELLS: a row's coefficients, a bvp row's panel
-    transform (which also bounds its grid and its phases; a grid keeps a
-    table only while it is at most 4 MiB, space._table_free) and the
-    Gauss-Legendre rule of quad_nodes.
+    the seeds within _MAX_ROW_CELLS: a row's coefficients, a bvp row's
+    space.row_cells (which also bounds its grid and its phases; a grid keeps
+    a table only while it is at most 4 MiB) and the Gauss-Legendre rule of
+    quad_nodes.
     """
     cells = space.n_modes
     if kind == "bvp":
@@ -208,7 +208,7 @@ def _check_sizes(kind: str, space: SpaceConfig, n_seeds: int) -> None:
             raise ConfigError(
                 f"problem too large: space.quad_nodes = {space.quad_nodes:,}, above {_MAX_QUAD_NODES:,}"
             )
-        cells = bvp_mod._transform_cells(space)
+        cells = row_cells(space)
     if cells > _MAX_ROW_CELLS:
         raise ConfigError(
             f"problem too large: one {kind} row holds {cells:,} cells, above {_MAX_ROW_CELLS:,}"
@@ -242,13 +242,16 @@ def load_problem(
     if kind not in _KINDS:
         raise ConfigError(f"problem.kind must be one of {_KINDS}, got {kind!r}")
 
-    space_kwargs = raw.get("space", {})
+    space_kwargs = dict(raw.get("space", {}))
+    if kind in ("cubic2d", "linear2d"):
+        # these operators act on two modes, the default here
+        n_modes = space_kwargs.setdefault("n_modes", 2)
+        if n_modes != 2:
+            raise ConfigError(f"space.n_modes must be 2 for kind {kind}, got {n_modes!r}")
     try:
         space = SpaceConfig(**space_kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad [space] section: {exc}") from exc
-    if kind in ("cubic2d", "linear2d") and space.n_modes != 2:
-        space = SpaceConfig(2, space.quad_nodes, space.n_panels)
     mode = prob.get("mode", "two_pair" if kind != "power_law" else "one_pair")
     if mode not in ("one_pair", "two_pair"):
         raise ConfigError(f"problem.mode must be one_pair or two_pair, got {mode!r}")

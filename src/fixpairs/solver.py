@@ -54,7 +54,6 @@ __all__ = [
     "SolverConfig",
     "axis_seeds",
     "circle_seeds",
-    "descend",
     "find_pairs",
 ]
 
@@ -164,20 +163,6 @@ def _energy_and_gradient(
         return c - A.apply_coeffs(c)
 
     return _remember(j_fn), _remember(g_fn)
-
-
-def descend(A: PotentialOperatorSpec, u0: H1Vector, cfg: SolverConfig) -> CriticalPoint:
-    """Run descent from u0; returns the critical-point record.
-
-    Armijo descent, whose searches below the rounding of the energy are
-    decided by the residual; it ends once the residual is below
-    cfg.grad_tol, when a search finds no acceptable trial, or after
-    cfg.max_iter iterations.  The returned grad_norm and fp_residual are
-    the same number ||u - A(u)|| evaluated at the final iterate.  Raises
-    OperatorDivergenceError when the energy blows up (e.g. the operator
-    grows too fast for descent).
-    """
-    return _descend(_energy_and_gradient(A), u0.coeffs, cfg)[0]
 
 
 def _descend(

@@ -40,10 +40,12 @@ They take the transform for every product, one row or a batch, when the
 basis table, 8 bytes a mode and grid node, is larger than
 _TABLE_FREE_ABOVE_BYTES (4 MiB), so such a grid never builds the table, and
 otherwise one product through the table E^T[k, i] = e_(k+1)(t_i), a row a
-mode.  The batches are the 48 rows of (H); the oddness check tests f on the
-grid and applies its 100 sampled rows only where that fails, and the ray
-checks sum their forms on the grid from one synthesis of each ray and no
-analysis (bvp.bvp_operator).  A synthesis plus an analysis of 48 rows,
+mode.  row_cells counts what one row holds on either route; a bvp
+operator's row_width is it, and the load bounds it.  The batches are the
+48 rows of (H); the oddness check tests f on the grid and applies its 100
+sampled rows only where that fails, and the ray checks sum their forms on
+the grid from one synthesis of each ray and no analysis
+(bvp.bvp_operator).  A synthesis plus an analysis of 48 rows,
 table / transform, in ms: the median wall time of 31 interleaved calls, and
 the CPU time of all threads a call over 31 calls in a row and the 0.3 s
 after them (2 shared vCPUs, 2 OpenBLAS threads, one run), and the time to
@@ -90,12 +92,12 @@ __all__ = [
     "evaluate",
     "gauss_rule",
     "inner",
-    "l2_norm_sq",
     "moments",
     "panel_analysis",
     "panel_phases",
     "panel_synthesis",
     "profiles",
+    "row_cells",
 ]
 
 
@@ -226,6 +228,19 @@ def _table_free(cfg: SpaceConfig) -> bool:
     _TABLE_FREE_ABOVE_BYTES, so that every product on the grid takes the
     panel transform and the grid never builds the table."""
     return 8 * cfg.quad_nodes * cfg.n_panels * cfg.n_modes > _TABLE_FREE_ABOVE_BYTES
+
+
+def row_cells(cfg: SpaceConfig) -> int:
+    """Cells one row of a product holds on the grid of cfg.
+
+    On a table-free grid, the panel transform's quad_nodes x max(n_modes +
+    1, 2 n_panels): its FFT lines and spectra, or its gathered or folded
+    bins when n_modes >= 2 n_panels; otherwise the row's grid profile or its
+    coefficients, max(n_modes, N).
+    """
+    if _table_free(cfg):
+        return cfg.quad_nodes * max(cfg.n_modes + 1, 2 * cfg.n_panels)
+    return max(cfg.n_modes, cfg.quad_nodes * cfg.n_panels)
 
 
 def _scales(n_modes: int) -> np.ndarray:
@@ -381,15 +396,6 @@ def inner(u: H1Vector, v: H1Vector) -> float:
     """H1_0 inner product; the plain dot product of coefficient vectors."""
     _check_dims(u, v)
     return float(np.dot(u.coeffs, v.coeffs))
-
-
-def l2_norm_sq(u: H1Vector) -> float:
-    """Squared L2 norm, sum_k u_k^2 / (k*pi)^2.
-
-    Always bounded by inner(u, u) / pi^2 (Poincare, with lambda_1 = pi^2).
-    """
-    ks = np.arange(1, u.n_modes + 1)
-    return float(np.sum((u.coeffs / (ks * np.pi)) ** 2))
 
 
 def evaluate(u: H1Vector, t):

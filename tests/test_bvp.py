@@ -11,6 +11,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from analytic_reference import green_kernel, green_profile, l2_norm_sq
 from basis_reference import PRODUCT_SPACES, full_table
 from fixpairs import (
     H1Vector,
@@ -32,36 +33,36 @@ from fixpairs import problems as problems_mod
 from fixpairs import space as space_mod
 from fixpairs.operators import OddnessError, _oddness_samples
 from fixpairs.problems import load_problem
-from fixpairs.space import Grid, l2_norm_sq
+from fixpairs.space import Grid
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 KY_FAN_L2 = math.sqrt(5.0 / 8.0) / math.pi  # best min |e|_L2 over orthonormal pairs
 
 
 def test_green_kernel_pointwise():
-    assert bvp.green_kernel(0.3, 0.6) == pytest.approx(0.12, abs=1e-15)
-    assert bvp.green_kernel(0.5, 0.5) == 0.25
-    assert bvp.green_kernel(0.0, 0.7) == 0.0
-    assert bvp.green_kernel(0.7, 1.0) == 0.0
+    assert green_kernel(0.3, 0.6) == pytest.approx(0.12, abs=1e-15)
+    assert green_kernel(0.5, 0.5) == 0.25
+    assert green_kernel(0.0, 0.7) == 0.0
+    assert green_kernel(0.7, 1.0) == 0.0
 
 
 def test_green_kernel_symmetric_exactly(rng):
     t = rng.uniform(0.0, 1.0, 200)
     s = rng.uniform(0.0, 1.0, 200)
-    assert np.array_equal(bvp.green_kernel(t, s), bvp.green_kernel(s, t))
+    assert np.array_equal(green_kernel(t, s), green_kernel(s, t))
 
 
 def test_green_kernel_domain():
     with pytest.raises(ValueError):
-        bvp.green_kernel(-0.1, 0.5)
+        green_kernel(-0.1, 0.5)
     with pytest.raises(ValueError):
-        bvp.green_kernel(0.5, 1.5)
+        green_kernel(0.5, 1.5)
 
 
 def tabulated_kernel(cfg):
     """G(t_i, t_j) on the quadrature grid."""
     nodes = Grid(cfg).nodes
-    return bvp.green_kernel(nodes[:, None], nodes[None, :])
+    return green_kernel(nodes[:, None], nodes[None, :])
 
 
 def test_green_operator_invariants(space32):
@@ -523,8 +524,8 @@ def test_a_declared_degree_is_sampled_not_trusted(odd, space32):
 def test_the_degree_sample_spans_the_hook_chunks(cfg):
     # sign(u) |u|^0.5 scaled by 1.01 above a |u| between the hook's
     # magnitudes 3 and 4: every other pair of neighbouring magnitudes
-    # matches degree 0.5, and at 8,192 nodes the two lie in different
-    # chunks of 4 magnitudes
+    # matches degree 0.5.  At 8,192 nodes the hook takes 13 chunks of
+    # nodes, each with all 100 magnitudes, so every chunk sees the kink
     cut = math.sqrt(bvp._ODD_MAGNITUDES[3] * bvp._ODD_MAGNITUDES[4])
     power = bvp.power_nonlinearity(theta=0.5)
     kinked = replace(power, f=lambda t, u: power.f(t, u) * np.where(np.abs(u) > cut, 1.01, 1.0))
@@ -664,7 +665,7 @@ def test_ode_residual_second_differences(space32, rng):
         g = lambda s: f(s, evaluate(u, s))
         worst = 0.0
         for t in pts:
-            am, a0, ap = bvp.green_profile(g, np.array([t - h, t, t + h]))
+            am, a0, ap = green_profile(g, np.array([t - h, t, t + h]))
             d2 = (am - 2.0 * a0 + ap) / h**2
             worst = max(worst, abs(-d2 - f(t, evaluate(u, t))))
         assert worst <= 1e-6

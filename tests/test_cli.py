@@ -144,6 +144,10 @@ BAD_OVERRIDES = [
     ("cubic2d", "hypotheses.growth_radii=0.5,nan"),
     ("cubic2d", "solver.grad_tol=nan"),
     ("cubic2d", "problem.seed_scale=1"),
+    # cubic2d and linear2d act on two modes: any other n_modes was replaced
+    # by 2 without a word
+    ("cubic2d", "space.n_modes=7"),
+    ("linear2d", "space.n_modes=100000"),
     # 10^6-mode rows fit a batch, but the checkers' work, 96 (H) rows of
     # 10^6 cells, exceeds the cell cap; one transform row of 3.2 and of 1.6
     # million cells exceeds a batch; quad_nodes above 1,024
@@ -283,11 +287,32 @@ def test_non_finite_load_sample_is_config_error(command, problem, override, caps
     assert "Warning" not in err and caught == []
 
 
+def test_two_mode_kinds_default_to_two_modes(tmp_path):
+    # an omitted n_modes is 2 for cubic2d and linear2d, and 2 is accepted
+    # as written; any other value is a config error (BAD_OVERRIDES)
+    for problem in ("cubic2d", "linear2d"):
+        text = (PROBLEMS / f"{problem}.cfg").read_text()
+        assert "n_modes = 2\n" in text
+        path = tmp_path / f"{problem}.cfg"
+        path.write_text(text.replace("n_modes = 2\n", ""))
+        assert load_problem(path).space.n_modes == 2
+        assert load_problem(path, overrides=["space.n_modes=2"]).space.n_modes == 2
+
+
+@pytest.mark.parametrize("command", ["check", "gradcheck", "eigen"])
+def test_csv_format_without_profiles_is_a_config_error(command, tmp_path, monkeypatch, capsys):
+    # only solve and report write CSV; the other commands ignored the flag
+    monkeypatch.chdir(tmp_path)
+    assert run(command, "--problem", str(PROBLEMS / "power_law_1d.cfg"), "--format", "csv") == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"config error: --format csv is for solve and report; {command} writes no profiles\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_size_guard_applies_to_the_built_space():
-    # cubic2d always builds two modes; the 1280-mode bvp_sqrt loads, and so
-    # do 20,000 modes on 65,536 nodes, a transform row of 160,008 cells
-    setup = load_problem(PROBLEMS / "cubic2d.cfg", overrides=["space.n_modes=100000"])
-    assert setup.space.n_modes == 2
+    # the 1280-mode bvp_sqrt loads, and so do 20,000 modes on 65,536 nodes,
+    # a transform row of 160,008 cells
     _check_sizes("bvp", SpaceConfig(n_modes=1280, quad_nodes=8, n_panels=1024), 16)
     wide = ["space.n_modes=20000", "space.n_panels=8192", "hypotheses.n_s=10"]
     assert load_problem(PROBLEMS / "bvp_sqrt.cfg", overrides=wide).operator.row_width == 160008
@@ -354,7 +379,7 @@ def test_a_transform_row_holds_at_most_40_bytes_a_cell():
             tracemalloc.stop()
         assert peak <= 64 * cfg.quad_nodes * (cfg.n_modes + 1 + cfg.n_panels)
         if rows:
-            assert bvp.bvp_operator(bvp.zero_nonlinearity(), cfg).row_width == bvp._transform_cells(cfg)
+            assert bvp.bvp_operator(bvp.zero_nonlinearity(), cfg).row_width == space_mod.row_cells(cfg)
             batch = np.repeat(coeffs, rows, axis=0)
             values = profiles(batch, g)
             for product, x in ((profiles, batch), (moments, values)):
@@ -364,7 +389,7 @@ def test_a_transform_row_holds_at_most_40_bytes_a_cell():
                     peak = tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
-                assert peak <= rows * 40 * bvp._transform_cells(cfg)
+                assert peak <= rows * 40 * space_mod.row_cells(cfg)
 
 
 _PEAK_LOADS = [
@@ -395,11 +420,12 @@ _PEAK_LOADS = [
 def test_a_load_and_check_peak_within_the_batch_bound(problem, overrides):
     # every checker batch is taken in chunks of at most _BATCH_CELLS cells
     # of row_width or one row, so a cold load and `check` hold at most six
-    # times 8 _BATCH_CELLS bytes (3.5x measured: power_law's (H2)' at 4,096
-    # modes), plus one row, 64 bytes a cell of
-    # its coefficients or of a bvp row's panel transform, the grid, and
-    # what (H2) keeps a point of its s-grid: s, the form, the bound and the
-    # gap (33 bytes a point measured at 2**20 points)
+    # times 8 _BATCH_CELLS bytes, plus one row, 64 bytes a cell of its
+    # space.row_cells (its coefficients, or a bvp row's grid profile or
+    # panel transform), the grid, and what (H2) keeps a point of its
+    # s-grid: s, the form, the bound and the gap (33 bytes a point measured
+    # at 2**20 points).  The closest case is power_law's two-pair (H2)' at
+    # 4,096 modes: 6.16 times 8 _BATCH_CELLS measured, 95 % of its bound
     path = PROBLEMS / f"{problem}.cfg"
     load_problem(path, overrides=overrides)  # fills gauss_rule's cache
     tracemalloc.start()
@@ -411,7 +437,7 @@ def test_a_load_and_check_peak_within_the_batch_bound(problem, overrides):
         tracemalloc.stop()
     cells, held = setup.space.n_modes, 0
     if setup.kind == "bvp":
-        cells = bvp._transform_cells(setup.space)
+        cells = space_mod.row_cells(setup.space)
         g = Grid(setup.space)
         held = g.nodes.nbytes + g.weights.nbytes + g.phases.nbytes
         if not space_mod._table_free(setup.space):
@@ -705,7 +731,7 @@ def test_solve_csv_profiles(tmp_path):
     assert len(lines) == 1002
     # one row per point of the shooting oracle's grid
     ts = [float(line.split(",")[0]) for line in lines[1:]]
-    assert ts == list(np.linspace(0.0, 1.0, bvp._ORACLE_GRID_POINTS))
+    assert ts == list(np.linspace(0.0, 1.0, bvp.ORACLE_GRID_POINTS))
     first = lines[1].split(",")
     assert float(first[0]) == 0.0
     assert abs(float(first[1])) <= 1e-12

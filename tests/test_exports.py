@@ -66,8 +66,12 @@ def test_no_unused_imports():
     assert [line for path in paths for line in unused_imports(path)] == []
 
 
-def private_definitions(tree):
-    """(name, node) of every module-level definition of a private name _x."""
+def is_private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def definitions(tree):
+    """(name, node) of every module-level definition."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -77,8 +81,12 @@ def private_definitions(tree):
         else:
             continue
         for name in names:
-            if name.startswith("_") and not name.endswith("__"):
-                yield name, node
+            yield name, node
+
+
+def private_definitions(tree):
+    """(name, node) of every module-level definition of a private name _x."""
+    return ((name, node) for name, node in definitions(tree) if is_private(name))
 
 
 def name_reads(node):
@@ -106,6 +114,80 @@ def test_no_unreferenced_private_names():
         if reads[name] == sum(1 for read in name_reads(node) if read == name)
     ]
     assert unreferenced == []
+
+
+def parse_all(*tops):
+    return {
+        path: ast.parse(path.read_text(), filename=str(path))
+        for top in tops
+        for path in sorted((ROOT / top).rglob("*.py"))
+    }
+
+
+def exported(tree):
+    """The names in a module's __all__."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    return []
+
+
+# exported as the paper's objects, whether or not the package reads them:
+# the genus of a sphere (c04), the coercivity bound of J (c07) and the inner
+# product of H1_0
+PAPER_OBJECTS = {"genus_of_sphere", "lower_bound_J", "inner"}
+
+
+def test_every_export_is_read_by_the_package():
+    # a public name that only the tests read is a test reference, and lives
+    # in tests/; a read inside its own definition does not count
+    src = parse_all("src")
+    readers = {**src, **parse_all("scripts", "perfbench")}
+    assert src and len(readers) > len(src)
+    reads = Counter(name for tree in readers.values() for name in name_reads(tree))
+    unread = []
+    for path, tree in src.items():
+        own = Counter(name for name, node in definitions(tree) for read in name_reads(node) if read == name)
+        unread += [
+            f"{path.relative_to(ROOT)}: {name}"
+            for name in exported(tree)
+            if name not in PAPER_OBJECTS and reads[name] == own[name]
+        ]
+    assert unread == []
+
+
+def private_reads(path, tree):
+    """Private names of other fixpairs modules that a src/ module imports
+    (from .x import _y) or reads off an imported module (x._y)."""
+    package = ROOT / "src" / "fixpairs"
+    modules, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("fixpairs")):
+            for alias in node.names:
+                if is_private(alias.name):
+                    found.append(f"{path.relative_to(ROOT)}:{node.lineno}: {node.module}.{alias.name}")
+                elif (package / f"{alias.name}.py").exists():
+                    modules.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            modules.update(alias.asname for alias in node.names if alias.asname and alias.name.startswith("fixpairs."))
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+            and is_private(node.attr)
+        ):
+            found.append(f"{path.relative_to(ROOT)}:{node.lineno}: {node.value.id}.{node.attr}")
+    return found
+
+
+def test_no_module_reads_another_modules_private_names():
+    # a rule two modules share has one owner, which makes it public
+    trees = parse_all("src")
+    assert trees
+    assert [read for path, tree in trees.items() for read in private_reads(path, tree)] == []
 
 
 def test_only_the_gauss_rules_are_memoized():

@@ -22,7 +22,6 @@ from fixpairs import (
 )
 from fixpairs import bvp as bvp_mod
 from fixpairs import cli
-from fixpairs import hypotheses as hypotheses_mod
 from fixpairs import operators as operators_mod
 from fixpairs import space as space_mod
 from fixpairs.cli import main
@@ -288,7 +287,6 @@ def test_h2_prime_chunks_match_the_angle_scan(monkeypatch, problem, n_angle, n_s
     margin, witness = _h2_prime_by_angle(*args, hyp.n_angle, hyp.n_s)
     if problem == "sublinear_affine" and n_angle is not None:
         monkeypatch.setattr(operators_mod, "_RAY_CELLS", 2**12)
-        monkeypatch.setattr(hypotheses_mod, "_RAY_CELLS", 2**12)
     rep = check_h2_prime(*args, n_angle=hyp.n_angle, n_s=hyp.n_s)
     assert rep.margin == margin
     assert rep.witnesses == [witness]
@@ -472,7 +470,8 @@ def _assert_close(a, b, tol):
 def test_chunked_batches_change_no_result(monkeypatch, problem, overrides):
     # with chunks of one cell every checker batch splits into single rows,
     # every s-grid of the apply route into pairs of points,
-    # and the bvp oddness hook's f values into single magnitudes: (H),
+    # and the bvp oddness hook's f values into single nodes, all 100
+    # magnitudes of one node an f call: (H),
     # (H2), (H2)' and the oddness check keep their verdicts and witnesses.
     # Bit for bit, but for a bvp batch on a table grid, whose moments round
     # with the batch's row count: its (H) values within 1e-14 of its
@@ -487,8 +486,6 @@ def test_chunked_batches_change_no_result(monkeypatch, problem, overrides):
 
     monkeypatch.setattr(operators_mod, "_BATCH_CELLS", 1)
     monkeypatch.setattr(operators_mod, "_RAY_CELLS", 1)
-    monkeypatch.setattr(hypotheses_mod, "_RAY_CELLS", 1)
-    monkeypatch.setattr(bvp_mod, "_BATCH_CELLS", 1)
     chunked = cli.run_check(load_problem(path, overrides=overrides))
     reports = {r["name"]: r for r in plain["reports"]}
     for r in chunked["reports"]:

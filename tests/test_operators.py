@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from analytic_reference import green_kernel
 from fixpairs import (
     GrowthCertificate,
     H1Vector,
@@ -21,7 +22,6 @@ from fixpairs import (
     inner,
     lower_bound_J,
 )
-from fixpairs import bvp
 from fixpairs import operators as operators_mod
 from fixpairs.models import linear_operator, radial_power_operator
 from fixpairs.operators import OddnessError
@@ -151,8 +151,8 @@ E1, E2 = basis_vector(1, 2), basis_vector(2, 2)
         lambda x: lower_bound_J(CERT, x),
         lambda x: evaluate(H1Vector([1.0, 0.5]), x),
         lambda x: evaluate(H1Vector([1.0, 0.5]), [0.5, x]),
-        lambda x: bvp.green_kernel(x, 0.5),
-        lambda x: bvp.green_kernel(0.5, x),
+        lambda x: green_kernel(x, 0.5),
+        lambda x: green_kernel(0.5, x),
     ],
     ids=[
         "check_h2",

@@ -15,7 +15,6 @@ from fixpairs import (
     check_h2,
     check_h2_prime,
     circle_seeds,
-    descend,
     find_pairs,
     quadratic_form_margin,
 )
@@ -33,6 +32,11 @@ from fixpairs.solver import (
 )
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+
+
+def descend(A, u0, cfg):
+    """One main descent from u0 on A's own energy: its critical point."""
+    return _descend(_energy_and_gradient(A), u0.coeffs, cfg)[0]
 
 
 @pytest.fixture(scope="module")

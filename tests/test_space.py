@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.integrate import quad
 
+from analytic_reference import l2_norm_sq
 from basis_reference import PRODUCT_SPACES, bin_table, full_table, max_rel
 from fixpairs import (
     H1Vector,
@@ -14,7 +15,6 @@ from fixpairs import (
     basis_vector,
     evaluate,
     inner,
-    l2_norm_sq,
 )
 from fixpairs import space as space_mod
 from fixpairs.space import (

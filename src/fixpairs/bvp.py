@@ -37,7 +37,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .hypotheses import FAIL, SAMPLED_PASS, STRICT_TOL, PASS, HypothesisReport, open_grid
-from .operators import LinearOperatorSpec, PotentialOperatorSpec, batches
+from .operators import LinearOperatorSpec, OperatorDivergenceError, PotentialOperatorSpec, batches
 from .space import (
     Grid,
     SpaceConfig,
@@ -391,7 +391,13 @@ def check_d3(nl: Nonlinearity, cfg: SpaceConfig) -> HypothesisReport:
 
 def check_d4(m: float, big_m: float) -> HypothesisReport:
     """M^2 + 2 pi^2 m < pi^4 + m^2; margin is pi^4 + m^2 - M^2 - 2 pi^2 m."""
-    margin = np.pi**4 + m**2 - big_m**2 - 2.0 * np.pi**2 * m
+    m, big_m = np.float64(m), np.float64(big_m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        margin = np.pi**4 + m**2 - big_m**2 - 2.0 * np.pi**2 * m
+        if not np.isfinite(margin):  # m^2 or M^2 overflows
+            margin = np.pi**4 + (m - big_m) * (m + big_m) - 2.0 * np.pi**2 * m
+    if not np.isfinite(margin):
+        raise OperatorDivergenceError(f"non-finite (D4) margin at m = {m:.3e}, M = {big_m:.3e}")
     verdict = PASS if margin > STRICT_TOL else FAIL
     return HypothesisReport(
         name="(D4)",

@@ -382,7 +382,13 @@ def growth_fit(
     sampled = _sampled_rows(seed, radii, dirs_per_radius, A.n_modes, A.row_width)
     with np.errstate(over="ignore", invalid="ignore"):
         for rows, samples in sampled:
-            norms = np.linalg.norm(A.apply_many(samples), axis=1)
+            values = A.apply_many(samples)
+            norms = np.linalg.norm(values, axis=1)
+            # a row whose squares overflow is measured over its largest entry
+            # (a row that holds inf or NaN stays non-finite)
+            for k in np.flatnonzero(~np.isfinite(norms)):
+                scale = np.max(np.abs(values[k]))
+                norms[k] = scale * np.linalg.norm(values[k] / scale)
             np.maximum.at(maxima, np.arange(rows.start, rows.stop) // dirs_per_radius, norms)
     if not np.all(np.isfinite(maxima)):
         r = float(radii[~np.isfinite(maxima)][0])
@@ -390,13 +396,12 @@ def growth_fit(
 
     theta = A.theta
     powers = radii**theta
-    c_fit, b_fit = _cover_fit(powers, maxima)
+    ratios = maxima / powers
+    c_fit, b_fit = _cover_fit(powers, maxima, ratios)
     c_fit *= _GROWTH_SLACK
     covered = c_fit * powers + b_fit - maxima
     if np.min(covered) < -1e-9 * max(1.0, float(np.max(maxima))):
         raise AssertionError("growth fit failed to cover its own samples")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(maxima > 0.0, maxima / powers, 0.0)
     return GrowthCertificate(
         c=c_fit,
         b=b_fit,
@@ -407,35 +412,22 @@ def growth_fit(
     )
 
 
-def _cover_fit(powers: np.ndarray, values: np.ndarray) -> tuple[float, float]:
-    """Smallest (c, b) >= 0 with c * powers + b >= values, minimizing c + b."""
-
-    def feasible(c: float, b: float) -> bool:
-        return bool(np.all(c * powers + b >= values - 1e-12 * max(1.0, values.max(initial=0.0))))
-
-    candidates: list[tuple[float, float]] = []
-    vmax = float(values.max(initial=0.0))
-    candidates.append((0.0, max(vmax, 0.0)))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        pure = np.where(powers > 0.0, values / powers, 0.0)
-    candidates.append((max(float(pure.max(initial=0.0)), 0.0), 0.0))
-    n = powers.size
-    for i in range(n):
-        for j in range(i + 1, n):
-            dp = powers[i] - powers[j]
-            if dp == 0.0:
-                continue
-            c = (values[i] - values[j]) / dp
-            b = values[i] - c * powers[i]
-            if c >= 0.0 and b >= 0.0:
-                candidates.append((float(c), float(b)))
-    best = None
-    for c, b in candidates:
-        if not feasible(c, b):
-            continue
-        key = (c + b, b, c)
-        if best is None or key < best[0]:
-            best = (key, (c, b))
-    if best is None:
-        raise AssertionError("no feasible growth envelope found")
-    return best[1]
+def _cover_fit(powers: np.ndarray, values: np.ndarray, ratios: np.ndarray) -> tuple[float, float]:
+    """Smallest (c, b) >= 0 with c * powers + b >= values, minimizing c + b
+    (ratios = values / powers): the first feasible vertex of the LP, in a
+    stable sort by (c + b, b, c) of (0, max values), (max ratios, 0) and the
+    line through each pair i < j.  Equal powers give an infinite or NaN
+    slope, which the sign test drops as it drops one that overflows."""
+    i, j = np.nonzero(np.less.outer(np.arange(powers.size), np.arange(powers.size)))
+    floor = values - 1e-12 * max(1.0, values.max())
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        c = np.concatenate(([0.0, ratios.max()], (values[i] - values[j]) / (powers[i] - powers[j])))
+        b = np.concatenate(([values.max(), 0.0], values[i] - c[2:] * powers[i]))
+        c, b = np.stack((c, b))[:, (c >= 0.0) & (b >= 0.0)]
+        order = np.lexsort((c, b, c + b))
+        for block in batches(order.size, powers.size):
+            k = order[block]
+            hits = k[np.all(c[k, None] * powers + b[k, None] >= floor, axis=1)]
+            if hits.size:
+                return float(c[hits[0]]), float(b[hits[0]])
+    raise AssertionError("no feasible growth envelope found")

@@ -80,8 +80,9 @@ _MAX_QUAD_NODES = 1024
 # finite-difference points of `eigen`: 0.96 s and 130 MB at 10^6, relative
 # error 2.4e-5; roundoff dominates above (1.5e-4 at 3 x 10^6, past c05's 1e-4)
 _MAX_EIGEN_N = 10**6
-# (H) growth radii: operators._cover_fit tries every pair of them, so `check`
-# on power_law_1d takes 0.6 s at 256 radii and 2.0 s at 512
+# (H) growth radii: operators._cover_fit sorts the line through each pair of
+# them, 32,640 at 256 radii; there it takes 3 ms on power_law_1d's samples
+# and 17 ms on random values (10 and 57 ms at 512), on 2 vCPUs
 _MAX_GROWTH_RADII = 256
 
 

@@ -750,6 +750,27 @@ def test_check_d4_values():
     assert bad.margin < 0.0
 
 
+@pytest.mark.parametrize("m, big_m", [(1.0, 2.0), (-3.5, 0.25), (7.0e153, 8.0e153), (1e-200, 3.0)])
+def test_check_d4_keeps_the_plain_form_where_it_is_finite(m, big_m):
+    assert bvp.check_d4(m, big_m).margin == np.pi**4 + m**2 - big_m**2 - 2.0 * np.pi**2 * m
+
+
+@pytest.mark.parametrize("m, big_m", [(2e154, 2e154), (-1e200, 1e200), (1e300, 1e300), (3e154, 3.1e154)])
+def test_check_d4_factors_the_squares_that_overflow(m, big_m):
+    # m^2 and M^2 overflow, their difference does not: an OverflowError on
+    # Python floats before, now the factored margin and a verdict
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = bvp.check_d4(m, big_m)
+    assert np.isfinite(rep.margin) and rep.verdict == ("pass" if rep.margin > 0.0 else "fail")
+    assert rep.margin == pytest.approx((m - big_m) * (m + big_m) - 2.0 * np.pi**2 * m, rel=1e-12)
+
+
+def test_check_d4_margin_that_overflows_is_a_blowup():
+    with pytest.raises(OperatorDivergenceError, match="non-finite \\(D4\\) margin"):
+        bvp.check_d4(1.0, 1e200)
+
+
 def test_eigenvalues(space32):
     assert bvp.dirichlet_eigenvalue(1, "spectral") == np.pi**2
     assert bvp.dirichlet_eigenvalue(2, "spectral") == pytest.approx(4.0 * np.pi**2)

@@ -232,8 +232,7 @@ def test_schema_matches_the_config_dataclasses():
 # the overflow is expected, so it must not surface as a RuntimeWarning either
 NON_FINITE_OVERRIDES = [
     ("power_law_1d", "problem.radius=1e300"),  # (H2): r1**2
-    ("power_law_1d", "problem.amplitude=1e300"),  # (H): ||A(u)||
-    ("linear2d", "problem.a_scale=-1e300"),  # (H): ||A(u)||
+    ("linear2d", "hypotheses.growth_radii=1e308"),  # (H): A(u) itself
     ("cubic2d", "problem.radius=1e300"),  # (H2)': (B u, u)
     ("cubic2d", "problem.b2_scale=1e300"),  # (H1)': the discriminant
 ]
@@ -249,6 +248,41 @@ def test_non_finite_check_is_blowup(problem, override, capsys):
     assert "operator blow-up" in captured.err
     assert "Traceback" not in captured.err
     assert "Infinity" not in captured.out and "NaN" not in captured.out
+
+
+# overrides whose operator is finite but huge: (D4) squared m and M as Python
+# floats and ended in an OverflowError, and the (H) norm overflowed in the
+# squares of finite entries and was reported as a blow-up.  check ends in a
+# verdict with finite margins; report then stops in the descent, whose
+# energy is not representable, and exits 3 there
+FINITE_HUGE_OVERRIDES = [
+    ("bvp_sqrt", ("problem.amplitude=2e154",)),
+    ("bvp_sqrt", ("problem.amplitude=5e154",)),
+    ("bvp_zero", ("problem.family=power", "problem.amplitude=2e154")),
+    ("sublinear_affine", ("problem.family=linear", "problem.lam=3e154")),
+    ("bvp_zero", ("problem.family=power", "problem.amplitude=1e200")),
+    ("power_law_1d", ("problem.amplitude=1e300",)),
+    ("linear2d", ("problem.a_scale=-1e300",)),
+]
+
+
+@pytest.mark.parametrize(
+    "problem,overrides", FINITE_HUGE_OVERRIDES, ids=[f"{p}:{','.join(o)}" for p, o in FINITE_HUGE_OVERRIDES]
+)
+def test_finite_huge_operator_checks_to_a_verdict(problem, overrides, capsys):
+    sets = [arg for o in overrides for arg in ("--set", o)]
+    code = run("check", "--problem", str(PROBLEMS / f"{problem}.cfg"), *sets)
+    captured = capsys.readouterr()
+    assert code in (0, 1), captured.err
+    assert "Traceback" not in captured.err and "Warning" not in captured.err
+    payload = json.loads(captured.out, parse_constant=lambda c: pytest.fail(f"{c} in the report"))
+    assert all(np.isfinite(r["margin"]) for r in payload["reports"])
+
+    code = run("report", "--problem", str(PROBLEMS / f"{problem}.cfg"), *sets)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith("operator blow-up") and "||A(u)||" not in captured.err
+    assert "Traceback" not in captured.err and "Warning" not in captured.err
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.optimize import linprog
 
 from analytic_reference import green_kernel
 from fixpairs import (
@@ -267,6 +270,54 @@ def test_growth_fit_chunks_keep_every_image(monkeypatch, n_modes, n_panels, chun
     assert chunk_sizes == chunks and whole_sizes == [48]
     assert np.array_equal(chunked_images, whole_images)
     assert chunked == whole
+
+
+def test_growth_fit_measures_a_row_whose_squares_overflow():
+    # every entry is finite and so is the norm, but the squares overflow: the
+    # row is scaled by its largest entry, not reported as a blow-up
+    big = growth_fit(radial_power_operator(1e300, 0.5, n_modes=4), [0.5, 1.0, 2.0], dirs_per_radius=4, seed=1)
+    unit = growth_fit(radial_power_operator(1.0, 0.5, n_modes=4), [0.5, 1.0, 2.0], dirs_per_radius=4, seed=1)
+    assert np.allclose(big.sample_maxima, 1e300 * np.array(unit.sample_maxima), rtol=1e-14, atol=0.0)
+    assert big.c + big.b == pytest.approx(1e300 * (unit.c + unit.b), rel=1e-12)
+
+
+def _cover_fit(powers, values):
+    return operators_mod._cover_fit(powers, values, values / powers)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.floats(0.01, 100.0), min_size=1, max_size=40, unique=True),
+    st.floats(0.0, 1.0, exclude_max=True),
+    st.data(),
+)
+def test_cover_fit_is_the_lp_optimum(radii, theta, data):
+    # the fit against HiGHS on min c + b s.t. c p_k + b >= v_k, c, b >= 0
+    powers = np.sort(radii) ** theta
+    value = st.one_of(st.just(0.0), st.floats(0.0, 100.0))
+    values = np.array(data.draw(st.lists(value, min_size=powers.size, max_size=powers.size)))
+    c, b = _cover_fit(powers, values)
+    assert c >= 0.0 and b >= 0.0
+    assert np.all(c * powers + b >= values - 1e-12 * max(1.0, values.max()))
+    # HiGHS on the values over their largest, at its tightest tolerances: its
+    # feasibility tolerance is absolute, and 1e-7 at the default
+    scale = values.max() or 1.0
+    cover = -np.column_stack([powers, np.ones_like(powers)])
+    tight = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+    lp = linprog([1.0, 1.0], A_ub=cover, b_ub=-values / scale, method="highs", options=tight)
+    assert lp.status == 0
+    # the fit's own tolerance, 1e-12 max(1, max v), bounds how far a vertex it
+    # counts as feasible may lie under the optimum
+    assert c + b == pytest.approx(scale * lp.fun, rel=1e-12, abs=1e-12 * max(1.0, values.max()))
+
+
+def test_cover_fit_ties():
+    # theta = 0: (0, max v) and (max v, 0) are both optimal, and the smaller b wins
+    powers = np.ones(4)
+    assert _cover_fit(powers, np.array([1.0, 3.0, 2.0, 0.5])) == (3.0, 0.0)
+    # all values zero: every vertex is (0, 0), and the first is kept
+    c, b = _cover_fit(np.array([0.5, 1.0, 2.0]) ** 0.5, np.zeros(3))
+    assert (c, b) == (0.0, 0.0) and not np.signbit(c)
 
 
 def test_growth_fit_validation(model_1d):

@@ -22,7 +22,6 @@ from .operators import (
     LinearOperatorSpec,
     OperatorDivergenceError,
     PotentialOperatorSpec,
-    avez_potential,
     fd_gradient_check,
     functional_J,
     gradient_J,
@@ -57,7 +56,6 @@ __all__ = [
     "SolveReport",
     "SolverConfig",
     "SpaceConfig",
-    "avez_potential",
     "axis_seeds",
     "basis_vector",
     "check_h1",

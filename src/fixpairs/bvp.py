@@ -97,6 +97,11 @@ class Nonlinearity:
         if not 0.0 <= self.theta < 1.0:
             raise ValueError("theta must lie in [0, 1)")
 
+    @property
+    def has_forms(self) -> bool:
+        """Whether bvp_operator gives a forms_batch: for a declared degree."""
+        return self.degree is not None
+
     def coefficient_range(self, cfg: SpaceConfig) -> tuple[float, float]:
         """Grid estimates (m, M) of the essential range of a1."""
         nodes, _ = gauss_rule(cfg.quad_nodes, cfg.n_panels)
@@ -244,7 +249,7 @@ def bvp_operator(nl: Nonlinearity, cfg: SpaceConfig, odd: bool = True) -> Potent
         theta=nl.theta,
         potential_coeffs=potential,
         apply_batch=apply_batch,
-        forms_batch=forms_batch if nl.degree is not None else None,
+        forms_batch=forms_batch if nl.has_forms else None,
         label=f"bvp({nl.label})",
         row_width=row_cells(cfg),
     )

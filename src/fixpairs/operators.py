@@ -5,9 +5,9 @@ A potential operator A is the gradient of a scalar functional T.  The energy
     J(u) = 0.5 * ||u||^2 - T(u),        T(u) = int_0^1 (A(s*u), u) ds
 
 has gradient J' = I - A, so critical points of J are exactly fixed points of
-A.  T is recovered from A by the Avez line integral above; operators that
-ship a closed-form potential use it instead, which keeps the functional and
-the gradient consistent to machine precision during descent.
+A.  The energy takes T from the operator's own potential_coeffs, which keeps
+the functional and the gradient consistent to machine precision during
+descent; an operator without one has no energy here.
 
 Growth certificates record a sampled envelope ||A(u)|| <= c*||u||^theta + b.
 Sampling cannot certify a limsup, so a certificate is evidence, not a proof;
@@ -21,15 +21,15 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .space import H1Vector, gauss_rule
+from .space import H1Vector
 
 __all__ = [
     "GrowthCertificate",
     "LinearOperatorSpec",
+    "ODDNESS_SAMPLES",
     "OddnessError",
     "OperatorDivergenceError",
     "PotentialOperatorSpec",
-    "avez_potential",
     "batches",
     "energy_coeffs",
     "fd_gradient_check",
@@ -37,14 +37,15 @@ __all__ = [
     "gradient_J",
     "growth_fit",
     "lower_bound_J",
+    "ray_cells",
 ]
 
-_ODDNESS_SAMPLES = 100
+ODDNESS_SAMPLES = 100  # rows of the oddness check, each applied both ways
 _ODDNESS_SEED = 20260810
 _ODDNESS_TOL = 1e-10
 _GROWTH_SLACK = 1.1  # factor on the fitted c of a growth envelope
 # cells one chunk of a checker batch holds, a row counted as its operator's
-# row_width; a row of more goes alone (problems._MAX_ROW_CELLS bounds it)
+# row_width; a row of more goes alone (the load's oddness budget bounds it)
 _BATCH_CELLS = 2**16
 # cells of one chunk of ray forms, a quarter of _BATCH_CELLS: at 2**16 cubic2d's
 # 256 x 256 (H2)' points raised search_multistart's peak memory by 2 MB
@@ -111,11 +112,8 @@ class PotentialOperatorSpec:
         return np.stack([self.apply_coeffs(row) for row in stacked])
 
     def ray_cells(self, n_s: int) -> int:
-        """Cells a ray of ray_forms holds on n_s points: row_width and its
-        forms through forms_batch (one evaluation a ray), else n_s rows."""
-        if self.forms_batch is not None:
-            return self.row_width + n_s
-        return n_s * self.row_width
+        """Cells a ray of ray_forms holds on n_s points (ray_cells)."""
+        return ray_cells(self.row_width, n_s, self.forms_batch is not None)
 
     def ray_blocks(self, count: int, n_s: int) -> Iterator[slice]:
         """The batches in which ray_forms takes count rays on n_s points:
@@ -144,6 +142,13 @@ class PotentialOperatorSpec:
                 images = self.apply_many((part[None, :, None] * u[:, None, :]).reshape(-1, n))
                 forms[rows, cols] = (images.reshape(len(u), part.size, n) @ u[:, :, None])[..., 0]
         return forms
+
+
+def ray_cells(row_width: int, n_s: int, forms: bool) -> int:
+    """Cells a ray of rows of row_width cells holds on n_s points: its row
+    and its n_s forms through a forms_batch (one evaluation a ray), else
+    n_s rows."""
+    return row_width + n_s if forms else n_s * row_width
 
 
 def batches(
@@ -181,7 +186,7 @@ def _sampled_rows(
 def _oddness_samples(n_modes: int, row_width: int) -> Iterator[np.ndarray]:
     """The rows u of the oddness check, random directions on log-spaced
     radii, in batches of row_width cells a row."""
-    radii = np.geomspace(1e-2, 10.0, _ODDNESS_SAMPLES)
+    radii = np.geomspace(1e-2, 10.0, ODDNESS_SAMPLES)
     for _, u in _sampled_rows(_ODDNESS_SEED, radii, 1, n_modes, row_width):
         yield u
 
@@ -280,8 +285,6 @@ class GrowthCertificate:
 
     def coverage_margin(self) -> float:
         """Smallest gap between the envelope and the recorded sample maxima."""
-        if not self.radii_tested:
-            return float("nan")
         gaps = [self.bound(r) - y for r, y in zip(self.radii_tested, self.sample_maxima)]
         return float(min(gaps))
 
@@ -297,27 +300,12 @@ class GrowthCertificate:
         }
 
 
-def avez_potential(A: PotentialOperatorSpec, u: H1Vector, s_order: int = 16) -> float:
-    """Recover the potential T(u) = int_0^1 (A(s*u), u) ds by quadrature.
-
-    Exact for linear A (the integrand is linear in s); for sublinear power
-    nonlinearities the s-integrand has an algebraic endpoint singularity and
-    the default order is accurate to roughly 1e-4 relative.
-    """
-    if s_order < 2:
-        raise ValueError("s_order must be >= 2")
-    s, w = gauss_rule(s_order)
-    return float(w @ A.ray_forms(u.coeffs[None, :], s)[0])
-
-
 def energy_coeffs(A: PotentialOperatorSpec, c: np.ndarray) -> float:
-    """J = 0.5 ||c||^2 - T(c) at a raw coefficient vector, with T the closed-form
-    potential when the operator has one and the Avez quadrature otherwise."""
-    if A.potential_coeffs is not None:
-        potential = float(A.potential_coeffs(c))
-    else:
-        potential = avez_potential(A, H1Vector(c))
-    return 0.5 * float(c @ c) - potential
+    """J = 0.5 ||c||^2 - T(c) at a raw coefficient vector, with T the
+    operator's potential_coeffs; ValueError for an operator without one."""
+    if A.potential_coeffs is None:
+        raise ValueError(f"operator '{A.label}' has no potential_coeffs, so no energy")
+    return 0.5 * float(c @ c) - float(A.potential_coeffs(c))
 
 
 def functional_J(A: PotentialOperatorSpec, u: H1Vector) -> float:

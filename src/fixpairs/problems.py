@@ -18,7 +18,7 @@ import numpy as np
 
 from . import bvp as bvp_mod
 from .models import clipped_cubic_operator, linear_operator, radial_power_operator
-from .operators import LinearOperatorSpec, PotentialOperatorSpec
+from .operators import ODDNESS_SAMPLES, LinearOperatorSpec, PotentialOperatorSpec, ray_cells
 from .solver import SolverConfig, axis_seeds, circle_seeds
 from .space import H1Vector, SpaceConfig, basis_vector, row_cells
 
@@ -64,16 +64,24 @@ _SCHEMA: dict[str, dict[str, Callable[[str], Any]]] = {
 
 _KINDS = ("power_law", "cubic2d", "linear2d", "bvp")
 _FAMILIES = ("sublinear", "power", "linear", "zero")
-# cells one sampled checker may evaluate, counted by the operator's own
-# row_width and ray_cells (_checker_cells): 64x the largest shipped grid,
-# cubic2d's 256 x 256 (H2)' points of two cells.  Bounds the time of
-# `check`: at the cap about 0.4 s on either ray route and 1.4-1.7 s for (H)
-# on a 720 x 720 table grid (2 vCPUs, start-up included)
+# cells the oddness sample and each sampled checker may evaluate (_budget):
+# 64x the largest shipped grid, cubic2d's 256 x 256 (H2)' points of two
+# cells, and 100 oddness rows of 167,772 cells.  At the cap `check` takes
+# about 0.4 s on either ray route and 1.4-1.7 s for (H) on a 720 x 720
+# table grid (2 vCPUs, start-up included); in-process a cell costs 11-12 ns
+# on the ray routes and 64 ns in that (H)
 _MAX_CHECK_CELLS = 2**24
-# cells one row (its row_width) or all seeds may hold, and points an s-grid
-# may hold (check_h2 keeps it whole); a chunk of checker rows holds at most
-# operators._BATCH_CELLS cells or one such row
-_MAX_ROW_CELLS = 2**20
+# cells a descent step counts at least: a 2-mode step of cubic2d costs
+# 32-49 us of Python (94 steps in 4.0-4.6 ms), 1,000 cells at a cost between
+# those of the checkers' cells
+_STEP_CELLS = 1000
+# cells the solve may evaluate.  The benchmark's 1,280-mode bvp_sqrt counts
+# 26.2 million and 20,000 modes on 65,536 nodes 256 million.  335 cubic2d
+# seeds fit its 400 steps, at most 11 s at 40 us a step (4,096 solved in
+# 1.2 s, as their descents end early, which the config cannot show)
+_MAX_SOLVE_CELLS = 2**28
+# cells the seeds may hold, and points an s-grid may hold (check_h2 keeps it whole)
+_MAX_HELD_CELLS = 2**20
 # Gauss-Legendre points a panel: the rule's companion matrix, quad_nodes^2
 # values, fits one row
 _MAX_QUAD_NODES = 1024
@@ -97,8 +105,8 @@ class HypothesisParams:
     def __post_init__(self) -> None:
         if self.n_s < 10 or self.n_angle < 10:
             raise ValueError("n_s and n_angle must be >= 10")
-        if self.n_s > _MAX_ROW_CELLS:
-            raise ValueError(f"n_s = {self.n_s:,} is above {_MAX_ROW_CELLS:,}, the points an s-grid may hold")
+        if self.n_s > _MAX_HELD_CELLS:
+            raise ValueError(f"n_s = {self.n_s:,} is above {_MAX_HELD_CELLS:,}, the points an s-grid may hold")
         if self.dirs_per_radius < 1:
             raise ValueError("dirs_per_radius must be >= 1")
         if len(self.growth_radii) > _MAX_GROWTH_RADII:
@@ -191,45 +199,43 @@ def _parse_radii(text: str) -> tuple[float, ...]:
     return radii
 
 
-def _check_sizes(kind: str, space: SpaceConfig, n_seeds: int) -> None:
-    """Reject a problem whose one row or seeds hold over _MAX_ROW_CELLS cells.
+def _budget(
+    kind: str, mode: str, space: SpaceConfig, hyp: HypothesisParams, n_seeds: int, max_iter: int, forms: bool
+) -> dict[str, int]:
+    """Cells each phase evaluates, counted from the config before anything
+    is built; ConfigError naming the first phase over its cap.
 
-    Every checker batch is split into chunks of at most
-    operators._BATCH_CELLS cells or one row (its row_width), so a load and
-    `check` hold a fixed multiple of that plus one row, the grid and the
-    seeds, whatever the config says.  These linear bounds keep that row and
-    the seeds within _MAX_ROW_CELLS: a row's coefficients, a bvp row's
-    space.row_cells (which also bounds its grid and its phases; a grid keeps
-    a table only while it is at most 4 MiB) and the Gauss-Legendre rule of
-    quad_nodes.
+    A row holds n_modes cells, or for bvp space.row_cells (the operator's
+    row_width, at least its node count).  The oddness check draws
+    ODDNESS_SAMPLES rows (a bvp operator's hook takes f at fewer values);
+    (H) applies len(growth_radii) * dirs_per_radius rows; (H2) takes one
+    ray and (H2)' n_angle rays of operators.ray_cells, with forms when a bvp
+    nonlinearity has them (Nonlinearity.has_forms).  The solve runs a main
+    descent and at most one retry of max_iter steps a seed, a step counted
+    as a row but at least _STEP_CELLS.
     """
-    cells = space.n_modes
-    if kind == "bvp":
-        if space.quad_nodes > _MAX_QUAD_NODES:
+    if kind == "bvp" and space.quad_nodes > _MAX_QUAD_NODES:
+        raise ConfigError(f"problem too large: space.quad_nodes = {space.quad_nodes:,}, above {_MAX_QUAD_NODES:,}")
+    row = row_cells(space) if kind == "bvp" else space.n_modes
+    rays = 1 if mode == "one_pair" else hyp.n_angle
+    cells = {
+        "oddness": ODDNESS_SAMPLES * row,
+        "(H)": len(hyp.growth_radii) * hyp.dirs_per_radius * row,
+        "(H2)" if mode == "one_pair" else "(H2)'": rays * ray_cells(row, hyp.n_s, forms),
+        "solve": 2 * n_seeds * max_iter * max(row, _STEP_CELLS),
+    }
+    for name, count in cells.items():
+        cap = _MAX_SOLVE_CELLS if name == "solve" else _MAX_CHECK_CELLS
+        if count > cap:
             raise ConfigError(
-                f"problem too large: space.quad_nodes = {space.quad_nodes:,}, above {_MAX_QUAD_NODES:,}"
+                f"problem too large: {name} would evaluate {count:,} cells of the operator, "
+                f"above the {cap:,} cell limit"
             )
-        cells = row_cells(space)
-    if cells > _MAX_ROW_CELLS:
-        raise ConfigError(
-            f"problem too large: one {kind} row holds {cells:,} cells, above {_MAX_ROW_CELLS:,}"
-        )
-    if n_seeds > _MAX_ROW_CELLS // space.n_modes:
+    if n_seeds * space.n_modes > _MAX_HELD_CELLS:
         raise ConfigError(
             f"problem too large: {n_seeds:,} seeds of {space.n_modes:,} coefficients "
-            f"hold more than {_MAX_ROW_CELLS:,} cells"
+            f"hold more than {_MAX_HELD_CELLS:,} cells"
         )
-
-
-def _checker_cells(op: PotentialOperatorSpec, mode: str, hyp: HypothesisParams) -> dict[str, int]:
-    """Cells each sampled checker evaluates, by the operator's own rule:
-    (H) applies op to its rows of row_width cells, and (H2) and (H2)' take
-    ray_forms of one ray and of n_angle rays on the s-grid."""
-    cells = {"(H)": len(hyp.growth_radii) * hyp.dirs_per_radius * op.row_width}
-    if mode == "one_pair":
-        cells["(H2)"] = op.ray_cells(hyp.n_s)
-    else:
-        cells["(H2)'"] = hyp.n_angle * op.ray_cells(hyp.n_s)
     return cells
 
 
@@ -267,64 +273,16 @@ def load_problem(
         hyp = HypothesisParams(**hyp_kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad [hypotheses] section: {exc}") from exc
-    _check_sizes(kind, space, n_seeds)
 
     radius = float(prob.get("radius", 0.5))
     if radius <= 0:
         raise ConfigError("problem.radius must be positive")
     theta = float(prob.get("theta", 0.5))
-    nl: bvp_mod.Nonlinearity | None = None
     d1_r1 = float(prob.get("r1", 0.25))
     try:
         bvp_mod.d1_magnitudes(d1_r1)
     except ValueError as exc:
         raise ConfigError(f"bad problem.r1: {exc}") from exc
-
-    k = 1 if mode == "one_pair" else 2
-    try:
-        if kind == "power_law":
-            operator = radial_power_operator(
-                amplitude=float(prob.get("amplitude", 2.0)),
-                theta=theta,
-                n_modes=space.n_modes,
-            )
-            comparison = LinearOperatorSpec.scaled_identity(float(prob.get("b1_scale", 1.5)), k)
-        elif kind == "cubic2d":
-            operator = clipped_cubic_operator(n_modes=2)
-            comparison = LinearOperatorSpec.scaled_identity(float(prob.get("b2_scale", 1.5)), k)
-        elif kind == "linear2d":
-            a_scale = float(prob.get("a_scale", 2.0))
-            operator = linear_operator(a_scale * np.eye(2), label=f"scaled-identity({a_scale})")
-            comparison = LinearOperatorSpec.scaled_identity(float(prob.get("b2_scale", a_scale)), k)
-        else:  # bvp
-            family = prob.get("family", "sublinear")
-            if family not in _FAMILIES:
-                raise ConfigError(
-                    f"problem.family must be one of {_FAMILIES}, got {family!r}"
-                )
-            if family == "sublinear":
-                nl = bvp_mod.sublinear_affine(r1=d1_r1, theta=theta)
-            elif family == "power":
-                nl = bvp_mod.power_nonlinearity(
-                    amplitude=float(prob.get("amplitude", 10.0)), theta=theta
-                )
-                d1_r1 = float(prob.get("r1", 0.99))
-            elif family == "linear":
-                nl = bvp_mod.linear_nonlinearity(float(prob.get("lam", 5.0)))
-            else:
-                nl = bvp_mod.zero_nonlinearity()
-            operator = bvp_mod.bvp_operator(nl, space)
-            comparison = bvp_mod.b_matrix(nl.a1, space, k)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"bad problem parameters: {exc}") from exc
-    name, cells = max(_checker_cells(operator, mode, hyp).items(), key=lambda item: item[1])
-    if cells > _MAX_CHECK_CELLS:
-        raise ConfigError(
-            f"problem too large: {name} would evaluate {cells:,} cells of the operator, "
-            f"above the {_MAX_CHECK_CELLS:,} cell limit"
-        )
 
     default_pairs = 1 if mode == "one_pair" else 2
     expected_pairs = int(prob.get("expected_pairs", default_pairs))
@@ -343,6 +301,48 @@ def load_problem(
         solver_cfg = SolverConfig(**solver_kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad [solver] section: {exc}") from exc
+
+    # the bvp nonlinearity holds no grid, and says whether the rays take forms
+    nl: bvp_mod.Nonlinearity | None = None
+    if kind == "bvp":
+        family = prob.get("family", "sublinear")
+        if family not in _FAMILIES:
+            raise ConfigError(f"problem.family must be one of {_FAMILIES}, got {family!r}")
+        try:
+            if family == "sublinear":
+                nl = bvp_mod.sublinear_affine(r1=d1_r1, theta=theta)
+            elif family == "power":
+                nl = bvp_mod.power_nonlinearity(amplitude=float(prob.get("amplitude", 10.0)), theta=theta)
+                d1_r1 = float(prob.get("r1", 0.99))
+            elif family == "linear":
+                nl = bvp_mod.linear_nonlinearity(float(prob.get("lam", 5.0)))
+            else:
+                nl = bvp_mod.zero_nonlinearity()
+        except ValueError as exc:
+            raise ConfigError(f"bad problem parameters: {exc}") from exc
+    _budget(kind, mode, space, hyp, n_seeds, solver_cfg.max_iter, nl is not None and nl.has_forms)
+
+    k = 1 if mode == "one_pair" else 2
+    try:
+        if kind == "power_law":
+            operator = radial_power_operator(
+                amplitude=float(prob.get("amplitude", 2.0)),
+                theta=theta,
+                n_modes=space.n_modes,
+            )
+            comparison = LinearOperatorSpec.scaled_identity(float(prob.get("b1_scale", 1.5)), k)
+        elif kind == "cubic2d":
+            operator = clipped_cubic_operator(n_modes=2)
+            comparison = LinearOperatorSpec.scaled_identity(float(prob.get("b2_scale", 1.5)), k)
+        elif kind == "linear2d":
+            a_scale = float(prob.get("a_scale", 2.0))
+            operator = linear_operator(a_scale * np.eye(2), label=f"scaled-identity({a_scale})")
+            comparison = LinearOperatorSpec.scaled_identity(float(prob.get("b2_scale", a_scale)), k)
+        else:
+            operator = bvp_mod.bvp_operator(nl, space)
+            comparison = bvp_mod.b_matrix(nl.a1, space, k)
+    except ValueError as exc:
+        raise ConfigError(f"bad problem parameters: {exc}") from exc
 
     e1 = basis_vector(1, space.n_modes)
     if mode == "one_pair":

@@ -361,10 +361,13 @@ def find_pairs(
     pair, once it falls back into a bump from outside.  n_starts counts both
     signs of every seed.  Pairs come back sorted by energy, most negative
     first.  Raises ValueError unless A is odd, because the mirror and the
-    pairing modulo sign need oddness.
+    pairing modulo sign need oddness, and unless A has potential_coeffs,
+    because the descent needs its energy.
     """
     if not A.odd:
         raise ValueError("find_pairs needs an odd operator")
+    if A.potential_coeffs is None:
+        raise ValueError("find_pairs needs an operator with potential_coeffs")
     if not seeds:
         raise ValueError("seeds must be nonempty")
     with np.errstate(over="ignore"):  # an infinite seed norm ends the descent as a blow-up

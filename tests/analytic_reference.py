@@ -1,14 +1,17 @@
-"""Closed-form references that the tests check the package against and the
-package itself never runs.
+"""References that the tests check the package against and the package
+itself never runs.
 
 green_kernel and green_profile are the Green-kernel side of the boundary
 value problem, the reference of acceptance criterion c06 and of its
 second-difference residual checks; l2_norm_sq is the L2 norm of a sine
-series in coefficient arithmetic, read by the Poincare and (D3) tests.
+series in coefficient arithmetic, read by the Poincare and (D3) tests;
+avez_potential is the Avez line integral of an operator, the reference of
+acceptance criterion c11 and of the closed-form potentials.
 """
 
 import numpy as np
 
+from fixpairs.operators import PotentialOperatorSpec
 from fixpairs.space import H1Vector, gauss_rule
 
 
@@ -52,3 +55,16 @@ def l2_norm_sq(u: H1Vector) -> float:
     """
     ks = np.arange(1, u.n_modes + 1)
     return float(np.sum((u.coeffs / (ks * np.pi)) ** 2))
+
+
+def avez_potential(A: PotentialOperatorSpec, u: H1Vector, s_order: int = 16) -> float:
+    """Recover the potential T(u) = int_0^1 (A(s*u), u) ds by quadrature.
+
+    Exact for linear A (the integrand is linear in s); for sublinear power
+    nonlinearities the s-integrand has an algebraic endpoint singularity and
+    the default order is accurate to roughly 1e-4 relative.
+    """
+    if s_order < 2:
+        raise ValueError("s_order must be >= 2")
+    s, w = gauss_rule(s_order)
+    return float(w @ A.ray_forms(u.coeffs[None, :], s)[0])

@@ -11,13 +11,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from analytic_reference import green_kernel, green_profile
+from analytic_reference import avez_potential, green_kernel, green_profile
 from fixpairs import (
     H1Vector,
     LinearOperatorSpec,
     SolverConfig,
     SpaceConfig,
-    avez_potential,
     basis_vector,
     check_h2_prime,
     circle_seeds,

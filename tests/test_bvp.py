@@ -11,14 +11,13 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from analytic_reference import green_kernel, green_profile, l2_norm_sq
+from analytic_reference import avez_potential, green_kernel, green_profile, l2_norm_sq
 from basis_reference import PRODUCT_SPACES, full_table
 from fixpairs import (
     H1Vector,
     LinearOperatorSpec,
     OperatorDivergenceError,
     SpaceConfig,
-    avez_potential,
     basis_vector,
     check_h2,
     evaluate,

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import runpy
 import shutil
 import subprocess
@@ -16,19 +17,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fixpairs import bvp, cli
+from fixpairs import bvp, cli, operators, problems, solver
 from fixpairs import space as space_mod
 from fixpairs.cli import main
 from fixpairs.operators import _BATCH_CELLS, PotentialOperatorSpec
 from fixpairs.problems import (
-    _MAX_CHECK_CELLS,
-    _MAX_ROW_CELLS,
+    _MAX_HELD_CELLS,
     _SCHEMA,
     ConfigError,
     HypothesisParams,
     ProblemSetup,
-    _check_sizes,
-    _checker_cells,
+    _budget,
     load_problem,
     parse_config,
 )
@@ -148,9 +147,9 @@ BAD_OVERRIDES = [
     # by 2 without a word
     ("cubic2d", "space.n_modes=7"),
     ("linear2d", "space.n_modes=100000"),
-    # 10^6-mode rows fit a batch, but the checkers' work, 96 (H) rows of
-    # 10^6 cells, exceeds the cell cap; one transform row of 3.2 and of 1.6
-    # million cells exceeds a batch; quad_nodes above 1,024
+    # the 100 oddness rows of 10^6 modes exceed the cell cap, and so do
+    # those of one transform row of 3.2 and of 1.6 million cells; quad_nodes
+    # above 1,024
     ("power_law_1d", "space.n_modes=1000000"),
     ("bvp_sqrt", "space.n_panels=200000"),
     ("bvp_sqrt", "space.n_panels=100000"),
@@ -168,7 +167,7 @@ BAD_OVERRIDES = [
     # a removed key
     ("bvp_zero", "hypotheses.mode_budget=-1"),
     ("bvp_zero", "hypotheses.mode_budget=0"),
-    # seeds of more cells than a batch (n_circle_seeds x n_modes)
+    # seeds whose descents exceed the solve's cell cap
     ("sublinear_affine", "problem.n_circle_seeds=10000000"),
     ("cubic2d", "problem.n_circle_seeds=10000000"),
     # an (H2) s-grid above 2**20 points, (H2)' angles and (H) rows above the
@@ -345,11 +344,15 @@ def test_csv_format_without_profiles_is_a_config_error(command, tmp_path, monkey
 
 
 def test_size_guard_applies_to_the_built_space():
-    # the 1280-mode bvp_sqrt loads, and so do 20,000 modes on 65,536 nodes,
-    # a transform row of 160,008 cells
-    _check_sizes("bvp", SpaceConfig(n_modes=1280, quad_nodes=8, n_panels=1024), 16)
+    # the 1280-mode bvp_sqrt loads, its solve counted as 2 x 800 steps of
+    # 16,384 cells, and so do 20,000 modes on 65,536 nodes, a transform row
+    # of 160,008 cells, whose solve is the largest a shipped test admits
+    highres = load_problem(PROBLEMS / "bvp_sqrt.cfg", overrides=_HIGHRES)
+    assert _config_cells(highres)["solve"] == 2 * 800 * 16384
     wide = ["space.n_modes=20000", "space.n_panels=8192", "hypotheses.n_s=10"]
-    assert load_problem(PROBLEMS / "bvp_sqrt.cfg", overrides=wide).operator.row_width == 160008
+    setup = load_problem(PROBLEMS / "bvp_sqrt.cfg", overrides=wide)
+    assert setup.operator.row_width == 160008
+    assert _config_cells(setup)["solve"] == 256_012_800
     # the comparison block's moments (5 bins) peak below 80 bytes a grid
     # node, the size of 10 (H2) rows
     for cfg in (SpaceConfig(1280, 8, 1024), SpaceConfig(100, 8, 1000)):
@@ -364,32 +367,84 @@ def test_size_guard_applies_to_the_built_space():
         assert peak <= 80 * nodes.size
 
 
+def _cells(kind, space, mode="one_pair", n_seeds=1, max_iter=1, forms=False, **hyp):
+    return _budget(kind, mode, space, HypothesisParams(**hyp), n_seeds, max_iter, forms)
+
+
+def _config_cells(setup, **hyp):
+    """_budget's count for the config a setup was loaded from, with hyp's
+    keys changed."""
+    forms = setup.nonlinearity is not None and setup.nonlinearity.has_forms
+    hyp_params = replace(setup.hyp, **hyp)
+    return _budget(setup.kind, setup.mode, setup.space, hyp_params, len(setup.seeds), setup.solver.max_iter, forms)
+
+
 def test_size_guard_bounds_one_row_and_the_seeds():
-    # one row, a bvp row's panel transform and the seeds each fit one batch
-    _check_sizes("power_law", SpaceConfig(n_modes=_MAX_ROW_CELLS), 1)
-    with pytest.raises(ConfigError, match="one power_law row holds 1,048,577 cells"):
-        _check_sizes("power_law", SpaceConfig(n_modes=_MAX_ROW_CELLS + 1), 1)
-    # quad_nodes x max(n_modes + 1, 2 n_panels): 1,024 x 1,024 = 2**20 fits
-    _check_sizes("bvp", SpaceConfig(n_modes=1023, quad_nodes=1024, n_panels=1), 1)
-    with pytest.raises(ConfigError, match="one bvp row holds 1,049,600 cells"):
-        _check_sizes("bvp", SpaceConfig(n_modes=1024, quad_nodes=1024, n_panels=1), 1)
-    _check_sizes("bvp", SpaceConfig(n_modes=32, quad_nodes=8, n_panels=2**16), 1)
-    with pytest.raises(ConfigError, match="one bvp row holds"):
-        _check_sizes("bvp", SpaceConfig(n_modes=32, quad_nodes=8, n_panels=2**16 + 1), 1)
+    # the 100 oddness rows bound one row at 167,772 cells: n_modes, or a bvp
+    # row's space.row_cells, its coefficients on a table grid (here of two
+    # nodes) and 8 x 2 n_panels transform cells on a table-free grid
+    _cells("power_law", SpaceConfig(n_modes=167772), n_s=10)
+    with pytest.raises(ConfigError, match="^problem too large: oddness would evaluate 16,777,300 cells"):
+        _cells("power_law", SpaceConfig(n_modes=167773), n_s=10)
+    _cells("bvp", SpaceConfig(n_modes=167772, quad_nodes=2, n_panels=1), forms=True)
+    with pytest.raises(ConfigError, match="oddness would evaluate 16,777,300 cells"):
+        _cells("bvp", SpaceConfig(n_modes=167773, quad_nodes=2, n_panels=1), forms=True)
+    _cells("bvp", SpaceConfig(n_modes=32, quad_nodes=8, n_panels=10485), forms=True)
+    with pytest.raises(ConfigError, match="oddness would evaluate 16,777,600 cells"):
+        _cells("bvp", SpaceConfig(n_modes=32, quad_nodes=8, n_panels=10486), forms=True)
+    _cells("bvp", SpaceConfig(n_modes=1, quad_nodes=1024, n_panels=1))
     with pytest.raises(ConfigError, match="quad_nodes = 1,025, above 1,024"):
-        _check_sizes("bvp", SpaceConfig(n_modes=1, quad_nodes=1025, n_panels=1), 1)
-    _check_sizes("cubic2d", SpaceConfig(n_modes=2), 2**19)
-    with pytest.raises(ConfigError, match="524,289 seeds of 2 coefficients"):
-        _check_sizes("cubic2d", SpaceConfig(n_modes=2), 2**19 + 1)
-    HypothesisParams(n_s=_MAX_ROW_CELLS)
+        _cells("bvp", SpaceConfig(n_modes=1, quad_nodes=1025, n_panels=1))
+    # the seeds hold at most 2**20 cells
+    seeds = {"mode": "two_pair", "n_angle": 10, "n_s": 10}
+    _cells("power_law", SpaceConfig(n_modes=1024), n_seeds=1024, **seeds)
+    with pytest.raises(ConfigError, match="1,025 seeds of 1,024 coefficients"):
+        _cells("power_law", SpaceConfig(n_modes=1024), n_seeds=1025, **seeds)
+    # the solve: 2 n_seeds max_iter max(row, 1,000) cells, at most 2**28
+    _cells("cubic2d", SpaceConfig(n_modes=2), n_seeds=134217, **seeds)
+    with pytest.raises(ConfigError, match="solve would evaluate 268,436,000 cells"):
+        _cells("cubic2d", SpaceConfig(n_modes=2), n_seeds=134218, **seeds)
+    _cells("bvp", SpaceConfig(n_modes=1280, quad_nodes=8, n_panels=1024), max_iter=8192, forms=True)
+    with pytest.raises(ConfigError, match="solve would evaluate 268,468,224 cells"):
+        _cells("bvp", SpaceConfig(n_modes=1280, quad_nodes=8, n_panels=1024), max_iter=8193, forms=True)
+    HypothesisParams(n_s=_MAX_HELD_CELLS)
     with pytest.raises(ValueError, match="n_s = 1,048,577 is above 1,048,576"):
-        HypothesisParams(n_s=_MAX_ROW_CELLS + 1)
+        HypothesisParams(n_s=_MAX_HELD_CELLS + 1)
     HypothesisParams(eigen_n=10**6)
     with pytest.raises(ValueError, match="eigen_n must lie in"):
         HypothesisParams(eigen_n=10**6 + 1)
     HypothesisParams(growth_radii=tuple(range(1, 257)))
     with pytest.raises(ValueError, match="growth_radii holds 257 radii, above 256"):
         HypothesisParams(growth_radii=tuple(range(1, 258)))
+
+
+# configs over the budget: a load built their operator, or their seeds,
+# before it rejected or admitted them, 3.6-5.4 s as a subprocess
+_OVER_BUDGET = [
+    ("power_law_1d", ["space.n_modes=1000000"], "oddness"),
+    (
+        "power_law_1d",
+        ["space.n_modes=1048576", "hypotheses.growth_radii=1", "hypotheses.dirs_per_radius=1", "hypotheses.n_s=10"],
+        "oddness",
+    ),
+    ("cubic2d", ["problem.n_circle_seeds=524288"], "solve"),
+]
+
+
+@pytest.mark.parametrize(
+    "problem, overrides, phase", _OVER_BUDGET, ids=[":".join([p, *o]) for p, o, _ in _OVER_BUDGET]
+)
+def test_an_over_budget_load_builds_nothing(monkeypatch, problem, overrides, phase):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built before the budget was counted")
+
+    built = (space_mod.Grid, operators._check_oddness, solver.circle_seeds)
+    for module in (space_mod, operators, bvp, solver, problems):
+        for name, value in vars(module).copy().items():
+            if any(value is b for b in built):
+                monkeypatch.setattr(module, name, refuse)
+    with pytest.raises(ConfigError, match=f"^problem too large: {re.escape(phase)} would evaluate"):
+        load_problem(PROBLEMS / f"{problem}.cfg", overrides=overrides)
 
 
 def test_a_transform_row_holds_at_most_40_bytes_a_cell():
@@ -503,8 +558,7 @@ def test_checker_row_cap_boundary(capsys):
 def test_shipped_problems_keep_64x_checker_headroom(problem):
     setup = load_problem(PROBLEMS / f"{problem}.cfg")
     for key in ("n_angle", "n_s", "dirs_per_radius"):
-        hyp = replace(setup.hyp, **{key: 64 * getattr(setup.hyp, key)})
-        assert max(_checker_cells(setup.operator, setup.mode, hyp).values()) <= _MAX_CHECK_CELLS
+        _config_cells(setup, **{key: 64 * getattr(setup.hyp, key)})  # ConfigError past a cap
 
 
 _HIGHRES = ["space.n_modes=1280", "space.n_panels=1024"]  # the benchmark's bvp_sqrt grid
@@ -516,11 +570,35 @@ _HIGHRES = ["space.n_modes=1280", "space.n_panels=1024"]  # the benchmark's bvp_
     ids=[p.stem for p in sorted(PROBLEMS.glob("*.cfg"))] + ["bvp_highres"],
 )
 def test_checker_cells_are_the_cells_check_evaluates(monkeypatch, problem, overrides):
-    # the load bounds each checker by the cells `check` then evaluates: (H)
-    # applies the operator to rows of row_width cells, and (H2) or (H2)'
+    # the config's count is what the load and `check` then evaluate.  The
+    # oddness check draws 100 rows of row_width cells; a bvp operator's hook
+    # stands in for them and takes f at fewer values (f at m and -m), so a
+    # copy without the hook draws the rows
+    drawn, f_values = [], []
+    samples = operators._oddness_samples
+
+    def counted_samples(n_modes, row_width):
+        for u in samples(n_modes, row_width):
+            drawn.append(len(u) * row_width)
+            yield u
+
+    monkeypatch.setattr(operators, "_oddness_samples", counted_samples)
+    setup = load_problem(PROBLEMS / f"{problem}.cfg", overrides=overrides)
+    cells = _config_cells(setup)
+    if setup.kind == "bvp":
+        assert drawn == []
+        nl, f = setup.nonlinearity, setup.nonlinearity.f
+        object.__setattr__(nl, "f", lambda t, u: f_values.append(np.broadcast(t, u).size) or f(t, u))
+        try:
+            assert setup.operator.apply_batch.odd_at()
+        finally:
+            object.__setattr__(nl, "f", f)
+        assert 0 < sum(f_values) <= 2 * cells["oddness"]
+        replace(setup.operator, apply_batch=setup.operator.apply_many)
+    assert sum(drawn) == cells["oddness"]
+    # (H) applies the operator to rows of row_width cells, and (H2) or (H2)'
     # takes ray_forms of rays of ray_cells(n_s) cells, whose own applies
     # are its cells, not (H)'s
-    setup = load_problem(PROBLEMS / f"{problem}.cfg", overrides=overrides)
     ray_name = "(H2)" if setup.mode == "one_pair" else "(H2)'"
     counted = {"(H)": 0, ray_name: 0}
     in_rays = []
@@ -542,7 +620,7 @@ def test_checker_cells_are_the_cells_check_evaluates(monkeypatch, problem, overr
     monkeypatch.setattr(PotentialOperatorSpec, "apply_many", counted_apply)
     monkeypatch.setattr(PotentialOperatorSpec, "ray_forms", counted_forms)
     cli.run_check(setup)
-    assert counted == _checker_cells(setup.operator, setup.mode, setup.hyp)
+    assert counted == {name: cells[name] for name in counted}
 
 
 _KEYS = [f"{section}.{key}" for section, keys in _SCHEMA.items() for key in keys]
@@ -634,7 +712,7 @@ def test_bvp_row_cap_weights_rows_by_grid():
     bvp_sqrt = PROBLEMS / "bvp_sqrt.cfg"
     load_problem(bvp_sqrt, overrides=_HIGHRES)
     setup = load_problem(bvp_sqrt, overrides=[*_HIGHRES, "hypotheses.n_s=4097"])
-    assert _checker_cells(setup.operator, setup.mode, setup.hyp)["(H2)"] == 16384 + 4097
+    assert _config_cells(setup)["(H2)"] == 16384 + 4097
     # its (H) rows are what the cap bounds: 6 radii x 170 directions fit
     load_problem(bvp_sqrt, overrides=[*_HIGHRES, "hypotheses.dirs_per_radius=170"])
     with pytest.raises(ConfigError, match="\\(H\\) would evaluate 16,809,984 cells"):

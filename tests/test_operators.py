@@ -8,13 +8,12 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import linprog
 
-from analytic_reference import green_kernel
+from analytic_reference import avez_potential, green_kernel
 from fixpairs import (
     GrowthCertificate,
     H1Vector,
     LinearOperatorSpec,
     PotentialOperatorSpec,
-    avez_potential,
     basis_vector,
     check_h2,
     check_h2_prime,

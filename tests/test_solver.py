@@ -19,6 +19,7 @@ from fixpairs import (
     quadratic_form_margin,
 )
 from fixpairs.models import clipped_cubic_operator, linear_operator, radial_power_operator
+from fixpairs.operators import energy_coeffs
 from fixpairs.problems import load_problem
 from fixpairs.solver import (
     _ARMIJO_C,
@@ -543,6 +544,17 @@ def test_find_pairs_rejects_non_odd_operator():
     )
     with pytest.raises(ValueError, match="odd"):
         find_pairs(op, [H1Vector([0.5])], SolverConfig())
+
+
+def test_find_pairs_and_the_energy_reject_an_operator_without_a_potential():
+    # the energy fell back to a 16-point Avez quadrature in s, whose minimum
+    # sits about 1e-4 from the fixed point u = 4: from the shipped seed 0.01
+    # the descents stopped near u = 4.00012 and found no pair, silently
+    op = dataclasses.replace(radial_power_operator(2.0, 0.5, 1), potential_coeffs=None)
+    with pytest.raises(ValueError, match="potential_coeffs"):
+        find_pairs(op, axis_seeds(basis_vector(1, 1), 0.01), SolverConfig(max_iter=400))
+    with pytest.raises(ValueError, match="no potential_coeffs"):
+        energy_coeffs(op, np.array([4.0]))
 
 
 def test_blowup_raises():

@@ -31,7 +31,7 @@ shooting oracle for cross-validating solver output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable
 
 import numpy as np
@@ -44,7 +44,6 @@ from .space import (
     gauss_rule,
     moments,
     panel_analysis,
-    panel_phases,
     profiles,
     row_cells,
 )
@@ -166,11 +165,11 @@ def bvp_operator(nl: Nonlinearity, cfg: SpaceConfig, odd: bool = True) -> Potent
     g = Grid(cfg)
     nodes, weights = g.nodes, g.weights
 
-    def synthesize(values: np.ndarray) -> np.ndarray:
-        return moments(nl.f(nodes, values) * weights, g)
-
     def apply_batch(stacked: np.ndarray) -> np.ndarray:
-        return synthesize(profiles(stacked, g))
+        # f's values are weighted into the profile's own array, which nothing
+        # reads after f: one (B, N) array is held through the analysis
+        values = profiles(stacked, g)
+        return moments(np.multiply(nl.f(nodes, values), weights, out=values), g)
 
     def odd_at() -> bool:
         # profiles, the weights and moments are linear, and each of their
@@ -224,7 +223,8 @@ def bvp_operator(nl: Nonlinearity, cfg: SpaceConfig, odd: bool = True) -> Potent
         return last[1]
 
     def apply_coeffs(c: np.ndarray) -> np.ndarray:
-        return synthesize(profile_row(c))[0]
+        # the cached profile is read, not overwritten
+        return moments(nl.f(nodes, profile_row(c)) * weights, g)[0]
 
     if nl.antiderivative is not None:
         anti = nl.antiderivative
@@ -267,9 +267,10 @@ def b_matrix(a1: Callable[[np.ndarray], np.ndarray], cfg: SpaceConfig, k: int) -
     quadrature grid, the real parts of one space.panel_analysis.  It is
     symmetric bit for bit.
     """
-    nodes, weights = gauss_rule(cfg.quad_nodes, cfg.n_panels)
-    weighted = weights * np.asarray(a1(nodes), dtype=float)
-    c = panel_analysis(weighted[None, :], cfg, panel_phases(cfg, 2 * k + 1), cosine=True)[0]
+    # the bins j <= 2k are those of the grid of 2k modes on the same rule
+    g = Grid(replace(cfg, n_modes=2 * k))
+    weighted = g.weights * np.asarray(a1(g.nodes), dtype=float)
+    c = panel_analysis(weighted[None, :], g, cosine=True)[0]
     idx = np.arange(1, k + 1)
     m = c[np.abs(idx[:, None] - idx)] - c[idx[:, None] + idx]
     kpi = idx * np.pi
@@ -448,7 +449,12 @@ def dirichlet_eigenvalue(k: int, method: str = "spectral", n: int = 1000) -> flo
 
 
 def _odd_power(u: np.ndarray, theta: float) -> np.ndarray:
-    return np.sign(u) * np.abs(u) ** theta
+    # sign(u) |u|**theta, with one temporary (the sign) beside the result:
+    # the same roundings as the product of the two, since x y == y x
+    out = np.absolute(u, dtype=float)
+    out **= theta
+    out *= np.sign(u)
+    return out
 
 
 def sublinear_affine(r1: float = 0.25, theta: float = 0.5) -> Nonlinearity:

@@ -42,20 +42,21 @@ _TABLE_FREE_ABOVE_BYTES (4 MiB), so such a grid never builds the table, and
 otherwise one product through the table E^T[k, i] = e_(k+1)(t_i), a row a
 mode.  row_cells counts what one row holds on either route; a bvp
 operator's row_width is it, and the load bounds it.  The batches are the
-48 rows of (H); the oddness check tests f on the grid and applies its 100
+48 rows of (H), in chunks of operators.batches (4 rows at 1,280 modes on
+8,192 nodes); the oddness check tests f on the grid and applies its 100
 sampled rows only where that fails, and the ray checks sum their forms on
 the grid from one synthesis of each ray and no analysis
-(bvp.bvp_operator).  A synthesis plus an analysis of 48 rows,
+(bvp.bvp_operator).  A synthesis plus an analysis of 48 rows in one call,
 table / transform, in ms: the median wall time of 31 interleaved calls, and
 the CPU time of all threads a call over 31 calls in a row and the 0.3 s
 after them (2 shared vCPUs, 2 OpenBLAS threads, one run), and the time to
 build the table:
 
     modes x nodes   table      build   wall          CPU
-      256 x 2,048    4.0 MiB      8     2.4 /  3.4    8.8 /  2.6
-      320 x 2,048    5.0 MiB     10     2.3 /  2.1    8.7 /  1.6
-      640 x 4,096   20.0 MiB     44     8.0 /  4.0   25.2 /  7.7
-    1,280 x 8,192   80.0 MiB    176    37.2 / 10.1   78.8 / 16.1
+      256 x 2,048    4.0 MiB     13     2.2 /  2.6    8.4 /  1.5
+      320 x 2,048    5.0 MiB     12     2.7 /  2.7    9.1 /  2.2
+      640 x 4,096   20.0 MiB     79    11.1 /  5.9   25.2 /  5.9
+    1,280 x 8,192   80.0 MiB    208    40.9 / 10.6   93.6 / 14.3
 
 OpenBLAS runs a product on a second thread above about half a million
 multiply-adds (48 x 32 by 32 x 352 here, not 48 x 32 by 32 x 320), and its
@@ -72,8 +73,29 @@ Both ways are linear and every rounding in them flips sign with its input,
 so a product of -c is the negation of the product of c bit for bit.
 
 What a product reads of its grid (the nodes and weights, the transform's
-phases and the table) is one read-only Grid.  A bvp operator builds its own
-and holds it, so a grid and its table live as long as the operator.
+phases and the table) is one Grid.  A bvp operator builds its own and holds
+it, so a grid and its table live as long as the operator.  The Grid also
+holds the transform's work: the phases of the lines q >= Q/2, rotated for
+the synthesis and conjugated for the analysis, built once, and one complex
+(B, ceil(Q/2), P + 1) array of spectra and one real (B, ceil(Q/2), 2P)
+array of FFT lines, which numpy.fft writes through out= (numpy 2.0 and
+later).  Both arrays serve the synthesis and the analysis, whose uses of
+them never overlap, and grow to the largest batch the grid has seen (4
+rows, 262 KB each, at 1,280 modes on 8,192 nodes).  A product's result is
+a new array on every call, so what a caller keeps is never overwritten.
+The arrays are held because glibc serves a block above its mmap threshold
+fresh from the kernel, page fault by page fault, and raises the threshold
+only when such a block is freed: with a new spectrum and new lines on every
+call, a product's speed depended on what else the process had freed
+before (a 10.25 MB evaluate made a bvp_highres pass 2,700 minor faults
+cheaper).  Two products on one Grid must not run at once, from two
+threads or from an f that applies its own operator: they would share the
+work arrays.
+
+evaluate sums sin(pi k t) terms a chunk of points at a time, at most
+_EVALUATE_CELLS (2^16) terms or two points' worth, and its values are those
+of one sum over all the points bit for bit; at 1,280 modes and 1,001 points
+it held one 10.25 MB array before, and about 0.5 MB now.
 """
 
 from __future__ import annotations
@@ -186,13 +208,18 @@ def gauss_rule(order: int, panels: int = 1) -> tuple[np.ndarray, np.ndarray]:
 
 
 class Grid:
-    """The composite Gauss-Legendre grid of one discretization, read-only.
+    """The composite Gauss-Legendre grid of one discretization, with the
+    panel transform's operands and work arrays.
 
     nodes, weights: the rule in grid order, gauss_rule at cfg's resolution.
-    phases: panel_phases(cfg, n_modes + 1), read by the panel transform.
+    phases: panel_phases(cfg, n_modes + 1), the bins the transform reads.
     table: the basis table, built on its first read.
 
-    A bvp operator builds its own and holds it.
+    The transform also reads the phases of the lines q >= quad_nodes // 2
+    divided by 2i for the synthesis and conjugated for the analysis, built
+    here once, and writes its FFT spectra and lines into two arrays held
+    here (_work), so a product on a Grid is not re-entrant.  A bvp
+    operator builds its own and holds it.
     """
 
     def __init__(self, cfg: SpaceConfig) -> None:
@@ -200,6 +227,25 @@ class Grid:
         self.nodes, self.weights = gauss_rule(cfg.quad_nodes, cfg.n_panels)
         self.phases = panel_phases(cfg, cfg.n_modes + 1)
         self.phases.flags.writeable = False
+        upper = self.phases[:, cfg.quad_nodes // 2 :]
+        # C_k / 2i term by term, exactly: -0.5j z only swaps, halves and negates
+        self._rotated = (-0.5j * upper).T
+        # the terms of bins P <= j enter the synthesis's spectrum conjugated
+        self._rotated_back = self._rotated[:, cfg.n_panels :].conj()
+        self._conjugated = upper[: cfg.n_panels + 1].conj()
+        lines = (cfg.quad_nodes + 1) // 2
+        self._spectra = np.empty((0, lines, cfg.n_panels + 1), dtype=complex)
+        self._lines = np.empty((0, lines, 2 * cfg.n_panels))
+
+    def _work(self, rows: int) -> tuple[np.ndarray, np.ndarray]:
+        """The transform's (rows, ceil(Q/2), P + 1) complex spectra and
+        (rows, ceil(Q/2), 2P) real FFT lines: the leading rows of one array
+        each, grown to the largest batch seen.  A synthesis and an analysis
+        share them: neither's use of them outlives its call."""
+        if self._lines.shape[0] < rows:
+            self._spectra = np.empty((rows, *self._spectra.shape[1:]), dtype=complex)
+            self._lines = np.empty((rows, *self._lines.shape[1:]))
+        return self._spectra[:rows], self._lines[:rows]
 
     @functools.cached_property
     def table(self) -> np.ndarray:
@@ -256,90 +302,103 @@ def panel_phases(cfg: SpaceConfig, count: int) -> np.ndarray:
     return np.exp(phases, out=phases)
 
 
-def panel_analysis(
-    values: np.ndarray, cfg: SpaceConfig, phases: np.ndarray, cosine: bool = False
-) -> np.ndarray:
+def panel_analysis(values: np.ndarray, g: Grid, cosine: bool = False) -> np.ndarray:
     """sum_i g(t_i) sin(pi j t_i) over the grid for each of B rows of g, or
-    the sums of g(t_i) cos(pi j t_i) with cosine=True.
+    the sums of g(t_i) cos(pi j t_i) with cosine=True, for the bins j of
+    g.phases.
 
-    values is (B, N) real, in grid order; phases is panel_phases(cfg, count)
-    and the result is (B, count) real.  For t = (p + y_q) / P the sum over
-    p is a DFT of length 2P at bin j mod 2P, so a count above 2P folds the
-    bins.  Since y_(Q-1-q) = 1 - y_q, a line q >= Q/2 followed by its
-    mirror line reversed, [g_q, -/+ reversed g_(Q-1-q)], is one real FFT of
-    length 2P whose R_j, j <= P, give both lines' sine sums (with -) or
-    cosine sums (with +) as the imaginary or real part of conj(R_j) times
-    the phase of q; the middle line of an odd quad_nodes is its own mirror
-    and is padded with zeros instead.  The grid values are real, so bin j
-    is conj(R_j) up to P and R_(2P-j) above it.
+    values is (B, N) real, in grid order, and the result is (B, n_modes + 1)
+    real.  For t = (p + y_q) / P the sum over p is a DFT of length 2P at bin
+    j mod 2P, so a count of bins above 2P folds them.  Since y_(Q-1-q) = 1 -
+    y_q, a line q >= Q/2 followed by its mirror line reversed, [g_q, -/+
+    reversed g_(Q-1-q)], is one real FFT of length 2P whose R_j, j <= P,
+    give both lines' sine sums (with -) or cosine sums (with +) as the
+    imaginary or real part of conj(R_j) times the phase of q; the middle
+    line of an odd quad_nodes is its own mirror and is padded with zeros
+    instead.  The grid values are real, so bin j is conj(R_j) up to P and
+    R_(2P-j) above it.  The lines and their spectra are g's work arrays.
     """
+    cfg = g.cfg
     b = values.shape[0]
-    count = phases.shape[0]
+    count = g.phases.shape[0]
     p = cfg.n_panels
     width = 2 * p
     # the lines q >= lo take the FFT, each with its mirror Q-1-q; for an odd
     # quad_nodes the first of them, q = lo, is the middle line, its own mirror
     lo, odd = divmod(cfg.quad_nodes, 2)
+    spectra, lines = g._work(b)
     # (B, lo + odd, 2P): one contiguous line a pair, which the FFT reads
-    # faster than it gathers one
-    lines = np.empty((b, lo + odd, width))
+    # faster than it gathers one.  The mirror lines go in first, and for the
+    # sines the whole block is negated, one contiguous pass (numpy negates a
+    # strided view through a temporary copy), before the lines q go in
+    lines[:, odd:, p:] = values[:, ::-1].reshape(b, p, -1)[..., lo + odd :].transpose(0, 2, 1)
+    if not cosine:
+        np.negative(lines, out=lines)
     lines[..., :p] = values.reshape(b, p, -1)[..., lo:].transpose(0, 2, 1)
-    mirrored = values[:, ::-1].reshape(b, p, -1)[..., lo + odd :].transpose(0, 2, 1)
-    np.multiply(mirrored, 1.0 if cosine else -1.0, out=lines[:, odd:, p:])
     lines[:, :odd, p:] = 0.0
-    spectra = np.fft.rfft(lines)  # R_j = sum g exp(-i pi j p / P), j <= P
-    phases = phases[:, lo:]
+    np.fft.rfft(lines, out=spectra)  # R_j = sum g exp(-i pi j p / P), j <= P
+    phases = g.phases[:, lo:]
     if count > width:  # every bin of 2P, gathered modulo 2P
         full = np.concatenate([spectra.conj(), spectra[..., p - 1 : 0 : -1]], axis=-1)
         sums = np.einsum("bqj,jq->bj", full[..., np.arange(count) % width], phases)
-    else:
-        low = min(count, p + 1)
-        sums = np.empty((b, count), dtype=complex)
-        # sum_q conj(R_j) phase = conj(sum_q R_j conj(phase)), rounded alike
-        sums[:, :low] = np.einsum("bqj,jq->bj", spectra[..., :low], phases[:low].conj()).conj()
-        # bins P < j < count read R_(2P-j) through a reversed view
-        sums[:, low:] = np.einsum("bqj,jq->bj", spectra[..., p - 1 : width - count : -1], phases[low:])
-    return sums.real if cosine else sums.imag
+        return sums.real if cosine else sums.imag
+    low = min(count, p + 1)
+    # sum_q conj(R_j) phase = conj(sum_q R_j conj(phase)), rounded alike
+    lower = np.einsum("bqj,jq->bj", spectra[..., :low], g._conjugated[:low])
+    np.conjugate(lower, out=lower)
+    # bins P < j < count read R_(2P-j) through a reversed view
+    upper = np.einsum("bqj,jq->bj", spectra[..., p - 1 : width - count : -1], phases[low:])
+    sums = np.empty((b, count))
+    sums[:, :low] = lower.real if cosine else lower.imag
+    sums[:, low:] = upper.real if cosine else upper.imag
+    return sums
 
 
-def panel_synthesis(amplitudes: np.ndarray, cfg: SpaceConfig, phases: np.ndarray) -> np.ndarray:
+def panel_synthesis(amplitudes: np.ndarray, g: Grid) -> np.ndarray:
     """sum_j a_j sin(pi j t_i) at every grid node for each of B rows of a.
 
-    amplitudes is (B, count) real and phases is panel_phases(cfg, count); the
-    result is (B, N) real, in grid order: the transpose of panel_analysis.
-    With C_k the terms a_j exp(i pi j y_q / P) of the bins j = k mod 2P,
-    the sum at (p + y_q) / P for p < 2P is the inverse DFT of the Hermitian
+    amplitudes is (B, n_modes + 1) real, one a bin of g.phases; the result
+    is (B, N) real, in grid order: the transpose of panel_analysis.  With
+    C_k the terms a_j exp(i pi j y_q / P) of the bins j = k mod 2P, the sum
+    at (p + y_q) / P for p < 2P is the inverse DFT of the Hermitian
     spectrum D_k = (C_k - conj C_(2P-k)) / 2i, one real FFT over k = 0..P.
     Only the lines q >= Q/2 and a middle line take it: a sine series has
     S(1 + s) = -S(1 - s), so the second half of line q, reversed and
-    negated, is line Q-1-q.
+    negated, is line Q-1-q.  The spectrum and the lines are g's work
+    arrays; the result is a new array.
     """
+    cfg = g.cfg
     b, count = amplitudes.shape
     p = cfg.n_panels
     width = 2 * p
     lo, odd = divmod(cfg.quad_nodes, 2)  # the lines q >= lo, as in panel_analysis
-    # C_k / 2i term by term, exactly: -0.5j z only swaps, halves and negates
-    rotated = (-0.5j * phases[:, lo:]).T
+    rotated = g._rotated
+    spectrum, lines = g._work(b)
     if count > width:  # fold the bins modulo 2P
         terms = np.zeros((b, lo + odd, count + -count % width), dtype=complex)
         np.multiply(amplitudes[:, None, :], rotated, out=terms[..., :count])
         terms = terms.reshape(b, lo + odd, -1, width).sum(axis=2)
-        spectrum = terms[..., : p + 1].copy()
+        spectrum[...] = terms[..., : p + 1]
         spectrum[..., p:0:-1] += terms[..., p:].conj()
     else:
         low = min(count, p + 1)
-        spectrum = np.empty((b, lo + odd, p + 1), dtype=complex)
         spectrum[..., low:] = 0.0
         np.multiply(amplitudes[:, None, :low], rotated[:, :low], out=spectrum[..., :low])
-        # the terms of bins P <= j < count enter D at 2P - j, conjugated
-        spectrum[..., p : width - count : -1] += amplitudes[:, None, p:] * rotated[:, p:].conj()
+        # the terms of bins P <= j < count enter D at 2P - j, conjugated;
+        # they are formed in the lines' array, which the FFT writes only
+        # after they are added
+        back = lines.view(complex)[..., : max(count - p, 0)]
+        np.multiply(amplitudes[:, None, p:], g._rotated_back, out=back)
+        spectrum[..., p : width - count : -1] += back
     spectrum[..., 0] += spectrum[..., 0].conj()  # D_0 = Im C_0; irfft reads real parts at 0 and P
-    lines = np.fft.irfft(spectrum, n=width, norm="forward")  # (B, lo + odd, 2P)
+    np.fft.irfft(spectrum, n=width, norm="forward", out=lines)  # (B, lo + odd, 2P)
     values = np.empty((b, p * cfg.quad_nodes))
     values.reshape(b, p, -1)[..., lo:] = lines[..., :p].transpose(0, 2, 1)
-    # a view of values, so that the mirror lines are written in place
-    mirrored = values[:, ::-1].reshape(b, p, -1)[..., lo + odd :]
-    np.negative(lines[:, odd:, p:].transpose(0, 2, 1), out=mirrored)
+    # negated whole, the lines' one contiguous block, then copied through a
+    # view of values, so that the mirror lines are written in place; numpy
+    # negates a strided view through a temporary copy
+    np.negative(lines, out=lines)
+    values[:, ::-1].reshape(b, p, -1)[..., lo + odd :] = lines[:, odd:, p:].transpose(0, 2, 1)
     return values
 
 
@@ -353,8 +412,8 @@ def profiles(coeffs: np.ndarray, g: Grid) -> np.ndarray:
     cfg = g.cfg
     if _table_free(cfg):
         amplitudes = np.zeros((coeffs.shape[0], cfg.n_modes + 1))
-        amplitudes[:, 1:] = coeffs * _scales(cfg.n_modes)
-        return panel_synthesis(amplitudes, cfg, g.phases)
+        np.multiply(coeffs, _scales(cfg.n_modes), out=amplitudes[:, 1:])
+        return panel_synthesis(amplitudes, g)
     return coeffs @ g.table
 
 
@@ -367,7 +426,7 @@ def moments(values: np.ndarray, g: Grid) -> np.ndarray:
     """
     cfg = g.cfg
     if _table_free(cfg):
-        return panel_analysis(values, cfg, g.phases)[:, 1:] * _scales(cfg.n_modes)
+        return panel_analysis(values, g)[:, 1:] * _scales(cfg.n_modes)
     return values @ g.table.T
 
 
@@ -398,19 +457,40 @@ def inner(u: H1Vector, v: H1Vector) -> float:
     return float(np.dot(u.coeffs, v.coeffs))
 
 
+# evaluate forms at most this many terms at once (or two points' worth)
+_EVALUATE_CELLS = 2**16
+
+
 def evaluate(u: H1Vector, t):
-    """Pointwise values sum_k u_k e_k(t); scalar in, scalar out."""
+    """Pointwise values sum_k u_k e_k(t); scalar in, scalar out, and an
+    array of t's shape otherwise.
+
+    The terms sin(pi k t) are formed in place in one array of at most
+    _EVALUATE_CELLS terms, or two points' worth, a chunk of points at a
+    time; each point's series is summed by einsum, numpy's own loop, not a
+    BLAS call, which a thousand points of a thousand modes would send to a
+    second thread.  A chunk holds two points or more, and the values equal
+    those of one einsum over all the points bit for bit.
+    """
     tarr = np.asarray(t, dtype=float)
     if not np.all((tarr >= 0.0) & (tarr <= 1.0)):  # rejects NaN as well
         raise ValueError("t must lie in [0, 1]")
-    ks = np.arange(1, u.n_modes + 1)
-    # the terms in place, one points x modes array; summed by numpy's own
-    # loop, not a BLAS call: a product of a thousand points with a thousand
-    # modes would wake a second BLAS thread
-    terms = np.multiply.outer(tarr, ks.astype(float))
-    terms *= np.pi
-    np.sin(terms, out=terms)
-    vals = np.einsum("...k,k", terms, _scales(u.n_modes) * u.coeffs)
+    ks = np.arange(1, u.n_modes + 1).astype(float)
+    amplitudes = _scales(u.n_modes) * u.coeffs
+    points = tarr.reshape(-1)
+    vals = np.empty(points.size)
+    rows = max(2, _EVALUATE_CELLS // u.n_modes)
+    terms = np.empty((min(rows, points.size), u.n_modes))
+    for start in range(0, points.size, rows):
+        # einsum sums a lone row of more than 8,192 terms in another order
+        # (its buffer's), so a lone last point is taken with the one before
+        start = max(0, min(start, points.size - 2))
+        chunk = points[start : start + rows]
+        block = terms[: chunk.size]
+        np.multiply.outer(chunk, ks, out=block)
+        block *= np.pi
+        np.sin(block, out=block)
+        np.einsum("pk,k->p", block, amplitudes, out=vals[start : start + chunk.size])
     if np.isscalar(t) or tarr.ndim == 0:
-        return float(vals)
-    return vals
+        return float(vals[0])
+    return vals.reshape(tarr.shape)

@@ -5,7 +5,8 @@ by its own table (space.Grid.table) or by the panel transform.  The tests
 check those products against this table, which is built from the closed
 form e_k(t) = sqrt(2) sin(k pi t) / (k pi) at every node and shares no code
 with the package's; the panel transform's bins are checked against the
-cosines and sines of pi j t on every node (bin_table).
+cosines and sines of pi j t on every node (bin_table), and space.evaluate
+against its own sum over all the points at once (evaluate_unchunked).
 """
 
 import numpy as np
@@ -39,6 +40,16 @@ def bin_table(cfg, count):
     nodes, _ = gauss_rule(cfg.quad_nodes, cfg.n_panels)
     angles = np.pi * np.outer(nodes, np.arange(count))
     return np.cos(angles), np.sin(angles)
+
+
+def evaluate_unchunked(coeffs, t):
+    """sum_k c_k e_k(t) as space.evaluate formed it before it took its
+    points in chunks: one points x modes array of terms, summed by einsum."""
+    ks = np.arange(1, coeffs.size + 1)
+    terms = np.multiply.outer(np.asarray(t, dtype=float), ks.astype(float))
+    terms *= np.pi
+    np.sin(terms, out=terms)
+    return np.einsum("...k,k", terms, np.sqrt(2.0) / (ks * np.pi) * coeffs)
 
 
 def max_rel(got, ref):

@@ -363,9 +363,10 @@ def test_a_table_free_load_and_report_build_no_basis_table(monkeypatch, tmp_path
     # 5 and 80 MiB, above the 4 MiB crossover, so every product takes the
     # panel transform.  A load, a check and a report run with every table
     # read recorded and failing, and read none.  A load with gauss_rule's
-    # cache filled peaks at 0.17 and 0.61 MB under tracemalloc, the oddness
+    # cache filled peaks at 0.21 and 0.77 MB under tracemalloc, the oddness
     # hook's f arrays of one chunk (2**15 values each) and the grid's
-    # transform phases; the bound fails a load that builds the table (5.2
+    # transform phases, with the rotated and the conjugated phases of half
+    # its Gauss lines; the bound fails a load that builds the table (5.2
     # MB at 320 modes) or synthesizes the 100 sampled oddness rows (1.6 and
     # 6.5 MB of profiles alone)
     path = PROBLEMS / "bvp_sqrt.cfg"
@@ -394,6 +395,65 @@ def test_a_table_free_load_and_report_build_no_basis_table(monkeypatch, tmp_path
         assert cli.main(["report", *argv]) == 1
         assert json.loads((tmp_path / "out.json").read_text())["solve"]["meets_expected"] is True
     assert reads == []
+
+
+def _peak_above_start(fn, *args):
+    """fn(*args) and the tracemalloc peak of the call above what was held
+    when it started."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def test_a_table_free_grid_reuses_its_work_without_aliasing(rng):
+    # 1,280 modes on 8,192 nodes: the spectra and FFT lines of a 4-row
+    # product, 262 KB each, are the grid's own arrays from its first product
+    # on.  A second and a third product peak at what they return, plus less
+    # than 3/4 of one work array (numpy's ufunc buffers, the amplitudes and
+    # the analysis's bin sums: 42 and 135 KB measured); one that allocated
+    # a new spectrum or new lines would exceed it (1.04 and 0.74 MB
+    # measured for profiles and moments when they did).  An apply also holds
+    # the profile and f's values, one (B, N) array each
+    cfg = SpaceConfig(1280, 8, 1024)
+    slack = 3 * (4 * 4 * 2048 * 8) // 4
+    coeffs = rng.standard_normal((4, cfg.n_modes)) / np.arange(1, cfg.n_modes + 1)
+    values = rng.standard_normal((4, 8192))
+    g = Grid(cfg)
+    op = bvp.bvp_operator(bvp.linear_nonlinearity(5.0), cfg)
+    first = [space_mod.profiles(coeffs, g), space_mod.moments(values, g), op.apply_batch(coeffs)]
+    for _ in range(2):
+        profile, peak = _peak_above_start(space_mod.profiles, coeffs, g)
+        assert peak <= profile.nbytes + slack
+        analysed, peak = _peak_above_start(space_mod.moments, values, g)
+        assert peak <= analysed.nbytes + slack
+        applied, peak = _peak_above_start(op.apply_batch, coeffs)
+        assert peak <= 2 * profile.nbytes + applied.nbytes + slack
+        for got, want in zip((profile, analysed, applied), first):
+            assert np.array_equal(got, want)
+    fresh = Grid(cfg)
+    assert np.array_equal(space_mod.profiles(coeffs, fresh), first[0])
+    assert np.array_equal(space_mod.moments(values, fresh), first[1])
+    assert np.array_equal(bvp.bvp_operator(bvp.linear_nonlinearity(5.0), cfg).apply_batch(coeffs), first[2])
+    # what a caller keeps is its own: earlier results, and the profile that
+    # profile_row caches for the potential and the apply at one point, stay
+    # as they were after products of more and of fewer rows
+    c = coeffs[1]
+    potential, applied = op.potential_coeffs(c), op.apply_coeffs(c)
+    kept = [a.copy() for a in first]
+    wide = rng.standard_normal((7, cfg.n_modes))
+    for rows in (wide, wide[:1]):
+        space_mod.moments(space_mod.profiles(rows, g), g)
+        op.apply_batch(rows)
+    for a, copy in zip(first, kept):
+        assert np.array_equal(a, copy)
+    assert op.potential_coeffs(c) == potential
+    assert np.array_equal(op.apply_coeffs(c), applied)
+    assert np.array_equal(applied, first[2][1])
 
 
 @pytest.mark.parametrize(
@@ -800,6 +860,20 @@ def test_sublinear_affine_values():
         bvp.sublinear_affine(r1=1.5)
     with pytest.raises(ValueError):
         bvp.sublinear_affine(theta=1.0)
+
+
+def test_odd_power_holds_one_temporary(rng):
+    # sign(u) |u|**theta as the product it was, bit for bit (signed zeros,
+    # infinities and subnormals included), holding the result and the sign:
+    # two (4, 8,192) arrays, where the product held three (the sign, |u| and
+    # its power), which lifted a bvp_highres (H) batch past glibc's trim
+    # threshold and back on every batch
+    u = rng.standard_normal((4, 8192)) * 10.0 ** rng.integers(-300, 300, (4, 8192))
+    u[0, :6] = 0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324
+    for theta in (0.5, 0.3):
+        got, peak = _peak_above_start(bvp._odd_power, u, theta)
+        assert got.tobytes() == (np.sign(u) * np.abs(u) ** theta).tobytes()
+        assert peak <= 2 * u.nbytes + 4096
 
 
 def test_coefficient_range(space32):

@@ -147,6 +147,19 @@ def test_search_within_energy_rounding_is_decided_by_the_residual():
     assert point.u.coeffs[0] == 3.0 and point.grad_norm == 0.0
 
 
+def test_descent_stops_at_the_energy_floor():
+    # J is flat and J'(c) = c: the Armijo test rejects every trial until
+    # the decrease step * ||J'||^2 falls within J's rounding at step 2**-50,
+    # where the lower residual accepts it.  J is unchanged and the step is
+    # below 1e-6, so the descent stops there, after one iteration, not at
+    # max_iter (each further iteration would repeat the same search)
+    point, trace = _descend((lambda c: 0.0, lambda c: c.copy()), np.array([1.0]), SolverConfig(max_iter=50))
+    assert trace.steps == [2.0**-50]
+    assert trace.j_values == [0.0] and trace.grad_norms == [1.0]
+    assert point.iterations == 1
+    assert point.u.coeffs[0] == 1.0 - 2.0**-50 and point.grad_norm == 1.0 - 2.0**-50
+
+
 def test_grad_norm_equals_fp_residual(model_1d):
     point = descend(model_1d, H1Vector([0.7]), SolverConfig())
     assert point.grad_norm == point.fp_residual

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 from scipy.integrate import quad
 
 from analytic_reference import l2_norm_sq
-from basis_reference import PRODUCT_SPACES, bin_table, full_table, max_rel
+from basis_reference import PRODUCT_SPACES, bin_table, evaluate_unchunked, full_table, max_rel
 from fixpairs import (
     H1Vector,
     SpaceConfig,
@@ -22,7 +23,6 @@ from fixpairs.space import (
     basis_matrix,
     moments,
     panel_analysis,
-    panel_phases,
     panel_synthesis,
     profiles,
 )
@@ -54,6 +54,17 @@ def test_inner_dimension_mismatch():
         inner(basis_vector(1, 3), basis_vector(1, 4))
 
 
+def test_h1vector_sum_and_its_dimension_check():
+    u = H1Vector([1.0, -2.0, 0.5])
+    total = u + H1Vector([0.25, 2.0, -1.0])
+    assert isinstance(total, H1Vector)
+    assert total.coeffs.tolist() == [1.25, 0.0, -0.5]
+    assert not total.coeffs.flags.writeable
+    assert u.coeffs.tolist() == [1.0, -2.0, 0.5]
+    with pytest.raises(ValueError, match="dimension mismatch: 3 vs 2"):
+        u + H1Vector([1.0, 2.0])
+
+
 @given(coeff_arrays())
 def test_evaluate_boundary_values(c):
     u = H1Vector(c)
@@ -83,9 +94,11 @@ def test_evaluate_matches_a_long_double_sum(rng):
 
 
 def test_evaluate_holds_one_points_by_modes_array(rng):
-    # the terms are computed in place: a 1,001-point evaluate of 1,280 modes
-    # peaks at one 10.25 MB terms array (10.4 MB measured); the bound fails
-    # a second temporary of that size (20.5 MB)
+    # the terms are formed in place, a chunk of points at a time: a
+    # 1,001-point evaluate of 1,280 modes holds one 51-point chunk of terms
+    # (0.52 MB), not the 10.25 MB of every point's terms at once (10.4 MB
+    # measured before the chunks); the bound, two chunks' worth of terms,
+    # fails a second chunk or a copy of one
     u = H1Vector(rng.standard_normal(1280))
     ts = np.linspace(0.0, 1.0, 1001)
     tracemalloc.start()
@@ -94,7 +107,25 @@ def test_evaluate_holds_one_points_by_modes_array(rng):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.2 * 8 * ts.size * u.n_modes
+    assert peak <= 2 * 8 * space_mod._EVALUATE_CELLS
+
+
+@pytest.mark.parametrize("n_modes, n_points", [(1, 2 * 2**16 + 1), (1280, 20 * 51 + 1), (1280, 1001)])
+def test_evaluate_matches_the_unchunked_sum(n_modes, n_points, rng):
+    # bit for bit, at a point count that is not a multiple of the chunk
+    # (2**16 points at one mode, 51 at 1,280), with a lone last point,
+    # for scalar, 1-D and 2-D t
+    coeffs = rng.standard_normal(n_modes) / np.arange(1, n_modes + 1)
+    u = H1Vector(coeffs)
+    ts = rng.uniform(0.0, 1.0, n_points)
+    ts[:2] = 0.0, 1.0
+    assert np.array_equal(evaluate(u, ts), evaluate_unchunked(coeffs, ts))
+    grid = ts[: 7 * 11].reshape(7, 11)
+    got = evaluate(u, grid)
+    assert got.shape == (7, 11) and np.array_equal(got, evaluate_unchunked(coeffs, grid))
+    scalar = evaluate(u, float(ts[5]))
+    assert isinstance(scalar, float) and scalar == evaluate_unchunked(coeffs, ts[5])
+    assert evaluate(u, np.empty(0)).shape == (0,)
 
 
 def test_evaluate_rejects_outside_domain():
@@ -223,27 +254,26 @@ def test_panel_transform_matches_the_full_table(cfg, rng):
     coeffs = rng.standard_normal((3, n))
     amplitudes = np.zeros((3, n + 1))
     amplitudes[:, 1:] = coeffs * scales
-    phases = panel_phases(cfg, n + 1)
-    analysed = panel_analysis(values, cfg, phases)
-    synthesized = panel_synthesis(amplitudes, cfg, phases)
+    g = Grid(cfg)
+    analysed = panel_analysis(values, g)
+    synthesized = panel_synthesis(amplitudes, g)
     assert analysed.dtype == synthesized.dtype == np.float64
     assert max_rel(analysed[:, 1:] * scales, values @ full) <= 1e-13
     assert max_rel(synthesized, coeffs @ full.T) <= 1e-13
-    # a count above 2 n_panels folds the bins
+    # a count above 2 n_panels folds the bins: the 2n + 1 bins of the grid
+    # of 2n modes on the same rule
     count = 2 * n + 1
     cosines, sines = bin_table(cfg, count)
-    wide = panel_phases(cfg, count)
-    assert max_rel(panel_analysis(values, cfg, wide), values @ sines) <= 1e-13
-    assert max_rel(panel_analysis(values, cfg, wide, cosine=True), values @ cosines) <= 1e-13
+    wide = Grid(replace(cfg, n_modes=2 * n))
+    assert max_rel(panel_analysis(values, wide), values @ sines) <= 1e-13
+    assert max_rel(panel_analysis(values, wide, cosine=True), values @ cosines) <= 1e-13
     wide_amplitudes = rng.standard_normal((3, count))
-    assert max_rel(panel_synthesis(wide_amplitudes, cfg, wide), wide_amplitudes @ sines.T) <= 1e-13
+    assert max_rel(panel_synthesis(wide_amplitudes, wide), wide_amplitudes @ sines.T) <= 1e-13
     # T(-x) == -T(x) bit for bit, both ways
-    assert np.array_equal(panel_analysis(-values, cfg, phases), -analysed)
-    assert np.array_equal(panel_synthesis(-amplitudes, cfg, phases), -synthesized)
+    assert np.array_equal(panel_analysis(-values, g), -analysed)
+    assert np.array_equal(panel_synthesis(-amplitudes, g), -synthesized)
     for cosine in (False, True):
-        assert np.array_equal(
-            panel_analysis(-values, cfg, wide, cosine=cosine), -panel_analysis(values, cfg, wide, cosine=cosine)
-        )
+        assert np.array_equal(panel_analysis(-values, wide, cosine=cosine), -panel_analysis(values, wide, cosine=cosine))
 
 
 # (quad_nodes, n_panels, counts): for each grid a count up to P + 1, one
@@ -275,27 +305,27 @@ def test_panel_transform_reads_every_bin_range(quad_nodes, n_panels, count, rng)
     # reversed view and j >= 2P fold; every amplitude is non-zero, the j = 0
     # one and the j = P one included, where the synthesis's inverse real FFT
     # reads real parts only.  Each FFT serves a Gauss line and its mirror
-    cfg = SpaceConfig(1, quad_nodes, n_panels)
-    nodes = Grid(cfg).nodes
+    # the count bins of the grid of count - 1 modes
+    cfg = SpaceConfig(count - 1, quad_nodes, n_panels)
+    g = Grid(cfg)
     cosines, sines = bin_table(cfg, count)
-    phases = panel_phases(cfg, count)
-    values = rng.standard_normal((4, nodes.size))
+    values = rng.standard_normal((4, g.nodes.size))
     amplitudes = rng.standard_normal((4, count)) + 2.0
-    synthesized = panel_synthesis(amplitudes, cfg, phases)
-    assert synthesized.shape == (4, nodes.size) and synthesized.dtype == np.float64
+    synthesized = panel_synthesis(amplitudes, g)
+    assert synthesized.shape == (4, g.nodes.size) and synthesized.dtype == np.float64
     assert max_rel(synthesized, amplitudes @ sines.T) <= 1e-13
     # T(-x) == -T(x) bit for bit, both ways
-    assert np.array_equal(panel_synthesis(-amplitudes, cfg, phases), -synthesized)
+    assert np.array_equal(panel_synthesis(-amplitudes, g), -synthesized)
     # a row of a batch is its one-row product bit for bit
     for i in range(4):
-        assert np.array_equal(panel_synthesis(amplitudes[i : i + 1], cfg, phases)[0], synthesized[i])
+        assert np.array_equal(panel_synthesis(amplitudes[i : i + 1], g)[0], synthesized[i])
     for cosine, reference in ((False, sines), (True, cosines)):
-        analysed = panel_analysis(values, cfg, phases, cosine=cosine)
+        analysed = panel_analysis(values, g, cosine=cosine)
         assert analysed.shape == (4, count) and analysed.dtype == np.float64
         assert max_rel(analysed, values @ reference) <= 1e-13
-        assert np.array_equal(panel_analysis(-values, cfg, phases, cosine=cosine), -analysed)
+        assert np.array_equal(panel_analysis(-values, g, cosine=cosine), -analysed)
         for i in range(4):
-            assert np.array_equal(panel_analysis(values[i : i + 1], cfg, phases, cosine=cosine)[0], analysed[i])
+            assert np.array_equal(panel_analysis(values[i : i + 1], g, cosine=cosine)[0], analysed[i])
 
 
 @pytest.mark.parametrize(
@@ -317,20 +347,19 @@ def test_a_product_transforms_half_the_gauss_lines(monkeypatch, cfg, rng):
 
         monkeypatch.setattr(np.fft, name, counted)
     paired = (cfg.quad_nodes + 1) // 2
-    phases = panel_phases(cfg, cfg.n_modes + 1)
+    g = Grid(cfg)
     n_nodes = cfg.quad_nodes * cfg.n_panels
     for rows in (1, 3):
         lines.clear()
-        panel_synthesis(rng.standard_normal((rows, cfg.n_modes + 1)), cfg, phases)
-        panel_analysis(rng.standard_normal((rows, n_nodes)), cfg, phases)
-        panel_analysis(rng.standard_normal((rows, n_nodes)), cfg, phases, cosine=True)
+        panel_synthesis(rng.standard_normal((rows, cfg.n_modes + 1)), g)
+        panel_analysis(rng.standard_normal((rows, n_nodes)), g)
+        panel_analysis(rng.standard_normal((rows, n_nodes)), g, cosine=True)
         assert lines == {
             "irfft": [(rows, paired, 2 * cfg.n_panels)],
             "rfft": [(rows, paired, 2 * cfg.n_panels)] * 2,
         }
     if space_mod._table_free(cfg):  # and so through profiles and moments
         lines.clear()
-        g = Grid(cfg)
         moments(profiles(rng.standard_normal((3, cfg.n_modes)), g), g)
         assert lines == {"irfft": [(3, paired, 2 * cfg.n_panels)], "rfft": [(3, paired, 2 * cfg.n_panels)]}
 
